@@ -1,28 +1,28 @@
 """Bundle actions: Lie groups acting on the semiclassical bundle.
 
 A :class:`BundleAction` pairs a base map family ``u_g`` on classical states
-with a fiber unitary family ``U_g(u_g X <- X)``.  The built-in catalog keeps
-every base map in closed form and every fiber unitary independent of the base
-point, which makes orbit evaluation vectorizable; the generic interfaces
-still carry the base point for registered actions that need it.
+with a fiber unitary family ``U_g``.  Every base map is in closed form, and
+every fiber unitary and fiber Hamiltonian is independent of the base point:
+the builders below are the one place that decision is made, and everything
+downstream (orbit evaluation, transport, generators) relies on it.
 
-Each scenario also exposes per-basis :class:`GeneratorData` (the base vector
-field with its exact flow, and the fiber Hamiltonian ``H(B_k : X)``) feeding
-the one-parameter exponentiation machinery.
+Each scenario also exposes per-basis :class:`GeneratorData` (the exact base
+flow and the constant fiber Hamiltonian ``H(B_k)``) feeding the one-parameter
+exponentiation machinery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import BundleAutomorphism, ClassicalState
+from .dynamics import ClassicalState
 from .errors import InputError
-from .fiber import (DimConfig, FiberOperator, momentum_operator,
-                    position_operator, quadratic_hamiltonian)
+from .fiber import (DimConfig, momentum_operator, position_operator,
+                    quadratic_hamiltonian, spectral_exp)
 from .groups import GroupElement, LieGroup, get_group
 
 __all__ = [
@@ -51,7 +51,7 @@ class BundleAction:
     dim_config: DimConfig
     base_fn: Callable[[np.ndarray, ClassicalState], ClassicalState]
     base_batch_fn: Callable[[np.ndarray, ClassicalState], np.ndarray]
-    fiber_fn: Callable[[np.ndarray, Optional[ClassicalState]], np.ndarray]
+    fiber_fn: Callable[[np.ndarray], np.ndarray]
 
     def base_map(self, g, X: ClassicalState) -> ClassicalState:
         return self.base_fn(_as_matrix(g), X)
@@ -61,28 +61,16 @@ class BundleAction:
         stacked state arrays of shape (J, 2n+1)."""
         return self.base_batch_fn(np.asarray(mats), X)
 
-    def fiber_matrix(self, g, X: Optional[ClassicalState] = None) -> np.ndarray:
-        return self.fiber_fn(_as_matrix(g), X)
-
-    def fiber_operator(self, g, X: Optional[ClassicalState] = None) -> FiberOperator:
-        return FiberOperator(self.fiber_matrix(g, X), self.dim_config, unitary=True)
-
-    def automorphism(self, g) -> BundleAutomorphism:
-        mat = _as_matrix(g)
-        return BundleAutomorphism(
-            base_map=lambda X: self.base_fn(mat, X),
-            fiber_map=lambda X: FiberOperator(self.fiber_fn(mat, X),
-                                              self.dim_config, unitary=True))
+    def fiber_matrix(self, g) -> np.ndarray:
+        return self.fiber_fn(_as_matrix(g))
 
 
 @dataclass(frozen=True)
 class GeneratorData:
     """One-parameter subgroup data for a basis direction B_k."""
 
-    base_field: Callable[[ClassicalState], np.ndarray]
     flow: Callable[[float, ClassicalState], ClassicalState]
-    fiber_hamiltonian: Callable[[ClassicalState], np.ndarray]
-    constant_fiber: bool = True
+    fiber_hamiltonian: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -97,15 +85,12 @@ class GeneratorFamily:
         if len(self.directions) != self.group.dim:
             raise InputError("one GeneratorData per algebra basis element required")
 
-    def fiber_hamiltonian(self, k: int, X: ClassicalState) -> np.ndarray:
-        return self.directions[k].fiber_hamiltonian(X)
-
-    def combination_hamiltonian(self, coords: np.ndarray, X: ClassicalState) -> np.ndarray:
-        """H(A : X) for A = sum_k coords_k B_k (the generator is linear)."""
+    def combination_hamiltonian(self, coords: np.ndarray) -> np.ndarray:
+        """H(A) for A = sum_k coords_k B_k (the generator is linear)."""
         out = np.zeros((self.dim_config.dim, self.dim_config.dim), dtype=complex)
         for c, d in zip(coords, self.directions):
             if c != 0.0:
-                out = out + c * d.fiber_hamiltonian(X)
+                out = out + c * d.fiber_hamiltonian
         return out
 
 
@@ -114,22 +99,9 @@ class GeneratorFamily:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _eig_position(n: int, n_cut: int):
-    cfg = DimConfig(n, n_cut)
-    vals, vecs = np.linalg.eigh(position_operator(cfg).matrix)
-    return vals, vecs
-
-
-@lru_cache(maxsize=None)
-def _eig_momentum(n: int, n_cut: int):
-    cfg = DimConfig(n, n_cut)
-    vals, vecs = np.linalg.eigh(momentum_operator(cfg).matrix)
-    return vals, vecs
-
-
-def _phase_of_hermitian(eig, t: float) -> np.ndarray:
-    vals, vecs = eig
-    return (vecs * np.exp(1j * t * vals)) @ vecs.conj().T
+def _eig(operator, n_cut: int):
+    """Eigendecomposition of a 1-D fiber operator builder's matrix."""
+    return np.linalg.eigh(operator(DimConfig(1, n_cut)).matrix)
 
 
 @lru_cache(maxsize=None)
@@ -165,8 +137,8 @@ def heisenberg_weyl_action(config: DimConfig):
     if config.n != 1:
         raise InputError("the Weyl scenario is 1-D in the fluctuation variable")
     group = get_group("heisenberg")
-    eig_x = _eig_position(1, config.n_cut)
-    eig_p = _eig_momentum(1, config.n_cut)
+    eig_x = _eig(position_operator, config.n_cut)
+    eig_p = _eig(momentum_operator, config.n_cut)
 
     def base_fn(mat, X):
         a, b, c = mat[0, 1].real, mat[1, 2].real, mat[0, 2].real
@@ -178,10 +150,9 @@ def heisenberg_weyl_action(config: DimConfig):
         c = mats[:, 0, 2].real
         return np.stack([X.S + c + a * X.P[0], X.P[0] + b, X.Q[0] + a], axis=-1)
 
-    def fiber_fn(mat, X=None):
+    def fiber_fn(mat):
         a, b, c = mat[0, 1].real, mat[1, 2].real, mat[0, 2].real
-        return (np.exp(1j * c)
-                * _phase_of_hermitian(eig_x, b) @ _phase_of_hermitian(eig_p, a))
+        return np.exp(1j * c) * spectral_exp(eig_x, -b) @ spectral_exp(eig_p, -a)
 
     action = BundleAction("heisenberg-weyl", group, config,
                           base_fn, base_batch_fn, fiber_fn)
@@ -191,17 +162,14 @@ def heisenberg_weyl_action(config: DimConfig):
     eye = np.eye(config.dim, dtype=complex)
     family = GeneratorFamily(group, config, (
         GeneratorData(
-            base_field=lambda X: np.array([X.P[0], 0.0, 1.0]),
             flow=lambda t, X: ClassicalState(X.S + t * X.P[0], X.P, X.Q + t),
-            fiber_hamiltonian=lambda X: -p_mat),
+            fiber_hamiltonian=-p_mat),
         GeneratorData(
-            base_field=lambda X: np.array([0.0, 1.0, 0.0]),
             flow=lambda t, X: ClassicalState(X.S, X.P + t, X.Q),
-            fiber_hamiltonian=lambda X: -xi_mat),
+            fiber_hamiltonian=-xi_mat),
         GeneratorData(
-            base_field=lambda X: np.array([1.0, 0.0, 0.0]),
             flow=lambda t, X: ClassicalState(X.S + t, X.P, X.Q),
-            fiber_hamiltonian=lambda X: -eye),
+            fiber_hamiltonian=-eye),
     ))
     return action, family
 
@@ -228,7 +196,7 @@ def translations_r2_action(config: DimConfig, phases: Sequence[float] = (0.7, -0
         b = mats[:, 1, 2].real
         return np.stack([np.full_like(a, X.S), X.P[0] + b, X.Q[0] + a], axis=-1)
 
-    def fiber_fn(mat, X=None):
+    def fiber_fn(mat):
         a, b = mat[0, 2].real, mat[1, 2].real
         return np.exp(1j * (kappa[0] * a + kappa[1] * b)) * eye
 
@@ -236,13 +204,11 @@ def translations_r2_action(config: DimConfig, phases: Sequence[float] = (0.7, -0
                           base_fn, base_batch_fn, fiber_fn)
     family = GeneratorFamily(group, config, (
         GeneratorData(
-            base_field=lambda X: np.array([0.0, 0.0, 1.0]),
             flow=lambda t, X: ClassicalState(X.S, X.P, X.Q + t),
-            fiber_hamiltonian=lambda X: -kappa[0] * eye),
+            fiber_hamiltonian=-kappa[0] * eye),
         GeneratorData(
-            base_field=lambda X: np.array([0.0, 1.0, 0.0]),
             flow=lambda t, X: ClassicalState(X.S, X.P + t, X.Q),
-            fiber_hamiltonian=lambda X: -kappa[1] * eye),
+            fiber_hamiltonian=-kappa[1] * eye),
     ))
     return action, family
 
@@ -281,13 +247,6 @@ def _rotation_base(drift_rate: float):
     return base_fn, base_batch
 
 
-def _oscillator_field(drift_rate: float):
-    def field(X):
-        dS = (X.P[0] ** 2 - X.Q[0] ** 2) / 2 + drift_rate
-        return np.array([dS, -X.Q[0], X.P[0]])
-    return field
-
-
 def oscillator_action(config: DimConfig):
     """Time translations of the harmonic oscillator: the closed-form classical
     flow on the base, exp(-i t H_fluct) with the half-integer spectrum on the
@@ -298,7 +257,7 @@ def oscillator_action(config: DimConfig):
     levels = _oscillator_levels(config.n_cut)
     base_fn_t, base_batch_t = _rotation_base(0.0)
 
-    def fiber_fn(mat, X=None):
+    def fiber_fn(mat):
         t = mat[0, 1].real
         return np.diag(np.exp(-1j * t * levels))
 
@@ -309,9 +268,8 @@ def oscillator_action(config: DimConfig):
         fiber_fn=fiber_fn)
     family = GeneratorFamily(group, config, (
         GeneratorData(
-            base_field=_oscillator_field(0.0),
             flow=base_fn_t,
-            fiber_hamiltonian=lambda X: np.diag(levels).astype(complex)),
+            fiber_hamiltonian=np.diag(levels).astype(complex)),
     ))
     return action, family
 
@@ -333,8 +291,8 @@ def free_particle_action(config: DimConfig):
         return np.stack([X.S + 0.5 * t * X.P[0] ** 2,
                          np.full_like(t, X.P[0]), X.Q[0] + t * X.P[0]], axis=-1)
 
-    def fiber_fn(mat, X=None):
-        return _phase_of_hermitian(eig, -mat[0, 1].real)
+    def fiber_fn(mat):
+        return spectral_exp(eig, mat[0, 1].real)
 
     action = BundleAction("free-particle", group, config,
                           base_fn, base_batch_fn, fiber_fn)
@@ -343,10 +301,7 @@ def free_particle_action(config: DimConfig):
         return base_fn(np.array([[1.0, t], [0.0, 1.0]]), X)
 
     family = GeneratorFamily(group, config, (
-        GeneratorData(
-            base_field=lambda X: np.array([X.P[0] ** 2 / 2, 0.0, X.P[0]]),
-            flow=flow,
-            fiber_hamiltonian=lambda X: kinetic),
+        GeneratorData(flow=flow, fiber_hamiltonian=kinetic),
     ))
     return action, family
 
@@ -373,12 +328,11 @@ def so2_rotor_action(config: DimConfig):
         "so2-rotor", group, config,
         base_fn=lambda mat, X: base_fn_t(_so2_angle(mat), X),
         base_batch_fn=lambda mats, X: base_batch_t(_so2_angles(mats), X),
-        fiber_fn=lambda mat, X=None: np.diag(np.exp(-1j * _so2_angle(mat) * levels)))
+        fiber_fn=lambda mat: np.diag(np.exp(-1j * _so2_angle(mat) * levels)))
     family = GeneratorFamily(group, config, (
         GeneratorData(
-            base_field=_oscillator_field(0.0),
             flow=base_fn_t,
-            fiber_hamiltonian=lambda X: np.diag(levels).astype(complex)),
+            fiber_hamiltonian=np.diag(levels).astype(complex)),
     ))
     return action, family
 
@@ -405,12 +359,11 @@ def metaplectic_action(config: DimConfig, drift: bool = False):
         base_fn=lambda mat, X: base_fn_t(_so2_angle(mat) % (2 * np.pi), X),
         base_batch_fn=lambda mats, X: base_batch_t(
             _so2_angles(mats) % (2 * np.pi), X),
-        fiber_fn=lambda mat, X=None: np.diag(
+        fiber_fn=lambda mat: np.diag(
             np.exp(-1j * (_so2_angle(mat) % (2 * np.pi)) * levels)))
     family = GeneratorFamily(group, config, (
         GeneratorData(
-            base_field=_oscillator_field(rate),
             flow=base_fn_t,
-            fiber_hamiltonian=lambda X: np.diag(levels).astype(complex)),
+            fiber_hamiltonian=np.diag(levels).astype(complex)),
     ))
     return action, family

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError, ResolutionError
 from .fiber import (DimConfig, FiberOperator, FiberVector, hermite_functions,
-                    quadratic_hamiltonian, unitarity_residual)
+                    quadratic_hamiltonian, spectral_exp, unitarity_residual)
 
 __all__ = [
     "ClassicalState",
@@ -271,9 +271,7 @@ def fluctuation_propagator(H: HamiltonianSpec, trajectory: Trajectory,
     if len(times) > 1:
         if H.constant_hessians:
             mat = _fluct_matrix(H, trajectory.initial, config)
-            vals, vecs = np.linalg.eigh(mat)
-            dt = times[1] - times[0]
-            step = (vecs * np.exp(-1j * dt * vals)) @ vecs.conj().T
+            step = spectral_exp(np.linalg.eigh(mat), times[1] - times[0])
             for _ in range(len(times) - 1):
                 U = step @ U
         else:
@@ -282,9 +280,7 @@ def fluctuation_propagator(H: HamiltonianSpec, trajectory: Trajectory,
                 y_mid = _rk4_step(H, trajectory.states[k].as_array(), 0.5 * dt)
                 X_mid = ClassicalState.from_array(y_mid, H.n)
                 mat = _fluct_matrix(H, X_mid, config)
-                vals, vecs = np.linalg.eigh(mat)
-                step = (vecs * np.exp(-1j * dt * vals)) @ vecs.conj().T
-                U = step @ U
+                U = spectral_exp(np.linalg.eigh(mat), dt) @ U
         if not np.all(np.isfinite(U)):
             raise NumericalError("fluctuation propagator blew up")
     residual = unitarity_residual(U)
@@ -378,7 +374,6 @@ def reference_schrodinger(H: HamiltonianSpec, psi0: np.ndarray, eps: float,
     # spectral headroom: the packet momentum P/eps plus fluctuation bandwidth
     # must sit inside the resolved band
     band = np.max(np.abs(k))
-    edge_power = None
     n_steps = int(round(abs(T) / dt))
     h = T / n_steps
     v = H.potential(xs)

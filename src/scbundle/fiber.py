@@ -27,8 +27,8 @@ __all__ = [
     "unitarity_residual",
     "position_operator",
     "momentum_operator",
-    "number_operator",
     "parity_operator",
+    "spectral_exp",
     "unitary_from_hamiltonian",
     "hermite_functions",
     "random_low_mode",
@@ -259,25 +259,26 @@ def momentum_operator(config: DimConfig, axis: int = 0) -> FiberOperator:
     return FiberOperator(_cut(ps[axis], config), config, hermitian=True)
 
 
-def number_operator(config: DimConfig) -> FiberOperator:
-    return FiberOperator(np.diag(config.degrees().astype(float)), config,
-                         hermitian=True)
-
-
 def parity_operator(config: DimConfig) -> FiberOperator:
     signs = (-1.0) ** config.degrees()
     return FiberOperator(np.diag(signs.astype(complex)), config,
                          hermitian=True, unitary=True)
 
 
+def spectral_exp(eig, t: float) -> np.ndarray:
+    """``exp(-i t H)`` from the eigendecomposition ``eig = (vals, vecs)`` of a
+    Hermitian matrix H, as returned by ``np.linalg.eigh`` (unitary to machine
+    precision)."""
+    vals, vecs = eig
+    return (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
+
+
 def unitary_from_hamiltonian(H: FiberOperator, t: float) -> FiberOperator:
-    """Propagator ``exp(-i t H)`` of a Hermitian fiber operator via its
-    eigendecomposition (unitary to machine precision)."""
+    """Propagator ``exp(-i t H)`` of a Hermitian fiber operator."""
     if not H.hermitian:
         raise InputError("propagator requires a hermitian operator")
-    vals, vecs = np.linalg.eigh(H.matrix)
-    mat = (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
-    return FiberOperator(mat, H.dim_config, unitary=True)
+    return FiberOperator(spectral_exp(np.linalg.eigh(H.matrix), t), H.dim_config,
+                         unitary=True)
 
 
 def hermite_functions(xs: np.ndarray, count: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from .actions import BundleAction
 from .dynamics import ClassicalState
 from .errors import (ConsistencyError, InputError, PreconditionError,
                      SearchFailureError)
-from .fiber import DimConfig
+from .fiber import spectral_exp
 from .groups import GroupElement
 
 __all__ = [
@@ -290,8 +290,7 @@ class GaugeBundle:
         self.gauge_step = float(gauge_step)
         self.gauge_indices = np.arange(-gauge_window, gauge_window + 1)
         self.dim = family.dim_config.dim
-        H = family.directions[0].fiber_hamiltonian(anchor)
-        self._levels, self._modes = np.linalg.eigh(H)
+        self._eig = np.linalg.eigh(family.directions[0].fiber_hamiltonian)
 
         thetas = self.theta_step * np.arange(theta_nodes)
         self._orbit_states = []
@@ -313,7 +312,7 @@ class GaugeBundle:
     def _transport(self, theta: float) -> np.ndarray:
         """Fiber transport exp(-i theta H) of the lifted flow (the unwrapped
         parameter matters: a full turn contributes the anomaly phase)."""
-        return (self._modes * np.exp(-1j * theta * self._levels)) @ self._modes.conj().T
+        return spectral_exp(self._eig, theta)
 
     @property
     def shape(self) -> tuple:

@@ -12,15 +12,15 @@ each with a refinement order estimate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .actions import BundleAction
 from .errors import AlignmentError, InputError
-from .groups import AlgebraElement, GroupElement, bracket
+from .groups import AlgebraElement, GroupElement, bracket, smooth_bump
 from .sections import (BaseFunction, OrbitSampling, SampledBaseFunction,
                        Section, evaluator_transform, multiply, pairing,
                        section_transform)
@@ -56,15 +56,12 @@ class SmoothingKernel:
         return float(np.sum(self.weights))
 
 
-def lattice_kernel(sampling: OrbitSampling, radius, normalize: bool = True,
-                   window: Optional[Callable[[np.ndarray], np.ndarray]] = None
-                   ) -> SmoothingKernel:
+def lattice_kernel(sampling: OrbitSampling, radius) -> SmoothingKernel:
     """Smoothing kernel on the sampling's own lattice: nodes are the lattice
     points inside the coordinate ball of the given per-axis ``radius``, with
-    Riemann weights (spacing volume x Haar density x window value).
-
-    The default window is the standard C-infinity bump on the ball.  The
-    kernel support must fit inside the sampled window.
+    normalized Riemann weights (spacing volume x Haar density x the standard
+    C-infinity bump on the ball).  The kernel support must fit inside the
+    sampled window.
     """
     group = sampling.action.group
     radius = np.broadcast_to(np.asarray(radius, dtype=float), (group.dim,))
@@ -77,19 +74,14 @@ def lattice_kernel(sampling: OrbitSampling, radius, normalize: bool = True,
     coords = steps * sampling.spacings
     r2 = np.sum((coords / radius) ** 2, axis=-1)
     inside = r2 < 1.0
-    steps, coords, r2 = steps[inside], coords[inside], r2[inside]
-    if window is None:
-        vals = np.exp(1.0 - 1.0 / (1.0 - r2))
-    else:
-        vals = np.asarray(window(coords), dtype=float)
+    steps, coords = steps[inside], coords[inside]
     volume = float(np.prod(sampling.spacings))
     density = np.array([group.left_density(t) for t in coords])
-    weights = volume * density * vals
-    if normalize:
-        total = np.sum(weights)
-        if total <= 0:
-            raise InputError("kernel has nonpositive mass")
-        weights = weights / total
+    weights = volume * density * smooth_bump(radius)(coords)
+    total = np.sum(weights)
+    if total <= 0:
+        raise InputError("kernel has nonpositive mass")
+    weights = weights / total
     mats = np.array([group.compose_exps(t) for t in coords])
     return SmoothingKernel(sampling, steps, mats, weights,
                            radius_steps=steps_max)

@@ -2,7 +2,7 @@
 
 A :class:`LieGroup` is a faithful matrix representation together with a fixed
 algebra basis ``B_1..B_n``.  Everything downstream (orbit lattices, generator
-exponentiation, Haar smoothing) works in the second-kind canonical chart
+exponentiation, Garding smoothing) works in the second-kind canonical chart
 
     g = exp(B_1 t_1) exp(B_2 t_2) ... exp(B_n t_n),
 
@@ -15,7 +15,7 @@ All values are immutable; operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -26,15 +26,11 @@ from .errors import ClosureError, InputError, OutOfDomainError
 __all__ = [
     "AlgebraElement",
     "GroupElement",
-    "HaarSample",
-    "HaarQuadrature",
     "LieGroup",
-    "Window",
     "exp",
     "bracket",
     "adjoint",
     "factorize_second_kind",
-    "haar_quadrature",
     "register_group",
     "get_group",
     "builtin_group_ids",
@@ -91,47 +87,6 @@ class GroupElement:
 
     def inverse(self) -> "GroupElement":
         return GroupElement(self.group, np.linalg.inv(self.matrix))
-
-
-@dataclass(frozen=True)
-class HaarSample:
-    point: GroupElement
-    weight: float
-
-
-@dataclass(frozen=True)
-class HaarQuadrature:
-    """Weighted sample set approximating ``integral d_Lg window(g) (.)``.
-
-    Iterating yields :class:`HaarSample` objects; ``error_estimate`` is the
-    embedded half-resolution estimate of the quadrature error of the total
-    weight.
-    """
-
-    samples: tuple
-    error_estimate: float
-
-    @property
-    def total_weight(self) -> float:
-        return float(sum(s.weight for s in self.samples))
-
-    def __iter__(self):
-        return iter(self.samples)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
-@dataclass(frozen=True)
-class Window:
-    """Smooth compactly supported function on second-kind coordinates.
-
-    ``support`` holds one ``(lo, hi)`` interval per coordinate axis.  On
-    periodic axes the interval may cover the full period.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    support: tuple
 
 
 class LieGroup:
@@ -343,53 +298,10 @@ def factorize_second_kind(g: GroupElement) -> np.ndarray:
     return t
 
 
-def haar_quadrature(group: LieGroup, window: Window, resolution: int) -> HaarQuadrature:
-    """Midpoint-rule quadrature of ``d_Lg window(g)`` in the second-kind chart.
-
-    Returns weighted group samples; ``resolution`` is the number of nodes per
-    coordinate axis.  The left-invariant density is evaluated exactly from
-    the adjoint representation (constant for the unimodular built-ins in
-    nilpotent/abelian charts).
-    """
-    if resolution < 2:
-        raise InputError("resolution must be at least 2")
-    total, samples = _haar_sum(group, window, resolution)
-    coarse, _ = _haar_sum(group, window, max(2, resolution // 2), materialize=False)
-    return HaarQuadrature(samples=tuple(samples), error_estimate=abs(total - coarse))
-
-
-def _haar_sum(group: LieGroup, window: Window, resolution: int, materialize: bool = True):
-    axes = []
-    volume = 1.0
-    for k, (lo, hi) in enumerate(window.support):
-        if not hi > lo:
-            raise InputError("empty window support interval")
-        step = (hi - lo) / resolution
-        axes.append(lo + step * (np.arange(resolution) + 0.5))
-        volume *= step
-    grids = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=-1)
-    values = np.asarray(window.fn(coords), dtype=float)
-    if values.shape != (coords.shape[0],):
-        raise InputError("window.fn must map (J, n) coordinates to (J,) values")
-    total = 0.0
-    samples = []
-    for t, val in zip(coords, values):
-        if val == 0.0 and materialize:
-            continue
-        w = volume * group.left_density(t) * val
-        total += w
-        if materialize and w != 0.0:
-            samples.append(HaarSample(GroupElement(group, group.compose_exps(t)), w))
-    if not materialize:
-        total = float(volume * np.sum([group.left_density(t) * v
-                                       for t, v in zip(coords, values) if v != 0.0]))
-    return total, samples
-
-
-def smooth_bump(radius: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Standard C-infinity bump ``exp(1 - 1/(1-(r/radius)^2))`` of compact
-    support ``|t|_2 < radius`` on coordinate space; vectorized over (J, n)."""
+def smooth_bump(radius) -> Callable[[np.ndarray], np.ndarray]:
+    """Standard C-infinity bump ``exp(1 - 1/(1-r^2))``, r = |t / radius|_2,
+    of compact support r < 1 on coordinate space (``radius`` a scalar or one
+    value per axis); vectorized over (J, n)."""
     def fn(coords: np.ndarray) -> np.ndarray:
         coords = np.atleast_2d(coords)
         r2 = np.sum((coords / radius) ** 2, axis=-1)

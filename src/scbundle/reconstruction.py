@@ -1,28 +1,27 @@
 """Rebuilding group actions from their infinitesimal generators.
 
 Each basis direction's Cauchy problem is solved by characteristics: fiber
-values ride the base flow while a midpoint-exponential product integrates the
-fiber Hamiltonian (one cached exponential when the Hamiltonian is constant
-over the base, as in every built-in scenario).  Group elements are composed
-through second-kind canonical coordinates; word identities, conjugation
-covariance, and the group law quantify how faithfully the reconstruction
-matches the original action.
+values ride the base flow and are rotated by one exponential of the
+direction's fiber Hamiltonian (constant over the base).  Group elements are
+composed through second-kind canonical coordinates; word identities,
+conjugation covariance, and the group law quantify how faithfully the
+reconstruction matches the original action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .actions import GeneratorFamily
-from .dynamics import ClassicalState
 from .errors import (AlignmentError, InputError, NumericalError,
                      PreconditionError)
+from .fiber import spectral_exp
 from .groups import GroupElement, factorize_second_kind
-from .sections import SampledBaseFunction, Section, pairing
+from .sections import Section
 
 __all__ = [
     "exponentiate_generator",
@@ -36,35 +35,12 @@ __all__ = [
     "GroupLawReport",
 ]
 
-_DEFAULT_DT = 1e-3
-
-
-def _transport_constant(family: GeneratorFamily, k: int, t: float) -> np.ndarray:
-    H = family.directions[k].fiber_hamiltonian(None)
-    vals, vecs = np.linalg.eigh(H)
-    return (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
-
-
-def _transport_stepped(family: GeneratorFamily, k: int, t: float,
-                       X_end, dt: float) -> np.ndarray:
-    d = family.directions[k]
-    n_steps = max(1, int(round(abs(t) / dt)))
-    h = t / n_steps
-    dim = family.dim_config.dim
-    U = np.eye(dim, dtype=complex)
-    for j in range(n_steps):
-        s_mid = (j + 0.5) * h - t
-        H = d.fiber_hamiltonian(d.flow(s_mid, X_end))
-        vals, vecs = np.linalg.eigh(H)
-        U = ((vecs * np.exp(-1j * h * vals)) @ vecs.conj().T) @ U
-    return U
-
 
 def exponentiate_generator(family: GeneratorFamily, k: int, t: float,
-                           psi0: Section, dt: float = _DEFAULT_DT) -> Section:
+                           psi0: Section) -> Section:
     """Solve the one-parameter Cauchy problem along basis direction ``k``:
-    transport each fiber value along the base flow of B_k while integrating
-    the fiber rotation, returning the section at parameter ``t``."""
+    transport each fiber value along the base flow of B_k and rotate it by
+    exp(-i t H(B_k)), returning the section at parameter ``t``."""
     if not 0 <= k < family.group.dim:
         raise InputError("basis index out of range")
     if not np.isfinite(t):
@@ -74,27 +50,13 @@ def exponentiate_generator(family: GeneratorFamily, k: int, t: float,
     sampling = psi0.sampling
     group = family.group
     pull = scipy.linalg.expm(-t * group.basis[k])
-    constant = family.directions[k].constant_fiber
+    T = spectral_exp(np.linalg.eigh(family.directions[k].fiber_hamiltonian), t)
 
     if psi0.field is not None:
         pf = psi0.field
-        if constant:
-            T = _transport_constant(family, k, t)
 
-            def new_field(mats):
-                return pf(np.einsum("ab,jbc->jac", pull, np.asarray(mats))) @ T.T
-        else:
-            def new_field(mats):
-                mats = np.asarray(mats)
-                sources = pf(np.einsum("ab,jbc->jac", pull, mats))
-                rows = sampling.state_rows(mats)
-                n = sampling.anchor.n
-                out = np.empty_like(sources)
-                for j, row in enumerate(rows):
-                    X_end = ClassicalState(row[0], row[1:1 + n], row[1 + n:])
-                    T = _transport_stepped(family, k, t, X_end, dt)
-                    out[j] = T @ sources[j]
-                return out
+        def new_field(mats):
+            return pf(np.einsum("ab,jbc->jac", pull, np.asarray(mats))) @ T.T
 
         out = Section.from_field(sampling, new_field)
         if not np.all(np.isfinite(out.values)):
@@ -104,10 +66,6 @@ def exponentiate_generator(family: GeneratorFamily, k: int, t: float,
     # lattice path: the flow endpoint must land on the lattice
     sources = sampling.indices_of_matrices(
         np.einsum("ab,jbc->jac", pull, sampling.group_mats))
-    if not constant:
-        raise AlignmentError(
-            "lattice-only sections support constant fiber Hamiltonians only")
-    T = _transport_constant(family, k, t)
     new_values = np.zeros_like(psi0.values)
     found = sources >= 0
     new_values[found] = psi0.values[sources[found]] @ T.T
@@ -117,8 +75,7 @@ def exponentiate_generator(family: GeneratorFamily, k: int, t: float,
     return Section(sampling, new_values)
 
 
-def reconstruct_group_operator(family: GeneratorFamily, g, psi: Section,
-                               dt: float = _DEFAULT_DT) -> Section:
+def reconstruct_group_operator(family: GeneratorFamily, g, psi: Section) -> Section:
     """Apply the reconstructed operator of ``g`` through its second-kind
     factorization, rightmost one-parameter factor first."""
     if isinstance(g, GroupElement):
@@ -128,29 +85,28 @@ def reconstruct_group_operator(family: GeneratorFamily, g, psi: Section,
     out = psi
     for k in range(family.group.dim - 1, -1, -1):
         if t[k] != 0.0:
-            out = exponentiate_generator(family, k, float(t[k]), out, dt)
+            out = exponentiate_generator(family, k, float(t[k]), out)
     return out
 
 
 def family_generator_apply(family: GeneratorFamily, A_coords: np.ndarray,
-                           psi: Section, tau: float,
-                           dt: float = _DEFAULT_DT) -> Section:
+                           psi: Section, tau: float) -> Section:
     """Finite-difference generator of the *reconstructed* action along
     A = sum_k coords_k B_k."""
     A_coords = np.asarray(A_coords, dtype=float)
-    plus = _exp_coords_apply(family, A_coords, tau, psi, dt)
-    minus = _exp_coords_apply(family, A_coords, -tau, psi, dt)
+    plus = _exp_coords_apply(family, A_coords, tau, psi)
+    minus = _exp_coords_apply(family, A_coords, -tau, psi)
     return 1j / (2 * tau) * (plus - minus)
 
 
-def _exp_coords_apply(family, coords, tau, psi, dt):
+def _exp_coords_apply(family, coords, tau, psi):
     mat = scipy.linalg.expm(tau * np.tensordot(coords, family.group.basis, axes=(0, 0)))
-    return reconstruct_group_operator(family, mat, psi, dt)
+    return reconstruct_group_operator(family, mat, psi)
 
 
 def family_generator_direct(family: GeneratorFamily, A_coords: np.ndarray,
                             psi: Section, tau: float) -> Section:
-    """The generator evaluated from its split form H(A:X) - i d[A]: the fiber
+    """The generator evaluated from its split form H(A) - i d[A]: the fiber
     Hamiltonian acts pointwise and the base derivation is a central
     difference of the section's field along the flow (no fiber transport)."""
     if psi.field is None:
@@ -166,15 +122,8 @@ def family_generator_direct(family: GeneratorFamily, A_coords: np.ndarray,
     up = pf(np.einsum("ab,jbc->jac", shift_fwd, mats))
     dn = pf(np.einsum("ab,jbc->jac", shift_bwd, mats))
     base_term = (up - dn) / (2 * tau)
-    values = np.empty_like(psi.values)
-    if all(d.constant_fiber for d in family.directions):
-        H = family.combination_hamiltonian(A_coords, None)
-        values = psi.values @ H.T - 1j * base_term
-    else:
-        for j, X in enumerate(sampling.base_points):
-            H = family.combination_hamiltonian(A_coords, X)
-            values[j] = H @ psi.values[j] - 1j * base_term[j]
-    return Section(sampling, values)
+    H = family.combination_hamiltonian(A_coords)
+    return Section(sampling, psi.values @ H.T - 1j * base_term)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +141,6 @@ class WordCheck:
 def word_identity_check(family: GeneratorFamily, word: Sequence,
                         probes: Sequence[Section],
                         alphas: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-                        dt: float = _DEFAULT_DT,
                         matrix_tol: float = 1e-10) -> WordCheck:
     """Check that a word of one-parameter steps acts as the identity.
 
@@ -236,7 +184,7 @@ def word_identity_check(family: GeneratorFamily, word: Sequence,
             for k, path in reversed(norm_word):
                 t_val = float(path(a))
                 if t_val != 0.0:
-                    out = exponentiate_generator(family, k, t_val, out, dt)
+                    out = exponentiate_generator(family, k, t_val, out)
             worst = max(worst, (out - psi).norm)
     return WordCheck(worst, lemma_mode, tuple(closing), end_defect)
 
@@ -246,8 +194,7 @@ def word_identity_check(family: GeneratorFamily, word: Sequence,
 # ---------------------------------------------------------------------------
 
 def conjugation_check(family: GeneratorFamily, k: int, t: float,
-                      A_coords: np.ndarray, psi: Section, tau: float,
-                      dt: float = _DEFAULT_DT) -> tuple:
+                      A_coords: np.ndarray, psi: Section, tau: float) -> tuple:
     """Residual of  U^{-t}_{B_k} H(A) U^t_{B_k} psi = H(Ad_{exp(-B_k t)} A) psi
     at fd steps tau and tau/2 (it must shrink at order >= 1)."""
     group = family.group
@@ -257,10 +204,10 @@ def conjugation_check(family: GeneratorFamily, k: int, t: float,
     adjoint_coords = group.expand_in_basis(h_inv @ gen @ np.linalg.inv(h_inv))
 
     def residual(tk):
-        inner = exponentiate_generator(family, k, t, psi, dt)
-        mid = family_generator_apply(family, A_coords, inner, tk, dt)
-        lhs = exponentiate_generator(family, k, -t, mid, dt)
-        rhs = family_generator_apply(family, adjoint_coords, psi, tk, dt)
+        inner = exponentiate_generator(family, k, t, psi)
+        mid = family_generator_apply(family, A_coords, inner, tk)
+        lhs = exponentiate_generator(family, k, -t, mid)
+        rhs = family_generator_apply(family, adjoint_coords, psi, tk)
         return (lhs - rhs).norm
 
     return residual(tau), residual(tau / 2)
@@ -277,7 +224,7 @@ class GroupLawReport:
 
 
 def group_law_verify(family: GeneratorFamily, g1, g2, psi: Section,
-                     tau: float = 1e-3, dt: float = _DEFAULT_DT) -> GroupLawReport:
+                     tau: float = 1e-3) -> GroupLawReport:
     """Composition residual of the reconstructed operators together with the
     closure of their derivative: the fd generator of the reconstructed action
     per basis direction against the family's split form, relative to its
@@ -285,14 +232,14 @@ def group_law_verify(family: GeneratorFamily, g1, g2, psi: Section,
     m1 = g1.matrix if isinstance(g1, GroupElement) else np.asarray(g1)
     m2 = g2.matrix if isinstance(g2, GroupElement) else np.asarray(g2)
     two_step = reconstruct_group_operator(
-        family, m1, reconstruct_group_operator(family, m2, psi, dt), dt)
-    one_step = reconstruct_group_operator(family, m1 @ m2, psi, dt)
+        family, m1, reconstruct_group_operator(family, m2, psi))
+    one_step = reconstruct_group_operator(family, m1 @ m2, psi)
     comp = (two_step - one_step).norm
 
     worst = 0.0
     for k in range(family.group.dim):
         coords = np.eye(family.group.dim)[k]
-        fd = family_generator_apply(family, coords, psi, tau, dt)
+        fd = family_generator_apply(family, coords, psi, tau)
         direct = family_generator_direct(family, coords, psi, tau)
         scale = max(direct.norm, 1e-12)
         worst = max(worst, (fd - direct).norm / scale)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 __all__ = ["CheckRecord", "Report", "emit"]
 

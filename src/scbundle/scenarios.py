@@ -18,7 +18,7 @@ from .actions import (free_particle_action, heisenberg_weyl_action,
                       translations_r2_action)
 from .dynamics import (ClassicalState, cubic_perturbed_spec,
                        quadratic_hamiltonian_spec)
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .fiber import DimConfig
 from .gauge import (GaugeBundle, action_shift_gauge, phase_shift_gauge,
                     u1_phase_gauge)
@@ -46,6 +46,13 @@ _GAUGE_BUILDERS = {
 
 _KNOWN_SUITES = {"lie", "dynamics", "sections", "generators",
                  "reconstruction", "gauge"}
+
+_PROBE_SIZE = {
+    "sections": lambda p: p.get("radius", p.get("sigma")),
+    "generators": lambda p: p.get("sigma"),
+    "reconstruction": lambda p: p.get("sigma"),
+    "gauge": lambda p: p.get("radius"),
+}
 
 
 @dataclass
@@ -86,6 +93,12 @@ class Scenario:
     def fd_tau(self) -> float:
         return float(self.numerics.get("fd_tau", 1e-3))
 
+    def probe_size(self, suite: str):
+        """Per-axis probe bump size a suite reads: ``radius`` for sections
+        (falling back to ``sigma``) and gauge, ``sigma`` for generators and
+        reconstruction."""
+        return _PROBE_SIZE[suite](self.probes)
+
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
 
@@ -114,10 +127,8 @@ class Scenario:
             if item["kind"] == "line":
                 axes.append(LatticeAxis.line(float(item["spacing"]),
                                              int(item["lo"]), int(item["hi"])))
-            elif item["kind"] == "cycle":
-                axes.append(LatticeAxis.cycle(2 * np.pi, int(item["count"])))
             else:
-                raise ConfigError(f"unknown lattice axis kind {item['kind']!r}")
+                axes.append(LatticeAxis.cycle(2 * np.pi, int(item["count"])))
         return axes
 
     def build_sampling(self, action, generator_scale: bool = False) -> OrbitSampling:
@@ -148,16 +159,52 @@ class Scenario:
             gauge_window=int(cfg.get("gauge_window", 10)))
 
 
+def _need(mapping, key, where: str):
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise ConfigError(f"{where}: missing required field {key!r}")
+    return mapping[key]
+
+
+def _number(value, kind, where: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{where} must be a number, got {value!r}") from err
+
+
+def _positive_sizes(value) -> bool:
+    try:
+        size = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return False
+    return size.size > 0 and bool(np.all(np.isfinite(size) & (size > 0)))
+
+
+def _validate_lattice(spec_list, where: str) -> None:
+    for i, item in enumerate(spec_list):
+        at = f"{where}[{i}]"
+        kind = _need(item, "kind", at)
+        if kind == "line":
+            _number(_need(item, "spacing", at), float, f"{at}.spacing")
+            for key in ("lo", "hi"):
+                _number(_need(item, key, at), int, f"{at}.{key}")
+        elif kind == "cycle":
+            _number(_need(item, "count", at), int, f"{at}.count")
+        else:
+            raise ConfigError(f"{at}: unknown lattice axis kind {kind!r}")
+
+
 def _validate(cfg: dict, origin: str) -> Scenario:
     def need(key):
-        if key not in cfg:
-            raise ConfigError(f"{origin}: missing required field {key!r}")
-        return cfg[key]
+        return _need(cfg, key, origin)
 
     name = str(need("name"))
     group_def = cfg.get("group_def")
     if group_def is not None:
-        _register_from_config(group_def)
+        try:
+            _register_from_config(group_def)
+        except (KeyError, TypeError, ValueError) as err:
+            raise ConfigError(f"{origin}: malformed group_def ({err!r})") from err
     group_id = str(need("group_id"))
     try:
         get_group(group_id)
@@ -170,29 +217,50 @@ def _validate(cfg: dict, origin: str) -> Scenario:
         raise ConfigError(f"{origin}: unknown gauge {gauge_id!r}")
 
     fiber_cfg = need("fiber")
-    n_cut = int(fiber_cfg.get("n_cut", 0))
+    n_cut = _number(fiber_cfg.get("n_cut", 0), int, f"{origin}: fiber.n_cut")
     if n_cut < 4:
         raise ConfigError(f"{origin}: n_cut must be at least 4, got {n_cut}")
-    fiber = DimConfig(int(fiber_cfg.get("n", 1)), n_cut)
+    n = _number(fiber_cfg.get("n", 1), int, f"{origin}: fiber.n")
+    if n < 1:
+        raise ConfigError(f"{origin}: fiber.n must be positive, got {n}")
+    fiber = DimConfig(n, n_cut)
 
     numerics = dict(cfg.get("numerics", {}))
     for key in ("dt", "fd_tau"):
-        if key in numerics and not float(numerics[key]) > 0:
+        if key in numerics and not _number(numerics[key], float,
+                                           f"{origin}: numerics.{key}") > 0:
             raise ConfigError(f"{origin}: numerics.{key} must be positive")
+    if "seed" in numerics:
+        _number(numerics["seed"], int, f"{origin}: numerics.seed")
 
     suites = list(cfg.get("suites", []))
     unknown = set(suites) - _KNOWN_SUITES
     if unknown:
         raise ConfigError(f"{origin}: unknown suites {sorted(unknown)}")
 
+    probes = dict(cfg.get("probes", {}))
+    for suite in suites:
+        if suite in _PROBE_SIZE and not _positive_sizes(_PROBE_SIZE[suite](probes)):
+            raise ConfigError(f"{origin}: suite {suite!r} needs positive probe "
+                              f"sizes, got {_PROBE_SIZE[suite](probes)!r}")
+
+    lattice = list(cfg.get("lattice", []))
+    _validate_lattice(lattice, f"{origin}: lattice")
+    generator_lattice = cfg.get("generator_lattice")
+    if generator_lattice is not None:
+        _validate_lattice(generator_lattice, f"{origin}: generator_lattice")
+
     action_name = cfg.get("action")
     if action_name is not None and action_name not in _ACTION_BUILDERS:
         raise ConfigError(f"{origin}: unknown action {action_name!r}")
 
     anchor_cfg = cfg.get("anchor", {"S": 0.0, "P": [0.0], "Q": [1.0]})
-    anchor = ClassicalState(float(anchor_cfg["S"]),
-                            np.asarray(anchor_cfg["P"], dtype=float),
-                            np.asarray(anchor_cfg["Q"], dtype=float))
+    S, P, Q = (_need(anchor_cfg, key, f"{origin}: anchor") for key in "SPQ")
+    try:
+        anchor = ClassicalState(float(S), np.asarray(P, dtype=float),
+                                np.asarray(Q, dtype=float))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{origin}: malformed anchor ({err})") from err
 
     return Scenario(
         name=name,
@@ -202,16 +270,17 @@ def _validate(cfg: dict, origin: str) -> Scenario:
         hamiltonian=cfg.get("hamiltonian"),
         fiber=fiber,
         anchor=anchor,
-        lattice=list(cfg.get("lattice", [])),
-        generator_lattice=cfg.get("generator_lattice"),
+        lattice=lattice,
+        generator_lattice=generator_lattice,
         numerics=numerics,
-        probes=dict(cfg.get("probes", {})),
+        probes=probes,
         kernel_radius=cfg.get("kernel_radius"),
         suites=suites,
         strict_group_law=bool(cfg.get("strict_group_law", False)),
         dynamics=dict(cfg.get("dynamics", {})),
         gauge_cfg=dict(cfg.get("gauge", {})),
-        eps_list=[float(e) for e in cfg.get("eps_list", [])],
+        eps_list=[_number(e, float, f"{origin}: eps_list")
+                  for e in cfg.get("eps_list", [])],
         raw=cfg,
     )
 
@@ -223,7 +292,7 @@ def _register_from_config(group_def: dict) -> None:
     try:
         get_group(group_id)
         return    # already registered
-    except Exception:
+    except InputError:
         pass
     dim = int(group_def["rep_dim"])
     rows = group_def["basis"]

@@ -19,7 +19,7 @@ import numpy as np
 from .actions import BundleAction
 from .dynamics import ClassicalState
 from .errors import AlignmentError, InputError
-from .groups import GroupElement, factorize_second_kind
+from .groups import GroupElement, smooth_bump
 
 __all__ = [
     "LatticeAxis",
@@ -173,10 +173,6 @@ class OrbitSampling:
     def identity_index(self) -> int:
         return self._lookup[tuple(np.zeros(len(self.axes), dtype=self.steps.dtype))]
 
-    def samples(self):
-        group = self.action.group
-        return [GroupElement(group, m) for m in self.group_mats]
-
     def steps_of_element(self, g) -> np.ndarray:
         """Integer lattice steps of a group element; raises AlignmentError
         when g is off-lattice."""
@@ -188,9 +184,6 @@ class OrbitSampling:
             raise AlignmentError(
                 f"group element with coordinates {t} is not lattice-aligned")
         return np.array([ax.wrap(s) for ax, s in zip(self.axes, steps)])
-
-    def index_of_steps(self, steps) -> Optional[int]:
-        return self._lookup.get(tuple(int(s) for s in steps))
 
     def indices_of_matrices(self, mats: np.ndarray) -> np.ndarray:
         """Sample indices of a stack of group matrices (-1 where the point is
@@ -243,9 +236,6 @@ class Section:
             return 0.0
         return float(np.max(np.linalg.norm(self.values, axis=1)))
 
-    def fiber_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.values, axis=1)
-
     def _check_same(self, other: "Section") -> None:
         if other.sampling is not self.sampling:
             raise InputError("sections live on different samplings")
@@ -283,7 +273,6 @@ class BaseFunction:
 
     fn: Callable[[ClassicalState], complex]
     batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    smooth: bool = True
 
     def __call__(self, X: ClassicalState) -> complex:
         return self.fn(X)
@@ -323,11 +312,6 @@ def section_norm(psi: Section) -> float:
     return psi.norm
 
 
-def _fiber_matrix_for(action: BundleAction, g_mat: np.ndarray,
-                      sampling: OrbitSampling) -> np.ndarray:
-    return action.fiber_matrix(g_mat)
-
-
 def section_transform(action: BundleAction, g, psi: Section) -> Section:
     """Left regular transform: value at u_h(anchor) becomes
     U_g applied to the value at u_{g^-1 h}(anchor).
@@ -344,7 +328,7 @@ def section_transform(action: BundleAction, g, psi: Section) -> Section:
     inv_g = np.linalg.inv(g_mat)
     sources = sampling.indices_of_matrices(
         np.einsum("ab,jbc->jac", inv_g, sampling.group_mats))
-    U = _fiber_matrix_for(action, g_mat, sampling)
+    U = action.fiber_matrix(g_mat)
     new_values = np.zeros_like(psi.values)
     found = sources >= 0
     new_values[found] = psi.values[sources[found]] @ U.T
@@ -411,7 +395,7 @@ def pullback(action: BundleAction, g, alpha: BaseFunction) -> BaseFunction:
             for r in rows])
         return alpha.eval_rows(mapped)
 
-    return BaseFunction(fn=fn, batch=batch, smooth=alpha.smooth)
+    return BaseFunction(fn=fn, batch=batch)
 
 
 def pairing(phi: Section, psi: Section) -> SampledBaseFunction:
@@ -457,17 +441,16 @@ def reconstruct_pointwise_operator(sampling: OrbitSampling, g, X: ClassicalState
 # probe sections
 # ---------------------------------------------------------------------------
 
-def smooth_probe_section(sampling: OrbitSampling, rng: np.random.Generator,
-                         max_degree: int, radius, center=None,
-                         kappa_scale: float = 1.0) -> Section:
-    """Smooth compactly supported random section: a C-infinity bump in
-    second-kind coordinates times a low-mode fiber profile with smooth
-    coordinate dependence.  Carries an exact batch field."""
+def _probe_section(sampling: OrbitSampling, rng: np.random.Generator,
+                   max_degree: int, radius, sigma=None) -> Section:
+    """Random section: a C-infinity bump of per-axis ``radius`` in
+    second-kind coordinates (times a Gaussian of width ``sigma`` when given)
+    times a low-mode fiber profile with smooth coordinate dependence.
+    Carries an exact batch field."""
     group = sampling.action.group
     cfg = sampling.action.dim_config
     degrees = cfg.degrees()
-    radius = np.broadcast_to(np.asarray(radius, dtype=float), (group.dim,)).copy()
-    center = np.zeros(group.dim) if center is None else np.asarray(center, dtype=float)
+    bump = smooth_bump(radius)
 
     def draw_vec():
         v = rng.standard_normal(cfg.dim) + 1j * rng.standard_normal(cfg.dim)
@@ -477,56 +460,36 @@ def smooth_probe_section(sampling: OrbitSampling, rng: np.random.Generator,
     v0 = draw_vec()
     v0 /= np.linalg.norm(v0)
     slopes = np.stack([0.3 * draw_vec() for _ in range(group.dim)])
-    kappa = kappa_scale * rng.uniform(-1.0, 1.0, group.dim)
-
-    def field(mats):
-        t = group.coords_batch(np.asarray(mats)) - center
-        r2 = np.sum((t / radius) ** 2, axis=-1)
-        env = np.zeros(r2.shape)
-        inside = r2 < 1.0
-        env[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
-        phase = np.exp(1j * (t @ kappa))
-        vecs = v0[None, :] + t @ slopes
-        return (env * phase)[:, None] * vecs
-
-    return Section.from_field(sampling, field)
-
-
-def gentle_probe_section(sampling: OrbitSampling, rng: np.random.Generator,
-                         max_degree: int, sigma, support_factor: float = 4.0,
-                         kappa_scale: float = 1.0) -> Section:
-    """Probe with gentle derivatives for finite-difference work: a Gaussian
-    bulk of width ``sigma`` per axis under a wide bump (support at
-    ``support_factor * sigma``), so the bump's boundary layer is exponentially
-    suppressed and fd residuals scale with 1/sigma, not with the bump edge."""
-    group = sampling.action.group
-    cfg = sampling.action.dim_config
-    degrees = cfg.degrees()
-    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (group.dim,)).copy()
-    radius = support_factor * sigma
-
-    def draw_vec():
-        v = rng.standard_normal(cfg.dim) + 1j * rng.standard_normal(cfg.dim)
-        v[degrees > max_degree] = 0.0
-        return v
-
-    v0 = draw_vec()
-    v0 /= np.linalg.norm(v0)
-    slopes = np.stack([0.3 * draw_vec() for _ in range(group.dim)])
-    kappa = kappa_scale * rng.uniform(-1.0, 1.0, group.dim)
+    kappa = rng.uniform(-1.0, 1.0, group.dim)
 
     def field(mats):
         t = group.coords_batch(np.asarray(mats))
-        r2 = np.sum((t / radius) ** 2, axis=-1)
-        env = np.zeros(r2.shape)
-        inside = r2 < 1.0
-        env[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
-        env *= np.exp(-0.5 * np.sum((t / sigma) ** 2, axis=-1))
+        env = bump(t)
+        if sigma is not None:
+            env *= np.exp(-0.5 * np.sum((t / sigma) ** 2, axis=-1))
         phase = np.exp(1j * (t @ kappa))
         vecs = v0[None, :] + t @ slopes
         return (env * phase)[:, None] * vecs
 
     return Section.from_field(sampling, field)
+
+
+def smooth_probe_section(sampling: OrbitSampling, rng: np.random.Generator,
+                         max_degree: int, radius) -> Section:
+    """Smooth compactly supported random section: a C-infinity bump of
+    per-axis ``radius`` in second-kind coordinates times a low-mode fiber
+    profile with smooth coordinate dependence."""
+    return _probe_section(sampling, rng, max_degree, np.asarray(radius, dtype=float))
+
+
+def gentle_probe_section(sampling: OrbitSampling, rng: np.random.Generator,
+                         max_degree: int, sigma) -> Section:
+    """Probe with gentle derivatives for finite-difference work: a Gaussian
+    bulk of width ``sigma`` per axis under a wide bump (support at
+    ``4 sigma``), so the bump's boundary layer is exponentially suppressed
+    and fd residuals scale with 1/sigma, not with the bump edge."""
+    sigma = np.asarray(sigma, dtype=float)
+    return _probe_section(sampling, rng, max_degree, 4.0 * sigma, sigma)
 
 
 def section_to_json(psi: Section) -> str:

@@ -1,20 +1,16 @@
 """Lie group/algebra layer: exponential, bracket, adjoint, factorization,
-Haar quadrature."""
+left Haar density."""
 
 import itertools
 
 import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scbundle import groups
 from scbundle.errors import ClosureError, InputError, OutOfDomainError
-from scbundle.groups import (
-    Window, adjoint, bracket, exp, factorize_second_kind, get_group,
-    haar_quadrature, smooth_bump,
-)
+from scbundle.groups import adjoint, bracket, exp, factorize_second_kind, get_group
 
 ALL_GROUPS = ["real_line", "translations_r2", "heisenberg", "so2", "su2"]
 
@@ -233,36 +229,8 @@ def test_factorize_heisenberg_roundtrip_property(a, b, c):
 
 
 # ---------------------------------------------------------------------------
-# Haar quadrature
+# left Haar density
 # ---------------------------------------------------------------------------
-
-def test_haar_so2_full_circle_constant_window():
-    so2 = get_group("so2")
-    w = Window(fn=lambda c: np.ones(c.shape[0]), support=((-np.pi, np.pi),))
-    q = haar_quadrature(so2, w, resolution=64)
-    assert abs(q.total_weight - 2 * np.pi) <= 1e-8
-
-
-def test_haar_real_line_unit_bump():
-    line = get_group("real_line")
-    bump = smooth_bump(1.0)
-    # 1-D quadrature oracle for the normalization constant.
-    norm, _ = scipy.integrate.quad(lambda x: bump(np.array([[x]]))[0], -1, 1)
-    w = Window(fn=lambda c: bump(c) / norm, support=((-1.0, 1.0),))
-    q = haar_quadrature(line, w, resolution=48)
-    assert abs(q.total_weight - 1.0) <= max(q.error_estimate * 5, 1e-9)
-
-
-def test_haar_left_invariance_translation_group():
-    line = get_group("real_line")
-    bump = smooth_bump(0.8)
-    w0 = Window(fn=lambda c: bump(c), support=((-0.8, 0.8),))
-    shift = 0.31
-    w1 = Window(fn=lambda c: bump(c - shift), support=((-0.8 + shift, 0.8 + shift),))
-    q0 = haar_quadrature(line, w0, resolution=40)
-    q1 = haar_quadrature(line, w1, resolution=40)
-    assert abs(q0.total_weight - q1.total_weight) <= 1e-8
-
 
 def test_haar_heisenberg_density_is_constant():
     g = get_group("heisenberg")
@@ -272,35 +240,23 @@ def test_haar_heisenberg_density_is_constant():
         assert abs(g.left_density(t) - 1.0) <= 1e-12
 
 
-def test_haar_su2_left_invariance_within_reported_bound():
+def test_su2_left_density_is_left_invariant():
+    """Left invariance in the second-kind chart: for t' = coords(h g(t)),
+    rho(t) = rho(t') |det dt'/dt|, with a central-difference Jacobian through
+    the Newton factorizer.  The density and the Jacobian both vary here, so a
+    constant density would fail."""
     su2 = get_group("su2")
-    bump = smooth_bump(0.6)
-    w0 = Window(fn=lambda c: bump(c), support=tuple((-0.6, 0.6) for _ in range(3)))
-    q0 = haar_quadrature(su2, w0, resolution=12)
+    rng = np.random.default_rng(7)
+    d = 1e-5
+    for _ in range(8):
+        h = exp(su2.algebra(rng.uniform(-0.3, 0.3, 3)))
+        t = rng.uniform(-0.4, 0.4, 3)
 
-    # Left-translate the window by h: gamma'(g) = gamma(h^-1 g), with the
-    # support box grown to cover the translated bump.
-    h = exp(su2.algebra([0.15, -0.1, 0.2]))
-    h_inv = np.linalg.inv(h.matrix)
+        def moved(s):
+            return su2.factorize_matrix(h.matrix @ su2.compose_exps(s))
 
-    def translated(coords):
-        mats = np.array([h_inv @ su2.compose_exps(t) for t in np.atleast_2d(coords)])
-        vals = np.zeros(mats.shape[0])
-        for i, m in enumerate(mats):
-            try:
-                vals[i] = bump(su2.factorize_matrix(m).reshape(1, -1))[0]
-            except OutOfDomainError:
-                vals[i] = 0.0
-        return vals
-
-    w1 = Window(fn=translated, support=tuple((-1.1, 1.1) for _ in range(3)))
-    q1 = haar_quadrature(su2, w1, resolution=12)
-    tol = 5 * (q0.error_estimate + q1.error_estimate) + 1e-8
-    assert abs(q0.total_weight - q1.total_weight) <= tol
-
-
-def test_haar_rejects_low_resolution():
-    so2 = get_group("so2")
-    w = Window(fn=lambda c: np.ones(c.shape[0]), support=((-np.pi, np.pi),))
-    with pytest.raises(InputError):
-        haar_quadrature(so2, w, resolution=1)
+        jac = np.column_stack([(moved(t + d * e) - moved(t - d * e)) / (2 * d)
+                               for e in np.eye(3)])
+        lhs = su2.left_density(t)
+        rhs = su2.left_density(moved(t)) * abs(np.linalg.det(jac))
+        assert abs(lhs - rhs) <= 1e-8 * lhs

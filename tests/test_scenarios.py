@@ -1,0 +1,89 @@
+"""Scenario config validation: malformed configs raise ConfigError."""
+
+import copy
+import json
+
+import pytest
+
+from scbundle.errors import ConfigError
+from scbundle.scenarios import load_scenario
+
+BASE = {
+    "name": "config-test",
+    "group_id": "heisenberg",
+    "action": "heisenberg-weyl",
+    "fiber": {"n": 1, "n_cut": 12},
+    "anchor": {"S": 0.0, "P": [0.4], "Q": [-0.2]},
+    "lattice": [{"kind": "line", "spacing": 0.15, "lo": -4, "hi": 4},
+                {"kind": "line", "spacing": 0.15, "lo": -4, "hi": 4},
+                {"kind": "line", "spacing": 0.0225, "lo": -12, "hi": 12}],
+    "numerics": {"dt": 0.001, "fd_tau": 0.001, "seed": 7},
+    "probes": {"count": 1, "max_degree": 3, "sigma": [0.4, 0.4, 0.35],
+               "radius": [0.4, 0.4, 0.35]},
+    "suites": ["lie", "sections", "generators", "reconstruction"],
+}
+
+
+DELETE = object()
+
+# each case: (path into the config, new value or DELETE) edits of BASE
+MALFORMED = {
+    "lattice-kind-missing": [(("lattice", 0, "kind"), DELETE)],
+    "lattice-spacing-missing": [(("lattice", 1, "spacing"), DELETE)],
+    "lattice-lo-missing": [(("lattice", 2, "lo"), DELETE)],
+    "lattice-hi-missing": [(("lattice", 2, "hi"), DELETE)],
+    "lattice-count-missing": [(("lattice", 0), {"kind": "cycle"})],
+    "lattice-kind-unknown": [(("lattice", 0, "kind"), "spiral")],
+    "lattice-spacing-text": [(("lattice", 0, "spacing"), "wide")],
+    "generator-lattice-hi-missing": [(("generator_lattice",),
+                                      [{"kind": "line", "spacing": 0.1, "lo": -2}] * 3)],
+    "anchor-S-missing": [(("anchor", "S"), DELETE)],
+    "anchor-P-missing": [(("anchor", "P"), DELETE)],
+    "anchor-Q-missing": [(("anchor", "Q"), DELETE)],
+    "anchor-Q-text": [(("anchor", "Q"), ["left"])],
+    "n_cut-text": [(("fiber", "n_cut"), "twelve")],
+    "n_cut-null": [(("fiber", "n_cut"), None)],
+    "n-text": [(("fiber", "n"), "one")],
+    "n-zero": [(("fiber", "n"), 0)],
+    "seed-text": [(("numerics", "seed"), "lucky")],
+    "seed-list": [(("numerics", "seed"), [1, 2])],
+    "dt-text": [(("numerics", "dt"), "small")],
+    "sections-probe-sizes-missing": [(("probes",), {"count": 1})],
+    "generators-sigma-missing": [(("probes", "sigma"), DELETE)],
+    "sigma-nan": [(("probes", "sigma"), [float("nan")] * 3)],
+    "radius-negative": [(("probes", "radius"), -1.0)],
+    "gauge-radius-missing": [(("probes", "radius"), DELETE), (("suites",), ["gauge"])],
+    "group-def-basis-missing": [(("group_def",), {"group_id": "cfg_test_group",
+                                                  "rep_dim": 2})],
+}
+
+
+def _malformed(case) -> dict:
+    cfg = copy.deepcopy(BASE)
+    for (*parents, key), value in MALFORMED[case]:
+        node = cfg
+        for p in parents:
+            node = node[p]
+        if value is DELETE:
+            del node[key]
+        else:
+            node[key] = value
+    return cfg
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_raises_config_error(case, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_malformed(case)))
+    with pytest.raises(ConfigError):
+        load_scenario(str(path))
+
+
+def test_well_formed_base_config_loads(tmp_path):
+    """The unedited config is valid, so each malformed case fails for its
+    own edit."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(BASE))
+    scn = load_scenario(str(path))
+    action, _ = scn.build_action()
+    assert len(scn.build_sampling(action)) == 9 * 9 * 25
