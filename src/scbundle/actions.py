@@ -1,21 +1,26 @@
 """Bundle actions: Lie groups acting on the semiclassical bundle.
 
-A :class:`BundleAction` pairs a base map family ``u_g`` on classical states
-with a fiber unitary family ``U_g``.  Every base map is in closed form, and
-every fiber unitary and fiber Hamiltonian is independent of the base point:
+A :class:`BundleAction` pairs a base map family ``u_g`` with a fiber unitary
+family ``U_g``.  Inside the numerics a batch of base points is a float array
+of state rows ``(J, 2n+1)`` laid out as ``S, P..., Q...`` (the layout of
+:meth:`ClassicalState.as_array`); each action writes its base map once, as
+``base_rows(mats, rows)``, which broadcasts a stack of group matrices against
+a stack of rows.  One-parameter actions write only their lifted flow
+``flow(ts, rows)``; the base map is that flow at the element's coordinate.
+Every fiber unitary and fiber Hamiltonian is independent of the base point:
 the builders below are the one place that decision is made, and everything
 downstream (orbit evaluation, transport, generators) relies on it.
 
-Each scenario also exposes per-basis :class:`GeneratorData` (the exact base
-flow and the constant fiber Hamiltonian ``H(B_k)``) feeding the one-parameter
-exponentiation machinery.
+Each scenario also exposes per-basis :class:`GeneratorData` (the constant
+fiber Hamiltonian ``H(B_k)``, plus the lifted flow for one-parameter groups)
+feeding the one-parameter exponentiation machinery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +47,11 @@ def _as_matrix(g) -> np.ndarray:
     return g.matrix if isinstance(g, GroupElement) else np.asarray(g)
 
 
+def _rows(S, P, Q) -> np.ndarray:
+    """Stack broadcast S, P, Q columns into state rows (n = 1)."""
+    return np.stack(np.broadcast_arrays(S, P, Q), axis=-1)
+
+
 @dataclass(frozen=True)
 class BundleAction:
     """Group action on the bundle: base maps plus fiber unitaries."""
@@ -49,17 +59,16 @@ class BundleAction:
     name: str
     group: LieGroup
     dim_config: DimConfig
-    base_fn: Callable[[np.ndarray, ClassicalState], ClassicalState]
-    base_batch_fn: Callable[[np.ndarray, ClassicalState], np.ndarray]
+    base_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
     fiber_fn: Callable[[np.ndarray], np.ndarray]
 
     def base_map(self, g, X: ClassicalState) -> ClassicalState:
-        return self.base_fn(_as_matrix(g), X)
+        return ClassicalState.from_array(self.base_rows(_as_matrix(g), X.as_array()), X.n)
 
     def base_points(self, mats: np.ndarray, X: ClassicalState) -> np.ndarray:
-        """Orbit points ``u_g X`` for a stack of group matrices, returned as
-        stacked state arrays of shape (J, 2n+1)."""
-        return self.base_batch_fn(np.asarray(mats), X)
+        """Orbit points ``u_g X`` for a stack of group matrices, as state rows
+        of shape (J, 2n+1)."""
+        return self.base_rows(np.asarray(mats), X.as_array())
 
     def fiber_matrix(self, g) -> np.ndarray:
         return self.fiber_fn(_as_matrix(g))
@@ -67,10 +76,12 @@ class BundleAction:
 
 @dataclass(frozen=True)
 class GeneratorData:
-    """One-parameter subgroup data for a basis direction B_k."""
+    """One-parameter subgroup data for a basis direction B_k: its fiber
+    Hamiltonian and, for one-parameter groups, the lifted base flow
+    ``flow(ts, rows)`` (unwrapped parameter)."""
 
-    flow: Callable[[float, ClassicalState], ClassicalState]
     fiber_hamiltonian: np.ndarray
+    flow: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -110,12 +121,9 @@ def _oscillator_levels(n_cut: int) -> np.ndarray:
     return np.real(np.diag(quadratic_hamiltonian([[1.0]], [[0.0]], [[1.0]], cfg).matrix))
 
 
-@lru_cache(maxsize=None)
-def _kinetic_matrix(n_cut: int):
-    cfg = DimConfig(1, n_cut)
-    mat = quadratic_hamiltonian([[0.0]], [[0.0]], [[1.0]], cfg).matrix
-    vals, vecs = np.linalg.eigh(mat)
-    return mat, (vals, vecs)
+def _kinetic(config: DimConfig):
+    """The free kinetic fiber Hamiltonian p^2/2."""
+    return quadratic_hamiltonian([[0.0]], [[0.0]], [[1.0]], config)
 
 
 # ---------------------------------------------------------------------------
@@ -140,36 +148,24 @@ def heisenberg_weyl_action(config: DimConfig):
     eig_x = _eig(position_operator, config.n_cut)
     eig_p = _eig(momentum_operator, config.n_cut)
 
-    def base_fn(mat, X):
-        a, b, c = mat[0, 1].real, mat[1, 2].real, mat[0, 2].real
-        return ClassicalState(X.S + c + a * X.P[0], X.P + b, X.Q + a)
-
-    def base_batch_fn(mats, X):
-        a = mats[:, 0, 1].real
-        b = mats[:, 1, 2].real
-        c = mats[:, 0, 2].real
-        return np.stack([X.S + c + a * X.P[0], X.P[0] + b, X.Q[0] + a], axis=-1)
+    def base_rows(mats, rows):
+        a, b, c = mats[..., 0, 1].real, mats[..., 1, 2].real, mats[..., 0, 2].real
+        S, P, Q = rows[..., 0], rows[..., 1], rows[..., 2]
+        return _rows(S + c + a * P, P + b, Q + a)
 
     def fiber_fn(mat):
         a, b, c = mat[0, 1].real, mat[1, 2].real, mat[0, 2].real
         return np.exp(1j * c) * spectral_exp(eig_x, -b) @ spectral_exp(eig_p, -a)
 
-    action = BundleAction("heisenberg-weyl", group, config,
-                          base_fn, base_batch_fn, fiber_fn)
+    action = BundleAction("heisenberg-weyl", group, config, base_rows, fiber_fn)
 
     xi_mat = position_operator(config).matrix
     p_mat = momentum_operator(config).matrix
     eye = np.eye(config.dim, dtype=complex)
     family = GeneratorFamily(group, config, (
-        GeneratorData(
-            flow=lambda t, X: ClassicalState(X.S + t * X.P[0], X.P, X.Q + t),
-            fiber_hamiltonian=-p_mat),
-        GeneratorData(
-            flow=lambda t, X: ClassicalState(X.S, X.P + t, X.Q),
-            fiber_hamiltonian=-xi_mat),
-        GeneratorData(
-            flow=lambda t, X: ClassicalState(X.S + t, X.P, X.Q),
-            fiber_hamiltonian=-eye),
+        GeneratorData(fiber_hamiltonian=-p_mat),
+        GeneratorData(fiber_hamiltonian=-xi_mat),
+        GeneratorData(fiber_hamiltonian=-eye),
     ))
     return action, family
 
@@ -187,40 +183,25 @@ def translations_r2_action(config: DimConfig, phases: Sequence[float] = (0.7, -0
     kappa = np.asarray(phases, dtype=float)
     eye = np.eye(config.dim, dtype=complex)
 
-    def base_fn(mat, X):
-        a, b = mat[0, 2].real, mat[1, 2].real
-        return ClassicalState(X.S, X.P + b, X.Q + a)
-
-    def base_batch_fn(mats, X):
-        a = mats[:, 0, 2].real
-        b = mats[:, 1, 2].real
-        return np.stack([np.full_like(a, X.S), X.P[0] + b, X.Q[0] + a], axis=-1)
+    def base_rows(mats, rows):
+        a, b = mats[..., 0, 2].real, mats[..., 1, 2].real
+        return _rows(rows[..., 0], rows[..., 1] + b, rows[..., 2] + a)
 
     def fiber_fn(mat):
         a, b = mat[0, 2].real, mat[1, 2].real
         return np.exp(1j * (kappa[0] * a + kappa[1] * b)) * eye
 
-    action = BundleAction("translations-r2", group, config,
-                          base_fn, base_batch_fn, fiber_fn)
+    action = BundleAction("translations-r2", group, config, base_rows, fiber_fn)
     family = GeneratorFamily(group, config, (
-        GeneratorData(
-            flow=lambda t, X: ClassicalState(X.S, X.P, X.Q + t),
-            fiber_hamiltonian=-kappa[0] * eye),
-        GeneratorData(
-            flow=lambda t, X: ClassicalState(X.S, X.P + t, X.Q),
-            fiber_hamiltonian=-kappa[1] * eye),
+        GeneratorData(fiber_hamiltonian=-kappa[0] * eye),
+        GeneratorData(fiber_hamiltonian=-kappa[1] * eye),
     ))
     return action, family
 
 
 # ---------------------------------------------------------------------------
-# oscillator-type flows
+# one-parameter flows
 # ---------------------------------------------------------------------------
-
-def _rotate(t: float, P: float, Q: float):
-    c, s = np.cos(t), np.sin(t)
-    return P * c - Q * s, Q * c + P * s
-
 
 def _oscillator_action_gain(t, P, Q):
     """Closed-form action increment along the harmonic flow,
@@ -228,23 +209,24 @@ def _oscillator_action_gain(t, P, Q):
     return (P ** 2 - Q ** 2) * np.sin(2 * t) / 4 - P * Q * (1 - np.cos(2 * t)) / 2
 
 
-def _rotation_base(drift_rate: float):
-    """Base maps of the harmonic rotation with an optional uniform drift of
+def _rotation_flow(drift_rate: float):
+    """Lifted flow of the harmonic rotation with an optional uniform drift of
     the action variable (drift_rate per unit angle)."""
-    def base_fn(t, X):
-        P1, Q1 = _rotate(t, X.P[0], X.Q[0])
-        S1 = X.S + _oscillator_action_gain(t, X.P[0], X.Q[0]) + drift_rate * t
-        return ClassicalState(S1, [P1], [Q1])
-
-    def base_batch(ts, X):
+    def flow(ts, rows):
+        S, P, Q = rows[..., 0], rows[..., 1], rows[..., 2]
         c, s = np.cos(ts), np.sin(ts)
-        P1 = X.P[0] * c - X.Q[0] * s
-        Q1 = X.Q[0] * c + X.P[0] * s
-        S1 = (X.S + _oscillator_action_gain(ts, X.P[0], X.Q[0])
-              + drift_rate * ts)
-        return np.stack([S1, P1, Q1], axis=-1)
+        return _rows(S + _oscillator_action_gain(ts, P, Q) + drift_rate * ts,
+                     P * c - Q * s, Q * c + P * s)
 
-    return base_fn, base_batch
+    return flow
+
+
+def _line_coordinate(mats) -> np.ndarray:
+    return mats[..., 0, 1].real
+
+
+def _so2_angles(mats) -> np.ndarray:
+    return np.arctan2(mats[..., 1, 0].real, mats[..., 0, 0].real)
 
 
 def oscillator_action(config: DimConfig):
@@ -255,21 +237,14 @@ def oscillator_action(config: DimConfig):
         raise InputError("the oscillator scenario is 1-D")
     group = get_group("real_line")
     levels = _oscillator_levels(config.n_cut)
-    base_fn_t, base_batch_t = _rotation_base(0.0)
-
-    def fiber_fn(mat):
-        t = mat[0, 1].real
-        return np.diag(np.exp(-1j * t * levels))
+    flow = _rotation_flow(0.0)
 
     action = BundleAction(
         "oscillator-evolution", group, config,
-        base_fn=lambda mat, X: base_fn_t(mat[0, 1].real, X),
-        base_batch_fn=lambda mats, X: base_batch_t(mats[:, 0, 1].real, X),
-        fiber_fn=fiber_fn)
+        base_rows=lambda mats, rows: flow(_line_coordinate(mats), rows),
+        fiber_fn=lambda mat: np.diag(np.exp(-1j * _line_coordinate(mat) * levels)))
     family = GeneratorFamily(group, config, (
-        GeneratorData(
-            flow=base_fn_t,
-            fiber_hamiltonian=np.diag(levels).astype(complex)),
+        GeneratorData(fiber_hamiltonian=np.diag(levels).astype(complex), flow=flow),
     ))
     return action, family
 
@@ -280,38 +255,20 @@ def free_particle_action(config: DimConfig):
     if config.n != 1:
         raise InputError("the free-particle scenario is 1-D")
     group = get_group("real_line")
-    kinetic, eig = _kinetic_matrix(config.n_cut)
+    eig = _eig(_kinetic, config.n_cut)
 
-    def base_fn(mat, X):
-        t = mat[0, 1].real
-        return ClassicalState(X.S + 0.5 * t * X.P[0] ** 2, X.P, X.Q + t * X.P[0])
+    def flow(ts, rows):
+        S, P, Q = rows[..., 0], rows[..., 1], rows[..., 2]
+        return _rows(S + 0.5 * ts * P ** 2, P, Q + ts * P)
 
-    def base_batch_fn(mats, X):
-        t = mats[:, 0, 1].real
-        return np.stack([X.S + 0.5 * t * X.P[0] ** 2,
-                         np.full_like(t, X.P[0]), X.Q[0] + t * X.P[0]], axis=-1)
-
-    def fiber_fn(mat):
-        return spectral_exp(eig, mat[0, 1].real)
-
-    action = BundleAction("free-particle", group, config,
-                          base_fn, base_batch_fn, fiber_fn)
-
-    def flow(t, X):
-        return base_fn(np.array([[1.0, t], [0.0, 1.0]]), X)
-
+    action = BundleAction(
+        "free-particle", group, config,
+        base_rows=lambda mats, rows: flow(_line_coordinate(mats), rows),
+        fiber_fn=lambda mat: spectral_exp(eig, _line_coordinate(mat)))
     family = GeneratorFamily(group, config, (
-        GeneratorData(flow=flow, fiber_hamiltonian=kinetic),
+        GeneratorData(fiber_hamiltonian=_kinetic(config).matrix, flow=flow),
     ))
     return action, family
-
-
-def _so2_angle(mat) -> float:
-    return float(np.arctan2(mat[1, 0].real, mat[0, 0].real))
-
-
-def _so2_angles(mats) -> np.ndarray:
-    return np.arctan2(mats[:, 1, 0].real, mats[:, 0, 0].real)
 
 
 def so2_rotor_action(config: DimConfig):
@@ -322,17 +279,14 @@ def so2_rotor_action(config: DimConfig):
         raise InputError("the rotor scenario is 1-D")
     group = get_group("so2")
     levels = np.arange(config.dim, dtype=float)
-    base_fn_t, base_batch_t = _rotation_base(0.0)
+    flow = _rotation_flow(0.0)
 
     action = BundleAction(
         "so2-rotor", group, config,
-        base_fn=lambda mat, X: base_fn_t(_so2_angle(mat), X),
-        base_batch_fn=lambda mats, X: base_batch_t(_so2_angles(mats), X),
-        fiber_fn=lambda mat: np.diag(np.exp(-1j * _so2_angle(mat) * levels)))
+        base_rows=lambda mats, rows: flow(_so2_angles(mats), rows),
+        fiber_fn=lambda mat: np.diag(np.exp(-1j * _so2_angles(mat) * levels)))
     family = GeneratorFamily(group, config, (
-        GeneratorData(
-            flow=base_fn_t,
-            fiber_hamiltonian=np.diag(levels).astype(complex)),
+        GeneratorData(fiber_hamiltonian=np.diag(levels).astype(complex), flow=flow),
     ))
     return action, family
 
@@ -345,25 +299,24 @@ def metaplectic_action(config: DimConfig, drift: bool = False):
     With ``drift=True`` the base additionally carries the zero-point action
     drift -theta/2; then base and fiber composition both fail by exactly the
     compensator pair (S-shift -pi m, phase (-1)^m), which is the form used by
-    the gauge-invariant section machinery.
+    the gauge-invariant section machinery.  The base map and the fiber phase
+    use the angle wrapped to [0, 2 pi); the generator family keeps the lifted
+    flow.
     """
     if config.n != 1:
         raise InputError("the metaplectic scenario is 1-D")
     group = get_group("so2")
     levels = np.arange(config.dim, dtype=float) + 0.5
-    rate = -0.5 if drift else 0.0
-    base_fn_t, base_batch_t = _rotation_base(rate)
+    flow = _rotation_flow(-0.5 if drift else 0.0)
+
+    def wrapped(mats):
+        return _so2_angles(mats) % (2 * np.pi)
 
     action = BundleAction(
         "metaplectic-so2" + ("-drift" if drift else ""), group, config,
-        base_fn=lambda mat, X: base_fn_t(_so2_angle(mat) % (2 * np.pi), X),
-        base_batch_fn=lambda mats, X: base_batch_t(
-            _so2_angles(mats) % (2 * np.pi), X),
-        fiber_fn=lambda mat: np.diag(
-            np.exp(-1j * (_so2_angle(mat) % (2 * np.pi)) * levels)))
+        base_rows=lambda mats, rows: flow(wrapped(mats), rows),
+        fiber_fn=lambda mat: np.diag(np.exp(-1j * wrapped(mat) * levels)))
     family = GeneratorFamily(group, config, (
-        GeneratorData(
-            flow=base_fn_t,
-            fiber_hamiltonian=np.diag(levels).astype(complex)),
+        GeneratorData(fiber_hamiltonian=np.diag(levels).astype(complex), flow=flow),
     ))
     return action, family

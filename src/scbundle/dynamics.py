@@ -5,6 +5,10 @@ fluctuation propagator by midpoint-exponential stepping, their pairing as a
 bundle automorphism, the wave-packet substitution on a 1-D grid, and an
 independent split-step spectral reference solver used as the verification
 oracle.
+
+:class:`ClassicalState` is the single-point form of a base point; inside the
+numerics base points are state rows ``S, P..., Q...`` (its ``as_array``
+layout), and a :class:`Trajectory` stores its steps as one array of rows.
 """
 
 from __future__ import annotations
@@ -173,23 +177,22 @@ def cubic_perturbed_spec(omega2: float = 1.0, cubic: float = 0.1) -> Hamiltonian
 
 @dataclass(frozen=True)
 class Trajectory:
-    times: np.ndarray
-    states: tuple
-    energy_drift: float
+    """Sampled classical flow: ``rows[k]`` is the state row at ``times[k]``;
+    ``initial`` is the state the flow started from."""
 
-    def __iter__(self):
-        return iter(zip(self.times, self.states))
+    times: np.ndarray
+    rows: np.ndarray
+    energy_drift: float
+    initial: ClassicalState
 
     def __len__(self):
-        return len(self.states)
-
-    @property
-    def initial(self) -> ClassicalState:
-        return self.states[0]
+        return self.rows.shape[0]
 
     @property
     def final(self) -> ClassicalState:
-        return self.states[-1]
+        if len(self) == 1:
+            return self.initial
+        return ClassicalState.from_array(self.rows[-1], self.initial.n)
 
     def to_csv(self, path) -> None:
         n = self.initial.n
@@ -198,10 +201,8 @@ class Trajectory:
             writer.writerow(["t", "S"]
                             + [f"P_{k + 1}" for k in range(n)]
                             + [f"Q_{k + 1}" for k in range(n)])
-            for t, X in self:
-                writer.writerow([f"{t:.12e}", f"{X.S:.12e}"]
-                                + [f"{v:.12e}" for v in X.P]
-                                + [f"{v:.12e}" for v in X.Q])
+            for t, row in zip(self.times, self.rows):
+                writer.writerow([f"{t:.12e}"] + [f"{v:.12e}" for v in row])
 
 
 def _hamilton_rhs(H: HamiltonianSpec, y: np.ndarray) -> np.ndarray:
@@ -232,31 +233,32 @@ def classical_flow(H: HamiltonianSpec, X0: ClassicalState, T: float,
     if X0.n != H.n:
         raise InputError("state dimension does not match the Hamiltonian")
     if T == 0.0:
-        return Trajectory(np.array([0.0]), (X0,), 0.0)
+        return Trajectory(np.array([0.0]), X0.as_array()[None], 0.0, X0)
     if dt > abs(T) * (1 + 1e-12):
         raise InputError("dt exceeds the integration window")
     n_steps = int(round(abs(T) / dt))
     h = T / n_steps
-    y = X0.as_array()
-    states = [X0]
-    times = [0.0]
+    rows = np.empty((n_steps + 1, 1 + 2 * H.n))
+    rows[0] = y = X0.as_array()
     for k in range(n_steps):
         y = _rk4_step(H, y, h)
         if not np.all(np.isfinite(y)):
             raise NumericalError(f"classical flow blew up at t = {(k + 1) * h:.6g}")
-        states.append(ClassicalState.from_array(y, H.n))
-        times.append((k + 1) * h)
-    drift = abs(H.value(states[-1].Q, states[-1].P) - H.value(X0.Q, X0.P))
-    return Trajectory(np.asarray(times), tuple(states), drift)
+        rows[k + 1] = y
+    n = H.n
+    drift = abs(H.value(y[1 + n:], y[1:1 + n]) - H.value(X0.Q, X0.P))
+    return Trajectory(np.arange(n_steps + 1) * h, rows, drift, X0)
 
 
 # ---------------------------------------------------------------------------
 # fluctuation propagator
 # ---------------------------------------------------------------------------
 
-def _fluct_matrix(H: HamiltonianSpec, X: ClassicalState, config: DimConfig):
-    return quadratic_hamiltonian(H.hess_qq(X.Q, X.P), H.hess_qp(X.Q, X.P).T,
-                                 H.hess_pp(X.Q, X.P), config).matrix
+def _fluct_matrix(H: HamiltonianSpec, y: np.ndarray, config: DimConfig):
+    n = H.n
+    P, Q = y[1:1 + n], y[1 + n:]
+    return quadratic_hamiltonian(H.hess_qq(Q, P), H.hess_qp(Q, P).T,
+                                 H.hess_pp(Q, P), config).matrix
 
 
 def fluctuation_propagator(H: HamiltonianSpec, trajectory: Trajectory,
@@ -270,16 +272,15 @@ def fluctuation_propagator(H: HamiltonianSpec, trajectory: Trajectory,
     times = trajectory.times
     if len(times) > 1:
         if H.constant_hessians:
-            mat = _fluct_matrix(H, trajectory.initial, config)
+            mat = _fluct_matrix(H, trajectory.rows[0], config)
             step = spectral_exp(np.linalg.eigh(mat), times[1] - times[0])
             for _ in range(len(times) - 1):
                 U = step @ U
         else:
             for k in range(len(times) - 1):
                 dt = times[k + 1] - times[k]
-                y_mid = _rk4_step(H, trajectory.states[k].as_array(), 0.5 * dt)
-                X_mid = ClassicalState.from_array(y_mid, H.n)
-                mat = _fluct_matrix(H, X_mid, config)
+                y_mid = _rk4_step(H, trajectory.rows[k], 0.5 * dt)
+                mat = _fluct_matrix(H, y_mid, config)
                 U = spectral_exp(np.linalg.eigh(mat), dt) @ U
         if not np.all(np.isfinite(U)):
             raise NumericalError("fluctuation propagator blew up")
@@ -296,9 +297,6 @@ class BundleAutomorphism:
 
     base_map: Callable[[ClassicalState], ClassicalState]
     fiber_map: Callable[[ClassicalState], FiberOperator]
-
-    def apply(self, X: ClassicalState, f: FiberVector):
-        return self.base_map(X), self.fiber_map(X).apply(f)
 
 
 def evolution_automorphism(H: HamiltonianSpec, t: float, dt: float,

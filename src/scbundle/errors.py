@@ -45,9 +45,5 @@ class PreconditionError(ScbundleError):
     """A check's stated precondition is violated, making the check vacuous."""
 
 
-class SearchFailureError(ScbundleError):
-    """A compensator / parameter search did not converge."""
-
-
 class ConfigError(ScbundleError):
     """Invalid scenario configuration."""

@@ -27,11 +27,9 @@ __all__ = [
     "unitarity_residual",
     "position_operator",
     "momentum_operator",
-    "parity_operator",
     "spectral_exp",
     "unitary_from_hamiltonian",
     "hermite_functions",
-    "random_low_mode",
     "edge_mask",
 ]
 
@@ -188,10 +186,6 @@ class FiberOperator:
                                  unitary=self.unitary and other.unitary)
         return NotImplemented
 
-    def dagger(self) -> "FiberOperator":
-        return FiberOperator(self.matrix.conj().T, self.dim_config,
-                             hermitian=self.hermitian, unitary=self.unitary)
-
 
 def _check_dims(a, b):
     if a.dim_config != b.dim_config:
@@ -259,12 +253,6 @@ def momentum_operator(config: DimConfig, axis: int = 0) -> FiberOperator:
     return FiberOperator(_cut(ps[axis], config), config, hermitian=True)
 
 
-def parity_operator(config: DimConfig) -> FiberOperator:
-    signs = (-1.0) ** config.degrees()
-    return FiberOperator(np.diag(signs.astype(complex)), config,
-                         hermitian=True, unitary=True)
-
-
 def spectral_exp(eig, t: float) -> np.ndarray:
     """``exp(-i t H)`` from the eigendecomposition ``eig = (vals, vecs)`` of a
     Hermitian matrix H, as returned by ``np.linalg.eigh`` (unitary to machine
@@ -293,16 +281,6 @@ def hermite_functions(xs: np.ndarray, count: int) -> np.ndarray:
         out[k + 1] = (np.sqrt(2.0 / (k + 1)) * xs * out[k]
                       - np.sqrt(k / (k + 1)) * out[k - 1])
     return out
-
-
-def random_low_mode(config: DimConfig, rng: np.random.Generator,
-                    max_degree: int, normalize: bool = True) -> FiberVector:
-    """Random fiber vector supported on total degree <= max_degree."""
-    degrees = config.degrees()
-    coeffs = rng.standard_normal(config.dim) + 1j * rng.standard_normal(config.dim)
-    coeffs[degrees > max_degree] = 0.0
-    v = FiberVector(coeffs, config)
-    return v.normalized() if normalize else v
 
 
 def edge_mask(config: DimConfig, width: int = 2) -> np.ndarray:

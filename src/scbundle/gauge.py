@@ -5,27 +5,30 @@ the base -- degenerate for invariant sections, and exactly the stabilizer
 counterexample), the action shift (moves S, trivial on fibers), and their
 pairing (shift S by c, rotate fibers by exp(-ic)), which is the semiclassical
 identification that makes the metaplectic circle action honest on
-gauge-invariant sections.
+gauge-invariant sections.  Each gauge writes its base map once, on state
+rows; every compensator has a closed form (from the S difference for
+base-moving gauges, from the fiber-overlap angle otherwise).
 
 The enlarged orbit of a circle scenario is sampled as (rotation lattice) x
-(gauge-parameter lattice); invariant sections are stored on that grid and
-transformed by the quotient form of the left regular action, with the
-compensator resolved from the base bookkeeping or from fiber phases.
+(gauge-parameter lattice) and held as one array of state rows; invariant
+sections are stored on that grid and transformed by the quotient form of the
+left regular action, with one batched flow call per transform and the
+sources off the gauge window completed through the invariance condition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .actions import BundleAction
 from .dynamics import ClassicalState
-from .errors import (ConsistencyError, InputError, PreconditionError,
-                     SearchFailureError)
+from .errors import ConsistencyError, InputError, PreconditionError
 from .fiber import spectral_exp
 from .groups import GroupElement
+from .sections import state_keys
 
 __all__ = [
     "GaugeGroup",
@@ -34,7 +37,6 @@ __all__ = [
     "phase_shift_gauge",
     "gauge_equivalent",
     "GaugeRecord",
-    "gauge_report_json",
     "compensator_relations_check",
     "GaugeBundle",
 ]
@@ -46,29 +48,45 @@ EQUIV_TOL = 1e-8
 class GaugeGroup:
     """One-parameter abelian gauge group acting on the bundle.
 
-    ``base_shift_s`` marks gauges whose base map is a pure shift of the
-    action coordinate (then compensators are solved from S differences);
-    gauges with the identity base map get their compensators from fiber
-    phases instead.
+    ``base_rows(alphas, rows)`` maps state rows, broadcasting parameters
+    against rows.  ``base_shift_s`` marks gauges whose base map is a pure
+    shift of the action coordinate (then compensators are solved from S
+    differences); gauges with the identity base map get their compensators
+    from fiber phases instead.
     """
 
     name: str
-    base_map: Callable[[float, ClassicalState], ClassicalState]
+    base_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
     fiber_phase: Callable[[float], complex]
     base_shift_s: bool
+
+    def base_map(self, alpha: float, X: ClassicalState) -> ClassicalState:
+        return ClassicalState.from_array(self.base_rows(alpha, X.as_array()), X.n)
 
     def fiber_apply(self, alpha: float, f: np.ndarray) -> np.ndarray:
         return self.fiber_phase(alpha) * np.asarray(f, dtype=complex)
 
-    def unitarity_defect(self, alpha: float) -> float:
-        return abs(abs(self.fiber_phase(alpha)) - 1.0)
+
+def _broadcast_rows(alphas, rows) -> np.ndarray:
+    """A copy of ``rows`` broadcast against the gauge parameters (the
+    identity base map)."""
+    rows = np.asarray(rows, dtype=float)
+    shape = np.broadcast_shapes(np.shape(alphas), rows.shape[:-1]) + rows.shape[-1:]
+    return np.array(np.broadcast_to(rows, shape))
+
+
+def _shift_s(c, rows) -> np.ndarray:
+    """Rows with the action coordinate S shifted by ``c``."""
+    out = _broadcast_rows(c, rows)
+    out[..., 0] = out[..., 0] + c
+    return out
 
 
 def u1_phase_gauge() -> GaugeGroup:
     """Pure fiber phase, identity on the base."""
     return GaugeGroup(
         name="u1_phase",
-        base_map=lambda alpha, X: X,
+        base_rows=_broadcast_rows,
         fiber_phase=lambda alpha: np.exp(1j * alpha),
         base_shift_s=False)
 
@@ -77,7 +95,7 @@ def action_shift_gauge() -> GaugeGroup:
     """Shift of the classical action coordinate, trivial on fibers."""
     return GaugeGroup(
         name="action_shift",
-        base_map=lambda c, X: ClassicalState(X.S + c, X.P, X.Q),
+        base_rows=_shift_s,
         fiber_phase=lambda c: 1.0 + 0.0j,
         base_shift_s=True)
 
@@ -87,7 +105,7 @@ def phase_shift_gauge() -> GaugeGroup:
     exp(-ic), so the physical packet exp(iS) f is unchanged along orbits."""
     return GaugeGroup(
         name="phase_shift",
-        base_map=lambda c, X: ClassicalState(X.S + c, X.P, X.Q),
+        base_rows=_shift_s,
         fiber_phase=lambda c: np.exp(-1j * c),
         base_shift_s=True)
 
@@ -96,44 +114,12 @@ def phase_shift_gauge() -> GaugeGroup:
 # gauge equivalence
 # ---------------------------------------------------------------------------
 
-def _equivalence_residual(gauge: GaugeGroup, alpha: float, z1, z2) -> float:
-    X1, f1 = z1
-    X2, f2 = z2
-    moved = gauge.base_map(alpha, X1)
-    base = moved.distance(X2)
-    fiber = np.linalg.norm(gauge.fiber_apply(alpha, f1) - np.asarray(f2))
-    return float(base + fiber)
-
-
-def _golden_search(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(200):
-        if b - a < tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    else:
-        raise SearchFailureError("golden-section refinement did not converge")
-    return 0.5 * (a + b)
-
-
-def gauge_equivalent(gauge: GaugeGroup, z1, z2,
-                     search_grid: Optional[np.ndarray] = None):
+def gauge_equivalent(gauge: GaugeGroup, z1, z2):
     """Decide whether two bundle points lie on one gauge orbit.
 
-    Returns ``(equivalent, best_alpha, residual)``.  Closed forms cover the
-    built-in gauges; otherwise the parameter grid is scanned and refined by
-    golden-section search.
+    Returns ``(equivalent, best_alpha, residual)``.  The parameter is solved
+    in closed form: from the S difference for base-moving gauges, from the
+    fiber-overlap angle otherwise.
     """
     X1, f1 = z1
     X2, f2 = z2
@@ -141,20 +127,10 @@ def gauge_equivalent(gauge: GaugeGroup, z1, z2,
     f2 = np.asarray(f2, dtype=complex)
     if gauge.base_shift_s:
         alpha = float(X2.S - X1.S)
-    elif gauge.name == "u1_phase":
-        overlap = np.vdot(f1, f2)
-        alpha = float(np.angle(overlap)) if overlap != 0 else 0.0
     else:
-        if search_grid is None:
-            raise InputError("registered gauge groups need a search grid")
-        grid = np.asarray(search_grid, dtype=float)
-        coarse = [_equivalence_residual(gauge, a, (X1, f1), (X2, f2)) for a in grid]
-        k = int(np.argmin(coarse))
-        lo = grid[max(0, k - 1)]
-        hi = grid[min(len(grid) - 1, k + 1)]
-        alpha = _golden_search(
-            lambda a: _equivalence_residual(gauge, a, (X1, f1), (X2, f2)), lo, hi)
-    residual = _equivalence_residual(gauge, alpha, (X1, f1), (X2, f2))
+        alpha = _solve_fiber_phase(f2, f1)
+    residual = float(gauge.base_map(alpha, X1).distance(X2)
+                     + np.linalg.norm(gauge.fiber_apply(alpha, f1) - f2))
     return residual <= EQUIV_TOL, alpha, residual
 
 
@@ -168,27 +144,6 @@ class GaugeRecord:
     residual: float
     compensator_parameters: tuple
     passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "relation": self.relation,
-            "residual": self.residual,
-            "compensator_parameters": list(self.compensator_parameters),
-            "pass": self.passed,
-        }
-
-
-def gauge_report_json(records: Sequence[GaugeRecord]) -> str:
-    import json
-    return json.dumps([r.as_dict() for r in records], sort_keys=True)
-
-
-def _solve_base_compensator(gauge: GaugeGroup, target: ClassicalState,
-                            reference: ClassicalState) -> float:
-    """Gauge parameter with lambda_alpha(reference) = target."""
-    if gauge.base_shift_s:
-        return float(target.S - reference.S)
-    return 0.0
 
 
 def _solve_fiber_phase(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -225,7 +180,7 @@ def compensator_relations_check(action: BundleAction, gauge: GaugeGroup,
     lhs30 = action.fiber_matrix(g_m) @ gauge.fiber_apply(
         alpha, action.fiber_matrix(g_inv) @ f)
     if gauge.base_shift_s:
-        beta = _solve_base_compensator(gauge, conj_point, X)
+        beta = float(conj_point.S - X.S)
     else:
         beta = _solve_fiber_phase(lhs30, f)
     res28 = gauge.base_map(beta, X).distance(conj_point)
@@ -235,7 +190,7 @@ def compensator_relations_check(action: BundleAction, gauge: GaugeGroup,
     two_step = action.base_map(g1_m, action.base_map(g2_m, X))
     one_step = action.base_map(g1_m @ g2_m, X)
     if gauge.base_shift_s:
-        gamma = _solve_base_compensator(gauge, two_step, one_step)
+        gamma = float(two_step.S - one_step.S)
     else:
         gamma = _solve_fiber_phase(
             action.fiber_matrix(g1_m) @ (action.fiber_matrix(g2_m) @ f),
@@ -293,33 +248,24 @@ class GaugeBundle:
         self._eig = np.linalg.eigh(family.directions[0].fiber_hamiltonian)
 
         thetas = self.theta_step * np.arange(theta_nodes)
-        self._orbit_states = []
-        rows = []
-        for th in thetas:
-            Xi = self.flow(th, anchor)
-            self._orbit_states.append(Xi)
-            for j in self.gauge_indices:
-                Y = gauge.base_map(j * self.gauge_step, Xi)
-                rows.append(Y.as_array())
-        self.base_rows = np.array(rows)
-        self._lookup = {}
-        for flat, row in enumerate(self.base_rows):
-            self._lookup[self._key(row)] = flat
+        self._orbit_rows = self.flow(thetas, anchor.as_array())
+        grid = gauge.base_rows((self.gauge_indices * self.gauge_step)[None, :],
+                               self._orbit_rows[:, None, :])
+        self.base_rows = grid.reshape(-1, self._orbit_rows.shape[1])
+        self._keys = state_keys(self.base_rows)
 
-    def _key(self, row: np.ndarray) -> tuple:
-        return tuple(np.round(row / 1e-9).astype(np.int64))
+    def _grid_indices(self, rows: np.ndarray) -> np.ndarray:
+        """Flat grid index of each state row (-1 where it is off the grid)."""
+        keys = np.concatenate([self._keys, state_keys(rows)])
+        _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                      return_inverse=True)
+        found = first[inverse.reshape(-1)[len(self._keys):]]
+        return np.where(found < len(self._keys), found, -1)
 
     def _transport(self, theta: float) -> np.ndarray:
         """Fiber transport exp(-i theta H) of the lifted flow (the unwrapped
         parameter matters: a full turn contributes the anomaly phase)."""
         return spectral_exp(self._eig, theta)
-
-    @property
-    def shape(self) -> tuple:
-        return (self.theta_nodes, self.gauge_indices.size)
-
-    def flat(self, i: int, j: int) -> int:
-        return i * self.gauge_indices.size + j
 
     def zeros(self) -> np.ndarray:
         return np.zeros((self.theta_nodes, self.gauge_indices.size, self.dim),
@@ -342,8 +288,9 @@ class GaugeBundle:
         fundamental = np.asarray(fundamental, dtype=complex)
         if fundamental.shape != (self.theta_nodes, self.dim):
             raise InputError("one fundamental value per rotation node required")
-        probe = self.gauge.base_map(self.gauge_step, self._orbit_states[0])
-        fixes_base = probe.distance(self._orbit_states[0]) <= 1e-12
+        start = self._orbit_rows[0]
+        fixes_base = np.linalg.norm(self.gauge.base_rows(self.gauge_step, start)
+                                    - start) <= 1e-12
         moves_fiber = abs(self.gauge.fiber_phase(self.gauge_step) - 1.0) > 1e-12
         if fixes_base and moves_fiber and np.max(np.abs(fundamental)) > 0:
             raise ConsistencyError(
@@ -376,39 +323,31 @@ class GaugeBundle:
 
     # -- the quotient left regular action -----------------------------------
 
-    def gauge_transform(self, m_steps: int, values: np.ndarray,
-                        check_input: bool = True) -> np.ndarray:
+    def gauge_transform(self, m_steps: int, values: np.ndarray) -> np.ndarray:
         """Left regular transform by the circle element of index ``m_steps``
         on gauge-invariant sections, applied through the lifted flow.
         Sources off the gauge window are completed through the invariance
         condition."""
-        if check_input:
-            self.require_invariant(values)
+        self.require_invariant(values)
         theta = m_steps * self.theta_step
         U = self._transport(theta)
-        out = self.zeros()
         n_j = self.gauge_indices.size
-        n = self.anchor.n
-        for i in range(self.theta_nodes):
-            for j_pos in range(n_j):
-                Y = self.base_rows[self.flat(i, j_pos)]
-                state = ClassicalState(Y[0], Y[1:1 + n], Y[1 + n:])
-                src = self.flow(-theta, state)
-                flat = self._lookup.get(self._key(src.as_array()))
-                if flat is not None:
-                    out[i, j_pos] = U @ values[flat // n_j, flat % n_j]
-                    continue
-                # complete the off-window gauge coordinate through invariance
-                i_src = (i - m_steps) % self.theta_nodes
-                ref = self._orbit_states[i_src]
-                c_needed = src.S - ref.S
-                if np.linalg.norm(src.as_array()[1:] - ref.as_array()[1:]) > 1e-9:
-                    raise PreconditionError(
-                        "pulled-back point is off the enlarged orbit")
-                mid = n_j // 2
-                phase = self.gauge.fiber_phase(c_needed)
-                out[i, j_pos] = U @ (phase * values[i_src, mid])
-        return out
+        src = self.flow(-theta, self.base_rows)
+        flat = self._grid_indices(src)
+        sources = values.reshape(-1, self.dim)[flat]
+        # complete the off-window gauge coordinate through invariance
+        off = flat < 0
+        if np.any(off):
+            i_src = (np.repeat(np.arange(self.theta_nodes), n_j)[off] - m_steps) \
+                % self.theta_nodes
+            ref = self._orbit_rows[i_src]
+            if np.any(np.linalg.norm(src[off, 1:] - ref[:, 1:], axis=1) > 1e-9):
+                raise PreconditionError(
+                    "pulled-back point is off the enlarged orbit")
+            phase = self.gauge.fiber_phase(src[off, 0] - ref[:, 0])
+            sources[off] = np.asarray(phase)[..., None] * values[i_src, n_j // 2]
+        out = np.matmul(U, sources[:, :, None])[:, :, 0]
+        return out.reshape(self.theta_nodes, n_j, self.dim)
 
 
 def equivalence_relation_residuals(gauge: GaugeGroup, z: tuple,

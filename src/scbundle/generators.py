@@ -11,9 +11,8 @@ each with a refinement order estimate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -250,19 +249,6 @@ class IdentityResidual:
         if self.refined_residual <= 0:
             return np.inf
         return float(np.log2(self.residual / self.refined_residual))
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "tau": self.tau,
-            "residual": self.residual,
-            "refined_residual": self.refined_residual,
-            "order_estimate": self.order_estimate,
-        }
-
-
-def residual_report_json(residuals: Sequence[IdentityResidual]) -> str:
-    return json.dumps([r.as_dict() for r in residuals], sort_keys=True)
 
 
 def _apply(A, psi, action, tau) -> Section:

@@ -218,10 +218,6 @@ class GroupLawReport:
     composition_residual: float
     generator_residual: float
 
-    def as_dict(self) -> dict:
-        return {"composition_residual": self.composition_residual,
-                "generator_residual": self.generator_residual}
-
 
 def group_law_verify(family: GeneratorFamily, g1, g2, psi: Section,
                      tau: float = 1e-3) -> GroupLawReport:

@@ -3,15 +3,16 @@
 An :class:`OrbitSampling` is a finite window of a discrete subgroup lattice
 written in second-kind coordinates, so left translation by a lattice element
 permutes indices exactly and the section transform needs no interpolation.
-Sections optionally carry a closed-form ``field`` evaluator (group matrices
--> fiber values); everything that must leave the lattice (finite-difference
+Its base points are one array of state rows ``base_array`` (J, 2n+1), and
+base functions are evaluated on such rows in one batched call.  Sections
+optionally carry a closed-form ``field`` evaluator (group matrices -> fiber
+values); everything that must leave the lattice (finite-difference
 generators, non-lattice transforms) uses the field and refuses otherwise.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ __all__ = [
     "Section",
     "BaseFunction",
     "SampledBaseFunction",
-    "section_norm",
+    "state_keys",
     "section_transform",
     "evaluator_transform",
     "multiply",
@@ -37,11 +38,16 @@ __all__ = [
     "delta_section",
     "smooth_probe_section",
     "gentle_probe_section",
-    "section_to_json",
 ]
 
 _ALIGN_TOL = 1e-9
-_STABILIZER_DELTA = 1e-9
+_STATE_RESOLUTION = 1e-9
+
+
+def state_keys(rows: np.ndarray) -> np.ndarray:
+    """Integer keys of state rows: rows that agree to ``_STATE_RESOLUTION``
+    in every coordinate are one base point."""
+    return np.round(np.asarray(rows) / _STATE_RESOLUTION).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -90,13 +96,12 @@ class OrbitSampling:
     """Finite lattice window of a group orbit through an anchor state.
 
     Samples are de-duplicated modulo the numerically detected stabilizer
-    (base points closer than the separation delta collapse to their first
+    (base points with equal :func:`state_keys` collapse to their first
     representative).
     """
 
     def __init__(self, action: BundleAction, anchor: ClassicalState,
-                 axes: Sequence[LatticeAxis],
-                 stabilizer_delta: float = _STABILIZER_DELTA):
+                 axes: Sequence[LatticeAxis]):
         group = action.group
         if len(axes) != group.dim:
             raise InputError("one lattice axis per group coordinate required")
@@ -132,23 +137,12 @@ class OrbitSampling:
         mats = np.array(mats)
 
         base = action.base_points(mats, anchor)
-        keep, seen = [], {}
-        for j in range(all_steps.shape[0]):
-            key = tuple(np.round(base[j] / stabilizer_delta).astype(np.int64))
-            if key in seen:
-                continue
-            seen[key] = j
-            keep.append(j)
-        keep = np.asarray(keep)
+        _, first = np.unique(state_keys(base), axis=0, return_index=True)
+        keep = np.sort(first)
 
         self.steps = all_steps[keep]
         self.group_mats = mats[keep]
         self.base_array = base[keep]
-        self.stabilizer_delta = stabilizer_delta
-        self._lookup = {tuple(s): i for i, s in enumerate(self.steps)}
-        n = anchor.n
-        self.base_points = tuple(
-            ClassicalState(row[0], row[1:1 + n], row[1 + n:]) for row in self.base_array)
         self.deduplicated = self.steps.shape[0] < all_steps.shape[0]
 
         # flat position table for vectorized index lookups
@@ -171,7 +165,11 @@ class OrbitSampling:
         return self.action.dim_config.dim
 
     def identity_index(self) -> int:
-        return self._lookup[tuple(np.zeros(len(self.axes), dtype=self.steps.dtype))]
+        origin = np.zeros((1, len(self.axes)), dtype=np.int64)
+        index = int(self._indices_of_steps(origin)[0])
+        if index < 0:
+            raise InputError("the identity is outside the sampled window")
+        return index
 
     def steps_of_element(self, g) -> np.ndarray:
         """Integer lattice steps of a group element; raises AlignmentError
@@ -193,6 +191,10 @@ class OrbitSampling:
         steps = np.round(raw).astype(np.int64)
         if raw.size and np.max(np.abs(raw - steps)) > _ALIGN_TOL / np.min(self.spacings):
             raise AlignmentError("off-lattice point in index lookup")
+        return self._indices_of_steps(steps)
+
+    def _indices_of_steps(self, steps: np.ndarray) -> np.ndarray:
+        """Sample indices of integer lattice steps (-1 outside the window)."""
         inside = np.ones(steps.shape[0], dtype=bool)
         for k, ax in enumerate(self.axes):
             if ax.kind == "cycle":
@@ -268,21 +270,17 @@ class Section:
 
 @dataclass(frozen=True)
 class BaseFunction:
-    """Complex function on the base, with an optional vectorized form over
-    stacked state rows (J, 2n+1)."""
+    """Complex function on the base, evaluated on stacked state rows
+    (J, 2n+1) by ``batch(rows)``.
 
-    fn: Callable[[ClassicalState], complex]
-    batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    A scalar form passed as ``fn`` is accepted and never evaluated.
+    """
 
-    def __call__(self, X: ClassicalState) -> complex:
-        return self.fn(X)
+    batch: Callable[[np.ndarray], np.ndarray]
+    fn: InitVar[Optional[Callable]] = None
 
     def eval_rows(self, rows: np.ndarray) -> np.ndarray:
-        if self.batch is not None:
-            return np.asarray(self.batch(rows), dtype=complex)
-        n = (rows.shape[1] - 1) // 2
-        return np.array([self.fn(ClassicalState(r[0], r[1:1 + n], r[1 + n:]))
-                         for r in rows], dtype=complex)
+        return np.asarray(self.batch(rows), dtype=complex)
 
     def eval_on(self, sampling: OrbitSampling) -> np.ndarray:
         return self.eval_rows(sampling.base_array)
@@ -305,12 +303,6 @@ class SampledBaseFunction:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def section_norm(psi: Section) -> float:
-    if len(psi.sampling) == 0:
-        raise InputError("empty sampling")
-    return psi.norm
-
 
 def section_transform(action: BundleAction, g, psi: Section) -> Section:
     """Left regular transform: value at u_h(anchor) becomes
@@ -385,17 +377,10 @@ def pullback(action: BundleAction, g, alpha: BaseFunction) -> BaseFunction:
     g_mat = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
     inv = np.linalg.inv(g_mat)
 
-    def fn(X: ClassicalState) -> complex:
-        return alpha.fn(action.base_map(inv, X))
-
     def batch(rows: np.ndarray) -> np.ndarray:
-        n = (rows.shape[1] - 1) // 2
-        mapped = np.array([action.base_map(
-            inv, ClassicalState(r[0], r[1:1 + n], r[1 + n:])).as_array()
-            for r in rows])
-        return alpha.eval_rows(mapped)
+        return alpha.eval_rows(action.base_rows(inv, rows))
 
-    return BaseFunction(fn=fn, batch=batch)
+    return BaseFunction(batch=batch)
 
 
 def pairing(phi: Section, psi: Section) -> SampledBaseFunction:
@@ -491,17 +476,3 @@ def gentle_probe_section(sampling: OrbitSampling, rng: np.random.Generator,
     sigma = np.asarray(sigma, dtype=float)
     return _probe_section(sampling, rng, max_degree, 4.0 * sigma, sigma)
 
-
-def section_to_json(psi: Section) -> str:
-    """Serialize a section: second-kind sampling coordinates plus per-sample
-    complex coefficient arrays."""
-    sampling = psi.sampling
-    coords = sampling.steps * sampling.spacings
-    payload = {
-        "group_id": sampling.action.group.group_id,
-        "spacings": [float(s) for s in sampling.spacings],
-        "coordinates": [[float(v) for v in row] for row in coords],
-        "values": [[[float(c.real), float(c.imag)] for c in row]
-                   for row in psi.values],
-    }
-    return json.dumps(payload, sort_keys=True)

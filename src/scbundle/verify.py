@@ -15,6 +15,7 @@ import scipy.linalg
 from . import groups
 from .dynamics import (ClassicalState, ansatz_error, classical_flow,
                        evolution_automorphism, fluctuation_propagator)
+from .errors import PreconditionError
 from .fiber import FiberVector, unitarity_residual
 from .gauge import (compensator_relations_check, equivalence_relation_residuals,
                     gauge_equivalent, u1_phase_gauge)
@@ -57,7 +58,6 @@ def _monotone_ratio(drifts) -> float:
 
 def _smooth_alpha():
     return BaseFunction(
-        fn=lambda X: np.exp(1j * X.Q[0]) * (1 + 0.3 * X.P[0]),
         batch=lambda rows: np.exp(1j * rows[:, 2]) * (1 + 0.3 * rows[:, 1]))
 
 
@@ -249,15 +249,26 @@ def section_checks(scn: Scenario, action, rng) -> list:
         CheckRecord("pairing_positivity", "Eq. (13a)", pos_worst, 1e-12),
     ]
 
-    # pointwise operator recovery from bump sections
+    # pointwise operator recovery from bump sections; a (point, element)
+    # pair is redrawn while the element moves the point out of the window
+    # (the Heisenberg shear can, even three steps from the edge)
     worst = 0.0
     interior = np.nonzero(np.all(
         np.stack([ax.contains(sampling.steps[:, k] + 3) & ax.contains(sampling.steps[:, k] - 3)
                   for k, ax in enumerate(sampling.axes)]), axis=0))[0]
+    stays = [sampling.indices_of_matrices(
+        np.einsum("ab,jbc->jac", el.matrix, sampling.group_mats)) >= 0 for el in elements]
+    if not any(np.any(ok[interior]) for ok in stays):
+        raise PreconditionError("every test element moves every interior point out "
+                                "of the sampled window")
     for _ in range(20):
-        idx = int(rng.choice(interior))
-        X = sampling.base_points[idx]
-        g = elements[int(rng.integers(0, len(elements)))]
+        while True:
+            idx = int(rng.choice(interior))
+            e = int(rng.integers(0, len(elements)))
+            if stays[e][idx]:
+                break
+        X = ClassicalState.from_array(sampling.base_array[idx], sampling.anchor.n)
+        g = elements[e]
         phi0 = rng.standard_normal(sampling.fiber_dim) \
             + 1j * rng.standard_normal(sampling.fiber_dim)
         got = reconstruct_pointwise_operator(sampling, g, X, phi0)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scbundle.errors import InputError
 from scbundle.fiber import (
     DimConfig, FiberOperator, FiberVector, edge_mask, hermite_functions, inner,
-    momentum_operator, parity_operator, position_operator,
-    quadratic_hamiltonian, random_low_mode, unitarity_residual,
+    momentum_operator, position_operator, quadratic_hamiltonian,
+    unitarity_residual,
     unitary_from_hamiltonian,
 )
 
@@ -17,6 +17,13 @@ from scbundle.fiber import (
 def basis_vector(config, k):
     c = np.zeros(config.dim, dtype=complex)
     c[k] = 1.0
+    return FiberVector(c, config)
+
+
+def random_vector(config, rng, max_degree):
+    """Random fiber vector supported on total degree <= max_degree."""
+    c = rng.standard_normal(config.dim) + 1j * rng.standard_normal(config.dim)
+    c[config.degrees() > max_degree] = 0.0
     return FiberVector(c, config)
 
 
@@ -56,8 +63,8 @@ def test_inner_hermitian_symmetry_random():
     cfg = DimConfig(1, 10)
     rng = np.random.default_rng(7)
     for _ in range(10):
-        x = random_low_mode(cfg, rng, max_degree=9, normalize=False)
-        y = random_low_mode(cfg, rng, max_degree=9, normalize=False)
+        x = random_vector(cfg, rng, max_degree=9)
+        y = random_vector(cfg, rng, max_degree=9)
         assert inner(x, y) == pytest.approx(np.conj(inner(y, x)))
         assert inner(x, x).imag == pytest.approx(0.0, abs=1e-14)
         assert inner(x, x).real >= 0.0
@@ -66,8 +73,8 @@ def test_inner_hermitian_symmetry_random():
 def test_inner_conjugate_linear_first_argument():
     cfg = DimConfig(1, 6)
     rng = np.random.default_rng(8)
-    x = random_low_mode(cfg, rng, 5)
-    y = random_low_mode(cfg, rng, 5)
+    x = random_vector(cfg, rng, 5)
+    y = random_vector(cfg, rng, 5)
     z = (2.0 - 1.5j) * x
     assert inner(z, y) == pytest.approx(np.conj(2.0 - 1.5j) * inner(x, y))
 
@@ -132,8 +139,8 @@ def test_quadratic_hamiltonian_parity_commutes_without_mixing():
     m = rng.standard_normal((2, 2))
     h_pp = m + m.T + 3 * np.eye(2)
     H = quadratic_hamiltonian(h_qq, np.zeros((2, 2)), h_pp, cfg)
-    P = parity_operator(cfg)
-    comm = H.matrix @ P.matrix - P.matrix @ H.matrix
+    parity = np.diag((-1.0) ** cfg.degrees())
+    comm = H.matrix @ parity - parity @ H.matrix
     assert np.linalg.norm(comm) <= 1e-10
 
 

@@ -5,13 +5,12 @@ import pytest
 
 from scbundle.actions import metaplectic_action, so2_rotor_action
 from scbundle.dynamics import ClassicalState
-from scbundle.errors import ConsistencyError, InputError, PreconditionError
+from scbundle.errors import ConsistencyError, PreconditionError
 from scbundle.fiber import DimConfig
-from scbundle.gauge import (GaugeBundle, GaugeGroup, action_shift_gauge,
+from scbundle.gauge import (GaugeBundle, action_shift_gauge,
                             compensator_relations_check,
                             equivalence_relation_residuals, gauge_equivalent,
-                            gauge_report_json, phase_shift_gauge,
-                            u1_phase_gauge)
+                            phase_shift_gauge, u1_phase_gauge)
 from scbundle.groups import exp as gexp
 from scbundle.groups import get_group
 
@@ -58,29 +57,6 @@ def test_generic_points_not_equivalent():
     ok, _, res = gauge_equivalent(u1_phase_gauge(), (ANCHOR, f1), (ANCHOR, f2))
     assert not ok
     assert res > 0.1
-
-
-def test_search_path_matches_closed_form():
-    # same group as the pure phase gauge, but registered without a closed
-    # form so the grid + golden-section path runs
-    searched = GaugeGroup(
-        name="registered_phase",
-        base_map=lambda alpha, X: X,
-        fiber_phase=lambda alpha: np.exp(1j * alpha),
-        base_shift_s=False)
-    f = random_fiber(3)
-    theta = 0.87
-    z2 = (ANCHOR, np.exp(1j * theta) * f)
-    grid = np.linspace(-np.pi, np.pi, 41)
-    ok, alpha, res = gauge_equivalent(searched, (ANCHOR, f), z2, search_grid=grid)
-    assert ok and abs(alpha - theta) <= 1e-8 and res <= 1e-8
-
-
-def test_search_requires_grid():
-    searched = GaugeGroup("registered_phase", lambda a, X: X,
-                          lambda a: np.exp(1j * a), base_shift_s=False)
-    with pytest.raises(InputError):
-        gauge_equivalent(searched, (ANCHOR, random_fiber()), (ANCHOR, random_fiber()))
 
 
 @pytest.mark.parametrize("gauge", [u1_phase_gauge(), action_shift_gauge(),
@@ -170,17 +146,6 @@ def test_weaker_condition_demonstration():
         action, u1_phase_gauge(), gexp(J, 1.0), gexp(J, np.pi), gexp(J, np.pi),
         0.3, ANCHOR, f)
     assert all(r.residual <= 1e-6 for r in recs)
-
-
-def test_gauge_report_json():
-    action, g, g1, g2 = metaplectic_args(drift=True)
-    recs = compensator_relations_check(action, phase_shift_gauge(), g, g1, g2,
-                                       0.1, ANCHOR, random_fiber(10))
-    import json
-    payload = json.loads(gauge_report_json(recs))
-    assert [rec["relation"] for rec in payload] == ["28", "29", "30", "31"]
-    assert all(set(rec) == {"relation", "residual", "compensator_parameters",
-                            "pass"} for rec in payload)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Garding smoothing, finite-difference generators, and the identity suite."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,7 @@ from scbundle.errors import AlignmentError, InputError
 from scbundle.fiber import DimConfig
 from scbundle.generators import (
     GeneratorApplication, SmoothingKernel, base_derivative, garding_smooth,
-    generator_apply, identity_suite, lattice_kernel, residual_report_json,
+    generator_apply, identity_suite, lattice_kernel,
 )
 from scbundle.sections import (BaseFunction, LatticeAxis, OrbitSampling,
                                Section, gentle_probe_section, pairing,
@@ -43,7 +41,6 @@ def smoothed(weyl):
 
 def smooth_alpha():
     return BaseFunction(
-        fn=lambda X: np.exp(1j * X.Q[0]) * (1 + 0.3 * X.P[0]),
         batch=lambda rows: np.exp(1j * rows[:, 2]) * (1 + 0.3 * rows[:, 1]))
 
 
@@ -232,8 +229,7 @@ def test_oscillator_generator_fiber_and_phase_term():
 def test_base_derivative_constant_function(weyl, smoothed):
     action, sampling = weyl
     A = action.group.algebra([0.5, -0.2, 0.1])
-    const = BaseFunction(fn=lambda X: 2.3 + 0j,
-                         batch=lambda rows: np.full(rows.shape[0], 2.3 + 0j))
+    const = BaseFunction(batch=lambda rows: np.full(rows.shape[0], 2.3 + 0j))
     d = base_derivative(A, const, action, sampling, 1e-3)
     assert d.sup <= 1e-12
 
@@ -245,7 +241,7 @@ def test_base_derivative_translation_coordinate():
     sampling = OrbitSampling(
         action, anchor,
         [LatticeAxis.line(0.2, -3, 3), LatticeAxis.line(0.2, -3, 3)])
-    alpha = BaseFunction(fn=lambda X: X.Q[0], batch=lambda rows: rows[:, 2])
+    alpha = BaseFunction(batch=lambda rows: rows[:, 2])
     A = action.group.algebra([1.0, 0.0])
     d = base_derivative(A, alpha, action, sampling, 1e-3)
     assert np.max(np.abs(d.values - 1.0)) <= 1e-10
@@ -305,18 +301,8 @@ def test_identity_suite_constant_alpha_vanishes(weyl, smoothed):
     action, _ = weyl
     G = action.group
     A, B = G.algebra([1.0, 0.0, 0.0]), G.algebra([0.0, 1.0, 0.0])
-    const = BaseFunction(fn=lambda X: 1.5 + 0j,
-                         batch=lambda rows: np.full(rows.shape[0], 1.5 + 0j))
+    const = BaseFunction(batch=lambda rows: np.full(rows.shape[0], 1.5 + 0j))
     res = identity_suite(A, B, const, smoothed, action, tau=1e-3)
     mult = [r for r in res if r.name == "multiplication"][0]
     assert mult.residual <= 1e-6
 
-
-def test_residual_report_json(weyl, smoothed):
-    action, _ = weyl
-    G = action.group
-    A, B = G.algebra([1.0, 0.0, 0.0]), G.algebra([0.0, 0.0, 1.0])
-    res = identity_suite(A, B, smooth_alpha(), smoothed, action, tau=2e-3)
-    payload = json.loads(residual_report_json(res))
-    assert all(set(rec) == {"name", "tau", "residual", "refined_residual",
-                            "order_estimate"} for rec in payload)

@@ -1,8 +1,6 @@
 """Section calculus over orbit lattices: norm, transform, multiplication,
 pullback, pairing, pointwise reconstruction."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -15,8 +13,7 @@ from scbundle.groups import exp as gexp
 from scbundle.sections import (
     BaseFunction, LatticeAxis, OrbitSampling, Section, delta_section,
     evaluator_transform, multiply, pairing, pullback,
-    reconstruct_pointwise_operator, section_norm, section_to_json,
-    section_transform, smooth_probe_section,
+    reconstruct_pointwise_operator, section_transform, smooth_probe_section,
 )
 
 H = 0.15
@@ -37,6 +34,10 @@ def probe(sampling, seed=0, max_degree=3):
     rng = np.random.default_rng(seed)
     return smooth_probe_section(sampling, rng, max_degree=max_degree,
                                 radius=[3 * H, 3 * H, 20 * H * H])
+
+
+def sample_state(sampling, idx):
+    return ClassicalState.from_array(sampling.base_array[idx], sampling.anchor.n)
 
 
 def lattice_element(sampling, steps):
@@ -64,7 +65,7 @@ def test_sampling_base_points_pairwise_distinct(weyl):
     order = np.lexsort(sampling.base_array.T)
     sorted_pts = sampling.base_array[order]
     gaps = np.linalg.norm(np.diff(sorted_pts, axis=0), axis=1)
-    assert np.min(gaps) > sampling.stabilizer_delta
+    assert np.min(gaps) > 1e-9
 
 
 def test_sampling_stabilizer_deduplication():
@@ -85,7 +86,7 @@ def test_sampling_stabilizer_deduplication():
 def test_norm_zero_section(weyl):
     _, sampling = weyl
     psi = Section(sampling, np.zeros((len(sampling), sampling.fiber_dim)))
-    assert section_norm(psi) == 0.0
+    assert psi.norm == 0.0
 
 
 def test_norm_single_value(weyl):
@@ -93,7 +94,7 @@ def test_norm_single_value(weyl):
     v = np.zeros(sampling.fiber_dim, dtype=complex)
     v[2] = 1.0
     psi = delta_section(sampling, 5, v)
-    assert section_norm(psi) == pytest.approx(1.0)
+    assert psi.norm == pytest.approx(1.0)
 
 
 def test_norm_is_max_over_samples(weyl):
@@ -101,7 +102,7 @@ def test_norm_is_max_over_samples(weyl):
     values = np.zeros((len(sampling), sampling.fiber_dim), dtype=complex)
     for idx, size in zip((3, 11, 27), (0.2, 0.7, 0.5)):
         values[idx, 0] = size
-    assert section_norm(Section(sampling, values)) == pytest.approx(0.7)
+    assert Section(sampling, values).norm == pytest.approx(0.7)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +121,7 @@ def test_transform_isometry(weyl):
     psi = probe(sampling)
     g = lattice_element(sampling, [2, -1, 3])
     out = section_transform(action, g, psi)
-    assert abs(section_norm(out) - section_norm(psi)) <= 1e-10
+    assert abs(out.norm - psi.norm) <= 1e-10
 
 
 def test_transform_group_law_on_lattice_grid(weyl):
@@ -173,17 +174,16 @@ def test_strong_continuity_surrogate(weyl):
 
 def smooth_alpha():
     return BaseFunction(
-        fn=lambda X: np.exp(1j * X.Q[0]) * (1 + 0.3 * X.P[0]),
         batch=lambda rows: np.exp(1j * rows[:, 2]) * (1 + 0.3 * rows[:, 1]))
 
 
 def test_multiply_constants(weyl):
     _, sampling = weyl
     psi = probe(sampling)
-    one = BaseFunction(fn=lambda X: 1.0, batch=lambda rows: np.ones(rows.shape[0]))
-    zero = BaseFunction(fn=lambda X: 0.0, batch=lambda rows: np.zeros(rows.shape[0]))
+    one = BaseFunction(batch=lambda rows: np.ones(rows.shape[0]))
+    zero = BaseFunction(batch=lambda rows: np.zeros(rows.shape[0]))
     assert np.max(np.abs(multiply(one, psi).values - psi.values)) == 0.0
-    assert section_norm(multiply(zero, psi)) == 0.0
+    assert multiply(zero, psi).norm == 0.0
 
 
 def test_multiply_transform_commutation(weyl):
@@ -204,25 +204,26 @@ def test_multiply_transform_commutation(weyl):
 def test_pullback_identity_and_composition(weyl):
     action, sampling = weyl
     alpha = smooth_alpha()
-    X = sampling.base_points[17]
+    rows = sampling.base_array[17:18]
     e = action.group.identity()
-    assert pullback(action, e, alpha)(X) == pytest.approx(alpha(X))
+    assert pullback(action, e, alpha).eval_rows(rows)[0] == pytest.approx(
+        alpha.eval_rows(rows)[0])
     g1 = lattice_element(sampling, [1, 2, 0])
     g2 = lattice_element(sampling, [-1, 1, 1])
-    lhs = pullback(action, g1, pullback(action, g2, alpha))(X)
-    rhs = pullback(action, g1 @ g2, alpha)(X)
-    assert abs(lhs - rhs) <= 1e-12
+    lhs = pullback(action, g1, pullback(action, g2, alpha)).eval_rows(rows)
+    rhs = pullback(action, g1 @ g2, alpha).eval_rows(rows)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 def test_pullback_translation_closed_form():
     cfg = DimConfig(1, 6)
     action, _ = translations_r2_action(cfg)
-    alpha = BaseFunction(fn=lambda X: X.Q[0])
+    alpha = BaseFunction(batch=lambda rows: rows[:, 2])
     a = 0.8
     g = gexp(action.group.algebra([1.0, 0.0]), a)
     moved = pullback(action, g, alpha)
     X = ClassicalState(0.0, [0.3], [1.1])
-    assert moved(X) == pytest.approx(X.Q[0] - a)
+    assert moved.eval_rows(X.as_array()[None])[0] == pytest.approx(X.Q[0] - a)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +238,7 @@ def test_pairing_positivity_and_bound(weyl):
     assert np.all(pp.values.real >= -1e-14)
     assert np.max(np.abs(pp.values.imag)) <= 1e-14
     cross = pairing(phi, psi)
-    assert cross.sup <= section_norm(phi) * section_norm(psi) + 1e-12
+    assert cross.sup <= phi.norm * psi.norm + 1e-12
 
 
 def test_pairing_invariance_under_transform(weyl):
@@ -274,7 +275,7 @@ def test_reconstruct_pointwise_identity(weyl):
     action, sampling = weyl
     rng = np.random.default_rng(9)
     phi0 = rng.standard_normal(sampling.fiber_dim) * (1 + 0j)
-    X = sampling.base_points[10]
+    X = sample_state(sampling, 10)
     got = reconstruct_pointwise_operator(sampling, action.group.identity(), X, phi0)
     assert np.max(np.abs(got - phi0)) <= 1e-14
 
@@ -288,7 +289,7 @@ def test_reconstruct_pointwise_matches_direct(weyl):
         & (np.abs(sampling.steps[:, 2]) <= 50))[0]
     for _ in range(20):
         idx = int(rng.choice(interior))
-        X = sampling.base_points[idx]
+        X = sample_state(sampling, idx)
         steps = rng.integers(-1, 2, size=3)
         g = lattice_element(sampling, steps)
         phi0 = rng.standard_normal(sampling.fiber_dim) \
@@ -300,22 +301,9 @@ def test_reconstruct_pointwise_matches_direct(weyl):
 
 def test_reconstruct_pointwise_zero(weyl):
     action, sampling = weyl
-    X = sampling.base_points[4]
+    X = sample_state(sampling, 4)
     g = lattice_element(sampling, [1, 0, 0])
     got = reconstruct_pointwise_operator(sampling, g, X,
                                          np.zeros(sampling.fiber_dim))
     assert np.max(np.abs(got)) == 0.0
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_section_json_dump(weyl):
-    _, sampling = weyl
-    psi = probe(sampling)
-    payload = json.loads(section_to_json(psi))
-    assert payload["group_id"] == "heisenberg"
-    assert len(payload["coordinates"]) == len(sampling)
-    assert len(payload["values"]) == len(sampling)
-    assert len(payload["values"][0]) == sampling.fiber_dim

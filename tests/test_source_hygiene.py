@@ -1,4 +1,5 @@
-"""Static hygiene of the package sources (no linter is a dependency)."""
+"""Static hygiene of the package sources (no linter is a dependency): no
+unused imports, and no module-level private name that nothing uses."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,44 @@ def _unused_imports(tree: ast.Module) -> list:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """Module-level private functions, classes and constants -> line."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+def _references(tree: ast.Module) -> set:
+    """Names read anywhere in a module: loaded names, attributes, and names
+    imported from sibling modules."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_no_unreferenced_private_names():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = set().union(*(_references(tree) for tree in trees.values()))
+    orphans = [f"{name}:{line} {private}"
+               for name, tree in trees.items()
+               for private, line in _private_definitions(tree).items()
+               if private not in used]
+    assert orphans == []
