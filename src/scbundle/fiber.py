@@ -127,12 +127,6 @@ class FiberVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def normalized(self) -> "FiberVector":
-        n = self.norm
-        if n == 0.0:
-            raise InputError("cannot normalize the zero vector")
-        return FiberVector(self.coeffs / n, self.dim_config)
-
     def __add__(self, other: "FiberVector") -> "FiberVector":
         _check_dims(self, other)
         return FiberVector(self.coeffs + other.coeffs, self.dim_config)

@@ -11,6 +11,7 @@ each with a refinement order estimate.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,7 +20,8 @@ import scipy.linalg
 
 from .actions import BundleAction
 from .errors import AlignmentError, InputError
-from .groups import AlgebraElement, GroupElement, bracket, smooth_bump
+from .groups import (AlgebraElement, GroupElement, bracket, left_translate,
+                     smooth_bump)
 from .sections import (BaseFunction, OrbitSampling, SampledBaseFunction,
                        Section, evaluator_transform, multiply, pairing,
                        section_transform)
@@ -49,10 +51,6 @@ class SmoothingKernel:
     node_mats: np.ndarray      # (K, d, d)
     weights: np.ndarray        # (K,)
     radius_steps: np.ndarray   # per-axis support half-width in steps
-
-    @property
-    def mass(self) -> float:
-        return float(np.sum(self.weights))
 
 
 def lattice_kernel(sampling: OrbitSampling, radius) -> SmoothingKernel:
@@ -90,10 +88,11 @@ def garding_smooth(kernel: SmoothingKernel, phi: Section,
                    action: BundleAction) -> Section:
     """Group-averaged section  Psi_X = sum_k w_k U_{g_k}(X <- .) Phi(g_k^-1 .).
 
-    Field-backed sections smooth through one fused batch over kernel nodes
-    and evaluation points; lattice-only sections fall back to a weighted sum
-    of exact lattice transforms (every node is lattice-aligned by
-    construction).
+    Field-backed sections smooth through a field that folds the kernel sum
+    one node at a time over a batch of evaluation points and memoises its
+    result per point set (read-only arrays, kept as long as the section);
+    lattice-only sections fall back to a weighted sum of exact lattice
+    transforms (every node is lattice-aligned by construction).
     """
     sampling = phi.sampling
     if kernel.sampling is not sampling:
@@ -104,15 +103,20 @@ def garding_smooth(kernel: SmoothingKernel, phi: Section,
 
     if phi.field is not None:
         pf = phi.field
-        K = inv_mats.shape[0]
+        memo = {}
 
         def smoothed_field(mats):
             mats = np.asarray(mats)
-            J = mats.shape[0]
-            big = np.einsum("kab,jbc->kjac", inv_mats, mats)
-            vals = pf(big.reshape(K * J, *mats.shape[1:]))
-            vals = vals.reshape(K, J, -1)
-            return np.einsum("kmn,kjn->jm", weighted_U, vals)
+            key = (mats.shape, mats.dtype.str,
+                   hashlib.blake2b(mats.tobytes(), digest_size=16).digest())
+            out = memo.get(key)
+            if out is None:
+                out = np.zeros((mats.shape[0], sampling.fiber_dim), dtype=complex)
+                for wU, inv in zip(weighted_U, inv_mats):
+                    out += np.einsum("mn,jn->jm", wU, pf(left_translate(inv, mats)))
+                out.flags.writeable = False
+                memo[key] = out
+            return out
 
         return Section.from_field(sampling, smoothed_field)
 
@@ -140,8 +144,8 @@ def _difference_field(A: AlgebraElement, psi: Section, action: BundleAction,
 
     def diff_field(mats):
         mats = np.asarray(mats)
-        up = pf(np.einsum("ab,jbc->jac", inv_plus, mats)) @ U_plus.T
-        dn = pf(np.einsum("ab,jbc->jac", inv_minus, mats)) @ U_minus.T
+        up = pf(left_translate(inv_plus, mats)) @ U_plus.T
+        dn = pf(left_translate(inv_minus, mats)) @ U_minus.T
         return 1j * (up - dn) / (2.0 * tau)
 
     return diff_field
@@ -219,13 +223,13 @@ def base_derivative(A: AlgebraElement, alpha, action: BundleAction,
         af = alpha.field
 
         def diff(mats):
-            up = af(np.einsum("ab,jbc->jac", e_plus, mats))
-            dn = af(np.einsum("ab,jbc->jac", e_minus, mats))
+            up = af(left_translate(e_plus, mats))
+            dn = af(left_translate(e_minus, mats))
             return (up - dn) / (2.0 * tau)
     elif isinstance(alpha, BaseFunction):
         def diff(mats):
-            rows_up = sampling.state_rows(np.einsum("ab,jbc->jac", e_plus, mats))
-            rows_dn = sampling.state_rows(np.einsum("ab,jbc->jac", e_minus, mats))
+            rows_up = sampling.state_rows(left_translate(e_plus, mats))
+            rows_dn = sampling.state_rows(left_translate(e_minus, mats))
             return (alpha.eval_rows(rows_up) - alpha.eval_rows(rows_dn)) / (2.0 * tau)
     else:
         raise InputError("alpha must be a BaseFunction or SampledBaseFunction")

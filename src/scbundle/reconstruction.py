@@ -20,7 +20,7 @@ from .actions import GeneratorFamily
 from .errors import (AlignmentError, InputError, NumericalError,
                      PreconditionError)
 from .fiber import spectral_exp
-from .groups import GroupElement, factorize_second_kind
+from .groups import GroupElement, factorize_second_kind, left_translate
 from .sections import Section
 
 __all__ = [
@@ -56,7 +56,7 @@ def exponentiate_generator(family: GeneratorFamily, k: int, t: float,
         pf = psi0.field
 
         def new_field(mats):
-            return pf(np.einsum("ab,jbc->jac", pull, np.asarray(mats))) @ T.T
+            return pf(left_translate(pull, mats)) @ T.T
 
         out = Section.from_field(sampling, new_field)
         if not np.all(np.isfinite(out.values)):
@@ -64,8 +64,7 @@ def exponentiate_generator(family: GeneratorFamily, k: int, t: float,
         return out
 
     # lattice path: the flow endpoint must land on the lattice
-    sources = sampling.indices_of_matrices(
-        np.einsum("ab,jbc->jac", pull, sampling.group_mats))
+    sources = sampling.indices_of_matrices(left_translate(pull, sampling.group_mats))
     new_values = np.zeros_like(psi0.values)
     found = sources >= 0
     new_values[found] = psi0.values[sources[found]] @ T.T
@@ -119,8 +118,8 @@ def family_generator_direct(family: GeneratorFamily, A_coords: np.ndarray,
     pf = psi.field
     mats = sampling.group_mats
     # d[A] psi at u_h: d/ds psi(u_{exp(A s)} u_h) at s = 0
-    up = pf(np.einsum("ab,jbc->jac", shift_fwd, mats))
-    dn = pf(np.einsum("ab,jbc->jac", shift_bwd, mats))
+    up = pf(left_translate(shift_fwd, mats))
+    dn = pf(left_translate(shift_bwd, mats))
     base_term = (up - dn) / (2 * tau)
     H = family.combination_hamiltonian(A_coords)
     return Section(sampling, psi.values @ H.T - 1j * base_term)

@@ -20,7 +20,7 @@ import numpy as np
 from .actions import BundleAction
 from .dynamics import ClassicalState
 from .errors import AlignmentError, InputError
-from .groups import GroupElement, smooth_bump
+from .groups import GroupElement, left_translate, smooth_bump
 
 __all__ = [
     "LatticeAxis",
@@ -124,17 +124,17 @@ class OrbitSampling:
         order = np.lexsort(tuple(all_steps.T[::-1]) + (np.sum(np.abs(all_steps), axis=1),))
         all_steps = all_steps[order]
 
-        axis_mats = []
-        for k, ax in enumerate(axes):
-            base = group.compose_exps(ax.spacing * np.eye(group.dim)[k])
-            axis_mats.append(base)
-        mats = []
-        for steps in all_steps:
-            m = np.eye(group.rep_dim, dtype=axis_mats[0].dtype)
-            for k, s in enumerate(steps):
-                m = m @ np.linalg.matrix_power(axis_mats[k], int(s)) if s else m
-            mats.append(m)
-        mats = np.array(mats)
+        # g = A_1^{s_1} A_2^{s_2} ..., one matrix_power per distinct step
+        # value of an axis; a zero step leaves the product untouched
+        axis_mats = [group.compose_exps(ax.spacing * np.eye(group.dim)[k])
+                     for k, ax in enumerate(axes)]
+        mats = np.tile(np.eye(group.rep_dim, dtype=np.result_type(*axis_mats)),
+                       (all_steps.shape[0], 1, 1))
+        for k, axis_mat in enumerate(axis_mats):
+            values, where = np.unique(all_steps[:, k], return_inverse=True)
+            powers = np.array([np.linalg.matrix_power(axis_mat, int(s)) for s in values])
+            nz = all_steps[:, k] != 0
+            mats[nz] = mats[nz] @ powers[where[nz]]
 
         base = action.base_points(mats, anchor)
         _, first = np.unique(state_keys(base), axis=0, return_index=True)
@@ -295,10 +295,6 @@ class SampledBaseFunction:
     values: np.ndarray
     field: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    @property
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
 
 # ---------------------------------------------------------------------------
 # operations
@@ -318,8 +314,7 @@ def section_transform(action: BundleAction, g, psi: Section) -> Section:
     g_mat = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
     sampling.steps_of_element(g_mat)   # alignment check
     inv_g = np.linalg.inv(g_mat)
-    sources = sampling.indices_of_matrices(
-        np.einsum("ab,jbc->jac", inv_g, sampling.group_mats))
+    sources = sampling.indices_of_matrices(left_translate(inv_g, sampling.group_mats))
     U = action.fiber_matrix(g_mat)
     new_values = np.zeros_like(psi.values)
     found = sources >= 0
@@ -333,7 +328,7 @@ def section_transform(action: BundleAction, g, psi: Section) -> Section:
     if psi.field is not None:
         pf = psi.field
         def new_field(mats):
-            return pf(np.einsum("ab,jbc->jac", inv_g, mats)) @ U.T
+            return pf(left_translate(inv_g, mats)) @ U.T
     return Section(sampling, new_values, new_field)
 
 
@@ -354,7 +349,7 @@ def evaluator_transform(action: BundleAction, g, psi: Section) -> Section:
     pf = psi.field
 
     def new_field(mats):
-        return pf(np.einsum("ab,jbc->jac", inv_g, mats)) @ U.T
+        return pf(left_translate(inv_g, mats)) @ U.T
 
     return Section.from_field(sampling, new_field)
 

@@ -20,7 +20,7 @@ from .fiber import FiberVector, unitarity_residual
 from .gauge import (compensator_relations_check, equivalence_relation_residuals,
                     gauge_equivalent, u1_phase_gauge)
 from .generators import garding_smooth, generator_apply, identity_suite, lattice_kernel
-from .groups import bracket, exp as group_exp, factorize_second_kind
+from .groups import bracket, exp as group_exp, factorize_second_kind, left_translate
 from .reconstruction import (conjugation_check, exponentiate_generator,
                              group_law_verify, reconstruct_group_operator,
                              word_identity_check)
@@ -231,8 +231,7 @@ def section_checks(scn: Scenario, action, rng) -> list:
                         section_transform(action, g, psi))
         still = pairing(phi, psi)
         inv = np.linalg.inv(g.matrix)
-        src = sampling.indices_of_matrices(
-            np.einsum("ab,jbc->jac", inv, sampling.group_mats))
+        src = sampling.indices_of_matrices(left_translate(inv, sampling.group_mats))
         ok = src >= 0
         pair_worst = max(pair_worst, float(np.max(np.abs(
             moved.values[ok] - still.values[src[ok]]))))
@@ -256,8 +255,8 @@ def section_checks(scn: Scenario, action, rng) -> list:
     interior = np.nonzero(np.all(
         np.stack([ax.contains(sampling.steps[:, k] + 3) & ax.contains(sampling.steps[:, k] - 3)
                   for k, ax in enumerate(sampling.axes)]), axis=0))[0]
-    stays = [sampling.indices_of_matrices(
-        np.einsum("ab,jbc->jac", el.matrix, sampling.group_mats)) >= 0 for el in elements]
+    stays = [sampling.indices_of_matrices(left_translate(el.matrix, sampling.group_mats)) >= 0
+             for el in elements]
     if not any(np.any(ok[interior]) for ok in stays):
         raise PreconditionError("every test element moves every interior point out "
                                 "of the sampled window")
@@ -329,7 +328,7 @@ def generator_checks(scn: Scenario, action, rng) -> list:
     lhs = evaluator_transform(action, g, psi)
     translated = SmoothingKernel(
         sampling, kernel.node_steps,
-        np.einsum("ab,kbc->kac", g.matrix, kernel.node_mats),
+        left_translate(g.matrix, kernel.node_mats),
         kernel.weights, kernel.radius_steps)
     rhs = garding_smooth(translated, probe, action)
     records.append(CheckRecord("smoothing_covariance", "Eq. (13)",
@@ -378,7 +377,7 @@ def reconstruction_checks(scn: Scenario, action, family, rng) -> list:
     before = pairing(psi, psi)
     after = pairing(moved, moved)
     pull = scipy.linalg.expm(-t_step * group.basis[k_dir])
-    pulled = before.field(np.einsum("ab,jbc->jac", pull, sampling.group_mats))
+    pulled = before.field(left_translate(pull, sampling.group_mats))
     records.append(CheckRecord("norm_function_transport", "Lemma 4.1",
                                float(np.max(np.abs(after.values - pulled))), 1e-8))
 

@@ -208,7 +208,7 @@ def test_ansatz_unit_norm():
     rng = np.random.default_rng(1)
     cfg = DimConfig(1, 10)
     c = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    f = FiberVector(c, cfg).normalized()
+    f = FiberVector(c / np.linalg.norm(c), cfg)
     psi = ansatz_wavefunction(ClassicalState(0.2, [0.4], [-0.5]), f, 0.05, xs)
     norm = np.sqrt(np.sum(np.abs(psi) ** 2) * (xs[1] - xs[0]))
     assert abs(norm - 1.0) <= 1e-6

@@ -54,9 +54,37 @@ def test_smoothing_delta_kernel_is_identity(weyl):
     probe = smooth_probe_section(sampling, rng, 3, radius=[0.4, 0.4, 0.1])
     # support radius below one lattice spacing leaves only the identity node
     kernel = lattice_kernel(sampling, radius=[0.9 * H, 0.9 * H, 0.9 * H * H])
-    assert len(kernel.weights) == 1 and kernel.mass == pytest.approx(1.0)
+    assert len(kernel.weights) == 1 and np.sum(kernel.weights) == pytest.approx(1.0)
     out = garding_smooth(kernel, probe, action)
     assert np.max(np.abs(out.values - probe.values)) <= 1e-12
+
+
+def test_smoothed_field_is_memoised_and_matches_the_fused_kernel_sum(weyl):
+    """The node-by-node fold equals the fused (node, point) contraction bit
+    for bit; a repeated point set returns the same read-only array."""
+    action, sampling = weyl
+    rng = np.random.default_rng(5)
+    probe = gentle_probe_section(sampling, rng, 3, sigma=[0.4, 0.4, 0.35])
+    kernel = lattice_kernel(sampling, radius=[0.16, 0.16, 0.07])
+    psi = garding_smooth(kernel, probe, action)
+    mats = sampling.group_mats
+
+    weighted_U = np.array([w * action.fiber_matrix(m)
+                           for w, m in zip(kernel.weights, kernel.node_mats)])
+    inv_mats = np.array([np.linalg.inv(m) for m in kernel.node_mats])
+    K, J = inv_mats.shape[0], mats.shape[0]
+    big = np.einsum("kab,jbc->kjac", inv_mats, mats).reshape(K * J, *mats.shape[1:])
+    fused = np.einsum("kmn,kjn->jm", weighted_U, probe.field(big).reshape(K, J, -1))
+    assert K > 1
+    assert psi.values.tobytes() == fused.tobytes()
+
+    first = psi.field(mats)
+    assert first.tobytes() == fused.tobytes()
+    assert psi.field(mats.copy()) is first
+    with pytest.raises(ValueError):   # read-only
+        first[0, 0] = 1.0
+    assert psi.field(mats[:5]) is not first
+    assert psi.field(mats[:5]).tobytes() == fused[:5].tobytes()
 
 
 def test_smoothing_approximates_identity_with_shrinking_support(weyl):
@@ -231,7 +259,7 @@ def test_base_derivative_constant_function(weyl, smoothed):
     A = action.group.algebra([0.5, -0.2, 0.1])
     const = BaseFunction(batch=lambda rows: np.full(rows.shape[0], 2.3 + 0j))
     d = base_derivative(A, const, action, sampling, 1e-3)
-    assert d.sup <= 1e-12
+    assert np.max(np.abs(d.values)) <= 1e-12
 
 
 def test_base_derivative_translation_coordinate():

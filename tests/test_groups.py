@@ -260,3 +260,41 @@ def test_su2_left_density_is_left_invariant():
         lhs = su2.left_density(t)
         rhs = su2.left_density(moved(t)) * abs(np.linalg.det(jac))
         assert abs(lhs - rhs) <= 1e-8 * lhs
+
+
+# ---------------------------------------------------------------------------
+# left translation of matrix stacks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("gid", ["real_line", "translations_r2", "heisenberg", "so2"])
+def test_left_translate_matches_einsum_bitwise(gid):
+    """Same bits as einsum("ab,jbc->jac") on real matrices, signed zeros
+    included: with a positive g, the planted -0.0 entries give all-(-0.0)
+    products whose sum is -0.0 unless it starts from +0.0, as einsum's does."""
+    group = get_group(gid)
+    rng = np.random.default_rng(3)
+    mats = np.array([group.compose_exps(t) for t in rng.uniform(-0.5, 0.5, (40, group.dim))])
+    d = mats.shape[1]
+    g = rng.uniform(0.1, 1.0, (d, d))
+    mats[:4] = -0.0
+    mats[4:8, :, 0] = -0.0
+    expected = np.einsum("ab,jbc->jac", g, mats)
+    got = groups.left_translate(g, mats)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    first_term = g[None, :, 0, None] * mats[:, None, 0, :]
+    no_zero_start = sum((g[None, :, b, None] * mats[:, None, b, :] for b in range(1, d)),
+                        first_term)
+    assert no_zero_start.tobytes() != expected.tobytes()
+
+
+def test_left_translate_complex_matches_matrix_product():
+    """Complex (su2) stacks: einsum's complex products round differently,
+    so the check is against the matrix product to a few ulps."""
+    su2 = get_group("su2")
+    rng = np.random.default_rng(4)
+    g = exp(su2.algebra(rng.uniform(-0.5, 0.5, 3))).matrix
+    mats = np.array([su2.compose_exps(t) for t in rng.uniform(-0.5, 0.5, (40, 3))])
+    got = groups.left_translate(g, mats)
+    assert got.dtype == np.complex128
+    assert np.max(np.abs(got - g @ mats)) <= 8 * np.finfo(float).eps

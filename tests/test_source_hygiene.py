@@ -1,7 +1,9 @@
 """Static hygiene of the package sources (no linter is a dependency): no
-unused imports, and no module-level private name that nothing uses."""
+unused imports, no module-level private name that nothing uses, and left
+translation of matrix stacks written once, in ``groups.left_translate``."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -73,3 +75,40 @@ def test_no_unreferenced_private_names():
                for private, line in _private_definitions(tree).items()
                if private not in used]
     assert orphans == []
+
+
+# "ab,jbc->jac" and every renaming of its letters: g @ m over a stack
+_LEFT_TRANSLATION = re.compile(r"^(\w)(\w),(\w)\2(\w)->\3\1\4$")
+
+
+def _einsum_left_translations(tree: ast.Module) -> list:
+    """Lines of einsum calls whose subscripts spell a left translation of a
+    matrix stack, outside ``left_translate`` itself."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "left_translate":
+            skip.update(id(n) for n in ast.walk(node))
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and id(node) not in skip
+                and isinstance(node.func, (ast.Attribute, ast.Name))
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "einsum"
+                and node.args and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+                and _LEFT_TRANSLATION.match(node.args[0].value.replace(" ", ""))):
+            out.append(node.lineno)
+    return out
+
+
+def test_left_translation_pattern_is_recognised():
+    tree = ast.parse('import numpy as np\n'
+                     'a = np.einsum("ab,jbc->jac", g, m)\n'
+                     'b = np.einsum("ab,kbc->kac", g, m)\n'
+                     'c = np.einsum("kab,jbc->kjac", g, m)\n'
+                     'd = np.einsum("mn,jn->jm", u, v)\n')
+    assert _einsum_left_translations(tree) == [2, 3]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_left_translation_written_once(path):
+    assert _einsum_left_translations(ast.parse(path.read_text())) == []

@@ -66,13 +66,23 @@ def test_report_records_match_golden(name, monkeypatch):
     assert verify.run_verify(scn).to_json() == first
 
 
+def _heisenberg_generators():
+    # catalog 9x9x25 = 2,025-point generator lattice; the orbit lattice is
+    # not built by these suites
+    scn = load_scenario("heisenberg-weyl")
+    return replace(scn, suites=["generators", "reconstruction"])
+
+
 @pytest.mark.parametrize("name, build", [
     ("heisenberg-weyl-sections", lambda: _reduced_heisenberg(["sections"])),
+    ("heisenberg-weyl-generators", _heisenberg_generators),
     ("oscillator-evolution-dynamics", lambda: _reduced_oscillator(["dynamics"])),
 ])
 def test_reduced_suite_records_match_golden(name, build, monkeypatch):
-    """The section calculus on a large Heisenberg orbit lattice and the
-    evolution pipeline keep their records at the pinned seed."""
+    """The section calculus on a large Heisenberg orbit lattice, the
+    Garding-smoothed generator identities and reconstruction on the catalog
+    Heisenberg generator lattice, and the evolution pipeline keep their
+    records at the pinned seed."""
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     report = verify.run_verify(build())
     golden = json.loads((GOLDEN / f"{name}.json").read_text())
