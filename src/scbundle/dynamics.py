@@ -27,7 +27,6 @@ __all__ = [
     "ClassicalState",
     "HamiltonianSpec",
     "Trajectory",
-    "BundleAutomorphism",
     "quadratic_hamiltonian_spec",
     "cubic_perturbed_spec",
     "classical_flow",
@@ -96,10 +95,10 @@ class HamiltonianSpec:
     potential: Optional[Callable[[np.ndarray], np.ndarray]] = None
     constant_hessians: bool = False
 
-    def validate(self, probes: Sequence[ClassicalState], rel_tol: float = 1e-6) -> float:
+    def validate(self, probes: Sequence[ClassicalState]) -> float:
         """Central-difference consistency of gradients (and Hessians) with
         the scalar evaluator at the probe points; returns the worst relative
-        error."""
+        error and raises InputError when it exceeds 1e-6."""
         worst = 0.0
         h = 1e-6
         for X in probes:
@@ -120,7 +119,7 @@ class HamiltonianSpec:
                             np.max(np.abs(fd_qq - self.hess_qq(Q, P)[:, k])) / scale,
                             np.max(np.abs(fd_qp - self.hess_qp(Q, P)[:, k])) / scale,
                             np.max(np.abs(fd_pp - self.hess_pp(Q, P)[:, k])) / scale)
-        if worst > rel_tol:
+        if worst > 1e-6:
             raise InputError(
                 f"Hamiltonian derivatives inconsistent (relative error {worst:.3e})")
         return worst
@@ -291,25 +290,16 @@ def fluctuation_propagator(H: HamiltonianSpec, trajectory: Trajectory,
     return FiberOperator(U, config, unitary=True)
 
 
-@dataclass(frozen=True)
-class BundleAutomorphism:
-    """Paired base map and fiber unitary family U(u X <- X)."""
-
-    base_map: Callable[[ClassicalState], ClassicalState]
-    fiber_map: Callable[[ClassicalState], FiberOperator]
-
-
 def evolution_automorphism(H: HamiltonianSpec, t: float, dt: float,
-                           config: DimConfig) -> BundleAutomorphism:
-    """Time-t evolution automorphism: classical flow on the base and the
-    fluctuation propagator along the flow on the fibers."""
-    def base_map(X: ClassicalState) -> ClassicalState:
-        return classical_flow(H, X, t, dt).final
+                           config: DimConfig) -> Callable[[ClassicalState], tuple]:
+    """Time-t evolution automorphism X -> (u_t X, U(u_t X <- X)): one
+    classical flow from X gives the base image and, along the same
+    trajectory, the fluctuation propagator on the fibers."""
+    def automorphism(X: ClassicalState) -> tuple:
+        trajectory = classical_flow(H, X, t, dt)
+        return trajectory.final, fluctuation_propagator(H, trajectory, config)
 
-    def fiber_map(X: ClassicalState) -> FiberOperator:
-        return fluctuation_propagator(H, classical_flow(H, X, t, dt), config)
-
-    return BundleAutomorphism(base_map, fiber_map)
+    return automorphism
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +385,10 @@ def reference_schrodinger(H: HamiltonianSpec, psi0: np.ndarray, eps: float,
 
 
 def ansatz_error(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
-                 eps: float, T: float, xs: np.ndarray, dt: float = 1e-3,
-                 dt_ref: Optional[float] = None) -> float:
+                 eps: float, T: float, xs: np.ndarray, dt: float = 1e-3) -> float:
     """L2 distance at time T between the semiclassical ansatz (classical flow
-    + fluctuation propagator) and the split-step reference started from the
-    same initial ansatz."""
+    + fluctuation propagator, step ``dt``) and the split-step reference
+    (step ``dt / 4``) started from the same initial ansatz."""
     xs = np.asarray(xs, dtype=float)
     psi0 = ansatz_wavefunction(X0, f0, eps, xs)
     if T == 0.0:
@@ -408,6 +397,5 @@ def ansatz_error(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
     U = fluctuation_propagator(H, trajectory, f0.dim_config)
     f_T = U.apply(f0)
     psi_semiclassical = ansatz_wavefunction(trajectory.final, f_T, eps, xs)
-    psi_reference = reference_schrodinger(H, psi0, eps, T, xs,
-                                          dt_ref if dt_ref is not None else dt / 4)
+    psi_reference = reference_schrodinger(H, psi0, eps, T, xs, dt / 4)
     return l2_distance(psi_semiclassical, psi_reference, xs[1] - xs[0])

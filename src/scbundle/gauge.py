@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 EQUIV_TOL = 1e-8
+_COMPENSATOR_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -154,8 +155,9 @@ def _solve_fiber_phase(lhs: np.ndarray, rhs: np.ndarray) -> float:
 
 def compensator_relations_check(action: BundleAction, gauge: GaugeGroup,
                                 g, g1, g2, alpha: float, X: ClassicalState,
-                                f: np.ndarray, tol: float = 1e-6):
-    """Residuals of the four compensator relations of a gauge action:
+                                f: np.ndarray):
+    """Residuals of the four compensator relations of a gauge action (each
+    passes within 1e-6):
 
     base conjugation      u_g lambda_alpha u_{g^-1} = lambda_beta
     base composition      u_{g1} u_{g2} = lambda_gamma u_{g1 g2}
@@ -184,7 +186,7 @@ def compensator_relations_check(action: BundleAction, gauge: GaugeGroup,
     else:
         beta = _solve_fiber_phase(lhs30, f)
     res28 = gauge.base_map(beta, X).distance(conj_point)
-    records.append(GaugeRecord("28", res28, (beta,), res28 <= tol))
+    records.append(GaugeRecord("28", res28, (beta,), res28 <= _COMPENSATOR_TOL))
 
     # (29): gamma from the base points
     two_step = action.base_map(g1_m, action.base_map(g2_m, X))
@@ -196,17 +198,17 @@ def compensator_relations_check(action: BundleAction, gauge: GaugeGroup,
             action.fiber_matrix(g1_m) @ (action.fiber_matrix(g2_m) @ f),
             action.fiber_matrix(g1_m @ g2_m) @ f)
     res29 = gauge.base_map(gamma, one_step).distance(two_step)
-    records.append(GaugeRecord("29", res29, (gamma,), res29 <= tol))
+    records.append(GaugeRecord("29", res29, (gamma,), res29 <= _COMPENSATOR_TOL))
 
     # (30): fiber conjugation against V_beta
     res30 = float(np.linalg.norm(lhs30 - gauge.fiber_apply(beta, f)))
-    records.append(GaugeRecord("30", res30, (beta,), res30 <= tol))
+    records.append(GaugeRecord("30", res30, (beta,), res30 <= _COMPENSATOR_TOL))
 
     # (31): fiber composition against V_gamma
     lhs31 = action.fiber_matrix(g1_m) @ (action.fiber_matrix(g2_m) @ f)
     rhs31 = gauge.fiber_apply(gamma, action.fiber_matrix(g1_m @ g2_m) @ f)
     res31 = float(np.linalg.norm(lhs31 - rhs31))
-    records.append(GaugeRecord("31", res31, (gamma,), res31 <= tol))
+    records.append(GaugeRecord("31", res31, (gamma,), res31 <= _COMPENSATOR_TOL))
     return records
 
 
@@ -315,9 +317,9 @@ class GaugeBundle:
                 worst = max(worst, float(np.max(np.linalg.norm(lhs - rhs, axis=-1))))
         return worst
 
-    def require_invariant(self, values: np.ndarray, tol: float = 1e-8) -> None:
+    def require_invariant(self, values: np.ndarray) -> None:
         res = self.invariance_residual(values)
-        if res > tol:
+        if res > 1e-8:
             raise PreconditionError(
                 f"section violates gauge invariance (residual {res:.3e})")
 

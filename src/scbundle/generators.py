@@ -1,12 +1,14 @@
 """Infinitesimal generators of section transforms.
 
 The derivative of the one-parameter transform family is taken by central
-finite differences through the sections' closed-form field evaluators (never
-by interpolating lattice values), after Garding smoothing against a compactly
-supported kernel summed over lattice-aligned group nodes.  The identity suite
-checks linearity, conjugation covariance, the commutator/structure-constant
-match, the multiplication-operator commutator, and the pairing derivative,
-each with a refinement order estimate.
+finite differences of the sections' pulled fields (``sections.pulled_field``;
+never by interpolating lattice values), after Garding smoothing against a
+compactly supported kernel summed over lattice-aligned group nodes.  Base
+derivatives are ``sections.central_difference`` of a base field.  The
+identity suite checks linearity, conjugation covariance, the
+commutator/structure-constant match, the multiplication-operator
+commutator, and the pairing derivative, each with a refinement order
+estimate.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .errors import AlignmentError, InputError
 from .groups import (AlgebraElement, GroupElement, bracket, left_translate,
                      smooth_bump)
 from .sections import (BaseFunction, OrbitSampling, SampledBaseFunction,
-                       Section, evaluator_transform, multiply, pairing,
-                       section_transform)
+                       Section, central_difference, evaluator_transform,
+                       multiply, pairing, pulled_field, section_transform)
 
 __all__ = [
     "SmoothingKernel",
@@ -136,17 +138,11 @@ def _difference_field(A: AlgebraElement, psi: Section, action: BundleAction,
     i (U_{exp(A tau)} - U_{exp(-A tau)}) psi / (2 tau)."""
     e_plus = scipy.linalg.expm(tau * A.matrix)
     e_minus = scipy.linalg.expm(-tau * A.matrix)
-    U_plus = action.fiber_matrix(e_plus)
-    U_minus = action.fiber_matrix(e_minus)
-    inv_plus = np.linalg.inv(e_plus)
-    inv_minus = np.linalg.inv(e_minus)
-    pf = psi.field
+    up = pulled_field(psi.field, np.linalg.inv(e_plus), action.fiber_matrix(e_plus))
+    dn = pulled_field(psi.field, np.linalg.inv(e_minus), action.fiber_matrix(e_minus))
 
     def diff_field(mats):
-        mats = np.asarray(mats)
-        up = pf(left_translate(inv_plus, mats)) @ U_plus.T
-        dn = pf(left_translate(inv_minus, mats)) @ U_minus.T
-        return 1j * (up - dn) / (2.0 * tau)
+        return 1j * (up(mats) - dn(mats)) / (2.0 * tau)
 
     return diff_field
 
@@ -155,16 +151,12 @@ def _difference_field(A: AlgebraElement, psi: Section, action: BundleAction,
 class GeneratorApplication:
     """Finite-difference application of a generator to a section."""
 
-    input: Section
-    algebra_dir: AlgebraElement
-    fd_step: float
     result: Section
     order_estimate: float
 
 
 def generator_apply(A: AlgebraElement, psi: Section, action: BundleAction,
-                    tau: float, richardson: bool = False,
-                    estimate_order: bool = True) -> GeneratorApplication:
+                    tau: float, estimate_order: bool = True) -> GeneratorApplication:
     """Apply the generator of the one-parameter transform family along A by
     central differences at step ``tau``.
 
@@ -179,29 +171,17 @@ def generator_apply(A: AlgebraElement, psi: Section, action: BundleAction,
             "generator application needs a field-backed section "
             "(smooth the input first)")
     sampling = psi.sampling
-
-    def make(tau_k):
-        f = _difference_field(A, psi, action, tau_k)
-        if richardson:
-            f_half = _difference_field(A, psi, action, tau_k / 2)
-            base = f
-
-            def f_rich(mats):
-                return (4.0 * f_half(mats) - base(mats)) / 3.0
-            return f_rich
-        return f
-
-    result = Section.from_field(sampling, make(tau))
+    result = Section.from_field(sampling, _difference_field(A, psi, action, tau))
     order = np.nan
     if estimate_order:
         v1 = result.values
-        v2 = Section.from_field(sampling, make(tau / 2)).values
-        v4 = Section.from_field(sampling, make(tau / 4)).values
+        v2 = Section.from_field(sampling, _difference_field(A, psi, action, tau / 2)).values
+        v4 = Section.from_field(sampling, _difference_field(A, psi, action, tau / 4)).values
         r12 = np.max(np.linalg.norm(v1 - v2, axis=1))
         r24 = np.max(np.linalg.norm(v2 - v4, axis=1))
         if r24 > 0:
             order = float(np.log2(r12 / r24))
-    return GeneratorApplication(psi, A, tau, result, order)
+    return GeneratorApplication(result, order)
 
 
 def base_derivative(A: AlgebraElement, alpha, action: BundleAction,
@@ -214,26 +194,17 @@ def base_derivative(A: AlgebraElement, alpha, action: BundleAction,
     """
     if tau <= 0:
         raise InputError("fd step must be positive")
-    e_plus = scipy.linalg.expm(tau * A.matrix)
-    e_minus = scipy.linalg.expm(-tau * A.matrix)
-
     if isinstance(alpha, SampledBaseFunction):
         if alpha.field is None:
             raise AlignmentError("sampled base function has no field to flow")
-        af = alpha.field
-
-        def diff(mats):
-            up = af(left_translate(e_plus, mats))
-            dn = af(left_translate(e_minus, mats))
-            return (up - dn) / (2.0 * tau)
+        field = alpha.field
     elif isinstance(alpha, BaseFunction):
-        def diff(mats):
-            rows_up = sampling.state_rows(left_translate(e_plus, mats))
-            rows_dn = sampling.state_rows(left_translate(e_minus, mats))
-            return (alpha.eval_rows(rows_up) - alpha.eval_rows(rows_dn)) / (2.0 * tau)
+        def field(mats):
+            return alpha.eval_rows(sampling.state_rows(mats))
     else:
         raise InputError("alpha must be a BaseFunction or SampledBaseFunction")
 
+    diff = central_difference(field, A.matrix, tau)
     return SampledBaseFunction(sampling, diff(sampling.group_mats), diff)
 
 
@@ -244,15 +215,8 @@ def base_derivative(A: AlgebraElement, alpha, action: BundleAction,
 @dataclass(frozen=True)
 class IdentityResidual:
     name: str
-    tau: float
     residual: float
     refined_residual: float
-
-    @property
-    def order_estimate(self) -> float:
-        if self.refined_residual <= 0:
-            return np.inf
-        return float(np.log2(self.residual / self.refined_residual))
 
 
 def _apply(A, psi, action, tau) -> Section:
@@ -319,5 +283,5 @@ def identity_suite(A: AlgebraElement, B: AlgebraElement, alpha: BaseFunction,
         r = fn(tau)
         if r is None:
             continue
-        out.append(IdentityResidual(name, tau, r, fn(tau / 2)))
+        out.append(IdentityResidual(name, r, fn(tau / 2)))
     return out

@@ -1,11 +1,12 @@
 """Rebuilding group actions from their infinitesimal generators.
 
-Each basis direction's Cauchy problem is solved by characteristics: fiber
-values ride the base flow and are rotated by one exponential of the
-direction's fiber Hamiltonian (constant over the base).  Group elements are
-composed through second-kind canonical coordinates; word identities,
-conjugation covariance, and the group law quantify how faithfully the
-reconstruction matches the original action.
+Each basis direction's Cauchy problem is solved by characteristics on a
+field-backed section: one ``sections.pulled_field`` pulls the field back
+along the base flow and rotates it by one exponential of the direction's
+fiber Hamiltonian (constant over the base).  Lattice-only sections are
+refused.  Group elements are composed through second-kind canonical
+coordinates; word identities, conjugation covariance, and the group law
+quantify how faithfully the reconstruction matches the original action.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .actions import GeneratorFamily
 from .errors import (AlignmentError, InputError, NumericalError,
                      PreconditionError)
 from .fiber import spectral_exp
-from .groups import GroupElement, factorize_second_kind, left_translate
-from .sections import Section
+from .groups import GroupElement, factorize_second_kind
+from .sections import Section, central_difference, pulled_field
 
 __all__ = [
     "exponentiate_generator",
@@ -39,39 +40,24 @@ __all__ = [
 def exponentiate_generator(family: GeneratorFamily, k: int, t: float,
                            psi0: Section) -> Section:
     """Solve the one-parameter Cauchy problem along basis direction ``k``:
-    transport each fiber value along the base flow of B_k and rotate it by
-    exp(-i t H(B_k)), returning the section at parameter ``t``."""
+    transport the field along the base flow of B_k and rotate it by
+    exp(-i t H(B_k)), returning the section at parameter ``t``.  Requires a
+    field-backed section."""
     if not 0 <= k < family.group.dim:
         raise InputError("basis index out of range")
     if not np.isfinite(t):
         raise InputError("non-finite flow parameter")
+    if psi0.field is None:
+        raise AlignmentError(
+            "generator exponentiation needs a field-backed section")
     if t == 0.0:
         return psi0
-    sampling = psi0.sampling
-    group = family.group
-    pull = scipy.linalg.expm(-t * group.basis[k])
+    pull = scipy.linalg.expm(-t * family.group.basis[k])
     T = spectral_exp(np.linalg.eigh(family.directions[k].fiber_hamiltonian), t)
-
-    if psi0.field is not None:
-        pf = psi0.field
-
-        def new_field(mats):
-            return pf(left_translate(pull, mats)) @ T.T
-
-        out = Section.from_field(sampling, new_field)
-        if not np.all(np.isfinite(out.values)):
-            raise NumericalError("generator exponentiation blew up")
-        return out
-
-    # lattice path: the flow endpoint must land on the lattice
-    sources = sampling.indices_of_matrices(left_translate(pull, sampling.group_mats))
-    new_values = np.zeros_like(psi0.values)
-    found = sources >= 0
-    new_values[found] = psi0.values[sources[found]] @ T.T
-    if not np.isclose(np.sum(np.abs(new_values) ** 2),
-                      np.sum(np.abs(psi0.values) ** 2), rtol=1e-10, atol=1e-300):
-        raise AlignmentError("flow endpoint misaligned with the sampling window")
-    return Section(sampling, new_values)
+    out = Section.from_field(psi0.sampling, pulled_field(psi0.field, pull, T))
+    if not np.all(np.isfinite(out.values)):
+        raise NumericalError("generator exponentiation blew up")
+    return out
 
 
 def reconstruct_group_operator(family: GeneratorFamily, g, psi: Section) -> Section:
@@ -111,18 +97,11 @@ def family_generator_direct(family: GeneratorFamily, A_coords: np.ndarray,
     if psi.field is None:
         raise AlignmentError("direct generator needs a field-backed section")
     A_coords = np.asarray(A_coords, dtype=float)
-    sampling = psi.sampling
     gen_mat = np.tensordot(A_coords, family.group.basis, axes=(0, 0))
-    shift_fwd = scipy.linalg.expm(tau * gen_mat)
-    shift_bwd = scipy.linalg.expm(-tau * gen_mat)
-    pf = psi.field
-    mats = sampling.group_mats
     # d[A] psi at u_h: d/ds psi(u_{exp(A s)} u_h) at s = 0
-    up = pf(left_translate(shift_fwd, mats))
-    dn = pf(left_translate(shift_bwd, mats))
-    base_term = (up - dn) / (2 * tau)
+    base_term = central_difference(psi.field, gen_mat, tau)(psi.sampling.group_mats)
     H = family.combination_hamiltonian(A_coords)
-    return Section(sampling, psi.values @ H.T - 1j * base_term)
+    return Section(psi.sampling, psi.values @ H.T - 1j * base_term)
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +112,14 @@ def family_generator_direct(family: GeneratorFamily, A_coords: np.ndarray,
 class WordCheck:
     residual: float
     lemma_mode: bool
-    alphas: tuple
-    matrix_defect: float
+
+
+_WORD_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
+_WORD_MATRIX_TOL = 1e-10
 
 
 def word_identity_check(family: GeneratorFamily, word: Sequence,
-                        probes: Sequence[Section],
-                        alphas: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-                        matrix_tol: float = 1e-10) -> WordCheck:
+                        probes: Sequence[Section]) -> WordCheck:
     """Check that a word of one-parameter steps acts as the identity.
 
     ``word`` is a list of ``(basis index, path)`` pairs where ``path`` is a
@@ -148,7 +127,8 @@ def word_identity_check(family: GeneratorFamily, word: Sequence,
     float t means the linear path t * alpha).  The matrix word must equal the
     identity at alpha = 1 (hard precondition, else the check is vacuous).
     When it closes at every sampled alpha the deformation hypothesis holds
-    (``lemma_mode``) and the residual is measured at every alpha; otherwise
+    (``lemma_mode``) and the residual is measured at every alpha (0, 1/4,
+    1/2, 3/4, 1; "closes" means within 1e-10 of the identity); otherwise
     only the closing endpoints are measured -- that is the projective-anomaly
     probe, where the operator word may legitimately differ from 1.
     """
@@ -169,12 +149,12 @@ def word_identity_check(family: GeneratorFamily, word: Sequence,
 
     eye = np.eye(group.rep_dim)
     end_defect = float(np.linalg.norm(word_matrix(1.0) - eye))
-    if end_defect > matrix_tol:
+    if end_defect > _WORD_MATRIX_TOL:
         raise PreconditionError(
             f"matrix word is not the identity at alpha=1 (defect {end_defect:.3e})")
-    closing = [a for a in alphas
-               if np.linalg.norm(word_matrix(a) - eye) <= matrix_tol]
-    lemma_mode = len(closing) == len(alphas)
+    closing = [a for a in _WORD_ALPHAS
+               if np.linalg.norm(word_matrix(a) - eye) <= _WORD_MATRIX_TOL]
+    lemma_mode = len(closing) == len(_WORD_ALPHAS)
 
     worst = 0.0
     for a in closing:
@@ -185,7 +165,7 @@ def word_identity_check(family: GeneratorFamily, word: Sequence,
                 if t_val != 0.0:
                     out = exponentiate_generator(family, k, t_val, out)
             worst = max(worst, (out - psi).norm)
-    return WordCheck(worst, lemma_mode, tuple(closing), end_defect)
+    return WordCheck(worst, lemma_mode)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,13 @@ permutes indices exactly and the section transform needs no interpolation.
 Its base points are one array of state rows ``base_array`` (J, 2n+1), and
 base functions are evaluated on such rows in one batched call.  Sections
 optionally carry a closed-form ``field`` evaluator (group matrices -> fiber
-values); everything that must leave the lattice (finite-difference
-generators, non-lattice transforms) uses the field and refuses otherwise.
+values).  The left-regular transform psi'(h) = U_g psi(g^-1 h) of a field is
+written once, :func:`pulled_field`, and its derivative along a one-parameter
+subgroup once, :func:`central_difference`; the generators and the
+reconstruction build on both.  Only :func:`section_transform` (and the
+Garding smoothing of a lattice-only section) moves lattice values by exact
+re-indexing; everything that must leave the lattice needs the field and
+refuses otherwise.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from dataclasses import InitVar, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .actions import BundleAction
 from .dynamics import ClassicalState
@@ -29,6 +35,8 @@ __all__ = [
     "BaseFunction",
     "SampledBaseFunction",
     "state_keys",
+    "pulled_field",
+    "central_difference",
     "section_transform",
     "evaluator_transform",
     "multiply",
@@ -80,11 +88,6 @@ class LatticeAxis:
         if self.kind == "line":
             return np.arange(self.lo, self.hi + 1)
         return np.arange(self.count)
-
-    def wrap(self, steps: np.ndarray) -> np.ndarray:
-        if self.kind == "cycle":
-            return np.mod(steps, self.count)
-        return steps
 
     def contains(self, steps: np.ndarray) -> np.ndarray:
         if self.kind == "cycle":
@@ -170,18 +173,6 @@ class OrbitSampling:
         if index < 0:
             raise InputError("the identity is outside the sampled window")
         return index
-
-    def steps_of_element(self, g) -> np.ndarray:
-        """Integer lattice steps of a group element; raises AlignmentError
-        when g is off-lattice."""
-        mat = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
-        t = self.action.group.factorize_matrix(mat)
-        raw = t / self.spacings
-        steps = np.round(raw).astype(np.int64)
-        if np.max(np.abs(raw - steps)) > _ALIGN_TOL / np.min(self.spacings):
-            raise AlignmentError(
-                f"group element with coordinates {t} is not lattice-aligned")
-        return np.array([ax.wrap(s) for ax, s in zip(self.axes, steps)])
 
     def indices_of_matrices(self, mats: np.ndarray) -> np.ndarray:
         """Sample indices of a stack of group matrices (-1 where the point is
@@ -300,19 +291,43 @@ class SampledBaseFunction:
 # operations
 # ---------------------------------------------------------------------------
 
+def pulled_field(field, pull: np.ndarray, V: np.ndarray):
+    """The field  mats -> field(pull . mats) V^T: fiber values pulled back
+    along the left translation by ``pull`` and moved by the fiber matrix
+    ``V``.  With pull = g^-1 and V = U_g it is the left-regular transform
+    (Eq. 7a); with pull = exp(-t B_k) and V = exp(-i t H(B_k)) it is the
+    one-parameter flow of the reconstruction (Eq. 26)."""
+    def pulled(mats):
+        return field(left_translate(pull, mats)) @ V.T
+    return pulled
+
+
+def central_difference(field, gen: np.ndarray, tau: float):
+    """The field  mats -> (field(e^{tau gen} mats) - field(e^{-tau gen} mats))
+    / (2 tau): the derivative of ``field`` along the one-parameter subgroup
+    of the algebra matrix ``gen`` by central differences."""
+    fwd = scipy.linalg.expm(tau * gen)
+    bwd = scipy.linalg.expm(-tau * gen)
+
+    def diff(mats):
+        return (field(left_translate(fwd, mats))
+                - field(left_translate(bwd, mats))) / (2.0 * tau)
+    return diff
+
+
 def section_transform(action: BundleAction, g, psi: Section) -> Section:
     """Left regular transform: value at u_h(anchor) becomes
     U_g applied to the value at u_{g^-1 h}(anchor).
 
-    ``g`` must be lattice-aligned; re-indexing is exact.  Nonzero values may
-    not leave the sampled window (that would silently truncate the section),
-    so support overflow raises AlignmentError.
+    ``g`` must be lattice-aligned (the source lookup raises AlignmentError
+    otherwise); re-indexing is exact.  Nonzero values may not leave the
+    sampled window (that would silently truncate the section), so support
+    overflow raises AlignmentError.
     """
     sampling = psi.sampling
     if action is not sampling.action:
         raise InputError("section transform with a foreign action")
     g_mat = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
-    sampling.steps_of_element(g_mat)   # alignment check
     inv_g = np.linalg.inv(g_mat)
     sources = sampling.indices_of_matrices(left_translate(inv_g, sampling.group_mats))
     U = action.fiber_matrix(g_mat)
@@ -324,11 +339,7 @@ def section_transform(action: BundleAction, g, psi: Section) -> Section:
                       rtol=1e-10, atol=1e-300):
         raise AlignmentError(
             "section support left the sampled window under this transform")
-    new_field = None
-    if psi.field is not None:
-        pf = psi.field
-        def new_field(mats):
-            return pf(left_translate(inv_g, mats)) @ U.T
+    new_field = None if psi.field is None else pulled_field(psi.field, inv_g, U)
     return Section(sampling, new_values, new_field)
 
 
@@ -344,14 +355,8 @@ def evaluator_transform(action: BundleAction, g, psi: Section) -> Section:
     if action is not sampling.action:
         raise InputError("section transform with a foreign action")
     g_mat = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
-    inv_g = np.linalg.inv(g_mat)
-    U = action.fiber_matrix(g_mat)
-    pf = psi.field
-
-    def new_field(mats):
-        return pf(left_translate(inv_g, mats)) @ U.T
-
-    return Section.from_field(sampling, new_field)
+    return Section.from_field(
+        sampling, pulled_field(psi.field, np.linalg.inv(g_mat), action.fiber_matrix(g_mat)))
 
 
 def multiply(alpha: BaseFunction, psi: Section) -> Section:

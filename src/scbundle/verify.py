@@ -166,16 +166,12 @@ def dynamics_checks(scn: Scenario, rng) -> list:
         base_worst, fiber_worst = 0.0, 0.0
         for t1 in law_times:
             for t2 in law_times:
-                a1 = evolution_automorphism(H, t1, dt, cfg)
-                a2 = evolution_automorphism(H, t2, dt, cfg)
-                a12 = evolution_automorphism(H, t1 + t2, dt, cfg)
-                X = scn.anchor
-                Y = a2.base_map(X)
-                base_worst = max(base_worst,
-                                 a1.base_map(Y).distance(a12.base_map(X)))
-                left = a1.fiber_map(Y).matrix @ a2.fiber_map(X).matrix
+                Y, U2 = evolution_automorphism(H, t2, dt, cfg)(scn.anchor)
+                Z, U1 = evolution_automorphism(H, t1, dt, cfg)(Y)
+                Z12, U12 = evolution_automorphism(H, t1 + t2, dt, cfg)(scn.anchor)
+                base_worst = max(base_worst, Z.distance(Z12))
                 fiber_worst = max(fiber_worst, float(np.linalg.norm(
-                    left - a12.fiber_map(X).matrix)))
+                    U1.matrix @ U2.matrix - U12.matrix)))
         records.append(CheckRecord("evolution_base_law", "Eq. (5)", base_worst, 1e-8))
         records.append(CheckRecord("evolution_fiber_law", "Eq. (5)", fiber_worst, 1e-6))
 
@@ -437,8 +433,8 @@ def reconstruction_checks(scn: Scenario, action, family, rng) -> list:
             family, group_exp(group.algebra([1.0]), t), flat)
         got = rec.values[sampling.identity_index()]
         X_pre = action.base_map(group_exp(group.algebra([1.0]), -t), scn.anchor)
-        aut = evolution_automorphism(H, t, scn.dt, cfg)
-        expected = aut.fiber_map(X_pre).matrix @ v
+        _, U = evolution_automorphism(H, t, scn.dt, cfg)(X_pre)
+        expected = U.matrix @ v
         records.append(CheckRecord("evolution_pipeline_match", "Eq. (26)",
                                    float(np.max(np.abs(got - expected))), 1e-6))
 

@@ -167,25 +167,22 @@ def test_propagator_time_dependent_unitarity():
 
 def test_automorphism_zero_time_identity():
     cfg = DimConfig(1, 8)
-    aut = evolution_automorphism(OSC, 0.0, 1e-3, cfg)
     X = ClassicalState(0.1, [0.5], [-0.3])
-    assert aut.base_map(X).distance(X) == 0.0
-    assert np.allclose(aut.fiber_map(X).matrix, np.eye(cfg.dim))
+    Y, U = evolution_automorphism(OSC, 0.0, 1e-3, cfg)(X)
+    assert Y.distance(X) == 0.0
+    assert np.allclose(U.matrix, np.eye(cfg.dim))
 
 
 def test_automorphism_composition_law():
     cfg = DimConfig(1, 16)
     t1, t2 = 0.3, 0.7
-    a1 = evolution_automorphism(OSC, t1, 1e-3, cfg)
-    a2 = evolution_automorphism(OSC, t2, 1e-3, cfg)
-    a12 = evolution_automorphism(OSC, t1 + t2, 1e-3, cfg)
     X = ClassicalState(0.0, [0.3], [0.9])
-    base_res = a1.base_map(a2.base_map(X)).distance(a12.base_map(X))
-    assert base_res <= 1e-8
-    left = a1.fiber_map(a2.base_map(X)).matrix @ a2.fiber_map(X).matrix
-    right = a12.fiber_map(X).matrix
-    assert np.linalg.norm(left - right) <= 1e-6
-    assert unitarity_residual(a12.fiber_map(X)) <= 1e-8
+    Y, U2 = evolution_automorphism(OSC, t2, 1e-3, cfg)(X)
+    Z, U1 = evolution_automorphism(OSC, t1, 1e-3, cfg)(Y)
+    Z12, U12 = evolution_automorphism(OSC, t1 + t2, 1e-3, cfg)(X)
+    assert Z.distance(Z12) <= 1e-8
+    assert np.linalg.norm(U1.matrix @ U2.matrix - U12.matrix) <= 1e-6
+    assert unitarity_residual(U12) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from scbundle.actions import (heisenberg_weyl_action, metaplectic_action,
 from scbundle.dynamics import (ClassicalState, classical_flow,
                                evolution_automorphism,
                                quadratic_hamiltonian_spec)
-from scbundle.errors import PreconditionError
+from scbundle.errors import AlignmentError, PreconditionError
 from scbundle.fiber import DimConfig
 from scbundle.groups import exp as gexp
 from scbundle.reconstruction import (conjugation_check, exponentiate_generator,
@@ -19,8 +19,9 @@ from scbundle.reconstruction import (conjugation_check, exponentiate_generator,
                                      reconstruct_group_operator,
                                      word_identity_check)
 from scbundle.sections import (LatticeAxis, OrbitSampling, Section,
-                               evaluator_transform, gentle_probe_section,
-                               pairing, smooth_probe_section)
+                               delta_section, evaluator_transform,
+                               gentle_probe_section, pairing,
+                               smooth_probe_section)
 
 H = 0.15
 
@@ -83,10 +84,25 @@ def test_semigroup_property(weyl):
 
 def test_zero_section_stays_zero(weyl):
     _, family, sampling, _ = weyl
-    zero = Section(sampling,
-                   np.zeros((len(sampling), sampling.fiber_dim), dtype=complex))
+    zero = Section.from_field(
+        sampling, lambda mats: np.zeros((mats.shape[0], sampling.fiber_dim), dtype=complex))
     out = exponentiate_generator(family, 0, 0.3, zero)
     assert out.norm <= 1e-12
+
+
+def test_lattice_only_sections_are_refused(weyl):
+    # a unit value at the identity and lattice-aligned parameters: the moved
+    # support stays on the lattice and inside the window, yet a section
+    # without a field is not transported
+    _, family, sampling, _ = weyl
+    lattice_only = delta_section(sampling, sampling.identity_index(),
+                                 np.eye(sampling.fiber_dim)[0])
+    group = family.group
+    with pytest.raises(AlignmentError):
+        exponentiate_generator(family, 0, H, lattice_only)
+    with pytest.raises(AlignmentError):
+        reconstruct_group_operator(
+            family, group.element(group.compose_exps([H, -H, 2 * H * H])), lattice_only)
 
 
 def test_reconstructed_operator_isometry(weyl):
@@ -139,8 +155,8 @@ def test_reconstruct_oscillator_matches_evolution_pipeline():
     # from the pulled-back base point
     H_osc = quadratic_hamiltonian_spec([[1.0]])
     X_pre = action.base_map(gexp(action.group.algebra([1.0]), -t), anchor)
-    aut = evolution_automorphism(H_osc, t, 1e-3, cfg)
-    expected = aut.fiber_map(X_pre).matrix @ v
+    _, U = evolution_automorphism(H_osc, t, 1e-3, cfg)(X_pre)
+    expected = U.matrix @ v
     assert np.max(np.abs(got - expected)) <= 1e-6
 
 

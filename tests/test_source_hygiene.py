@@ -1,6 +1,8 @@
 """Static hygiene of the package sources (no linter is a dependency): no
-unused imports, no module-level private name that nothing uses, and left
-translation of matrix stacks written once, in ``groups.left_translate``."""
+unused imports, no module-level private name that nothing uses, left
+translation of matrix stacks written once, in ``groups.left_translate``, and
+the pulled field of the left-regular transform written once, in
+``sections.pulled_field``."""
 
 import ast
 import re
@@ -81,18 +83,26 @@ def test_no_unreferenced_private_names():
 _LEFT_TRANSLATION = re.compile(r"^(\w)(\w),(\w)\2(\w)->\3\1\4$")
 
 
+def _inside(tree: ast.Module, function: str) -> set:
+    """ids of the nodes inside every function definition named ``function``."""
+    return {id(n) for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == function
+            for n in ast.walk(node)}
+
+
+def _calls(node: ast.AST, name: str) -> bool:
+    """Whether ``node`` calls ``name`` (a bare name or an attribute)."""
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == name)
+
+
 def _einsum_left_translations(tree: ast.Module) -> list:
     """Lines of einsum calls whose subscripts spell a left translation of a
     matrix stack, outside ``left_translate`` itself."""
-    skip = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "left_translate":
-            skip.update(id(n) for n in ast.walk(node))
+    skip = _inside(tree, "left_translate")
     out = []
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and id(node) not in skip
-                and isinstance(node.func, (ast.Attribute, ast.Name))
-                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "einsum"
+        if (_calls(node, "einsum") and id(node) not in skip
                 and node.args and isinstance(node.args[0], ast.Constant)
                 and isinstance(node.args[0].value, str)
                 and _LEFT_TRANSLATION.match(node.args[0].value.replace(" ", ""))):
@@ -112,3 +122,32 @@ def test_left_translation_pattern_is_recognised():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_left_translation_written_once(path):
     assert _einsum_left_translations(ast.parse(path.read_text())) == []
+
+
+def _pulled_fields(tree: ast.Module) -> list:
+    """Lines of ``field(left_translate(...)) @ V.T`` -- a field pulled back
+    along a left translation and moved by a fiber matrix -- outside
+    ``pulled_field`` itself."""
+    skip = _inside(tree, "pulled_field")
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                and id(node) not in skip
+                and isinstance(node.right, ast.Attribute) and node.right.attr == "T"
+                and isinstance(node.left, ast.Call)
+                and any(_calls(arg, "left_translate") for arg in
+                        node.left.args + [k.value for k in node.left.keywords]))]
+
+
+def test_pulled_field_pattern_is_recognised():
+    tree = ast.parse('a = pf(left_translate(inv, mats)) @ U.T\n'
+                     'b = pf(mats=groups.left_translate(inv, mats)) @ T.T\n'
+                     'c = pf(left_translate(inv, mats)) @ U\n'
+                     'd = pf(mats) @ U.T\n'
+                     'def pulled_field(field, pull, V):\n'
+                     '    return field(left_translate(pull, mats)) @ V.T\n')
+    assert _pulled_fields(tree) == [1, 2]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_pulled_field_written_once(path):
+    assert _pulled_fields(ast.parse(path.read_text())) == []

@@ -77,11 +77,14 @@ def _heisenberg_generators():
     ("heisenberg-weyl-sections", lambda: _reduced_heisenberg(["sections"])),
     ("heisenberg-weyl-generators", _heisenberg_generators),
     ("oscillator-evolution-dynamics", lambda: _reduced_oscillator(["dynamics"])),
+    ("oscillator-evolution-transforms",
+     lambda: _reduced_oscillator(["sections", "generators", "reconstruction"])),
 ])
 def test_reduced_suite_records_match_golden(name, build, monkeypatch):
     """The section calculus on a large Heisenberg orbit lattice, the
     Garding-smoothed generator identities and reconstruction on the catalog
-    Heisenberg generator lattice, and the evolution pipeline keep their
+    Heisenberg generator lattice, the evolution pipeline, and the section,
+    generator and reconstruction suites of the oscillator family keep their
     records at the pinned seed."""
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     report = verify.run_verify(build())
