@@ -91,15 +91,19 @@ def _lowering(n: int, n_cut: int, axis: int) -> np.ndarray:
     return a
 
 
+@lru_cache(maxsize=None)
 def _padded_ops(config: DimConfig, pad: int = 2):
-    """Position/momentum matrices on the degree-padded index set."""
+    """Position/momentum matrices on the degree-padded index set, built once
+    per (config, pad) and shared read-only."""
     padded = DimConfig(config.n, config.n_cut + pad)
     xs, ps = [], []
     for axis in range(config.n):
         a = _lowering(config.n, padded.n_cut, axis)
         xs.append((a + a.T) / np.sqrt(2.0))
         ps.append(1j * (a.T - a) / np.sqrt(2.0))
-    return xs, ps, padded
+    for matrix in xs + ps:
+        matrix.flags.writeable = False
+    return tuple(xs), tuple(ps), padded
 
 
 def _cut(matrix: np.ndarray, config: DimConfig) -> np.ndarray:

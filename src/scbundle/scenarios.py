@@ -17,7 +17,7 @@ from .actions import (free_particle_action, heisenberg_weyl_action,
                       metaplectic_action, oscillator_action, so2_rotor_action,
                       translations_r2_action)
 from .dynamics import (ClassicalState, cubic_perturbed_spec,
-                       quadratic_hamiltonian_spec)
+                       quadratic_hamiltonian_spec, step_counts)
 from .errors import ConfigError, InputError
 from .fiber import DimConfig
 from .gauge import (GaugeBundle, action_shift_gauge, phase_shift_gauge,
@@ -140,14 +140,7 @@ class Scenario:
     def build_hamiltonian(self):
         if self.hamiltonian is None:
             raise ConfigError(f"scenario {self.name!r} declares no Hamiltonian")
-        kind = self.hamiltonian["kind"]
-        if kind == "quadratic":
-            omega2 = float(self.hamiltonian.get("omega2", 1.0))
-            return quadratic_hamiltonian_spec([[omega2]])
-        if kind == "cubic-perturbed":
-            return cubic_perturbed_spec(float(self.hamiltonian.get("omega2", 1.0)),
-                                        float(self.hamiltonian.get("cubic", 0.1)))
-        raise ConfigError(f"unknown Hamiltonian kind {kind!r}")
+        return _hamiltonian_spec(self.hamiltonian, f"scenario {self.name!r}: hamiltonian")
 
     def build_gauge_bundle(self) -> GaugeBundle:
         _, family = self.build_action(drift=True)
@@ -178,6 +171,38 @@ def _positive_sizes(value) -> bool:
     except (TypeError, ValueError):
         return False
     return size.size > 0 and bool(np.all(np.isfinite(size) & (size > 0)))
+
+
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    return dict(value)
+
+
+def _hamiltonian_spec(hamiltonian, where: str):
+    kind = _need(hamiltonian, "kind", where)
+    omega2 = _number(hamiltonian.get("omega2", 1.0), float, f"{where}.omega2")
+    if kind == "quadratic":
+        return quadratic_hamiltonian_spec([[omega2]])
+    if kind == "cubic-perturbed":
+        return cubic_perturbed_spec(
+            omega2, _number(hamiltonian.get("cubic", 0.1), float, f"{where}.cubic"))
+    raise ConfigError(f"{where}: unknown Hamiltonian kind {kind!r}")
+
+
+def _validate_law_times(law_times, dt: float, where: str) -> None:
+    """Law times are positive numbers that, with their pairwise sums, share
+    one step of about dt (the evolution-law check reads every flow as a
+    prefix of one trajectory)."""
+    if not isinstance(law_times, list) or not all(
+            isinstance(t, (int, float)) and not isinstance(t, bool)
+            and np.isfinite(t) and t > 0 for t in law_times):
+        raise ConfigError(f"{where} must be a list of positive numbers, got {law_times!r}")
+    times = law_times + [t1 + t2 for t1 in law_times for t2 in law_times]
+    try:
+        step_counts(times, dt)
+    except InputError as err:
+        raise ConfigError(f"{where}: not on one step grid ({err})") from err
 
 
 def _validate_lattice(spec_list, where: str) -> None:
@@ -216,7 +241,7 @@ def _validate(cfg: dict, origin: str) -> Scenario:
     if gauge_id is not None and gauge_id not in _GAUGE_BUILDERS:
         raise ConfigError(f"{origin}: unknown gauge {gauge_id!r}")
 
-    fiber_cfg = need("fiber")
+    fiber_cfg = _mapping(need("fiber"), f"{origin}: fiber")
     n_cut = _number(fiber_cfg.get("n_cut", 0), int, f"{origin}: fiber.n_cut")
     if n_cut < 4:
         raise ConfigError(f"{origin}: n_cut must be at least 4, got {n_cut}")
@@ -225,7 +250,7 @@ def _validate(cfg: dict, origin: str) -> Scenario:
         raise ConfigError(f"{origin}: fiber.n must be positive, got {n}")
     fiber = DimConfig(n, n_cut)
 
-    numerics = dict(cfg.get("numerics", {}))
+    numerics = _mapping(cfg.get("numerics", {}), f"{origin}: numerics")
     for key in ("dt", "fd_tau"):
         if key in numerics and not _number(numerics[key], float,
                                            f"{origin}: numerics.{key}") > 0:
@@ -238,7 +263,7 @@ def _validate(cfg: dict, origin: str) -> Scenario:
     if unknown:
         raise ConfigError(f"{origin}: unknown suites {sorted(unknown)}")
 
-    probes = dict(cfg.get("probes", {}))
+    probes = _mapping(cfg.get("probes", {}), f"{origin}: probes")
     for suite in suites:
         if suite in _PROBE_SIZE and not _positive_sizes(_PROBE_SIZE[suite](probes)):
             raise ConfigError(f"{origin}: suite {suite!r} needs positive probe "
@@ -254,6 +279,14 @@ def _validate(cfg: dict, origin: str) -> Scenario:
     if action_name is not None and action_name not in _ACTION_BUILDERS:
         raise ConfigError(f"{origin}: unknown action {action_name!r}")
 
+    hamiltonian = cfg.get("hamiltonian")
+    if hamiltonian is not None:
+        _hamiltonian_spec(hamiltonian, f"{origin}: hamiltonian")
+    dynamics = _mapping(cfg.get("dynamics", {}), f"{origin}: dynamics")
+    if "law_times" in dynamics:
+        _validate_law_times(dynamics["law_times"], float(numerics.get("dt", 1e-3)),
+                            f"{origin}: dynamics.law_times")
+
     anchor_cfg = cfg.get("anchor", {"S": 0.0, "P": [0.0], "Q": [1.0]})
     S, P, Q = (_need(anchor_cfg, key, f"{origin}: anchor") for key in "SPQ")
     try:
@@ -267,7 +300,7 @@ def _validate(cfg: dict, origin: str) -> Scenario:
         group_id=group_id,
         action_name=action_name,
         gauge_id=gauge_id,
-        hamiltonian=cfg.get("hamiltonian"),
+        hamiltonian=hamiltonian,
         fiber=fiber,
         anchor=anchor,
         lattice=lattice,
@@ -277,8 +310,8 @@ def _validate(cfg: dict, origin: str) -> Scenario:
         kernel_radius=cfg.get("kernel_radius"),
         suites=suites,
         strict_group_law=bool(cfg.get("strict_group_law", False)),
-        dynamics=dict(cfg.get("dynamics", {})),
-        gauge_cfg=dict(cfg.get("gauge", {})),
+        dynamics=dynamics,
+        gauge_cfg=_mapping(cfg.get("gauge", {}), f"{origin}: gauge"),
         eps_list=[_number(e, float, f"{origin}: eps_list")
                   for e in cfg.get("eps_list", [])],
         raw=cfg,

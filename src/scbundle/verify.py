@@ -13,8 +13,10 @@ import numpy as np
 import scipy.linalg
 
 from . import groups
-from .dynamics import (ClassicalState, ansatz_error, classical_flow,
-                       evolution_automorphism, fluctuation_propagator)
+from .dynamics import (ClassicalState, ansatz_error, ansatz_errors,
+                       classical_flows, evolution_automorphism,
+                       fluctuation_propagator, fluctuation_propagators,
+                       step_counts)
 from .errors import PreconditionError
 from .fiber import FiberVector, unitarity_residual
 from .gauge import (compensator_relations_check, equivalence_relation_residuals,
@@ -126,18 +128,57 @@ def lie_checks(scn: Scenario, rng) -> list:
 # suite: evolution pipeline
 # ---------------------------------------------------------------------------
 
+def _evolution_law(H, anchor_flow, law_times: list, dt: float, cfg) -> tuple:
+    """Worst base and fiber residuals of u_{t1} u_{t2} = u_{t1 + t2} over all
+    pairs of law times, given the anchor's flow to max(t1 + t2).  On the
+    step grid every flow from the anchor is a prefix of that flow, every
+    flow from a t2 image a prefix of one stacked flow to max t1, and every
+    propagator a prefix of the running product along its trajectory."""
+    sums = [t1 + t2 for t1 in law_times for t2 in law_times]
+    steps = dict(zip(law_times + sums, step_counts(law_times + sums, dt)))
+    anchor_counts = sorted(set(steps.values()))
+    from_anchor = dict(zip(anchor_counts, fluctuation_propagators(
+        H, anchor_flow, cfg, anchor_counts)))
+    firsts = sorted(set(law_times))
+    images = classical_flows(H, anchor_flow.rows[[steps[t2] for t2 in firsts]],
+                             max(law_times), dt)
+    image_counts = sorted({steps[t1] for t1 in law_times})
+    base_worst, fiber_worst = 0.0, 0.0
+    for t2, image in zip(firsts, images):
+        from_image = dict(zip(image_counts, fluctuation_propagators(
+            H, image, cfg, image_counts)))
+        for t1 in law_times:
+            Z = image.rows[steps[t1]]
+            Z12 = anchor_flow.rows[steps[t1 + t2]]
+            base_worst = max(base_worst, float(np.linalg.norm(Z - Z12)))
+            fiber_worst = max(fiber_worst, float(np.linalg.norm(
+                from_image[steps[t1]].matrix @ from_anchor[steps[t2]].matrix
+                - from_anchor[steps[t1 + t2]].matrix)))
+    return base_worst, fiber_worst
+
+
 def dynamics_checks(scn: Scenario, rng) -> list:
     H = scn.build_hamiltonian()
     cfg = scn.fiber
     dt = scn.dt
     records = []
 
-    probes = [ClassicalState(0.0, [0.3], [0.7]), ClassicalState(0.0, [-1.1], [0.2])]
+    probes = np.array([[0.0, 0.3, 0.7], [0.0, -1.1, 0.2]])
     records.append(CheckRecord("hamiltonian_consistency", "Eq. (1)",
                                H.validate(probes), 1e-6))
 
+    # every flow from a given start, as one stack: the anchor to t_final,
+    # the fine and three coarse flows of the RK4 order check, and the anchor
+    # to the longest sum of law times (zero time without law times)
     t_final = float(scn.dynamics.get("t_final", 1.0))
-    trajectory = classical_flow(H, scn.anchor, t_final, dt)
+    law_times = [float(t) for t in scn.dynamics.get("law_times", [])]
+    X0 = ClassicalState(0.0, [0.0], [1.0])
+    starts = [scn.anchor, X0, X0, X0, X0, scn.anchor]
+    ends = [t_final, 2.0, 2.0, 2.0, 2.0, 2 * max(law_times, default=0.0)]
+    step = [dt, 3.125e-4, 1e-2, 5e-3, 2.5e-3, dt]
+    trajectory, fine, *coarse, law_flow = classical_flows(
+        H, [X.as_array() for X in starts], ends, step)
+
     U = fluctuation_propagator(H, trajectory, cfg)
     records.append(CheckRecord("fluctuation_unitarity", "Eq. (3b)",
                                unitarity_residual(U), 1e-8))
@@ -152,26 +193,13 @@ def dynamics_checks(scn: Scenario, rng) -> list:
     records.append(CheckRecord("energy_conservation", "Eq. (3a)",
                                trajectory.energy_drift, 1e-8))
 
-    X0 = ClassicalState(0.0, [0.0], [1.0])
-    errors = []
-    fine = classical_flow(H, X0, 2.0, 3.125e-4).final
-    for step in (1e-2, 5e-3, 2.5e-3):
-        errors.append(classical_flow(H, X0, 2.0, step).final.distance(fine))
+    errors = [float(np.linalg.norm(flow.rows[-1] - fine.rows[-1])) for flow in coarse]
     ratios = [errors[k] / errors[k + 1] for k in range(2)]
     deviation = max(max(r / 16.0, 16.0 / r) for r in ratios)
     records.append(CheckRecord("rk4_fourth_order", "Eq. (3a)", deviation, 2.0))
 
-    law_times = scn.dynamics.get("law_times", [])
     if law_times:
-        base_worst, fiber_worst = 0.0, 0.0
-        for t1 in law_times:
-            for t2 in law_times:
-                Y, U2 = evolution_automorphism(H, t2, dt, cfg)(scn.anchor)
-                Z, U1 = evolution_automorphism(H, t1, dt, cfg)(Y)
-                Z12, U12 = evolution_automorphism(H, t1 + t2, dt, cfg)(scn.anchor)
-                base_worst = max(base_worst, Z.distance(Z12))
-                fiber_worst = max(fiber_worst, float(np.linalg.norm(
-                    U1.matrix @ U2.matrix - U12.matrix)))
+        base_worst, fiber_worst = _evolution_law(H, law_flow, law_times, dt, cfg)
         records.append(CheckRecord("evolution_base_law", "Eq. (5)", base_worst, 1e-8))
         records.append(CheckRecord("evolution_fiber_law", "Eq. (5)", fiber_worst, 1e-6))
 
@@ -702,14 +730,10 @@ def run_convergence(scenario: Scenario, eps_list=None) -> ConvergenceTable:
     eps_values = list(eps_list) if eps_list is not None else scenario.eps_list
     if not eps_values:
         return ConvergenceTable([])
-    H = scenario.build_hamiltonian()
     cfg = scenario.fiber
-    xs = scenario.grid()
     f0 = FiberVector(np.eye(cfg.dim)[0].astype(complex), cfg)
-    T = float(scenario.dynamics.get("t_final", 1.0))
-    rows = []
-    for eps in eps_values:
-        err = ansatz_error(H, scenario.anchor, f0, float(eps), T, xs,
-                           dt=scenario.dt)
-        rows.append(ConvergenceRow(eps, err))
-    return ConvergenceTable(rows)
+    errors = ansatz_errors(scenario.build_hamiltonian(), scenario.anchor, f0,
+                           eps_values, float(scenario.dynamics.get("t_final", 1.0)),
+                           scenario.grid(), dt=scenario.dt)
+    return ConvergenceTable([ConvergenceRow(eps, err)
+                             for eps, err in zip(eps_values, errors)])

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from scbundle.dynamics import (
-    ClassicalState, HamiltonianSpec, ansatz_error, ansatz_wavefunction,
-    classical_flow, cubic_perturbed_spec, evolution_automorphism,
-    fluctuation_propagator, l2_distance, quadratic_hamiltonian_spec,
-    reference_schrodinger,
+    ClassicalState, HamiltonianSpec, ansatz_error, ansatz_errors,
+    ansatz_wavefunction, classical_flow, classical_flows, cubic_perturbed_spec,
+    evolution_automorphism, fluctuation_propagator, fluctuation_propagators,
+    l2_distance, quadratic_hamiltonian_spec, reference_schrodinger, step_counts,
 )
 from scbundle.errors import InputError, NumericalError, ResolutionError
 from scbundle.fiber import (DimConfig, FiberVector, inner, momentum_operator,
@@ -16,6 +16,8 @@ from scbundle.fiber import (DimConfig, FiberVector, inner, momentum_operator,
 
 OSC = quadratic_hamiltonian_spec([[1.0]])
 FREE = quadratic_hamiltonian_spec([[0.0]])
+CUBIC = cubic_perturbed_spec(1.0, 0.1)
+LAW_TIMES = (0.25, 0.5, 0.75, 1.0)    # the oscillator-evolution catalog's
 
 
 def ground_state(n_cut=16):
@@ -67,20 +69,30 @@ def test_energy_conservation_oscillator():
     assert tr.energy_drift <= 1e-8
 
 
+def _blowup_spec():
+    # H = P Q^2: dQ/dt = Q^2 escapes to infinity in finite time
+    def hess(rows):
+        P, Q = rows[:, 1], rows[:, 2]
+        return np.moveaxis(np.array([[np.zeros_like(Q), 2 * Q], [2 * Q, 2 * P]]), -1, 0)
+
+    return HamiltonianSpec(
+        value=lambda rows: rows[:, 1] * rows[:, 2] ** 2,
+        grad=lambda rows: np.stack([rows[:, 2] ** 2, 2 * rows[:, 1] * rows[:, 2]], axis=1),
+        hess=hess,
+        n=1)
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_flow_blowup_reports_time():
-    # dQ/dt = Q^2 escapes to infinity in finite time
-    blowup = HamiltonianSpec(
-        value=lambda Q, P: float(P[0] * Q[0] ** 2),
-        grad_q=lambda Q, P: np.array([2 * P[0] * Q[0]]),
-        grad_p=lambda Q, P: np.array([Q[0] ** 2]),
-        hess_qq=lambda Q, P: np.array([[2 * P[0]]]),
-        hess_qp=lambda Q, P: np.array([[2 * Q[0]]]),
-        hess_pp=lambda Q, P: np.zeros((1, 1)),
-        n=1)
-    with pytest.raises(NumericalError, match="t ="):
-        classical_flow(blowup, ClassicalState(0.0, [0.0], [1.0]), 40.0, 0.05)
+    with pytest.raises(NumericalError, match="t =") as single:
+        classical_flow(_blowup_spec(), ClassicalState(0.0, [0.0], [1.0]), 40.0, 0.05)
+    # in a stack, the row that blows up is named by its own time, whatever
+    # the other rows do
+    tame = [0.0, 0.0, 0.0]
+    with pytest.raises(NumericalError) as stacked:
+        classical_flows(_blowup_spec(), [tame, [0.0, 0.0, 1.0]], [80.0, 40.0], [0.04, 0.05])
+    assert str(stacked.value) == str(single.value)
 
 
 def test_flow_input_validation():
@@ -93,16 +105,57 @@ def test_flow_input_validation():
         classical_flow(OSC, X0, 1e-4, 1e-3)
 
 
+@pytest.mark.parametrize("H", [OSC, CUBIC], ids=["oscillator", "cubic"])
+def test_stacked_flow_rows_equal_single_row_flows(H):
+    """One RK4 loop over a stack, each row with its own step and count,
+    forward, backward and zero time, gives each row's own flow bitwise."""
+    states = [ClassicalState(0.0, [0.0], [1.0]), ClassicalState(0.3, [0.2], [-0.4]),
+              ClassicalState(0.1, [-0.5], [0.6]), ClassicalState(0.0, [0.7], [0.4])]
+    T = [1.0, -0.7, 0.35, 0.0]
+    dt = [1e-3, 2e-3, 5e-3, 1e-3]
+    stacked = classical_flows(H, [X.as_array() for X in states], T, dt)
+    for X, t, step, flow in zip(states, T, dt, stacked):
+        alone = classical_flow(H, X, t, step)
+        assert np.array_equal(flow.times, alone.times)
+        assert np.array_equal(flow.rows, alone.rows)
+        assert flow.energy_drift == alone.energy_drift
+
+
+@pytest.mark.parametrize("H", [OSC, CUBIC], ids=["oscillator", "cubic"])
+@pytest.mark.parametrize("dt", [1e-3, 2e-3])
+def test_trajectory_prefix_equals_shorter_flow(H, dt):
+    """The shipped law times and their sums share one step, so each flow is
+    bitwise a prefix of the flow to the longest sum, and its propagator a
+    prefix of the running product along it."""
+    cfg = DimConfig(1, 12)
+    X = ClassicalState(0.0, [0.7], [0.4])
+    times = sorted({t1 + t2 for t1 in LAW_TIMES for t2 in LAW_TIMES} | set(LAW_TIMES))
+    counts = step_counts(times, dt)
+    longest = classical_flow(H, X, max(times), dt)
+    prefixes = fluctuation_propagators(H, longest, cfg, counts)
+    for t, c, U in zip(times, counts, prefixes):
+        alone = classical_flow(H, X, t, dt)
+        assert np.array_equal(longest.times[:c + 1], alone.times)
+        assert np.array_equal(longest.rows[:c + 1], alone.rows)
+        assert np.array_equal(U.matrix, fluctuation_propagator(H, alone, cfg).matrix)
+
+
+def test_step_counts_require_one_shared_step():
+    assert step_counts([0.25, 0.5, 1.25], 1e-3).tolist() == [250, 500, 1250]
+    with pytest.raises(InputError):
+        step_counts([0.25, 0.0015], 1e-3)     # 2 steps of 7.5e-4
+    with pytest.raises(InputError):
+        step_counts([0.25, 4e-4], 1e-3)       # no step at all
+
+
 def test_hamiltonian_spec_validation():
-    probes = [ClassicalState(0.0, [0.3], [0.7]), ClassicalState(0.0, [-1.1], [0.2])]
+    probes = np.array([[0.0, 0.3, 0.7], [0.0, -1.1, 0.2]])
     assert cubic_perturbed_spec().validate(probes) <= 1e-6
+    assert OSC.validate(probes) <= 1e-6
     broken = HamiltonianSpec(
-        value=lambda Q, P: float(0.5 * (P[0] ** 2 + Q[0] ** 2)),
-        grad_q=lambda Q, P: np.array([2.0 * Q[0]]),   # wrong by a factor 2
-        grad_p=lambda Q, P: np.array([P[0]]),
-        hess_qq=lambda Q, P: np.eye(1),
-        hess_qp=lambda Q, P: np.zeros((1, 1)),
-        hess_pp=lambda Q, P: np.eye(1),
+        value=lambda rows: 0.5 * (rows[:, 1] ** 2 + rows[:, 2] ** 2),
+        grad=lambda rows: rows[:, 1:] * [1.0, 2.0],   # dH/dQ wrong by a factor 2
+        hess=lambda rows: np.broadcast_to(np.eye(2), (len(rows), 2, 2)),
         n=1)
     with pytest.raises(InputError):
         broken.validate(probes)
@@ -271,6 +324,20 @@ def test_reference_norm_conservation_oscillator():
     assert abs(n1 - n0) <= 1e-8
 
 
+def test_stacked_split_step_equals_single_packets():
+    """One split-step loop over a stack of per-eps packets gives each
+    packet's own run bitwise.  The 8,192-point grid makes the stack larger
+    than the 256 KiB above which numpy may evaluate a product with a
+    temporary in place."""
+    xs = np.linspace(-16, 16, 8192)
+    X0 = ClassicalState(0.0, [0.0], [1.0])
+    eps = [0.08, 0.04, 0.02]
+    psi0 = np.array([ansatz_wavefunction(X0, ground_state(), e, xs) for e in eps])
+    stacked = reference_schrodinger(CUBIC, psi0, eps, 0.05, xs, 2.5e-4)
+    for row, e, out in zip(psi0, eps, stacked):
+        assert np.array_equal(out, reference_schrodinger(CUBIC, row, e, 0.05, xs, 2.5e-4))
+
+
 def test_reference_requires_separable_form():
     nonseparable = quadratic_hamiltonian_spec([[1.0]], m_qp=[[0.5]])
     xs = np.linspace(-10, 10, 512)
@@ -298,7 +365,15 @@ def test_ansatz_exact_for_quadratic_hamiltonian():
 
 def test_ansatz_error_decreases_with_eps_for_cubic():
     xs = np.linspace(-16, 16, 8192)
-    H = cubic_perturbed_spec(1.0, 0.1)
-    errs = [ansatz_error(H, ClassicalState(0.0, [0.0], [1.0]), ground_state(),
+    errs = [ansatz_error(CUBIC, ClassicalState(0.0, [0.0], [1.0]), ground_state(),
                          eps, 1.0, xs, dt=1e-3) for eps in (0.08, 0.04)]
     assert errs[1] < errs[0]
+
+
+def test_ansatz_errors_equal_single_eps_errors():
+    xs = np.linspace(-16, 16, 8192)
+    X0 = ClassicalState(0.0, [0.0], [1.0])
+    eps = [0.08, 0.04, 0.02]
+    errors = ansatz_errors(CUBIC, X0, ground_state(), eps, 0.05, xs, dt=1e-3)
+    assert errors == [ansatz_error(CUBIC, X0, ground_state(), e, 0.05, xs, dt=1e-3)
+                      for e in eps]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from scbundle.errors import InputError
 from scbundle.fiber import (
-    DimConfig, FiberOperator, FiberVector, edge_mask, hermite_functions, inner,
+    _padded_ops, DimConfig, FiberOperator, FiberVector, edge_mask, hermite_functions, inner,
     momentum_operator, position_operator, quadratic_hamiltonian,
     unitarity_residual,
     unitary_from_hamiltonian,
@@ -162,6 +162,20 @@ def test_canonical_pair_true_elements():
     comm = x @ p - p @ x
     assert np.allclose(comm[:-1, :-1], 1j * np.eye(9), atol=1e-13)
     assert abs(comm[-1, -1] - 1j * (1 - 10)) <= 1e-12
+
+
+def test_padded_ladder_matrices_are_built_once_and_read_only():
+    """quadratic_hamiltonian runs once per step of a time-dependent
+    propagator; its padded position/momentum matrices are shared, so no
+    caller may write to them."""
+    cfg = DimConfig(1, 12)
+    xs, ps, padded = _padded_ops(cfg)
+    assert _padded_ops(cfg)[0] is xs and padded == DimConfig(1, 14)
+    for matrix in xs + ps + _padded_ops(cfg, pad=1)[0]:
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+    H = quadratic_hamiltonian([[1.0]], [[0.0]], [[1.0]], cfg)
+    assert np.array_equal(H.matrix, quadratic_hamiltonian([[1.0]], [[0.0]], [[1.0]], cfg).matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from scbundle.errors import ConfigError
-from scbundle.scenarios import load_scenario
+from scbundle.scenarios import catalog_names, load_scenario
 
 BASE = {
     "name": "config-test",
@@ -55,6 +55,20 @@ MALFORMED = {
     "gauge-radius-missing": [(("probes", "radius"), DELETE), (("suites",), ["gauge"])],
     "group-def-basis-missing": [(("group_def",), {"group_id": "cfg_test_group",
                                                   "rep_dim": 2})],
+    "fiber-number": [(("fiber",), 5)],
+    "probes-number": [(("probes",), 3)],
+    "dynamics-number": [(("dynamics",), 3)],
+    "numerics-text": [(("numerics",), "fast")],
+    "gauge-list": [(("gauge",), [48])],
+    "hamiltonian-number": [(("hamiltonian",), 2)],
+    "hamiltonian-kind-unknown": [(("hamiltonian",), {"kind": "quartic"})],
+    "hamiltonian-cubic-text": [(("hamiltonian",), {"kind": "cubic-perturbed",
+                                                   "cubic": "strong"})],
+    "law-times-text": [(("dynamics",), {"law_times": "x"})],
+    "law-times-negative": [(("dynamics",), {"law_times": [0.25, -0.5]})],
+    "law-times-bool": [(("dynamics",), {"law_times": [True]})],
+    # 0.0015 takes two steps of 7.5e-4, not steps of 1e-3
+    "law-times-off-grid": [(("dynamics",), {"law_times": [0.25, 0.0015]})],
 }
 
 
@@ -87,3 +101,17 @@ def test_well_formed_base_config_loads(tmp_path):
     scn = load_scenario(str(path))
     action, _ = scn.build_action()
     assert len(scn.build_sampling(action)) == 9 * 9 * 25
+
+
+def test_catalog_configs_load():
+    names = catalog_names()
+    assert len(names) == 7
+    for name in names:
+        assert load_scenario(name).name == name
+
+
+def test_law_times_on_the_step_grid_load(tmp_path):
+    cfg = dict(copy.deepcopy(BASE), dynamics={"law_times": [0.25, 0.5, 0.75, 1.0]})
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    assert load_scenario(str(path)).dynamics["law_times"] == [0.25, 0.5, 0.75, 1.0]

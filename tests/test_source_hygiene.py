@@ -1,8 +1,10 @@
 """Static hygiene of the package sources (no linter is a dependency): no
-unused imports, no module-level private name that nothing uses, left
-translation of matrix stacks written once, in ``groups.left_translate``, and
-the pulled field of the left-regular transform written once, in
-``sections.pulled_field``."""
+unused imports, no module-level private name that nothing uses, and pieces
+of numerics written once: left translation of matrix stacks in
+``groups.left_translate``, the pulled field of the left-regular transform in
+``sections.pulled_field``, the RK4 stage combination in
+``dynamics._rk4_step`` and the split-step FFT in
+``dynamics.reference_schrodinger``."""
 
 import ast
 import re
@@ -151,3 +153,57 @@ def test_pulled_field_pattern_is_recognised():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_pulled_field_written_once(path):
     assert _pulled_fields(ast.parse(path.read_text())) == []
+
+
+def _owners(tree: ast.Module, match) -> set:
+    """Names of the innermost functions that hold a node ``match`` accepts
+    (``<module>`` for module-level code)."""
+    out = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if match(child):
+                out.add(owner)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(tree, "<module>")
+    return out
+
+
+def _package_owners(match) -> set:
+    return {(path.name, owner) for path in sorted(SRC.glob("*.py"))
+            for owner in _owners(ast.parse(path.read_text()), match)}
+
+
+# k1 + 2 * k2 + 2 * k3 + k4 under any names
+_RK4_COMBINATION = re.compile(r"^\w+ \+ 2(\.0*)? \* \w+ \+ 2(\.0*)? \* \w+ \+ \w+$")
+
+
+def _is_rk4_combination(node: ast.AST) -> bool:
+    return isinstance(node, ast.BinOp) and bool(_RK4_COMBINATION.match(ast.unparse(node)))
+
+
+def _is_fft(node: ast.AST) -> bool:
+    return _calls(node, "fft")
+
+
+def test_written_once_patterns_are_recognised():
+    tree = ast.parse('import numpy as np\n'
+                     'def step(a, b, c, d):\n'
+                     '    return (a + 2 * b + 2.0 * c + d) / 6\n'
+                     'def outer():\n'
+                     '    def inner(k1, k2, k3, k4):\n'
+                     '        return k1 + 2 * k2 + 2 * k3 + k4\n'
+                     '    return np.fft.fft(inner(1, 2, 3, 4))\n'
+                     'def other(a, b, c, d):\n'
+                     '    return a + 2 * b + 3 * c + d, np.fft.ifft(a), fft(b)\n')
+    assert _owners(tree, _is_rk4_combination) == {"step", "inner"}
+    assert _owners(tree, _is_fft) == {"outer", "other"}
+
+
+def test_rk4_stage_combination_written_once():
+    assert _package_owners(_is_rk4_combination) == {("dynamics.py", "_rk4_step")}
+
+
+def test_split_step_fft_written_once():
+    assert _package_owners(_is_fft) == {("dynamics.py", "reference_schrodinger")}

@@ -101,3 +101,15 @@ def test_pointwise_recovery_redraws_points_the_shear_moves_out(monkeypatch):
     assert "sections_suite_error" not in ids
     recovery = [r for r in records if r.check_id == "pointwise_operator_recovery"]
     assert len(recovery) == 1 and recovery[0].passed
+
+
+def test_convergence_table_matches_golden(monkeypatch):
+    """The cubic-perturbed convergence table at t = 0.25, eps 0.08 / 0.04 /
+    0.02 (one flow, one propagator and one split-step loop over the stack of
+    per-eps packets) keeps its bytes."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    scn = load_scenario("cubic-perturbed-oscillator")
+    scn = replace(scn, dynamics=dict(scn.dynamics, t_final=0.25))
+    table = verify.run_convergence(scn, [0.08, 0.04, 0.02])
+    golden = (GOLDEN / "cubic-perturbed-oscillator-convergence.csv").read_text()
+    assert table.to_csv() == golden
