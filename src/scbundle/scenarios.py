@@ -179,6 +179,18 @@ def _mapping(value, where: str) -> dict:
     return dict(value)
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    return list(value)
+
+
+def _integer(value, least: int, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{where} must be an integer of at least {least}, got {value!r}")
+    return value
+
+
 def _hamiltonian_spec(hamiltonian, where: str):
     kind = _need(hamiltonian, "kind", where)
     omega2 = _number(hamiltonian.get("omega2", 1.0), float, f"{where}.omega2")
@@ -205,18 +217,27 @@ def _validate_law_times(law_times, dt: float, where: str) -> None:
         raise ConfigError(f"{where}: not on one step grid ({err})") from err
 
 
-def _validate_lattice(spec_list, where: str) -> None:
+def _validate_lattice(spec_list, where: str) -> list:
+    """A list of axes: lines with a positive spacing and lo <= hi, cycles
+    with at least one node."""
+    spec_list = _list(spec_list, where)
     for i, item in enumerate(spec_list):
         at = f"{where}[{i}]"
         kind = _need(item, "kind", at)
         if kind == "line":
-            _number(_need(item, "spacing", at), float, f"{at}.spacing")
-            for key in ("lo", "hi"):
-                _number(_need(item, key, at), int, f"{at}.{key}")
+            spacing = _number(_need(item, "spacing", at), float, f"{at}.spacing")
+            if not (np.isfinite(spacing) and spacing > 0):
+                raise ConfigError(f"{at}.spacing must be positive, got {spacing!r}")
+            lo, hi = (_number(_need(item, key, at), int, f"{at}.{key}")
+                      for key in ("lo", "hi"))
+            if lo > hi:
+                raise ConfigError(f"{at}: empty axis, lo {lo} > hi {hi}")
         elif kind == "cycle":
-            _number(_need(item, "count", at), int, f"{at}.count")
+            if _number(_need(item, "count", at), int, f"{at}.count") < 1:
+                raise ConfigError(f"{at}.count must be at least 1")
         else:
             raise ConfigError(f"{at}: unknown lattice axis kind {kind!r}")
+    return spec_list
 
 
 def _validate(cfg: dict, origin: str) -> Scenario:
@@ -258,19 +279,22 @@ def _validate(cfg: dict, origin: str) -> Scenario:
     if "seed" in numerics:
         _number(numerics["seed"], int, f"{origin}: numerics.seed")
 
-    suites = list(cfg.get("suites", []))
-    unknown = set(suites) - _KNOWN_SUITES
+    suites = _list(cfg.get("suites", []), f"{origin}: suites")
+    unknown = [s for s in suites if not isinstance(s, str) or s not in _KNOWN_SUITES]
     if unknown:
-        raise ConfigError(f"{origin}: unknown suites {sorted(unknown)}")
+        raise ConfigError(f"{origin}: unknown suites {unknown!r}")
 
     probes = _mapping(cfg.get("probes", {}), f"{origin}: probes")
+    if "count" in probes:
+        _integer(probes["count"], 1, f"{origin}: probes.count")
+    if "max_degree" in probes:
+        _integer(probes["max_degree"], 0, f"{origin}: probes.max_degree")
     for suite in suites:
         if suite in _PROBE_SIZE and not _positive_sizes(_PROBE_SIZE[suite](probes)):
             raise ConfigError(f"{origin}: suite {suite!r} needs positive probe "
                               f"sizes, got {_PROBE_SIZE[suite](probes)!r}")
 
-    lattice = list(cfg.get("lattice", []))
-    _validate_lattice(lattice, f"{origin}: lattice")
+    lattice = _validate_lattice(cfg.get("lattice", []), f"{origin}: lattice")
     generator_lattice = cfg.get("generator_lattice")
     if generator_lattice is not None:
         _validate_lattice(generator_lattice, f"{origin}: generator_lattice")
@@ -313,7 +337,7 @@ def _validate(cfg: dict, origin: str) -> Scenario:
         dynamics=dynamics,
         gauge_cfg=_mapping(cfg.get("gauge", {}), f"{origin}: gauge"),
         eps_list=[_number(e, float, f"{origin}: eps_list")
-                  for e in cfg.get("eps_list", [])],
+                  for e in _list(cfg.get("eps_list", []), f"{origin}: eps_list")],
         raw=cfg,
     )
 

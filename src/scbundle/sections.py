@@ -12,7 +12,11 @@ subgroup once, :func:`central_difference`; the generators and the
 reconstruction build on both.  Only :func:`section_transform` (and the
 Garding smoothing of a lattice-only section) moves lattice values by exact
 re-indexing; everything that must leave the lattice needs the field and
-refuses otherwise.
+refuses otherwise.  A lattice element g fixes that re-indexing once per
+sampling: :meth:`OrbitSampling.transport` looks the sources up by
+coordinates the first time g is seen and caches the permutation, the set
+of samples whose image leaves the window, g^-1 and U_g as a
+:class:`Transport`.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .groups import GroupElement, left_translate, smooth_bump
 __all__ = [
     "LatticeAxis",
     "OrbitSampling",
+    "Transport",
     "Section",
     "BaseFunction",
     "SampledBaseFunction",
@@ -50,6 +55,10 @@ __all__ = [
 
 _ALIGN_TOL = 1e-9
 _STATE_RESOLUTION = 1e-9
+# a transform may drop at most this share of a section's mass |values|^2
+_SUPPORT_TOL = 1e-10
+# lattice elements whose transport one sampling keeps (oldest dropped first)
+_TRANSPORT_CACHE_SIZE = 64
 
 
 def state_keys(rows: np.ndarray) -> np.ndarray:
@@ -93,6 +102,21 @@ class LatticeAxis:
         if self.kind == "cycle":
             return np.ones(np.shape(steps), dtype=bool)
         return (steps >= self.lo) & (steps <= self.hi)
+
+
+@dataclass(frozen=True)
+class Transport:
+    """Exact re-indexing of the samples by a lattice element g (Eq. 7a):
+    the transformed value at sample ``dest[k]`` is U_g applied to the value
+    at sample ``source[k]``.  ``lost`` are the samples whose image under g
+    leaves the window, ``inverse`` is g^-1 and ``fiber`` is U_g.  Every
+    array is read-only."""
+
+    inverse: np.ndarray
+    dest: np.ndarray
+    source: np.ndarray
+    lost: np.ndarray
+    fiber: np.ndarray
 
 
 class OrbitSampling:
@@ -159,6 +183,7 @@ class OrbitSampling:
         flat = (self.steps - self._axis_lo) @ self._axis_stride
         table[flat] = np.arange(self.steps.shape[0])
         self._position_table = table
+        self._transports = {}
 
     def __len__(self) -> int:
         return self.steps.shape[0]
@@ -197,6 +222,29 @@ class OrbitSampling:
             flat = (steps[inside] - self._axis_lo) @ self._axis_stride
             out[inside] = self._position_table[flat]
         return out
+
+    def transport(self, g) -> Transport:
+        """The :class:`Transport` of the lattice element ``g`` (a matrix or
+        a GroupElement), computed on first use and cached by the shape,
+        dtype and bytes of its matrix; raises AlignmentError if ``g`` is
+        off the lattice."""
+        g_mat = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
+        key = (g_mat.shape, g_mat.dtype.str, g_mat.tobytes())
+        cached = self._transports.get(key)
+        if cached is not None:
+            return cached
+        inverse = np.linalg.inv(g_mat)
+        sources = self.indices_of_matrices(left_translate(inverse, self.group_mats))
+        dest = np.nonzero(sources >= 0)[0]
+        lost = np.setdiff1d(np.arange(len(self)), sources[dest])
+        transport = Transport(inverse, dest, sources[dest], lost,
+                              self.action.fiber_matrix(g_mat))
+        for array in vars(transport).values():
+            array.flags.writeable = False
+        if len(self._transports) >= _TRANSPORT_CACHE_SIZE:
+            del self._transports[next(iter(self._transports))]
+        self._transports[key] = transport
+        return transport
 
     def state_rows(self, mats: np.ndarray) -> np.ndarray:
         """Orbit base points u_g(anchor) for arbitrary group matrices."""
@@ -320,26 +368,27 @@ def section_transform(action: BundleAction, g, psi: Section) -> Section:
     U_g applied to the value at u_{g^-1 h}(anchor).
 
     ``g`` must be lattice-aligned (the source lookup raises AlignmentError
-    otherwise); re-indexing is exact.  Nonzero values may not leave the
-    sampled window (that would silently truncate the section), so support
-    overflow raises AlignmentError.
+    otherwise); re-indexing is exact.  The permutation, the samples that
+    leave the window and U_g are computed once per (sampling, g) and cached
+    (:meth:`OrbitSampling.transport`), so a repeated g costs one gather and
+    one matrix product.  Nonzero values may not leave the sampled window
+    (that would silently truncate the section): support overflow, a mass on
+    the leaving samples above 1e-10 of the section's mass, raises
+    AlignmentError.
     """
     sampling = psi.sampling
     if action is not sampling.action:
         raise InputError("section transform with a foreign action")
-    g_mat = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
-    inv_g = np.linalg.inv(g_mat)
-    sources = sampling.indices_of_matrices(left_translate(inv_g, sampling.group_mats))
-    U = action.fiber_matrix(g_mat)
-    new_values = np.zeros_like(psi.values)
-    found = sources >= 0
-    new_values[found] = psi.values[sources[found]] @ U.T
-    if not np.isclose(np.sum(np.abs(new_values) ** 2),
-                      np.sum(np.abs(psi.values) ** 2),
-                      rtol=1e-10, atol=1e-300):
+    transport = sampling.transport(g)
+    lost = np.sum(np.abs(psi.values[transport.lost]) ** 2)
+    # the total mass is summed only when something is lost
+    if lost > 0.0 and lost > _SUPPORT_TOL * np.sum(np.abs(psi.values) ** 2):
         raise AlignmentError(
             "section support left the sampled window under this transform")
-    new_field = None if psi.field is None else pulled_field(psi.field, inv_g, U)
+    new_values = np.zeros_like(psi.values)
+    new_values[transport.dest] = psi.values[transport.source] @ transport.fiber.T
+    new_field = None if psi.field is None else pulled_field(
+        psi.field, transport.inverse, transport.fiber)
     return Section(sampling, new_values, new_field)
 
 
@@ -414,12 +463,11 @@ def reconstruct_pointwise_operator(sampling: OrbitSampling, g, X: ClassicalState
         raise AlignmentError("state is not on the sampled orbit")
     psi = delta_section(sampling, idx, np.asarray(phi0, dtype=complex))
     moved = section_transform(sampling.action, g, psi)
-    g_mat = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
-    target_mat = g_mat @ sampling.group_mats[idx]
-    target = sampling.indices_of_matrices(target_mat[None])[0]
-    if target < 0:
+    transport = sampling.transport(g)
+    target = transport.dest[transport.source == idx]
+    if target.size == 0:
         raise AlignmentError("transformed point left the sampled window")
-    return moved.values[target]
+    return moved.values[target[0]]
 
 
 # ---------------------------------------------------------------------------

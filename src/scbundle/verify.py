@@ -254,11 +254,9 @@ def section_checks(scn: Scenario, action, rng) -> list:
         moved = pairing(section_transform(action, g, phi),
                         section_transform(action, g, psi))
         still = pairing(phi, psi)
-        inv = np.linalg.inv(g.matrix)
-        src = sampling.indices_of_matrices(left_translate(inv, sampling.group_mats))
-        ok = src >= 0
+        transport = sampling.transport(g)
         pair_worst = max(pair_worst, float(np.max(np.abs(
-            moved.values[ok] - still.values[src[ok]]))))
+            moved.values[transport.dest] - still.values[transport.source]))))
         self_pair = pairing(psi, psi).values
         pos_worst = max(pos_worst, float(max(np.max(-self_pair.real, initial=0.0),
                                              np.max(np.abs(self_pair.imag)))))
@@ -279,7 +277,7 @@ def section_checks(scn: Scenario, action, rng) -> list:
     interior = np.nonzero(np.all(
         np.stack([ax.contains(sampling.steps[:, k] + 3) & ax.contains(sampling.steps[:, k] - 3)
                   for k, ax in enumerate(sampling.axes)]), axis=0))[0]
-    stays = [sampling.indices_of_matrices(left_translate(el.matrix, sampling.group_mats)) >= 0
+    stays = [np.isin(np.arange(len(sampling)), sampling.transport(el).source)
              for el in elements]
     if not any(np.any(ok[interior]) for ok in stays):
         raise PreconditionError("every test element moves every interior point out "

@@ -69,6 +69,18 @@ MALFORMED = {
     "law-times-bool": [(("dynamics",), {"law_times": [True]})],
     # 0.0015 takes two steps of 7.5e-4, not steps of 1e-3
     "law-times-off-grid": [(("dynamics",), {"law_times": [0.25, 0.0015]})],
+    "lattice-number": [(("lattice",), 5)],
+    "suites-number": [(("suites",), 5)],
+    "suites-nested-list": [(("suites",), [["sections"]])],
+    "eps-list-number": [(("eps_list",), 5)],
+    "generator-lattice-number": [(("generator_lattice",), 5)],
+    "lattice-cycle-count-zero": [(("lattice", 0), {"kind": "cycle", "count": 0})],
+    "lattice-line-lo-above-hi": [(("lattice", 1, "lo"), 5)],
+    "lattice-spacing-zero": [(("lattice", 0, "spacing"), 0.0)],
+    "lattice-spacing-negative": [(("lattice", 2, "spacing"), -0.0225)],
+    "probes-count-zero": [(("probes", "count"), 0)],
+    "probes-max-degree-fraction": [(("probes", "max_degree"), 2.5)],
+    "probes-max-degree-text": [(("probes", "max_degree"), "three")],
 }
 
 

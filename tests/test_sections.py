@@ -16,6 +16,7 @@ from scbundle.sections import (
     evaluator_transform, multiply, pairing, pullback,
     reconstruct_pointwise_operator, section_transform, smooth_probe_section,
 )
+from scbundle.verify import _lattice_elements
 
 H = 0.15
 
@@ -97,13 +98,16 @@ def test_sampling_base_points_pairwise_distinct(weyl):
     assert np.min(gaps) > 1e-9
 
 
-def test_sampling_stabilizer_deduplication():
-    # the rotor action fixes the base point when (P, Q) = 0, so the whole
-    # circle collapses to one stabilizer class
-    cfg = DimConfig(1, 6)
-    action, _ = so2_rotor_action(cfg)
+def collapsed_rotor_sampling():
+    """The rotor action fixes the base point when (P, Q) = 0, so the whole
+    circle collapses to one stabilizer class."""
+    action, _ = so2_rotor_action(DimConfig(1, 6))
     anchor = ClassicalState(0.2, [0.0], [0.0])
-    sampling = OrbitSampling(action, anchor, [LatticeAxis.cycle(2 * np.pi, 24)])
+    return OrbitSampling(action, anchor, [LatticeAxis.cycle(2 * np.pi, 24)])
+
+
+def test_sampling_stabilizer_deduplication():
+    sampling = collapsed_rotor_sampling()
     assert sampling.deduplicated
     assert len(sampling) == 1
 
@@ -182,6 +186,96 @@ def test_transform_refuses_support_overflow(weyl):
     g = lattice_element(sampling, [6, 0, 0])
     with pytest.raises(AlignmentError):
         section_transform(action, g, psi)
+
+
+@pytest.mark.parametrize("name", [n for n in catalog_names()
+                                  if "sections" in load_scenario(n).suites]
+                         + ["collapsed-rotor"])
+def test_cached_transport_equals_coordinate_lookup(name):
+    """On every sections-suite sampling, the cached transport of each test
+    element (and of the identity) is the source lookup by coordinates, one
+    matrix product per sample."""
+    if name == "collapsed-rotor":
+        sampling = collapsed_rotor_sampling()
+    else:
+        scn = load_scenario(name)
+        sampling = scn.build_sampling(scn.build_action()[0])
+    group = sampling.action.group
+    for g in [group.identity()] + _lattice_elements(sampling):
+        inv = np.linalg.inv(g.matrix)
+        sources = sampling.indices_of_matrices(
+            np.array([inv @ m for m in sampling.group_mats]))
+        dest = np.nonzero(sources >= 0)[0]
+        lost = np.setdiff1d(np.arange(len(sampling)), sources[dest])
+        transport = sampling.transport(g)
+        assert transport is sampling.transport(g.matrix.copy())
+        assert np.array_equal(transport.dest, dest)
+        assert np.array_equal(transport.source, sources[dest])
+        assert np.array_equal(transport.lost, lost)
+        assert transport.inverse.tobytes() == inv.tobytes()
+        assert transport.fiber.tobytes() == sampling.action.fiber_matrix(g).tobytes()
+        # the forward lookup g h: the samples that stay and their images
+        images = sampling.indices_of_matrices(
+            np.array([g.matrix @ m for m in sampling.group_mats]))
+        assert np.array_equal(np.nonzero(images >= 0)[0], np.sort(transport.source))
+        assert np.array_equal(images[transport.source], transport.dest)
+
+
+def test_cached_transport_is_read_only(weyl):
+    _, sampling = weyl
+    transport = sampling.transport(lattice_element(sampling, [1, 0, 2]))
+    assert transport.lost.size > 0
+    for array in (transport.inverse, transport.dest, transport.source,
+                  transport.lost, transport.fiber):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_repeated_transform_reuses_the_source_lookup(monkeypatch):
+    cfg = DimConfig(1, 12)
+    action, _ = heisenberg_weyl_action(cfg)
+    sampling = OrbitSampling(action, ClassicalState(0.0, [0.4], [-0.2]),
+                             [LatticeAxis.line(H, -4, 4)] * 2
+                             + [LatticeAxis.line(H * H, -30, 30)])
+    psi = smooth_probe_section(sampling, np.random.default_rng(3), max_degree=3,
+                               radius=[2 * H, 2 * H, 10 * H * H])
+    g = lattice_element(sampling, [1, -1, 2])
+    first = section_transform(action, g, psi)
+
+    def no_lookup(mats):
+        raise AssertionError("source lookup repeated for a cached element")
+
+    monkeypatch.setattr(sampling, "indices_of_matrices", no_lookup)
+    again = section_transform(action, g, psi)
+    assert again.values.tobytes() == first.values.tobytes()
+    X = sample_state(sampling, sampling.identity_index())
+    assert np.max(np.abs(reconstruct_pointwise_operator(sampling, g, X, np.ones(cfg.dim))
+                         - action.fiber_matrix(g) @ np.ones(cfg.dim))) <= 1e-10
+
+
+def test_transform_support_tolerance(weyl):
+    """Support overflow is measured against the section's mass: a lost mass
+    at 1e-14 of the total is rounding and passes, one at 1e-8 raises."""
+    action, sampling = weyl
+    g = lattice_element(sampling, [1, 0, 0])
+    lost = sampling.transport(g).lost
+    assert 0 < lost.size < len(sampling)
+    values = np.zeros((len(sampling), sampling.fiber_dim), dtype=complex)
+    values[:, 0] = 1.0
+    for share, refused in ((1e-14, False), (1e-8, True)):
+        values[lost, 0] = np.sqrt(share * (len(sampling) - lost.size) / lost.size)
+        psi = Section(sampling, values)
+        assert np.sum(np.abs(values[lost]) ** 2) / np.sum(np.abs(values) ** 2) \
+            == pytest.approx(share, rel=1e-6)
+        if refused:
+            with pytest.raises(AlignmentError):
+                section_transform(action, g, psi)
+        else:
+            out = section_transform(action, g, psi)
+            assert abs(out.norm - 1.0) <= 1e-10
+    zero = Section(sampling, np.zeros_like(values))
+    assert not np.any(section_transform(action, g, zero).values)
 
 
 def test_strong_continuity_surrogate(weyl):

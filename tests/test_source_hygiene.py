@@ -2,7 +2,8 @@
 unused imports, no module-level private name that nothing uses, and pieces
 of numerics written once: left translation of matrix stacks in
 ``groups.left_translate``, the pulled field of the left-regular transform in
-``sections.pulled_field``, the RK4 stage combination in
+``sections.pulled_field``, the source lookup of a left translation in
+``sections.OrbitSampling.transport``, the RK4 stage combination in
 ``dynamics._rk4_step`` and the split-step FFT in
 ``dynamics.reference_schrodinger``."""
 
@@ -153,6 +154,39 @@ def test_pulled_field_pattern_is_recognised():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_pulled_field_written_once(path):
     assert _pulled_fields(ast.parse(path.read_text())) == []
+
+
+def _source_lookups(tree: ast.Module) -> list:
+    """Lines of ``indices_of_matrices(left_translate(...))`` -- the sample
+    indices of a left-translated matrix stack -- outside the ``transport``
+    method of ``OrbitSampling``, which computes each once and caches it."""
+    skip = {id(n) for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "OrbitSampling"
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and node.name == "transport"
+            for n in ast.walk(node)}
+    return [node.lineno for node in ast.walk(tree)
+            if (_calls(node, "indices_of_matrices") and id(node) not in skip
+                and any(_calls(arg, "left_translate") for arg in
+                        node.args + [k.value for k in node.keywords]))]
+
+
+def test_source_lookup_pattern_is_recognised():
+    tree = ast.parse('a = s.indices_of_matrices(left_translate(inv, s.group_mats))\n'
+                     'b = indices_of_matrices(mats=groups.left_translate(g, m))\n'
+                     'c = s.indices_of_matrices(mats)\n'
+                     'class OrbitSampling:\n'
+                     '    def transport(self, g):\n'
+                     '        return self.indices_of_matrices(left_translate(g, m))\n'
+                     'class Other:\n'
+                     '    def transport(self, g):\n'
+                     '        return self.indices_of_matrices(left_translate(g, m))\n')
+    assert _source_lookups(tree) == [1, 2, 9]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_source_lookup_written_once(path):
+    assert _source_lookups(ast.parse(path.read_text())) == []
 
 
 def _owners(tree: ast.Module, match) -> set:
