@@ -28,7 +28,7 @@ from .dynamics import ClassicalState
 from .errors import InputError
 from .fiber import (DimConfig, momentum_operator, position_operator,
                     quadratic_hamiltonian, spectral_exp)
-from .groups import GroupElement, LieGroup, get_group
+from .groups import LieGroup, as_matrix, get_group
 
 __all__ = [
     "BundleAction",
@@ -41,10 +41,6 @@ __all__ = [
     "so2_rotor_action",
     "metaplectic_action",
 ]
-
-
-def _as_matrix(g) -> np.ndarray:
-    return g.matrix if isinstance(g, GroupElement) else np.asarray(g)
 
 
 def _rows(S, P, Q) -> np.ndarray:
@@ -63,7 +59,7 @@ class BundleAction:
     fiber_fn: Callable[[np.ndarray], np.ndarray]
 
     def base_map(self, g, X: ClassicalState) -> ClassicalState:
-        return ClassicalState.from_array(self.base_rows(_as_matrix(g), X.as_array()), X.n)
+        return ClassicalState.from_array(self.base_rows(as_matrix(g), X.as_array()), X.n)
 
     def base_points(self, mats: np.ndarray, X: ClassicalState) -> np.ndarray:
         """Orbit points ``u_g X`` for a stack of group matrices, as state rows
@@ -71,7 +67,7 @@ class BundleAction:
         return self.base_rows(np.asarray(mats), X.as_array())
 
     def fiber_matrix(self, g) -> np.ndarray:
-        return self.fiber_fn(_as_matrix(g))
+        return self.fiber_fn(as_matrix(g))
 
 
 @dataclass(frozen=True)
@@ -221,12 +217,10 @@ def _rotation_flow(drift_rate: float):
     return flow
 
 
-def _line_coordinate(mats) -> np.ndarray:
-    return mats[..., 0, 1].real
-
-
-def _so2_angles(mats) -> np.ndarray:
-    return np.arctan2(mats[..., 1, 0].real, mats[..., 0, 0].real)
+def _coordinate(group: LieGroup, mats) -> np.ndarray:
+    """The chart coordinate of a one-parameter group's matrix or matrix
+    stack."""
+    return group.coords_batch(mats)[..., 0]
 
 
 def oscillator_action(config: DimConfig):
@@ -241,8 +235,8 @@ def oscillator_action(config: DimConfig):
 
     action = BundleAction(
         "oscillator-evolution", group, config,
-        base_rows=lambda mats, rows: flow(_line_coordinate(mats), rows),
-        fiber_fn=lambda mat: np.diag(np.exp(-1j * _line_coordinate(mat) * levels)))
+        base_rows=lambda mats, rows: flow(_coordinate(group, mats), rows),
+        fiber_fn=lambda mat: np.diag(np.exp(-1j * _coordinate(group, mat) * levels)))
     family = GeneratorFamily(group, config, (
         GeneratorData(fiber_hamiltonian=np.diag(levels).astype(complex), flow=flow),
     ))
@@ -263,8 +257,8 @@ def free_particle_action(config: DimConfig):
 
     action = BundleAction(
         "free-particle", group, config,
-        base_rows=lambda mats, rows: flow(_line_coordinate(mats), rows),
-        fiber_fn=lambda mat: spectral_exp(eig, _line_coordinate(mat)))
+        base_rows=lambda mats, rows: flow(_coordinate(group, mats), rows),
+        fiber_fn=lambda mat: spectral_exp(eig, _coordinate(group, mat)))
     family = GeneratorFamily(group, config, (
         GeneratorData(fiber_hamiltonian=_kinetic(config).matrix, flow=flow),
     ))
@@ -283,8 +277,8 @@ def so2_rotor_action(config: DimConfig):
 
     action = BundleAction(
         "so2-rotor", group, config,
-        base_rows=lambda mats, rows: flow(_so2_angles(mats), rows),
-        fiber_fn=lambda mat: np.diag(np.exp(-1j * _so2_angles(mat) * levels)))
+        base_rows=lambda mats, rows: flow(_coordinate(group, mats), rows),
+        fiber_fn=lambda mat: np.diag(np.exp(-1j * _coordinate(group, mat) * levels)))
     family = GeneratorFamily(group, config, (
         GeneratorData(fiber_hamiltonian=np.diag(levels).astype(complex), flow=flow),
     ))
@@ -310,7 +304,7 @@ def metaplectic_action(config: DimConfig, drift: bool = False):
     flow = _rotation_flow(-0.5 if drift else 0.0)
 
     def wrapped(mats):
-        return _so2_angles(mats) % (2 * np.pi)
+        return _coordinate(group, mats) % (2 * np.pi)
 
     action = BundleAction(
         "metaplectic-so2" + ("-drift" if drift else ""), group, config,

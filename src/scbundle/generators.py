@@ -5,10 +5,11 @@ finite differences of the sections' pulled fields (``sections.pulled_field``;
 never by interpolating lattice values), after Garding smoothing against a
 compactly supported kernel summed over lattice-aligned group nodes.  Base
 derivatives are ``sections.central_difference`` of a base field.  The
-identity suite checks linearity, conjugation covariance, the
-commutator/structure-constant match, the multiplication-operator
-commutator, and the pairing derivative, each with a refinement order
-estimate.
+identity suite returns the residuals of linearity, conjugation covariance,
+the commutator/structure-constant match, the multiplication-operator
+commutator, and the pairing derivative, each as a function of the fd step;
+this module judges nothing (tolerances and refinement orders live in
+``verify``).
 """
 
 from __future__ import annotations
@@ -32,10 +33,8 @@ __all__ = [
     "SmoothingKernel",
     "lattice_kernel",
     "garding_smooth",
-    "GeneratorApplication",
     "generator_apply",
     "base_derivative",
-    "IdentityResidual",
     "identity_suite",
 ]
 
@@ -147,16 +146,8 @@ def _difference_field(A: AlgebraElement, psi: Section, action: BundleAction,
     return diff_field
 
 
-@dataclass(frozen=True)
-class GeneratorApplication:
-    """Finite-difference application of a generator to a section."""
-
-    result: Section
-    order_estimate: float
-
-
 def generator_apply(A: AlgebraElement, psi: Section, action: BundleAction,
-                    tau: float, estimate_order: bool = True) -> GeneratorApplication:
+                    tau: float) -> Section:
     """Apply the generator of the one-parameter transform family along A by
     central differences at step ``tau``.
 
@@ -170,18 +161,7 @@ def generator_apply(A: AlgebraElement, psi: Section, action: BundleAction,
         raise AlignmentError(
             "generator application needs a field-backed section "
             "(smooth the input first)")
-    sampling = psi.sampling
-    result = Section.from_field(sampling, _difference_field(A, psi, action, tau))
-    order = np.nan
-    if estimate_order:
-        v1 = result.values
-        v2 = Section.from_field(sampling, _difference_field(A, psi, action, tau / 2)).values
-        v4 = Section.from_field(sampling, _difference_field(A, psi, action, tau / 4)).values
-        r12 = np.max(np.linalg.norm(v1 - v2, axis=1))
-        r24 = np.max(np.linalg.norm(v2 - v4, axis=1))
-        if r24 > 0:
-            order = float(np.log2(r12 / r24))
-    return GeneratorApplication(result, order)
+    return Section.from_field(psi.sampling, _difference_field(A, psi, action, tau))
 
 
 def base_derivative(A: AlgebraElement, alpha, action: BundleAction,
@@ -212,24 +192,15 @@ def base_derivative(A: AlgebraElement, alpha, action: BundleAction,
 # identity suite
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdentityResidual:
-    name: str
-    residual: float
-    refined_residual: float
-
-
-def _apply(A, psi, action, tau) -> Section:
-    return generator_apply(A, psi, action, tau, estimate_order=False).result
-
-
 def identity_suite(A: AlgebraElement, B: AlgebraElement, alpha: BaseFunction,
-                   psi: Section, action: BundleAction, tau: float,
-                   conjugator: Optional[GroupElement] = None) -> list:
-    """Residuals of the five generator identities at ``tau`` and ``tau/2``:
+                   psi: Section, action: BundleAction,
+                   conjugator: Optional[GroupElement] = None) -> dict:
+    """Residuals of the generator identities, each as a function of the fd
+    step (name -> tau -> float):
 
     linearity        H(A+B) = H(A) + H(B) and H(2A) = 2 H(A)
-    conjugation      U_h H(A) U_{h^-1} = H(h A h^-1)  (h = ``conjugator``)
+    conjugation      U_h H(A) U_{h^-1} = H(h A h^-1)  (h = ``conjugator``,
+                     present only when one is given)
     commutator       [H(A), H(B)] = i H([A; B])
     multiplication   i [H(A), v[alpha]] = v[d[A] alpha]
     pairing          -i d[A]<psi, psi> = <psi, H(A) psi> - <H(A) psi, psi>
@@ -238,50 +209,42 @@ def identity_suite(A: AlgebraElement, B: AlgebraElement, alpha: BaseFunction,
     """
     sampling = psi.sampling
     group = action.group
-    out = []
+
+    def H(X, phi, tk):
+        return generator_apply(X, phi, action, tk)
 
     def lin_res(tk):
-        both = _apply(A + B, psi, action, tk)
-        sep = _apply(A, psi, action, tk) + _apply(B, psi, action, tk)
-        add = (both - sep).norm
-        hom = (_apply(2.0 * A, psi, action, tk) - 2.0 * _apply(A, psi, action, tk)).norm
+        add = (H(A + B, psi, tk) - (H(A, psi, tk) + H(B, psi, tk))).norm
+        hom = (H(2.0 * A, psi, tk) - 2.0 * H(A, psi, tk)).norm
         return max(add, hom)
 
     def conj_res(tk):
         h = conjugator
-        if h is None:
-            return None
         h_inv = GroupElement(group, np.linalg.inv(h.matrix))
         lhs = evaluator_transform(
-            action, h, _apply(A, evaluator_transform(action, h_inv, psi), action, tk))
+            action, h, H(A, evaluator_transform(action, h_inv, psi), tk))
         hAh = group.expand_in_basis(h.matrix @ A.matrix @ np.linalg.inv(h.matrix))
-        rhs = _apply(group.algebra(hAh), psi, action, tk)
-        return (lhs - rhs).norm
+        return (lhs - H(group.algebra(hAh), psi, tk)).norm
 
     def comm_res(tk):
-        AB = _apply(A, _apply(B, psi, action, tk), action, tk)
-        BA = _apply(B, _apply(A, psi, action, tk), action, tk)
-        struct = _apply(bracket(A, B), psi, action, tk)
-        return ((AB - BA) - 1j * struct).norm
+        AB = H(A, H(B, psi, tk), tk)
+        BA = H(B, H(A, psi, tk), tk)
+        return ((AB - BA) - 1j * H(bracket(A, B), psi, tk)).norm
 
     def mult_res(tk):
-        lhs = 1j * (_apply(A, multiply(alpha, psi), action, tk)
-                    - multiply(alpha, _apply(A, psi, action, tk)))
+        lhs = 1j * (H(A, multiply(alpha, psi), tk) - multiply(alpha, H(A, psi, tk)))
         dalpha = base_derivative(A, alpha, action, sampling, tk)
-        rhs = Section(sampling, dalpha.values[:, None] * psi.values)
-        return (lhs - rhs).norm
+        return (lhs - Section(sampling, dalpha.values[:, None] * psi.values)).norm
 
     def pair_res(tk):
         dpair = base_derivative(A, pairing(psi, psi), action, sampling, tk)
-        Hpsi = _apply(A, psi, action, tk)
+        Hpsi = H(A, psi, tk)
         rhs = pairing(psi, Hpsi).values - pairing(Hpsi, psi).values
         return float(np.max(np.abs(-1j * dpair.values - rhs)))
 
-    for name, fn in (("linearity", lin_res), ("conjugation", conj_res),
-                     ("commutator", comm_res), ("multiplication", mult_res),
-                     ("pairing_derivative", pair_res)):
-        r = fn(tau)
-        if r is None:
-            continue
-        out.append(IdentityResidual(name, r, fn(tau / 2)))
-    return out
+    residuals = {"linearity": lin_res, "conjugation": conj_res,
+                 "commutator": comm_res, "multiplication": mult_res,
+                 "pairing_derivative": pair_res}
+    if conjugator is None:
+        del residuals["conjugation"]
+    return residuals

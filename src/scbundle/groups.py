@@ -36,6 +36,7 @@ __all__ = [
     "builtin_group_ids",
     "smooth_bump",
     "left_translate",
+    "as_matrix",
 ]
 
 _EXPAND_TOL = 1e-10
@@ -102,17 +103,17 @@ class LieGroup:
     residual_fn : callable, optional
         Manifold membership residual; defaults to the recomposition residual
         through the second-kind chart.
-    factorize_fn / coords_batch_fn : callable, optional
-        Closed-form factorization (single matrix / stacked matrices).  When
-        absent a Newton iteration seeded by the matrix logarithm is used.
+    coords_fn : callable, optional
+        Closed-form second-kind chart on stacks of matrices (..., d, d) ->
+        (..., n), serving one matrix and a stack alike.  When absent a
+        Newton iteration seeded by the matrix logarithm is used.
     periodic_axes : dict, optional
         Maps coordinate axis index to its period (e.g. the rotation angle).
     """
 
     def __init__(self, group_id: str, basis: np.ndarray, factorization_radius: float,
                  residual_fn: Optional[Callable[[np.ndarray], float]] = None,
-                 factorize_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 coords_batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                 coords_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  periodic_axes: Optional[dict] = None):
         basis = np.asarray(basis)
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
@@ -124,8 +125,7 @@ class LieGroup:
         self.factorization_radius = float(factorization_radius)
         self.periodic_axes = dict(periodic_axes or {})
         self._residual_fn = residual_fn
-        self._factorize_fn = factorize_fn
-        self._coords_batch_fn = coords_batch_fn
+        self._coords_fn = coords_fn
         # Pseudo-inverse of the basis-expansion map, real and imaginary parts
         # stacked so coordinates stay real.
         cols = basis.reshape(self.dim, -1).T
@@ -193,8 +193,8 @@ class LieGroup:
         return out
 
     def factorize_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        if self._factorize_fn is not None:
-            t = np.asarray(self._factorize_fn(matrix), dtype=float)
+        if self._coords_fn is not None:
+            t = np.array(self._coords_fn(np.asarray(matrix)), dtype=float)
         else:
             t = self._newton_factorize(matrix)
         if np.max(np.abs(t)) > self.factorization_radius + 1e-12:
@@ -204,9 +204,11 @@ class LieGroup:
         return t
 
     def coords_batch(self, mats: np.ndarray) -> np.ndarray:
-        """Second-kind coordinates for a stack of group matrices (J, d, d)."""
-        if self._coords_batch_fn is not None:
-            return self._coords_batch_fn(np.asarray(mats))
+        """Second-kind coordinates of a stack of group matrices (J, d, d) ->
+        (J, n).  A closed-form chart also takes one matrix (d, d) -> (n,)
+        and, unlike :meth:`factorize_matrix`, checks no domain."""
+        if self._coords_fn is not None:
+            return self._coords_fn(np.asarray(mats))
         return np.array([self.factorize_matrix(m) for m in np.asarray(mats)])
 
     def _newton_factorize(self, matrix: np.ndarray) -> np.ndarray:
@@ -310,6 +312,11 @@ def smooth_bump(radius) -> Callable[[np.ndarray], np.ndarray]:
     return fn
 
 
+def as_matrix(g) -> np.ndarray:
+    """The matrix of a GroupElement, or ``g`` itself as an array."""
+    return g.matrix if isinstance(g, GroupElement) else np.asarray(g)
+
+
 def left_translate(g: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """Left translates ``g @ m`` of a stack of matrices (J, d, d).
 
@@ -365,8 +372,7 @@ def _make_real_line() -> LieGroup:
     return LieGroup(
         "real_line", basis, factorization_radius=np.inf,
         residual_fn=_unipotent_residual(pattern),
-        factorize_fn=lambda m: np.array([m[0, 1].real]),
-        coords_batch_fn=lambda ms: ms[:, 0, 1].real.reshape(-1, 1),
+        coords_fn=lambda ms: ms[..., 0, 1, None].real,
     )
 
 
@@ -379,21 +385,12 @@ def _make_translations_r2() -> LieGroup:
     return LieGroup(
         "translations_r2", basis, factorization_radius=np.inf,
         residual_fn=_unipotent_residual(pattern),
-        factorize_fn=lambda m: np.array([m[0, 2].real, m[1, 2].real]),
-        coords_batch_fn=lambda ms: np.stack(
-            [ms[:, 0, 2].real, ms[:, 1, 2].real], axis=-1),
+        coords_fn=lambda ms: np.stack([ms[..., 0, 2].real, ms[..., 1, 2].real], axis=-1),
     )
 
 
-def _heisenberg_factorize(m: np.ndarray) -> np.ndarray:
-    a, b, c = m[0, 1].real, m[1, 2].real, m[0, 2].real
-    return np.array([a, b, c - a * b])
-
-
-def _heisenberg_batch(ms: np.ndarray) -> np.ndarray:
-    a = ms[:, 0, 1].real
-    b = ms[:, 1, 2].real
-    c = ms[:, 0, 2].real
+def _heisenberg_coords(ms: np.ndarray) -> np.ndarray:
+    a, b, c = ms[..., 0, 1].real, ms[..., 1, 2].real, ms[..., 0, 2].real
     return np.stack([a, b, c - a * b], axis=-1)
 
 
@@ -407,8 +404,7 @@ def _make_heisenberg() -> LieGroup:
     return LieGroup(
         "heisenberg", basis, factorization_radius=np.inf,
         residual_fn=_unipotent_residual(pattern),
-        factorize_fn=_heisenberg_factorize,
-        coords_batch_fn=_heisenberg_batch,
+        coords_fn=_heisenberg_coords,
     )
 
 
@@ -425,9 +421,8 @@ def _make_so2() -> LieGroup:
     return LieGroup(
         "so2", basis, factorization_radius=np.pi,
         residual_fn=_so2_residual,
-        factorize_fn=lambda m: np.array([np.arctan2(m[1, 0].real, m[0, 0].real)]),
-        coords_batch_fn=lambda ms: np.arctan2(
-            ms[:, 1, 0].real, ms[:, 0, 0].real).reshape(-1, 1),
+        coords_fn=lambda ms: np.arctan2(ms[..., 1, 0, None].real,
+                                        ms[..., 0, 0, None].real),
         periodic_axes={0: 2 * np.pi},
     )
 

@@ -21,7 +21,7 @@ from .actions import GeneratorFamily
 from .errors import (AlignmentError, InputError, NumericalError,
                      PreconditionError)
 from .fiber import spectral_exp
-from .groups import GroupElement, factorize_second_kind
+from .groups import GroupElement, as_matrix, factorize_second_kind
 from .sections import Section, central_difference, pulled_field
 
 __all__ = [
@@ -173,23 +173,19 @@ def word_identity_check(family: GeneratorFamily, word: Sequence,
 # ---------------------------------------------------------------------------
 
 def conjugation_check(family: GeneratorFamily, k: int, t: float,
-                      A_coords: np.ndarray, psi: Section, tau: float) -> tuple:
+                      A_coords: np.ndarray, psi: Section, tau: float) -> float:
     """Residual of  U^{-t}_{B_k} H(A) U^t_{B_k} psi = H(Ad_{exp(-B_k t)} A) psi
-    at fd steps tau and tau/2 (it must shrink at order >= 1)."""
+    with generators taken by central differences at fd step ``tau``."""
     group = family.group
     A_coords = np.asarray(A_coords, dtype=float)
     gen = np.tensordot(A_coords, group.basis, axes=(0, 0))
     h_inv = scipy.linalg.expm(-t * group.basis[k])
     adjoint_coords = group.expand_in_basis(h_inv @ gen @ np.linalg.inv(h_inv))
-
-    def residual(tk):
-        inner = exponentiate_generator(family, k, t, psi)
-        mid = family_generator_apply(family, A_coords, inner, tk)
-        lhs = exponentiate_generator(family, k, -t, mid)
-        rhs = family_generator_apply(family, adjoint_coords, psi, tk)
-        return (lhs - rhs).norm
-
-    return residual(tau), residual(tau / 2)
+    inner = exponentiate_generator(family, k, t, psi)
+    mid = family_generator_apply(family, A_coords, inner, tau)
+    lhs = exponentiate_generator(family, k, -t, mid)
+    rhs = family_generator_apply(family, adjoint_coords, psi, tau)
+    return (lhs - rhs).norm
 
 
 @dataclass(frozen=True)
@@ -204,8 +200,7 @@ def group_law_verify(family: GeneratorFamily, g1, g2, psi: Section,
     closure of their derivative: the fd generator of the reconstructed action
     per basis direction against the family's split form, relative to its
     size."""
-    m1 = g1.matrix if isinstance(g1, GroupElement) else np.asarray(g1)
-    m2 = g2.matrix if isinstance(g2, GroupElement) else np.asarray(g2)
+    m1, m2 = as_matrix(g1), as_matrix(g2)
     two_step = reconstruct_group_operator(
         family, m1, reconstruct_group_operator(family, m2, psi))
     one_step = reconstruct_group_operator(family, m1 @ m2, psi)

@@ -93,6 +93,11 @@ class Scenario:
     def fd_tau(self) -> float:
         return float(self.numerics.get("fd_tau", 1e-3))
 
+    @property
+    def max_degree(self) -> int:
+        """Highest fiber degree a probe section populates."""
+        return int(self.probes.get("max_degree", 3))
+
     def probe_size(self, suite: str):
         """Per-axis probe bump size a suite reads: ``radius`` for sections
         (falling back to ``sigma``) and gauge, ``sigma`` for generators and
@@ -165,12 +170,15 @@ def _number(value, kind, where: str):
         raise ConfigError(f"{where} must be a number, got {value!r}") from err
 
 
-def _positive_sizes(value) -> bool:
+def _sizes(value, dim: int) -> bool:
+    """Whether ``value`` is positive, finite per-axis sizes that broadcast to
+    ``dim`` axes: a scalar, one value, or one value per axis."""
     try:
         size = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         return False
-    return size.size > 0 and bool(np.all(np.isfinite(size) & (size > 0)))
+    return (size.ndim <= 1 and size.size in (1, dim)
+            and bool(np.all(np.isfinite(size) & (size > 0))))
 
 
 def _mapping(value, where: str) -> dict:
@@ -217,10 +225,13 @@ def _validate_law_times(law_times, dt: float, where: str) -> None:
         raise ConfigError(f"{where}: not on one step grid ({err})") from err
 
 
-def _validate_lattice(spec_list, where: str) -> list:
-    """A list of axes: lines with a positive spacing and lo <= hi, cycles
-    with at least one node."""
+def _validate_lattice(spec_list, dim: int, where: str) -> list:
+    """A list of axes, none or one per group coordinate: lines with a
+    positive spacing and lo <= hi, cycles with at least one node."""
     spec_list = _list(spec_list, where)
+    if spec_list and len(spec_list) != dim:
+        raise ConfigError(f"{where}: {len(spec_list)} axes for a group with "
+                          f"{dim} coordinates")
     for i, item in enumerate(spec_list):
         at = f"{where}[{i}]"
         kind = _need(item, "kind", at)
@@ -253,7 +264,7 @@ def _validate(cfg: dict, origin: str) -> Scenario:
             raise ConfigError(f"{origin}: malformed group_def ({err!r})") from err
     group_id = str(need("group_id"))
     try:
-        get_group(group_id)
+        dim = get_group(group_id).dim
     except Exception as err:
         raise ConfigError(f"{origin}: group {group_id!r} not registered "
                           f"(built-ins: {builtin_group_ids()})") from err
@@ -289,15 +300,26 @@ def _validate(cfg: dict, origin: str) -> Scenario:
         _integer(probes["count"], 1, f"{origin}: probes.count")
     if "max_degree" in probes:
         _integer(probes["max_degree"], 0, f"{origin}: probes.max_degree")
-    for suite in suites:
-        if suite in _PROBE_SIZE and not _positive_sizes(_PROBE_SIZE[suite](probes)):
-            raise ConfigError(f"{origin}: suite {suite!r} needs positive probe "
-                              f"sizes, got {_PROBE_SIZE[suite](probes)!r}")
+    kernel_radius = cfg.get("kernel_radius")
+    if kernel_radius is not None and not _sizes(kernel_radius, dim):
+        raise ConfigError(f"{origin}: kernel_radius needs positive sizes for "
+                          f"{dim} coordinates, got {kernel_radius!r}")
 
-    lattice = _validate_lattice(cfg.get("lattice", []), f"{origin}: lattice")
+    lattice = _validate_lattice(cfg.get("lattice", []), dim, f"{origin}: lattice")
     generator_lattice = cfg.get("generator_lattice")
-    if generator_lattice is not None:
-        _validate_lattice(generator_lattice, f"{origin}: generator_lattice")
+    if generator_lattice is not None and not _validate_lattice(
+            generator_lattice, dim, f"{origin}: generator_lattice"):
+        raise ConfigError(f"{origin}: generator_lattice is empty")
+    for suite in suites:
+        if suite not in _PROBE_SIZE:
+            continue
+        if not lattice:
+            raise ConfigError(f"{origin}: suite {suite!r} samples the orbit "
+                              f"and needs a lattice")
+        if not _sizes(_PROBE_SIZE[suite](probes), dim):
+            raise ConfigError(f"{origin}: suite {suite!r} needs positive probe "
+                              f"sizes for {dim} coordinates, got "
+                              f"{_PROBE_SIZE[suite](probes)!r}")
 
     action_name = cfg.get("action")
     if action_name is not None and action_name not in _ACTION_BUILDERS:
@@ -331,7 +353,7 @@ def _validate(cfg: dict, origin: str) -> Scenario:
         generator_lattice=generator_lattice,
         numerics=numerics,
         probes=probes,
-        kernel_radius=cfg.get("kernel_radius"),
+        kernel_radius=kernel_radius,
         suites=suites,
         strict_group_law=bool(cfg.get("strict_group_law", False)),
         dynamics=dynamics,

@@ -30,7 +30,7 @@ import scipy.linalg
 from .actions import BundleAction
 from .dynamics import ClassicalState
 from .errors import AlignmentError, InputError
-from .groups import GroupElement, left_translate, smooth_bump
+from .groups import as_matrix, left_translate, smooth_bump
 
 __all__ = [
     "LatticeAxis",
@@ -228,7 +228,7 @@ class OrbitSampling:
         a GroupElement), computed on first use and cached by the shape,
         dtype and bytes of its matrix; raises AlignmentError if ``g`` is
         off the lattice."""
-        g_mat = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
+        g_mat = as_matrix(g)
         key = (g_mat.shape, g_mat.dtype.str, g_mat.tobytes())
         cached = self._transports.get(key)
         if cached is not None:
@@ -403,7 +403,7 @@ def evaluator_transform(action: BundleAction, g, psi: Section) -> Section:
     sampling = psi.sampling
     if action is not sampling.action:
         raise InputError("section transform with a foreign action")
-    g_mat = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
+    g_mat = as_matrix(g)
     return Section.from_field(
         sampling, pulled_field(psi.field, np.linalg.inv(g_mat), action.fiber_matrix(g_mat)))
 
@@ -423,7 +423,7 @@ def multiply(alpha: BaseFunction, psi: Section) -> Section:
 
 def pullback(action: BundleAction, g, alpha: BaseFunction) -> BaseFunction:
     """Base-function pullback: X -> alpha(u_{g^-1} X)."""
-    g_mat = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
+    g_mat = as_matrix(g)
     inv = np.linalg.inv(g_mat)
 
     def batch(rows: np.ndarray) -> np.ndarray:

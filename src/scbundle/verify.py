@@ -3,8 +3,13 @@
 Each suite turns one block of the theory into check records with pinned
 tolerances: the Lie layer, the evolution pipeline, the section calculus, the
 generator identities, the group-law reconstruction, and the gauge layer.
-Any exception inside a suite becomes a failing record instead of a crash,
-and everything is deterministic given the scenario seed.
+The library modules only compute residuals; every tolerance and every
+refinement-order decision is made here.  A finite-difference check hands its
+residual as a function of the fd step to :func:`_refined`, the one place that
+pairs a residual record with its ``_order`` record (the steps, the roundoff
+floor and the contracted order).  Any exception inside a suite becomes a
+failing record instead of a crash, and everything is deterministic given the
+scenario seed.
 """
 
 from __future__ import annotations
@@ -45,6 +50,17 @@ def _order_gap(residual: float, refined: float, contracted: float) -> float:
         return 0.0
     order = np.log2(residual / refined) if refined > 0 else np.inf
     return float(max(0.0, contracted - order))
+
+
+def _refined(check_id: str, anchor: str, tol: float, residual, tau: float,
+             contracted: float) -> list:
+    """The record of a finite-difference check, ``residual(tau)`` against
+    ``tol``, followed by its ``<check_id>_order`` record: the residual at
+    tau/2 must shrink at the contracted order (``_order_gap``)."""
+    r, r_half = residual(tau), residual(tau / 2)
+    return [CheckRecord(check_id, anchor, r, tol),
+            CheckRecord(f"{check_id}_order", anchor,
+                        _order_gap(r, r_half, contracted), 1e-9)]
 
 
 def _monotone_ratio(drifts) -> float:
@@ -221,9 +237,8 @@ def dynamics_checks(scn: Scenario, rng) -> list:
 def section_checks(scn: Scenario, action, rng) -> list:
     sampling = scn.build_sampling(action)
     radius = scn.probe_size("sections")
-    max_degree = int(scn.probes.get("max_degree", 3))
     count = int(scn.probes.get("count", 10))
-    sections = [smooth_probe_section(sampling, rng, max_degree, radius)
+    sections = [smooth_probe_section(sampling, rng, scn.max_degree, radius)
                 for _ in range(count)]
     elements = _lattice_elements(sampling)
     alpha = _smooth_alpha()
@@ -315,8 +330,7 @@ def section_checks(scn: Scenario, action, rng) -> list:
 def generator_checks(scn: Scenario, action, rng) -> list:
     sampling = scn.build_sampling(action, generator_scale=True)
     sigma = scn.probe_size("generators")
-    max_degree = int(scn.probes.get("max_degree", 3))
-    probe = gentle_probe_section(sampling, rng, max_degree, sigma)
+    probe = gentle_probe_section(sampling, rng, scn.max_degree, sigma)
     kernel = lattice_kernel(sampling, scn.kernel_radius or sigma)
     psi = garding_smooth(kernel, probe, action)
     group = action.group
@@ -329,20 +343,16 @@ def generator_checks(scn: Scenario, action, rng) -> list:
         A = group.algebra([1.0])
         B = group.algebra([0.6])
     conj = _lattice_elements(sampling)[3]
-    residuals = identity_suite(A, B, _smooth_alpha(), psi, action, tau,
-                               conjugator=conj)
+    residuals = identity_suite(A, B, _smooth_alpha(), psi, action, conjugator=conj)
 
     anchors = {"linearity": "Eq. (18)", "conjugation": "Eq. (18)",
                "commutator": "Eq. (18)", "multiplication": "Eq. (20a)",
                "pairing_derivative": "Eq. (21)"}
     records = []
-    for r in residuals:
-        records.append(CheckRecord(f"generator_{r.name}", anchors[r.name],
-                                   r.residual, 1e-4))
-        contracted = 1.0 if r.name == "commutator" else 2.0
-        gap = _order_gap(r.residual, r.refined_residual, contracted - 0.15)
-        records.append(CheckRecord(f"generator_{r.name}_order", anchors[r.name],
-                                   gap, 1e-9))
+    for name, residual in residuals.items():
+        contracted = 0.85 if name == "commutator" else 1.85
+        records += _refined(f"generator_{name}", anchors[name], 1e-4, residual,
+                            tau, contracted)
 
     # smoothing covariance under left translation
     from .generators import SmoothingKernel
@@ -365,9 +375,10 @@ def generator_checks(scn: Scenario, action, rng) -> list:
     records.append(CheckRecord("smoothing_approximates_identity", "Lemma 3.3",
                                _monotone_ratio(drifts), 0.999))
 
-    app = generator_apply(A, psi, action, 2 * tau)
+    steps = [generator_apply(A, psi, action, tk) for tk in (2 * tau, tau, tau / 2)]
+    r12, r24 = ((a - b).norm for a, b in zip(steps, steps[1:]))
     records.append(CheckRecord("generator_fd_order", "Eq. (16a)",
-                               max(0.0, 1.9 - app.order_estimate), 1e-9))
+                               _order_gap(r12, r24, 1.9), 1e-9))
     return records
 
 
@@ -378,8 +389,7 @@ def generator_checks(scn: Scenario, action, rng) -> list:
 def reconstruction_checks(scn: Scenario, action, family, rng) -> list:
     sampling = scn.build_sampling(action, generator_scale=True)
     sigma = scn.probe_size("reconstruction")
-    max_degree = int(scn.probes.get("max_degree", 3))
-    psi = gentle_probe_section(sampling, rng, max_degree, sigma)
+    psi = gentle_probe_section(sampling, rng, scn.max_degree, sigma)
     group = action.group
     tau = scn.fd_tau
     records = []
@@ -474,10 +484,9 @@ def reconstruction_checks(scn: Scenario, action, family, rng) -> list:
 
     k_conj = 1 if group.dim >= 2 else 0
     A_coords = np.eye(group.dim)[0]
-    r, r_half = conjugation_check(family, k_conj, 0.3, A_coords, psi, tau)
-    records.append(CheckRecord("conjugation_covariance", "Lemma 4.4", r, 1e-4))
-    records.append(CheckRecord("conjugation_covariance_order", "Lemma 4.4",
-                               _order_gap(r, r_half, 0.85), 1e-9))
+    records += _refined("conjugation_covariance", "Lemma 4.4", 1e-4,
+                        lambda tk: conjugation_check(family, k_conj, 0.3, A_coords,
+                                                     psi, tk), tau, 0.85)
 
     records.extend(_axiom_surrogates(scn, action, family, psi, rng))
     return records
@@ -488,31 +497,28 @@ def _axiom_surrogates(scn, action, family, psi, rng) -> list:
     sampling = psi.sampling
     group = action.group
     tau = scn.fd_tau
-    phi = gentle_probe_section(sampling, rng, int(scn.probes.get("max_degree", 3)),
+    phi = gentle_probe_section(sampling, rng, scn.max_degree,
                                scn.probe_size("reconstruction"))
     A = group.algebra(np.eye(group.dim)[0])
     from .generators import base_derivative
 
     def a2_residual(tk):
-        Hpsi = generator_apply(A, psi, action, tk, estimate_order=False).result
-        Hphi = generator_apply(A, phi, action, tk, estimate_order=False).result
+        Hpsi = generator_apply(A, psi, action, tk)
+        Hphi = generator_apply(A, phi, action, tk)
         d = base_derivative(A, pairing(phi, psi), action, sampling, tk)
         rhs = pairing(phi, Hpsi).values - pairing(Hphi, psi).values
         return float(np.max(np.abs(-1j * d.values - rhs)))
 
-    r, r_half = a2_residual(tau), a2_residual(tau / 2)
-    records = [CheckRecord("axiom_a2_surrogate", "Axiom A2", r, 1e-4),
-               CheckRecord("axiom_a2_surrogate_order", "Axiom A2",
-                           _order_gap(r, r_half, 0.85), 1e-9)]
+    records = _refined("axiom_a2_surrogate", "Axiom A2", 1e-4, a2_residual, tau, 0.85)
 
     if group.dim >= 2:
         B = group.algebra(np.eye(group.dim)[1])
 
         def a5_residual(tk):
-            HA_phi = generator_apply(A, phi, action, tk, estimate_order=False).result
-            HB_phi = generator_apply(B, phi, action, tk, estimate_order=False).result
-            HA_psi = generator_apply(A, psi, action, tk, estimate_order=False).result
-            HB_psi = generator_apply(B, psi, action, tk, estimate_order=False).result
+            HA_phi = generator_apply(A, phi, action, tk)
+            HB_phi = generator_apply(B, phi, action, tk)
+            HA_psi = generator_apply(A, psi, action, tk)
+            HB_psi = generator_apply(B, psi, action, tk)
             term1 = pairing(HA_psi, HB_phi).values
             term2 = -1j * base_derivative(A, pairing(psi, HB_phi), action,
                                           sampling, tk).values
@@ -520,14 +526,11 @@ def _axiom_surrogates(scn, action, family, psi, rng) -> list:
             term4 = 1j * base_derivative(B, pairing(psi, HA_phi), action,
                                          sampling, tk).values
             comm = bracket(A, B)
-            rhs = 1j * pairing(psi, generator_apply(
-                comm, phi, action, tk, estimate_order=False).result).values
+            rhs = 1j * pairing(psi, generator_apply(comm, phi, action, tk)).values
             return float(np.max(np.abs(term1 + term2 + term3 + term4 - rhs)))
 
-        r, r_half = a5_residual(tau), a5_residual(tau / 2)
-        records.append(CheckRecord("axiom_a5_surrogate", "Axiom A5", r, 1e-3))
-        records.append(CheckRecord("axiom_a5_surrogate_order", "Axiom A5",
-                                   _order_gap(r, r_half, 0.85), 1e-9))
+        records += _refined("axiom_a5_surrogate", "Axiom A5", 1e-3, a5_residual,
+                            tau, 0.85)
     return records
 
 
@@ -554,9 +557,7 @@ def gauge_checks(scn: Scenario, rng) -> list:
 
     # the full-period word on normalized probes through the generator family
     sampling = scn.build_sampling(strict_action)
-    probe = smooth_probe_section(sampling, rng,
-                                 int(scn.probes.get("max_degree", 4)),
-                                 scn.probe_size("gauge"))
+    probe = smooth_probe_section(sampling, rng, scn.max_degree, scn.probe_size("gauge"))
     probe = (1.0 / probe.norm) * probe
     word = word_identity_check(strict_family, [(0, 2 * np.pi)], [probe])
     records.append(CheckRecord("word_anomaly_magnitude", "Lemma 4.5",

@@ -9,8 +9,8 @@ from scbundle.dynamics import ClassicalState
 from scbundle.errors import AlignmentError, InputError
 from scbundle.fiber import DimConfig
 from scbundle.generators import (
-    GeneratorApplication, SmoothingKernel, base_derivative, garding_smooth,
-    generator_apply, identity_suite, lattice_kernel,
+    SmoothingKernel, base_derivative, garding_smooth, generator_apply,
+    identity_suite, lattice_kernel,
 )
 from scbundle.sections import (BaseFunction, LatticeAxis, OrbitSampling,
                                Section, gentle_probe_section, pairing,
@@ -173,8 +173,7 @@ def test_kernel_must_fit_window(weyl):
 def test_generator_zero_direction(weyl, smoothed):
     action, sampling = weyl
     A = action.group.algebra([0.0, 0.0, 0.0])
-    app = generator_apply(A, smoothed, action, tau=1e-3, estimate_order=False)
-    assert app.result.norm <= 1e-12
+    assert generator_apply(A, smoothed, action, tau=1e-3).norm <= 1e-12
 
 
 def test_generator_linearity(weyl, smoothed):
@@ -182,18 +181,19 @@ def test_generator_linearity(weyl, smoothed):
     G = action.group
     A1, A2 = G.algebra([1.0, 0.0, 0.0]), G.algebra([0.0, 1.0, 0.5])
     tau = 1e-3
-    both = generator_apply(A1 + A2, smoothed, action, tau, estimate_order=False)
-    sep = (generator_apply(A1, smoothed, action, tau, estimate_order=False).result
-           + generator_apply(A2, smoothed, action, tau, estimate_order=False).result)
-    assert (both.result - sep).norm <= 1e-4
+    both = generator_apply(A1 + A2, smoothed, action, tau)
+    sep = (generator_apply(A1, smoothed, action, tau)
+           + generator_apply(A2, smoothed, action, tau))
+    assert (both - sep).norm <= 1e-4
 
 
 def test_generator_order_estimate_on_smoothed(weyl, smoothed):
     action, _ = weyl
     A = action.group.algebra([0.6, -0.8, 0.3])
-    app = generator_apply(A, smoothed, action, tau=2e-3)
-    assert isinstance(app, GeneratorApplication)
-    assert app.order_estimate >= 1.9
+    apps = [generator_apply(A, smoothed, action, tau) for tau in (2e-3, 1e-3, 5e-4)]
+    assert all(isinstance(app, Section) for app in apps)
+    r12, r24 = ((a - b).norm for a, b in zip(apps, apps[1:]))
+    assert np.log2(r12 / r24) >= 1.9
 
 
 def test_generator_refuses_lattice_only_sections(weyl):
@@ -228,8 +228,7 @@ def test_oscillator_generator_fiber_and_phase_term():
     psi = Section.from_field(sampling, field)
     A = action.group.algebra([1.0])
     tau = 1e-3
-    app = generator_apply(A, psi, action, tau, estimate_order=False)
-    got = app.result.values[sampling.identity_index()]
+    got = generator_apply(A, psi, action, tau).values[sampling.identity_index()]
     # analytic: [diag(k+1/2) + dS/dt] psi(anchor) -- the pulled-back argument
     # flips the sign of the action-rate term; envelope even at 0
     levels = np.arange(cfg.dim) + 0.5
@@ -283,16 +282,15 @@ def test_identity_suite_heisenberg(weyl, smoothed):
     G = action.group
     A, B = G.algebra([1.0, 0.0, 0.0]), G.algebra([0.0, 1.0, 0.0])
     conj = G.element(G.compose_exps([H, H, 0.0]))
-    res = identity_suite(A, B, smooth_alpha(), smoothed, action, tau=1e-3,
-                         conjugator=conj)
-    by_name = {r.name: r for r in res}
-    assert set(by_name) == {"linearity", "conjugation", "commutator",
-                            "multiplication", "pairing_derivative"}
-    for r in res:
-        contracted = 1.0 if r.name == "commutator" else 2.0
-        assert (r.refined_residual <= FLOOR
-                or np.log2(r.residual / r.refined_residual) >= contracted - 0.15), r.name
-    assert by_name["commutator"].residual <= 1e-4
+    res = identity_suite(A, B, smooth_alpha(), smoothed, action, conjugator=conj)
+    assert set(res) == {"linearity", "conjugation", "commutator",
+                        "multiplication", "pairing_derivative"}
+    for name, residual in res.items():
+        r, r_half = residual(1e-3), residual(5e-4)
+        contracted = 1.0 if name == "commutator" else 2.0
+        assert r_half <= FLOOR or np.log2(r / r_half) >= contracted - 0.15, name
+        if name == "commutator":
+            assert r <= 1e-4
 
 
 def test_identity_suite_abelian_commutator_vanishes():
@@ -308,9 +306,9 @@ def test_identity_suite_abelian_commutator_vanishes():
     psi = garding_smooth(kernel, probe, action)
     G = action.group
     A, B = G.algebra([1.0, 0.0]), G.algebra([0.0, 1.0])
-    res = identity_suite(A, B, smooth_alpha(), psi, action, tau=1e-3)
-    comm = [r for r in res if r.name == "commutator"][0]
-    assert comm.residual <= 1e-4
+    res = identity_suite(A, B, smooth_alpha(), psi, action)
+    assert "conjugation" not in res
+    assert res["commutator"](1e-3) <= 1e-4
 
 
 def test_identity_suite_constant_alpha_vanishes(weyl, smoothed):
@@ -318,7 +316,6 @@ def test_identity_suite_constant_alpha_vanishes(weyl, smoothed):
     G = action.group
     A, B = G.algebra([1.0, 0.0, 0.0]), G.algebra([0.0, 1.0, 0.0])
     const = BaseFunction(batch=lambda rows: np.full(rows.shape[0], 1.5 + 0j))
-    res = identity_suite(A, B, const, smoothed, action, tau=1e-3)
-    mult = [r for r in res if r.name == "multiplication"][0]
-    assert mult.residual <= 1e-6
+    res = identity_suite(A, B, const, smoothed, action)
+    assert res["multiplication"](1e-3) <= 1e-6
 

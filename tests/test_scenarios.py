@@ -81,6 +81,17 @@ MALFORMED = {
     "probes-count-zero": [(("probes", "count"), 0)],
     "probes-max-degree-fraction": [(("probes", "max_degree"), 2.5)],
     "probes-max-degree-text": [(("probes", "max_degree"), "three")],
+    "lattice-two-axes": [(("lattice",), BASE["lattice"][:2])],
+    "generator-lattice-two-axes": [(("generator_lattice",), BASE["lattice"][:2])],
+    "generator-lattice-empty": [(("generator_lattice",), [])],
+    "sections-without-lattice": [(("lattice",), [])],
+    "gauge-without-lattice": [(("lattice",), []), (("suites",), ["gauge"])],
+    "kernel-radius-text": [(("kernel_radius",), "wide")],
+    "kernel-radius-two-axes": [(("kernel_radius",), [0.16, 0.16])],
+    "kernel-radius-zero": [(("kernel_radius",), [0.16, 0.0, 0.07])],
+    "radius-two-axes": [(("probes", "radius"), [0.4, 0.4])],
+    "sigma-two-axes": [(("probes", "sigma"), [0.4, 0.4])],
+    "radius-nested": [(("probes", "radius"), [[0.4, 0.4, 0.35]])],
 }
 
 
@@ -120,6 +131,15 @@ def test_catalog_configs_load():
     assert len(names) == 7
     for name in names:
         assert load_scenario(name).name == name
+
+
+def test_sizes_broadcast_to_the_group_dimension(tmp_path):
+    """A scalar or a single value serves every axis."""
+    cfg = dict(copy.deepcopy(BASE), kernel_radius=0.1)
+    cfg["probes"].update(sigma=[0.4], radius=0.4)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    assert load_scenario(str(path)).kernel_radius == 0.1
 
 
 def test_law_times_on_the_step_grid_load(tmp_path):

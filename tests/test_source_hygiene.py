@@ -4,8 +4,9 @@ of numerics written once: left translation of matrix stacks in
 ``groups.left_translate``, the pulled field of the left-regular transform in
 ``sections.pulled_field``, the source lookup of a left translation in
 ``sections.OrbitSampling.transport``, the RK4 stage combination in
-``dynamics._rk4_step`` and the split-step FFT in
-``dynamics.reference_schrodinger``."""
+``dynamics._rk4_step``, the split-step FFT in
+``dynamics.reference_schrodinger`` and the measured refinement order (log2
+of a residual ratio) in ``verify._order_gap``."""
 
 import ast
 import re
@@ -221,6 +222,12 @@ def _is_fft(node: ast.AST) -> bool:
     return _calls(node, "fft")
 
 
+def _is_order_estimate(node: ast.AST) -> bool:
+    """log2 of a quotient: the order measured from two residuals."""
+    return (_calls(node, "log2") and bool(node.args)
+            and isinstance(node.args[0], ast.BinOp) and isinstance(node.args[0].op, ast.Div))
+
+
 def test_written_once_patterns_are_recognised():
     tree = ast.parse('import numpy as np\n'
                      'def step(a, b, c, d):\n'
@@ -230,9 +237,12 @@ def test_written_once_patterns_are_recognised():
                      '        return k1 + 2 * k2 + 2 * k3 + k4\n'
                      '    return np.fft.fft(inner(1, 2, 3, 4))\n'
                      'def other(a, b, c, d):\n'
-                     '    return a + 2 * b + 3 * c + d, np.fft.ifft(a), fft(b)\n')
+                     '    return a + 2 * b + 3 * c + d, np.fft.ifft(a), fft(b)\n'
+                     'def order(r12, r24):\n'
+                     '    return float(np.log2(r12 / r24)), np.log2(r12), log2(r12 / 2)\n')
     assert _owners(tree, _is_rk4_combination) == {"step", "inner"}
     assert _owners(tree, _is_fft) == {"outer", "other"}
+    assert _owners(tree, _is_order_estimate) == {"order"}
 
 
 def test_rk4_stage_combination_written_once():
@@ -241,3 +251,7 @@ def test_rk4_stage_combination_written_once():
 
 def test_split_step_fft_written_once():
     assert _package_owners(_is_fft) == {("dynamics.py", "reference_schrodinger")}
+
+
+def test_refinement_order_measured_once():
+    assert _package_owners(_is_order_estimate) == {("verify.py", "_order_gap")}

@@ -36,6 +36,28 @@ def _reduced_oscillator(suites):
                    suites=suites)
 
 
+def test_refined_judges_the_refinement_order():
+    """A residual that decays at first order fails its order record; one at
+    the roundoff floor cannot shrink and passes; the residual is evaluated
+    at tau, then at tau/2."""
+    steps = []
+
+    def first_order(tk):
+        steps.append(tk)
+        return tk
+
+    records = verify._refined("fd_check", "Eq. (0)", 1e-2, first_order, 1e-3, 1.85)
+    assert steps == [1e-3, 5e-4]
+    assert [r.check_id for r in records] == ["fd_check", "fd_check_order"]
+    assert records[0].residual == 1e-3 and records[0].passed
+    assert records[1].residual == pytest.approx(0.85) and not records[1].passed
+    floor = verify._refined("fd_check", "Eq. (0)", 1e-2, lambda tk: 1e-12, 1e-3, 1.85)
+    assert [r.residual for r in floor] == [1e-12, 0.0] and all(r.passed for r in floor)
+    second_order = verify._refined("fd_check", "Eq. (0)", 1e-2, lambda tk: tk * tk,
+                                   1e-3, 1.85)
+    assert second_order[1].residual == 0.0
+
+
 def test_suite_crash_is_recorded_and_other_suites_survive(monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     scn = load_scenario("so2-rotor")
