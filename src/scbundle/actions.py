@@ -5,21 +5,25 @@ family ``U_g``.  Inside the numerics a batch of base points is a float array
 of state rows ``(J, 2n+1)`` laid out as ``S, P..., Q...`` (the layout of
 :meth:`ClassicalState.as_array`); each action writes its base map once, as
 ``base_rows(mats, rows)``, which broadcasts a stack of group matrices against
-a stack of rows.  One-parameter actions write only their lifted flow
-``flow(ts, rows)``; the base map is that flow at the element's coordinate.
-Every fiber unitary and fiber Hamiltonian is independent of the base point:
-the builders below are the one place that decision is made, and everything
-downstream (orbit evaluation, transport, generators) relies on it.
+a stack of rows.  Every fiber unitary and fiber Hamiltonian is independent of
+the base point: the builders below are the one place that decision is made,
+and everything downstream (orbit evaluation, transport, generators) relies
+on it.
 
-Each scenario also exposes per-basis :class:`GeneratorData` (the constant
-fiber Hamiltonian ``H(B_k)``, plus the lifted flow for one-parameter groups)
-feeding the one-parameter exponentiation machinery.
+Each scenario also exposes per-basis :class:`GeneratorData`: the constant
+fiber Hamiltonian ``H(B_k)``, its one-parameter unitaries
+``unitary(t) = exp(-i t H(B_k))`` from one eigendecomposition, and the lifted
+flow for one-parameter groups.  The one-parameter actions (oscillator, free
+particle, rotor, metaplectic) are all one builder, ``_flow_action``: the
+lifted flow on the base and ``unitary`` on the fibers, at the element's
+coordinate.  Heisenberg--Weyl and the translations keep closed-form fiber
+maps, which the reconstruction checks against the family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -79,6 +83,15 @@ class GeneratorData:
     fiber_hamiltonian: np.ndarray
     flow: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
+    @cached_property
+    def _spectrum(self):
+        return np.linalg.eigh(self.fiber_hamiltonian)
+
+    def unitary(self, t: float) -> np.ndarray:
+        """exp(-i t H(B_k)), from one eigendecomposition of the fiber
+        Hamiltonian computed on first use."""
+        return spectral_exp(self._spectrum, t)
+
 
 @dataclass(frozen=True)
 class GeneratorFamily:
@@ -115,11 +128,6 @@ def _eig(operator, n_cut: int):
 def _oscillator_levels(n_cut: int) -> np.ndarray:
     cfg = DimConfig(1, n_cut)
     return np.real(np.diag(quadratic_hamiltonian([[1.0]], [[0.0]], [[1.0]], cfg).matrix))
-
-
-def _kinetic(config: DimConfig):
-    """The free kinetic fiber Hamiltonian p^2/2."""
-    return quadratic_hamiltonian([[0.0]], [[0.0]], [[1.0]], config)
 
 
 # ---------------------------------------------------------------------------
@@ -217,72 +225,54 @@ def _rotation_flow(drift_rate: float):
     return flow
 
 
-def _coordinate(group: LieGroup, mats) -> np.ndarray:
-    """The chart coordinate of a one-parameter group's matrix or matrix
-    stack."""
-    return group.coords_batch(mats)[..., 0]
+def _flow_action(name: str, group_id: str, config: DimConfig, flow,
+                 hamiltonian: np.ndarray, period: Optional[float] = None):
+    """A one-parameter group acting through its lifted ``flow`` on the base
+    and exp(-i t H) (``GeneratorData.unitary``) on the fibers, both at the
+    element's coordinate t, wrapped to [0, period) when a period is given;
+    the generator family keeps the lifted flow."""
+    if config.n != 1:
+        raise InputError(f"the {name} scenario is 1-D")
+    group = get_group(group_id)
+    data = GeneratorData(fiber_hamiltonian=hamiltonian, flow=flow)
+
+    def coordinate(mats):
+        t = group.coords_batch(mats)[..., 0]
+        return t if period is None else t % period
+
+    action = BundleAction(name, group, config,
+                          base_rows=lambda mats, rows: flow(coordinate(mats), rows),
+                          fiber_fn=lambda mat: data.unitary(coordinate(mat)))
+    return action, GeneratorFamily(group, config, (data,))
 
 
 def oscillator_action(config: DimConfig):
     """Time translations of the harmonic oscillator: the closed-form classical
     flow on the base, exp(-i t H_fluct) with the half-integer spectrum on the
     fibers.  An honest action of the real line."""
-    if config.n != 1:
-        raise InputError("the oscillator scenario is 1-D")
-    group = get_group("real_line")
     levels = _oscillator_levels(config.n_cut)
-    flow = _rotation_flow(0.0)
-
-    action = BundleAction(
-        "oscillator-evolution", group, config,
-        base_rows=lambda mats, rows: flow(_coordinate(group, mats), rows),
-        fiber_fn=lambda mat: np.diag(np.exp(-1j * _coordinate(group, mat) * levels)))
-    family = GeneratorFamily(group, config, (
-        GeneratorData(fiber_hamiltonian=np.diag(levels).astype(complex), flow=flow),
-    ))
-    return action, family
+    return _flow_action("oscillator-evolution", "real_line", config,
+                        _rotation_flow(0.0), np.diag(levels).astype(complex))
 
 
 def free_particle_action(config: DimConfig):
     """Time translations of the free particle: free flight on the base,
     exp(-i t p^2/2) on the fibers."""
-    if config.n != 1:
-        raise InputError("the free-particle scenario is 1-D")
-    group = get_group("real_line")
-    eig = _eig(_kinetic, config.n_cut)
-
     def flow(ts, rows):
         S, P, Q = rows[..., 0], rows[..., 1], rows[..., 2]
         return _rows(S + 0.5 * ts * P ** 2, P, Q + ts * P)
 
-    action = BundleAction(
-        "free-particle", group, config,
-        base_rows=lambda mats, rows: flow(_coordinate(group, mats), rows),
-        fiber_fn=lambda mat: spectral_exp(eig, _coordinate(group, mat)))
-    family = GeneratorFamily(group, config, (
-        GeneratorData(fiber_hamiltonian=_kinetic(config).matrix, flow=flow),
-    ))
-    return action, family
+    kinetic = quadratic_hamiltonian([[0.0]], [[0.0]], [[1.0]], config)
+    return _flow_action("free-particle", "real_line", config, flow, kinetic.matrix)
 
 
 def so2_rotor_action(config: DimConfig):
     """Honest circle action: harmonic rotation on the base (exactly
     2pi-periodic, no action drift), integer-spectrum phases exp(-i theta N)
     on the fibers.  The non-projective contrast to the metaplectic case."""
-    if config.n != 1:
-        raise InputError("the rotor scenario is 1-D")
-    group = get_group("so2")
     levels = np.arange(config.dim, dtype=float)
-    flow = _rotation_flow(0.0)
-
-    action = BundleAction(
-        "so2-rotor", group, config,
-        base_rows=lambda mats, rows: flow(_coordinate(group, mats), rows),
-        fiber_fn=lambda mat: np.diag(np.exp(-1j * _coordinate(group, mat) * levels)))
-    family = GeneratorFamily(group, config, (
-        GeneratorData(fiber_hamiltonian=np.diag(levels).astype(complex), flow=flow),
-    ))
-    return action, family
+    return _flow_action("so2-rotor", "so2", config, _rotation_flow(0.0),
+                        np.diag(levels).astype(complex))
 
 
 def metaplectic_action(config: DimConfig, drift: bool = False):
@@ -297,20 +287,7 @@ def metaplectic_action(config: DimConfig, drift: bool = False):
     use the angle wrapped to [0, 2 pi); the generator family keeps the lifted
     flow.
     """
-    if config.n != 1:
-        raise InputError("the metaplectic scenario is 1-D")
-    group = get_group("so2")
     levels = np.arange(config.dim, dtype=float) + 0.5
-    flow = _rotation_flow(-0.5 if drift else 0.0)
-
-    def wrapped(mats):
-        return _coordinate(group, mats) % (2 * np.pi)
-
-    action = BundleAction(
-        "metaplectic-so2" + ("-drift" if drift else ""), group, config,
-        base_rows=lambda mats, rows: flow(wrapped(mats), rows),
-        fiber_fn=lambda mat: np.diag(np.exp(-1j * wrapped(mat) * levels)))
-    family = GeneratorFamily(group, config, (
-        GeneratorData(fiber_hamiltonian=np.diag(levels).astype(complex), flow=flow),
-    ))
-    return action, family
+    return _flow_action("metaplectic-so2" + ("-drift" if drift else ""), "so2",
+                        config, _rotation_flow(-0.5 if drift else 0.0),
+                        np.diag(levels).astype(complex), period=2 * np.pi)

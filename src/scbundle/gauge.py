@@ -12,7 +12,8 @@ base-moving gauges, from the fiber-overlap angle otherwise).
 The enlarged orbit of a circle scenario is sampled as (rotation lattice) x
 (gauge-parameter lattice) and held as one array of state rows; invariant
 sections are stored on that grid and transformed by the quotient form of the
-left regular action, with one batched flow call per transform and the
+left regular action, with one batched flow call per transform, the fiber
+transport read from the direction's ``GeneratorData.unitary``, and the
 sources off the gauge window completed through the invariance condition.
 """
 
@@ -26,7 +27,6 @@ import numpy as np
 from .actions import BundleAction
 from .dynamics import ClassicalState
 from .errors import ConsistencyError, InputError, PreconditionError
-from .fiber import spectral_exp
 from .groups import as_matrix
 from .sections import state_keys
 
@@ -241,7 +241,6 @@ class GaugeBundle:
         self.gauge_step = float(gauge_step)
         self.gauge_indices = np.arange(-gauge_window, gauge_window + 1)
         self.dim = family.dim_config.dim
-        self._eig = np.linalg.eigh(family.directions[0].fiber_hamiltonian)
 
         thetas = self.theta_step * np.arange(theta_nodes)
         self._orbit_rows = self.flow(thetas, anchor.as_array())
@@ -257,11 +256,6 @@ class GaugeBundle:
                                       return_inverse=True)
         found = first[inverse.reshape(-1)[len(self._keys):]]
         return np.where(found < len(self._keys), found, -1)
-
-    def _transport(self, theta: float) -> np.ndarray:
-        """Fiber transport exp(-i theta H) of the lifted flow (the unwrapped
-        parameter matters: a full turn contributes the anomaly phase)."""
-        return spectral_exp(self._eig, theta)
 
     def zeros(self) -> np.ndarray:
         return np.zeros((self.theta_nodes, self.gauge_indices.size, self.dim),
@@ -326,7 +320,8 @@ class GaugeBundle:
         condition."""
         self.require_invariant(values)
         theta = m_steps * self.theta_step
-        U = self._transport(theta)
+        # the unwrapped parameter: a full turn contributes the anomaly phase
+        U = self.family.directions[0].unitary(theta)
         n_j = self.gauge_indices.size
         src = self.flow(-theta, self.base_rows)
         flat = self._grid_indices(src)

@@ -1,14 +1,16 @@
 """Infinitesimal generators of section transforms.
 
-The derivative of the one-parameter transform family is taken by central
-finite differences of the sections' pulled fields (``sections.pulled_field``;
-never by interpolating lattice values), after Garding smoothing against a
-compactly supported kernel summed over lattice-aligned group nodes.  Base
-derivatives are ``sections.central_difference`` of a base field.  The
+The generator along A is i times ``sections.central_difference`` of the
+one-parameter transform family t -> U_{exp(tA)} psi, each member
+re-evaluated from the section's field (never by interpolating lattice
+values), after Garding smoothing against a compactly supported kernel
+summed over lattice-aligned group nodes.  Base derivatives are the same
+central difference of a base field on the left-translated sampling.  The
 identity suite returns the residuals of linearity, conjugation covariance,
 the commutator/structure-constant match, the multiplication-operator
-commutator, and the pairing derivative, each as a function of the fd step;
-this module judges nothing (tolerances and refinement orders live in
+commutator, and the pairing derivative (Eq. 21, :func:`pairing_residual`,
+which also serves Axiom A2 on two probes), each as a function of the fd
+step; this module judges nothing (tolerances and refinement orders live in
 ``verify``).
 """
 
@@ -27,7 +29,7 @@ from .groups import (AlgebraElement, GroupElement, bracket, left_translate,
                      smooth_bump)
 from .sections import (BaseFunction, OrbitSampling, SampledBaseFunction,
                        Section, central_difference, evaluator_transform,
-                       multiply, pairing, pulled_field, section_transform)
+                       multiply, pairing, section_transform)
 
 __all__ = [
     "SmoothingKernel",
@@ -35,6 +37,7 @@ __all__ = [
     "garding_smooth",
     "generator_apply",
     "base_derivative",
+    "pairing_residual",
     "identity_suite",
 ]
 
@@ -131,25 +134,11 @@ def garding_smooth(kernel: SmoothingKernel, phi: Section,
 # finite-difference generators
 # ---------------------------------------------------------------------------
 
-def _difference_field(A: AlgebraElement, psi: Section, action: BundleAction,
-                      tau: float):
-    """Central-difference generator field
-    i (U_{exp(A tau)} - U_{exp(-A tau)}) psi / (2 tau)."""
-    e_plus = scipy.linalg.expm(tau * A.matrix)
-    e_minus = scipy.linalg.expm(-tau * A.matrix)
-    up = pulled_field(psi.field, np.linalg.inv(e_plus), action.fiber_matrix(e_plus))
-    dn = pulled_field(psi.field, np.linalg.inv(e_minus), action.fiber_matrix(e_minus))
-
-    def diff_field(mats):
-        return 1j * (up(mats) - dn(mats)) / (2.0 * tau)
-
-    return diff_field
-
-
 def generator_apply(A: AlgebraElement, psi: Section, action: BundleAction,
                     tau: float) -> Section:
-    """Apply the generator of the one-parameter transform family along A by
-    central differences at step ``tau``.
+    """Apply the generator of the one-parameter transform family along A,
+    i times the central difference at step ``tau`` of
+    t -> U_{exp(tA)} psi (Eq. 16a).
 
     Requires a field-backed (smoothed or closed-form) section: exp(+-tau A)
     is generically off-lattice and lattice values cannot be differenced
@@ -161,13 +150,16 @@ def generator_apply(A: AlgebraElement, psi: Section, action: BundleAction,
         raise AlignmentError(
             "generator application needs a field-backed section "
             "(smooth the input first)")
-    return Section.from_field(psi.sampling, _difference_field(A, psi, action, tau))
+    return 1j * central_difference(
+        lambda t: evaluator_transform(action, scipy.linalg.expm(t * A.matrix), psi),
+        tau)
 
 
 def base_derivative(A: AlgebraElement, alpha, action: BundleAction,
                     sampling: OrbitSampling, tau: float) -> SampledBaseFunction:
     """Directional derivative of a base function along the flow of A,
-    d/dt alpha(u_{exp(A t)} X) at t = 0, by central differences.
+    d/dt alpha(u_{exp(A t)} X) at t = 0, by central differences of its
+    values on the left-translated sampling.
 
     ``alpha`` may be a BaseFunction (evaluated through the closed form) or a
     SampledBaseFunction carrying a field.
@@ -184,8 +176,21 @@ def base_derivative(A: AlgebraElement, alpha, action: BundleAction,
     else:
         raise InputError("alpha must be a BaseFunction or SampledBaseFunction")
 
-    diff = central_difference(field, A.matrix, tau)
-    return SampledBaseFunction(sampling, diff(sampling.group_mats), diff)
+    mats = sampling.group_mats
+    return SampledBaseFunction(sampling, central_difference(
+        lambda t: field(left_translate(scipy.linalg.expm(t * A.matrix), mats)), tau))
+
+
+def pairing_residual(A: AlgebraElement, phi: Section, psi: Section,
+                     action: BundleAction, tau: float) -> float:
+    """Residual of Eq. (21) at fd step ``tau``:
+    -i d[A]<phi, psi> = <phi, H(A) psi> - <H(A) phi, psi>, sup over the
+    sampling (H(A) psi is applied once when ``phi`` is ``psi``)."""
+    Hpsi = generator_apply(A, psi, action, tau)
+    Hphi = Hpsi if phi is psi else generator_apply(A, phi, action, tau)
+    d = base_derivative(A, pairing(phi, psi), action, psi.sampling, tau)
+    rhs = pairing(phi, Hpsi).values - pairing(Hphi, psi).values
+    return float(np.max(np.abs(-1j * d.values - rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +241,10 @@ def identity_suite(A: AlgebraElement, B: AlgebraElement, alpha: BaseFunction,
         dalpha = base_derivative(A, alpha, action, sampling, tk)
         return (lhs - Section(sampling, dalpha.values[:, None] * psi.values)).norm
 
-    def pair_res(tk):
-        dpair = base_derivative(A, pairing(psi, psi), action, sampling, tk)
-        Hpsi = H(A, psi, tk)
-        rhs = pairing(psi, Hpsi).values - pairing(Hpsi, psi).values
-        return float(np.max(np.abs(-1j * dpair.values - rhs)))
-
     residuals = {"linearity": lin_res, "conjugation": conj_res,
                  "commutator": comm_res, "multiplication": mult_res,
-                 "pairing_derivative": pair_res}
+                 "pairing_derivative":
+                     lambda tk: pairing_residual(A, psi, psi, action, tk)}
     if conjugator is None:
         del residuals["conjugation"]
     return residuals

@@ -337,8 +337,8 @@ def left_translate(g: np.ndarray, mats: np.ndarray) -> np.ndarray:
 _REGISTRY: dict = {}
 
 
-def register_group(group: LieGroup, replace: bool = False) -> LieGroup:
-    if group.group_id in _REGISTRY and not replace:
+def register_group(group: LieGroup) -> LieGroup:
+    if group.group_id in _REGISTRY:
         raise InputError(f"group {group.group_id!r} already registered")
     _REGISTRY[group.group_id] = group
     return group

@@ -2,11 +2,15 @@
 
 Each basis direction's Cauchy problem is solved by characteristics on a
 field-backed section: one ``sections.pulled_field`` pulls the field back
-along the base flow and rotates it by one exponential of the direction's
-fiber Hamiltonian (constant over the base).  Lattice-only sections are
-refused.  Group elements are composed through second-kind canonical
-coordinates; word identities, conjugation covariance, and the group law
-quantify how faithfully the reconstruction matches the original action.
+along the base flow and rotates it by the direction's one-parameter unitary
+``GeneratorData.unitary(t)`` (constant over the base).  Lattice-only
+sections are refused.  Group elements are factorized in second-kind
+canonical coordinates, always through the checked
+``groups.factorize_second_kind``, and every word of one-parameter steps is
+applied by one loop.  The generator of the reconstructed action is
+``sections.central_difference`` of the reconstructed one-parameter family;
+word identities, conjugation covariance, and the group law quantify how
+faithfully the reconstruction matches the original action.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ import scipy.linalg
 from .actions import GeneratorFamily
 from .errors import (AlignmentError, InputError, NumericalError,
                      PreconditionError)
-from .fiber import spectral_exp
-from .groups import GroupElement, as_matrix, factorize_second_kind
+from .groups import GroupElement, as_matrix, factorize_second_kind, left_translate
 from .sections import Section, central_difference, pulled_field
 
 __all__ = [
@@ -41,8 +44,8 @@ def exponentiate_generator(family: GeneratorFamily, k: int, t: float,
                            psi0: Section) -> Section:
     """Solve the one-parameter Cauchy problem along basis direction ``k``:
     transport the field along the base flow of B_k and rotate it by
-    exp(-i t H(B_k)), returning the section at parameter ``t``.  Requires a
-    field-backed section."""
+    exp(-i t H(B_k)) (``GeneratorData.unitary``), returning the section at
+    parameter ``t``.  Requires a field-backed section."""
     if not 0 <= k < family.group.dim:
         raise InputError("basis index out of range")
     if not np.isfinite(t):
@@ -53,53 +56,57 @@ def exponentiate_generator(family: GeneratorFamily, k: int, t: float,
     if t == 0.0:
         return psi0
     pull = scipy.linalg.expm(-t * family.group.basis[k])
-    T = spectral_exp(np.linalg.eigh(family.directions[k].fiber_hamiltonian), t)
+    T = family.directions[k].unitary(t)
     out = Section.from_field(psi0.sampling, pulled_field(psi0.field, pull, T))
     if not np.all(np.isfinite(out.values)):
         raise NumericalError("generator exponentiation blew up")
     return out
 
 
-def reconstruct_group_operator(family: GeneratorFamily, g, psi: Section) -> Section:
-    """Apply the reconstructed operator of ``g`` through its second-kind
-    factorization, rightmost one-parameter factor first."""
-    if isinstance(g, GroupElement):
-        t = factorize_second_kind(g)
-    else:
-        t = family.group.factorize_matrix(np.asarray(g))
+def _apply_word(family: GeneratorFamily, word: Sequence, psi: Section) -> Section:
+    """Apply a word of one-parameter steps ``(basis index, parameter)``,
+    rightmost step first; zero steps are skipped."""
     out = psi
-    for k in range(family.group.dim - 1, -1, -1):
-        if t[k] != 0.0:
-            out = exponentiate_generator(family, k, float(t[k]), out)
+    for k, t in reversed(word):
+        if t != 0.0:
+            out = exponentiate_generator(family, k, t, out)
     return out
+
+
+def reconstruct_group_operator(family: GeneratorFamily, g, psi: Section) -> Section:
+    """Apply the reconstructed operator of ``g`` (a GroupElement or a
+    matrix) through its checked second-kind factorization, rightmost
+    one-parameter factor first."""
+    t = factorize_second_kind(GroupElement(family.group, as_matrix(g)))
+    return _apply_word(family, [(k, float(t_k)) for k, t_k in enumerate(t)], psi)
 
 
 def family_generator_apply(family: GeneratorFamily, A_coords: np.ndarray,
                            psi: Section, tau: float) -> Section:
     """Finite-difference generator of the *reconstructed* action along
-    A = sum_k coords_k B_k."""
-    A_coords = np.asarray(A_coords, dtype=float)
-    plus = _exp_coords_apply(family, A_coords, tau, psi)
-    minus = _exp_coords_apply(family, A_coords, -tau, psi)
-    return 1j / (2 * tau) * (plus - minus)
-
-
-def _exp_coords_apply(family, coords, tau, psi):
-    mat = scipy.linalg.expm(tau * np.tensordot(coords, family.group.basis, axes=(0, 0)))
-    return reconstruct_group_operator(family, mat, psi)
+    A = sum_k coords_k B_k: i times the central difference of
+    t -> (reconstructed operator of exp(tA)) psi."""
+    gen = np.tensordot(np.asarray(A_coords, dtype=float), family.group.basis,
+                       axes=(0, 0))
+    return 1j * central_difference(
+        lambda t: reconstruct_group_operator(family, scipy.linalg.expm(t * gen), psi),
+        tau)
 
 
 def family_generator_direct(family: GeneratorFamily, A_coords: np.ndarray,
                             psi: Section, tau: float) -> Section:
     """The generator evaluated from its split form H(A) - i d[A]: the fiber
-    Hamiltonian acts pointwise and the base derivation is a central
-    difference of the section's field along the flow (no fiber transport)."""
+    Hamiltonian acts pointwise and the base derivation is the central
+    difference of the section's field along the flow (no fiber
+    transport)."""
     if psi.field is None:
         raise AlignmentError("direct generator needs a field-backed section")
     A_coords = np.asarray(A_coords, dtype=float)
     gen_mat = np.tensordot(A_coords, family.group.basis, axes=(0, 0))
     # d[A] psi at u_h: d/ds psi(u_{exp(A s)} u_h) at s = 0
-    base_term = central_difference(psi.field, gen_mat, tau)(psi.sampling.group_mats)
+    mats = psi.sampling.group_mats
+    base_term = central_difference(
+        lambda s: psi.field(left_translate(scipy.linalg.expm(s * gen_mat), mats)), tau)
     H = family.combination_hamiltonian(A_coords)
     return Section(psi.sampling, psi.values @ H.T - 1j * base_term)
 
@@ -133,18 +140,16 @@ def word_identity_check(family: GeneratorFamily, word: Sequence,
     probe, where the operator word may legitimately differ from 1.
     """
     group = family.group
-    norm_word = []
-    for k, path in word:
-        if callable(path):
-            norm_word.append((int(k), path))
-        else:
-            t_val = float(path)
-            norm_word.append((int(k), (lambda t_v: (lambda a: t_v * a))(t_val)))
+    paths = [(int(k), path if callable(path) else (lambda a, t=float(path): t * a))
+             for k, path in word]
+
+    def steps(a: float) -> list:
+        return [(k, float(path(a))) for k, path in paths]
 
     def word_matrix(a: float) -> np.ndarray:
         m = np.eye(group.rep_dim, dtype=complex if np.iscomplexobj(group.basis) else float)
-        for k, path in norm_word:
-            m = m @ scipy.linalg.expm(path(a) * group.basis[k])
+        for k, t in steps(a):
+            m = m @ scipy.linalg.expm(t * group.basis[k])
         return m
 
     eye = np.eye(group.rep_dim)
@@ -159,12 +164,7 @@ def word_identity_check(family: GeneratorFamily, word: Sequence,
     worst = 0.0
     for a in closing:
         for psi in probes:
-            out = psi
-            for k, path in reversed(norm_word):
-                t_val = float(path(a))
-                if t_val != 0.0:
-                    out = exponentiate_generator(family, k, t_val, out)
-            worst = max(worst, (out - psi).norm)
+            worst = max(worst, (_apply_word(family, steps(a), psi) - psi).norm)
     return WordCheck(worst, lemma_mode)
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -22,20 +22,21 @@ from .errors import ConfigError, InputError
 from .fiber import DimConfig
 from .gauge import (GaugeBundle, action_shift_gauge, phase_shift_gauge,
                     u1_phase_gauge)
-from .groups import LieGroup, builtin_group_ids, get_group, register_group
+from .groups import builtin_group_ids, get_group
 from .sections import LatticeAxis, OrbitSampling
 
 __all__ = ["Scenario", "load_scenario", "catalog_names", "SEED_ENV_VAR"]
 
 SEED_ENV_VAR = "SCBUNDLE_SEED"
 
+# each action's builder and the group it acts through
 _ACTION_BUILDERS = {
-    "oscillator": oscillator_action,
-    "free-particle": free_particle_action,
-    "heisenberg-weyl": heisenberg_weyl_action,
-    "translations-r2": translations_r2_action,
-    "so2-rotor": so2_rotor_action,
-    "metaplectic": metaplectic_action,
+    "oscillator": (oscillator_action, "real_line"),
+    "free-particle": (free_particle_action, "real_line"),
+    "heisenberg-weyl": (heisenberg_weyl_action, "heisenberg"),
+    "translations-r2": (translations_r2_action, "translations_r2"),
+    "so2-rotor": (so2_rotor_action, "so2"),
+    "metaplectic": (metaplectic_action, "so2"),
 }
 
 _GAUGE_BUILDERS = {
@@ -46,6 +47,11 @@ _GAUGE_BUILDERS = {
 
 _KNOWN_SUITES = {"lie", "dynamics", "sections", "generators",
                  "reconstruction", "gauge"}
+
+_KNOWN_KEYS = {"name", "group_id", "action", "gauge_id", "hamiltonian", "fiber",
+               "anchor", "lattice", "generator_lattice", "numerics", "probes",
+               "kernel_radius", "suites", "strict_group_law", "dynamics", "gauge",
+               "eps_list"}
 
 _PROBE_SIZE = {
     "sections": lambda p: p.get("radius", p.get("sigma")),
@@ -76,7 +82,6 @@ class Scenario:
     dynamics: dict
     gauge_cfg: dict
     eps_list: list
-    raw: dict = field(repr=False, default_factory=dict)
 
     @property
     def seed(self) -> int:
@@ -116,7 +121,7 @@ class Scenario:
     def build_action(self, drift: bool = False):
         if self.action_name is None:
             raise ConfigError(f"scenario {self.name!r} declares no bundle action")
-        builder = _ACTION_BUILDERS[self.action_name]
+        builder, _ = _ACTION_BUILDERS[self.action_name]
         if self.action_name == "metaplectic":
             return builder(self.fiber, drift=drift)
         return builder(self.fiber)
@@ -256,12 +261,9 @@ def _validate(cfg: dict, origin: str) -> Scenario:
         return _need(cfg, key, origin)
 
     name = str(need("name"))
-    group_def = cfg.get("group_def")
-    if group_def is not None:
-        try:
-            _register_from_config(group_def)
-        except (KeyError, TypeError, ValueError) as err:
-            raise ConfigError(f"{origin}: malformed group_def ({err!r})") from err
+    unknown = sorted(set(cfg) - _KNOWN_KEYS)
+    if unknown:
+        raise ConfigError(f"{origin}: unknown fields {unknown!r}")
     group_id = str(need("group_id"))
     try:
         dim = get_group(group_id).dim
@@ -324,6 +326,9 @@ def _validate(cfg: dict, origin: str) -> Scenario:
     action_name = cfg.get("action")
     if action_name is not None and action_name not in _ACTION_BUILDERS:
         raise ConfigError(f"{origin}: unknown action {action_name!r}")
+    if action_name is not None and _ACTION_BUILDERS[action_name][1] != group_id:
+        raise ConfigError(f"{origin}: action {action_name!r} acts through group "
+                          f"{_ACTION_BUILDERS[action_name][1]!r}, not {group_id!r}")
 
     hamiltonian = cfg.get("hamiltonian")
     if hamiltonian is not None:
@@ -360,24 +365,7 @@ def _validate(cfg: dict, origin: str) -> Scenario:
         gauge_cfg=_mapping(cfg.get("gauge", {}), f"{origin}: gauge"),
         eps_list=[_number(e, float, f"{origin}: eps_list")
                   for e in _list(cfg.get("eps_list", []), f"{origin}: eps_list")],
-        raw=cfg,
     )
-
-
-def _register_from_config(group_def: dict) -> None:
-    """Consume the group-registration schema: basis matrices as row-major
-    arrays, a group id, and the factorization domain radius."""
-    group_id = str(group_def["group_id"])
-    try:
-        get_group(group_id)
-        return    # already registered
-    except InputError:
-        pass
-    dim = int(group_def["rep_dim"])
-    rows = group_def["basis"]
-    basis = np.array([np.asarray(b, dtype=float).reshape(dim, dim) for b in rows])
-    radius = float(group_def.get("factorization_radius", 1.0))
-    register_group(LieGroup(group_id, basis, factorization_radius=radius))
 
 
 def catalog_names() -> tuple:

@@ -7,25 +7,26 @@ Its base points are one array of state rows ``base_array`` (J, 2n+1), and
 base functions are evaluated on such rows in one batched call.  Sections
 optionally carry a closed-form ``field`` evaluator (group matrices -> fiber
 values).  The left-regular transform psi'(h) = U_g psi(g^-1 h) of a field is
-written once, :func:`pulled_field`, and its derivative along a one-parameter
-subgroup once, :func:`central_difference`; the generators and the
-reconstruction build on both.  Only :func:`section_transform` (and the
-Garding smoothing of a lattice-only section) moves lattice values by exact
-re-indexing; everything that must leave the lattice needs the field and
-refuses otherwise.  A lattice element g fixes that re-indexing once per
-sampling: :meth:`OrbitSampling.transport` looks the sources up by
-coordinates the first time g is seen and caches the permutation, the set
-of samples whose image leaves the window, g^-1 and U_g as a
-:class:`Transport`.
+written once, :func:`pulled_field`, and the central difference of a
+one-parameter family (of sections or of arrays) once,
+:func:`central_difference`: the generators of the action and of its
+reconstruction and every base derivative are that difference.  Only
+:func:`section_transform` (and the Garding smoothing of a lattice-only
+section) moves lattice values by exact re-indexing; everything that must
+leave the lattice needs the field and refuses otherwise.  A lattice element
+g fixes that re-indexing once per sampling: :meth:`OrbitSampling.transport`
+looks the sources up by coordinates the first time g is seen and caches the
+permutation, the set of samples whose image leaves the window, g^-1 and U_g
+as a :class:`Transport`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import InitVar, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .actions import BundleAction
 from .dynamics import ClassicalState
@@ -277,32 +278,29 @@ class Section:
             return 0.0
         return float(np.max(np.linalg.norm(self.values, axis=1)))
 
-    def _check_same(self, other: "Section") -> None:
-        if other.sampling is not self.sampling:
-            raise InputError("sections live on different samplings")
+    def _combine(self, op, *others) -> "Section":
+        """``op`` applied to the values, and to the fields when every
+        operand carries one."""
+        for other in others:
+            if other.sampling is not self.sampling:
+                raise InputError("sections live on different samplings")
+        fields = [s.field for s in (self, *others)]
+        f = None
+        if all(fl is not None for fl in fields):
+            f = lambda mats: op(*(fl(mats) for fl in fields))
+        return Section(self.sampling, op(self.values, *(o.values for o in others)), f)
 
     def __add__(self, other: "Section") -> "Section":
-        self._check_same(other)
-        f = None
-        if self.field is not None and other.field is not None:
-            sf, of = self.field, other.field
-            f = lambda mats: sf(mats) + of(mats)
-        return Section(self.sampling, self.values + other.values, f)
+        return self._combine(operator.add, other)
 
     def __sub__(self, other: "Section") -> "Section":
-        self._check_same(other)
-        f = None
-        if self.field is not None and other.field is not None:
-            sf, of = self.field, other.field
-            f = lambda mats: sf(mats) - of(mats)
-        return Section(self.sampling, self.values - other.values, f)
+        return self._combine(operator.sub, other)
 
     def __mul__(self, scale: complex) -> "Section":
-        f = None
-        if self.field is not None:
-            sf = self.field
-            f = lambda mats: scale * sf(mats)
-        return Section(self.sampling, scale * self.values, f)
+        return self._combine(lambda values: scale * values)
+
+    def __truediv__(self, scale: float) -> "Section":
+        return self._combine(lambda values: values / scale)
 
     __rmul__ = __mul__
 
@@ -350,17 +348,11 @@ def pulled_field(field, pull: np.ndarray, V: np.ndarray):
     return pulled
 
 
-def central_difference(field, gen: np.ndarray, tau: float):
-    """The field  mats -> (field(e^{tau gen} mats) - field(e^{-tau gen} mats))
-    / (2 tau): the derivative of ``field`` along the one-parameter subgroup
-    of the algebra matrix ``gen`` by central differences."""
-    fwd = scipy.linalg.expm(tau * gen)
-    bwd = scipy.linalg.expm(-tau * gen)
-
-    def diff(mats):
-        return (field(left_translate(fwd, mats))
-                - field(left_translate(bwd, mats))) / (2.0 * tau)
-    return diff
+def central_difference(family, tau: float):
+    """``(family(tau) - family(-tau)) / (2 tau)``: the derivative at t = 0
+    of a one-parameter family of sections or arrays by central differences
+    (Eq. 16a), the one stencil of the package."""
+    return (family(tau) - family(-tau)) / (2.0 * tau)
 
 
 def section_transform(action: BundleAction, g, psi: Section) -> Section:

@@ -26,7 +26,8 @@ from .errors import PreconditionError
 from .fiber import FiberVector, unitarity_residual
 from .gauge import (compensator_relations_check, equivalence_relation_residuals,
                     gauge_equivalent, u1_phase_gauge)
-from .generators import garding_smooth, generator_apply, identity_suite, lattice_kernel
+from .generators import (base_derivative, garding_smooth, generator_apply,
+                         identity_suite, lattice_kernel, pairing_residual)
 from .groups import bracket, exp as group_exp, factorize_second_kind, left_translate
 from .reconstruction import (conjugation_check, exponentiate_generator,
                              group_law_verify, reconstruct_group_operator,
@@ -500,16 +501,9 @@ def _axiom_surrogates(scn, action, family, psi, rng) -> list:
     phi = gentle_probe_section(sampling, rng, scn.max_degree,
                                scn.probe_size("reconstruction"))
     A = group.algebra(np.eye(group.dim)[0])
-    from .generators import base_derivative
-
-    def a2_residual(tk):
-        Hpsi = generator_apply(A, psi, action, tk)
-        Hphi = generator_apply(A, phi, action, tk)
-        d = base_derivative(A, pairing(phi, psi), action, sampling, tk)
-        rhs = pairing(phi, Hpsi).values - pairing(Hphi, psi).values
-        return float(np.max(np.abs(-1j * d.values - rhs)))
-
-    records = _refined("axiom_a2_surrogate", "Axiom A2", 1e-4, a2_residual, tau, 0.85)
+    # A2 is the pairing derivative (Eq. 21) on two probes
+    records = _refined("axiom_a2_surrogate", "Axiom A2", 1e-4,
+                       lambda tk: pairing_residual(A, phi, psi, action, tk), tau, 0.85)
 
     if group.dim >= 2:
         B = group.algebra(np.eye(group.dim)[1])

@@ -1,4 +1,5 @@
-"""Batched base maps: a stack of state rows maps row by row, bit for bit."""
+"""Batched base maps: a stack of state rows maps row by row, bit for bit;
+the one-parameter actions match their closed forms bit for bit."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scbundle.actions import (free_particle_action, heisenberg_weyl_action,
                               metaplectic_action, oscillator_action,
                               so2_rotor_action, translations_r2_action)
 from scbundle.dynamics import ClassicalState
-from scbundle.fiber import DimConfig
+from scbundle.fiber import DimConfig, quadratic_hamiltonian, spectral_exp
 from scbundle.groups import exp as gexp
 
 CFG = DimConfig(1, 8)
@@ -51,3 +52,63 @@ def test_single_point_wrappers_agree_with_rows(make):
     assert np.array_equal(action.base_map(mats[1], X).as_array(),
                           action.base_rows(mats[1], rows[0]))
     assert np.array_equal(action.base_points(mats, X), action.base_rows(mats, rows[0]))
+
+
+def _rotation_rows(t, rows, drift_rate):
+    S, P, Q = rows[:, 0], rows[:, 1], rows[:, 2]
+    gain = (P ** 2 - Q ** 2) * np.sin(2 * t) / 4 - P * Q * (1 - np.cos(2 * t)) / 2
+    c, s = np.cos(t), np.sin(t)
+    return np.stack([S + gain + drift_rate * t, P * c - Q * s, Q * c + P * s], axis=-1)
+
+
+def _free_rows(t, rows):
+    S, P, Q = rows[:, 0], rows[:, 1], rows[:, 2]
+    return np.stack([S + 0.5 * t * P ** 2, P, Q + t * P], axis=-1)
+
+
+def _phases(levels):
+    return lambda t: np.diag(np.exp(-1j * t * levels))
+
+
+def _kinetic_exp(cfg):
+    eig = np.linalg.eigh(quadratic_hamiltonian([[0.0]], [[0.0]], [[1.0]], cfg).matrix)
+    return lambda t: spectral_exp(eig, t)
+
+
+def _closed_forms(name, cfg):
+    """(wrap period, fiber map, base map) of a one-parameter action, spelled
+    out in closed form at the element's coordinate t."""
+    osc = np.real(np.diag(quadratic_hamiltonian([[1.0]], [[0.0]], [[1.0]], cfg).matrix))
+    half = np.arange(cfg.dim, dtype=float) + 0.5
+    return {
+        "oscillator": (None, _phases(osc), lambda t, r: _rotation_rows(t, r, 0.0)),
+        "free-particle": (None, _kinetic_exp(cfg), _free_rows),
+        "so2-rotor": (None, _phases(np.arange(cfg.dim, dtype=float)),
+                      lambda t, r: _rotation_rows(t, r, 0.0)),
+        "metaplectic": (2 * np.pi, _phases(half), lambda t, r: _rotation_rows(t, r, 0.0)),
+        "metaplectic-drift": (2 * np.pi, _phases(half),
+                              lambda t, r: _rotation_rows(t, r, -0.5)),
+    }[name]
+
+
+FLOW_IDS = ["oscillator", "free-particle", "so2-rotor", "metaplectic", "metaplectic-drift"]
+
+
+@pytest.mark.parametrize("n_cut", [8, 14, 16, 18, 32])
+@pytest.mark.parametrize("name", FLOW_IDS)
+def test_flow_actions_match_their_closed_forms_bit_for_bit(name, n_cut):
+    """The one flow-action builder gives the closed-form fiber map exp(-i t H)
+    (diagonal phases, or the kinetic spectral exponential) and the lifted
+    flow on the base, bit for bit, with the circle coordinate wrapped to
+    [0, 2 pi) for the metaplectic actions."""
+    cfg = DimConfig(1, n_cut)
+    action, family = ACTIONS[IDS.index(name)](cfg)
+    period, fiber, base = _closed_forms(name, cfg)
+    mats, rows = _stack(action, count=24, seed=n_cut)
+    t = action.group.coords_batch(mats)[:, 0]
+    t_wrapped = t if period is None else t % period
+    for m, tk in zip(mats, t_wrapped):
+        assert np.array_equal(action.fiber_matrix(m), fiber(tk))
+    assert np.array_equal(action.base_rows(mats, rows), base(t_wrapped, rows))
+    # the generator family keeps the lifted (unwrapped) flow
+    assert np.array_equal(family.directions[0].flow(t, rows), base(t, rows))

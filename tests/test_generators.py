@@ -262,14 +262,6 @@ def test_base_derivative_translation_coordinate():
     assert np.max(np.abs(d.values - 1.0)) <= 1e-10
 
 
-def test_base_derivative_of_pairing_has_field(weyl, smoothed):
-    action, sampling = weyl
-    A = action.group.algebra([1.0, 0.0, 0.0])
-    d = base_derivative(A, pairing(smoothed, smoothed), action, sampling, 1e-3)
-    assert d.field is not None
-    assert np.all(np.isfinite(d.values))
-
-
 # ---------------------------------------------------------------------------
 # identity suite
 # ---------------------------------------------------------------------------

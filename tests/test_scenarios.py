@@ -6,7 +6,8 @@ import json
 import pytest
 
 from scbundle.errors import ConfigError
-from scbundle.scenarios import catalog_names, load_scenario
+from scbundle.fiber import DimConfig
+from scbundle.scenarios import _ACTION_BUILDERS, catalog_names, load_scenario
 
 BASE = {
     "name": "config-test",
@@ -53,8 +54,12 @@ MALFORMED = {
     "sigma-nan": [(("probes", "sigma"), [float("nan")] * 3)],
     "radius-negative": [(("probes", "radius"), -1.0)],
     "gauge-radius-missing": [(("probes", "radius"), DELETE), (("suites",), ["gauge"])],
-    "group-def-basis-missing": [(("group_def",), {"group_id": "cfg_test_group",
-                                                  "rep_dim": 2})],
+    # each of these loaded before unknown top-level fields were refused
+    "unknown-key-group-def": [(("group_def",), {"group_id": "heisenberg"})],
+    "unknown-key-kernel-radius-typo": [(("kernel_raduis",), [0.16, 0.16, 0.07])],
+    "unknown-key-probe-typo": [(("probe",), {"count": 2})],
+    # the heisenberg lattice under a circle action
+    "action-group-mismatch": [(("action",), "so2-rotor")],
     "fiber-number": [(("fiber",), 5)],
     "probes-number": [(("probes",), 3)],
     "dynamics-number": [(("dynamics",), 3)],
@@ -147,3 +152,12 @@ def test_law_times_on_the_step_grid_load(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(cfg))
     assert load_scenario(str(path)).dynamics["law_times"] == [0.25, 0.5, 0.75, 1.0]
+
+
+def test_each_action_acts_through_its_stated_group():
+    """The group stated beside each action builder is the group the built
+    action acts through."""
+    for builder, group_id in _ACTION_BUILDERS.values():
+        action, family = builder(DimConfig(1, 6))
+        assert action.group.group_id == group_id
+        assert family.group is action.group

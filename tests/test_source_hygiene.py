@@ -5,8 +5,12 @@ of numerics written once: left translation of matrix stacks in
 ``sections.pulled_field``, the source lookup of a left translation in
 ``sections.OrbitSampling.transport``, the RK4 stage combination in
 ``dynamics._rk4_step``, the split-step FFT in
-``dynamics.reference_schrodinger`` and the measured refinement order (log2
-of a residual ratio) in ``verify._order_gap``."""
+``dynamics.reference_schrodinger``, the measured refinement order (log2
+of a residual ratio) in ``verify._order_gap``, the central-difference
+stencil (a difference over 2 * step) in ``sections.central_difference``
+(and the Hamiltonian self-check ``HamiltonianSpec.validate``), and the
+eigendecomposition of a generator's fiber Hamiltonian in
+``actions.GeneratorData``."""
 
 import ast
 import re
@@ -228,6 +232,23 @@ def _is_order_estimate(node: ast.AST) -> bool:
             and isinstance(node.args[0], ast.BinOp) and isinstance(node.args[0].op, ast.Div))
 
 
+def _is_central_stencil(node: ast.AST) -> bool:
+    """A quotient over twice a step: ``... / (2 * h)`` or ``... / (h * 2.0)``."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+        return False
+    den = node.right
+    return (isinstance(den, ast.BinOp) and isinstance(den.op, ast.Mult)
+            and any(isinstance(side, ast.Constant) and side.value == 2
+                    for side in (den.left, den.right)))
+
+
+def _is_generator_eigh(node: ast.AST) -> bool:
+    """``eigh`` of an expression that reads a ``fiber_hamiltonian``."""
+    return _calls(node, "eigh") and any(
+        isinstance(n, ast.Attribute) and n.attr == "fiber_hamiltonian"
+        for arg in node.args for n in ast.walk(arg))
+
+
 def test_written_once_patterns_are_recognised():
     tree = ast.parse('import numpy as np\n'
                      'def step(a, b, c, d):\n'
@@ -243,6 +264,16 @@ def test_written_once_patterns_are_recognised():
     assert _owners(tree, _is_rk4_combination) == {"step", "inner"}
     assert _owners(tree, _is_fft) == {"outer", "other"}
     assert _owners(tree, _is_order_estimate) == {"order"}
+    tree = ast.parse('def fd(f, t):\n'
+                     '    return (f(t) - f(-t)) / (2 * t), 1j / (2.0 * t) * f(t)\n'
+                     'def other(f, t, d):\n'
+                     '    return f(t) / (t * 2), f(t) / (3 * t), f(t) / 2, f(t) * (2 * t)\n'
+                     'def spectrum(d, H):\n'
+                     '    return np.linalg.eigh(d.directions[0].fiber_hamiltonian), eigh(H)\n'
+                     'def elsewhere(d):\n'
+                     '    return eigh(d.fiber_hamiltonian.T)\n')
+    assert _owners(tree, _is_central_stencil) == {"fd", "other"}
+    assert _owners(tree, _is_generator_eigh) == {"spectrum", "elsewhere"}
 
 
 def test_rk4_stage_combination_written_once():
@@ -255,3 +286,12 @@ def test_split_step_fft_written_once():
 
 def test_refinement_order_measured_once():
     assert _package_owners(_is_order_estimate) == {("verify.py", "_order_gap")}
+
+
+def test_central_difference_written_once():
+    assert _package_owners(_is_central_stencil) == {
+        ("sections.py", "central_difference"), ("dynamics.py", "validate")}
+
+
+def test_generator_spectrum_computed_once():
+    assert _package_owners(_is_generator_eigh) == {("actions.py", "_spectrum")}
