@@ -27,7 +27,6 @@ The evolution-law check reads all its flows and propagators that way.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -229,16 +228,6 @@ class Trajectory:
         if len(self) == 1:
             return self.initial
         return ClassicalState.from_array(self.rows[-1], self.initial.n)
-
-    def to_csv(self, path) -> None:
-        n = self.initial.n
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "S"]
-                            + [f"P_{k + 1}" for k in range(n)]
-                            + [f"Q_{k + 1}" for k in range(n)])
-            for t, row in zip(self.times, self.rows):
-                writer.writerow([f"{t:.12e}"] + [f"{v:.12e}" for v in row])
 
 
 def _hamilton_rhs(H: HamiltonianSpec, y: np.ndarray) -> np.ndarray:

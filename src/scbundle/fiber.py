@@ -22,13 +22,11 @@ __all__ = [
     "DimConfig",
     "FiberVector",
     "FiberOperator",
-    "inner",
     "quadratic_hamiltonian",
     "unitarity_residual",
     "position_operator",
     "momentum_operator",
     "spectral_exp",
-    "unitary_from_hamiltonian",
     "hermite_functions",
     "edge_mask",
 ]
@@ -127,23 +125,6 @@ class FiberVector:
             raise InputError("non-finite fiber coefficients")
         object.__setattr__(self, "coeffs", coeffs)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def __add__(self, other: "FiberVector") -> "FiberVector":
-        _check_dims(self, other)
-        return FiberVector(self.coeffs + other.coeffs, self.dim_config)
-
-    def __sub__(self, other: "FiberVector") -> "FiberVector":
-        _check_dims(self, other)
-        return FiberVector(self.coeffs - other.coeffs, self.dim_config)
-
-    def __mul__(self, scale: complex) -> "FiberVector":
-        return FiberVector(self.coeffs * scale, self.dim_config)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class FiberOperator:
@@ -173,27 +154,6 @@ class FiberOperator:
         if v.dim_config != self.dim_config:
             raise InputError("fiber dimension mismatch")
         return FiberVector(self.matrix @ v.coeffs, self.dim_config)
-
-    def __matmul__(self, other):
-        if isinstance(other, FiberVector):
-            return self.apply(other)
-        if isinstance(other, FiberOperator):
-            if other.dim_config != self.dim_config:
-                raise InputError("fiber dimension mismatch")
-            return FiberOperator(self.matrix @ other.matrix, self.dim_config,
-                                 unitary=self.unitary and other.unitary)
-        return NotImplemented
-
-
-def _check_dims(a, b):
-    if a.dim_config != b.dim_config:
-        raise InputError("fiber dimension mismatch")
-
-
-def inner(phi: FiberVector, psi: FiberVector) -> complex:
-    """Fiber inner product, conjugate-linear in the first argument."""
-    _check_dims(phi, psi)
-    return complex(np.vdot(phi.coeffs, psi.coeffs))
 
 
 def unitarity_residual(U) -> float:
@@ -257,14 +217,6 @@ def spectral_exp(eig, t: float) -> np.ndarray:
     precision)."""
     vals, vecs = eig
     return (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
-
-
-def unitary_from_hamiltonian(H: FiberOperator, t: float) -> FiberOperator:
-    """Propagator ``exp(-i t H)`` of a Hermitian fiber operator."""
-    if not H.hermitian:
-        raise InputError("propagator requires a hermitian operator")
-    return FiberOperator(spectral_exp(np.linalg.eigh(H.matrix), t), H.dim_config,
-                         unitary=True)
 
 
 def hermite_functions(xs: np.ndarray, count: int) -> np.ndarray:

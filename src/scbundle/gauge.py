@@ -125,10 +125,7 @@ def gauge_equivalent(gauge: GaugeGroup, z1, z2):
     X2, f2 = z2
     f1 = np.asarray(f1, dtype=complex)
     f2 = np.asarray(f2, dtype=complex)
-    if gauge.base_shift_s:
-        alpha = float(X2.S - X1.S)
-    else:
-        alpha = _solve_fiber_phase(f2, f1)
+    alpha = _gauge_parameter(gauge, X1, X2, f1, f2)
     residual = float(gauge.base_map(alpha, X1).distance(X2)
                      + np.linalg.norm(gauge.fiber_apply(alpha, f1) - f2))
     return residual <= EQUIV_TOL, alpha, residual
@@ -145,9 +142,14 @@ class GaugeRecord:
     compensator_parameters: tuple
 
 
-def _solve_fiber_phase(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """Phase angle aligning rhs to lhs via the inner-product argument."""
-    overlap = np.vdot(rhs, lhs)
+def _gauge_parameter(gauge: GaugeGroup, X_from, X_to, f_from: np.ndarray,
+                     f_to: np.ndarray) -> float:
+    """The gauge parameter carrying (X_from, f_from) to (X_to, f_to): the S
+    difference for base-moving gauges, otherwise the phase angle aligning
+    f_from to f_to (the argument of their overlap)."""
+    if gauge.base_shift_s:
+        return float(X_to.S - X_from.S)
+    overlap = np.vdot(f_from, f_to)
     return float(np.angle(overlap)) if overlap != 0 else 0.0
 
 
@@ -170,27 +172,20 @@ def compensator_relations_check(action: BundleAction, gauge: GaugeGroup,
     g_m, g1_m, g2_m = as_matrix(g), as_matrix(g1), as_matrix(g2)
     g_inv = np.linalg.inv(g_m)
 
-    # (28): beta from the base points for base-moving gauges, from the fiber
-    # conjugation phase otherwise
+    # (28): beta carries X to its conjugated image (and f to lhs30)
     conj_point = action.base_map(g_m, gauge.base_map(alpha, action.base_map(g_inv, X)))
     lhs30 = action.fiber_matrix(g_m) @ gauge.fiber_apply(
         alpha, action.fiber_matrix(g_inv) @ f)
-    if gauge.base_shift_s:
-        beta = float(conj_point.S - X.S)
-    else:
-        beta = _solve_fiber_phase(lhs30, f)
+    beta = _gauge_parameter(gauge, X, conj_point, f, lhs30)
     res28 = gauge.base_map(beta, X).distance(conj_point)
     records.append(GaugeRecord("28", res28, (beta,)))
 
-    # (29): gamma from the base points
+    # (29): gamma carries the one-step image to the two-step one
     two_step = action.base_map(g1_m, action.base_map(g2_m, X))
     one_step = action.base_map(g1_m @ g2_m, X)
-    if gauge.base_shift_s:
-        gamma = float(two_step.S - one_step.S)
-    else:
-        gamma = _solve_fiber_phase(
-            action.fiber_matrix(g1_m) @ (action.fiber_matrix(g2_m) @ f),
-            action.fiber_matrix(g1_m @ g2_m) @ f)
+    lhs31 = action.fiber_matrix(g1_m) @ (action.fiber_matrix(g2_m) @ f)
+    one_step_f = action.fiber_matrix(g1_m @ g2_m) @ f
+    gamma = _gauge_parameter(gauge, one_step, two_step, one_step_f, lhs31)
     res29 = gauge.base_map(gamma, one_step).distance(two_step)
     records.append(GaugeRecord("29", res29, (gamma,)))
 
@@ -199,9 +194,7 @@ def compensator_relations_check(action: BundleAction, gauge: GaugeGroup,
     records.append(GaugeRecord("30", res30, (beta,)))
 
     # (31): fiber composition against V_gamma
-    lhs31 = action.fiber_matrix(g1_m) @ (action.fiber_matrix(g2_m) @ f)
-    rhs31 = gauge.fiber_apply(gamma, action.fiber_matrix(g1_m @ g2_m) @ f)
-    res31 = float(np.linalg.norm(lhs31 - rhs31))
+    res31 = float(np.linalg.norm(lhs31 - gauge.fiber_apply(gamma, one_step_f)))
     records.append(GaugeRecord("31", res31, (gamma,)))
     return records
 

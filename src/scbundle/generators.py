@@ -6,11 +6,12 @@ re-evaluated from the section's field (never by interpolating lattice
 values), after Garding smoothing against a compactly supported kernel
 summed over lattice-aligned group nodes.  Base derivatives are the same
 central difference of a base field on the left-translated sampling.  The
-identity suite returns the residuals of linearity, conjugation covariance,
-the commutator/structure-constant match, the multiplication-operator
-commutator, and the pairing derivative (Eq. 21, :func:`pairing_residual`,
-which also serves Axiom A2 on two probes), each as a function of the fd
-step; this module judges nothing (tolerances and refinement orders live in
+identity suite returns, at one fd step, a table of the residuals of
+linearity, conjugation covariance, the commutator/structure-constant match,
+the multiplication-operator commutator, and the pairing derivative (Eq. 21,
+:func:`pairing_residual`, which also serves Axiom A2 on two probes); it
+applies H(A) psi and H(B) psi once and every identity reads them.  This
+module judges nothing (tolerances and refinement orders live in
 ``verify``).
 """
 
@@ -182,12 +183,11 @@ def base_derivative(A: AlgebraElement, alpha, action: BundleAction,
 
 
 def pairing_residual(A: AlgebraElement, phi: Section, psi: Section,
-                     action: BundleAction, tau: float) -> float:
-    """Residual of Eq. (21) at fd step ``tau``:
-    -i d[A]<phi, psi> = <phi, H(A) psi> - <H(A) phi, psi>, sup over the
-    sampling (H(A) psi is applied once when ``phi`` is ``psi``)."""
-    Hpsi = generator_apply(A, psi, action, tau)
-    Hphi = Hpsi if phi is psi else generator_apply(A, phi, action, tau)
+                     Hphi: Section, Hpsi: Section, action: BundleAction,
+                     tau: float) -> float:
+    """Residual of Eq. (21) at fd step ``tau``, given H(A) phi and H(A) psi
+    applied at that step: -i d[A]<phi, psi> = <phi, H(A) psi> -
+    <H(A) phi, psi>, sup over the sampling."""
     d = base_derivative(A, pairing(phi, psi), action, psi.sampling, tau)
     rhs = pairing(phi, Hpsi).values - pairing(Hphi, psi).values
     return float(np.max(np.abs(-1j * d.values - rhs)))
@@ -198,10 +198,10 @@ def pairing_residual(A: AlgebraElement, phi: Section, psi: Section,
 # ---------------------------------------------------------------------------
 
 def identity_suite(A: AlgebraElement, B: AlgebraElement, alpha: BaseFunction,
-                   psi: Section, action: BundleAction,
+                   psi: Section, action: BundleAction, tau: float,
                    conjugator: Optional[GroupElement] = None) -> dict:
-    """Residuals of the generator identities, each as a function of the fd
-    step (name -> tau -> float):
+    """Residuals of the generator identities at fd step ``tau`` (name ->
+    float), with H(A) psi and H(B) psi applied once and shared:
 
     linearity        H(A+B) = H(A) + H(B) and H(2A) = 2 H(A)
     conjugation      U_h H(A) U_{h^-1} = H(h A h^-1)  (h = ``conjugator``,
@@ -215,36 +215,21 @@ def identity_suite(A: AlgebraElement, B: AlgebraElement, alpha: BaseFunction,
     sampling = psi.sampling
     group = action.group
 
-    def H(X, phi, tk):
-        return generator_apply(X, phi, action, tk)
+    def H(X, phi):
+        return generator_apply(X, phi, action, tau)
 
-    def lin_res(tk):
-        add = (H(A + B, psi, tk) - (H(A, psi, tk) + H(B, psi, tk))).norm
-        hom = (H(2.0 * A, psi, tk) - 2.0 * H(A, psi, tk)).norm
-        return max(add, hom)
-
-    def conj_res(tk):
-        h = conjugator
-        h_inv = GroupElement(group, np.linalg.inv(h.matrix))
-        lhs = evaluator_transform(
-            action, h, H(A, evaluator_transform(action, h_inv, psi), tk))
-        hAh = group.expand_in_basis(h.matrix @ A.matrix @ np.linalg.inv(h.matrix))
-        return (lhs - H(group.algebra(hAh), psi, tk)).norm
-
-    def comm_res(tk):
-        AB = H(A, H(B, psi, tk), tk)
-        BA = H(B, H(A, psi, tk), tk)
-        return ((AB - BA) - 1j * H(bracket(A, B), psi, tk)).norm
-
-    def mult_res(tk):
-        lhs = 1j * (H(A, multiply(alpha, psi), tk) - multiply(alpha, H(A, psi, tk)))
-        dalpha = base_derivative(A, alpha, action, sampling, tk)
-        return (lhs - Section(sampling, dalpha.values[:, None] * psi.values)).norm
-
-    residuals = {"linearity": lin_res, "conjugation": conj_res,
-                 "commutator": comm_res, "multiplication": mult_res,
-                 "pairing_derivative":
-                     lambda tk: pairing_residual(A, psi, psi, action, tk)}
-    if conjugator is None:
-        del residuals["conjugation"]
-    return residuals
+    HA, HB = H(A, psi), H(B, psi)
+    out = {"linearity": max((H(A + B, psi) - (HA + HB)).norm,
+                            (H(2.0 * A, psi) - 2.0 * HA).norm)}
+    if conjugator is not None:
+        h, h_inv = conjugator.matrix, np.linalg.inv(conjugator.matrix)
+        lhs = evaluator_transform(action, h, H(A, evaluator_transform(action, h_inv, psi)))
+        hAh = group.expand_in_basis(h @ A.matrix @ h_inv)
+        out["conjugation"] = (lhs - H(group.algebra(hAh), psi)).norm
+    out["commutator"] = ((H(A, HB) - H(B, HA)) - 1j * H(bracket(A, B), psi)).norm
+    lhs = 1j * (H(A, multiply(alpha, psi)) - multiply(alpha, HA))
+    dalpha = base_derivative(A, alpha, action, sampling, tau)
+    out["multiplication"] = (
+        lhs - Section(sampling, dalpha.values[:, None] * psi.values)).norm
+    out["pairing_derivative"] = pairing_residual(A, psi, psi, HA, HA, action, tau)
+    return out

@@ -31,7 +31,6 @@ __all__ = [
     "bracket",
     "adjoint",
     "factorize_second_kind",
-    "register_group",
     "get_group",
     "builtin_group_ids",
     "smooth_bump",
@@ -45,7 +44,7 @@ _FACTORIZE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class AlgebraElement:
-    """Element ``sum_k coords_k B_k`` of a registered Lie algebra."""
+    """Element ``sum_k coords_k B_k`` of a Lie algebra."""
 
     group: "LieGroup"
     coords: np.ndarray
@@ -89,7 +88,7 @@ class GroupElement:
 
 
 class LieGroup:
-    """A registered matrix Lie group with a fixed algebra basis.
+    """A matrix Lie group with a fixed algebra basis.
 
     Parameters
     ----------
@@ -334,27 +333,6 @@ def left_translate(g: np.ndarray, mats: np.ndarray) -> np.ndarray:
 # Built-in catalog
 # ---------------------------------------------------------------------------
 
-_REGISTRY: dict = {}
-
-
-def register_group(group: LieGroup) -> LieGroup:
-    if group.group_id in _REGISTRY:
-        raise InputError(f"group {group.group_id!r} already registered")
-    _REGISTRY[group.group_id] = group
-    return group
-
-
-def get_group(group_id: str) -> LieGroup:
-    try:
-        return _REGISTRY[group_id]
-    except KeyError:
-        raise InputError(f"unknown group {group_id!r}") from None
-
-
-def builtin_group_ids() -> tuple:
-    return tuple(sorted(_REGISTRY))
-
-
 def _unipotent_residual(pattern: np.ndarray) -> Callable[[np.ndarray], float]:
     """Residual for upper-triangular unit-diagonal groups: off-pattern
     entries must match the identity matrix."""
@@ -443,6 +421,17 @@ def _make_su2() -> LieGroup:
                     residual_fn=_su2_residual)
 
 
-for _g in (_make_real_line(), _make_translations_r2(), _make_heisenberg(),
-           _make_so2(), _make_su2()):
-    register_group(_g)
+_BUILTINS = {g.group_id: g for g in (
+    _make_real_line(), _make_translations_r2(), _make_heisenberg(), _make_so2(),
+    _make_su2())}
+
+
+def get_group(group_id: str) -> LieGroup:
+    try:
+        return _BUILTINS[group_id]
+    except KeyError:
+        raise InputError(f"unknown group {group_id!r}") from None
+
+
+def builtin_group_ids() -> tuple:
+    return tuple(sorted(_BUILTINS))

@@ -198,6 +198,11 @@ def _list(value, where: str) -> list:
     return list(value)
 
 
+def _named(value, table: dict) -> bool:
+    """Whether ``value`` is a string naming an entry of ``table``."""
+    return isinstance(value, str) and value in table
+
+
 def _integer(value, least: int, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ConfigError(f"{where} must be an integer of at least {least}, got {value!r}")
@@ -268,11 +273,11 @@ def _validate(cfg: dict, origin: str) -> Scenario:
     try:
         dim = get_group(group_id).dim
     except Exception as err:
-        raise ConfigError(f"{origin}: group {group_id!r} not registered "
+        raise ConfigError(f"{origin}: group {group_id!r} is not built in "
                           f"(built-ins: {builtin_group_ids()})") from err
 
     gauge_id = cfg.get("gauge_id")
-    if gauge_id is not None and gauge_id not in _GAUGE_BUILDERS:
+    if gauge_id is not None and not _named(gauge_id, _GAUGE_BUILDERS):
         raise ConfigError(f"{origin}: unknown gauge {gauge_id!r}")
 
     fiber_cfg = _mapping(need("fiber"), f"{origin}: fiber")
@@ -324,7 +329,7 @@ def _validate(cfg: dict, origin: str) -> Scenario:
                               f"{_PROBE_SIZE[suite](probes)!r}")
 
     action_name = cfg.get("action")
-    if action_name is not None and action_name not in _ACTION_BUILDERS:
+    if action_name is not None and not _named(action_name, _ACTION_BUILDERS):
         raise ConfigError(f"{origin}: unknown action {action_name!r}")
     if action_name is not None and _ACTION_BUILDERS[action_name][1] != group_id:
         raise ConfigError(f"{origin}: action {action_name!r} acts through group "
@@ -337,6 +342,11 @@ def _validate(cfg: dict, origin: str) -> Scenario:
     if "law_times" in dynamics:
         _validate_law_times(dynamics["law_times"], float(numerics.get("dt", 1e-3)),
                             f"{origin}: dynamics.law_times")
+
+    strict_group_law = cfg.get("strict_group_law", False)
+    if not isinstance(strict_group_law, bool):
+        raise ConfigError(f"{origin}: strict_group_law must be true or false, "
+                          f"got {strict_group_law!r}")
 
     anchor_cfg = cfg.get("anchor", {"S": 0.0, "P": [0.0], "Q": [1.0]})
     S, P, Q = (_need(anchor_cfg, key, f"{origin}: anchor") for key in "SPQ")
@@ -360,7 +370,7 @@ def _validate(cfg: dict, origin: str) -> Scenario:
         probes=probes,
         kernel_radius=kernel_radius,
         suites=suites,
-        strict_group_law=bool(cfg.get("strict_group_law", False)),
+        strict_group_law=strict_group_law,
         dynamics=dynamics,
         gauge_cfg=_mapping(cfg.get("gauge", {}), f"{origin}: gauge"),
         eps_list=[_number(e, float, f"{origin}: eps_list")

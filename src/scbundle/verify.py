@@ -4,12 +4,14 @@ Each suite turns one block of the theory into check records with pinned
 tolerances: the Lie layer, the evolution pipeline, the section calculus, the
 generator identities, the group-law reconstruction, and the gauge layer.
 The library modules only compute residuals; every tolerance and every
-refinement-order decision is made here.  A finite-difference check hands its
-residual as a function of the fd step to :func:`_refined`, the one place that
-pairs a residual record with its ``_order`` record (the steps, the roundoff
-floor and the contracted order).  Any exception inside a suite becomes a
-failing record instead of a crash, and everything is deterministic given the
-scenario seed.
+refinement-order decision is made here.  The finite-difference checks of a
+suite are one table of residuals at one fd step, so each operator is applied
+once per step; :func:`_refined` evaluates the table once at each step and is
+the one place that pairs a residual record with its ``_order`` record (the
+steps, the roundoff floor and the contracted order).  The section suite
+likewise transforms each probe once per group element.  Any exception inside
+a suite becomes a failing record instead of a crash, and everything is
+deterministic given the scenario seed.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from .errors import PreconditionError
 from .fiber import FiberVector, unitarity_residual
 from .gauge import (compensator_relations_check, equivalence_relation_residuals,
                     gauge_equivalent, u1_phase_gauge)
-from .generators import (base_derivative, garding_smooth, generator_apply,
-                         identity_suite, lattice_kernel, pairing_residual)
+from .generators import (SmoothingKernel, base_derivative, garding_smooth,
+                         generator_apply, identity_suite, lattice_kernel,
+                         pairing_residual)
 from .groups import bracket, exp as group_exp, factorize_second_kind, left_translate
 from .reconstruction import (conjugation_check, exponentiate_generator,
                              group_law_verify, reconstruct_group_operator,
@@ -53,15 +56,21 @@ def _order_gap(residual: float, refined: float, contracted: float) -> float:
     return float(max(0.0, contracted - order))
 
 
-def _refined(check_id: str, anchor: str, tol: float, residual, tau: float,
-             contracted: float) -> list:
-    """The record of a finite-difference check, ``residual(tau)`` against
-    ``tol``, followed by its ``<check_id>_order`` record: the residual at
-    tau/2 must shrink at the contracted order (``_order_gap``)."""
-    r, r_half = residual(tau), residual(tau / 2)
-    return [CheckRecord(check_id, anchor, r, tol),
-            CheckRecord(f"{check_id}_order", anchor,
-                        _order_gap(r, r_half, contracted), 1e-9)]
+def _refined(checks, residuals, tau: float) -> list:
+    """Records of finite-difference checks read off one residual table per
+    step: ``residuals(tk)`` maps each check id to its residual at fd step
+    ``tk`` and is evaluated at tau, then at tau/2.  For each ``(check_id,
+    anchor, tol, contracted)`` of ``checks``, in order, the residual at tau
+    against ``tol`` is followed by its ``<check_id>_order`` record: the
+    residual at tau/2 must shrink at the contracted order (``_order_gap``)."""
+    table, half = residuals(tau), residuals(tau / 2)
+    records = []
+    for check_id, anchor, tol, contracted in checks:
+        r = table[check_id]
+        records += [CheckRecord(check_id, anchor, r, tol),
+                    CheckRecord(f"{check_id}_order", anchor,
+                                _order_gap(r, half[check_id], contracted), 1e-9)]
+    return records
 
 
 def _monotone_ratio(drifts) -> float:
@@ -83,13 +92,9 @@ def _smooth_alpha():
 def _lattice_elements(sampling, count: int = 5):
     """Deterministic small lattice elements for group-law grids."""
     dim = len(sampling.axes)
-    patterns = [
-        [1], [-1], [2], [3], [-2],
-    ] if dim == 1 else ([
-        [1, 0], [0, 1], [1, -1], [2, 1], [-1, 2],
-    ] if dim == 2 else [
-        [1, 0, 0], [0, 1, 0], [1, -1, 2], [2, 1, 0], [0, -2, 1],
-    ])
+    patterns = {1: [[1], [-1], [2], [3], [-2]],
+                2: [[1, 0], [0, 1], [1, -1], [2, 1], [-1, 2]],
+                3: [[1, 0, 0], [0, 1, 0], [1, -1, 2], [2, 1, 0], [0, -2, 1]]}[dim]
     group = sampling.action.group
     out = []
     for pat in patterns[:count]:
@@ -244,35 +249,44 @@ def section_checks(scn: Scenario, action, rng) -> list:
     elements = _lattice_elements(sampling)
     alpha = _smooth_alpha()
 
-    ident_worst = 0.0
-    iso_worst = 0.0
-    law_worst = 0.0
-    eq10_worst = 0.0
-    pair_worst = 0.0
-    pos_worst = 0.0
+    ident_worst = iso_worst = law_worst = eq10_worst = pair_worst = pos_worst = 0.0
+    g = elements[2]
+    transport = sampling.transport(g)
+    identity = action.group.identity()
+    # the group-law pairs (g1, g2) by the bytes of g1 g2: commuting pairs
+    # share a product, and a product may be the identity or an element
+    products = {}
+    for g1 in elements:
+        for k, g2 in enumerate(elements):
+            g12 = g1 @ g2
+            products.setdefault(g12.matrix.tobytes(), (g12, []))[1].append((g1, k))
+    phi = sections[0]
     for psi in sections:
-        out = section_transform(action, action.group.identity(), psi)
+        # every transform of the probe is computed once: those by the
+        # identity and the elements are kept, each further product is
+        # dropped after use; T(g, phi) is read from the first probe
+        out = section_transform(action, identity, psi)
+        moved = [section_transform(action, el, psi) for el in elements]
+        kept = {el.matrix.tobytes(): m
+                for el, m in zip([identity, *elements], [out, *moved])}
+        if psi is phi:
+            phi_moved = moved[2]
         ident_worst = max(ident_worst, float(np.max(np.abs(out.values - psi.values))))
-        for g in elements[:3]:
-            moved = section_transform(action, g, psi)
-            iso_worst = max(iso_worst, abs(moved.norm - psi.norm))
-        for g1 in elements:
-            for g2 in elements:
-                lhs = section_transform(action, g1, section_transform(action, g2, psi))
-                rhs = section_transform(action, g1 @ g2, psi)
+        for m in moved[:3]:
+            iso_worst = max(iso_worst, abs(m.norm - psi.norm))
+        for key, (g12, pairs) in products.items():
+            rhs = kept[key] if key in kept else section_transform(action, g12, psi)
+            for g1, k in pairs:
+                lhs = section_transform(action, g1, moved[k])
                 law_worst = max(law_worst, (lhs - rhs).norm)
-        g = elements[2]
         lhs = section_transform(action, g, multiply(alpha, psi))
-        rhs = multiply(pullback(action, g, alpha), section_transform(action, g, psi))
+        rhs = multiply(pullback(action, g, alpha), moved[2])
         eq10_worst = max(eq10_worst, (lhs - rhs).norm)
 
-        phi = sections[0]
-        moved = pairing(section_transform(action, g, phi),
-                        section_transform(action, g, psi))
+        paired = pairing(phi_moved, moved[2])
         still = pairing(phi, psi)
-        transport = sampling.transport(g)
         pair_worst = max(pair_worst, float(np.max(np.abs(
-            moved.values[transport.dest] - still.values[transport.source]))))
+            paired.values[transport.dest] - still.values[transport.source]))))
         self_pair = pairing(psi, psi).values
         pos_worst = max(pos_worst, float(max(np.max(-self_pair.real, initial=0.0),
                                              np.max(np.abs(self_pair.imag)))))
@@ -344,19 +358,16 @@ def generator_checks(scn: Scenario, action, rng) -> list:
         A = group.algebra([1.0])
         B = group.algebra([0.6])
     conj = _lattice_elements(sampling)[3]
-    residuals = identity_suite(A, B, _smooth_alpha(), psi, action, conjugator=conj)
-
-    anchors = {"linearity": "Eq. (18)", "conjugation": "Eq. (18)",
-               "commutator": "Eq. (18)", "multiplication": "Eq. (20a)",
-               "pairing_derivative": "Eq. (21)"}
-    records = []
-    for name, residual in residuals.items():
-        contracted = 0.85 if name == "commutator" else 1.85
-        records += _refined(f"generator_{name}", anchors[name], 1e-4, residual,
-                            tau, contracted)
+    checks = [("generator_linearity", "Eq. (18)", 1e-4, 1.85),
+              ("generator_conjugation", "Eq. (18)", 1e-4, 1.85),
+              ("generator_commutator", "Eq. (18)", 1e-4, 0.85),
+              ("generator_multiplication", "Eq. (20a)", 1e-4, 1.85),
+              ("generator_pairing_derivative", "Eq. (21)", 1e-4, 1.85)]
+    records = _refined(checks, lambda tk: {
+        f"generator_{name}": r for name, r in identity_suite(
+            A, B, _smooth_alpha(), psi, action, tk, conjugator=conj).items()}, tau)
 
     # smoothing covariance under left translation
-    from .generators import SmoothingKernel
     g = _lattice_elements(sampling)[0]
     lhs = evaluator_transform(action, g, psi)
     translated = SmoothingKernel(
@@ -367,9 +378,9 @@ def generator_checks(scn: Scenario, action, rng) -> list:
     records.append(CheckRecord("smoothing_covariance", "Eq. (13)",
                                float(np.max(np.abs(lhs.values - rhs.values))), 1e-10))
 
-    # shrinking kernels approximate the identity
-    drifts = []
-    for scale in (1.0, 0.66, 0.44):
+    # shrinking kernels approximate the identity (scale 1 is psi's kernel)
+    drifts = [(psi - probe).norm]
+    for scale in (0.66, 0.44):
         radius = np.asarray(scn.kernel_radius or sigma, dtype=float) * scale
         k = lattice_kernel(sampling, radius)
         drifts.append((garding_smooth(k, probe, action) - probe).norm)
@@ -483,35 +494,24 @@ def reconstruction_checks(scn: Scenario, action, family, rng) -> list:
     records.append(CheckRecord("generator_closure", "Eq. (27)",
                                law.generator_residual, 1e-3))
 
+    # conjugation covariance and the pairing-derivative axioms, one table
+    # per fd step; A2 is the pairing derivative (Eq. 21) on two probes and
+    # A5 reads A2's H(A) phi and H(A) psi
+    phi = gentle_probe_section(sampling, rng, scn.max_degree, sigma)
     k_conj = 1 if group.dim >= 2 else 0
     A_coords = np.eye(group.dim)[0]
-    records += _refined("conjugation_covariance", "Lemma 4.4", 1e-4,
-                        lambda tk: conjugation_check(family, k_conj, 0.3, A_coords,
-                                                     psi, tk), tau, 0.85)
+    A = group.algebra(A_coords)
+    B = group.algebra(np.eye(group.dim)[1]) if group.dim >= 2 else None
 
-    records.extend(_axiom_surrogates(scn, action, family, psi, rng))
-    return records
-
-
-def _axiom_surrogates(scn, action, family, psi, rng) -> list:
-    """Finite-difference surrogates of the pairing-derivative axioms."""
-    sampling = psi.sampling
-    group = action.group
-    tau = scn.fd_tau
-    phi = gentle_probe_section(sampling, rng, scn.max_degree,
-                               scn.probe_size("reconstruction"))
-    A = group.algebra(np.eye(group.dim)[0])
-    # A2 is the pairing derivative (Eq. 21) on two probes
-    records = _refined("axiom_a2_surrogate", "Axiom A2", 1e-4,
-                       lambda tk: pairing_residual(A, phi, psi, action, tk), tau, 0.85)
-
-    if group.dim >= 2:
-        B = group.algebra(np.eye(group.dim)[1])
-
-        def a5_residual(tk):
-            HA_phi = generator_apply(A, phi, action, tk)
+    def fd_table(tk):
+        HA_phi = generator_apply(A, phi, action, tk)
+        HA_psi = generator_apply(A, psi, action, tk)
+        table = {"conjugation_covariance":
+                     conjugation_check(family, k_conj, 0.3, A_coords, psi, tk),
+                 "axiom_a2_surrogate":
+                     pairing_residual(A, phi, psi, HA_phi, HA_psi, action, tk)}
+        if B is not None:
             HB_phi = generator_apply(B, phi, action, tk)
-            HA_psi = generator_apply(A, psi, action, tk)
             HB_psi = generator_apply(B, psi, action, tk)
             term1 = pairing(HA_psi, HB_phi).values
             term2 = -1j * base_derivative(A, pairing(psi, HB_phi), action,
@@ -519,13 +519,17 @@ def _axiom_surrogates(scn, action, family, psi, rng) -> list:
             term3 = -pairing(HB_psi, HA_phi).values
             term4 = 1j * base_derivative(B, pairing(psi, HA_phi), action,
                                          sampling, tk).values
-            comm = bracket(A, B)
-            rhs = 1j * pairing(psi, generator_apply(comm, phi, action, tk)).values
-            return float(np.max(np.abs(term1 + term2 + term3 + term4 - rhs)))
+            H_comm_phi = generator_apply(bracket(A, B), phi, action, tk)
+            rhs = 1j * pairing(psi, H_comm_phi).values
+            table["axiom_a5_surrogate"] = float(np.max(np.abs(
+                term1 + term2 + term3 + term4 - rhs)))
+        return table
 
-        records += _refined("axiom_a5_surrogate", "Axiom A5", 1e-3, a5_residual,
-                            tau, 0.85)
-    return records
+    checks = [("conjugation_covariance", "Lemma 4.4", 1e-4, 0.85),
+              ("axiom_a2_surrogate", "Axiom A2", 1e-4, 0.85)]
+    if B is not None:
+        checks.append(("axiom_a5_surrogate", "Axiom A5", 1e-3, 0.85))
+    return records + _refined(checks, fd_table, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +645,7 @@ def gauge_checks(scn: Scenario, rng) -> list:
     records.append(CheckRecord("compensator_locality", "Definition 5.2",
                                worst, 1e-8))
 
-    drifts = []
-    for m_frac in (4, 2, 1):
-        moved = bundle.gauge_transform(m_frac, vals)
-        drifts.append(bundle.norm(moved - vals))
+    drifts = [bundle.norm(bundle.gauge_transform(m, vals) - vals) for m in (4, 2, 1)]
     records.append(CheckRecord("gauge_continuity_surrogate", "Theorem 5.1",
                                _monotone_ratio(drifts), 0.999))
     return records

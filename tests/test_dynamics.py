@@ -11,8 +11,8 @@ from scbundle.dynamics import (
     l2_distance, quadratic_hamiltonian_spec, reference_schrodinger, step_counts,
 )
 from scbundle.errors import InputError, NumericalError, ResolutionError
-from scbundle.fiber import (DimConfig, FiberVector, inner, momentum_operator,
-                            unitarity_residual, unitary_from_hamiltonian)
+from scbundle.fiber import (DimConfig, FiberVector, momentum_operator,
+                            unitarity_residual)
 
 OSC = quadratic_hamiltonian_spec([[1.0]])
 FREE = quadratic_hamiltonian_spec([[0.0]])
@@ -159,15 +159,6 @@ def test_hamiltonian_spec_validation():
         n=1)
     with pytest.raises(InputError):
         broken.validate(probes)
-
-
-def test_trajectory_csv_export(tmp_path):
-    tr = classical_flow(OSC, ClassicalState(0.0, [0.0], [1.0]), 0.01, 1e-3)
-    path = tmp_path / "trajectory.csv"
-    tr.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,S,P_1,Q_1"
-    assert len(lines) == len(tr) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Fiber space: inner product, quadratic Hamiltonian assembly, unitarity."""
+"""Fiber space: quadratic Hamiltonian assembly, unitarity."""
 
 import numpy as np
 import pytest
@@ -7,24 +7,10 @@ from hypothesis import strategies as st
 
 from scbundle.errors import InputError
 from scbundle.fiber import (
-    _padded_ops, DimConfig, FiberOperator, FiberVector, edge_mask, hermite_functions, inner,
-    momentum_operator, position_operator, quadratic_hamiltonian,
+    _padded_ops, DimConfig, FiberOperator, FiberVector, edge_mask, hermite_functions,
+    momentum_operator, position_operator, quadratic_hamiltonian, spectral_exp,
     unitarity_residual,
-    unitary_from_hamiltonian,
 )
-
-
-def basis_vector(config, k):
-    c = np.zeros(config.dim, dtype=complex)
-    c[k] = 1.0
-    return FiberVector(c, config)
-
-
-def random_vector(config, rng, max_degree):
-    """Random fiber vector supported on total degree <= max_degree."""
-    c = rng.standard_normal(config.dim) + 1j * rng.standard_normal(config.dim)
-    c[config.degrees() > max_degree] = 0.0
-    return FiberVector(c, config)
 
 
 def grid_matrix_elements(op_on_grid, count, lo=-12.0, hi=12.0, num=24001):
@@ -46,42 +32,6 @@ def second_derivative(xs, f):
     out[2:-2] = (-f[4:] + 16 * f[3:-1] - 30 * f[2:-2]
                  + 16 * f[1:-3] - f[:-4]) / (12 * dx ** 2)
     return out
-
-
-# ---------------------------------------------------------------------------
-# inner product
-# ---------------------------------------------------------------------------
-
-def test_inner_orthonormal_basis():
-    cfg = DimConfig(1, 8)
-    e0, e1 = basis_vector(cfg, 0), basis_vector(cfg, 1)
-    assert inner(e0, e0) == pytest.approx(1.0)
-    assert inner(e0, e1) == pytest.approx(0.0)
-
-
-def test_inner_hermitian_symmetry_random():
-    cfg = DimConfig(1, 10)
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        x = random_vector(cfg, rng, max_degree=9)
-        y = random_vector(cfg, rng, max_degree=9)
-        assert inner(x, y) == pytest.approx(np.conj(inner(y, x)))
-        assert inner(x, x).imag == pytest.approx(0.0, abs=1e-14)
-        assert inner(x, x).real >= 0.0
-
-
-def test_inner_conjugate_linear_first_argument():
-    cfg = DimConfig(1, 6)
-    rng = np.random.default_rng(8)
-    x = random_vector(cfg, rng, 5)
-    y = random_vector(cfg, rng, 5)
-    z = (2.0 - 1.5j) * x
-    assert inner(z, y) == pytest.approx(np.conj(2.0 - 1.5j) * inner(x, y))
-
-
-def test_inner_dimension_mismatch():
-    with pytest.raises(InputError):
-        inner(basis_vector(DimConfig(1, 4), 0), basis_vector(DimConfig(1, 5), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +156,7 @@ def test_unitarity_residual_scaled_identity():
 def test_propagator_is_unitary(t):
     cfg = DimConfig(1, 9)
     H = quadratic_hamiltonian([[1.0]], [[0.3]], [[2.0]], cfg)
-    U = unitary_from_hamiltonian(H, t)
+    U = spectral_exp(np.linalg.eigh(H.matrix), t)
     assert unitarity_residual(U) <= 1e-12
 
 
@@ -216,9 +166,6 @@ def test_fiber_vector_validation():
         FiberVector(np.ones(3), cfg)
     with pytest.raises(InputError):
         FiberVector(np.array([np.nan, 0, 0, 0]), cfg)
-    v = FiberVector(np.array([3.0, 4.0, 0.0, 0.0]), cfg)
-    assert v.norm == pytest.approx(5.0)
-    assert FiberVector(v.coeffs / v.norm, cfg).norm == pytest.approx(1.0)
 
 
 def test_operator_flag_validation():

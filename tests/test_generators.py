@@ -274,11 +274,12 @@ def test_identity_suite_heisenberg(weyl, smoothed):
     G = action.group
     A, B = G.algebra([1.0, 0.0, 0.0]), G.algebra([0.0, 1.0, 0.0])
     conj = G.element(G.compose_exps([H, H, 0.0]))
-    res = identity_suite(A, B, smooth_alpha(), smoothed, action, conjugator=conj)
-    assert set(res) == {"linearity", "conjugation", "commutator",
-                        "multiplication", "pairing_derivative"}
-    for name, residual in res.items():
-        r, r_half = residual(1e-3), residual(5e-4)
+    res = identity_suite(A, B, smooth_alpha(), smoothed, action, 1e-3, conjugator=conj)
+    half = identity_suite(A, B, smooth_alpha(), smoothed, action, 5e-4, conjugator=conj)
+    assert set(res) == set(half) == {"linearity", "conjugation", "commutator",
+                                     "multiplication", "pairing_derivative"}
+    for name, r in res.items():
+        r_half = half[name]
         contracted = 1.0 if name == "commutator" else 2.0
         assert r_half <= FLOOR or np.log2(r / r_half) >= contracted - 0.15, name
         if name == "commutator":
@@ -298,9 +299,9 @@ def test_identity_suite_abelian_commutator_vanishes():
     psi = garding_smooth(kernel, probe, action)
     G = action.group
     A, B = G.algebra([1.0, 0.0]), G.algebra([0.0, 1.0])
-    res = identity_suite(A, B, smooth_alpha(), psi, action)
+    res = identity_suite(A, B, smooth_alpha(), psi, action, 1e-3)
     assert "conjugation" not in res
-    assert res["commutator"](1e-3) <= 1e-4
+    assert res["commutator"] <= 1e-4
 
 
 def test_identity_suite_constant_alpha_vanishes(weyl, smoothed):
@@ -308,6 +309,6 @@ def test_identity_suite_constant_alpha_vanishes(weyl, smoothed):
     G = action.group
     A, B = G.algebra([1.0, 0.0, 0.0]), G.algebra([0.0, 1.0, 0.0])
     const = BaseFunction(batch=lambda rows: np.full(rows.shape[0], 1.5 + 0j))
-    res = identity_suite(A, B, const, smoothed, action)
-    assert res["multiplication"](1e-3) <= 1e-6
+    res = identity_suite(A, B, const, smoothed, action, 1e-3)
+    assert res["multiplication"] <= 1e-6
 

@@ -97,6 +97,11 @@ MALFORMED = {
     "radius-two-axes": [(("probes", "radius"), [0.4, 0.4])],
     "sigma-two-axes": [(("probes", "sigma"), [0.4, 0.4])],
     "radius-nested": [(("probes", "radius"), [[0.4, 0.4, 0.35]])],
+    # each of these crashed with TypeError (an unhashable list) or loaded
+    "action-list": [(("action",), ["heisenberg-weyl"])],
+    "gauge-id-list": [(("gauge_id",), ["u1_phase"])],
+    "strict-group-law-text": [(("strict_group_law",), "no")],
+    "strict-group-law-integer": [(("strict_group_law",), 1)],
 }
 
 

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from scbundle import verify
+from scbundle import generators, verify
+from scbundle.groups import as_matrix
 from scbundle.scenarios import SEED_ENV_VAR, load_scenario
+from scbundle.sections import gentle_probe_section
 
 GOLDEN = Path(__file__).parent / "golden"
 FIELDS = ("check_id", "pass", "residual", "tolerance")
@@ -37,25 +39,29 @@ def _reduced_oscillator(suites):
 
 
 def test_refined_judges_the_refinement_order():
-    """A residual that decays at first order fails its order record; one at
-    the roundoff floor cannot shrink and passes; the residual is evaluated
-    at tau, then at tau/2."""
+    """One residual table per step, evaluated once at tau and then once at
+    tau/2: a residual that decays at first order fails its order record, one
+    at the roundoff floor cannot shrink and passes, one at second order
+    passes; the records come in the order of the checks."""
     steps = []
 
-    def first_order(tk):
+    def table(tk):
         steps.append(tk)
-        return tk
+        return {"floor": 1e-12, "first": tk, "second": tk * tk}
 
-    records = verify._refined("fd_check", "Eq. (0)", 1e-2, first_order, 1e-3, 1.85)
+    checks = [("first", "Eq. (0)", 1e-2, 1.85), ("floor", "Eq. (1)", 1e-2, 1.85),
+              ("second", "Eq. (2)", 1e-2, 1.85)]
+    records = verify._refined(checks, table, 1e-3)
     assert steps == [1e-3, 5e-4]
-    assert [r.check_id for r in records] == ["fd_check", "fd_check_order"]
-    assert records[0].residual == 1e-3 and records[0].passed
-    assert records[1].residual == pytest.approx(0.85) and not records[1].passed
-    floor = verify._refined("fd_check", "Eq. (0)", 1e-2, lambda tk: 1e-12, 1e-3, 1.85)
-    assert [r.residual for r in floor] == [1e-12, 0.0] and all(r.passed for r in floor)
-    second_order = verify._refined("fd_check", "Eq. (0)", 1e-2, lambda tk: tk * tk,
-                                   1e-3, 1.85)
-    assert second_order[1].residual == 0.0
+    assert [r.check_id for r in records] == ["first", "first_order", "floor",
+                                             "floor_order", "second", "second_order"]
+    assert [r.paper_anchor for r in records[::2]] == ["Eq. (0)", "Eq. (1)", "Eq. (2)"]
+    first, first_order, floor, floor_order, second, second_order = records
+    assert first.residual == 1e-3 and first.passed
+    assert first_order.residual == pytest.approx(0.85) and not first_order.passed
+    assert [floor.residual, floor_order.residual] == [1e-12, 0.0]
+    assert floor.passed and floor_order.passed
+    assert second_order.residual == 0.0 and second_order.passed
 
 
 def test_suite_crash_is_recorded_and_other_suites_survive(monkeypatch):
@@ -112,6 +118,56 @@ def test_reduced_suite_records_match_golden(name, build, monkeypatch):
     report = verify.run_verify(build())
     golden = json.loads((GOLDEN / f"{name}.json").read_text())
     assert _records(report.to_json()) == golden
+
+
+def test_each_operator_is_applied_once_per_step(monkeypatch):
+    """One identity-suite table and the reconstruction tables apply no
+    generator twice to one section at one step (H(A) psi and H(B) psi are
+    shared), and the section suite transforms no section twice by one
+    element (commuting products and products equal to an element included)."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    seen, alive = [], []
+
+    def record(module, name, key):
+        original = getattr(module, name)
+
+        def wrapped(*args):
+            alive.append(args)    # no section is freed, so no id is reused
+            seen.append(key(*args))
+            return original(*args)
+        monkeypatch.setattr(module, name, wrapped)
+
+    def apply_key(A, psi, action, tau):
+        return tuple(A.coords), id(psi), tau
+
+    record(generators, "generator_apply", apply_key)
+    record(verify, "generator_apply", apply_key)
+    record(verify, "section_transform",
+           lambda action, g, psi: (as_matrix(g).tobytes(), id(psi)))
+
+    scn = _heisenberg_generators()
+    action, family = scn.build_action()
+    sampling = scn.build_sampling(action, generator_scale=True)
+    rng = scn.rng()
+    probe = gentle_probe_section(sampling, rng, scn.max_degree,
+                                 scn.probe_size("generators"))
+    psi = generators.garding_smooth(
+        generators.lattice_kernel(sampling, scn.kernel_radius), probe, action)
+    G = action.group
+    generators.identity_suite(
+        G.algebra([1.0, 0.0, 0.0]), G.algebra([0.0, 1.0, 0.0]), verify._smooth_alpha(),
+        psi, action, scn.fd_tau, conjugator=verify._lattice_elements(sampling)[3])
+    assert seen and len(set(seen)) == len(seen)
+
+    seen.clear()
+    verify.reconstruction_checks(scn, action, family, rng)
+    assert {tau for *_, tau in seen} == {scn.fd_tau, scn.fd_tau / 2}
+    assert len(set(seen)) == len(seen)
+
+    seen.clear()
+    scn = load_scenario("translations-r2")
+    verify.section_checks(scn, scn.build_action()[0], scn.rng())
+    assert seen and len(set(seen)) == len(seen)
 
 
 def test_pointwise_recovery_redraws_points_the_shear_moves_out(monkeypatch):
