@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
 Every operation that can refuse its input raises one of these instead of a
-bare ValueError, so callers (and the CLI harness) can map failures to exit
-codes and report records without string matching.
+bare ValueError, so callers map failures without string matching: the
+``scbundle`` command exits 0 when every record passes, 1 when one fails
+(``convergence``: the error does not fall with epsilon), and 2 on a
+ScbundleError (ConfigError included) or a malformed command line.
 """
 
 

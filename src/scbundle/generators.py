@@ -30,7 +30,7 @@ from .groups import (AlgebraElement, GroupElement, bracket, left_translate,
                      smooth_bump)
 from .sections import (BaseFunction, OrbitSampling, SampledBaseFunction,
                        Section, central_difference, evaluator_transform,
-                       multiply, pairing, section_transform)
+                       multiply, pairing, pulled_field, section_transform)
 
 __all__ = [
     "SmoothingKernel",
@@ -93,21 +93,19 @@ def garding_smooth(kernel: SmoothingKernel, phi: Section,
                    action: BundleAction) -> Section:
     """Group-averaged section  Psi_X = sum_k w_k U_{g_k}(X <- .) Phi(g_k^-1 .).
 
-    Field-backed sections smooth through a field that folds the kernel sum
-    one node at a time over a batch of evaluation points and memoises its
-    result per point set (read-only arrays, kept as long as the section);
-    lattice-only sections fall back to a weighted sum of exact lattice
-    transforms (every node is lattice-aligned by construction).
+    Field-backed sections smooth through a field that sums one
+    ``sections.pulled_field`` per node (Phi pulled by g_k^-1, moved by
+    w_k U_{g_k}: one matrix product each) over a batch of points and
+    memoises the sum per point set (read-only arrays, kept as long as the
+    section); lattice-only sections fall back to a weighted sum of exact
+    lattice transforms (every node is lattice-aligned by construction).
     """
     sampling = phi.sampling
     if kernel.sampling is not sampling:
         raise InputError("kernel was built for a different sampling")
-    fibers = [action.fiber_matrix(m) for m in kernel.node_mats]
-    weighted_U = np.array([w * U for w, U in zip(kernel.weights, fibers)])
-    inv_mats = np.array([np.linalg.inv(m) for m in kernel.node_mats])
-
     if phi.field is not None:
-        pf = phi.field
+        nodes = [pulled_field(phi.field, np.linalg.inv(m), w * action.fiber_matrix(m))
+                 for m, w in zip(kernel.node_mats, kernel.weights)]
         memo = {}
 
         def smoothed_field(mats):
@@ -117,8 +115,8 @@ def garding_smooth(kernel: SmoothingKernel, phi: Section,
             out = memo.get(key)
             if out is None:
                 out = np.zeros((mats.shape[0], sampling.fiber_dim), dtype=complex)
-                for wU, inv in zip(weighted_U, inv_mats):
-                    out += np.einsum("mn,jn->jm", wU, pf(left_translate(inv, mats)))
+                for node in nodes:
+                    out += node(mats)
                 out.flags.writeable = False
                 memo[key] = out
             return out

@@ -7,17 +7,17 @@ Its base points are one array of state rows ``base_array`` (J, 2n+1), and
 base functions are evaluated on such rows in one batched call.  Sections
 optionally carry a closed-form ``field`` evaluator (group matrices -> fiber
 values).  The left-regular transform psi'(h) = U_g psi(g^-1 h) of a field is
-written once, :func:`pulled_field`, and the central difference of a
-one-parameter family (of sections or of arrays) once,
-:func:`central_difference`: the generators of the action and of its
-reconstruction and every base derivative are that difference.  Only
-:func:`section_transform` (and the Garding smoothing of a lattice-only
-section) moves lattice values by exact re-indexing; everything that must
-leave the lattice needs the field and refuses otherwise.  A lattice element
-g fixes that re-indexing once per sampling: :meth:`OrbitSampling.transport`
-looks the sources up by coordinates the first time g is seen and caches the
-permutation, the set of samples whose image leaves the window, g^-1 and U_g
-as a :class:`Transport`.
+written once, :func:`pulled_field` (it also serves each Garding kernel node
+and the reconstruction flow), and the central difference of a one-parameter
+family (of sections or of arrays) once, :func:`central_difference`: the
+generators of the action and of its reconstruction and every base derivative
+are that difference.  Only :func:`section_transform` (and the Garding
+smoothing of a lattice-only section) moves lattice values by exact
+re-indexing; everything that must leave the lattice needs the field and
+refuses otherwise.  A lattice element g fixes that re-indexing once per
+sampling: :meth:`OrbitSampling.transport` looks the sources up by
+coordinates the first time g is seen and caches the permutation, the set of
+samples whose image leaves the window, g^-1 and U_g as a :class:`Transport`.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from scbundle.generators import (
 )
 from scbundle.sections import (BaseFunction, LatticeAxis, OrbitSampling,
                                Section, gentle_probe_section, pairing,
-                               smooth_probe_section)
+                               pulled_field, smooth_probe_section)
 
 H = 0.15
 
@@ -60,8 +60,9 @@ def test_smoothing_delta_kernel_is_identity(weyl):
 
 
 def test_smoothed_field_is_memoised_and_matches_the_fused_kernel_sum(weyl):
-    """The node-by-node fold equals the fused (node, point) contraction bit
-    for bit; a repeated point set returns the same read-only array."""
+    """The smoothed field is the node-by-node fold of pulled fields bit for
+    bit, and the fused (node, point) contraction to roundoff; a repeated
+    point set returns the same read-only array."""
     action, sampling = weyl
     rng = np.random.default_rng(5)
     probe = gentle_probe_section(sampling, rng, 3, sigma=[0.4, 0.4, 0.35])
@@ -73,18 +74,23 @@ def test_smoothed_field_is_memoised_and_matches_the_fused_kernel_sum(weyl):
                            for w, m in zip(kernel.weights, kernel.node_mats)])
     inv_mats = np.array([np.linalg.inv(m) for m in kernel.node_mats])
     K, J = inv_mats.shape[0], mats.shape[0]
+    assert K > 1
+    folded = np.zeros((J, sampling.fiber_dim), dtype=complex)
+    for inv, wU in zip(inv_mats, weighted_U):
+        folded += pulled_field(probe.field, inv, wU)(mats)
+    assert psi.values.tobytes() == folded.tobytes()
+
     big = np.einsum("kab,jbc->kjac", inv_mats, mats).reshape(K * J, *mats.shape[1:])
     fused = np.einsum("kmn,kjn->jm", weighted_U, probe.field(big).reshape(K, J, -1))
-    assert K > 1
-    assert psi.values.tobytes() == fused.tobytes()
+    assert np.max(np.abs(folded - fused)) <= 1e-14 * np.max(np.abs(fused))
 
     first = psi.field(mats)
-    assert first.tobytes() == fused.tobytes()
+    assert first.tobytes() == folded.tobytes()
     assert psi.field(mats.copy()) is first
     with pytest.raises(ValueError):   # read-only
         first[0, 0] = 1.0
     assert psi.field(mats[:5]) is not first
-    assert psi.field(mats[:5]).tobytes() == fused[:5].tobytes()
+    assert psi.field(mats[:5]).tobytes() == folded[:5].tobytes()
 
 
 def test_smoothing_approximates_identity_with_shrinking_support(weyl):

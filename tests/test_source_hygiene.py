@@ -2,9 +2,10 @@
 unused imports, no module-level private name that nothing uses, and pieces
 of numerics written once: left translation of matrix stacks in
 ``groups.left_translate``, the pulled field of the left-regular transform in
-``sections.pulled_field``, the source lookup of a left translation in
-``sections.OrbitSampling.transport``, the RK4 stage combination in
-``dynamics._rk4_step``, the split-step FFT in
+``sections.pulled_field`` (spelt as a matrix product or as an einsum; the
+Garding kernel sum folds its nodes through it), the source lookup of a left
+translation in ``sections.OrbitSampling.transport``, the RK4 stage
+combination in ``dynamics._rk4_step``, the split-step FFT in
 ``dynamics.reference_schrodinger``, the measured refinement order (log2
 of a residual ratio) in ``verify._order_gap``, the central-difference
 stencil (a difference over 2 * step) in ``sections.central_difference``
@@ -132,18 +133,32 @@ def test_left_translation_written_once(path):
     assert _einsum_left_translations(ast.parse(path.read_text())) == []
 
 
+# "mn,jn->jm" and every renaming of its letters: V applied to each row
+_FIBER_MOVE = re.compile(r"^(\w)(\w),(\w)\2->\3\1$")
+
+
+def _on_left_translation(node: ast.AST) -> bool:
+    """Whether ``node`` is a call with a left translation among its
+    arguments."""
+    return isinstance(node, ast.Call) and any(
+        _calls(arg, "left_translate") for arg in node.args + [k.value for k in node.keywords])
+
+
 def _pulled_fields(tree: ast.Module) -> list:
-    """Lines of ``field(left_translate(...)) @ V.T`` -- a field pulled back
-    along a left translation and moved by a fiber matrix -- outside
+    """Lines of ``field(left_translate(...)) @ V.T`` or its einsum spelling
+    ``einsum("mn,jn->jm", V, field(left_translate(...)))`` -- a field pulled
+    back along a left translation and moved by a fiber matrix -- outside
     ``pulled_field`` itself."""
     skip = _inside(tree, "pulled_field")
-    return [node.lineno for node in ast.walk(tree)
-            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
-                and id(node) not in skip
-                and isinstance(node.right, ast.Attribute) and node.right.attr == "T"
-                and isinstance(node.left, ast.Call)
-                and any(_calls(arg, "left_translate") for arg in
-                        node.left.args + [k.value for k in node.left.keywords]))]
+    return [node.lineno for node in ast.walk(tree) if id(node) not in skip and (
+        (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+         and isinstance(node.right, ast.Attribute) and node.right.attr == "T"
+         and _on_left_translation(node.left))
+        or (_calls(node, "einsum") and len(node.args) == 3
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+            and _FIBER_MOVE.match(node.args[0].value.replace(" ", ""))
+            and _on_left_translation(node.args[2])))]
 
 
 def test_pulled_field_pattern_is_recognised():
@@ -151,9 +166,13 @@ def test_pulled_field_pattern_is_recognised():
                      'b = pf(mats=groups.left_translate(inv, mats)) @ T.T\n'
                      'c = pf(left_translate(inv, mats)) @ U\n'
                      'd = pf(mats) @ U.T\n'
+                     'e = np.einsum("mn,jn->jm", wU, pf(left_translate(inv, mats)))\n'
+                     'f = np.einsum("ab, kb -> ka", V, field(mats=left_translate(g, m)))\n'
+                     'g = np.einsum("mn,jn->jm", wU, pf(mats))\n'
+                     'h = np.einsum("mn,jm->jn", wU, pf(left_translate(inv, mats)))\n'
                      'def pulled_field(field, pull, V):\n'
                      '    return field(left_translate(pull, mats)) @ V.T\n')
-    assert _pulled_fields(tree) == [1, 2]
+    assert _pulled_fields(tree) == [1, 2, 5, 6]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -172,8 +191,7 @@ def _source_lookups(tree: ast.Module) -> list:
             for n in ast.walk(node)}
     return [node.lineno for node in ast.walk(tree)
             if (_calls(node, "indices_of_matrices") and id(node) not in skip
-                and any(_calls(arg, "left_translate") for arg in
-                        node.args + [k.value for k in node.keywords]))]
+                and _on_left_translation(node))]
 
 
 def test_source_lookup_pattern_is_recognised():
