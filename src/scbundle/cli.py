@@ -41,11 +41,7 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         if args.command == "verify":
             report = run_verify(scenario)
-            if args.out is None:
-                sys.stdout.write(report.to_json() if args.format == "json"
-                                 else report.to_csv())
-            else:
-                emit(report, args.format, args.out)
+            emit(report, args.format, sys.stdout if args.out is None else args.out)
             return 0 if report.overall_pass else 1
         table = run_convergence(scenario)
         sys.stdout.write(table.to_csv())

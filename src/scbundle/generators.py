@@ -27,7 +27,7 @@ import scipy.linalg
 from .actions import BundleAction
 from .errors import AlignmentError, InputError
 from .groups import (AlgebraElement, GroupElement, bracket, left_translate,
-                     smooth_bump)
+                     scaled_square_radius, smooth_bump)
 from .sections import (BaseFunction, OrbitSampling, SampledBaseFunction,
                        Section, central_difference, evaluator_transform,
                        multiply, pairing, pulled_field, section_transform)
@@ -74,8 +74,7 @@ def lattice_kernel(sampling: OrbitSampling, radius) -> SmoothingKernel:
     grids = np.meshgrid(*[np.arange(-m, m + 1) for m in steps_max], indexing="ij")
     steps = np.stack([g.ravel() for g in grids], axis=-1)
     coords = steps * sampling.spacings
-    r2 = np.sum((coords / radius) ** 2, axis=-1)
-    inside = r2 < 1.0
+    inside = scaled_square_radius(coords, radius) < 1.0
     steps, coords = steps[inside], coords[inside]
     volume = float(np.prod(sampling.spacings))
     density = np.array([group.left_density(t) for t in coords])

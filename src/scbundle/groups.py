@@ -33,6 +33,7 @@ __all__ = [
     "factorize_second_kind",
     "get_group",
     "builtin_group_ids",
+    "scaled_square_radius",
     "smooth_bump",
     "left_translate",
     "as_matrix",
@@ -297,13 +298,18 @@ def factorize_second_kind(g: GroupElement) -> np.ndarray:
     return t
 
 
+def scaled_square_radius(t: np.ndarray, scale) -> np.ndarray:
+    """``sum_i (t_i / scale_i)^2`` over the last axis, added column by column."""
+    q = (np.asarray(t) / scale) ** 2
+    return sum(q[..., i] for i in range(q.shape[-1]))
+
+
 def smooth_bump(radius) -> Callable[[np.ndarray], np.ndarray]:
-    """Standard C-infinity bump ``exp(1 - 1/(1-r^2))``, r = |t / radius|_2,
-    of compact support r < 1 on coordinate space (``radius`` a scalar or one
-    value per axis); vectorized over (J, n)."""
+    """Standard C-infinity bump ``exp(1 - 1/(1-r^2))``, r^2 the scaled square
+    radius of t, of compact support r < 1 on coordinate space (``radius`` a
+    scalar or one value per axis); vectorized over (J, n)."""
     def fn(coords: np.ndarray) -> np.ndarray:
-        coords = np.atleast_2d(coords)
-        r2 = np.sum((coords / radius) ** 2, axis=-1)
+        r2 = scaled_square_radius(np.atleast_2d(coords), radius)
         out = np.zeros(r2.shape)
         inside = r2 < 1.0
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
@@ -319,14 +325,15 @@ def as_matrix(g) -> np.ndarray:
 def left_translate(g: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """Left translates ``g @ m`` of a stack of matrices (J, d, d).
 
-    Sums the inner index in order starting from zero, so on real matrices
-    (every bundle action's representation) each entry rounds exactly as
-    ``np.einsum("ab,jbc->jac", g, mats)`` does, signed zeros included;
-    ``g @ mats`` rounds differently and would move report residuals in
-    their last digits.  Complex stacks agree with either to a few ulps.
+    Sums the inner index in order from zero, one pass along the stack per
+    term on the (d, d, J) view, so on real matrices (every bundle action's
+    representation) each entry rounds exactly as ``np.einsum("ab,jbc->jac",
+    g, mats)`` does, signed zeros included; ``g @ mats`` rounds differently
+    and would move report residuals in their last digits.  Complex stacks
+    agree with either to a few ulps.  The result is a non-contiguous view.
     """
-    g, mats = np.asarray(g), np.asarray(mats)
-    return sum(g[None, :, b, None] * mats[:, None, b, :] for b in range(g.shape[1]))
+    g, m = np.asarray(g), np.asarray(mats).transpose(1, 2, 0)
+    return sum(g[:, b, None, None] * m[b] for b in range(g.shape[1])).transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------

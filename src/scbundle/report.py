@@ -75,13 +75,17 @@ class Report:
         return out.getvalue()
 
 
-def emit(report: Report, fmt: str, path) -> None:
-    """Write the report; identical reruns produce identical bytes."""
+def emit(report: Report, fmt: str, out) -> None:
+    """Write the report to ``out``, a path or a text stream; identical
+    reruns produce identical bytes."""
     if fmt == "json":
         text = report.to_json()
     elif fmt == "csv":
         text = report.to_csv()
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    if hasattr(out, "write"):
+        out.write(text)
+    else:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)

@@ -53,6 +53,9 @@ _KNOWN_KEYS = {"name", "group_id", "action", "gauge_id", "hamiltonian", "fiber",
                "kernel_radius", "suites", "strict_group_law", "dynamics", "gauge",
                "eps_list"}
 
+# the gauge sub-config's integer fields: (least value, default)
+_GAUGE_FIELDS = {"theta_nodes": (2, 48), "gauge_window": (1, 10), "gauge_step_divisor": (1, 8)}
+
 _PROBE_SIZE = {
     "sections": lambda p: p.get("radius", p.get("sigma")),
     "generators": lambda p: p.get("sigma"),
@@ -157,9 +160,9 @@ class Scenario:
         cfg = self.gauge_cfg
         return GaugeBundle(
             family, self.build_gauge(), self.anchor,
-            theta_nodes=int(cfg.get("theta_nodes", 48)),
-            gauge_step=np.pi / int(cfg.get("gauge_step_divisor", 8)),
-            gauge_window=int(cfg.get("gauge_window", 10)))
+            theta_nodes=cfg["theta_nodes"],
+            gauge_step=np.pi / cfg["gauge_step_divisor"],
+            gauge_window=cfg["gauge_window"])
 
 
 def _need(mapping, key, where: str):
@@ -281,13 +284,8 @@ def _validate(cfg: dict, origin: str) -> Scenario:
         raise ConfigError(f"{origin}: unknown gauge {gauge_id!r}")
 
     fiber_cfg = _mapping(need("fiber"), f"{origin}: fiber")
-    n_cut = _number(fiber_cfg.get("n_cut", 0), int, f"{origin}: fiber.n_cut")
-    if n_cut < 4:
-        raise ConfigError(f"{origin}: n_cut must be at least 4, got {n_cut}")
-    n = _number(fiber_cfg.get("n", 1), int, f"{origin}: fiber.n")
-    if n < 1:
-        raise ConfigError(f"{origin}: fiber.n must be positive, got {n}")
-    fiber = DimConfig(n, n_cut)
+    fiber = DimConfig(_integer(fiber_cfg.get("n", 1), 1, f"{origin}: fiber.n"),
+                      _integer(fiber_cfg.get("n_cut"), 4, f"{origin}: fiber.n_cut"))
 
     numerics = _mapping(cfg.get("numerics", {}), f"{origin}: numerics")
     for key in ("dt", "fd_tau"):
@@ -348,6 +346,12 @@ def _validate(cfg: dict, origin: str) -> Scenario:
         raise ConfigError(f"{origin}: strict_group_law must be true or false, "
                           f"got {strict_group_law!r}")
 
+    given = _mapping(cfg.get("gauge", {}), f"{origin}: gauge")
+    gauge_cfg = {key: _integer(given.pop(key, default), least, f"{origin}: gauge.{key}")
+                 for key, (least, default) in _GAUGE_FIELDS.items()}
+    if given:
+        raise ConfigError(f"{origin}: unknown gauge fields {sorted(given)!r}")
+
     anchor_cfg = cfg.get("anchor", {"S": 0.0, "P": [0.0], "Q": [1.0]})
     S, P, Q = (_need(anchor_cfg, key, f"{origin}: anchor") for key in "SPQ")
     try:
@@ -372,7 +376,7 @@ def _validate(cfg: dict, origin: str) -> Scenario:
         suites=suites,
         strict_group_law=strict_group_law,
         dynamics=dynamics,
-        gauge_cfg=_mapping(cfg.get("gauge", {}), f"{origin}: gauge"),
+        gauge_cfg=gauge_cfg,
         eps_list=[_number(e, float, f"{origin}: eps_list")
                   for e in _list(cfg.get("eps_list", []), f"{origin}: eps_list")],
     )

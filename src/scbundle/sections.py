@@ -31,7 +31,7 @@ import numpy as np
 from .actions import BundleAction
 from .dynamics import ClassicalState
 from .errors import AlignmentError, InputError
-from .groups import as_matrix, left_translate, smooth_bump
+from .groups import as_matrix, left_translate, scaled_square_radius, smooth_bump
 
 __all__ = [
     "LatticeAxis",
@@ -109,9 +109,9 @@ class LatticeAxis:
 class Transport:
     """Exact re-indexing of the samples by a lattice element g (Eq. 7a):
     the transformed value at sample ``dest[k]`` is U_g applied to the value
-    at sample ``source[k]``.  ``lost`` are the samples whose image under g
-    leaves the window, ``inverse`` is g^-1 and ``fiber`` is U_g.  Every
-    array is read-only."""
+    at sample ``source[k]``.  ``lost`` are the samples no ``source`` names
+    (ascending), whose image under g leaves the window; ``inverse`` is g^-1
+    and ``fiber`` is U_g.  Every array is read-only."""
 
     inverse: np.ndarray
     dest: np.ndarray
@@ -216,8 +216,7 @@ class OrbitSampling:
         for k, ax in enumerate(self.axes):
             if ax.kind == "cycle":
                 steps[:, k] = np.mod(steps[:, k], ax.count)
-            else:
-                inside &= (steps[:, k] >= ax.lo) & (steps[:, k] <= ax.hi)
+            inside &= ax.contains(steps[:, k])
         out = np.full(steps.shape[0], -1, dtype=np.int64)
         if np.any(inside):
             flat = (steps[inside] - self._axis_lo) @ self._axis_stride
@@ -237,7 +236,9 @@ class OrbitSampling:
         inverse = np.linalg.inv(g_mat)
         sources = self.indices_of_matrices(left_translate(inverse, self.group_mats))
         dest = np.nonzero(sources >= 0)[0]
-        lost = np.setdiff1d(np.arange(len(self)), sources[dest])
+        kept = np.zeros(len(self), dtype=bool)
+        kept[sources[dest]] = True
+        lost = np.nonzero(~kept)[0]
         transport = Transport(inverse, dest, sources[dest], lost,
                               self.action.fiber_matrix(g_mat))
         for array in vars(transport).values():
@@ -491,7 +492,7 @@ def _probe_section(sampling: OrbitSampling, rng: np.random.Generator,
         t = group.coords_batch(np.asarray(mats))
         env = bump(t)
         if sigma is not None:
-            env *= np.exp(-0.5 * np.sum((t / sigma) ** 2, axis=-1))
+            env *= np.exp(-0.5 * scaled_square_radius(t, sigma))
         phase = np.exp(1j * (t @ kappa))
         vecs = v0[None, :] + t @ slopes
         return (env * phase)[:, None] * vecs

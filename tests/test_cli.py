@@ -31,6 +31,18 @@ def test_verify_exits_zero_and_rewrites_identical_bytes(tmp_path, monkeypatch, c
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_standard_output_and_out_file_hold_identical_bytes(fmt, tmp_path, monkeypatch,
+                                                          capsys):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    out = tmp_path / f"report.{fmt}"
+    assert cli.main(["verify", "so2-rotor", "--format", fmt]) == 0
+    printed = capsys.readouterr().out
+    assert cli.main(["verify", "so2-rotor", "--format", fmt, "--out", str(out)]) == 0
+    assert printed.encode() == out.read_bytes()
+    assert capsys.readouterr().out == ""
+
+
 def test_exit_codes_for_a_failing_record_and_a_refused_scenario(monkeypatch, capsys):
     failing = Report("stub", (CheckRecord("stub_check", "Eq. (0)", 1.0, 0.5),), {})
     monkeypatch.setattr(cli, "run_verify", lambda scenario: failing)

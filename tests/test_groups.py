@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -270,22 +271,42 @@ def test_su2_left_density_is_left_invariant():
 def test_left_translate_matches_einsum_bitwise(gid):
     """Same bits as einsum("ab,jbc->jac") on real matrices, signed zeros
     included: with a positive g, the planted -0.0 entries give all-(-0.0)
-    products whose sum is -0.0 unless it starts from +0.0, as einsum's does."""
+    products whose sum is -0.0 unless it starts from +0.0, as einsum's does.
+    Stacks of 40 rows and of the catalog heisenberg sizes (2,025 generator
+    and 8,281 orbit points); each result, a strided view, is translated
+    again, as a pulled field's points are."""
     group = get_group(gid)
     rng = np.random.default_rng(3)
-    mats = np.array([group.compose_exps(t) for t in rng.uniform(-0.5, 0.5, (40, group.dim))])
-    d = mats.shape[1]
-    g = rng.uniform(0.1, 1.0, (d, d))
-    mats[:4] = -0.0
-    mats[4:8, :, 0] = -0.0
-    expected = np.einsum("ab,jbc->jac", g, mats)
-    got = groups.left_translate(g, mats)
-    assert got.dtype == expected.dtype and got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
+    d = group.rep_dim
+    g, h = rng.uniform(0.1, 1.0, (2, d, d))
+    for rows in (40, 2025, 8281):
+        algebra = np.tensordot(rng.uniform(-0.5, 0.5, (rows, group.dim)), group.basis, axes=1)
+        mats = scipy.linalg.expm(algebra)
+        mats[:4] = -0.0
+        mats[4:8, :, 0] = -0.0
+        expected = np.einsum("ab,jbc->jac", g, mats)
+        got = groups.left_translate(g, mats)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        got[:4], expected[:4] = -0.0, -0.0
+        again = groups.left_translate(h, got)
+        assert again.tobytes() == np.einsum("ab,jbc->jac", h, expected).tobytes()
     first_term = g[None, :, 0, None] * mats[:, None, 0, :]
     no_zero_start = sum((g[None, :, b, None] * mats[:, None, b, :] for b in range(1, d)),
                         first_term)
-    assert no_zero_start.tobytes() != expected.tobytes()
+    assert no_zero_start.tobytes() != np.einsum("ab,jbc->jac", g, mats).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scaled_square_radius_matches_numpy_sum_bitwise(n):
+    """The column-by-column sum has the bits of numpy's reduction for the
+    one to three axes of the built-in groups, per-axis and scalar scales."""
+    rng = np.random.default_rng(5)
+    t = rng.standard_normal((8281, n)) * rng.uniform(1e-3, 1e3, (8281, n))
+    for scale in (rng.uniform(0.05, 3.0, n), 0.35):
+        expected = np.sum((t / scale) ** 2, axis=-1)
+        got = groups.scaled_square_radius(t, scale)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 def test_left_translate_complex_matches_matrix_product():

@@ -102,6 +102,20 @@ MALFORMED = {
     "gauge-id-list": [(("gauge_id",), ["u1_phase"])],
     "strict-group-law-text": [(("strict_group_law",), "no")],
     "strict-group-law-integer": [(("strict_group_law",), 1)],
+    # each of these loaded: a gauge field then failed or was truncated in
+    # run_verify, a fiber field was truncated or read as a number
+    "gauge-theta-nodes-text": [(("gauge",), {"theta_nodes": "x"})],
+    "gauge-theta-nodes-zero": [(("gauge",), {"theta_nodes": 0})],
+    "gauge-theta-nodes-one": [(("gauge",), {"theta_nodes": 1})],
+    "gauge-theta-nodes-fraction": [(("gauge",), {"theta_nodes": 2.5})],
+    "gauge-window-zero": [(("gauge",), {"gauge_window": 0})],
+    "gauge-window-negative": [(("gauge",), {"gauge_window": -3})],
+    "gauge-step-divisor-zero": [(("gauge",), {"gauge_step_divisor": 0})],
+    "gauge-step-divisor-text": [(("gauge",), {"gauge_step_divisor": "x"})],
+    "gauge-unknown-key": [(("gauge",), {"theta_nodes": 48, "bogus": 1})],
+    "n-bool": [(("fiber", "n"), True)],
+    "n-fraction": [(("fiber", "n"), 1.5)],
+    "n_cut-fraction": [(("fiber", "n_cut"), 12.5)],
 }
 
 

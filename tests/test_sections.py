@@ -212,6 +212,7 @@ def test_cached_transport_equals_coordinate_lookup(name):
         assert np.array_equal(transport.dest, dest)
         assert np.array_equal(transport.source, sources[dest])
         assert np.array_equal(transport.lost, lost)
+        assert transport.lost.dtype == lost.dtype == np.int64
         assert transport.inverse.tobytes() == inv.tobytes()
         assert transport.fiber.tobytes() == sampling.action.fiber_matrix(g).tobytes()
         # the forward lookup g h: the samples that stay and their images

@@ -11,7 +11,9 @@ of a residual ratio) in ``verify._order_gap``, the central-difference
 stencil (a difference over 2 * step) in ``sections.central_difference``
 (and the Hamiltonian self-check ``HamiltonianSpec.validate``), and the
 eigendecomposition of a generator's fiber Hamiltonian in
-``actions.GeneratorData``."""
+``actions.GeneratorData``, and the scaled squared radius (a squared
+quotient) in ``groups.scaled_square_radius``; no ``setdiff1d`` (the lost
+samples of a transport come from a mask)."""
 
 import ast
 import re
@@ -267,6 +269,17 @@ def _is_generator_eigh(node: ast.AST) -> bool:
         for arg in node.args for n in ast.walk(arg))
 
 
+def _is_squared_quotient(node: ast.AST) -> bool:
+    """``(a / b) ** 2``: one term of a scaled squared radius."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Div)
+            and isinstance(node.right, ast.Constant) and node.right.value == 2)
+
+
+def _is_setdiff(node: ast.AST) -> bool:
+    return _calls(node, "setdiff1d")
+
+
 def test_written_once_patterns_are_recognised():
     tree = ast.parse('import numpy as np\n'
                      'def step(a, b, c, d):\n'
@@ -292,6 +305,14 @@ def test_written_once_patterns_are_recognised():
                      '    return eigh(d.fiber_hamiltonian.T)\n')
     assert _owners(tree, _is_central_stencil) == {"fd", "other"}
     assert _owners(tree, _is_generator_eigh) == {"spectrum", "elsewhere"}
+    tree = ast.parse('def bump(t, s):\n'
+                     '    return np.sum((t / s) ** 2, axis=-1), (t / s) ** 2.0\n'
+                     'def other(t, s, j, kept):\n'
+                     '    return (t / s) ** 3, (t * s) ** 2, t / s ** 2, np.union1d(t, s)\n'
+                     'def lost(j, kept):\n'
+                     '    return np.setdiff1d(np.arange(j), kept), setdiff1d(j, kept)\n')
+    assert _owners(tree, _is_squared_quotient) == {"bump"}
+    assert _owners(tree, _is_setdiff) == {"lost"}
 
 
 def test_rk4_stage_combination_written_once():
@@ -313,3 +334,11 @@ def test_central_difference_written_once():
 
 def test_generator_spectrum_computed_once():
     assert _package_owners(_is_generator_eigh) == {("actions.py", "_spectrum")}
+
+
+def test_scaled_square_radius_written_once():
+    assert _package_owners(_is_squared_quotient) == {("groups.py", "scaled_square_radius")}
+
+
+def test_no_setdiff_in_the_package():
+    assert _package_owners(_is_setdiff) == set()
