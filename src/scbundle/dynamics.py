@@ -7,15 +7,21 @@ independent split-step spectral reference solver used as the verification
 oracle.
 
 **Rows contract.** :class:`ClassicalState` is the single-point form of a
-base point.  Inside the numerics a base point is a state row
-``S, P..., Q...`` (its ``as_array`` layout) and a set of base points is a
-stack of rows, shape (R, 2n+1).  A :class:`HamiltonianSpec` evaluates H,
-its gradient and its Hessian on a stack; :func:`classical_flows` advances a
-stack in one RK4 loop, each row with its own step and step count; and
-:func:`reference_schrodinger` advances a stack of wave packets in one
-split-step loop.  At n = 1 every row of a stacked result is bitwise the
-result of that row computed alone, so :func:`classical_flow` and a
-single-eps :func:`ansatz_error` are the one-row cases.
+base point; a state row is its ``as_array`` layout ``S, P, Q``.  The flow
+has one degree of freedom: every scenario, action and ansatz is 1-D, and a
+:class:`HamiltonianSpec` of more raises InputError when it is built.
+:func:`_rk4_step` and the Hamilton vector field are written once, over the
+components (S, P, Q), in elementwise arithmetic, which rounds alike on
+Python floats and on numpy arrays.  :func:`classical_flows` advances each
+row as three floats, one step after another (a step cannot start before
+the last one ends), into that row's own (count + 1, 3) array; so a row of
+its result is bitwise that row flowed alone, and :func:`classical_flow` is
+the one-row case.  Stacks are used only where they pay: the same step
+advances the interval midpoints of the fluctuation stepper as component
+arrays, the Hamiltonian self-check and the energy drift evaluate H on
+arrays, and :func:`reference_schrodinger` advances a stack of wave packets
+in one split-step loop (a single-eps :func:`ansatz_error` is its one-row
+case).
 
 **Step-grid invariant.** A flow to time T with step dt takes
 round(|T|/dt) steps of h = T/round(|T|/dt), and its fluctuation propagator
@@ -94,16 +100,17 @@ class ClassicalState:
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Classical Hamiltonian H(Q, P) evaluated on stacks of state rows.
+    """Classical Hamiltonian H(P, Q) of one degree of freedom.
 
-    Each callable takes rows (R, 2n+1) laid out ``S, P..., Q...`` (H does
-    not depend on S) and works row by row: ``value`` returns H, shape (R,);
-    ``grad`` the gradient in the row's (P..., Q...) coordinates, shape
-    (R, 2n); ``hess`` the Hessian in the same coordinates, shape
-    (R, 2n, 2n).  Row r of a result depends on row r alone and, at n = 1,
-    does not depend on the other rows even in its last bit: that is what
-    lets one RK4 loop advance a stack, and lets a flow on the step grid of
-    a longer one (see the module docstring) be read off as its prefix.
+    ``value(P, Q)`` returns H and ``grad(P, Q)`` the pair (dH/dP, dH/dQ),
+    for P and Q two floats or two equal-shape arrays; both use elementwise
+    arithmetic only, with products, not powers (numpy's array power may
+    take a SIMD pow whose last bit depends on the CPU, and a float power
+    can overflow where a product gives inf).  So a point rounds alike as
+    floats and as an entry of a stack: the RK4 loop advances floats, and
+    its midpoints and the self-check evaluate stacks.  ``hess(P, Q)``
+    takes arrays of R points and returns the Hessian in (P, Q), shape
+    (R, 2, 2).
 
     ``potential`` is set when H has the separable form P^2/2 + V(Q); the
     grid reference solver requires it.  ``constant_hessians`` marks purely
@@ -111,36 +118,29 @@ class HamiltonianSpec:
     matrix.
     """
 
-    value: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray]
-    hess: Callable[[np.ndarray], np.ndarray]
-    n: int
+    value: Callable
+    grad: Callable
+    hess: Callable[[np.ndarray, np.ndarray], np.ndarray]
     potential: Optional[Callable[[np.ndarray], np.ndarray]] = None
     constant_hessians: bool = False
 
     def validate(self, probes) -> float:
         """Central-difference consistency of the gradient with ``value`` and
-        of the Hessian with ``grad`` at the probe rows, evaluated as one
-        stack; returns the worst error relative to max(1, |H|) and raises
-        InputError when it exceeds 1e-6."""
+        of the Hessian with ``grad`` at the probe rows ``S, P, Q``,
+        evaluated as one stack; returns the worst error relative to
+        max(1, |H|) and raises InputError when it exceeds 1e-6."""
         rows = np.atleast_2d(np.asarray(probes, dtype=float))
-        count, width = rows.shape
-        m = 2 * self.n
-        h = 1e-6
-        shift = np.zeros((m, width))
-        shift[:, 1:] = h * np.eye(m)
-        stack = np.concatenate([rows, (rows[:, None] + shift).reshape(-1, width),
-                                (rows[:, None] - shift).reshape(-1, width)])
-        value, grad = self.value(stack), self.grad(stack)
-        plus, minus = slice(count, count * (1 + m)), slice(count * (1 + m), None)
-        fd_grad = ((value[plus] - value[minus]) / (2 * h)).reshape(count, m)
-        # fd_hess[r, j, i]: derivative of gradient component i along coordinate j
-        fd_hess = ((grad[plus] - grad[minus]) / (2 * h)).reshape(count, m, m)
-        scale = np.maximum(1.0, np.abs(value[:count]))[:, None]
+        P, Q, h = rows[:, 1], rows[:, 2], 1e-6
+        # the probes, then moved by +h along P and along Q, then by -h
+        Ps, Qs = np.concatenate([P, P + h, P, P - h, P]), np.concatenate([Q, Q, Q + h, Q, Q - h])
+        value = self.value(Ps, Qs).reshape(5, -1)
+        grad = np.stack(self.grad(Ps, Qs), axis=-1).reshape(5, -1, 2)
+        # fd_*[j, r]: derivative along coordinate j at probe r
+        fd_grad, fd_hess = ((f[1:3] - f[3:]) / (2 * h) for f in (value, grad))
+        scale = np.maximum(1.0, np.abs(value[0]))
         worst = float(max(
-            np.max(np.abs(fd_grad - grad[:count]) / scale),
-            np.max(np.abs(fd_hess - np.swapaxes(self.hess(rows), 1, 2))
-                   / scale[:, :, None])))
+            np.max(np.abs(fd_grad - grad[0].T) / scale),
+            np.max(np.abs(fd_hess - self.hess(P, Q).transpose(2, 0, 1)) / scale[:, None])))
         if worst > 1e-6:
             raise InputError(
                 f"Hamiltonian derivatives inconsistent (relative error {worst:.3e})")
@@ -148,59 +148,52 @@ class HamiltonianSpec:
 
 
 def quadratic_hamiltonian_spec(m_qq, m_qp=None, m_pp=None) -> HamiltonianSpec:
-    """H = (1/2) P.Mpp.P + P.Mqp.Q + (1/2) Q.Mqq.Q (defaults: Mpp = I,
-    Mqp = 0), evaluated as (1/2) z.K.z with gradient K z, for z = (P, Q) and
-    K the Hessian."""
-    m_qq = np.atleast_2d(np.asarray(m_qq, dtype=float))
-    n = m_qq.shape[0]
-    m_qp = np.zeros((n, n)) if m_qp is None else np.atleast_2d(np.asarray(m_qp, dtype=float))
-    m_pp = np.eye(n) if m_pp is None else np.atleast_2d(np.asarray(m_pp, dtype=float))
-    hessian = np.block([[m_pp, m_qp], [m_qp.T, m_qq]])
+    """H = (1/2) Mpp P^2 + Mqp P Q + (1/2) Mqq Q^2 (defaults: Mpp = 1,
+    Mqp = 0; each a number or a 1x1 matrix), evaluated as (1/2) z.K.z with
+    gradient K z, for z = (P, Q) and K the Hessian."""
+    def coefficient(m, default):
+        m = np.asarray(default if m is None else m, dtype=float)
+        if m.size != 1:
+            raise InputError("the classical flow has one degree of freedom; "
+                             f"got a {m.shape} coefficient")
+        return m.item()
 
-    def grad(rows):
-        return rows[:, 1:] @ hessian.T
+    pp, qp, qq = coefficient(m_pp, 1.0), coefficient(m_qp, 0.0), coefficient(m_qq, None)
+    hessian = np.array([[pp, qp], [qp, qq]])
 
-    def value(rows):
-        z = rows[:, 1:]
-        return 0.5 * np.add.reduce(z @ hessian.T * z, axis=1)
+    def grad(P, Q):
+        return P * pp + Q * qp, P * qp + Q * qq
 
-    separable = np.allclose(m_pp, np.eye(n)) and np.allclose(m_qp, 0.0)
-    potential = (lambda Q: 0.5 * np.asarray(Q) * m_qq[0, 0] * np.asarray(Q)) \
-        if (separable and n == 1) else None
+    def value(P, Q):
+        gp, gq = grad(P, Q)
+        return 0.5 * (gp * P + gq * Q)
+
+    separable = np.isclose(pp, 1.0) and np.isclose(qp, 0.0)
     return HamiltonianSpec(
         value=value,
         grad=grad,
-        hess=lambda rows: np.broadcast_to(hessian, (len(rows),) + hessian.shape),
-        n=n,
-        potential=potential,
+        hess=lambda P, Q: np.broadcast_to(hessian, (len(P), 2, 2)),
+        potential=(lambda Q: 0.5 * np.asarray(Q) * qq * np.asarray(Q)) if separable else None,
         constant_hessians=True,
     )
 
 
 def cubic_perturbed_spec(omega2: float = 1.0, cubic: float = 0.1) -> HamiltonianSpec:
     """1-D H = P^2/2 + (omega2/2) Q^2 + cubic * Q^3."""
-    # powers as products: numpy's array power may take a SIMD pow whose
-    # last bit depends on the CPU
-    def value(rows):
-        P, Q = rows[:, 1], rows[:, 2]
+    def value(P, Q):
         Q2 = Q * Q
         return 0.5 * (P * P) + 0.5 * omega2 * Q2 + cubic * (Q2 * Q)
 
-    def grad(rows):
-        P, Q = rows[:, 1:2], rows[:, 2:3]
-        return np.concatenate([P, omega2 * Q + 3 * cubic * (Q * Q)], axis=1)
-
-    def hess(rows):
-        out = np.zeros((len(rows), 2, 2))
+    def hess(P, Q):
+        out = np.zeros((len(P), 2, 2))
         out[:, 0, 0] = 1.0
-        out[:, 1, 1] = omega2 + 6 * cubic * rows[:, 2]
+        out[:, 1, 1] = omega2 + 6 * cubic * Q
         return out
 
     return HamiltonianSpec(
         value=value,
-        grad=grad,
+        grad=lambda P, Q: (P, omega2 * Q + 3 * cubic * (Q * Q)),
         hess=hess,
-        n=1,
         potential=lambda Q: 0.5 * omega2 * np.asarray(Q) ** 2 + cubic * np.asarray(Q) ** 3,
         constant_hessians=False,
     )
@@ -230,48 +223,38 @@ class Trajectory:
         return ClassicalState.from_array(self.rows[-1], self.initial.n)
 
 
-def _hamilton_rhs(H: HamiltonianSpec, y: np.ndarray) -> np.ndarray:
-    """dS/dt = P.dQ/dt - H, dP/dt = -dH/dQ, dQ/dt = dH/dP on a stack."""
-    n = H.n
-    grad = H.grad(y)
-    out = np.empty_like(y)
-    out[:, 0] = np.add.reduce(y[:, 1:1 + n] * grad[:, :n], axis=1) - H.value(y)
-    np.negative(grad[:, n:], out=out[:, 1:1 + n])
-    out[:, 1 + n:] = grad[:, :n]
-    return out
+def _hamilton_rhs(H: HamiltonianSpec, P, Q) -> tuple:
+    """(dS/dt, dP/dt, dQ/dt) = (P dH/dP - H, -dH/dQ, dH/dP) at (P, Q)."""
+    gp, gq = H.grad(P, Q)
+    return P * gp - H.value(P, Q), -gq, gp
 
 
-def _rk4_step(H: HamiltonianSpec, y: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """One RK4 step of every row of ``y``, row r with step ``h[r]``."""
-    h = h[:, None]
+def _rk4_step(H: HamiltonianSpec, S, P, Q, h) -> tuple:
+    """One RK4 step of the components (S, P, Q) with step ``h``: floats,
+    or equal-shape arrays with one step per entry."""
     half = 0.5 * h
-    k1 = _hamilton_rhs(H, y)
-    k2 = _hamilton_rhs(H, y + half * k1)
-    k3 = _hamilton_rhs(H, y + half * k2)
-    k4 = _hamilton_rhs(H, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    k1 = _hamilton_rhs(H, P, Q)
+    k2 = _hamilton_rhs(H, P + half * k1[1], Q + half * k1[2])
+    k3 = _hamilton_rhs(H, P + half * k2[1], Q + half * k2[2])
+    k4 = _hamilton_rhs(H, P + h * k3[1], Q + h * k3[2])
+    sixth = h / 6.0
+    return tuple(y + sixth * (a + 2 * b + 2 * c + d)
+                 for y, a, b, c, d in zip((S, P, Q), k1, k2, k3, k4))
 
 
-def _rk4_paths(H: HamiltonianSpec, rows: np.ndarray, h: np.ndarray,
-               counts: np.ndarray) -> list:
-    """The RK4 loop over a stack: row r takes ``counts[r]`` steps of
-    ``h[r]``.  Returns each row's states, shape (counts[r] + 1, 2n+1).  The
-    rows are advanced in order of decreasing count, so the active rows are
-    a leading slice."""
-    order = np.argsort(-counts, kind="stable")
-    y, h, counts = rows[order], h[order], counts[order]
-    paths = np.empty((len(y), counts[0] + 1, y.shape[1]))
-    paths[:, 0] = y
-    active = len(y)
-    for k in range(counts[0]):
-        while counts[active - 1] <= k:
-            active -= 1
-        y = _rk4_step(H, y[:active], h[:active])
-        if not np.isfinite(y).all():
-            t = (k + 1) * h[np.argmin(np.isfinite(y).all(axis=1))]
-            raise NumericalError(f"classical flow blew up at t = {t:.6g}")
-        paths[:active, k + 1] = y
-    return [paths[i, :counts[i] + 1].copy() for i in np.argsort(order)]
+def _rk4_path(H: HamiltonianSpec, row: np.ndarray, h: float, count: int) -> np.ndarray:
+    """The states of ``count`` RK4 steps of ``h`` from ``row``, shape
+    (count + 1, 3), advanced as three floats."""
+    path = np.empty((count + 1, 3))
+    path[0] = row
+    y = tuple(row.tolist())
+    for k in range(1, count + 1):
+        path[k] = y = _rk4_step(H, *y, h)
+    # float arithmetic carries inf and nan on; the first such state is named
+    blown = ~np.isfinite(path).all(axis=1)
+    if blown.any():
+        raise NumericalError(f"classical flow blew up at t = {np.argmax(blown) * h:.6g}")
+    return path
 
 
 def _grid(T: np.ndarray, dt: np.ndarray):
@@ -295,13 +278,14 @@ def step_counts(times: Sequence[float], dt: float) -> np.ndarray:
 
 
 def classical_flows(H: HamiltonianSpec, rows, T, dt) -> list:
-    """Integrate dQ/dt = dH/dP, dP/dt = -dH/dQ, dS/dt = P.dQ/dt - H with
-    fixed-step RK4 for a stack of initial rows (R, 2n+1) in one loop: row r
-    from 0 to ``T[r]`` with step about ``dt[r]`` (either may be one number
-    for every row; negative T integrates backwards).  Returns one
-    :class:`Trajectory` per row."""
+    """Integrate dQ/dt = dH/dP, dP/dt = -dH/dQ, dS/dt = P dQ/dt - H with
+    fixed-step RK4 for initial rows ``S, P, Q`` (R, 3): row r from 0 to
+    ``T[r]`` with step about ``dt[r]`` (either may be one number for every
+    row; negative T integrates backwards).  Returns one
+    :class:`Trajectory` per row; a row that blows up raises
+    NumericalError naming its own time."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.ndim != 2 or rows.shape[1] != 1 + 2 * H.n:
+    if rows.ndim != 2 or rows.shape[1] != 3:
         raise InputError("state dimension does not match the Hamiltonian")
     T = np.broadcast_to(np.asarray(T, dtype=float), rows.shape[:1])
     dt = np.broadcast_to(np.asarray(dt, dtype=float), rows.shape[:1])
@@ -312,10 +296,12 @@ def classical_flows(H: HamiltonianSpec, rows, T, dt) -> list:
     if np.any((T != 0.0) & (dt > np.abs(T) * (1 + 1e-12))):
         raise InputError("dt exceeds the integration window")
     counts, h = _grid(T, dt)
-    paths = _rk4_paths(H, rows, h, counts)
-    drift = np.abs(H.value(np.array([path[-1] for path in paths])) - H.value(rows))
+    paths = [_rk4_path(H, row, step, count)
+             for row, step, count in zip(rows, h.tolist(), counts.tolist())]
+    ends = np.array([path[-1] for path in paths])
+    drift = np.abs(H.value(ends[:, 1], ends[:, 2]) - H.value(rows[:, 1], rows[:, 2]))
     return [Trajectory(np.arange(c + 1) * h[r], path, float(drift[r]),
-                       ClassicalState.from_array(rows[r], H.n))
+                       ClassicalState.from_array(rows[r], 1))
             for r, (c, path) in enumerate(zip(counts, paths))]
 
 
@@ -323,7 +309,7 @@ def classical_flow(H: HamiltonianSpec, X0: ClassicalState, T: float,
                    dt: float) -> Trajectory:
     """The flow of one base point from 0 to T: the one-row case of
     :func:`classical_flows`."""
-    if X0.n != H.n:
+    if X0.n != 1:
         raise InputError("state dimension does not match the Hamiltonian")
     return replace(classical_flows(H, X0.as_array(), T, dt)[0], initial=X0)
 
@@ -332,10 +318,9 @@ def classical_flow(H: HamiltonianSpec, X0: ClassicalState, T: float,
 # fluctuation propagator
 # ---------------------------------------------------------------------------
 
-def _fluct_matrix(H: HamiltonianSpec, hessian: np.ndarray, config: DimConfig):
-    n = H.n
-    return quadratic_hamiltonian(hessian[n:, n:], hessian[:n, n:],
-                                 hessian[:n, :n], config).matrix
+def _fluct_matrix(hessian: np.ndarray, config: DimConfig):
+    return quadratic_hamiltonian(hessian[1:, 1:], hessian[:1, 1:],
+                                 hessian[:1, :1], config).matrix
 
 
 def _checked_propagator(U: np.ndarray, config: DimConfig) -> FiberOperator:
@@ -356,14 +341,14 @@ def _step_unitaries(H: HamiltonianSpec, trajectory: Trajectory,
         return
     dts = np.diff(trajectory.times[:count + 1])
     if H.constant_hessians:
-        hessian = H.hess(trajectory.rows[:1])[0]
-        step = spectral_exp(np.linalg.eigh(_fluct_matrix(H, hessian, config)), dts[0])
+        hessian = H.hess(*trajectory.rows[:1, 1:].T)[0]
+        step = spectral_exp(np.linalg.eigh(_fluct_matrix(hessian, config)), dts[0])
         for _ in range(count):
             yield step
         return
-    midpoints = _rk4_step(H, trajectory.rows[:count], 0.5 * dts)
-    for hessian, dt in zip(H.hess(midpoints), dts):
-        yield spectral_exp(np.linalg.eigh(_fluct_matrix(H, hessian, config)), dt)
+    _, P, Q = _rk4_step(H, *trajectory.rows[:count].T, 0.5 * dts)
+    for hessian, dt in zip(H.hess(P, Q), dts):
+        yield spectral_exp(np.linalg.eigh(_fluct_matrix(hessian, config)), dt)
 
 
 def fluctuation_propagators(H: HamiltonianSpec, trajectory: Trajectory,
@@ -372,7 +357,7 @@ def fluctuation_propagators(H: HamiltonianSpec, trajectory: Trajectory,
     ``c`` steps of the trajectory, for each ``c`` in ``counts``: prefixes of
     one running product of per-step exponentials evaluated at the interval
     midpoints."""
-    if config.n != H.n:
+    if config.n != 1:
         raise InputError("fiber dimension does not match the Hamiltonian")
     counts = [int(c) for c in counts]
     if min(counts) < 0 or max(counts) >= len(trajectory):

@@ -195,10 +195,11 @@ def pairing_residual(A: AlgebraElement, phi: Section, psi: Section,
 # ---------------------------------------------------------------------------
 
 def identity_suite(A: AlgebraElement, B: AlgebraElement, alpha: BaseFunction,
-                   psi: Section, action: BundleAction, tau: float,
+                   psi: Section, HA: Section, action: BundleAction, tau: float,
                    conjugator: Optional[GroupElement] = None) -> dict:
     """Residuals of the generator identities at fd step ``tau`` (name ->
-    float), with H(A) psi and H(B) psi applied once and shared:
+    float), given ``HA`` = H(A) psi applied at that step (the caller's fd
+    order reads it too); H(B) psi is applied once, and both are shared:
 
     linearity        H(A+B) = H(A) + H(B) and H(2A) = 2 H(A)
     conjugation      U_h H(A) U_{h^-1} = H(h A h^-1)  (h = ``conjugator``,
@@ -215,14 +216,16 @@ def identity_suite(A: AlgebraElement, B: AlgebraElement, alpha: BaseFunction,
     def H(X, phi):
         return generator_apply(X, phi, action, tau)
 
-    HA, HB = H(A, psi), H(B, psi)
+    HB = H(B, psi)
     out = {"linearity": max((H(A + B, psi) - (HA + HB)).norm,
                             (H(2.0 * A, psi) - 2.0 * HA).norm)}
     if conjugator is not None:
         h, h_inv = conjugator.matrix, np.linalg.inv(conjugator.matrix)
         lhs = evaluator_transform(action, h, H(A, evaluator_transform(action, h_inv, psi)))
-        hAh = group.expand_in_basis(h @ A.matrix @ h_inv)
-        out["conjugation"] = (lhs - H(group.algebra(hAh), psi)).norm
+        hAh = group.algebra(group.expand_in_basis(h @ A.matrix @ h_inv))
+        # h A h^-1 = A to the bit when h commutes with A: reuse H(A) psi
+        same = hAh.coords.tobytes() == A.coords.tobytes()
+        out["conjugation"] = (lhs - (HA if same else H(hAh, psi))).norm
     out["commutator"] = ((H(A, HB) - H(B, HA)) - 1j * H(bracket(A, B), psi)).norm
     lhs = 1j * (H(A, multiply(alpha, psi)) - multiply(alpha, HA))
     dalpha = base_derivative(A, alpha, action, sampling, tau)

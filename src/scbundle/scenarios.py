@@ -55,6 +55,12 @@ _KNOWN_KEYS = {"name", "group_id", "action", "gauge_id", "hamiltonian", "fiber",
 
 # the gauge sub-config's integer fields: (least value, default)
 _GAUGE_FIELDS = {"theta_nodes": (2, 48), "gauge_window": (1, 10), "gauge_step_divisor": (1, 8)}
+# the fields the other sub-configs may hold
+_FIBER_FIELDS = {"n", "n_cut"}
+_NUMERICS_FIELDS = {"dt", "fd_tau", "seed", "grid"}
+_GRID_FIELDS = {"lo", "hi", "points"}
+_PROBE_FIELDS = {"count", "max_degree", "sigma", "radius"}
+_DYNAMICS_FIELDS = {"t_final", "law_times", "eps_control", "spectrum_modes"}
 
 _PROBE_SIZE = {
     "sections": lambda p: p.get("radius", p.get("sigma")),
@@ -195,6 +201,15 @@ def _mapping(value, where: str) -> dict:
     return dict(value)
 
 
+def _fields(value, known, where: str) -> dict:
+    """``value`` as a mapping whose keys all lie in ``known``."""
+    value = _mapping(value, where)
+    unknown = sorted(set(value) - set(known))
+    if unknown:
+        raise ConfigError(f"{where}: unknown fields {unknown!r}")
+    return value
+
+
 def _list(value, where: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be a list, got {value!r}")
@@ -283,24 +298,31 @@ def _validate(cfg: dict, origin: str) -> Scenario:
     if gauge_id is not None and not _named(gauge_id, _GAUGE_BUILDERS):
         raise ConfigError(f"{origin}: unknown gauge {gauge_id!r}")
 
-    fiber_cfg = _mapping(need("fiber"), f"{origin}: fiber")
+    fiber_cfg = _fields(need("fiber"), _FIBER_FIELDS, f"{origin}: fiber")
     fiber = DimConfig(_integer(fiber_cfg.get("n", 1), 1, f"{origin}: fiber.n"),
                       _integer(fiber_cfg.get("n_cut"), 4, f"{origin}: fiber.n_cut"))
 
-    numerics = _mapping(cfg.get("numerics", {}), f"{origin}: numerics")
+    numerics = _fields(cfg.get("numerics", {}), _NUMERICS_FIELDS, f"{origin}: numerics")
     for key in ("dt", "fd_tau"):
         if key in numerics and not _number(numerics[key], float,
                                            f"{origin}: numerics.{key}") > 0:
             raise ConfigError(f"{origin}: numerics.{key} must be positive")
     if "seed" in numerics:
         _number(numerics["seed"], int, f"{origin}: numerics.seed")
+    if "grid" in numerics:
+        at = f"{origin}: numerics.grid"
+        grid = _fields(numerics["grid"], _GRID_FIELDS, at)
+        lo, hi = (_number(_need(grid, key, at), float, f"{at}.{key}") for key in ("lo", "hi"))
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise ConfigError(f"{at} needs finite lo < hi, got {lo!r} and {hi!r}")
+        _integer(_need(grid, "points", at), 2, f"{at}.points")
 
     suites = _list(cfg.get("suites", []), f"{origin}: suites")
     unknown = [s for s in suites if not isinstance(s, str) or s not in _KNOWN_SUITES]
     if unknown:
         raise ConfigError(f"{origin}: unknown suites {unknown!r}")
 
-    probes = _mapping(cfg.get("probes", {}), f"{origin}: probes")
+    probes = _fields(cfg.get("probes", {}), _PROBE_FIELDS, f"{origin}: probes")
     if "count" in probes:
         _integer(probes["count"], 1, f"{origin}: probes.count")
     if "max_degree" in probes:
@@ -336,7 +358,7 @@ def _validate(cfg: dict, origin: str) -> Scenario:
     hamiltonian = cfg.get("hamiltonian")
     if hamiltonian is not None:
         _hamiltonian_spec(hamiltonian, f"{origin}: hamiltonian")
-    dynamics = _mapping(cfg.get("dynamics", {}), f"{origin}: dynamics")
+    dynamics = _fields(cfg.get("dynamics", {}), _DYNAMICS_FIELDS, f"{origin}: dynamics")
     if "law_times" in dynamics:
         _validate_law_times(dynamics["law_times"], float(numerics.get("dt", 1e-3)),
                             f"{origin}: dynamics.law_times")
@@ -346,11 +368,9 @@ def _validate(cfg: dict, origin: str) -> Scenario:
         raise ConfigError(f"{origin}: strict_group_law must be true or false, "
                           f"got {strict_group_law!r}")
 
-    given = _mapping(cfg.get("gauge", {}), f"{origin}: gauge")
-    gauge_cfg = {key: _integer(given.pop(key, default), least, f"{origin}: gauge.{key}")
+    given = _fields(cfg.get("gauge", {}), _GAUGE_FIELDS, f"{origin}: gauge")
+    gauge_cfg = {key: _integer(given.get(key, default), least, f"{origin}: gauge.{key}")
                  for key, (least, default) in _GAUGE_FIELDS.items()}
-    if given:
-        raise ConfigError(f"{origin}: unknown gauge fields {sorted(given)!r}")
 
     anchor_cfg = cfg.get("anchor", {"S": 0.0, "P": [0.0], "Q": [1.0]})
     S, P, Q = (_need(anchor_cfg, key, f"{origin}: anchor") for key in "SPQ")

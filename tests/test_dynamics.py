@@ -9,6 +9,7 @@ from scbundle.dynamics import (
     ansatz_wavefunction, classical_flow, classical_flows, cubic_perturbed_spec,
     evolution_automorphism, fluctuation_propagator, fluctuation_propagators,
     l2_distance, quadratic_hamiltonian_spec, reference_schrodinger, step_counts,
+    _rk4_step,
 )
 from scbundle.errors import InputError, NumericalError, ResolutionError
 from scbundle.fiber import (DimConfig, FiberVector, momentum_operator,
@@ -17,6 +18,7 @@ from scbundle.fiber import (DimConfig, FiberVector, momentum_operator,
 OSC = quadratic_hamiltonian_spec([[1.0]])
 FREE = quadratic_hamiltonian_spec([[0.0]])
 CUBIC = cubic_perturbed_spec(1.0, 0.1)
+NONSEPARABLE = quadratic_hamiltonian_spec([[1.0]], m_qp=[[0.5]])
 LAW_TIMES = (0.25, 0.5, 0.75, 1.0)    # the oscillator-evolution catalog's
 
 
@@ -71,15 +73,11 @@ def test_energy_conservation_oscillator():
 
 def _blowup_spec():
     # H = P Q^2: dQ/dt = Q^2 escapes to infinity in finite time
-    def hess(rows):
-        P, Q = rows[:, 1], rows[:, 2]
+    def hess(P, Q):
         return np.moveaxis(np.array([[np.zeros_like(Q), 2 * Q], [2 * Q, 2 * P]]), -1, 0)
 
-    return HamiltonianSpec(
-        value=lambda rows: rows[:, 1] * rows[:, 2] ** 2,
-        grad=lambda rows: np.stack([rows[:, 2] ** 2, 2 * rows[:, 1] * rows[:, 2]], axis=1),
-        hess=hess,
-        n=1)
+    return HamiltonianSpec(value=lambda P, Q: P * (Q * Q),
+                           grad=lambda P, Q: (Q * Q, 2 * P * Q), hess=hess)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -107,8 +105,8 @@ def test_flow_input_validation():
 
 @pytest.mark.parametrize("H", [OSC, CUBIC], ids=["oscillator", "cubic"])
 def test_stacked_flow_rows_equal_single_row_flows(H):
-    """One RK4 loop over a stack, each row with its own step and count,
-    forward, backward and zero time, gives each row's own flow bitwise."""
+    """A stacked call, each row with its own step and count, forward,
+    backward and zero time, gives each row's own flow bitwise."""
     states = [ClassicalState(0.0, [0.0], [1.0]), ClassicalState(0.3, [0.2], [-0.4]),
               ClassicalState(0.1, [-0.5], [0.6]), ClassicalState(0.0, [0.7], [0.4])]
     T = [1.0, -0.7, 0.35, 0.0]
@@ -119,6 +117,37 @@ def test_stacked_flow_rows_equal_single_row_flows(H):
         assert np.array_equal(flow.times, alone.times)
         assert np.array_equal(flow.rows, alone.rows)
         assert flow.energy_drift == alone.energy_drift
+
+
+@pytest.mark.parametrize("H", [OSC, FREE, CUBIC, NONSEPARABLE],
+                         ids=["oscillator", "free", "cubic", "nonseparable"])
+def test_flow_rows_equal_the_step_on_component_stacks(H):
+    """Each row of a flow, advanced as three floats, is bitwise the same
+    ``_rk4_step`` iterated on numpy stacks of the components (S, P, Q),
+    each entry with its own step: forward, backward and zero time.  Its
+    energy drift, H evaluated on arrays, is H evaluated on floats."""
+    rows = np.array([[0.0, 0.0, 1.0], [0.3, 0.2, -0.4], [0.1, -0.5, 0.6], [0.0, 0.7, 0.4]])
+    T, dt = np.array([1.0, -0.7, 0.35, 0.0]), np.array([1e-3, 2e-3, 5e-3, 1e-3])
+    flows = classical_flows(H, rows, T, dt)
+    counts = np.rint(np.abs(T) / dt).astype(int)
+    h = np.where(counts > 0, T / np.maximum(counts, 1), 0.0)
+    states = [rows.T]
+    for _ in range(counts.max()):
+        states.append(np.array(_rk4_step(H, *states[-1], h)))
+    states = np.array(states)           # (step, component, row)
+    assert counts.tolist() == [1000, 350, 70, 0]
+    for r, (flow, c) in enumerate(zip(flows, counts)):
+        assert np.array_equal(flow.times, np.arange(c + 1) * h[r])
+        assert np.array_equal(flow.rows, states[:c + 1, :, r])
+        _, P, Q = flow.rows[-1].tolist()
+        assert flow.energy_drift == abs(H.value(P, Q) - H.value(*rows[r, 1:].tolist()))
+
+
+def test_spec_of_more_than_one_degree_of_freedom_is_refused():
+    with pytest.raises(InputError):
+        quadratic_hamiltonian_spec(np.eye(2))
+    with pytest.raises(InputError):
+        quadratic_hamiltonian_spec([[1.0]], m_pp=np.eye(2))
 
 
 @pytest.mark.parametrize("H", [OSC, CUBIC], ids=["oscillator", "cubic"])
@@ -153,10 +182,9 @@ def test_hamiltonian_spec_validation():
     assert cubic_perturbed_spec().validate(probes) <= 1e-6
     assert OSC.validate(probes) <= 1e-6
     broken = HamiltonianSpec(
-        value=lambda rows: 0.5 * (rows[:, 1] ** 2 + rows[:, 2] ** 2),
-        grad=lambda rows: rows[:, 1:] * [1.0, 2.0],   # dH/dQ wrong by a factor 2
-        hess=lambda rows: np.broadcast_to(np.eye(2), (len(rows), 2, 2)),
-        n=1)
+        value=lambda P, Q: 0.5 * (P * P + Q * Q),
+        grad=lambda P, Q: (P, 2.0 * Q),   # dH/dQ wrong by a factor 2
+        hess=lambda P, Q: np.broadcast_to(np.eye(2), (len(P), 2, 2)))
     with pytest.raises(InputError):
         broken.validate(probes)
 
@@ -330,10 +358,9 @@ def test_stacked_split_step_equals_single_packets():
 
 
 def test_reference_requires_separable_form():
-    nonseparable = quadratic_hamiltonian_spec([[1.0]], m_qp=[[0.5]])
     xs = np.linspace(-10, 10, 512)
     with pytest.raises(InputError):
-        reference_schrodinger(nonseparable, np.exp(-xs ** 2), 0.1, 0.1, xs, 1e-3)
+        reference_schrodinger(NONSEPARABLE, np.exp(-xs ** 2), 0.1, 0.1, xs, 1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -280,8 +280,9 @@ def test_identity_suite_heisenberg(weyl, smoothed):
     G = action.group
     A, B = G.algebra([1.0, 0.0, 0.0]), G.algebra([0.0, 1.0, 0.0])
     conj = G.element(G.compose_exps([H, H, 0.0]))
-    res = identity_suite(A, B, smooth_alpha(), smoothed, action, 1e-3, conjugator=conj)
-    half = identity_suite(A, B, smooth_alpha(), smoothed, action, 5e-4, conjugator=conj)
+    res, half = (identity_suite(A, B, smooth_alpha(), smoothed,
+                                generator_apply(A, smoothed, action, tau), action, tau,
+                                conjugator=conj) for tau in (1e-3, 5e-4))
     assert set(res) == set(half) == {"linearity", "conjugation", "commutator",
                                      "multiplication", "pairing_derivative"}
     for name, r in res.items():
@@ -305,7 +306,8 @@ def test_identity_suite_abelian_commutator_vanishes():
     psi = garding_smooth(kernel, probe, action)
     G = action.group
     A, B = G.algebra([1.0, 0.0]), G.algebra([0.0, 1.0])
-    res = identity_suite(A, B, smooth_alpha(), psi, action, 1e-3)
+    res = identity_suite(A, B, smooth_alpha(), psi, generator_apply(A, psi, action, 1e-3),
+                         action, 1e-3)
     assert "conjugation" not in res
     assert res["commutator"] <= 1e-4
 
@@ -315,6 +317,7 @@ def test_identity_suite_constant_alpha_vanishes(weyl, smoothed):
     G = action.group
     A, B = G.algebra([1.0, 0.0, 0.0]), G.algebra([0.0, 1.0, 0.0])
     const = BaseFunction(batch=lambda rows: np.full(rows.shape[0], 1.5 + 0j))
-    res = identity_suite(A, B, const, smoothed, action, 1e-3)
+    res = identity_suite(A, B, const, smoothed, generator_apply(A, smoothed, action, 1e-3),
+                         action, 1e-3)
     assert res["multiplication"] <= 1e-6
 

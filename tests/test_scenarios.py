@@ -116,6 +116,20 @@ MALFORMED = {
     "n-bool": [(("fiber", "n"), True)],
     "n-fraction": [(("fiber", "n"), 1.5)],
     "n_cut-fraction": [(("fiber", "n_cut"), 12.5)],
+    # each of these loaded: an unknown sub-config field was dropped (the
+    # seed typo ran at the default seed), a malformed grid reached
+    # Scenario.grid
+    "numerics-seed-typo": [(("numerics", "sead"), 5)],
+    "fiber-n-cut-typo": [(("fiber", "ncut"), 4)],
+    "probes-count-typo": [(("probes", "cout"), 1)],
+    "dynamics-t-final-typo": [(("dynamics",), {"t_finale": 3})],
+    "grid-text": [(("numerics", "grid"), "x")],
+    "grid-one-point": [(("numerics", "grid"), {"lo": -16.0, "hi": 16.0, "points": 1})],
+    "grid-lo-above-hi": [(("numerics", "grid"), {"lo": 16.0, "hi": -16.0, "points": 64})],
+    "grid-lo-equals-hi": [(("numerics", "grid"), {"lo": 4.0, "hi": 4.0, "points": 64})],
+    "grid-points-missing": [(("numerics", "grid"), {"lo": -16.0, "hi": 16.0})],
+    "grid-hi-infinite": [(("numerics", "grid"), {"lo": -16.0, "hi": float("inf"),
+                                                 "points": 64})],
 }
 
 

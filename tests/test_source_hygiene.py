@@ -5,7 +5,8 @@ of numerics written once: left translation of matrix stacks in
 ``sections.pulled_field`` (spelt as a matrix product or as an einsum; the
 Garding kernel sum folds its nodes through it), the source lookup of a left
 translation in ``sections.OrbitSampling.transport``, the RK4 stage
-combination in ``dynamics._rk4_step``, the split-step FFT in
+combination (once, under any names) in ``dynamics._rk4_step``, the
+split-step FFT in
 ``dynamics.reference_schrodinger``, the measured refinement order (log2
 of a residual ratio) in ``verify._order_gap``, the central-difference
 stencil (a difference over 2 * step) in ``sections.central_difference``
@@ -214,32 +215,50 @@ def test_source_lookup_written_once(path):
     assert _source_lookups(ast.parse(path.read_text())) == []
 
 
-def _owners(tree: ast.Module, match) -> set:
-    """Names of the innermost functions that hold a node ``match`` accepts
-    (``<module>`` for module-level code)."""
-    out = set()
+def _sites(tree: ast.Module, match) -> list:
+    """For each node ``match`` accepts, the name of the innermost function
+    that holds it (``<module>`` for module-level code)."""
+    out = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if match(child):
-                out.add(owner)
+                out.append(owner)
             visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
 
     visit(tree, "<module>")
     return out
 
 
+def _owners(tree: ast.Module, match) -> set:
+    return set(_sites(tree, match))
+
+
+def _package_sites(match) -> list:
+    return sorted((path.name, owner) for path in sorted(SRC.glob("*.py"))
+                  for owner in _sites(ast.parse(path.read_text()), match))
+
+
 def _package_owners(match) -> set:
-    return {(path.name, owner) for path in sorted(SRC.glob("*.py"))
-            for owner in _owners(ast.parse(path.read_text()), match)}
+    return set(_package_sites(match))
 
 
-# k1 + 2 * k2 + 2 * k3 + k4 under any names
-_RK4_COMBINATION = re.compile(r"^\w+ \+ 2(\.0*)? \* \w+ \+ 2(\.0*)? \* \w+ \+ \w+$")
+def _is_sum(node: ast.AST) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+
+
+def _is_twice(node: ast.AST) -> bool:
+    """``2 * x`` or ``x * 2.0``, for any x."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and any(isinstance(side, ast.Constant) and side.value == 2
+                    for side in (node.left, node.right)))
 
 
 def _is_rk4_combination(node: ast.AST) -> bool:
-    return isinstance(node, ast.BinOp) and bool(_RK4_COMBINATION.match(ast.unparse(node)))
+    """``k1 + 2 * k2 + 2 * k3 + k4`` for any four operands: names,
+    subscripts, attributes or calls."""
+    return (_is_sum(node) and _is_sum(node.left) and _is_twice(node.left.right)
+            and _is_sum(node.left.left) and _is_twice(node.left.left.right))
 
 
 def _is_fft(node: ast.AST) -> bool:
@@ -254,12 +273,7 @@ def _is_order_estimate(node: ast.AST) -> bool:
 
 def _is_central_stencil(node: ast.AST) -> bool:
     """A quotient over twice a step: ``... / (2 * h)`` or ``... / (h * 2.0)``."""
-    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
-        return False
-    den = node.right
-    return (isinstance(den, ast.BinOp) and isinstance(den.op, ast.Mult)
-            and any(isinstance(side, ast.Constant) and side.value == 2
-                    for side in (den.left, den.right)))
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and _is_twice(node.right)
 
 
 def _is_generator_eigh(node: ast.AST) -> bool:
@@ -295,6 +309,14 @@ def test_written_once_patterns_are_recognised():
     assert _owners(tree, _is_rk4_combination) == {"step", "inner"}
     assert _owners(tree, _is_fft) == {"outer", "other"}
     assert _owners(tree, _is_order_estimate) == {"order"}
+    tree = ast.parse('def twin(k1, k2, k3, k4, y):\n'
+                     '    s = k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]\n'
+                     '    return s, y.a + y.b * 2 + 2.0 * y.c + y.d\n'
+                     'def near(a, b, c, d):\n'
+                     '    return (a + 2 * b - 2 * c + d, a - 2 * b + 2 * c + d,\n'
+                     '            a + 2 * b + 2 * c, a + 2 * b + 2 * c * d,\n'
+                     '            a + 3 * b + 2 * c + d, a + 2 * (b + c) + d)\n')
+    assert _sites(tree, _is_rk4_combination) == ["twin", "twin"]
     tree = ast.parse('def fd(f, t):\n'
                      '    return (f(t) - f(-t)) / (2 * t), 1j / (2.0 * t) * f(t)\n'
                      'def other(f, t, d):\n'
@@ -316,7 +338,8 @@ def test_written_once_patterns_are_recognised():
 
 
 def test_rk4_stage_combination_written_once():
-    assert _package_owners(_is_rk4_combination) == {("dynamics.py", "_rk4_step")}
+    """Once in the package, so floats and stacks share one step."""
+    assert _package_sites(_is_rk4_combination) == [("dynamics.py", "_rk4_step")]
 
 
 def test_split_step_fft_written_once():

@@ -121,10 +121,13 @@ def test_reduced_suite_records_match_golden(name, build, monkeypatch):
 
 
 def test_each_operator_is_applied_once_per_step(monkeypatch):
-    """One identity-suite table and the reconstruction tables apply no
-    generator twice to one section at one step (H(A) psi and H(B) psi are
-    shared), and the section suite transforms no section twice by one
-    element (commuting products and products equal to an element included)."""
+    """One identity-suite table, a whole generator suite (its fd-order
+    record reads H(A) psi off the identity tables, and the conjugation
+    identity reuses it where h A h^-1 = A) and the reconstruction tables
+    apply no generator twice to one section at one step (H(A) psi and
+    H(B) psi are shared), and the section suite transforms no section
+    twice by one element (commuting products and products equal to an
+    element included)."""
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     seen, alive = [], []
 
@@ -154,9 +157,11 @@ def test_each_operator_is_applied_once_per_step(monkeypatch):
     psi = generators.garding_smooth(
         generators.lattice_kernel(sampling, scn.kernel_radius), probe, action)
     G = action.group
+    A = G.algebra([1.0, 0.0, 0.0])
     generators.identity_suite(
-        G.algebra([1.0, 0.0, 0.0]), G.algebra([0.0, 1.0, 0.0]), verify._smooth_alpha(),
-        psi, action, scn.fd_tau, conjugator=verify._lattice_elements(sampling)[3])
+        A, G.algebra([0.0, 1.0, 0.0]), verify._smooth_alpha(), psi,
+        generators.generator_apply(A, psi, action, scn.fd_tau), action, scn.fd_tau,
+        conjugator=verify._lattice_elements(sampling)[3])
     assert seen and len(set(seen)) == len(seen)
 
     seen.clear()
@@ -166,6 +171,10 @@ def test_each_operator_is_applied_once_per_step(monkeypatch):
 
     seen.clear()
     scn = load_scenario("translations-r2")
+    verify.generator_checks(scn, scn.build_action()[0], scn.rng())
+    assert seen and len(set(seen)) == len(seen)
+
+    seen.clear()
     verify.section_checks(scn, scn.build_action()[0], scn.rng())
     assert seen and len(set(seen)) == len(seen)
 
