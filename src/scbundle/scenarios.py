@@ -1,11 +1,23 @@
 """Scenario configuration: the JSON schema, the shipped catalog, and the
 construction of runtime objects (actions, samplings, probes, Hamiltonians)
-from a validated config."""
+from a validated config.
+
+The table ``_SCHEMA`` is the schema.  It has one row per config field, by
+path (``dynamics.t_final``; ``lattice[].spacing`` for each item of a list),
+giving the field's kind, its bound, and its default or ``_REQUIRED``.  The
+known fields of a mapping are the rows under it.  ``_walk`` checks a config
+against the table; ``_validate`` then applies the few rules that tie fields
+together (lattice axes per group coordinate, an action's group, the
+law-time step grid, what each suite needs).  A ``Scenario`` keeps its
+sub-configs as given, and ``Scenario.setting`` reads each default from the
+table when asked, so a resized copy (``dataclasses.replace``) keeps them.
+"""
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -45,28 +57,101 @@ _GAUGE_BUILDERS = {
     "phase_shift": phase_shift_gauge,
 }
 
-_KNOWN_SUITES = {"lie", "dynamics", "sections", "generators",
-                 "reconstruction", "gauge"}
+# each Hamiltonian kind's builder, called with omega2 and cubic
+_HAMILTONIANS = {
+    "quadratic": lambda omega2, cubic: quadratic_hamiltonian_spec([[omega2]]),
+    "cubic-perturbed": cubic_perturbed_spec,
+}
 
-_KNOWN_KEYS = {"name", "group_id", "action", "gauge_id", "hamiltonian", "fiber",
-               "anchor", "lattice", "generator_lattice", "numerics", "probes",
-               "kernel_radius", "suites", "strict_group_law", "dynamics", "gauge",
-               "eps_list"}
+# the fields a lattice axis of each kind holds beside its kind
+_AXES = {"line": ("spacing", "lo", "hi"), "cycle": ("count",)}
 
-# the gauge sub-config's integer fields: (least value, default)
-_GAUGE_FIELDS = {"theta_nodes": (2, 48), "gauge_window": (1, 10), "gauge_step_divisor": (1, 8)}
-# the fields the other sub-configs may hold
-_FIBER_FIELDS = {"n", "n_cut"}
-_NUMERICS_FIELDS = {"dt", "fd_tau", "seed", "grid"}
-_GRID_FIELDS = {"lo", "hi", "points"}
-_PROBE_FIELDS = {"count", "max_degree", "sigma", "radius"}
-_DYNAMICS_FIELDS = {"t_final", "law_times", "eps_control", "spectrum_modes"}
+# each suite: the top-level fields it needs set, and the probe sizes it
+# reads, in order of preference
+_SUITES = {
+    "lie": ((), ()),
+    "dynamics": (("hamiltonian",), ()),
+    "sections": (("action", "lattice"), ("radius", "sigma")),
+    "generators": (("action", "lattice"), ("sigma",)),
+    "reconstruction": (("action", "lattice"), ("sigma",)),
+    "gauge": (("action", "lattice", "gauge_id"), ("radius",)),
+}
 
-_PROBE_SIZE = {
-    "sections": lambda p: p.get("radius", p.get("sigma")),
-    "generators": lambda p: p.get("sigma"),
-    "reconstruction": lambda p: p.get("sigma"),
-    "gauge": lambda p: p.get("radius"),
+_REQUIRED = object()
+
+# orbit states are keyed as int64 multiples of 1e-9 (sections.state_keys),
+# which wrap past 9.2e9: an anchor coordinate stays well inside
+_COORDINATE_REACH = 1e9
+
+
+def _axis_rows(lattice: str) -> dict:
+    # an axis's own fields are required by its kind (checked in _validate)
+    return {f"{lattice}[]": ("mapping", None, _REQUIRED),
+            f"{lattice}[].kind": (_AXES, None, _REQUIRED),
+            f"{lattice}[].spacing": ("number", 0, None),
+            f"{lattice}[].lo": ("integer", None, None),
+            f"{lattice}[].hi": ("integer", None, None),
+            f"{lattice}[].count": ("integer", 1, None)}
+
+
+# path -> (kind, bound, default).  A kind is "mapping", "list", "string",
+# "bool", "integer", "number" (finite), "coordinate" (a number within
+# _COORDINATE_REACH), "sizes" (a positive number or a list of them) or a
+# table whose names the value must be one of.  An integer is at least its
+# bound, a number above it.  null stands for a field whose default is null;
+# "" is the config itself.
+_SCHEMA = {
+    "": ("mapping", None, _REQUIRED),
+    "name": ("string", None, _REQUIRED),
+    "group_id": (builtin_group_ids(), None, _REQUIRED),
+    "action": (_ACTION_BUILDERS, None, None),
+    "gauge_id": (_GAUGE_BUILDERS, None, None),
+    "hamiltonian": ("mapping", None, None),
+    "hamiltonian.kind": (_HAMILTONIANS, None, _REQUIRED),
+    "hamiltonian.omega2": ("number", None, 1.0),
+    "hamiltonian.cubic": ("number", None, 0.1),
+    "fiber": ("mapping", None, _REQUIRED),
+    "fiber.n": ("integer", 1, 1),
+    "fiber.n_cut": ("integer", 4, _REQUIRED),
+    "anchor": ("mapping", None, {"S": 0.0, "P": [0.0], "Q": [1.0]}),
+    "anchor.S": ("coordinate", None, _REQUIRED),
+    "anchor.P": ("list", None, _REQUIRED),
+    "anchor.P[]": ("coordinate", None, _REQUIRED),
+    "anchor.Q": ("list", None, _REQUIRED),
+    "anchor.Q[]": ("coordinate", None, _REQUIRED),
+    "lattice": ("list", None, []),
+    **_axis_rows("lattice"),
+    "generator_lattice": ("list", None, None),
+    **_axis_rows("generator_lattice"),
+    "kernel_radius": ("sizes", None, None),
+    "numerics": ("mapping", None, {}),
+    "numerics.dt": ("number", 0, 1e-3),
+    "numerics.fd_tau": ("number", 0, 1e-3),
+    "numerics.seed": ("integer", 0, 1234),
+    "numerics.grid": ("mapping", None, {"lo": -16.0, "hi": 16.0, "points": 8192}),
+    "numerics.grid.lo": ("number", None, _REQUIRED),
+    "numerics.grid.hi": ("number", None, _REQUIRED),
+    "numerics.grid.points": ("integer", 2, _REQUIRED),
+    "probes": ("mapping", None, {}),
+    "probes.count": ("integer", 1, 10),
+    "probes.max_degree": ("integer", 0, 3),
+    "probes.sigma": ("sizes", None, None),
+    "probes.radius": ("sizes", None, None),
+    "suites": ("list", None, []),
+    "suites[]": (_SUITES, None, _REQUIRED),
+    "strict_group_law": ("bool", None, False),
+    "dynamics": ("mapping", None, {}),
+    "dynamics.t_final": ("number", 0, 1.0),
+    "dynamics.law_times": ("list", None, []),
+    "dynamics.law_times[]": ("number", 0, _REQUIRED),
+    "dynamics.eps_control": ("number", 0, None),
+    "dynamics.spectrum_modes": ("integer", 0, 0),
+    "gauge": ("mapping", None, {}),
+    "gauge.theta_nodes": ("integer", 2, 48),
+    "gauge.gauge_window": ("integer", 1, 10),
+    "gauge.gauge_step_divisor": ("integer", 1, 8),
+    "eps_list": ("list", None, []),
+    "eps_list[]": ("number", 0, _REQUIRED),
 }
 
 
@@ -92,37 +177,47 @@ class Scenario:
     gauge_cfg: dict
     eps_list: list
 
+    def setting(self, path: str):
+        """The sub-config value at ``path`` (``"dynamics.t_final"``), or
+        its default from the schema."""
+        section, key = path.split(".")
+        given = self.gauge_cfg if section == "gauge" else getattr(self, section)
+        return given.get(key, _SCHEMA[path][2])
+
     @property
     def seed(self) -> int:
         env = os.environ.get(SEED_ENV_VAR)
-        if env is not None:
-            return int(env)
-        return int(self.numerics.get("seed", 1234))
+        if env is None:
+            return int(self.setting("numerics.seed"))
+        if not env.strip().isdecimal():
+            raise ConfigError(f"{SEED_ENV_VAR} must be a non-negative integer, got {env!r}")
+        return int(env)
 
     @property
     def dt(self) -> float:
-        return float(self.numerics.get("dt", 1e-3))
+        return float(self.setting("numerics.dt"))
 
     @property
     def fd_tau(self) -> float:
-        return float(self.numerics.get("fd_tau", 1e-3))
+        return float(self.setting("numerics.fd_tau"))
 
     @property
     def max_degree(self) -> int:
         """Highest fiber degree a probe section populates."""
-        return int(self.probes.get("max_degree", 3))
+        return int(self.setting("probes.max_degree"))
 
     def probe_size(self, suite: str):
         """Per-axis probe bump size a suite reads: ``radius`` for sections
         (falling back to ``sigma``) and gauge, ``sigma`` for generators and
         reconstruction."""
-        return _PROBE_SIZE[suite](self.probes)
+        sizes = (self.probes.get(key) for key in _SUITES[suite][1])
+        return next((size for size in sizes if size is not None), None)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
 
     def grid(self) -> np.ndarray:
-        g = self.numerics.get("grid", {"lo": -16.0, "hi": 16.0, "points": 8192})
+        g = self.setting("numerics.grid")
         return np.linspace(float(g["lo"]), float(g["hi"]), int(g["points"]))
 
     # -- runtime objects ----------------------------------------------------
@@ -159,247 +254,148 @@ class Scenario:
     def build_hamiltonian(self):
         if self.hamiltonian is None:
             raise ConfigError(f"scenario {self.name!r} declares no Hamiltonian")
-        return _hamiltonian_spec(self.hamiltonian, f"scenario {self.name!r}: hamiltonian")
+        return _HAMILTONIANS[self.hamiltonian["kind"]](
+            float(self.setting("hamiltonian.omega2")), float(self.setting("hamiltonian.cubic")))
 
     def build_gauge_bundle(self) -> GaugeBundle:
         _, family = self.build_action(drift=True)
-        cfg = self.gauge_cfg
         return GaugeBundle(
             family, self.build_gauge(), self.anchor,
-            theta_nodes=cfg["theta_nodes"],
-            gauge_step=np.pi / cfg["gauge_step_divisor"],
-            gauge_window=cfg["gauge_window"])
+            theta_nodes=self.setting("gauge.theta_nodes"),
+            gauge_step=np.pi / self.setting("gauge.gauge_step_divisor"),
+            gauge_window=self.setting("gauge.gauge_window"))
 
 
-def _need(mapping, key, where: str):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ConfigError(f"{where}: missing required field {key!r}")
-    return mapping[key]
+def _fields(path: str) -> dict:
+    """The rows directly under the mapping at ``path``, by key."""
+    return {row.rpartition(".")[2]: row for row in _SCHEMA
+            if row and not row.endswith("[]") and row.rpartition(".")[0] == path}
 
 
-def _number(value, kind, where: str):
+def _fits(value, kind, bound) -> bool:
+    """Whether ``value`` is of ``kind`` and within ``bound``."""
+    if not isinstance(kind, str):
+        return isinstance(value, str) and value in kind
+    if kind == "coordinate":
+        return _fits(value, "number", None) and abs(value) <= _COORDINATE_REACH
+    if kind == "sizes":
+        return all(_fits(size, "number", 0)
+                   for size in (value if isinstance(value, list) and value else [value]))
+    if kind == "integer":
+        return (isinstance(value, int) and not isinstance(value, bool)
+                and (bound is None or value >= bound))
+    if kind == "number":
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max and (bound is None or value > bound))
+    return isinstance(value, {"string": str, "bool": bool, "list": list, "mapping": dict}[kind])
+
+
+def _describe(kind, bound) -> str:
+    if not isinstance(kind, str):
+        return f"one of {sorted(kind)}"
+    text = {"integer": "an integer", "number": "a finite number",
+            "coordinate": f"a number of magnitude at most {_COORDINATE_REACH:g}",
+            "sizes": "a positive number or a list of them", "string": "a string",
+            "bool": "true or false", "list": "a list", "mapping": "an object"}[kind]
+    if bound is None:
+        return text
+    return f"{text} of at least {bound}" if kind == "integer" else f"{text} above {bound}"
+
+
+def _walk(value, path: str, where: str) -> None:
+    """Check ``value`` against the row at ``path`` and, inside a mapping or
+    a list, against every row under it; ``where`` names it in errors."""
+    kind, bound, default = _SCHEMA[path]
+    if value is None and default is None:
+        return
+    if not _fits(value, kind, bound):
+        raise ConfigError(f"{where} must be {_describe(kind, bound)}, got {value!r}")
+    if kind == "list":
+        for i, item in enumerate(value):
+            _walk(item, path + "[]", f"{where}[{i}]")
+    elif kind == "mapping":
+        fields = _fields(path)
+        unknown = sorted(set(value) - set(fields))
+        if unknown:
+            raise ConfigError(f"{where}: unknown fields {unknown!r}")
+        for key, row in fields.items():
+            if key in value:
+                _walk(value[key], row, f"{where}{'.' if path else ': '}{key}")
+            elif _SCHEMA[row][2] is _REQUIRED:
+                raise ConfigError(f"{where}: missing required field {key!r}")
+
+
+def _validate(cfg, origin: str) -> Scenario:
+    _walk(cfg, "", origin)
+    given = {key: cfg.get(key, _SCHEMA[key][2]) for key in _fields("")}
+    anchor = given["anchor"]
     try:
-        return kind(value)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{where} must be a number, got {value!r}") from err
-
-
-def _sizes(value, dim: int) -> bool:
-    """Whether ``value`` is positive, finite per-axis sizes that broadcast to
-    ``dim`` axes: a scalar, one value, or one value per axis."""
-    try:
-        size = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        return False
-    return (size.ndim <= 1 and size.size in (1, dim)
-            and bool(np.all(np.isfinite(size) & (size > 0))))
-
-
-def _mapping(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be an object, got {value!r}")
-    return dict(value)
-
-
-def _fields(value, known, where: str) -> dict:
-    """``value`` as a mapping whose keys all lie in ``known``."""
-    value = _mapping(value, where)
-    unknown = sorted(set(value) - set(known))
-    if unknown:
-        raise ConfigError(f"{where}: unknown fields {unknown!r}")
-    return value
-
-
-def _list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{where} must be a list, got {value!r}")
-    return list(value)
-
-
-def _named(value, table: dict) -> bool:
-    """Whether ``value`` is a string naming an entry of ``table``."""
-    return isinstance(value, str) and value in table
-
-
-def _integer(value, least: int, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigError(f"{where} must be an integer of at least {least}, got {value!r}")
-    return value
-
-
-def _hamiltonian_spec(hamiltonian, where: str):
-    kind = _need(hamiltonian, "kind", where)
-    omega2 = _number(hamiltonian.get("omega2", 1.0), float, f"{where}.omega2")
-    if kind == "quadratic":
-        return quadratic_hamiltonian_spec([[omega2]])
-    if kind == "cubic-perturbed":
-        return cubic_perturbed_spec(
-            omega2, _number(hamiltonian.get("cubic", 0.1), float, f"{where}.cubic"))
-    raise ConfigError(f"{where}: unknown Hamiltonian kind {kind!r}")
-
-
-def _validate_law_times(law_times, dt: float, where: str) -> None:
-    """Law times are positive numbers that, with their pairwise sums, share
-    one step of about dt (the evolution-law check reads every flow as a
-    prefix of one trajectory)."""
-    if not isinstance(law_times, list) or not all(
-            isinstance(t, (int, float)) and not isinstance(t, bool)
-            and np.isfinite(t) and t > 0 for t in law_times):
-        raise ConfigError(f"{where} must be a list of positive numbers, got {law_times!r}")
-    times = law_times + [t1 + t2 for t1 in law_times for t2 in law_times]
-    try:
-        step_counts(times, dt)
+        anchor = ClassicalState(anchor["S"], anchor["P"], anchor["Q"])
     except InputError as err:
-        raise ConfigError(f"{where}: not on one step grid ({err})") from err
-
-
-def _validate_lattice(spec_list, dim: int, where: str) -> list:
-    """A list of axes, none or one per group coordinate: lines with a
-    positive spacing and lo <= hi, cycles with at least one node."""
-    spec_list = _list(spec_list, where)
-    if spec_list and len(spec_list) != dim:
-        raise ConfigError(f"{where}: {len(spec_list)} axes for a group with "
-                          f"{dim} coordinates")
-    for i, item in enumerate(spec_list):
-        at = f"{where}[{i}]"
-        kind = _need(item, "kind", at)
-        if kind == "line":
-            spacing = _number(_need(item, "spacing", at), float, f"{at}.spacing")
-            if not (np.isfinite(spacing) and spacing > 0):
-                raise ConfigError(f"{at}.spacing must be positive, got {spacing!r}")
-            lo, hi = (_number(_need(item, key, at), int, f"{at}.{key}")
-                      for key in ("lo", "hi"))
-            if lo > hi:
-                raise ConfigError(f"{at}: empty axis, lo {lo} > hi {hi}")
-        elif kind == "cycle":
-            if _number(_need(item, "count", at), int, f"{at}.count") < 1:
-                raise ConfigError(f"{at}.count must be at least 1")
-        else:
-            raise ConfigError(f"{at}: unknown lattice axis kind {kind!r}")
-    return spec_list
-
-
-def _validate(cfg: dict, origin: str) -> Scenario:
-    def need(key):
-        return _need(cfg, key, origin)
-
-    name = str(need("name"))
-    unknown = sorted(set(cfg) - _KNOWN_KEYS)
-    if unknown:
-        raise ConfigError(f"{origin}: unknown fields {unknown!r}")
-    group_id = str(need("group_id"))
-    try:
-        dim = get_group(group_id).dim
-    except Exception as err:
-        raise ConfigError(f"{origin}: group {group_id!r} is not built in "
-                          f"(built-ins: {builtin_group_ids()})") from err
-
-    gauge_id = cfg.get("gauge_id")
-    if gauge_id is not None and not _named(gauge_id, _GAUGE_BUILDERS):
-        raise ConfigError(f"{origin}: unknown gauge {gauge_id!r}")
-
-    fiber_cfg = _fields(need("fiber"), _FIBER_FIELDS, f"{origin}: fiber")
-    fiber = DimConfig(_integer(fiber_cfg.get("n", 1), 1, f"{origin}: fiber.n"),
-                      _integer(fiber_cfg.get("n_cut"), 4, f"{origin}: fiber.n_cut"))
-
-    numerics = _fields(cfg.get("numerics", {}), _NUMERICS_FIELDS, f"{origin}: numerics")
-    for key in ("dt", "fd_tau"):
-        if key in numerics and not _number(numerics[key], float,
-                                           f"{origin}: numerics.{key}") > 0:
-            raise ConfigError(f"{origin}: numerics.{key} must be positive")
-    if "seed" in numerics:
-        _number(numerics["seed"], int, f"{origin}: numerics.seed")
-    if "grid" in numerics:
-        at = f"{origin}: numerics.grid"
-        grid = _fields(numerics["grid"], _GRID_FIELDS, at)
-        lo, hi = (_number(_need(grid, key, at), float, f"{at}.{key}") for key in ("lo", "hi"))
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ConfigError(f"{at} needs finite lo < hi, got {lo!r} and {hi!r}")
-        _integer(_need(grid, "points", at), 2, f"{at}.points")
-
-    suites = _list(cfg.get("suites", []), f"{origin}: suites")
-    unknown = [s for s in suites if not isinstance(s, str) or s not in _KNOWN_SUITES]
-    if unknown:
-        raise ConfigError(f"{origin}: unknown suites {unknown!r}")
-
-    probes = _fields(cfg.get("probes", {}), _PROBE_FIELDS, f"{origin}: probes")
-    if "count" in probes:
-        _integer(probes["count"], 1, f"{origin}: probes.count")
-    if "max_degree" in probes:
-        _integer(probes["max_degree"], 0, f"{origin}: probes.max_degree")
-    kernel_radius = cfg.get("kernel_radius")
-    if kernel_radius is not None and not _sizes(kernel_radius, dim):
-        raise ConfigError(f"{origin}: kernel_radius needs positive sizes for "
-                          f"{dim} coordinates, got {kernel_radius!r}")
-
-    lattice = _validate_lattice(cfg.get("lattice", []), dim, f"{origin}: lattice")
-    generator_lattice = cfg.get("generator_lattice")
-    if generator_lattice is not None and not _validate_lattice(
-            generator_lattice, dim, f"{origin}: generator_lattice"):
-        raise ConfigError(f"{origin}: generator_lattice is empty")
-    for suite in suites:
-        if suite not in _PROBE_SIZE:
-            continue
-        if not lattice:
-            raise ConfigError(f"{origin}: suite {suite!r} samples the orbit "
-                              f"and needs a lattice")
-        if not _sizes(_PROBE_SIZE[suite](probes), dim):
-            raise ConfigError(f"{origin}: suite {suite!r} needs positive probe "
-                              f"sizes for {dim} coordinates, got "
-                              f"{_PROBE_SIZE[suite](probes)!r}")
-
-    action_name = cfg.get("action")
-    if action_name is not None and not _named(action_name, _ACTION_BUILDERS):
-        raise ConfigError(f"{origin}: unknown action {action_name!r}")
-    if action_name is not None and _ACTION_BUILDERS[action_name][1] != group_id:
-        raise ConfigError(f"{origin}: action {action_name!r} acts through group "
-                          f"{_ACTION_BUILDERS[action_name][1]!r}, not {group_id!r}")
-
-    hamiltonian = cfg.get("hamiltonian")
-    if hamiltonian is not None:
-        _hamiltonian_spec(hamiltonian, f"{origin}: hamiltonian")
-    dynamics = _fields(cfg.get("dynamics", {}), _DYNAMICS_FIELDS, f"{origin}: dynamics")
-    if "law_times" in dynamics:
-        _validate_law_times(dynamics["law_times"], float(numerics.get("dt", 1e-3)),
-                            f"{origin}: dynamics.law_times")
-
-    strict_group_law = cfg.get("strict_group_law", False)
-    if not isinstance(strict_group_law, bool):
-        raise ConfigError(f"{origin}: strict_group_law must be true or false, "
-                          f"got {strict_group_law!r}")
-
-    given = _fields(cfg.get("gauge", {}), _GAUGE_FIELDS, f"{origin}: gauge")
-    gauge_cfg = {key: _integer(given.get(key, default), least, f"{origin}: gauge.{key}")
-                 for key, (least, default) in _GAUGE_FIELDS.items()}
-
-    anchor_cfg = cfg.get("anchor", {"S": 0.0, "P": [0.0], "Q": [1.0]})
-    S, P, Q = (_need(anchor_cfg, key, f"{origin}: anchor") for key in "SPQ")
-    try:
-        anchor = ClassicalState(float(S), np.asarray(P, dtype=float),
-                                np.asarray(Q, dtype=float))
-    except (TypeError, ValueError) as err:
         raise ConfigError(f"{origin}: malformed anchor ({err})") from err
-
-    return Scenario(
-        name=name,
-        group_id=group_id,
-        action_name=action_name,
-        gauge_id=gauge_id,
-        hamiltonian=hamiltonian,
-        fiber=fiber,
+    scn = Scenario(
+        name=given["name"],
+        group_id=given["group_id"],
+        action_name=given["action"],
+        gauge_id=given["gauge_id"],
+        hamiltonian=given["hamiltonian"],
+        fiber=DimConfig(given["fiber"].get("n", _SCHEMA["fiber.n"][2]),
+                        given["fiber"]["n_cut"]),
         anchor=anchor,
-        lattice=lattice,
-        generator_lattice=generator_lattice,
-        numerics=numerics,
-        probes=probes,
-        kernel_radius=kernel_radius,
-        suites=suites,
-        strict_group_law=strict_group_law,
-        dynamics=dynamics,
-        gauge_cfg=gauge_cfg,
-        eps_list=[_number(e, float, f"{origin}: eps_list")
-                  for e in _list(cfg.get("eps_list", []), f"{origin}: eps_list")],
+        lattice=list(given["lattice"]),
+        generator_lattice=given["generator_lattice"],
+        numerics=dict(given["numerics"]),
+        probes=dict(given["probes"]),
+        kernel_radius=given["kernel_radius"],
+        suites=list(given["suites"]),
+        strict_group_law=given["strict_group_law"],
+        dynamics=dict(given["dynamics"]),
+        gauge_cfg=dict(given["gauge"]),
+        eps_list=[float(eps) for eps in given["eps_list"]],
     )
+
+    # the rules that tie fields together
+    dim = get_group(scn.group_id).dim
+    if scn.action_name is not None and _ACTION_BUILDERS[scn.action_name][1] != scn.group_id:
+        raise ConfigError(f"{origin}: action {scn.action_name!r} acts through group "
+                          f"{_ACTION_BUILDERS[scn.action_name][1]!r}, not {scn.group_id!r}")
+    if scn.generator_lattice == []:
+        raise ConfigError(f"{origin}: generator_lattice is empty")
+    for key in ("lattice", "generator_lattice"):
+        axes = given[key] or []
+        if axes and len(axes) != dim:
+            raise ConfigError(f"{origin}: {key}: {len(axes)} axes for a group with "
+                              f"{dim} coordinates")
+        for i, axis in enumerate(axes):
+            fields = _AXES[axis["kind"]]
+            if len(axis) != len(fields) + 1 or any(axis.get(f) is None for f in fields):
+                raise ConfigError(f"{origin}: {key}[{i}]: a {axis['kind']} axis holds "
+                                  f"{list(fields)}, got {sorted(axis)}")
+            if axis["kind"] == "line" and axis["lo"] > axis["hi"]:
+                raise ConfigError(f"{origin}: {key}[{i}]: empty axis, lo {axis['lo']} "
+                                  f"> hi {axis['hi']}")
+    for key, sizes in (("kernel_radius", scn.kernel_radius),
+                       ("probes.sigma", scn.probes.get("sigma")),
+                       ("probes.radius", scn.probes.get("radius"))):
+        if isinstance(sizes, list) and len(sizes) not in (1, dim):
+            raise ConfigError(f"{origin}: {key} needs one size or {dim}, got {sizes!r}")
+    for suite in scn.suites:
+        needs, probe_sizes = _SUITES[suite]
+        unset = [key for key in needs if not given[key]]
+        if unset:
+            raise ConfigError(f"{origin}: suite {suite!r} needs {unset} set")
+        if probe_sizes and scn.probe_size(suite) is None:
+            raise ConfigError(f"{origin}: suite {suite!r} needs probes."
+                              f"{' or '.join(probe_sizes)}")
+    grid = scn.setting("numerics.grid")
+    if not grid["lo"] < grid["hi"]:
+        raise ConfigError(f"{origin}: numerics.grid needs lo < hi, got {grid!r}")
+    law_times = scn.setting("dynamics.law_times")
+    try:
+        step_counts(law_times + [t1 + t2 for t1 in law_times for t2 in law_times], scn.dt)
+    except InputError as err:
+        raise ConfigError(f"{origin}: dynamics.law_times not on one step grid ({err})") from err
+    return scn
 
 
 def catalog_names() -> tuple:

@@ -192,8 +192,8 @@ def dynamics_checks(scn: Scenario, rng) -> list:
     # every flow from a given start, in one call: the anchor to t_final,
     # the fine and three coarse flows of the RK4 order check, and the anchor
     # to the longest sum of law times (zero time without law times)
-    t_final = float(scn.dynamics.get("t_final", 1.0))
-    law_times = [float(t) for t in scn.dynamics.get("law_times", [])]
+    t_final = float(scn.setting("dynamics.t_final"))
+    law_times = [float(t) for t in scn.setting("dynamics.law_times")]
     X0 = ClassicalState(0.0, [0.0], [1.0])
     starts = [scn.anchor, X0, X0, X0, X0, scn.anchor]
     ends = [t_final, 2.0, 2.0, 2.0, 2.0, 2 * max(law_times, default=0.0)]
@@ -205,7 +205,7 @@ def dynamics_checks(scn: Scenario, rng) -> list:
     records.append(CheckRecord("fluctuation_unitarity", "Eq. (3b)",
                                unitarity_residual(U), 1e-8))
 
-    modes = int(scn.dynamics.get("spectrum_modes", 0))
+    modes = int(scn.setting("dynamics.spectrum_modes"))
     if modes:
         expected = np.exp(-1j * t_final * (np.arange(modes) + 0.5))
         got = np.diag(U.matrix)[:modes]
@@ -225,8 +225,8 @@ def dynamics_checks(scn: Scenario, rng) -> list:
         records.append(CheckRecord("evolution_base_law", "Eq. (5)", base_worst, 1e-8))
         records.append(CheckRecord("evolution_fiber_law", "Eq. (5)", fiber_worst, 1e-6))
 
-    eps_control = scn.dynamics.get("eps_control")
-    if eps_control and scn.hamiltonian.get("kind") == "quadratic":
+    eps_control = scn.setting("dynamics.eps_control")
+    if eps_control and scn.hamiltonian["kind"] == "quadratic":
         xs = scn.grid()
         f0 = FiberVector(np.eye(cfg.dim)[0].astype(complex), cfg)
         err = ansatz_error(H, X0, f0, float(eps_control), 1.0, xs, dt=dt)
@@ -243,7 +243,7 @@ def dynamics_checks(scn: Scenario, rng) -> list:
 def section_checks(scn: Scenario, action, rng) -> list:
     sampling = scn.build_sampling(action)
     radius = scn.probe_size("sections")
-    count = int(scn.probes.get("count", 10))
+    count = int(scn.setting("probes.count"))
     sections = [smooth_probe_section(sampling, rng, scn.max_degree, radius)
                 for _ in range(count)]
     elements = _lattice_elements(sampling)
@@ -728,7 +728,7 @@ def run_convergence(scenario: Scenario, eps_list=None) -> ConvergenceTable:
     cfg = scenario.fiber
     f0 = FiberVector(np.eye(cfg.dim)[0].astype(complex), cfg)
     errors = ansatz_errors(scenario.build_hamiltonian(), scenario.anchor, f0,
-                           eps_values, float(scenario.dynamics.get("t_final", 1.0)),
+                           eps_values, float(scenario.setting("dynamics.t_final")),
                            scenario.grid(), dt=scenario.dt)
     return ConvergenceTable([ConvergenceRow(eps, err)
                              for eps, err in zip(eps_values, errors)])

@@ -50,3 +50,10 @@ def test_exit_codes_for_a_failing_record_and_a_refused_scenario(monkeypatch, cap
     assert capsys.readouterr().out == failing.to_csv()
     assert cli.main(["verify", "no-such-scenario"]) == 2
     assert "no such scenario config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["abc", "-5"])
+def test_malformed_seed_variable_exits_two(seed, monkeypatch, capsys):
+    monkeypatch.setenv(SEED_ENV_VAR, seed)
+    assert cli.main(["verify", "so2-rotor"]) == 2
+    assert SEED_ENV_VAR in capsys.readouterr().err

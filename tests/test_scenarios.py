@@ -1,27 +1,44 @@
-"""Scenario config validation: malformed configs raise ConfigError."""
+"""Scenario config validation: malformed configs raise ConfigError, and a
+fuzz built from the schema table plants one fault per row."""
 
 import copy
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scbundle.errors import ConfigError
 from scbundle.fiber import DimConfig
-from scbundle.scenarios import _ACTION_BUILDERS, catalog_names, load_scenario
+from scbundle.scenarios import (_ACTION_BUILDERS, _COORDINATE_REACH, _REQUIRED, _SCHEMA,
+                                _validate, catalog_names, load_scenario)
 
+LATTICE = [{"kind": "line", "spacing": 0.15, "lo": -4, "hi": 4},
+           {"kind": "line", "spacing": 0.15, "lo": -4, "hi": 4},
+           {"kind": "line", "spacing": 0.0225, "lo": -12, "hi": 12}]
+
+# every field of the schema is set, so a fault can be planted at each row
 BASE = {
     "name": "config-test",
     "group_id": "heisenberg",
     "action": "heisenberg-weyl",
+    "gauge_id": "u1_phase",
+    "hamiltonian": {"kind": "cubic-perturbed", "omega2": 1.0, "cubic": 0.1},
     "fiber": {"n": 1, "n_cut": 12},
     "anchor": {"S": 0.0, "P": [0.4], "Q": [-0.2]},
-    "lattice": [{"kind": "line", "spacing": 0.15, "lo": -4, "hi": 4},
-                {"kind": "line", "spacing": 0.15, "lo": -4, "hi": 4},
-                {"kind": "line", "spacing": 0.0225, "lo": -12, "hi": 12}],
-    "numerics": {"dt": 0.001, "fd_tau": 0.001, "seed": 7},
+    "lattice": LATTICE,
+    "generator_lattice": [dict(axis) for axis in LATTICE],
+    "kernel_radius": [0.16, 0.16, 0.07],
+    "numerics": {"dt": 0.001, "fd_tau": 0.001, "seed": 7,
+                 "grid": {"lo": -16.0, "hi": 16.0, "points": 64}},
     "probes": {"count": 1, "max_degree": 3, "sigma": [0.4, 0.4, 0.35],
                "radius": [0.4, 0.4, 0.35]},
     "suites": ["lie", "sections", "generators", "reconstruction"],
+    "strict_group_law": False,
+    "dynamics": {"t_final": 1.0, "law_times": [0.25, 0.5], "eps_control": 0.05,
+                 "spectrum_modes": 4},
+    "gauge": {"theta_nodes": 48, "gauge_window": 10, "gauge_step_divisor": 8},
+    "eps_list": [0.04, 0.02],
 }
 
 
@@ -130,12 +147,43 @@ MALFORMED = {
     "grid-points-missing": [(("numerics", "grid"), {"lo": -16.0, "hi": 16.0})],
     "grid-hi-infinite": [(("numerics", "grid"), {"lo": -16.0, "hi": float("inf"),
                                                  "points": 64})],
+    # each of these loaded: a negative t_final ran, a fractional or boolean
+    # seed ran at seed 1, the omega typo ran at omega2 = 1, a fractional or
+    # boolean lattice bound was read as an integer, an unknown axis field
+    # was dropped
+    "t-final-negative": [(("dynamics", "t_final"), -1)],
+    "seed-fraction": [(("numerics", "seed"), 1.5)],
+    "seed-bool": [(("numerics", "seed"), True)],
+    "hamiltonian-omega-typo": [(("hamiltonian",), {"kind": "quadratic", "omega": 4})],
+    "name-number": [(("name",), 5)],
+    "lattice-lo-fraction": [(("lattice", 0, "lo"), 1.5)],
+    "lattice-lo-bool": [(("lattice", 0, "lo"), True)],
+    "lattice-axis-unknown-key": [(("lattice", 0, "width"), 2)],
+    # each of these loaded and then ended in dynamics_suite_error, or (the
+    # negative eps) in an InputError from run_convergence, or (the negative
+    # seed) in a ValueError from run_verify
+    "t-final-infinite": [(("dynamics", "t_final"), float("inf"))],
+    "t-final-text": [(("dynamics", "t_final"), "x")],
+    "spectrum-modes-text": [(("dynamics", "spectrum_modes"), "x")],
+    "spectrum-modes-negative": [(("dynamics", "spectrum_modes"), -3)],
+    "eps-control-text": [(("dynamics", "eps_control"), "x")],
+    "eps-control-negative": [(("dynamics", "eps_control"), -0.1)],
+    "omega2-nan": [(("hamiltonian", "omega2"), float("nan"))],
+    "eps-list-negative": [(("eps_list",), [-0.1])],
+    "seed-negative": [(("numerics", "seed"), -5)],
+    # this loaded, and its orbit sampling kept 81 of 2,025 points
+    "anchor-S-beyond-reach": [(("anchor", "S"), 1e10)],
+    # each of these loaded and then ended in one <suite>_suite_error
+    "dynamics-without-hamiltonian": [(("hamiltonian",), None), (("suites",), ["dynamics"])],
+    "sections-without-action": [(("action",), None)],
+    "gauge-without-gauge-id": [(("gauge_id",), None), (("suites",), ["gauge"])],
 }
 
 
-def _malformed(case) -> dict:
+def _edit(edits) -> dict:
+    """A copy of BASE with each (path, value) edit applied."""
     cfg = copy.deepcopy(BASE)
-    for (*parents, key), value in MALFORMED[case]:
+    for (*parents, key), value in edits:
         node = cfg
         for p in parents:
             node = node[p]
@@ -149,7 +197,7 @@ def _malformed(case) -> dict:
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_config_raises_config_error(case, tmp_path):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(_malformed(case)))
+    path.write_text(json.dumps(_edit(MALFORMED[case])))
     with pytest.raises(ConfigError):
         load_scenario(str(path))
 
@@ -194,3 +242,97 @@ def test_each_action_acts_through_its_stated_group():
         action, family = builder(DimConfig(1, 6))
         assert action.group.group_id == group_id
         assert family.group is action.group
+
+
+def test_settings_read_their_defaults_when_asked():
+    """A resized copy reads the given value, and a field it leaves out reads
+    the schema default."""
+    scn = load_scenario("oscillator-evolution")
+    assert replace(scn, dynamics=dict(scn.dynamics, t_final=0.25)).setting(
+        "dynamics.t_final") == 0.25
+    bare = replace(scn, dynamics={}, probes={}, numerics={})
+    assert bare.setting("dynamics.t_final") == 1.0
+    assert bare.setting("dynamics.eps_control") is None
+    assert (bare.dt, bare.setting("probes.count"), bare.grid().size) == (1e-3, 10, 8192)
+
+
+# --- fuzz built from the schema table ---------------------------------------
+
+ROWS = sorted(path for path in _SCHEMA if path)
+
+# rows whose valid values depend on other fields: the group fixes the action
+# and the lattice, the anchor's length fixes n, the law times fix dt, and the
+# grid needs lo < hi
+LINKED = {"group_id", "action", "fiber.n", "numerics.dt", "numerics.grid.lo",
+          "numerics.grid.hi"}
+FREE = [path for path in ROWS if "[]" not in path and path not in LINKED
+        and _SCHEMA[path][0] not in ("mapping", "list")]
+
+_WRONG = {
+    "integer": ["x", 1.5, True, [1]],
+    "number": ["x", True, float("nan"), float("inf"), [1.0]],
+    "coordinate": ["x", True, float("nan"), 1e10, -1e300, [1.0]],
+    "sizes": ["x", True, 0, [], [[0.4]], [-1.0], float("nan")],
+    "string": [5, True, ["x"]],
+    "bool": [1, 0, "no"],
+    "list": [5, "x", {"a": 1}],
+    "mapping": [5, "x", [1]],
+}
+
+
+def _keys(path: str) -> tuple:
+    """Schema path -> keys into BASE, through the first item of each list."""
+    return tuple(int(k) if k.isdigit() else k
+                 for k in path.replace("[]", ".0").split("."))
+
+
+def _bad(path: str):
+    """One value of the wrong kind or out of bounds for the row at ``path``,
+    or its deletion when the row is required."""
+    kind, bound, default = _SCHEMA[path]
+    wrong = ["no-such-name", 5, True, sorted(kind)[:1]] if not isinstance(kind, str) \
+        else _WRONG[kind]
+    options = [st.sampled_from(wrong)]
+    if bound is not None:
+        options.append(st.integers(max_value=bound - 1) if kind == "integer"
+                       else st.floats(max_value=bound))
+    if default is not None:
+        options.append(st.none())
+    if default is _REQUIRED and not path.endswith("[]"):
+        options.append(st.just(DELETE))
+    return st.one_of(options)
+
+
+def _good(path: str):
+    """A valid value for a row no other field constrains."""
+    kind, bound, _ = _SCHEMA[path]
+    positive = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+    if not isinstance(kind, str):
+        return st.sampled_from(sorted(kind))
+    if kind == "integer":
+        return st.integers(min_value=bound, max_value=bound + 16)
+    if kind == "number":
+        return positive if bound == 0 else st.floats(allow_nan=False, allow_infinity=False)
+    if kind == "coordinate":
+        return st.floats(min_value=-_COORDINATE_REACH, max_value=_COORDINATE_REACH)
+    if kind == "sizes":
+        return st.one_of(positive, st.lists(positive, min_size=1, max_size=1))
+    return st.text() if kind == "string" else st.booleans()
+
+
+@pytest.mark.parametrize("path", ROWS)
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_single_fault_at_each_row_raises_config_error(path, data):
+    value = data.draw(_bad(path), label=path)
+    with pytest.raises(ConfigError):
+        _validate(_edit([(_keys(path), value)]), "fuzz")
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.fixed_dictionaries({path: _good(path) for path in FREE}))
+def test_valid_draws_load_and_build(values):
+    scn = _validate(_edit([(_keys(path), v) for path, v in values.items()]), "fuzz")
+    action, _ = scn.build_action()
+    assert len(scn.build_sampling(action)) == 9 * 9 * 25
+    scn.build_hamiltonian()

@@ -14,7 +14,10 @@ stencil (a difference over 2 * step) in ``sections.central_difference``
 eigendecomposition of a generator's fiber Hamiltonian in
 ``actions.GeneratorData``, and the scaled squared radius (a squared
 quotient) in ``groups.scaled_square_radius``; no ``setdiff1d`` (the lost
-samples of a transport come from a mask)."""
+samples of a transport come from a mask); and no scenario sub-config default
+spelt outside ``scenarios``, whose schema table holds every default (a
+``.get`` on ``dynamics``, ``probes``, ``numerics``, ``hamiltonian`` or
+``gauge_cfg`` spells one, None when it names none)."""
 
 import ast
 import re
@@ -294,6 +297,17 @@ def _is_setdiff(node: ast.AST) -> bool:
     return _calls(node, "setdiff1d")
 
 
+_SUB_CONFIGS = {"dynamics", "probes", "numerics", "hamiltonian", "gauge_cfg"}
+
+
+def _is_sub_config_default(node: ast.AST) -> bool:
+    """``<x>.dynamics.get(...)`` and the like: a lookup on a scenario
+    sub-config that spells the field's default."""
+    return (_calls(node, "get") and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr in _SUB_CONFIGS)
+
+
 def test_written_once_patterns_are_recognised():
     tree = ast.parse('import numpy as np\n'
                      'def step(a, b, c, d):\n'
@@ -335,6 +349,15 @@ def test_written_once_patterns_are_recognised():
                      '    return np.setdiff1d(np.arange(j), kept), setdiff1d(j, kept)\n')
     assert _owners(tree, _is_squared_quotient) == {"bump"}
     assert _owners(tree, _is_setdiff) == {"lost"}
+    tree = ast.parse('def spelt(scn, s):\n'
+                     '    t = float(scn.dynamics.get("t_final", 1.0))\n'
+                     '    return t, s.scenario.probes.get("count"), scn.gauge_cfg.get("x", 2)\n'
+                     'def read(scn, cfg, os):\n'
+                     '    return (scn.setting("dynamics.t_final"), scn.dynamics["t_final"],\n'
+                     '            cfg.get("t_final", 1.0), os.environ.get("SEED", "1"),\n'
+                     '            dict(scn.numerics, dt=2e-3), scn.probes.keys(),\n'
+                     '            scn.get("dynamics"), dynamics.get("t_final", 1.0))\n')
+    assert _sites(tree, _is_sub_config_default) == ["spelt"] * 3
 
 
 def test_rk4_stage_combination_written_once():
@@ -365,3 +388,8 @@ def test_scaled_square_radius_written_once():
 
 def test_no_setdiff_in_the_package():
     assert _package_owners(_is_setdiff) == set()
+
+
+def test_sub_config_defaults_live_in_the_schema():
+    assert [site for site in _package_sites(_is_sub_config_default)
+            if site[0] != "scenarios.py"] == []
