@@ -2,9 +2,12 @@
 
 Classical flow of the base point (S, P, Q) by fixed-step RK4, the quadratic
 fluctuation propagator by midpoint-exponential stepping, their pairing as a
-bundle automorphism, the wave-packet substitution on a 1-D grid, and an
-independent split-step spectral reference solver used as the verification
-oracle.
+bundle automorphism, and the wave-packet substitution on a 1-D grid.  Two
+references, independent of that pipeline, judge the substituted packet: for
+a quadratic Hamiltonian the exact Gaussian :func:`gaussian_packet` (a closed
+form in the linear flow), and otherwise the split-step spectral solver
+:func:`reference_schrodinger`.  :func:`ansatz_errors` picks one from the
+Hamiltonian.
 
 **Rows contract.** :class:`ClassicalState` is the single-point form of a
 base point; a state row is its ``as_array`` layout ``S, P, Q``.  The flow
@@ -20,8 +23,8 @@ the one-row case.  Stacks are used only where they pay: the same step
 advances the interval midpoints of the fluctuation stepper as component
 arrays, the Hamiltonian self-check and the energy drift evaluate H on
 arrays, and :func:`reference_schrodinger` advances a stack of wave packets
-in one split-step loop (a single-eps :func:`ansatz_error` is its one-row
-case).
+in one split-step loop (a single-eps :func:`ansatz_error` of a
+non-quadratic Hamiltonian is its one-row case).
 
 **Step-grid invariant.** A flow to time T with step dt takes
 round(|T|/dt) steps of h = T/round(|T|/dt), and its fluctuation propagator
@@ -37,6 +40,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .errors import InputError, NumericalError, ResolutionError
 from .fiber import (DimConfig, FiberOperator, FiberVector, hermite_functions,
@@ -56,6 +60,7 @@ __all__ = [
     "evolution_automorphism",
     "ansatz_wavefunction",
     "reference_schrodinger",
+    "gaussian_packet",
     "ansatz_error",
     "ansatz_errors",
     "l2_distance",
@@ -114,8 +119,8 @@ class HamiltonianSpec:
 
     ``potential`` is set when H has the separable form P^2/2 + V(Q); the
     grid reference solver requires it.  ``constant_hessians`` marks purely
-    quadratic Hamiltonians so the fluctuation stepper may reuse one step
-    matrix.
+    quadratic Hamiltonians: the fluctuation stepper reuses one step matrix,
+    and the exact Gaussian serves as their reference.
     """
 
     value: Callable
@@ -165,8 +170,7 @@ def quadratic_hamiltonian_spec(m_qq, m_qp=None, m_pp=None) -> HamiltonianSpec:
         return P * pp + Q * qp, P * qp + Q * qq
 
     def value(P, Q):
-        gp, gq = grad(P, Q)
-        return 0.5 * (gp * P + gq * Q)
+        return 0.5 * ((P * pp + Q * qp) * P + (P * qp + Q * qq) * Q)
 
     separable = np.isclose(pp, 1.0) and np.isclose(qp, 0.0)
     return HamiltonianSpec(
@@ -483,14 +487,63 @@ def reference_schrodinger(H: HamiltonianSpec, psi0: np.ndarray, eps,
     return psi
 
 
+def gaussian_packet(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
+                    eps: float, T: float, xs: np.ndarray) -> np.ndarray:
+    """The exact solution at time T of the Schrodinger equation of a
+    quadratic ``H`` started from the ground-mode packet
+    ``ansatz_wavefunction(X0, f0, eps, xs)`` (``f0`` a multiple of the
+    ground mode), sampled on ``xs``.
+
+    A Gaussian stays Gaussian (Heller, J. Chem. Phys. 62 (1975) 1544;
+    Hagedorn, Ann. Phys. 269 (1998) 77).  With z = (P, Q), K the constant
+    Hessian and J = [[0, -1], [1, 0]], M = expm(T J K) carries the centre
+    to M z0 and the action to S0 + (P_T Q_T - P0 Q0)/2 (for homogeneous
+    quadratic H, P dH/dP - H = d(PQ)/dt / 2); the tangent (dP, dQ) =
+    M (i, 1) gives the width A = dP/dQ and the amplitude
+    eps^{-1/4} pi^{-1/4} dQ^{-1/2}, on the branch continued from 1 at
+    t = 0.  It shares no code with the classical flow, the fluctuation
+    propagator, the ansatz or the grid solver.  Raises ResolutionError when
+    the grid does not cover 8 widths of the final packet on either side."""
+    if not H.constant_hessians:
+        raise InputError("the exact Gaussian needs a quadratic Hamiltonian")
+    if X0.n != 1 or f0.dim_config.n != 1:
+        raise InputError("the exact Gaussian is 1-D only")
+    if np.any(f0.coeffs[1:] != 0):
+        raise InputError("the exact Gaussian starts from the ground mode only")
+    if eps <= 0:
+        raise InputError("eps must be positive")
+    K = H.hess(X0.P, X0.Q)[0]
+    M = scipy.linalg.expm(T * np.array([[0.0, -1.0], [1.0, 0.0]]) @ K)
+    P, Q = M @ np.array([X0.P[0], X0.Q[0]])
+    S = X0.S + 0.5 * (P * Q - X0.P[0] * X0.Q[0])
+    dP, dQ = M @ np.array([1j, 1.0])
+    # Im dQ(t) = K_pp sin(w t)/w for w^2 = det K > 0 (and keeps its sign for
+    # det K <= 0): dQ winds half round 0 in each half period pi/w.  Over k,
+    # the nearest number of half periods, (-1)^k dQ stays off the negative
+    # real axis, so its principal root continues the branch
+    det = K[0, 0] * K[1, 1] - K[0, 1] * K[1, 0]
+    k = round(np.sqrt(det) * T / np.pi) if det > 0 else 0
+    root = np.sqrt((-1) ** k * dQ) * np.exp(0.5j * np.pi * k * np.sign(K[0, 0]))
+    xs = np.asarray(xs, dtype=float)
+    radius = 8 * np.sqrt(eps) * abs(dQ)
+    if xs[0] > Q - radius or xs[-1] < Q + radius:
+        raise ResolutionError("grid does not cover the exact packet support")
+    y = xs - Q
+    amplitude = f0.coeffs[0] * (eps * np.pi) ** -0.25 / root
+    return amplitude * np.exp(1j * (S + P * y + 0.5 * (dP / dQ) * y * y) / eps)
+
+
 def ansatz_errors(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
                   eps_list: Sequence[float], T: float, xs: np.ndarray,
                   dt: float = 1e-3) -> list:
     """L2 distance at time T, for each eps, between the semiclassical ansatz
     (classical flow + fluctuation propagator, step ``dt``, both independent
-    of eps and computed once) and the split-step reference (step ``dt / 4``,
-    one loop over the stack of per-eps packets) started from the same
-    initial ansatz."""
+    of eps and computed once) and a reference started from the same
+    initial ansatz.  The reference is chosen from ``H``: for a quadratic
+    Hamiltonian (``constant_hessians``) the exact Gaussian
+    :func:`gaussian_packet` of each eps, otherwise the split-step solve
+    :func:`reference_schrodinger` (step ``dt / 4``, one loop over the stack
+    of per-eps packets)."""
     xs = np.asarray(xs, dtype=float)
     eps_list = [float(eps) for eps in eps_list]
     psi0 = [ansatz_wavefunction(X0, f0, eps, xs) for eps in eps_list]
@@ -499,7 +552,10 @@ def ansatz_errors(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
     trajectory = classical_flow(H, X0, T, dt)
     f_T = fluctuation_propagator(H, trajectory, f0.dim_config).apply(f0)
     semiclassical = [ansatz_wavefunction(trajectory.final, f_T, eps, xs) for eps in eps_list]
-    reference = reference_schrodinger(H, psi0, eps_list, T, xs, dt / 4)
+    if H.constant_hessians:
+        reference = [gaussian_packet(H, X0, f0, eps, T, xs) for eps in eps_list]
+    else:
+        reference = reference_schrodinger(H, psi0, eps_list, T, xs, dt / 4)
     return [l2_distance(psi, phi, xs[1] - xs[0]) for psi, phi in zip(semiclassical, reference)]
 
 

@@ -7,8 +7,9 @@ path (``dynamics.t_final``; ``lattice[].spacing`` for each item of a list),
 giving the field's kind, its bound, and its default or ``_REQUIRED``.  The
 known fields of a mapping are the rows under it.  ``_walk`` checks a config
 against the table; ``_validate`` then applies the few rules that tie fields
-together (lattice axes per group coordinate, an action's group, the
-law-time step grid, what each suite needs).  A ``Scenario`` keeps its
+together (lattice axes per group coordinate and their reach, an action's
+group, the spectrum modes within the fiber, the law-time step grid, what
+each suite needs under its action).  A ``Scenario`` keeps its
 sub-configs as given, and ``Scenario.setting`` reads each default from the
 table when asked, so a resized copy (``dataclasses.replace``) keeps them.
 """
@@ -77,10 +78,15 @@ _SUITES = {
     "gauge": (("action", "lattice", "gauge_id"), ("radius",)),
 }
 
+# the fields a suite needs beyond _SUITES under one action: the
+# reconstruction suite compares the oscillator family with its evolution
+_ACTION_SUITES = {("oscillator", "reconstruction"): ("hamiltonian",)}
+
 _REQUIRED = object()
 
 # orbit states are keyed as int64 multiples of 1e-9 (sections.state_keys),
-# which wrap past 9.2e9: an anchor coordinate stays well inside
+# which hold coordinates up to about 9.2e9: an anchor coordinate and a line
+# axis's reach stay well inside
 _COORDINATE_REACH = 1e9
 
 
@@ -371,9 +377,14 @@ def _validate(cfg, origin: str) -> Scenario:
             if len(axis) != len(fields) + 1 or any(axis.get(f) is None for f in fields):
                 raise ConfigError(f"{origin}: {key}[{i}]: a {axis['kind']} axis holds "
                                   f"{list(fields)}, got {sorted(axis)}")
-            if axis["kind"] == "line" and axis["lo"] > axis["hi"]:
+            if axis["kind"] != "line":
+                continue
+            if axis["lo"] > axis["hi"]:
                 raise ConfigError(f"{origin}: {key}[{i}]: empty axis, lo {axis['lo']} "
                                   f"> hi {axis['hi']}")
+            if max(abs(axis["lo"]), abs(axis["hi"])) > _COORDINATE_REACH / axis["spacing"]:
+                raise ConfigError(f"{origin}: {key}[{i}]: the axis reaches past "
+                                  f"{_COORDINATE_REACH:g}")
     for key, sizes in (("kernel_radius", scn.kernel_radius),
                        ("probes.sigma", scn.probes.get("sigma")),
                        ("probes.radius", scn.probes.get("radius"))):
@@ -381,12 +392,16 @@ def _validate(cfg, origin: str) -> Scenario:
             raise ConfigError(f"{origin}: {key} needs one size or {dim}, got {sizes!r}")
     for suite in scn.suites:
         needs, probe_sizes = _SUITES[suite]
+        needs += _ACTION_SUITES.get((scn.action_name, suite), ())
         unset = [key for key in needs if not given[key]]
         if unset:
             raise ConfigError(f"{origin}: suite {suite!r} needs {unset} set")
         if probe_sizes and scn.probe_size(suite) is None:
             raise ConfigError(f"{origin}: suite {suite!r} needs probes."
                               f"{' or '.join(probe_sizes)}")
+    if scn.setting("dynamics.spectrum_modes") > scn.fiber.dim:
+        raise ConfigError(f"{origin}: dynamics.spectrum_modes exceeds the fiber "
+                          f"dimension {scn.fiber.dim}")
     grid = scn.setting("numerics.grid")
     if not grid["lo"] < grid["hi"]:
         raise ConfigError(f"{origin}: numerics.grid needs lo < hi, got {grid!r}")

@@ -64,8 +64,13 @@ _TRANSPORT_CACHE_SIZE = 64
 
 def state_keys(rows: np.ndarray) -> np.ndarray:
     """Integer keys of state rows: rows that agree to ``_STATE_RESOLUTION``
-    in every coordinate are one base point."""
-    return np.round(np.asarray(rows) / _STATE_RESOLUTION).astype(np.int64)
+    in every coordinate are one base point.  Raises InputError for a
+    coordinate whose key an int64 cannot hold (it would wrap)."""
+    keys = np.round(np.asarray(rows) / _STATE_RESOLUTION)
+    if not np.all(np.abs(keys) < 2.0 ** 63):
+        raise InputError(f"state coordinates beyond {2.0 ** 63 * _STATE_RESOLUTION:.3g} "
+                         "have no int64 key")
+    return keys.astype(np.int64)
 
 
 @dataclass(frozen=True)

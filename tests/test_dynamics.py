@@ -1,5 +1,5 @@
 """Classical flow, fluctuation propagator, evolution automorphism, wave
-packet synthesis and the grid reference solver."""
+packet synthesis, the grid reference solver and the exact Gaussian."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from scbundle.dynamics import (
     ClassicalState, HamiltonianSpec, ansatz_error, ansatz_errors,
     ansatz_wavefunction, classical_flow, classical_flows, cubic_perturbed_spec,
     evolution_automorphism, fluctuation_propagator, fluctuation_propagators,
-    l2_distance, quadratic_hamiltonian_spec, reference_schrodinger, step_counts,
+    gaussian_packet, l2_distance, quadratic_hamiltonian_spec, reference_schrodinger, step_counts,
     _rk4_step,
 )
 from scbundle.errors import InputError, NumericalError, ResolutionError
@@ -307,21 +307,24 @@ def test_ansatz_resolution_guard():
 # reference solver
 # ---------------------------------------------------------------------------
 
-def test_reference_free_gaussian_spreading():
-    eps = 0.05
-    xs = np.linspace(-12, 12, 4096)
-    P, Q, S = 0.6, -0.4, 0.0
-    X0 = ClassicalState(S, [P], [Q])
-    psi0 = ansatz_wavefunction(X0, ground_state(), eps, xs)
-    T = 1.0
-    got = reference_schrodinger(FREE, psi0, eps, T, xs, dt=2.5e-4)
-    # analytic spreading Gaussian for the free equation
+def _free_gaussian(X0, eps, T, xs):
+    """The analytic spreading Gaussian of the free equation from the
+    ground-mode packet at X0."""
+    S, P, Q = X0.as_array()
     Qt = Q + P * T
     St = S + 0.5 * P ** 2 * T
     xi = (xs - Qt) / np.sqrt(eps)
     profile = np.pi ** -0.25 / np.sqrt(1 + 1j * T) * np.exp(-xi ** 2 / (2 * (1 + 1j * T)))
-    oracle = eps ** -0.25 * np.exp(1j * (St + P * (xs - Qt)) / eps) * profile
-    assert l2_distance(got, oracle, xs[1] - xs[0]) <= 1e-6
+    return eps ** -0.25 * np.exp(1j * (St + P * (xs - Qt)) / eps) * profile
+
+
+def test_reference_free_gaussian_spreading():
+    eps = 0.05
+    xs = np.linspace(-12, 12, 4096)
+    X0 = ClassicalState(0.0, [0.6], [-0.4])
+    psi0 = ansatz_wavefunction(X0, ground_state(), eps, xs)
+    got = reference_schrodinger(FREE, psi0, eps, 1.0, xs, dt=2.5e-4)
+    assert l2_distance(got, _free_gaussian(X0, eps, 1.0, xs), xs[1] - xs[0]) <= 1e-6
 
 
 def test_reference_zero_time():
@@ -378,7 +381,7 @@ def test_ansatz_exact_for_quadratic_hamiltonian():
     xs = np.linspace(-16, 16, 8192)
     err = ansatz_error(OSC, ClassicalState(0.0, [0.0], [1.0]), ground_state(),
                        0.04, 1.0, xs, dt=1e-3)
-    assert err <= 1e-5
+    assert err <= 1e-10
 
 
 def test_ansatz_error_decreases_with_eps_for_cubic():
@@ -395,3 +398,90 @@ def test_ansatz_errors_equal_single_eps_errors():
     errors = ansatz_errors(CUBIC, X0, ground_state(), eps, 0.05, xs, dt=1e-3)
     assert errors == [ansatz_error(CUBIC, X0, ground_state(), e, 0.05, xs, dt=1e-3)
                       for e in eps]
+
+
+# ---------------------------------------------------------------------------
+# exact Gaussian for quadratic Hamiltonians
+# ---------------------------------------------------------------------------
+
+def test_quadratic_value_rounds_as_half_z_dot_gradient():
+    """value(P, Q) is, bitwise, (1/2)(grad_P P + grad_Q Q) with the gradient
+    written out, on floats and on arrays."""
+    pp, qp, qq = 1.3, 0.45, 2.5
+    H = quadratic_hamiltonian_spec([[qq]], m_qp=[[qp]], m_pp=[[pp]])
+
+    def half_z_dot_gradient(P, Q):
+        gp, gq = P * pp + Q * qp, P * qp + Q * qq
+        return 0.5 * (gp * P + gq * Q)
+
+    P, Q = np.random.default_rng(5).normal(scale=7.0, size=(2, 257))
+    assert H.value(P, Q).tobytes() == half_z_dot_gradient(P, Q).tobytes()
+    for p, q in zip(P.tolist(), Q.tolist()):
+        assert H.value(p, q) == half_z_dot_gradient(p, q)
+
+
+def test_exact_gaussian_equals_free_spreading():
+    eps = 0.05
+    xs = np.linspace(-12, 12, 4096)
+    X0 = ClassicalState(0.3, [0.6], [-0.4])
+    for T in (1.0, -2.5, 0.0):
+        got = gaussian_packet(FREE, X0, ground_state(), eps, T, xs)
+        assert l2_distance(got, _free_gaussian(X0, eps, T, xs), xs[1] - xs[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("omega2, T", [(1.0, 1.0), (1.0, 2 * np.pi + 0.5), (2.5, 3.0),
+                                       (1.0, -1.3), (2.5, -2.2)])
+def test_exact_gaussian_matches_split_step(omega2, T):
+    """Forwards and backwards, within a half period and past the half
+    periods where dQ^(-1/2) changes branch."""
+    H = quadratic_hamiltonian_spec([[omega2]])
+    eps, xs = 0.04, np.linspace(-8, 8, 1024)
+    X0 = ClassicalState(0.3, [0.2], [1.0])
+    psi0 = ansatz_wavefunction(X0, ground_state(), eps, xs)
+    got = reference_schrodinger(H, psi0, eps, T, xs, dt=2.5e-4)
+    exact = gaussian_packet(H, X0, ground_state(), eps, T, xs)
+    assert l2_distance(got, exact, xs[1] - xs[0]) <= 1e-6
+
+
+def test_exact_gaussian_of_minus_h_runs_backwards():
+    """-H over time T is H over time -T: the branch of dQ^(-1/2) follows the
+    sign of the P-P coefficient."""
+    minus = quadratic_hamiltonian_spec([[-1.5]], m_qp=[[-0.2]], m_pp=[[-1.0]])
+    plus = quadratic_hamiltonian_spec([[1.5]], m_qp=[[0.2]])
+    xs = np.linspace(-8, 8, 1024)
+    X0 = ClassicalState(0.1, [0.4], [0.5])
+    for T in (0.7, 4.0, -9.0):
+        np.testing.assert_allclose(gaussian_packet(minus, X0, ground_state(), 0.04, T, xs),
+                                   gaussian_packet(plus, X0, ground_state(), 0.04, -T, xs),
+                                   rtol=0, atol=1e-11)
+
+
+def test_exact_gaussian_matches_nonseparable_ansatz():
+    """The split-step needs P^2/2 + V(Q); the exact Gaussian does not."""
+    assert NONSEPARABLE.potential is None
+    xs = np.linspace(-16, 16, 8192)
+    X0 = ClassicalState(0.0, [0.0], [1.0])
+    for T in (0.5, -0.5):
+        assert ansatz_error(NONSEPARABLE, X0, ground_state(40), 0.04, T, xs) <= 1e-10
+
+
+def test_exact_gaussian_input_validation():
+    xs = np.linspace(-8, 8, 1024)
+    X0 = ClassicalState(0.0, [0.0], [1.0])
+    with pytest.raises(InputError):
+        gaussian_packet(CUBIC, X0, ground_state(), 0.04, 1.0, xs)
+    excited = FiberVector(np.eye(16)[1].astype(complex), DimConfig(1, 16))
+    with pytest.raises(InputError):
+        gaussian_packet(OSC, X0, excited, 0.04, 1.0, xs)
+    with pytest.raises(InputError):
+        gaussian_packet(OSC, X0, ground_state(), 0.0, 1.0, xs)
+
+
+def test_exact_gaussian_needs_the_grid_to_cover_its_final_width():
+    """The free packet spreads to |1 + iT| of its width: the grid covers 8
+    widths at the start but not at T = 10."""
+    xs = np.linspace(-8, 8, 1024)
+    X0 = ClassicalState(0.0, [0.0], [1.0])
+    gaussian_packet(FREE, X0, ground_state(), 0.04, 0.0, xs)
+    with pytest.raises(ResolutionError):
+        gaussian_packet(FREE, X0, ground_state(), 0.04, 10.0, xs)

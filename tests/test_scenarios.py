@@ -44,6 +44,14 @@ BASE = {
 
 DELETE = object()
 
+# edits of BASE into a valid oscillator config that runs every suite but gauge
+OSCILLATOR = [(("group_id",), "real_line"), (("action",), "oscillator"),
+              (("hamiltonian",), {"kind": "quadratic", "omega2": 1.0}),
+              (("lattice",), [{"kind": "line", "spacing": 0.05, "lo": -40, "hi": 40}]),
+              (("generator_lattice",), None), (("kernel_radius",), [0.12]),
+              (("probes", "sigma"), [0.5]), (("probes", "radius"), [1.2]),
+              (("suites",), ["lie", "dynamics", "sections", "generators", "reconstruction"])]
+
 # each case: (path into the config, new value or DELETE) edits of BASE
 MALFORMED = {
     "lattice-kind-missing": [(("lattice", 0, "kind"), DELETE)],
@@ -177,6 +185,14 @@ MALFORMED = {
     "dynamics-without-hamiltonian": [(("hamiltonian",), None), (("suites",), ["dynamics"])],
     "sections-without-action": [(("action",), None)],
     "gauge-without-gauge-id": [(("gauge_id",), None), (("suites",), ["gauge"])],
+    # each of these loaded, and then a run of its suites ended in
+    # dynamics_suite_error (40 expected phases against the diagonal of the
+    # propagator), in reconstruction_suite_error, or in sections_suite_error
+    # with generator_conjugation failing (orbit keys wrapped in int64)
+    "spectrum-modes-above-fiber-dimension": [(("dynamics", "spectrum_modes"), 40)],
+    "oscillator-reconstruction-without-hamiltonian": OSCILLATOR + [
+        (("hamiltonian",), None), (("suites",), ["reconstruction"])],
+    "lattice-spacing-beyond-reach": [(("lattice", 0, "spacing"), 1e10)],
 }
 
 
@@ -210,6 +226,18 @@ def test_well_formed_base_config_loads(tmp_path):
     scn = load_scenario(str(path))
     action, _ = scn.build_action()
     assert len(scn.build_sampling(action)) == 9 * 9 * 25
+
+
+def test_oscillator_config_loads(tmp_path):
+    """The oscillator edits give a valid config, so a malformed case built on
+    them fails for its own edit; the fiber holds as many spectrum modes as
+    its dimension."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_edit(OSCILLATOR + [(("dynamics", "spectrum_modes"), 12)])))
+    scn = load_scenario(str(path))
+    assert scn.fiber.dim == scn.setting("dynamics.spectrum_modes") == 12
+    action, _ = scn.build_action()
+    assert len(scn.build_sampling(action)) == 81
 
 
 def test_catalog_configs_load():
@@ -261,10 +289,10 @@ def test_settings_read_their_defaults_when_asked():
 ROWS = sorted(path for path in _SCHEMA if path)
 
 # rows whose valid values depend on other fields: the group fixes the action
-# and the lattice, the anchor's length fixes n, the law times fix dt, and the
-# grid needs lo < hi
+# and the lattice, the anchor's length fixes n, the law times fix dt, the
+# grid needs lo < hi, and the spectrum modes fit in the fiber
 LINKED = {"group_id", "action", "fiber.n", "numerics.dt", "numerics.grid.lo",
-          "numerics.grid.hi"}
+          "numerics.grid.hi", "dynamics.spectrum_modes"}
 FREE = [path for path in ROWS if "[]" not in path and path not in LINKED
         and _SCHEMA[path][0] not in ("mapping", "list")]
 

@@ -15,6 +15,7 @@ from scbundle.sections import (
     BaseFunction, LatticeAxis, OrbitSampling, Section, delta_section,
     evaluator_transform, multiply, pairing, pullback,
     reconstruct_pointwise_operator, section_transform, smooth_probe_section,
+    state_keys,
 )
 from scbundle.verify import _lattice_elements
 
@@ -110,6 +111,17 @@ def test_sampling_stabilizer_deduplication():
     sampling = collapsed_rotor_sampling()
     assert sampling.deduplicated
     assert len(sampling) == 1
+
+
+def test_state_keys_refuse_coordinates_an_int64_cannot_hold():
+    """Keys are multiples of 1e-9: 9e9 still has one, 1e10 would wrap."""
+    rows = np.array([[9e9, -9e9, 2e-9]])
+    keys = state_keys(rows)
+    assert keys.dtype == np.int64
+    np.testing.assert_allclose(keys * 1e-9, rows, rtol=1e-15)
+    for row in ([0.0, 1e10, 0.0], [0.0, 0.0, -1e10], [np.nan, 0.0, 0.0]):
+        with pytest.raises(InputError):
+            state_keys(np.array([row]))
 
 
 # ---------------------------------------------------------------------------
