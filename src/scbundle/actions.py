@@ -2,7 +2,7 @@
 
 A :class:`BundleAction` pairs a base map family ``u_g`` with a fiber unitary
 family ``U_g``.  Inside the numerics a batch of base points is a float array
-of state rows ``(J, 2n+1)`` laid out as ``S, P..., Q...`` (the layout of
+of state rows ``(J, 3)`` laid out as ``S, P, Q`` (the layout of
 :meth:`ClassicalState.as_array`); each action writes its base map once, as
 ``base_rows(mats, rows)``, which broadcasts a stack of group matrices against
 a stack of rows.  Every fiber unitary and fiber Hamiltonian is independent of
@@ -13,8 +13,8 @@ on it.
 Each scenario also exposes per-basis :class:`GeneratorData`: the constant
 fiber Hamiltonian ``H(B_k)``, its one-parameter unitaries
 ``unitary(t) = exp(-i t H(B_k))`` from one eigendecomposition, and the lifted
-flow for one-parameter groups.  The one-parameter actions (oscillator, free
-particle, rotor, metaplectic) are all one builder, ``_flow_action``: the
+flow for one-parameter groups.  The one-parameter actions (oscillator,
+rotor, metaplectic) are all one builder, ``_flow_action``: the
 lifted flow on the base and ``unitary`` on the fibers, at the element's
 coordinate.  Heisenberg--Weyl and the translations keep closed-form fiber
 maps, which the reconstruction checks against the family.
@@ -41,14 +41,13 @@ __all__ = [
     "heisenberg_weyl_action",
     "translations_r2_action",
     "oscillator_action",
-    "free_particle_action",
     "so2_rotor_action",
     "metaplectic_action",
 ]
 
 
 def _rows(S, P, Q) -> np.ndarray:
-    """Stack broadcast S, P, Q columns into state rows (n = 1)."""
+    """Stack broadcast S, P, Q columns into state rows."""
     return np.stack(np.broadcast_arrays(S, P, Q), axis=-1)
 
 
@@ -63,11 +62,11 @@ class BundleAction:
     fiber_fn: Callable[[np.ndarray], np.ndarray]
 
     def base_map(self, g, X: ClassicalState) -> ClassicalState:
-        return ClassicalState.from_array(self.base_rows(as_matrix(g), X.as_array()), X.n)
+        return ClassicalState.from_array(self.base_rows(as_matrix(g), X.as_array()))
 
     def base_points(self, mats: np.ndarray, X: ClassicalState) -> np.ndarray:
         """Orbit points ``u_g X`` for a stack of group matrices, as state rows
-        of shape (J, 2n+1)."""
+        of shape (J, 3)."""
         return self.base_rows(np.asarray(mats), X.as_array())
 
     def fiber_matrix(self, g) -> np.ndarray:
@@ -120,14 +119,13 @@ class GeneratorFamily:
 
 @lru_cache(maxsize=None)
 def _eig(operator, n_cut: int):
-    """Eigendecomposition of a 1-D fiber operator builder's matrix."""
-    return np.linalg.eigh(operator(DimConfig(1, n_cut)).matrix)
+    """Eigendecomposition of a fiber operator builder's matrix."""
+    return np.linalg.eigh(operator(DimConfig(n_cut)).matrix)
 
 
 @lru_cache(maxsize=None)
 def _oscillator_levels(n_cut: int) -> np.ndarray:
-    cfg = DimConfig(1, n_cut)
-    return np.real(np.diag(quadratic_hamiltonian([[1.0]], [[0.0]], [[1.0]], cfg).matrix))
+    return np.real(np.diag(quadratic_hamiltonian(1.0, 0.0, 1.0, DimConfig(n_cut)).matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +144,6 @@ def heisenberg_weyl_action(config: DimConfig):
     Both the base law and the fiber law close exactly (the fiber law up to
     Hermite truncation leakage, which is negligible for low-mode states).
     """
-    if config.n != 1:
-        raise InputError("the Weyl scenario is 1-D in the fluctuation variable")
     group = get_group("heisenberg")
     eig_x = _eig(position_operator, config.n_cut)
     eig_p = _eig(momentum_operator, config.n_cut)
@@ -181,8 +177,6 @@ def heisenberg_weyl_action(config: DimConfig):
 def translations_r2_action(config: DimConfig, phases: Sequence[float] = (0.7, -0.3)):
     """Phase-space translations (a, b): Q -> Q + a, P -> P + b, with the
     fiber acting through the exact character exp(i(phases . (a, b)))."""
-    if config.n != 1:
-        raise InputError("the translation scenario is 1-D")
     group = get_group("translations_r2")
     kappa = np.asarray(phases, dtype=float)
     eye = np.eye(config.dim, dtype=complex)
@@ -231,8 +225,6 @@ def _flow_action(name: str, group_id: str, config: DimConfig, flow,
     and exp(-i t H) (``GeneratorData.unitary``) on the fibers, both at the
     element's coordinate t, wrapped to [0, period) when a period is given;
     the generator family keeps the lifted flow."""
-    if config.n != 1:
-        raise InputError(f"the {name} scenario is 1-D")
     group = get_group(group_id)
     data = GeneratorData(fiber_hamiltonian=hamiltonian, flow=flow)
 
@@ -253,17 +245,6 @@ def oscillator_action(config: DimConfig):
     levels = _oscillator_levels(config.n_cut)
     return _flow_action("oscillator-evolution", "real_line", config,
                         _rotation_flow(0.0), np.diag(levels).astype(complex))
-
-
-def free_particle_action(config: DimConfig):
-    """Time translations of the free particle: free flight on the base,
-    exp(-i t p^2/2) on the fibers."""
-    def flow(ts, rows):
-        S, P, Q = rows[..., 0], rows[..., 1], rows[..., 2]
-        return _rows(S + 0.5 * ts * P ** 2, P, Q + ts * P)
-
-    kinetic = quadratic_hamiltonian([[0.0]], [[0.0]], [[1.0]], config)
-    return _flow_action("free-particle", "real_line", config, flow, kinetic.matrix)
 
 
 def so2_rotor_action(config: DimConfig):

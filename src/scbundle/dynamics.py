@@ -10,9 +10,10 @@ form in the linear flow), and otherwise the split-step spectral solver
 Hamiltonian.
 
 **Rows contract.** :class:`ClassicalState` is the single-point form of a
-base point; a state row is its ``as_array`` layout ``S, P, Q``.  The flow
-has one degree of freedom: every scenario, action and ansatz is 1-D, and a
-:class:`HamiltonianSpec` of more raises InputError when it is built.
+base point of one degree of freedom (it refuses P or Q of any other
+length); a state row is its ``as_array`` layout ``S, P, Q``.  With the
+one-variable fiber of :mod:`.fiber`, every scenario, action, flow and
+ansatz is 1-D.
 :func:`_rk4_step` and the Hamilton vector field are written once, over the
 components (S, P, Q), in elementwise arithmetic, which rounds alike on
 Python floats and on numpy arrays.  :func:`classical_flows` advances each
@@ -71,7 +72,8 @@ UNITARITY_BUDGET = 1e-8
 
 @dataclass(frozen=True)
 class ClassicalState:
-    """Base point of the bundle: action S, momenta P, coordinates Q."""
+    """Base point of the bundle: action S, momentum P and coordinate Q of one
+    degree of freedom, P and Q each held as a length-1 array."""
 
     S: float
     P: np.ndarray
@@ -80,24 +82,21 @@ class ClassicalState:
     def __post_init__(self):
         P = np.atleast_1d(np.asarray(self.P, dtype=float))
         Q = np.atleast_1d(np.asarray(self.Q, dtype=float))
-        if P.shape != Q.shape or P.ndim != 1:
-            raise InputError("P and Q must be 1-D arrays of equal length")
+        if P.shape != (1,) or Q.shape != (1,):
+            raise InputError("P and Q must each hold one coordinate, got "
+                             f"{P.size} and {Q.size}")
         if not (np.isfinite(self.S) and np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
             raise InputError("non-finite classical state")
         object.__setattr__(self, "S", float(self.S))
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "Q", Q)
 
-    @property
-    def n(self) -> int:
-        return self.P.size
-
     def as_array(self) -> np.ndarray:
         return np.concatenate([[self.S], self.P, self.Q])
 
     @staticmethod
-    def from_array(y: np.ndarray, n: int) -> "ClassicalState":
-        return ClassicalState(y[0], y[1:1 + n], y[1 + n:1 + 2 * n])
+    def from_array(y: np.ndarray) -> "ClassicalState":
+        return ClassicalState(y[0], y[1:2], y[2:3])
 
     def distance(self, other: "ClassicalState") -> float:
         return float(np.linalg.norm(self.as_array() - other.as_array()))
@@ -152,18 +151,11 @@ class HamiltonianSpec:
         return worst
 
 
-def quadratic_hamiltonian_spec(m_qq, m_qp=None, m_pp=None) -> HamiltonianSpec:
-    """H = (1/2) Mpp P^2 + Mqp P Q + (1/2) Mqq Q^2 (defaults: Mpp = 1,
-    Mqp = 0; each a number or a 1x1 matrix), evaluated as (1/2) z.K.z with
-    gradient K z, for z = (P, Q) and K the Hessian."""
-    def coefficient(m, default):
-        m = np.asarray(default if m is None else m, dtype=float)
-        if m.size != 1:
-            raise InputError("the classical flow has one degree of freedom; "
-                             f"got a {m.shape} coefficient")
-        return m.item()
-
-    pp, qp, qq = coefficient(m_pp, 1.0), coefficient(m_qp, 0.0), coefficient(m_qq, None)
+def quadratic_hamiltonian_spec(m_qq: float, m_qp: float = 0.0,
+                               m_pp: float = 1.0) -> HamiltonianSpec:
+    """H = (1/2) Mpp P^2 + Mqp P Q + (1/2) Mqq Q^2, evaluated as
+    (1/2) z.K.z with gradient K z, for z = (P, Q) and K the Hessian."""
+    pp, qp, qq = float(m_pp), float(m_qp), float(m_qq)
     hessian = np.array([[pp, qp], [qp, qq]])
 
     def grad(P, Q):
@@ -224,7 +216,7 @@ class Trajectory:
     def final(self) -> ClassicalState:
         if len(self) == 1:
             return self.initial
-        return ClassicalState.from_array(self.rows[-1], self.initial.n)
+        return ClassicalState.from_array(self.rows[-1])
 
 
 def _hamilton_rhs(H: HamiltonianSpec, P, Q) -> tuple:
@@ -305,7 +297,7 @@ def classical_flows(H: HamiltonianSpec, rows, T, dt) -> list:
     ends = np.array([path[-1] for path in paths])
     drift = np.abs(H.value(ends[:, 1], ends[:, 2]) - H.value(rows[:, 1], rows[:, 2]))
     return [Trajectory(np.arange(c + 1) * h[r], path, float(drift[r]),
-                       ClassicalState.from_array(rows[r], 1))
+                       ClassicalState.from_array(rows[r]))
             for r, (c, path) in enumerate(zip(counts, paths))]
 
 
@@ -313,8 +305,6 @@ def classical_flow(H: HamiltonianSpec, X0: ClassicalState, T: float,
                    dt: float) -> Trajectory:
     """The flow of one base point from 0 to T: the one-row case of
     :func:`classical_flows`."""
-    if X0.n != 1:
-        raise InputError("state dimension does not match the Hamiltonian")
     return replace(classical_flows(H, X0.as_array(), T, dt)[0], initial=X0)
 
 
@@ -323,8 +313,7 @@ def classical_flow(H: HamiltonianSpec, X0: ClassicalState, T: float,
 # ---------------------------------------------------------------------------
 
 def _fluct_matrix(hessian: np.ndarray, config: DimConfig):
-    return quadratic_hamiltonian(hessian[1:, 1:], hessian[:1, 1:],
-                                 hessian[:1, :1], config).matrix
+    return quadratic_hamiltonian(hessian[1, 1], hessian[0, 1], hessian[0, 0], config).matrix
 
 
 def _checked_propagator(U: np.ndarray, config: DimConfig) -> FiberOperator:
@@ -361,8 +350,6 @@ def fluctuation_propagators(H: HamiltonianSpec, trajectory: Trajectory,
     ``c`` steps of the trajectory, for each ``c`` in ``counts``: prefixes of
     one running product of per-step exponentials evaluated at the interval
     midpoints."""
-    if config.n != 1:
-        raise InputError("fiber dimension does not match the Hamiltonian")
     counts = [int(c) for c in counts]
     if min(counts) < 0 or max(counts) >= len(trajectory):
         raise InputError("propagator step count outside the trajectory")
@@ -403,8 +390,6 @@ def ansatz_wavefunction(X: ClassicalState, f: FiberVector, eps: float,
     """Wave packet  eps^{-1/4} exp(iS/eps) exp(iP(x-Q)/eps) f((x-Q)/sqrt(eps))
     sampled on the 1-D grid ``xs``; the eps^{-1/4} Jacobian factor makes the
     grid L2 norm equal the fiber norm."""
-    if X.n != 1 or f.dim_config.n != 1:
-        raise InputError("ansatz synthesis is 1-D only")
     if eps <= 0:
         raise InputError("eps must be positive")
     xs = np.asarray(xs, dtype=float)
@@ -506,8 +491,6 @@ def gaussian_packet(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
     the grid does not cover 8 widths of the final packet on either side."""
     if not H.constant_hessians:
         raise InputError("the exact Gaussian needs a quadratic Hamiltonian")
-    if X0.n != 1 or f0.dim_config.n != 1:
-        raise InputError("the exact Gaussian is 1-D only")
     if np.any(f0.coeffs[1:] != 0):
         raise InputError("the exact Gaussian starts from the ground mode only")
     if eps <= 0:

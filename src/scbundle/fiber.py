@@ -1,16 +1,15 @@
 """Finite-dimensional model of the quantum fibers.
 
-States live in the L2-orthonormal Hermite-function basis of ``n`` variables
-truncated to total degree < ``n_cut``.  Operators are assembled from ladder
-matrices computed on a degree-padded index set, so every stored entry is the
-*true* infinite-basis matrix element of the corresponding quadratic operator
-(truncation shows up only when operators are composed or exponentiated, never
-in the assembly itself).
+A fiber is the space of states of one fluctuation variable: the
+L2-orthonormal Hermite functions of degree < ``n_cut``.  Operators are
+assembled from ladder matrices computed on a degree-padded basis, so every
+stored entry is the *true* infinite-basis matrix element of the
+corresponding quadratic operator (truncation shows up only when operators
+are composed or exponentiated, never in the assembly itself).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,7 +27,6 @@ __all__ = [
     "momentum_operator",
     "spectral_exp",
     "hermite_functions",
-    "edge_mask",
 ]
 
 HERMITIAN_TOL = 1e-10
@@ -37,71 +35,29 @@ UNITARY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class DimConfig:
-    """Fiber truncation: ``n`` spatial dimensions, total degree < ``n_cut``."""
+    """Fiber truncation: Hermite degree < ``n_cut``, so ``dim == n_cut``."""
 
-    n: int
     n_cut: int
 
     def __post_init__(self):
-        if self.n < 1 or self.n_cut < 1:
-            raise InputError("dimension and truncation must be positive")
+        if self.n_cut < 1:
+            raise InputError("the fiber truncation must be positive")
 
     @property
     def dim(self) -> int:
-        return math.comb(self.n_cut - 1 + self.n, self.n)
-
-    def indices(self) -> tuple:
-        return _graded_indices(self.n, self.n_cut)
-
-    def degrees(self) -> np.ndarray:
-        return np.array([sum(k) for k in self.indices()])
-
-
-@lru_cache(maxsize=None)
-def _graded_indices(n: int, n_cut: int) -> tuple:
-    """Multi-indices with total degree < n_cut, graded-lexicographic order
-    (so a padded index set extends the unpadded one in place)."""
-    idx = []
-    def rec(prefix, remaining_axes, budget):
-        if remaining_axes == 0:
-            idx.append(tuple(prefix))
-            return
-        for k in range(budget + 1):
-            rec(prefix + [k], remaining_axes - 1, budget - k)
-    for degree in range(n_cut):
-        start = len(idx)
-        rec([], n, degree)
-        idx[start:] = sorted(t for t in idx[start:] if sum(t) == degree)
-    return tuple(idx)
-
-
-@lru_cache(maxsize=None)
-def _lowering(n: int, n_cut: int, axis: int) -> np.ndarray:
-    """Annihilation matrix for one axis on the graded index set."""
-    indices = _graded_indices(n, n_cut)
-    pos = {k: i for i, k in enumerate(indices)}
-    a = np.zeros((len(indices), len(indices)))
-    for i, k in enumerate(indices):
-        if k[axis] > 0:
-            m = list(k)
-            m[axis] -= 1
-            a[pos[tuple(m)], i] = np.sqrt(k[axis])
-    return a
+        return self.n_cut
 
 
 @lru_cache(maxsize=None)
 def _padded_ops(config: DimConfig, pad: int = 2):
-    """Position/momentum matrices on the degree-padded index set, built once
-    per (config, pad) and shared read-only."""
-    padded = DimConfig(config.n, config.n_cut + pad)
-    xs, ps = [], []
-    for axis in range(config.n):
-        a = _lowering(config.n, padded.n_cut, axis)
-        xs.append((a + a.T) / np.sqrt(2.0))
-        ps.append(1j * (a.T - a) / np.sqrt(2.0))
-    for matrix in xs + ps:
-        matrix.flags.writeable = False
-    return tuple(xs), tuple(ps), padded
+    """Position and momentum matrices on the basis padded by ``pad``
+    degrees, from the annihilation matrix a (a[k-1, k] = sqrt(k)); built
+    once per (config, pad) and shared read-only."""
+    a = np.diag(np.sqrt(np.arange(1, config.n_cut + pad, dtype=float)), 1)
+    x = (a + a.T) / np.sqrt(2.0)
+    p = 1j * (a.T - a) / np.sqrt(2.0)
+    x.flags.writeable = p.flags.writeable = False
+    return x, p
 
 
 def _cut(matrix: np.ndarray, config: DimConfig) -> np.ndarray:
@@ -165,50 +121,36 @@ def unitarity_residual(U) -> float:
     return float(np.linalg.norm(matrix.conj().T @ matrix - np.eye(d)))
 
 
-def quadratic_hamiltonian(h_qq: np.ndarray, h_qp: np.ndarray, h_pp: np.ndarray,
+def quadratic_hamiltonian(h_qq: float, h_qp: float, h_pp: float,
                           config: DimConfig) -> FiberOperator:
     """Symmetrized quadratic fluctuation Hamiltonian
 
-        (1/2) [ xi.Hqq.xi + xi.Hqp.p + p.Hqp^T.xi + p.Hpp.p ],  p = -i d/dxi,
+        (1/2) [ Hqq xi^2 + Hqp (xi p + p xi) + Hpp p^2 ],  p = -i d/dxi,
 
-    assembled from exact ladder-operator matrix elements.  ``h_qq`` and
-    ``h_pp`` must be symmetric; the result is flagged hermitian.
+    assembled from exact ladder-operator matrix elements and flagged
+    hermitian.  A zero coefficient adds no term.
     """
-    n = config.n
-    h_qq = np.atleast_2d(np.asarray(h_qq, dtype=float))
-    h_qp = np.atleast_2d(np.asarray(h_qp, dtype=float))
-    h_pp = np.atleast_2d(np.asarray(h_pp, dtype=float))
-    for name, m in (("H_QQ", h_qq), ("H_QP", h_qp), ("H_PP", h_pp)):
-        if m.shape != (n, n):
-            raise InputError(f"{name} must be {n}x{n}")
-    for name, m in (("H_QQ", h_qq), ("H_PP", h_pp)):
-        if np.max(np.abs(m - m.T)) > 1e-12:
-            raise InputError(f"{name} must be symmetric")
-    xs, ps, padded = _padded_ops(config)
-    acc = np.zeros((padded.dim, padded.dim), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if h_qq[i, j] != 0.0:
-                acc += h_qq[i, j] * (xs[i] @ xs[j])
-            if h_pp[i, j] != 0.0:
-                acc += h_pp[i, j] * (ps[i] @ ps[j])
-            if h_qp[i, j] != 0.0:
-                acc += h_qp[i, j] * (xs[i] @ ps[j] + ps[j] @ xs[i])
+    x, p = _padded_ops(config)
+    acc = np.zeros(x.shape, dtype=complex)
+    if h_qq != 0.0:
+        acc += h_qq * (x @ x)
+    if h_pp != 0.0:
+        acc += h_pp * (p @ p)
+    if h_qp != 0.0:
+        acc += h_qp * (x @ p + p @ x)
     mat = _cut(0.5 * acc, config)
     mat = 0.5 * (mat + mat.conj().T)
     return FiberOperator(mat, config, hermitian=True)
 
 
-def position_operator(config: DimConfig, axis: int = 0) -> FiberOperator:
-    """Exact matrix of the fluctuation coordinate xi_axis."""
-    xs, _, _ = _padded_ops(config, pad=1)
-    return FiberOperator(_cut(xs[axis], config), config, hermitian=True)
+def position_operator(config: DimConfig) -> FiberOperator:
+    """Exact matrix of the fluctuation coordinate xi."""
+    return FiberOperator(_cut(_padded_ops(config, pad=1)[0], config), config, hermitian=True)
 
 
-def momentum_operator(config: DimConfig, axis: int = 0) -> FiberOperator:
-    """Exact matrix of -i d/dxi_axis."""
-    _, ps, _ = _padded_ops(config, pad=1)
-    return FiberOperator(_cut(ps[axis], config), config, hermitian=True)
+def momentum_operator(config: DimConfig) -> FiberOperator:
+    """Exact matrix of -i d/dxi."""
+    return FiberOperator(_cut(_padded_ops(config, pad=1)[1], config), config, hermitian=True)
 
 
 def spectral_exp(eig, t: float) -> np.ndarray:
@@ -231,9 +173,3 @@ def hermite_functions(xs: np.ndarray, count: int) -> np.ndarray:
         out[k + 1] = (np.sqrt(2.0 / (k + 1)) * xs * out[k]
                       - np.sqrt(k / (k + 1)) * out[k - 1])
     return out
-
-
-def edge_mask(config: DimConfig, width: int = 2) -> np.ndarray:
-    """Boolean mask of truncation-edge basis states (degree within ``width``
-    of the cut); edge-polluted components are excluded by spectral tests."""
-    return config.degrees() >= config.n_cut - width

@@ -2,12 +2,12 @@
 
 Built-in gauge groups are one-parameter: the pure fiber phase (identity on
 the base -- degenerate for invariant sections, and exactly the stabilizer
-counterexample), the action shift (moves S, trivial on fibers), and their
-pairing (shift S by c, rotate fibers by exp(-ic)), which is the semiclassical
-identification that makes the metaplectic circle action honest on
-gauge-invariant sections.  Each gauge writes its base map once, on state
-rows; every compensator has a closed form (from the S difference for
-base-moving gauges, from the fiber-overlap angle otherwise).
+counterexample) and the phase shift (shift S by c, rotate fibers by
+exp(-ic)), which is the semiclassical identification that makes the
+metaplectic circle action honest on gauge-invariant sections.  Each gauge
+writes its base map once, on state rows; every compensator has a closed
+form (from the S difference for the phase shift, from the fiber-overlap
+angle for the pure phase).
 
 The enlarged orbit of a circle scenario is sampled as (rotation lattice) x
 (gauge-parameter lattice) and held as one array of state rows; invariant
@@ -33,7 +33,6 @@ from .sections import state_keys
 __all__ = [
     "GaugeGroup",
     "u1_phase_gauge",
-    "action_shift_gauge",
     "phase_shift_gauge",
     "gauge_equivalent",
     "GaugeRecord",
@@ -61,7 +60,7 @@ class GaugeGroup:
     base_shift_s: bool
 
     def base_map(self, alpha: float, X: ClassicalState) -> ClassicalState:
-        return ClassicalState.from_array(self.base_rows(alpha, X.as_array()), X.n)
+        return ClassicalState.from_array(self.base_rows(alpha, X.as_array()))
 
     def fiber_apply(self, alpha: float, f: np.ndarray) -> np.ndarray:
         return self.fiber_phase(alpha) * np.asarray(f, dtype=complex)
@@ -89,15 +88,6 @@ def u1_phase_gauge() -> GaugeGroup:
         base_rows=_broadcast_rows,
         fiber_phase=lambda alpha: np.exp(1j * alpha),
         base_shift_s=False)
-
-
-def action_shift_gauge() -> GaugeGroup:
-    """Shift of the classical action coordinate, trivial on fibers."""
-    return GaugeGroup(
-        name="action_shift",
-        base_rows=_shift_s,
-        fiber_phase=lambda c: 1.0 + 0.0j,
-        base_shift_s=True)
 
 
 def phase_shift_gauge() -> GaugeGroup:

@@ -6,9 +6,9 @@ exponentiation, Garding smoothing) works in the second-kind canonical chart
 
     g = exp(B_1 t_1) exp(B_2 t_2) ... exp(B_n t_n),
 
-which is defined locally around the identity; ``factorize_second_kind``
-refuses elements outside the registered domain radius instead of
-extrapolating.
+which is defined locally around the identity.  Every group gives that chart
+in closed form; ``factorize_second_kind`` refuses elements outside the
+registered domain radius instead of extrapolating.
 
 All values are immutable; operations are pure functions.
 """
@@ -56,11 +56,6 @@ class AlgebraElement:
         return AlgebraElement(self.group, self.coords + other.coords,
                               self.matrix + other.matrix)
 
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_same(other)
-        return AlgebraElement(self.group, self.coords - other.coords,
-                              self.matrix - other.matrix)
-
     def __mul__(self, scale: float) -> "AlgebraElement":
         return AlgebraElement(self.group, self.coords * scale, self.matrix * scale)
 
@@ -77,10 +72,6 @@ class GroupElement:
 
     group: "LieGroup"
     matrix: np.ndarray
-
-    @property
-    def group_id(self) -> str:
-        return self.group.group_id
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if other.group is not self.group:
@@ -100,20 +91,18 @@ class LieGroup:
     factorization_radius : float
         Sup-norm radius of the second-kind chart in which factorization is
         trusted.
-    residual_fn : callable, optional
-        Manifold membership residual; defaults to the recomposition residual
-        through the second-kind chart.
-    coords_fn : callable, optional
+    residual_fn : callable
+        Manifold membership residual of one matrix.
+    coords_fn : callable
         Closed-form second-kind chart on stacks of matrices (..., d, d) ->
-        (..., n), serving one matrix and a stack alike.  When absent a
-        Newton iteration seeded by the matrix logarithm is used.
+        (..., n), serving one matrix and a stack alike.
     periodic_axes : dict, optional
         Maps coordinate axis index to its period (e.g. the rotation angle).
     """
 
     def __init__(self, group_id: str, basis: np.ndarray, factorization_radius: float,
-                 residual_fn: Optional[Callable[[np.ndarray], float]] = None,
-                 coords_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                 residual_fn: Callable[[np.ndarray], float],
+                 coords_fn: Callable[[np.ndarray], np.ndarray],
                  periodic_axes: Optional[dict] = None):
         basis = np.asarray(basis)
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
@@ -159,44 +148,34 @@ class LieGroup:
 
     # -- structure ---------------------------------------------------------
 
-    def expand_in_basis(self, matrix: np.ndarray, tol: float = _EXPAND_TOL) -> np.ndarray:
+    def expand_in_basis(self, matrix: np.ndarray) -> np.ndarray:
         """Real coordinates of ``matrix`` in the algebra basis.
 
-        Raises :class:`ClosureError` when the residual exceeds ``tol`` (the
+        Raises :class:`ClosureError` when the residual exceeds 1e-10 (the
         basis does not span the result).
         """
         vec = np.concatenate([matrix.real.ravel(), matrix.imag.ravel()])
         coords = self._expand_pinv @ vec
         residual = np.linalg.norm(self._expand_mat @ coords - vec)
-        if not residual <= tol:
+        if not residual <= _EXPAND_TOL:
             raise ClosureError(
                 f"matrix does not expand in the {self.group_id} basis "
                 f"(residual {residual:.3e})")
         return coords
 
     def manifold_residual(self, matrix: np.ndarray) -> float:
-        if self._residual_fn is not None:
-            return float(self._residual_fn(matrix))
-        # Generic fallback: recomposition through the local chart.
-        try:
-            t = self.factorize_matrix(matrix)
-        except OutOfDomainError:
-            return np.inf
-        return float(np.linalg.norm(self.compose_exps(t) - matrix))
+        return float(self._residual_fn(matrix))
 
     def compose_exps(self, t: Sequence[float]) -> np.ndarray:
         """Matrix of ``exp(B_1 t_1) ... exp(B_n t_n)``."""
         t = np.asarray(t, dtype=float)
-        out = np.eye(self.rep_dim, dtype=complex if np.iscomplexobj(self.basis) else float)
+        out = np.eye(self.rep_dim)
         for k in range(self.dim):
             out = out @ scipy.linalg.expm(t[k] * self.basis[k])
         return out
 
     def factorize_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        if self._coords_fn is not None:
-            t = np.array(self._coords_fn(np.asarray(matrix)), dtype=float)
-        else:
-            t = self._newton_factorize(matrix)
+        t = np.array(self._coords_fn(np.asarray(matrix)), dtype=float)
         if np.max(np.abs(t)) > self.factorization_radius + 1e-12:
             raise OutOfDomainError(
                 f"{self.group_id}: coordinates {t} outside factorization radius "
@@ -205,42 +184,9 @@ class LieGroup:
 
     def coords_batch(self, mats: np.ndarray) -> np.ndarray:
         """Second-kind coordinates of a stack of group matrices (J, d, d) ->
-        (J, n).  A closed-form chart also takes one matrix (d, d) -> (n,)
-        and, unlike :meth:`factorize_matrix`, checks no domain."""
-        if self._coords_fn is not None:
-            return self._coords_fn(np.asarray(mats))
-        return np.array([self.factorize_matrix(m) for m in np.asarray(mats)])
-
-    def _newton_factorize(self, matrix: np.ndarray) -> np.ndarray:
-        logm = scipy.linalg.logm(np.asarray(matrix, dtype=complex))
-        try:
-            t = self.expand_in_basis(logm, tol=1e-6)
-        except ClosureError as err:
-            raise OutOfDomainError(f"{self.group_id}: log seed failed") from err
-        target = np.concatenate([matrix.real.ravel(), matrix.imag.ravel()])
-        for _ in range(60):
-            exps = [scipy.linalg.expm(t[k] * self.basis[k]) for k in range(self.dim)]
-            prefix = [np.eye(self.rep_dim, dtype=complex)]
-            for e in exps:
-                prefix.append(prefix[-1] @ e)
-            current = prefix[-1]
-            res = np.concatenate([current.real.ravel(), current.imag.ravel()]) - target
-            if np.linalg.norm(res) < 1e-13:
-                break
-            suffix = np.eye(self.rep_dim, dtype=complex)
-            cols = np.empty((target.size, self.dim))
-            for k in range(self.dim - 1, -1, -1):
-                d = prefix[k] @ self.basis[k] @ exps[k] @ suffix
-                cols[:, k] = np.concatenate([d.real.ravel(), d.imag.ravel()])
-                suffix = exps[k] @ suffix
-            step, *_ = np.linalg.lstsq(cols, -res, rcond=None)
-            t = t + step
-            if np.max(np.abs(t)) > 4 * self.factorization_radius:
-                raise OutOfDomainError(
-                    f"{self.group_id}: Newton iteration left the local chart")
-        else:
-            raise OutOfDomainError(f"{self.group_id}: Newton factorization stalled")
-        return t
+        (J, n), or of one matrix (d, d) -> (n,); unlike
+        :meth:`factorize_matrix`, it checks no domain."""
+        return self._coords_fn(np.asarray(mats))
 
     def left_density(self, t: np.ndarray) -> float:
         """Left-invariant Haar density in the second-kind chart at ``t``."""
@@ -293,7 +239,7 @@ def factorize_second_kind(g: GroupElement) -> np.ndarray:
     residual = np.linalg.norm(g.group.compose_exps(t) - g.matrix)
     if not residual <= _FACTORIZE_TOL:
         raise OutOfDomainError(
-            f"{g.group_id}: factorization residual {residual:.3e} exceeds "
+            f"{g.group.group_id}: factorization residual {residual:.3e} exceeds "
             f"{_FACTORIZE_TOL}")
     return t
 
@@ -326,11 +272,11 @@ def left_translate(g: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """Left translates ``g @ m`` of a stack of matrices (J, d, d).
 
     Sums the inner index in order from zero, one pass along the stack per
-    term on the (d, d, J) view, so on real matrices (every bundle action's
-    representation) each entry rounds exactly as ``np.einsum("ab,jbc->jac",
-    g, mats)`` does, signed zeros included; ``g @ mats`` rounds differently
-    and would move report residuals in their last digits.  Complex stacks
-    agree with either to a few ulps.  The result is a non-contiguous view.
+    term on the (d, d, J) view, so on the real matrices of every built-in
+    group each entry rounds exactly as ``np.einsum("ab,jbc->jac", g, mats)``
+    does, signed zeros included; ``g @ mats`` rounds differently and would
+    move report residuals in their last digits.  The result is a
+    non-contiguous view.
     """
     g, m = np.asarray(g), np.asarray(mats).transpose(1, 2, 0)
     return sum(g[:, b, None, None] * m[b] for b in range(g.shape[1])).transpose(2, 0, 1)
@@ -412,25 +358,8 @@ def _make_so2() -> LieGroup:
     )
 
 
-def _su2_residual(matrix: np.ndarray) -> float:
-    return float(np.linalg.norm(matrix.conj().T @ matrix - np.eye(2))
-                 + abs(np.linalg.det(matrix) - 1.0))
-
-
-def _make_su2() -> LieGroup:
-    sigma = np.array([
-        [[0, 1], [1, 0]],
-        [[0, -1j], [1j, 0]],
-        [[1, 0], [0, -1]],
-    ], dtype=complex)
-    basis = -0.5j * sigma
-    return LieGroup("su2", basis, factorization_radius=1.5,
-                    residual_fn=_su2_residual)
-
-
 _BUILTINS = {g.group_id: g for g in (
-    _make_real_line(), _make_translations_r2(), _make_heisenberg(), _make_so2(),
-    _make_su2())}
+    _make_real_line(), _make_translations_r2(), _make_heisenberg(), _make_so2())}
 
 
 def get_group(group_id: str) -> LieGroup:

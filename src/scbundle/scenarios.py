@@ -26,15 +26,13 @@ from typing import Optional
 
 import numpy as np
 
-from .actions import (free_particle_action, heisenberg_weyl_action,
-                      metaplectic_action, oscillator_action, so2_rotor_action,
-                      translations_r2_action)
+from .actions import (heisenberg_weyl_action, metaplectic_action, oscillator_action,
+                      so2_rotor_action, translations_r2_action)
 from .dynamics import (ClassicalState, cubic_perturbed_spec,
                        quadratic_hamiltonian_spec, step_counts)
 from .errors import ConfigError, InputError
 from .fiber import DimConfig
-from .gauge import (GaugeBundle, action_shift_gauge, phase_shift_gauge,
-                    u1_phase_gauge)
+from .gauge import GaugeBundle, phase_shift_gauge, u1_phase_gauge
 from .groups import builtin_group_ids, get_group
 from .sections import LatticeAxis, OrbitSampling
 
@@ -45,7 +43,6 @@ SEED_ENV_VAR = "SCBUNDLE_SEED"
 # each action's builder and the group it acts through
 _ACTION_BUILDERS = {
     "oscillator": (oscillator_action, "real_line"),
-    "free-particle": (free_particle_action, "real_line"),
     "heisenberg-weyl": (heisenberg_weyl_action, "heisenberg"),
     "translations-r2": (translations_r2_action, "translations_r2"),
     "so2-rotor": (so2_rotor_action, "so2"),
@@ -54,13 +51,12 @@ _ACTION_BUILDERS = {
 
 _GAUGE_BUILDERS = {
     "u1_phase": u1_phase_gauge,
-    "action_shift": action_shift_gauge,
     "phase_shift": phase_shift_gauge,
 }
 
 # each Hamiltonian kind's builder, called with omega2 and cubic
 _HAMILTONIANS = {
-    "quadratic": lambda omega2, cubic: quadratic_hamiltonian_spec([[omega2]]),
+    "quadratic": lambda omega2, cubic: quadratic_hamiltonian_spec(omega2),
     "cubic-perturbed": cubic_perturbed_spec,
 }
 
@@ -103,9 +99,9 @@ def _axis_rows(lattice: str) -> dict:
 # path -> (kind, bound, default).  A kind is "mapping", "list", "string",
 # "bool", "integer", "number" (finite), "coordinate" (a number within
 # _COORDINATE_REACH), "sizes" (a positive number or a list of them) or a
-# table whose names the value must be one of.  An integer is at least its
-# bound, a number above it.  null stands for a field whose default is null;
-# "" is the config itself.
+# table (a mapping or a tuple) whose entries the value must be one of.  An
+# integer is at least its bound, a number above it.  null stands for a field
+# whose default is null; "" is the config itself.
 _SCHEMA = {
     "": ("mapping", None, _REQUIRED),
     "name": ("string", None, _REQUIRED),
@@ -117,7 +113,8 @@ _SCHEMA = {
     "hamiltonian.omega2": ("number", None, 1.0),
     "hamiltonian.cubic": ("number", None, 0.1),
     "fiber": ("mapping", None, _REQUIRED),
-    "fiber.n": ("integer", 1, 1),
+    # the fiber has one fluctuation variable; the row keeps configs that say so
+    "fiber.n": ((1,), None, 1),
     "fiber.n_cut": ("integer", 4, _REQUIRED),
     "anchor": ("mapping", None, {"S": 0.0, "P": [0.0], "Q": [1.0]}),
     "anchor.S": ("coordinate", None, _REQUIRED),
@@ -281,7 +278,8 @@ def _fields(path: str) -> dict:
 def _fits(value, kind, bound) -> bool:
     """Whether ``value`` is of ``kind`` and within ``bound``."""
     if not isinstance(kind, str):
-        return isinstance(value, str) and value in kind
+        # an entry of the table, of the entry's own type (so true is not 1)
+        return any(type(value) is type(entry) and value == entry for entry in kind)
     if kind == "coordinate":
         return _fits(value, "number", None) and abs(value) <= _COORDINATE_REACH
     if kind == "sizes":
@@ -345,8 +343,7 @@ def _validate(cfg, origin: str) -> Scenario:
         action_name=given["action"],
         gauge_id=given["gauge_id"],
         hamiltonian=given["hamiltonian"],
-        fiber=DimConfig(given["fiber"].get("n", _SCHEMA["fiber.n"][2]),
-                        given["fiber"]["n_cut"]),
+        fiber=DimConfig(given["fiber"]["n_cut"]),
         anchor=anchor,
         lattice=list(given["lattice"]),
         generator_lattice=given["generator_lattice"],

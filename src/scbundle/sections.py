@@ -3,7 +3,7 @@
 An :class:`OrbitSampling` is a finite window of a discrete subgroup lattice
 written in second-kind coordinates, so left translation by a lattice element
 permutes indices exactly and the section transform needs no interpolation.
-Its base points are one array of state rows ``base_array`` (J, 2n+1), and
+Its base points are one array of state rows ``base_array`` (J, 3), and
 base functions are evaluated on such rows in one batched call.  Sections
 optionally carry a closed-form ``field`` evaluator (group matrices -> fiber
 values).  The left-regular transform psi'(h) = U_g psi(g^-1 h) of a field is
@@ -314,7 +314,7 @@ class Section:
 @dataclass(frozen=True)
 class BaseFunction:
     """Complex function on the base, evaluated on stacked state rows
-    (J, 2n+1) by ``batch(rows)``.
+    (J, 3) by ``batch(rows)``.
 
     A scalar form passed as ``fn`` is accepted and never evaluated.
     """
@@ -480,12 +480,11 @@ def _probe_section(sampling: OrbitSampling, rng: np.random.Generator,
     Carries an exact batch field."""
     group = sampling.action.group
     cfg = sampling.action.dim_config
-    degrees = cfg.degrees()
     bump = smooth_bump(radius)
 
     def draw_vec():
         v = rng.standard_normal(cfg.dim) + 1j * rng.standard_normal(cfg.dim)
-        v[degrees > max_degree] = 0.0
+        v[max_degree + 1:] = 0.0
         return v
 
     v0 = draw_vec()

@@ -318,7 +318,7 @@ def section_checks(scn: Scenario, action, rng) -> list:
             e = int(rng.integers(0, len(elements)))
             if stays[e][idx]:
                 break
-        X = ClassicalState.from_array(sampling.base_array[idx], sampling.anchor.n)
+        X = ClassicalState.from_array(sampling.base_array[idx])
         g = elements[e]
         phi0 = rng.standard_normal(sampling.fiber_dim) \
             + 1j * rng.standard_normal(sampling.fiber_dim)

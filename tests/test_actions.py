@@ -4,19 +4,19 @@ the one-parameter actions match their closed forms bit for bit."""
 import numpy as np
 import pytest
 
-from scbundle.actions import (free_particle_action, heisenberg_weyl_action,
-                              metaplectic_action, oscillator_action,
-                              so2_rotor_action, translations_r2_action)
+from scbundle.actions import (heisenberg_weyl_action, metaplectic_action,
+                              oscillator_action, so2_rotor_action,
+                              translations_r2_action)
 from scbundle.dynamics import ClassicalState
-from scbundle.fiber import DimConfig, quadratic_hamiltonian, spectral_exp
+from scbundle.fiber import DimConfig, quadratic_hamiltonian
 from scbundle.groups import exp as gexp
 
-CFG = DimConfig(1, 8)
+CFG = DimConfig(8)
 ACTIONS = [heisenberg_weyl_action, translations_r2_action, oscillator_action,
-           free_particle_action, so2_rotor_action, metaplectic_action,
+           so2_rotor_action, metaplectic_action,
            lambda cfg: metaplectic_action(cfg, drift=True)]
-IDS = ["heisenberg-weyl", "translations-r2", "oscillator", "free-particle",
-       "so2-rotor", "metaplectic", "metaplectic-drift"]
+IDS = ["heisenberg-weyl", "translations-r2", "oscillator", "so2-rotor", "metaplectic",
+       "metaplectic-drift"]
 
 
 def _stack(action, count=12, seed=0):
@@ -48,7 +48,7 @@ def test_batched_base_map_matches_rows_one_at_a_time(make):
 def test_single_point_wrappers_agree_with_rows(make):
     action, _ = make(CFG)
     mats, rows = _stack(action, count=4, seed=1)
-    X = ClassicalState.from_array(rows[0], 1)
+    X = ClassicalState.from_array(rows[0])
     assert np.array_equal(action.base_map(mats[1], X).as_array(),
                           action.base_rows(mats[1], rows[0]))
     assert np.array_equal(action.base_points(mats, X), action.base_rows(mats, rows[0]))
@@ -61,28 +61,17 @@ def _rotation_rows(t, rows, drift_rate):
     return np.stack([S + gain + drift_rate * t, P * c - Q * s, Q * c + P * s], axis=-1)
 
 
-def _free_rows(t, rows):
-    S, P, Q = rows[:, 0], rows[:, 1], rows[:, 2]
-    return np.stack([S + 0.5 * t * P ** 2, P, Q + t * P], axis=-1)
-
-
 def _phases(levels):
     return lambda t: np.diag(np.exp(-1j * t * levels))
-
-
-def _kinetic_exp(cfg):
-    eig = np.linalg.eigh(quadratic_hamiltonian([[0.0]], [[0.0]], [[1.0]], cfg).matrix)
-    return lambda t: spectral_exp(eig, t)
 
 
 def _closed_forms(name, cfg):
     """(wrap period, fiber map, base map) of a one-parameter action, spelled
     out in closed form at the element's coordinate t."""
-    osc = np.real(np.diag(quadratic_hamiltonian([[1.0]], [[0.0]], [[1.0]], cfg).matrix))
+    osc = np.real(np.diag(quadratic_hamiltonian(1.0, 0.0, 1.0, cfg).matrix))
     half = np.arange(cfg.dim, dtype=float) + 0.5
     return {
         "oscillator": (None, _phases(osc), lambda t, r: _rotation_rows(t, r, 0.0)),
-        "free-particle": (None, _kinetic_exp(cfg), _free_rows),
         "so2-rotor": (None, _phases(np.arange(cfg.dim, dtype=float)),
                       lambda t, r: _rotation_rows(t, r, 0.0)),
         "metaplectic": (2 * np.pi, _phases(half), lambda t, r: _rotation_rows(t, r, 0.0)),
@@ -91,17 +80,16 @@ def _closed_forms(name, cfg):
     }[name]
 
 
-FLOW_IDS = ["oscillator", "free-particle", "so2-rotor", "metaplectic", "metaplectic-drift"]
+FLOW_IDS = ["oscillator", "so2-rotor", "metaplectic", "metaplectic-drift"]
 
 
 @pytest.mark.parametrize("n_cut", [8, 14, 16, 18, 32])
 @pytest.mark.parametrize("name", FLOW_IDS)
 def test_flow_actions_match_their_closed_forms_bit_for_bit(name, n_cut):
     """The one flow-action builder gives the closed-form fiber map exp(-i t H)
-    (diagonal phases, or the kinetic spectral exponential) and the lifted
-    flow on the base, bit for bit, with the circle coordinate wrapped to
-    [0, 2 pi) for the metaplectic actions."""
-    cfg = DimConfig(1, n_cut)
+    (diagonal phases) and the lifted flow on the base, bit for bit, with the
+    circle coordinate wrapped to [0, 2 pi) for the metaplectic actions."""
+    cfg = DimConfig(n_cut)
     action, family = ACTIONS[IDS.index(name)](cfg)
     period, fiber, base = _closed_forms(name, cfg)
     mats, rows = _stack(action, count=24, seed=n_cut)

@@ -15,15 +15,15 @@ from scbundle.errors import InputError, NumericalError, ResolutionError
 from scbundle.fiber import (DimConfig, FiberVector, momentum_operator,
                             unitarity_residual)
 
-OSC = quadratic_hamiltonian_spec([[1.0]])
-FREE = quadratic_hamiltonian_spec([[0.0]])
+OSC = quadratic_hamiltonian_spec(1.0)
+FREE = quadratic_hamiltonian_spec(0.0)
 CUBIC = cubic_perturbed_spec(1.0, 0.1)
-NONSEPARABLE = quadratic_hamiltonian_spec([[1.0]], m_qp=[[0.5]])
+NONSEPARABLE = quadratic_hamiltonian_spec(1.0, m_qp=0.5)
 LAW_TIMES = (0.25, 0.5, 0.75, 1.0)    # the oscillator-evolution catalog's
 
 
 def ground_state(n_cut=16):
-    cfg = DimConfig(1, n_cut)
+    cfg = DimConfig(n_cut)
     c = np.zeros(cfg.dim, dtype=complex)
     c[0] = 1.0
     return FiberVector(c, cfg)
@@ -143,11 +143,11 @@ def test_flow_rows_equal_the_step_on_component_stacks(H):
         assert flow.energy_drift == abs(H.value(P, Q) - H.value(*rows[r, 1:].tolist()))
 
 
-def test_spec_of_more_than_one_degree_of_freedom_is_refused():
-    with pytest.raises(InputError):
-        quadratic_hamiltonian_spec(np.eye(2))
-    with pytest.raises(InputError):
-        quadratic_hamiltonian_spec([[1.0]], m_pp=np.eye(2))
+def test_state_of_more_than_one_degree_of_freedom_is_refused():
+    for P, Q in (([0.0, 0.0], [1.0, 1.0]), ([0.0], [1.0, 1.0]), ([], [])):
+        with pytest.raises(InputError):
+            ClassicalState(0.0, P, Q)
+    assert ClassicalState(0.0, 0.5, [1.0]).as_array().tolist() == [0.0, 0.5, 1.0]
 
 
 @pytest.mark.parametrize("H", [OSC, CUBIC], ids=["oscillator", "cubic"])
@@ -156,7 +156,7 @@ def test_trajectory_prefix_equals_shorter_flow(H, dt):
     """The shipped law times and their sums share one step, so each flow is
     bitwise a prefix of the flow to the longest sum, and its propagator a
     prefix of the running product along it."""
-    cfg = DimConfig(1, 12)
+    cfg = DimConfig(12)
     X = ClassicalState(0.0, [0.7], [0.4])
     times = sorted({t1 + t2 for t1 in LAW_TIMES for t2 in LAW_TIMES} | set(LAW_TIMES))
     counts = step_counts(times, dt)
@@ -194,14 +194,14 @@ def test_hamiltonian_spec_validation():
 # ---------------------------------------------------------------------------
 
 def test_propagator_zero_time_identity():
-    cfg = DimConfig(1, 8)
+    cfg = DimConfig(8)
     tr = classical_flow(OSC, ClassicalState(0.0, [0.0], [1.0]), 0.0, 1e-3)
     U = fluctuation_propagator(OSC, tr, cfg)
     assert np.allclose(U.matrix, np.eye(cfg.dim))
 
 
 def test_propagator_oscillator_diagonal_phases():
-    cfg = DimConfig(1, 16)
+    cfg = DimConfig(16)
     t = 1.3
     tr = classical_flow(OSC, ClassicalState(0.0, [0.2], [0.8]), t, 1e-3)
     U = fluctuation_propagator(OSC, tr, cfg)
@@ -210,7 +210,7 @@ def test_propagator_oscillator_diagonal_phases():
 
 
 def test_propagator_free_particle_matches_exponential_oracle():
-    cfg = DimConfig(1, 16)
+    cfg = DimConfig(16)
     t = 0.7
     tr = classical_flow(FREE, ClassicalState(0.0, [1.0], [0.0]), t, 1e-3)
     U = fluctuation_propagator(FREE, tr, cfg)
@@ -226,7 +226,7 @@ def test_propagator_free_particle_matches_exponential_oracle():
 
 
 def test_propagator_time_dependent_unitarity():
-    cfg = DimConfig(1, 12)
+    cfg = DimConfig(12)
     tr = classical_flow(cubic_perturbed_spec(), ClassicalState(0.0, [0.0], [1.0]),
                         1.0, 1e-3)
     U = fluctuation_propagator(cubic_perturbed_spec(), tr, cfg)
@@ -238,7 +238,7 @@ def test_propagator_time_dependent_unitarity():
 # ---------------------------------------------------------------------------
 
 def test_automorphism_zero_time_identity():
-    cfg = DimConfig(1, 8)
+    cfg = DimConfig(8)
     X = ClassicalState(0.1, [0.5], [-0.3])
     Y, U = evolution_automorphism(OSC, 0.0, 1e-3, cfg)(X)
     assert Y.distance(X) == 0.0
@@ -246,7 +246,7 @@ def test_automorphism_zero_time_identity():
 
 
 def test_automorphism_composition_law():
-    cfg = DimConfig(1, 16)
+    cfg = DimConfig(16)
     t1, t2 = 0.3, 0.7
     X = ClassicalState(0.0, [0.3], [0.9])
     Y, U2 = evolution_automorphism(OSC, t2, 1e-3, cfg)(X)
@@ -275,7 +275,7 @@ def test_ansatz_ground_mode_real_gaussian():
 def test_ansatz_unit_norm():
     xs = np.linspace(-10, 10, 4096)
     rng = np.random.default_rng(1)
-    cfg = DimConfig(1, 10)
+    cfg = DimConfig(10)
     c = rng.standard_normal(10) + 1j * rng.standard_normal(10)
     f = FiberVector(c / np.linalg.norm(c), cfg)
     psi = ansatz_wavefunction(ClassicalState(0.2, [0.4], [-0.5]), f, 0.05, xs)
@@ -408,7 +408,7 @@ def test_quadratic_value_rounds_as_half_z_dot_gradient():
     """value(P, Q) is, bitwise, (1/2)(grad_P P + grad_Q Q) with the gradient
     written out, on floats and on arrays."""
     pp, qp, qq = 1.3, 0.45, 2.5
-    H = quadratic_hamiltonian_spec([[qq]], m_qp=[[qp]], m_pp=[[pp]])
+    H = quadratic_hamiltonian_spec(qq, m_qp=qp, m_pp=pp)
 
     def half_z_dot_gradient(P, Q):
         gp, gq = P * pp + Q * qp, P * qp + Q * qq
@@ -434,7 +434,7 @@ def test_exact_gaussian_equals_free_spreading():
 def test_exact_gaussian_matches_split_step(omega2, T):
     """Forwards and backwards, within a half period and past the half
     periods where dQ^(-1/2) changes branch."""
-    H = quadratic_hamiltonian_spec([[omega2]])
+    H = quadratic_hamiltonian_spec(omega2)
     eps, xs = 0.04, np.linspace(-8, 8, 1024)
     X0 = ClassicalState(0.3, [0.2], [1.0])
     psi0 = ansatz_wavefunction(X0, ground_state(), eps, xs)
@@ -446,8 +446,8 @@ def test_exact_gaussian_matches_split_step(omega2, T):
 def test_exact_gaussian_of_minus_h_runs_backwards():
     """-H over time T is H over time -T: the branch of dQ^(-1/2) follows the
     sign of the P-P coefficient."""
-    minus = quadratic_hamiltonian_spec([[-1.5]], m_qp=[[-0.2]], m_pp=[[-1.0]])
-    plus = quadratic_hamiltonian_spec([[1.5]], m_qp=[[0.2]])
+    minus = quadratic_hamiltonian_spec(-1.5, m_qp=-0.2, m_pp=-1.0)
+    plus = quadratic_hamiltonian_spec(1.5, m_qp=0.2)
     xs = np.linspace(-8, 8, 1024)
     X0 = ClassicalState(0.1, [0.4], [0.5])
     for T in (0.7, 4.0, -9.0):
@@ -470,7 +470,7 @@ def test_exact_gaussian_input_validation():
     X0 = ClassicalState(0.0, [0.0], [1.0])
     with pytest.raises(InputError):
         gaussian_packet(CUBIC, X0, ground_state(), 0.04, 1.0, xs)
-    excited = FiberVector(np.eye(16)[1].astype(complex), DimConfig(1, 16))
+    excited = FiberVector(np.eye(16)[1].astype(complex), DimConfig(16))
     with pytest.raises(InputError):
         gaussian_packet(OSC, X0, excited, 0.04, 1.0, xs)
     with pytest.raises(InputError):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from scbundle.errors import InputError
 from scbundle.fiber import (
-    _padded_ops, DimConfig, FiberOperator, FiberVector, edge_mask, hermite_functions,
+    _padded_ops, DimConfig, FiberOperator, FiberVector, hermite_functions,
     momentum_operator, position_operator, quadratic_hamiltonian, spectral_exp,
     unitarity_residual,
 )
@@ -39,28 +39,28 @@ def second_derivative(xs, f):
 # ---------------------------------------------------------------------------
 
 def test_quadratic_hamiltonian_zero_blocks():
-    cfg = DimConfig(1, 8)
-    H = quadratic_hamiltonian([[0.0]], [[0.0]], [[0.0]], cfg)
+    cfg = DimConfig(8)
+    H = quadratic_hamiltonian(0.0, 0.0, 0.0, cfg)
     assert np.allclose(H.matrix, 0.0)
 
 
 def test_quadratic_hamiltonian_oscillator_diagonal():
-    cfg = DimConfig(1, 16)
-    H = quadratic_hamiltonian([[1.0]], [[0.0]], [[1.0]], cfg)
+    cfg = DimConfig(16)
+    H = quadratic_hamiltonian(1.0, 0.0, 1.0, cfg)
     assert np.allclose(H.matrix, np.diag(np.arange(16) + 0.5), atol=1e-13)
 
 
 def test_quadratic_hamiltonian_oscillator_vs_grid_oracle():
-    cfg = DimConfig(1, 12)
-    H = quadratic_hamiltonian([[1.0]], [[0.0]], [[1.0]], cfg)
+    cfg = DimConfig(12)
+    H = quadratic_hamiltonian(1.0, 0.0, 1.0, cfg)
     oracle = grid_matrix_elements(
         lambda xs, f: 0.5 * (xs ** 2 * f - second_derivative(xs, f)), cfg.dim)
     assert np.max(np.abs(H.matrix - oracle)) <= 1e-8
 
 
 def test_quadratic_hamiltonian_kinetic_vs_grid_oracle():
-    cfg = DimConfig(1, 16)
-    H = quadratic_hamiltonian([[0.0]], [[0.0]], [[1.0]], cfg)
+    cfg = DimConfig(16)
+    H = quadratic_hamiltonian(0.0, 0.0, 1.0, cfg)
     oracle = grid_matrix_elements(
         lambda xs, f: -0.5 * second_derivative(xs, f), cfg.dim)
     assert np.max(np.abs(H.matrix - oracle)) <= 1e-8
@@ -71,42 +71,30 @@ def test_quadratic_hamiltonian_kinetic_vs_grid_oracle():
     assert np.all(np.abs(rows - cols) <= 2)
 
 
-def test_quadratic_hamiltonian_rejects_asymmetric_blocks():
-    cfg = DimConfig(2, 5)
-    bad = np.array([[1.0, 0.2], [0.1, 1.0]])
-    ok = np.eye(2)
-    with pytest.raises(InputError):
-        quadratic_hamiltonian(bad, np.zeros((2, 2)), ok, cfg)
-    with pytest.raises(InputError):
-        quadratic_hamiltonian(ok, np.zeros((2, 2)), bad, cfg)
-
-
 def test_quadratic_hamiltonian_parity_commutes_without_mixing():
-    cfg = DimConfig(2, 7)
-    rng = np.random.default_rng(2)
-    m = rng.standard_normal((2, 2))
-    h_qq = m + m.T
-    m = rng.standard_normal((2, 2))
-    h_pp = m + m.T + 3 * np.eye(2)
-    H = quadratic_hamiltonian(h_qq, np.zeros((2, 2)), h_pp, cfg)
-    parity = np.diag((-1.0) ** cfg.degrees())
+    """A quadratic H is even under (xi, p) -> (-xi, -p), so it commutes with
+    the parity (-1)^k of the Hermite degree k."""
+    cfg = DimConfig(7)
+    h_qq, h_pp = np.random.default_rng(2).standard_normal(2) + [0.0, 3.0]
+    H = quadratic_hamiltonian(h_qq, 0.0, h_pp, cfg)
+    parity = np.diag((-1.0) ** np.arange(cfg.dim))
     comm = H.matrix @ parity - parity @ H.matrix
     assert np.linalg.norm(comm) <= 1e-10
 
 
 def test_oscillator_spectrum_below_truncation_edge():
-    cfg = DimConfig(1, 16)
-    H = quadratic_hamiltonian([[1.0]], [[0.0]], [[1.0]], cfg)
+    cfg = DimConfig(16)
+    H = quadratic_hamiltonian(1.0, 0.0, 1.0, cfg)
     vals = np.linalg.eigvalsh(H.matrix)
     expect = np.arange(16) + 0.5
-    keep = ~edge_mask(cfg, width=2)
+    keep = np.arange(cfg.dim) < cfg.n_cut - 2    # off the two-degree truncation edge
     assert np.max(np.abs(vals[keep] - expect[keep])) <= 1e-8
 
 
 def test_canonical_pair_true_elements():
     # [xi, p] stored entries are the true ones: i * identity except at the
     # truncation edge, where composing cut operators must show the defect.
-    cfg = DimConfig(1, 10)
+    cfg = DimConfig(10)
     x = position_operator(cfg).matrix
     p = momentum_operator(cfg).matrix
     comm = x @ p - p @ x
@@ -118,14 +106,14 @@ def test_padded_ladder_matrices_are_built_once_and_read_only():
     """quadratic_hamiltonian runs once per step of a time-dependent
     propagator; its padded position/momentum matrices are shared, so no
     caller may write to them."""
-    cfg = DimConfig(1, 12)
-    xs, ps, padded = _padded_ops(cfg)
-    assert _padded_ops(cfg)[0] is xs and padded == DimConfig(1, 14)
-    for matrix in xs + ps + _padded_ops(cfg, pad=1)[0]:
+    cfg = DimConfig(12)
+    x, p = _padded_ops(cfg)
+    assert _padded_ops(cfg)[0] is x and x.shape == p.shape == (14, 14)
+    for matrix in (x, p, _padded_ops(cfg, pad=1)[0]):
         with pytest.raises(ValueError):
             matrix[0, 0] = 1.0
-    H = quadratic_hamiltonian([[1.0]], [[0.0]], [[1.0]], cfg)
-    assert np.array_equal(H.matrix, quadratic_hamiltonian([[1.0]], [[0.0]], [[1.0]], cfg).matrix)
+    H = quadratic_hamiltonian(1.0, 0.0, 1.0, cfg)
+    assert np.array_equal(H.matrix, quadratic_hamiltonian(1.0, 0.0, 1.0, cfg).matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +121,7 @@ def test_padded_ladder_matrices_are_built_once_and_read_only():
 # ---------------------------------------------------------------------------
 
 def test_unitarity_residual_identity():
-    cfg = DimConfig(1, 5)
+    cfg = DimConfig(5)
     assert unitarity_residual(np.eye(5)) == 0.0
     assert unitarity_residual(FiberOperator(np.eye(5), cfg, unitary=True)) == 0.0
 
@@ -154,14 +142,14 @@ def test_unitarity_residual_scaled_identity():
 @given(t=st.floats(-3.0, 3.0))
 @settings(max_examples=20, deadline=None)
 def test_propagator_is_unitary(t):
-    cfg = DimConfig(1, 9)
-    H = quadratic_hamiltonian([[1.0]], [[0.3]], [[2.0]], cfg)
+    cfg = DimConfig(9)
+    H = quadratic_hamiltonian(1.0, 0.3, 2.0, cfg)
     U = spectral_exp(np.linalg.eigh(H.matrix), t)
     assert unitarity_residual(U) <= 1e-12
 
 
 def test_fiber_vector_validation():
-    cfg = DimConfig(1, 4)
+    cfg = DimConfig(4)
     with pytest.raises(InputError):
         FiberVector(np.ones(3), cfg)
     with pytest.raises(InputError):
@@ -169,7 +157,7 @@ def test_fiber_vector_validation():
 
 
 def test_operator_flag_validation():
-    cfg = DimConfig(1, 3)
+    cfg = DimConfig(3)
     with pytest.raises(InputError):
         FiberOperator(np.diag([1.0, 2.0, 3.0]) + 1e-5 * np.triu(np.ones((3, 3)), 1),
                       cfg, hermitian=True)

@@ -7,14 +7,13 @@ from scbundle.actions import metaplectic_action, so2_rotor_action
 from scbundle.dynamics import ClassicalState
 from scbundle.errors import ConsistencyError, PreconditionError
 from scbundle.fiber import DimConfig
-from scbundle.gauge import (GaugeBundle, action_shift_gauge,
-                            compensator_relations_check,
+from scbundle.gauge import (GaugeBundle, compensator_relations_check,
                             equivalence_relation_residuals, gauge_equivalent,
                             phase_shift_gauge, u1_phase_gauge)
 from scbundle.groups import exp as gexp
 from scbundle.groups import get_group
 
-CFG = DimConfig(1, 14)
+CFG = DimConfig(14)
 ANCHOR = ClassicalState(0.0, [0.0], [1.0])
 J = get_group("so2").algebra([1.0])
 
@@ -45,13 +44,6 @@ def test_u1_orbit_point_recovers_phase():
     assert res <= 1e-12
 
 
-def test_action_shift_orbit_point():
-    f = random_fiber()
-    z2 = (ClassicalState(0.7, ANCHOR.P, ANCHOR.Q), f)
-    ok, alpha, res = gauge_equivalent(action_shift_gauge(), (ANCHOR, f), z2)
-    assert ok and alpha == pytest.approx(0.7) and res <= 1e-12
-
-
 def test_generic_points_not_equivalent():
     f1, f2 = random_fiber(1), random_fiber(2)
     ok, _, res = gauge_equivalent(u1_phase_gauge(), (ANCHOR, f1), (ANCHOR, f2))
@@ -59,8 +51,7 @@ def test_generic_points_not_equivalent():
     assert res > 0.1
 
 
-@pytest.mark.parametrize("gauge", [u1_phase_gauge(), action_shift_gauge(),
-                                   phase_shift_gauge()])
+@pytest.mark.parametrize("gauge", [u1_phase_gauge(), phase_shift_gauge()])
 def test_equivalence_relation_properties(gauge):
     f = random_fiber(4)
     res = equivalence_relation_residuals(gauge, (ANCHOR, f), (0.6, -1.1))
@@ -165,17 +156,6 @@ def smooth_fundamental(bundle, seed=11):
         + 1j * rng.standard_normal((bundle.theta_nodes, CFG.dim))
     F[:, 8:] = 0.0
     return F
-
-
-def test_invariant_build_trivial_gauge():
-    _, family = so2_rotor_action(CFG)
-    gb = GaugeBundle(family, action_shift_gauge(), ANCHOR,
-                     theta_nodes=24, gauge_step=np.pi / 8, gauge_window=4)
-    F = smooth_fundamental(gb)
-    vals = gb.build_invariant(F)
-    # trivial fiber phases: the values repeat unchanged along gauge orbits
-    for j in range(gb.gauge_indices.size):
-        assert np.allclose(vals[:, j, :], F)
 
 
 def test_invariant_build_phase_transport(bundle):

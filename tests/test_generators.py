@@ -21,7 +21,7 @@ H = 0.15
 
 @pytest.fixture(scope="module")
 def weyl():
-    cfg = DimConfig(1, 12)
+    cfg = DimConfig(12)
     action, _ = heisenberg_weyl_action(cfg)
     anchor = ClassicalState(0.0, [0.4], [-0.2])
     axes = [LatticeAxis.line(H, -4, 4), LatticeAxis.line(H, -4, 4),
@@ -215,7 +215,7 @@ def test_oscillator_generator_fiber_and_phase_term():
     # At the anchor, the time-translation generator acts as the fluctuation
     # matrix (the analytic derivative of the diagonal phases, diag(k + 1/2))
     # plus the classical action rate of the base flow.
-    cfg = DimConfig(1, 10)
+    cfg = DimConfig(10)
     action, _ = oscillator_action(cfg)
     anchor = ClassicalState(0.0, [0.7], [0.4])
     ht = 0.05
@@ -256,7 +256,7 @@ def test_base_derivative_constant_function(weyl, smoothed):
 
 
 def test_base_derivative_translation_coordinate():
-    cfg = DimConfig(1, 6)
+    cfg = DimConfig(6)
     action, _ = translations_r2_action(cfg)
     anchor = ClassicalState(0.0, [0.0], [0.0])
     sampling = OrbitSampling(
@@ -294,7 +294,7 @@ def test_identity_suite_heisenberg(weyl, smoothed):
 
 
 def test_identity_suite_abelian_commutator_vanishes():
-    cfg = DimConfig(1, 8)
+    cfg = DimConfig(8)
     action, _ = translations_r2_action(cfg)
     anchor = ClassicalState(0.0, [0.1], [0.3])
     sampling = OrbitSampling(

@@ -28,7 +28,7 @@ H = 0.15
 
 @pytest.fixture(scope="module")
 def weyl():
-    cfg = DimConfig(1, 18)
+    cfg = DimConfig(18)
     action, family = heisenberg_weyl_action(cfg)
     anchor = ClassicalState(0.0, [0.4], [-0.2])
     axes = [LatticeAxis.line(H, -4, 4), LatticeAxis.line(H, -4, 4),
@@ -41,7 +41,7 @@ def weyl():
 
 
 def circle_setup(builder, n_cut=14, nodes=48, seed=1):
-    cfg = DimConfig(1, n_cut)
+    cfg = DimConfig(n_cut)
     action, family = builder(cfg)
     anchor = ClassicalState(0.0, [0.0], [1.0])
     sampling = OrbitSampling(action, anchor, [LatticeAxis.cycle(2 * np.pi, nodes)])
@@ -139,7 +139,7 @@ def test_reconstruct_matches_weyl_oracle(weyl):
 
 
 def test_reconstruct_oscillator_matches_evolution_pipeline():
-    cfg = DimConfig(1, 16)
+    cfg = DimConfig(16)
     action, family = oscillator_action(cfg)
     anchor = ClassicalState(0.0, [0.3], [0.9])
     sampling = OrbitSampling(action, anchor, [LatticeAxis.line(0.05, -30, 30)])
@@ -153,7 +153,7 @@ def test_reconstruct_oscillator_matches_evolution_pipeline():
     got = rec.values[sampling.identity_index()]
     # independent pipeline: integrate the flow and fluctuation propagator
     # from the pulled-back base point
-    H_osc = quadratic_hamiltonian_spec([[1.0]])
+    H_osc = quadratic_hamiltonian_spec(1.0)
     X_pre = action.base_map(gexp(action.group.algebra([1.0]), -t), anchor)
     _, U = evolution_automorphism(H_osc, t, 1e-3, cfg)(X_pre)
     expected = U.matrix @ v
@@ -212,7 +212,7 @@ def test_conjugation_zero_time(weyl):
 
 
 def test_conjugation_abelian_trivial():
-    cfg = DimConfig(1, 8)
+    cfg = DimConfig(8)
     action, family = translations_r2_action(cfg)
     anchor = ClassicalState(0.0, [0.1], [0.3])
     sampling = OrbitSampling(
@@ -255,7 +255,7 @@ def test_group_law_random_pair(weyl):
 
 
 def test_generator_closure_oscillator():
-    cfg = DimConfig(1, 12)
+    cfg = DimConfig(12)
     action, family = oscillator_action(cfg)
     anchor = ClassicalState(0.0, [0.5], [0.5])
     sampling = OrbitSampling(action, anchor, [LatticeAxis.line(0.05, -30, 30)])

@@ -193,6 +193,12 @@ MALFORMED = {
     "oscillator-reconstruction-without-hamiltonian": OSCILLATOR + [
         (("hamiltonian",), None), (("suites",), ["reconstruction"])],
     "lattice-spacing-beyond-reach": [(("lattice", 0, "spacing"), 1e10)],
+    # each of these loaded: a fiber of two variables then made run_verify
+    # raise InputError, an anchor of two degrees of freedom ended in
+    # sections_suite_error
+    "n-two": [(("fiber", "n"), 2)],
+    "anchor-two-degrees-of-freedom": [(("anchor", "P"), [0.0, 0.0]),
+                                      (("anchor", "Q"), [1.0, 1.0])],
 }
 
 
@@ -267,7 +273,7 @@ def test_each_action_acts_through_its_stated_group():
     """The group stated beside each action builder is the group the built
     action acts through."""
     for builder, group_id in _ACTION_BUILDERS.values():
-        action, family = builder(DimConfig(1, 6))
+        action, family = builder(DimConfig(6))
         assert action.group.group_id == group_id
         assert family.group is action.group
 
@@ -289,9 +295,9 @@ def test_settings_read_their_defaults_when_asked():
 ROWS = sorted(path for path in _SCHEMA if path)
 
 # rows whose valid values depend on other fields: the group fixes the action
-# and the lattice, the anchor's length fixes n, the law times fix dt, the
-# grid needs lo < hi, and the spectrum modes fit in the fiber
-LINKED = {"group_id", "action", "fiber.n", "numerics.dt", "numerics.grid.lo",
+# and the lattice, the law times fix dt, the grid needs lo < hi, and the
+# spectrum modes fit in the fiber
+LINKED = {"group_id", "action", "numerics.dt", "numerics.grid.lo",
           "numerics.grid.hi", "dynamics.spectrum_modes"}
 FREE = [path for path in ROWS if "[]" not in path and path not in LINKED
         and _SCHEMA[path][0] not in ("mapping", "list")]

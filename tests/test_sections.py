@@ -24,7 +24,7 @@ H = 0.15
 
 @pytest.fixture(scope="module")
 def weyl():
-    cfg = DimConfig(1, 18)
+    cfg = DimConfig(18)
     action, _ = heisenberg_weyl_action(cfg)
     anchor = ClassicalState(0.0, [0.4], [-0.2])
     axes = [LatticeAxis.line(H, -6, 6), LatticeAxis.line(H, -6, 6),
@@ -40,7 +40,7 @@ def probe(sampling, seed=0, max_degree=3):
 
 
 def sample_state(sampling, idx):
-    return ClassicalState.from_array(sampling.base_array[idx], sampling.anchor.n)
+    return ClassicalState.from_array(sampling.base_array[idx])
 
 
 def lattice_element(sampling, steps):
@@ -102,7 +102,7 @@ def test_sampling_base_points_pairwise_distinct(weyl):
 def collapsed_rotor_sampling():
     """The rotor action fixes the base point when (P, Q) = 0, so the whole
     circle collapses to one stabilizer class."""
-    action, _ = so2_rotor_action(DimConfig(1, 6))
+    action, _ = so2_rotor_action(DimConfig(6))
     anchor = ClassicalState(0.2, [0.0], [0.0])
     return OrbitSampling(action, anchor, [LatticeAxis.cycle(2 * np.pi, 24)])
 
@@ -246,7 +246,7 @@ def test_cached_transport_is_read_only(weyl):
 
 
 def test_repeated_transform_reuses_the_source_lookup(monkeypatch):
-    cfg = DimConfig(1, 12)
+    cfg = DimConfig(12)
     action, _ = heisenberg_weyl_action(cfg)
     sampling = OrbitSampling(action, ClassicalState(0.0, [0.4], [-0.2]),
                              [LatticeAxis.line(H, -4, 4)] * 2
@@ -352,7 +352,7 @@ def test_pullback_identity_and_composition(weyl):
 
 
 def test_pullback_translation_closed_form():
-    cfg = DimConfig(1, 6)
+    cfg = DimConfig(6)
     action, _ = translations_r2_action(cfg)
     alpha = BaseFunction(batch=lambda rows: rows[:, 2])
     a = 0.8

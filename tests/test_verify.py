@@ -82,10 +82,12 @@ def test_suite_crash_is_recorded_and_other_suites_survive(monkeypatch):
     assert "reconstruction_identity" in ids
 
 
-@pytest.mark.parametrize("name", ["so2-rotor", "translations-r2", "metaplectic-so2"])
+@pytest.mark.parametrize("name", ["so2-rotor", "translations-r2", "metaplectic-so2",
+                                  "cubic-perturbed-oscillator", "free-particle"])
 def test_report_records_match_golden(name, monkeypatch):
     """Records at the pinned seed match the committed golden file (known
-    FAILs included), and a rerun gives identical bytes."""
+    FAILs and free-particle's dynamics_suite_error included), and a rerun
+    gives identical bytes."""
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     scn = load_scenario(name)
     first = verify.run_verify(scn).to_json()
