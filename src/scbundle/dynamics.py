@@ -41,7 +41,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, NumericalError, ResolutionError
 from .fiber import (DimConfig, FiberOperator, FiberVector, hermite_functions,
@@ -472,6 +471,21 @@ def reference_schrodinger(H: HamiltonianSpec, psi0: np.ndarray, eps,
     return psi
 
 
+def _traceless_exp(A: np.ndarray) -> np.ndarray:
+    """exp(A) of a traceless 2x2 matrix.  By Cayley-Hamilton A @ A =
+    -det(A) I, so exp(A) = cos(w) I + sin(w)/w A where w^2 = det A > 0,
+    I + A where det A = 0, and cosh(w) I + sinh(w)/w A where w^2 = -det A."""
+    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    w = np.sqrt(abs(det))
+    if det > 0:
+        c, s = np.cos(w), np.sin(w) / w
+    elif det < 0:
+        c, s = np.cosh(w), np.sinh(w) / w
+    else:
+        c, s = 1.0, 1.0
+    return c * np.eye(2) + s * A
+
+
 def gaussian_packet(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
                     eps: float, T: float, xs: np.ndarray) -> np.ndarray:
     """The exact solution at time T of the Schrodinger equation of a
@@ -481,9 +495,10 @@ def gaussian_packet(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
 
     A Gaussian stays Gaussian (Heller, J. Chem. Phys. 62 (1975) 1544;
     Hagedorn, Ann. Phys. 269 (1998) 77).  With z = (P, Q), K the constant
-    Hessian and J = [[0, -1], [1, 0]], M = expm(T J K) carries the centre
-    to M z0 and the action to S0 + (P_T Q_T - P0 Q0)/2 (for homogeneous
-    quadratic H, P dH/dP - H = d(PQ)/dt / 2); the tangent (dP, dQ) =
+    Hessian and J = [[0, -1], [1, 0]], the flow M = exp(T J K), in closed
+    form (:func:`_traceless_exp`), carries the centre to M z0 and the
+    action to S0 + (P_T Q_T - P0 Q0)/2 (for homogeneous quadratic H,
+    P dH/dP - H = d(PQ)/dt / 2); the tangent (dP, dQ) =
     M (i, 1) gives the width A = dP/dQ and the amplitude
     eps^{-1/4} pi^{-1/4} dQ^{-1/2}, on the branch continued from 1 at
     t = 0.  It shares no code with the classical flow, the fluctuation
@@ -496,7 +511,7 @@ def gaussian_packet(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
     if eps <= 0:
         raise InputError("eps must be positive")
     K = H.hess(X0.P, X0.Q)[0]
-    M = scipy.linalg.expm(T * np.array([[0.0, -1.0], [1.0, 0.0]]) @ K)
+    M = _traceless_exp(T * np.array([[0.0, -1.0], [1.0, 0.0]]) @ K)
     P, Q = M @ np.array([X0.P[0], X0.Q[0]])
     S = X0.S + 0.5 * (P * Q - X0.P[0] * X0.Q[0])
     dP, dQ = M @ np.array([1j, 1.0])

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .actions import BundleAction
 from .errors import AlignmentError, InputError
@@ -149,7 +148,7 @@ def generator_apply(A: AlgebraElement, psi: Section, action: BundleAction,
             "generator application needs a field-backed section "
             "(smooth the input first)")
     return 1j * central_difference(
-        lambda t: evaluator_transform(action, scipy.linalg.expm(t * A.matrix), psi),
+        lambda t: evaluator_transform(action, A.group.exp_matrix(t * A.matrix), psi),
         tau)
 
 
@@ -176,7 +175,7 @@ def base_derivative(A: AlgebraElement, alpha, action: BundleAction,
 
     mats = sampling.group_mats
     return SampledBaseFunction(sampling, central_difference(
-        lambda t: field(left_translate(scipy.linalg.expm(t * A.matrix), mats)), tau))
+        lambda t: field(left_translate(A.group.exp_matrix(t * A.matrix), mats)), tau))
 
 
 def pairing_residual(A: AlgebraElement, phi: Section, psi: Section,

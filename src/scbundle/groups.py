@@ -7,8 +7,10 @@ exponentiation, Garding smoothing) works in the second-kind canonical chart
     g = exp(B_1 t_1) exp(B_2 t_2) ... exp(B_n t_n),
 
 which is defined locally around the identity.  Every group gives that chart
-in closed form; ``factorize_second_kind`` refuses elements outside the
-registered domain radius instead of extrapolating.
+and its exponential in closed form (I + X + X^2/2 for the unipotent groups,
+whose algebras have X^3 = 0, and a rotation for so2); ``factorize_second_kind``
+refuses elements outside the registered domain radius instead of
+extrapolating.
 
 All values are immutable; operations are pure functions.
 """
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ClosureError, InputError, OutOfDomainError
 
@@ -96,6 +97,8 @@ class LieGroup:
     coords_fn : callable
         Closed-form second-kind chart on stacks of matrices (..., d, d) ->
         (..., n), serving one matrix and a stack alike.
+    exp_fn : callable
+        Closed-form exponential of one algebra matrix (d, d) -> (d, d).
     periodic_axes : dict, optional
         Maps coordinate axis index to its period (e.g. the rotation angle).
     """
@@ -103,6 +106,7 @@ class LieGroup:
     def __init__(self, group_id: str, basis: np.ndarray, factorization_radius: float,
                  residual_fn: Callable[[np.ndarray], float],
                  coords_fn: Callable[[np.ndarray], np.ndarray],
+                 exp_fn: Callable[[np.ndarray], np.ndarray],
                  periodic_axes: Optional[dict] = None):
         basis = np.asarray(basis)
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
@@ -115,6 +119,7 @@ class LieGroup:
         self.periodic_axes = dict(periodic_axes or {})
         self._residual_fn = residual_fn
         self._coords_fn = coords_fn
+        self._exp_fn = exp_fn
         # Pseudo-inverse of the basis-expansion map, real and imaginary parts
         # stacked so coordinates stay real.
         cols = basis.reshape(self.dim, -1).T
@@ -166,12 +171,16 @@ class LieGroup:
     def manifold_residual(self, matrix: np.ndarray) -> float:
         return float(self._residual_fn(matrix))
 
+    def exp_matrix(self, X: np.ndarray) -> np.ndarray:
+        """Matrix exponential of the algebra matrix ``X``, in closed form."""
+        return self._exp_fn(np.asarray(X))
+
     def compose_exps(self, t: Sequence[float]) -> np.ndarray:
         """Matrix of ``exp(B_1 t_1) ... exp(B_n t_n)``."""
         t = np.asarray(t, dtype=float)
         out = np.eye(self.rep_dim)
         for k in range(self.dim):
-            out = out @ scipy.linalg.expm(t[k] * self.basis[k])
+            out = out @ self.exp_matrix(t[k] * self.basis[k])
         return out
 
     def factorize_matrix(self, matrix: np.ndarray) -> np.ndarray:
@@ -190,7 +199,7 @@ class LieGroup:
 
     def left_density(self, t: np.ndarray) -> float:
         """Left-invariant Haar density in the second-kind chart at ``t``."""
-        exps = [scipy.linalg.expm(t[k] * self.basis[k]) for k in range(self.dim)]
+        exps = [self.exp_matrix(t[k] * self.basis[k]) for k in range(self.dim)]
         cols = np.empty((self.dim, self.dim))
         tail = np.eye(self.rep_dim, dtype=complex)  # E_{k+1} ... E_n
         for k in range(self.dim - 1, -1, -1):
@@ -208,12 +217,13 @@ class LieGroup:
 # ---------------------------------------------------------------------------
 
 def exp(A: AlgebraElement, t: float = 1.0) -> GroupElement:
-    """Group exponential ``exp(t A)`` in the faithful representation."""
+    """Group exponential ``exp(t A)`` in the faithful representation, by the
+    group's closed form (``LieGroup.exp_matrix``)."""
     if not np.isfinite(t):
         raise InputError("non-finite exponential parameter")
     if not np.all(np.isfinite(A.matrix)):
         raise InputError("non-finite algebra matrix")
-    return GroupElement(A.group, scipy.linalg.expm(float(t) * A.matrix))
+    return GroupElement(A.group, A.group.exp_matrix(float(t) * A.matrix))
 
 
 def bracket(A: AlgebraElement, B: AlgebraElement) -> AlgebraElement:
@@ -286,6 +296,12 @@ def left_translate(g: np.ndarray, mats: np.ndarray) -> np.ndarray:
 # Built-in catalog
 # ---------------------------------------------------------------------------
 
+def _unipotent_exp(X: np.ndarray) -> np.ndarray:
+    """``I + X + X^2/2``: the whole series, since X^3 = 0 for a strictly
+    upper-triangular X of size 3 or less."""
+    return np.eye(X.shape[0]) + X + 0.5 * (X @ X)
+
+
 def _unipotent_residual(pattern: np.ndarray) -> Callable[[np.ndarray], float]:
     """Residual for upper-triangular unit-diagonal groups: off-pattern
     entries must match the identity matrix."""
@@ -304,6 +320,7 @@ def _make_real_line() -> LieGroup:
         "real_line", basis, factorization_radius=np.inf,
         residual_fn=_unipotent_residual(pattern),
         coords_fn=lambda ms: ms[..., 0, 1, None].real,
+        exp_fn=_unipotent_exp,
     )
 
 
@@ -317,6 +334,7 @@ def _make_translations_r2() -> LieGroup:
         "translations_r2", basis, factorization_radius=np.inf,
         residual_fn=_unipotent_residual(pattern),
         coords_fn=lambda ms: np.stack([ms[..., 0, 2].real, ms[..., 1, 2].real], axis=-1),
+        exp_fn=_unipotent_exp,
     )
 
 
@@ -336,6 +354,7 @@ def _make_heisenberg() -> LieGroup:
         "heisenberg", basis, factorization_radius=np.inf,
         residual_fn=_unipotent_residual(pattern),
         coords_fn=_heisenberg_coords,
+        exp_fn=_unipotent_exp,
     )
 
 
@@ -343,6 +362,12 @@ def _so2_residual(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(matrix.T @ matrix - np.eye(2))
                  + abs(np.linalg.det(matrix) - 1.0)
                  + np.linalg.norm(np.asarray(matrix).imag))
+
+
+def _so2_exp(X: np.ndarray) -> np.ndarray:
+    """Rotation by the angle ``X[1, 0]``."""
+    c, s = np.cos(X[1, 0]), np.sin(X[1, 0])
+    return np.array([[c, -s], [s, c]])
 
 
 def _make_so2() -> LieGroup:
@@ -354,6 +379,7 @@ def _make_so2() -> LieGroup:
         residual_fn=_so2_residual,
         coords_fn=lambda ms: np.arctan2(ms[..., 1, 0, None].real,
                                         ms[..., 0, 0, None].real),
+        exp_fn=_so2_exp,
         periodic_axes={0: 2 * np.pi},
     )
 

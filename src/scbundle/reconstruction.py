@@ -2,8 +2,10 @@
 
 Each basis direction's Cauchy problem is solved by characteristics on a
 field-backed section: one ``sections.pulled_field`` pulls the field back
-along the base flow and rotates it by the direction's one-parameter unitary
-``GeneratorData.unitary(t)`` (constant over the base).  Lattice-only
+along the base flow exp(-t B_k) and rotates it by the direction's
+one-parameter unitary ``GeneratorData.unitary(t)`` (constant over the
+base).  Every group matrix here, flows and matrix words alike, comes from
+the group's closed-form exponential ``LieGroup.exp_matrix``.  Lattice-only
 sections are refused.  Group elements are factorized in second-kind
 canonical coordinates, always through the checked
 ``groups.factorize_second_kind``, and every word of one-parameter steps is
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .actions import GeneratorFamily
 from .errors import (AlignmentError, InputError, NumericalError,
@@ -55,7 +56,7 @@ def exponentiate_generator(family: GeneratorFamily, k: int, t: float,
             "generator exponentiation needs a field-backed section")
     if t == 0.0:
         return psi0
-    pull = scipy.linalg.expm(-t * family.group.basis[k])
+    pull = family.group.exp_matrix(-t * family.group.basis[k])
     T = family.directions[k].unitary(t)
     out = Section.from_field(psi0.sampling, pulled_field(psi0.field, pull, T))
     if not np.all(np.isfinite(out.values)):
@@ -89,7 +90,7 @@ def family_generator_apply(family: GeneratorFamily, A_coords: np.ndarray,
     gen = np.tensordot(np.asarray(A_coords, dtype=float), family.group.basis,
                        axes=(0, 0))
     return 1j * central_difference(
-        lambda t: reconstruct_group_operator(family, scipy.linalg.expm(t * gen), psi),
+        lambda t: reconstruct_group_operator(family, family.group.exp_matrix(t * gen), psi),
         tau)
 
 
@@ -106,7 +107,7 @@ def family_generator_direct(family: GeneratorFamily, A_coords: np.ndarray,
     # d[A] psi at u_h: d/ds psi(u_{exp(A s)} u_h) at s = 0
     mats = psi.sampling.group_mats
     base_term = central_difference(
-        lambda s: psi.field(left_translate(scipy.linalg.expm(s * gen_mat), mats)), tau)
+        lambda s: psi.field(left_translate(family.group.exp_matrix(s * gen_mat), mats)), tau)
     H = family.combination_hamiltonian(A_coords)
     return Section(psi.sampling, psi.values @ H.T - 1j * base_term)
 
@@ -149,7 +150,7 @@ def word_identity_check(family: GeneratorFamily, word: Sequence,
     def word_matrix(a: float) -> np.ndarray:
         m = np.eye(group.rep_dim, dtype=complex if np.iscomplexobj(group.basis) else float)
         for k, t in steps(a):
-            m = m @ scipy.linalg.expm(t * group.basis[k])
+            m = m @ group.exp_matrix(t * group.basis[k])
         return m
 
     eye = np.eye(group.rep_dim)
@@ -179,7 +180,7 @@ def conjugation_check(family: GeneratorFamily, k: int, t: float,
     group = family.group
     A_coords = np.asarray(A_coords, dtype=float)
     gen = np.tensordot(A_coords, group.basis, axes=(0, 0))
-    h_inv = scipy.linalg.expm(-t * group.basis[k])
+    h_inv = group.exp_matrix(-t * group.basis[k])
     adjoint_coords = group.expand_in_basis(h_inv @ gen @ np.linalg.inv(h_inv))
     inner = exponentiate_generator(family, k, t, psi)
     mid = family_generator_apply(family, A_coords, inner, tau)

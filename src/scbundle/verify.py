@@ -17,7 +17,6 @@ deterministic given the scenario seed.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from . import groups
 from .dynamics import (ClassicalState, ansatz_error, ansatz_errors,
@@ -421,7 +420,7 @@ def reconstruction_checks(scn: Scenario, action, family, rng) -> list:
     moved = exponentiate_generator(family, k_dir, t_step, psi)
     before = pairing(psi, psi)
     after = pairing(moved, moved)
-    pull = scipy.linalg.expm(-t_step * group.basis[k_dir])
+    pull = group.exp_matrix(-t_step * group.basis[k_dir])
     pulled = before.field(left_translate(pull, sampling.group_mats))
     records.append(CheckRecord("norm_function_transport", "Lemma 4.1",
                                float(np.max(np.abs(after.values - pulled))), 1e-8))

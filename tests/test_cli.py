@@ -2,6 +2,10 @@
 writes byte-stable reports and maps outcomes to exit codes."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -12,6 +16,7 @@ from scbundle.report import CheckRecord, Report
 from scbundle.scenarios import SEED_ENV_VAR
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SRC = PYPROJECT.parent / "src"
 
 
 @pytest.mark.parametrize("name, target", sorted(
@@ -57,3 +62,37 @@ def test_malformed_seed_variable_exits_two(seed, monkeypatch, capsys):
     monkeypatch.setenv(SEED_ENV_VAR, seed)
     assert cli.main(["verify", "so2-rotor"]) == 2
     assert SEED_ENV_VAR in capsys.readouterr().err
+
+
+_NO_SCIPY_CHILD = """
+import json, sys
+sys.path.insert(0, {src!r})
+import scbundle.cli, scbundle.verify
+from scbundle import groups
+for gid in groups.builtin_group_ids():
+    g = groups.get_group(gid)
+    groups.factorize_second_kind(groups.exp(g.algebra([0.5] * g.dim)))
+codes = [scbundle.cli.main(["verify", name, "--out", {out!r}])
+         for name in ("so2-rotor", "translations-r2", "metaplectic-so2",
+                      "cubic-perturbed-oscillator", "free-particle", "oscillator-evolution")]
+print(json.dumps({{"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}}))
+"""
+
+
+def test_the_package_runs_without_scipy(tmp_path):
+    """scipy is a test-only dependency: a fresh isolated interpreter never
+    loads it while it imports the CLI, exponentiates and factorizes in every
+    built-in group, and verifies the catalog scenarios that run in under a
+    second (the gauge layer and the exact Gaussian included)."""
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    assert not any(dep.startswith("scipy") for dep in project["dependencies"])
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
+    code = _NO_SCIPY_CHILD.format(src=str(SRC), out=str(tmp_path / "report.json"))
+    env = {k: v for k, v in os.environ.items() if k != SEED_ENV_VAR}
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                          text=True, timeout=300, env=env)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert len(result["codes"]) == 6 and set(result["codes"]) <= {0, 1}
+    assert result["scipy"] == []

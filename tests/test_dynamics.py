@@ -3,7 +3,9 @@ packet synthesis, the grid reference solver and the exact Gaussian."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from scbundle import dynamics
 from scbundle.dynamics import (
     ClassicalState, HamiltonianSpec, ansatz_error, ansatz_errors,
     ansatz_wavefunction, classical_flow, classical_flows, cubic_perturbed_spec,
@@ -19,6 +21,7 @@ OSC = quadratic_hamiltonian_spec(1.0)
 FREE = quadratic_hamiltonian_spec(0.0)
 CUBIC = cubic_perturbed_spec(1.0, 0.1)
 NONSEPARABLE = quadratic_hamiltonian_spec(1.0, m_qp=0.5)
+INVERTED = quadratic_hamiltonian_spec(-1.0)
 LAW_TIMES = (0.25, 0.5, 0.75, 1.0)    # the oscillator-evolution catalog's
 
 
@@ -485,3 +488,44 @@ def test_exact_gaussian_needs_the_grid_to_cover_its_final_width():
     gaussian_packet(FREE, X0, ground_state(), 0.04, 0.0, xs)
     with pytest.raises(ResolutionError):
         gaussian_packet(FREE, X0, ground_state(), 0.04, 10.0, xs)
+
+
+@pytest.mark.parametrize("H", [OSC, FREE, INVERTED, NONSEPARABLE],
+                         ids=["oscillator", "free", "inverted", "nonseparable"])
+def test_symplectic_exp_matches_expm(H):
+    """M = exp(T J K) from Cayley-Hamilton in each branch of det K (> 0, = 0,
+    < 0) against scipy's expm: to 4 ulps of max(1, |M|) for |T| <= 1, where
+    expm does no squaring, and to 1e-11 relative up to |T| = 10 (expm's own
+    error reaches 7.6e3 ulps there on the inverted oscillator; the closed
+    form stays within 6 ulps of 150-bit arithmetic)."""
+    K = H.hess(np.array([0.2]), np.array([1.0]))[0]
+    A = np.array([[0.0, -1.0], [1.0, 0.0]]) @ K
+    assert dynamics._traceless_exp(0.0 * A).tolist() == np.eye(2).tolist()
+    for T in np.linspace(-1.0, 1.0, 41):
+        got, expected = dynamics._traceless_exp(T * A), scipy.linalg.expm(T * A)
+        scale = max(1.0, np.max(np.abs(expected)))
+        assert np.max(np.abs(got - expected)) <= 4 * np.finfo(float).eps * scale, T
+    for T in np.linspace(-10.0, 10.0, 81):
+        got, expected = dynamics._traceless_exp(T * A), scipy.linalg.expm(T * A)
+        assert np.max(np.abs(got - expected)) <= 1e-11 * np.max(np.abs(expected)), T
+
+
+@pytest.mark.parametrize("H, T_max", [(OSC, 3.5 * np.pi), (quadratic_hamiltonian_spec(2.5),
+                                                            3.5 * np.pi / np.sqrt(2.5)),
+                                      (INVERTED, 1.5)],
+                         ids=["oscillator", "stiff-oscillator", "inverted"])
+def test_exact_gaussian_branch_continues_over_half_periods(H, T_max, monkeypatch):
+    """Over three and a half half periods each way, the unit-norm packet
+    moves by at most 0.4 between neighbouring times (a wrong branch of
+    dQ^(-1/2) would flip its sign, a jump of 2), and equals the packet built
+    from scipy's expm to 1e-11."""
+    xs = np.linspace(-8, 8, 1024)
+    dx = xs[1] - xs[0]
+    X0 = ClassicalState(0.3, [0.2], [1.0])
+    times = np.linspace(-T_max, T_max, 1401)
+    packets = [gaussian_packet(H, X0, ground_state(), 0.04, T, xs) for T in times]
+    assert max(l2_distance(a, b, dx) for a, b in zip(packets, packets[1:])) <= 0.4
+    monkeypatch.setattr(dynamics, "_traceless_exp", scipy.linalg.expm)
+    for T, packet in zip(times, packets):
+        old = gaussian_packet(H, X0, ground_state(), 0.04, T, xs)
+        assert l2_distance(packet, old, dx) <= 1e-11, T

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scbundle import groups
+from scbundle import groups, scenarios
 from scbundle.errors import ClosureError, InputError, OutOfDomainError
 from scbundle.groups import adjoint, bracket, exp, factorize_second_kind, get_group
 
@@ -78,6 +78,89 @@ def test_exp_rejects_nonfinite_parameter():
         exp(g.algebra([1.0]), np.nan)
 
 
+# Each group's closed-form exponential against scipy's Pade scaling-and-
+# squaring expm, in ulps of max(1, |exp X|).  expm carries its own rounding
+# error, which grows with the norm of X: on rotations it reaches 12.5 ulps at
+# |theta| <= pi and about 300 at the so2 catalog's 6.15 rad, where cos/sin
+# stay within half an ulp of the exact value.  So rotations are compared on
+# the chart domain [-pi, pi], catalog nodes reduced there by the period, and
+# allowed 16 ulps; the unipotent groups are allowed 4.
+ULP = np.finfo(float).eps
+ULP_LIMIT = {"real_line": 4, "translations_r2": 4, "heisenberg": 4, "so2": 16}
+
+
+def _ulps(got, expected) -> float:
+    return float(np.max(np.abs(got - expected)) / max(1.0, np.max(np.abs(expected))) / ULP)
+
+
+def _catalog_lattice_coords():
+    """(group id, second-kind coordinates of lattice nodes) of every catalog
+    lattice: each node of each axis alone, then 200 random nodes."""
+    rng = np.random.default_rng(17)
+    out = []
+    for name in scenarios.catalog_names():
+        scn = scenarios.load_scenario(name)
+        for spec in (scn.lattice, scn.generator_lattice):
+            if not spec:
+                continue
+            nodes = [ax.indices() * ax.spacing for ax in scn._axes(spec)]
+            coords = [np.eye(len(nodes))[k] * t for k, axis in enumerate(nodes) for t in axis]
+            coords += [np.array([rng.choice(axis) for axis in nodes]) for _ in range(200)]
+            out.append((scn.group_id, np.array(coords)))
+    return out
+
+
+def _to_chart_domain(gid, coords):
+    g = get_group(gid)
+    for axis, period in g.periodic_axes.items():
+        coords[:, axis] = (coords[:, axis] + period / 2) % period - period / 2
+    return coords
+
+
+def test_closed_form_exp_matches_expm_on_catalog_lattices():
+    seen = set()
+    for gid, coords in _catalog_lattice_coords():
+        g = get_group(gid)
+        seen.add(gid)
+        for t in _to_chart_domain(gid, coords):
+            X = np.tensordot(t, g.basis, axes=1)
+            assert _ulps(g.exp_matrix(X), scipy.linalg.expm(X)) <= ULP_LIMIT[gid], (gid, t)
+    assert seen == set(ALL_GROUPS)
+
+
+@pytest.mark.parametrize("gid", ALL_GROUPS)
+def test_closed_form_exp_matches_expm_at_random_elements(gid):
+    """Coordinates up to 4, or on [-pi, pi] for so2."""
+    g = get_group(gid)
+    bound = np.pi if gid == "so2" else 4.0
+    for t in np.random.default_rng(29).uniform(-bound, bound, (500, g.dim)):
+        X = np.tensordot(t, g.basis, axes=1)
+        assert _ulps(g.exp_matrix(X), scipy.linalg.expm(X)) <= ULP_LIMIT[gid], t
+
+
+def test_unipotent_exp_is_the_whole_series():
+    """X^3 = 0 on the heisenberg algebra, so exp(X) is I + X + X^2/2 exactly:
+    exp of (a, b, c) reads a, b and c + ab/2, each rounded once."""
+    g = get_group("heisenberg")
+    for a, b, c in np.random.default_rng(31).uniform(-4, 4, (200, 3)):
+        got = g.exp_matrix(np.tensordot([a, b, c], g.basis, axes=1))
+        assert got.tolist() == [[1.0, a, c + 0.5 * (a * b)], [0.0, 1.0, b], [0.0, 0.0, 1.0]]
+
+
+def test_so2_exp_near_the_half_turn():
+    """At and around +-pi, where the chart wraps: expm agrees to 4 ulps and
+    the chart gives the angle back modulo 2 pi."""
+    g = get_group("so2")
+    near = [np.pi, np.nextafter(np.pi, 0), np.nextafter(np.pi, 4), np.pi - 1e-9,
+            np.pi + 1e-9, np.pi - 1e-5, np.pi + 1e-5]
+    for theta in near + [-x for x in near]:
+        X = theta * g.basis[0]
+        got = g.exp_matrix(X)
+        assert _ulps(got, scipy.linalg.expm(X)) <= 4, theta
+        back = g.coords_batch(got)[0]
+        assert abs((back - theta + np.pi) % (2 * np.pi) - np.pi) <= 4 * ULP * np.pi, theta
+
+
 # ---------------------------------------------------------------------------
 # bracket / adjoint
 # ---------------------------------------------------------------------------
@@ -104,7 +187,8 @@ def test_bracket_closure_error_outside_basis():
     basis[0, 0, 1] = 1.0
     basis[1, 1, 2] = 1.0
     g = groups.LieGroup("open_algebra_test", basis, factorization_radius=1.0,
-                        residual_fn=lambda m: 0.0, coords_fn=lambda ms: ms[..., 0, 1:])
+                        residual_fn=lambda m: 0.0, coords_fn=lambda ms: ms[..., 0, 1:],
+                        exp_fn=scipy.linalg.expm)
     A, B = g.algebra([1, 0]), g.algebra([0, 1])
     with pytest.raises(ClosureError):
         bracket(A, B)
@@ -206,7 +290,8 @@ def test_factorize_out_of_domain_refusal():
     # the registered radius is refused rather than extrapolated
     line = get_group("real_line")
     g = groups.LieGroup("short_line_test", line.basis, factorization_radius=1.0,
-                        residual_fn=line.manifold_residual, coords_fn=line.coords_batch)
+                        residual_fn=line.manifold_residual, coords_fn=line.coords_batch,
+                        exp_fn=line.exp_matrix)
     assert factorize_second_kind(exp(g.algebra([0.9]))) == pytest.approx([0.9])
     with pytest.raises(OutOfDomainError):
         factorize_second_kind(exp(g.algebra([1.1])))

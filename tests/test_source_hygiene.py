@@ -14,7 +14,9 @@ stencil (a difference over 2 * step) in ``sections.central_difference``
 eigendecomposition of a generator's fiber Hamiltonian in
 ``actions.GeneratorData``, and the scaled squared radius (a squared
 quotient) in ``groups.scaled_square_radius``; no ``setdiff1d`` (the lost
-samples of a transport come from a mask); and no scenario sub-config default
+samples of a transport come from a mask); no ``scipy`` import (each group
+and the symplectic flow give their exponentials in closed form, and scipy is
+a test-only dependency); and no scenario sub-config default
 spelt outside ``scenarios``, whose schema table holds every default (a
 ``.get`` on ``dynamics``, ``probes``, ``numerics``, ``hamiltonian`` or
 ``gauge_cfg`` spells one, None when it names none)."""
@@ -297,6 +299,18 @@ def _is_setdiff(node: ast.AST) -> bool:
     return _calls(node, "setdiff1d")
 
 
+def _is_scipy_import(node: ast.AST) -> bool:
+    """``import scipy...``, ``from scipy... import ...``, or a dynamic import
+    (``import_module`` or ``__import__``) of a constant naming scipy."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "scipy"
+    return ((_calls(node, "import_module") or _calls(node, "__import__")) and bool(node.args)
+            and isinstance(node.args[0], ast.Constant)
+            and str(node.args[0].value).split(".")[0] == "scipy")
+
+
 _SUB_CONFIGS = {"dynamics", "probes", "numerics", "hamiltonian", "gauge_cfg"}
 
 
@@ -349,6 +363,18 @@ def test_written_once_patterns_are_recognised():
                      '    return np.setdiff1d(np.arange(j), kept), setdiff1d(j, kept)\n')
     assert _owners(tree, _is_squared_quotient) == {"bump"}
     assert _owners(tree, _is_setdiff) == {"lost"}
+    tree = ast.parse('import scipy\n'
+                     'def a():\n'
+                     '    import scipy.linalg as sl\n'
+                     'def b():\n'
+                     '    from scipy.linalg import expm\n'
+                     'def c():\n'
+                     '    return importlib.import_module("scipy.linalg"), __import__("scipy")\n'
+                     'def other():\n'
+                     '    import scipyx, numpy.linalg\n'
+                     '    from . import scipy_like\n'
+                     '    return importlib.import_module("numpy"), __import__(name)\n')
+    assert _sites(tree, _is_scipy_import) == ["<module>", "a", "b", "c", "c"]
     tree = ast.parse('def spelt(scn, s):\n'
                      '    t = float(scn.dynamics.get("t_final", 1.0))\n'
                      '    return t, s.scenario.probes.get("count"), scn.gauge_cfg.get("x", 2)\n'
@@ -388,6 +414,10 @@ def test_scaled_square_radius_written_once():
 
 def test_no_setdiff_in_the_package():
     assert _package_owners(_is_setdiff) == set()
+
+
+def test_no_scipy_in_the_package():
+    assert _package_sites(_is_scipy_import) == []
 
 
 def test_sub_config_defaults_live_in_the_schema():
