@@ -384,14 +384,14 @@ def evolution_automorphism(H: HamiltonianSpec, t: float, dt: float,
 # wave-packet ansatz and grid reference
 # ---------------------------------------------------------------------------
 
-def ansatz_wavefunction(X: ClassicalState, f: FiberVector, eps: float,
-                        xs: np.ndarray) -> np.ndarray:
-    """Wave packet  eps^{-1/4} exp(iS/eps) exp(iP(x-Q)/eps) f((x-Q)/sqrt(eps))
-    sampled on the 1-D grid ``xs``; the eps^{-1/4} Jacobian factor makes the
-    grid L2 norm equal the fiber norm."""
+def _check_packet_grid(X: ClassicalState, f: FiberVector, eps: float,
+                       xs: np.ndarray) -> None:
+    """The checks of :func:`ansatz_wavefunction`, without the packet: raises
+    InputError unless eps > 0, and ResolutionError when the grid spacing
+    under-resolves the carrier wave or the grid does not cover the packet
+    support."""
     if eps <= 0:
         raise InputError("eps must be positive")
-    xs = np.asarray(xs, dtype=float)
     dx = xs[1] - xs[0]
     if abs(X.P[0]) > 0:
         wavelength = 2 * np.pi * eps / abs(X.P[0])
@@ -404,6 +404,15 @@ def ansatz_wavefunction(X: ClassicalState, f: FiberVector, eps: float,
     radius = 8 * np.sqrt(eps) * np.sqrt(2 * k_max + 1)
     if xs[0] > X.Q[0] - radius or xs[-1] < X.Q[0] + radius:
         raise ResolutionError("grid does not cover the packet support")
+
+
+def ansatz_wavefunction(X: ClassicalState, f: FiberVector, eps: float,
+                        xs: np.ndarray) -> np.ndarray:
+    """Wave packet  eps^{-1/4} exp(iS/eps) exp(iP(x-Q)/eps) f((x-Q)/sqrt(eps))
+    sampled on the 1-D grid ``xs``; the eps^{-1/4} Jacobian factor makes the
+    grid L2 norm equal the fiber norm."""
+    xs = np.asarray(xs, dtype=float)
+    _check_packet_grid(X, f, eps, xs)
     xi = (xs - X.Q[0]) / np.sqrt(eps)
     h = hermite_functions(xi, f.dim_config.dim)
     profile = f.coeffs @ h
@@ -541,10 +550,12 @@ def ansatz_errors(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
     Hamiltonian (``constant_hessians``) the exact Gaussian
     :func:`gaussian_packet` of each eps, otherwise the split-step solve
     :func:`reference_schrodinger` (step ``dt / 4``, one loop over the stack
-    of per-eps packets)."""
+    of per-eps packets).  Every eps and the grid are checked against the
+    initial ansatz on every path; only the split-step builds it."""
     xs = np.asarray(xs, dtype=float)
     eps_list = [float(eps) for eps in eps_list]
-    psi0 = [ansatz_wavefunction(X0, f0, eps, xs) for eps in eps_list]
+    for eps in eps_list:
+        _check_packet_grid(X0, f0, eps, xs)
     if T == 0.0:
         return [0.0] * len(eps_list)
     trajectory = classical_flow(H, X0, T, dt)
@@ -553,6 +564,7 @@ def ansatz_errors(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
     if H.constant_hessians:
         reference = [gaussian_packet(H, X0, f0, eps, T, xs) for eps in eps_list]
     else:
+        psi0 = [ansatz_wavefunction(X0, f0, eps, xs) for eps in eps_list]
         reference = reference_schrodinger(H, psi0, eps_list, T, xs, dt / 4)
     return [l2_distance(psi, phi, xs[1] - xs[0]) for psi, phi in zip(semiclassical, reference)]
 

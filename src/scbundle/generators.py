@@ -93,7 +93,8 @@ def garding_smooth(kernel: SmoothingKernel, phi: Section,
 
     Field-backed sections smooth through a field that sums one
     ``sections.pulled_field`` per node (Phi pulled by g_k^-1, moved by
-    w_k U_{g_k}: one matrix product each) over a batch of points and
+    w_k U_{g_k}: one matrix product each, over Phi's live ``modes`` only,
+    the columns of U_{g_k} that Phi can fill) over a batch of points and
     memoises the sum per point set (read-only arrays, kept as long as the
     section); lattice-only sections fall back to a weighted sum of exact
     lattice transforms (every node is lattice-aligned by construction).
@@ -102,7 +103,8 @@ def garding_smooth(kernel: SmoothingKernel, phi: Section,
     if kernel.sampling is not sampling:
         raise InputError("kernel was built for a different sampling")
     if phi.field is not None:
-        nodes = [pulled_field(phi.field, np.linalg.inv(m), w * action.fiber_matrix(m))
+        nodes = [pulled_field(phi.field, np.linalg.inv(m),
+                              w * action.fiber_matrix(m)[:, :phi.modes])
                  for m, w in zip(kernel.node_mats, kernel.weights)]
         memo = {}
 

@@ -6,9 +6,12 @@ permutes indices exactly and the section transform needs no interpolation.
 Its base points are one array of state rows ``base_array`` (J, 3), and
 base functions are evaluated on such rows in one batched call.  Sections
 optionally carry a closed-form ``field`` evaluator (group matrices -> fiber
-values).  The left-regular transform psi'(h) = U_g psi(g^-1 h) of a field is
-written once, :func:`pulled_field` (it also serves each Garding kernel node
-and the reconstruction flow), and the central difference of a one-parameter
+values), and record their live ``modes``: the leading fiber modes in which
+their values and field can be nonzero (a probe fills only its low modes).
+The left-regular transform psi'(h) = U_g psi(g^-1 h) of a field is
+written once, :func:`pulled_field` (it also serves each Garding kernel node,
+which multiplies only the section's live modes, and the reconstruction
+flow), and the central difference of a one-parameter
 family (of sections or of arrays) once, :func:`central_difference`: the
 generators of the action and of its reconstruction and every base derivative
 are that difference.  Only :func:`section_transform` (and the Garding
@@ -261,21 +264,35 @@ class OrbitSampling:
 @dataclass(frozen=True)
 class Section:
     """Sampled section: one fiber value per sample, plus an optional
-    closed-form batch evaluator over group matrices."""
+    closed-form batch evaluator over group matrices.
+
+    ``modes`` is the number of leading fiber modes in which the values and
+    the field can be nonzero (the fiber dimension when not given); Garding
+    smoothing multiplies only those.  A section derived from others keeps
+    the full width.  Raises InputError when ``modes`` is outside 1..d or a
+    value beyond it is nonzero."""
 
     sampling: OrbitSampling
     values: np.ndarray
     field: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    modes: Optional[int] = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
-        if values.shape != (len(self.sampling), self.sampling.fiber_dim):
+        dim = self.sampling.fiber_dim
+        if values.shape != (len(self.sampling), dim):
             raise InputError("section values have the wrong shape")
+        modes = dim if self.modes is None else self.modes
+        if not 1 <= modes <= dim:
+            raise InputError(f"live modes {modes} outside 1..{dim}")
+        if modes < dim and values[:, modes:].any():
+            raise InputError(f"section values beyond its {modes} live modes")
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "modes", modes)
 
     @staticmethod
-    def from_field(sampling: OrbitSampling, field) -> "Section":
-        return Section(sampling, field(sampling.group_mats), field)
+    def from_field(sampling: OrbitSampling, field, modes: Optional[int] = None) -> "Section":
+        return Section(sampling, field(sampling.group_mats), field, modes)
 
     @property
     def norm(self) -> float:
@@ -348,9 +365,14 @@ def pulled_field(field, pull: np.ndarray, V: np.ndarray):
     along the left translation by ``pull`` and moved by the fiber matrix
     ``V``.  With pull = g^-1 and V = U_g it is the left-regular transform
     (Eq. 7a); with pull = exp(-t B_k) and V = exp(-i t H(B_k)) it is the
-    one-parameter flow of the reconstruction (Eq. 26)."""
+    one-parameter flow of the reconstruction (Eq. 26).  ``V`` may keep only
+    its first k columns, shape (d, k), for a field that is zero beyond its
+    first k modes: the product then reads only those (a Garding node on a
+    section's live modes)."""
+    k = V.shape[1]
+
     def pulled(mats):
-        return field(left_translate(pull, mats)) @ V.T
+        return field(left_translate(pull, mats))[:, :k] @ V.T
     return pulled
 
 
@@ -477,10 +499,13 @@ def _probe_section(sampling: OrbitSampling, rng: np.random.Generator,
     """Random section: a C-infinity bump of per-axis ``radius`` in
     second-kind coordinates (times a Gaussian of width ``sigma`` when given)
     times a low-mode fiber profile with smooth coordinate dependence.
-    Carries an exact batch field."""
+    Carries an exact batch field.  The profile lives on the first
+    ``min(max_degree + 1, d)`` fiber modes, the section's ``modes``: the
+    field computes only those and pads its values with zeros to width d."""
     group = sampling.action.group
     cfg = sampling.action.dim_config
     bump = smooth_bump(radius)
+    modes = min(max_degree + 1, cfg.dim)
 
     def draw_vec():
         v = rng.standard_normal(cfg.dim) + 1j * rng.standard_normal(cfg.dim)
@@ -491,6 +516,7 @@ def _probe_section(sampling: OrbitSampling, rng: np.random.Generator,
     v0 /= np.linalg.norm(v0)
     slopes = np.stack([0.3 * draw_vec() for _ in range(group.dim)])
     kappa = rng.uniform(-1.0, 1.0, group.dim)
+    v0, slopes = v0[:modes], np.ascontiguousarray(slopes[:, :modes])
 
     def field(mats):
         t = group.coords_batch(np.asarray(mats))
@@ -498,10 +524,11 @@ def _probe_section(sampling: OrbitSampling, rng: np.random.Generator,
         if sigma is not None:
             env *= np.exp(-0.5 * scaled_square_radius(t, sigma))
         phase = np.exp(1j * (t @ kappa))
-        vecs = v0[None, :] + t @ slopes
-        return (env * phase)[:, None] * vecs
+        out = np.zeros((t.shape[0], cfg.dim), dtype=complex)
+        out[:, :modes] = (env * phase)[:, None] * (v0[None, :] + t @ slopes)
+        return out
 
-    return Section.from_field(sampling, field)
+    return Section.from_field(sampling, field, modes)
 
 
 def smooth_probe_section(sampling: OrbitSampling, rng: np.random.Generator,

@@ -403,6 +403,43 @@ def test_ansatz_errors_equal_single_eps_errors():
                       for e in eps]
 
 
+@pytest.mark.parametrize("T", [0.0, 1.0])
+@pytest.mark.parametrize("X0, eps, xs, error, message", [
+    # carrier wavelength 2 pi eps / P = 0.126 against spacing 0.063
+    (ClassicalState(0.0, [2.0], [0.0]), 0.04, np.linspace(-16, 16, 512),
+     ResolutionError, "under-resolves the carrier wave"),
+    (ClassicalState(0.0, [0.0], [1.0]), 0.04, np.linspace(-1, 1, 512),
+     ResolutionError, "does not cover the packet support"),
+    (ClassicalState(0.0, [0.0], [1.0]), 0.0, np.linspace(-16, 16, 8192),
+     InputError, "eps must be positive"),
+])
+def test_ansatz_errors_check_the_initial_grid_on_every_path(T, X0, eps, xs, error, message):
+    """A quadratic Hamiltonian never builds the initial packet (the exact
+    Gaussian is its reference), yet an eps or grid that the packet refuses
+    raises the same error at T = 0 and T = 1."""
+    with pytest.raises(error, match=message):
+        ansatz_errors(OSC, X0, ground_state(), [0.08, eps], T, xs, dt=1e-2)
+    with pytest.raises(error, match=message):
+        ansatz_wavefunction(X0, ground_state(), eps, xs)
+
+
+@pytest.mark.parametrize("H, initial_packets", [(OSC, 0), (CUBIC, 2)])
+def test_only_the_split_step_builds_the_initial_packets(monkeypatch, H, initial_packets):
+    X0 = ClassicalState(0.0, [0.0], [1.0])
+    built = []
+
+    def counted(X, f, eps, xs):
+        built.append(X is X0)
+        return ansatz_wavefunction(X, f, eps, xs)
+
+    monkeypatch.setattr(dynamics, "ansatz_wavefunction", counted)
+    xs = np.linspace(-16, 16, 8192)
+    assert ansatz_errors(H, X0, ground_state(), [0.08, 0.04], 0.0, xs) == [0.0, 0.0]
+    assert built == []
+    ansatz_errors(H, X0, ground_state(), [0.08, 0.04], 0.05, xs, dt=1e-2)
+    assert built.count(True) == initial_packets and built.count(False) == 2
+
+
 # ---------------------------------------------------------------------------
 # exact Gaussian for quadratic Hamiltonians
 # ---------------------------------------------------------------------------

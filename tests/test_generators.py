@@ -12,6 +12,7 @@ from scbundle.generators import (
     SmoothingKernel, base_derivative, garding_smooth, generator_apply,
     identity_suite, lattice_kernel,
 )
+from scbundle.scenarios import load_scenario
 from scbundle.sections import (BaseFunction, LatticeAxis, OrbitSampling,
                                Section, gentle_probe_section, pairing,
                                pulled_field, smooth_probe_section)
@@ -91,6 +92,28 @@ def test_smoothed_field_is_memoised_and_matches_the_fused_kernel_sum(weyl):
         first[0, 0] = 1.0
     assert psi.field(mats[:5]) is not first
     assert psi.field(mats[:5]).tobytes() == folded[:5].tobytes()
+
+
+@pytest.mark.parametrize("name, modes, dim", [
+    ("heisenberg-weyl", 4, 18), ("translations-r2", 6, 8), ("oscillator-evolution", 5, 32)])
+def test_smoothed_field_on_live_modes_is_the_full_width_fold(name, modes, dim):
+    """On a catalog generator lattice, the smoothed probe, whose nodes
+    multiply only the probe's live modes, is bit for bit the fold of
+    full-width pulled fields."""
+    scn = load_scenario(name)
+    action, _ = scn.build_action()
+    sampling = scn.build_sampling(action, generator_scale=True)
+    sigma = scn.probe_size("generators")
+    probe = gentle_probe_section(sampling, scn.rng(), scn.max_degree, sigma)
+    kernel = lattice_kernel(sampling, scn.kernel_radius or sigma)
+    assert (probe.modes, sampling.fiber_dim) == (modes, dim)
+    psi = garding_smooth(kernel, probe, action)
+    assert psi.modes == dim
+    folded = np.zeros((len(sampling), dim), dtype=complex)
+    for m, w in zip(kernel.node_mats, kernel.weights):
+        folded += pulled_field(probe.field, np.linalg.inv(m),
+                               w * action.fiber_matrix(m))(sampling.group_mats)
+    assert psi.values.tobytes() == folded.tobytes()
 
 
 def test_smoothing_approximates_identity_with_shrinking_support(weyl):

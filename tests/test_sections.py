@@ -13,9 +13,9 @@ from scbundle.groups import exp as gexp
 from scbundle.scenarios import catalog_names, load_scenario
 from scbundle.sections import (
     BaseFunction, LatticeAxis, OrbitSampling, Section, delta_section,
-    evaluator_transform, multiply, pairing, pullback,
-    reconstruct_pointwise_operator, section_transform, smooth_probe_section,
-    state_keys,
+    evaluator_transform, gentle_probe_section, multiply, pairing, pullback,
+    pulled_field, reconstruct_pointwise_operator, section_transform,
+    smooth_probe_section, state_keys,
 )
 from scbundle.verify import _lattice_elements
 
@@ -148,6 +148,72 @@ def test_norm_is_max_over_samples(weyl):
     for idx, size in zip((3, 11, 27), (0.2, 0.7, 0.5)):
         values[idx, 0] = size
     assert Section(sampling, values).norm == pytest.approx(0.7)
+
+
+# ---------------------------------------------------------------------------
+# live modes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("modes", [0, -1, 19])
+def test_section_modes_outside_one_to_d_are_refused(weyl, modes):
+    _, sampling = weyl
+    with pytest.raises(InputError, match="live modes"):
+        Section(sampling, np.zeros((len(sampling), sampling.fiber_dim)), modes=modes)
+
+
+def test_section_values_beyond_its_modes_are_refused(weyl):
+    _, sampling = weyl
+    values = np.zeros((len(sampling), sampling.fiber_dim), dtype=complex)
+    values[7, 3] = 1e-300j
+    assert Section(sampling, values).modes == sampling.fiber_dim
+    assert Section(sampling, values, modes=4).modes == 4
+    with pytest.raises(InputError, match="beyond its 3 live modes"):
+        Section(sampling, values, modes=3)
+
+
+# probe scenarios of the catalog -> (live modes, fiber dimension)
+_PROBE_MODES = {"heisenberg-weyl": (4, 18), "oscillator-evolution": (5, 32),
+                "so2-rotor": (5, 14), "translations-r2": (6, 8),
+                "metaplectic-so2": (6, 14)}
+
+
+def test_every_catalog_probe_scenario_is_listed():
+    assert {n for n in catalog_names()
+            if load_scenario(n).probes} == set(_PROBE_MODES)
+
+
+@pytest.mark.parametrize("name", sorted(_PROBE_MODES))
+def test_catalog_probes_record_their_live_modes(name):
+    """A probe lives on its first min(max_degree + 1, n_cut) modes: its
+    field pads zeros beyond them, and a derived section is full width."""
+    scn = load_scenario(name)
+    action, _ = scn.build_action()
+    sampling = scn.build_sampling(action, generator_scale=True)
+    probe = gentle_probe_section(sampling, scn.rng(), scn.max_degree,
+                                 scn.probe_size("generators"))
+    modes, dim = _PROBE_MODES[name]
+    assert (probe.modes, sampling.fiber_dim) == (modes, dim)
+    assert probe.modes == min(scn.max_degree + 1, scn.fiber.dim)
+    assert np.any(probe.values[:, modes - 1])
+    assert probe.field(sampling.group_mats).tobytes() == probe.values.tobytes()
+    assert (2.0 * probe).modes == (probe - probe).modes == dim
+
+
+@pytest.mark.parametrize("rows", [1, 2, 2025])
+def test_column_restricted_pulled_field_is_the_square_product(weyl, rows):
+    """A fiber matrix cut to the probe's live columns gives the full square
+    product bit for bit, up to the sign of a zero: on a row where the probe
+    vanishes the shorter sum may end at -0.0.  Adding +0.0 erases that sign,
+    as the Garding sum, started from +0.0, does."""
+    action, sampling = weyl
+    psi = probe(sampling, seed=4)
+    g = lattice_element(sampling, [1, -1, 3]).matrix
+    inv, V = np.linalg.inv(g), 0.37 * action.fiber_matrix(g)
+    mats = sampling.group_mats[:rows]
+    square = pulled_field(psi.field, inv, V)(mats)
+    assert np.any(square)
+    cut = pulled_field(psi.field, inv, V[:, :psi.modes])(mats)
+    assert (cut + 0.0).tobytes() == (square + 0.0).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 unused imports, no module-level private name that nothing uses, and pieces
 of numerics written once: left translation of matrix stacks in
 ``groups.left_translate``, the pulled field of the left-regular transform in
-``sections.pulled_field`` (spelt as a matrix product or as an einsum; the
-Garding kernel sum folds its nodes through it), the source lookup of a left
+``sections.pulled_field`` (spelt as a matrix product, also on the field's
+leading columns, or as an einsum; the Garding kernel sum folds its nodes
+through it, each on the section's live fiber modes), the source lookup of a left
 translation in ``sections.OrbitSampling.transport``, the RK4 stage
 combination (once, under any names) in ``dynamics._rk4_step``, the
 split-step FFT in
@@ -152,16 +153,24 @@ def _on_left_translation(node: ast.AST) -> bool:
         _calls(arg, "left_translate") for arg in node.args + [k.value for k in node.keywords])
 
 
+def _unsubscripted(node: ast.AST) -> ast.AST:
+    """``x`` for ``x[...]`` (any depth of subscripts), else ``node``."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return node
+
+
 def _pulled_fields(tree: ast.Module) -> list:
-    """Lines of ``field(left_translate(...)) @ V.T`` or its einsum spelling
-    ``einsum("mn,jn->jm", V, field(left_translate(...)))`` -- a field pulled
-    back along a left translation and moved by a fiber matrix -- outside
-    ``pulled_field`` itself."""
+    """Lines of ``field(left_translate(...)) @ V.T``, also with the field's
+    columns cut (``field(left_translate(...))[:, :k] @ V.T``), or its einsum
+    spelling ``einsum("mn,jn->jm", V, field(left_translate(...)))`` -- a
+    field pulled back along a left translation and moved by a fiber matrix
+    -- outside ``pulled_field`` itself."""
     skip = _inside(tree, "pulled_field")
     return [node.lineno for node in ast.walk(tree) if id(node) not in skip and (
         (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
          and isinstance(node.right, ast.Attribute) and node.right.attr == "T"
-         and _on_left_translation(node.left))
+         and _on_left_translation(_unsubscripted(node.left)))
         or (_calls(node, "einsum") and len(node.args) == 3
             and isinstance(node.args[0], ast.Constant)
             and isinstance(node.args[0].value, str)
@@ -178,9 +187,12 @@ def test_pulled_field_pattern_is_recognised():
                      'f = np.einsum("ab, kb -> ka", V, field(mats=left_translate(g, m)))\n'
                      'g = np.einsum("mn,jn->jm", wU, pf(mats))\n'
                      'h = np.einsum("mn,jm->jn", wU, pf(left_translate(inv, mats)))\n'
+                     'i = pf(left_translate(inv, mats))[:, :k] @ V.T\n'
+                     'j = pf(left_translate(inv, mats))[:, :k] @ V\n'
+                     'k = pf(mats)[:, :k] @ V.T\n'
                      'def pulled_field(field, pull, V):\n'
-                     '    return field(left_translate(pull, mats)) @ V.T\n')
-    assert _pulled_fields(tree) == [1, 2, 5, 6]
+                     '    return field(left_translate(pull, mats))[:, :k] @ V.T\n')
+    assert _pulled_fields(tree) == [1, 2, 5, 6, 9]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
