@@ -7,11 +7,19 @@ Its base points are one array of state rows ``base_array`` (J, 3), and
 base functions are evaluated on such rows in one batched call.  Sections
 optionally carry a closed-form ``field`` evaluator (group matrices -> fiber
 values), and record their live ``modes``: the leading fiber modes in which
-their values and field can be nonzero (a probe fills only its low modes).
-The left-regular transform psi'(h) = U_g psi(g^-1 h) of a field is
-written once, :func:`pulled_field` (it also serves each Garding kernel node,
-which multiplies only the section's live modes, and the reconstruction
-flow), and the central difference of a one-parameter
+their values and field can be nonzero (a probe fills only its low modes),
+and their ``rows``: the sorted sample indices outside which their values
+are zero, or None (dense).  A section keeps the dense (J, d) layout of its
+``values`` either way; the lattice transform, sums, differences, scalings,
+multiplication, the pairing and the sup-norm read and compute only the
+rows when every operand has them, so a compactly supported probe moves
+only its support.  Only constructors that already know the support set
+``rows`` (the probes, the delta section and the operations above), and no
+hot path scans a dense array to find one; a section without ``rows``
+takes the dense path.  The left-regular transform psi'(h) = U_g psi(g^-1 h)
+of a field is written once, :func:`pulled_field` (it also serves each
+Garding kernel node, which multiplies only the section's live modes, and
+the reconstruction flow), and the central difference of a one-parameter
 family (of sections or of arrays) once, :func:`central_difference`: the
 generators of the action and of its reconstruction and every base derivative
 are that difference.  Only :func:`section_transform` (and the Garding
@@ -19,8 +27,9 @@ smoothing of a lattice-only section) moves lattice values by exact
 re-indexing; everything that must leave the lattice needs the field and
 refuses otherwise.  A lattice element g fixes that re-indexing once per
 sampling: :meth:`OrbitSampling.transport` looks the sources up by
-coordinates the first time g is seen and caches the permutation, the set of
-samples whose image leaves the window, g^-1 and U_g as a :class:`Transport`.
+coordinates the first time g is seen and caches the permutation (and the
+image of every sample), the set of samples whose image leaves the window,
+g^-1 and U_g as a :class:`Transport`.
 """
 
 from __future__ import annotations
@@ -63,6 +72,12 @@ _STATE_RESOLUTION = 1e-9
 _SUPPORT_TOL = 1e-10
 # lattice elements whose transport one sampling keeps (oldest dropped first)
 _TRANSPORT_CACHE_SIZE = 64
+
+
+def _sparse_rows(rows: Optional[np.ndarray], size: int) -> Optional[np.ndarray]:
+    """``rows`` when they cover at most half of ``size`` samples; otherwise
+    None, and the section is computed densely."""
+    return rows if rows is not None and 2 * len(rows) <= size else None
 
 
 def state_keys(rows: np.ndarray) -> np.ndarray:
@@ -117,13 +132,17 @@ class LatticeAxis:
 class Transport:
     """Exact re-indexing of the samples by a lattice element g (Eq. 7a):
     the transformed value at sample ``dest[k]`` is U_g applied to the value
-    at sample ``source[k]``.  ``lost`` are the samples no ``source`` names
-    (ascending), whose image under g leaves the window; ``inverse`` is g^-1
-    and ``fiber`` is U_g.  Every array is read-only."""
+    at sample ``source[k]``.  ``target`` maps every sample to its image
+    (``target[source[k]] == dest[k]``), -1 where the image leaves the
+    window; it carries a section's ``rows`` through the transform.
+    ``lost`` are the samples no ``source`` names (ascending), those with
+    ``target`` -1; ``inverse`` is g^-1 and ``fiber`` is U_g.  Every array is
+    read-only."""
 
     inverse: np.ndarray
     dest: np.ndarray
     source: np.ndarray
+    target: np.ndarray
     lost: np.ndarray
     fiber: np.ndarray
 
@@ -244,10 +263,10 @@ class OrbitSampling:
         inverse = np.linalg.inv(g_mat)
         sources = self.indices_of_matrices(left_translate(inverse, self.group_mats))
         dest = np.nonzero(sources >= 0)[0]
-        kept = np.zeros(len(self), dtype=bool)
-        kept[sources[dest]] = True
-        lost = np.nonzero(~kept)[0]
-        transport = Transport(inverse, dest, sources[dest], lost,
+        target = np.full(len(self), -1, dtype=np.int64)
+        target[sources[dest]] = dest
+        lost = np.nonzero(target < 0)[0]
+        transport = Transport(inverse, dest, sources[dest], target, lost,
                               self.action.fiber_matrix(g_mat))
         for array in vars(transport).values():
             array.flags.writeable = False
@@ -270,12 +289,19 @@ class Section:
     the field can be nonzero (the fiber dimension when not given); Garding
     smoothing multiplies only those.  A section derived from others keeps
     the full width.  Raises InputError when ``modes`` is outside 1..d or a
-    value beyond it is nonzero."""
+    value beyond it is nonzero.
+
+    ``rows`` (internal) are sorted sample indices outside which every value
+    is zero, a superset of the nonzero rows; None means dense.  Rows that
+    cover more than half of the samples are stored as None.  They are
+    trusted, not checked: the library sets them only where the support is
+    known without a scan."""
 
     sampling: OrbitSampling
     values: np.ndarray
     field: Optional[Callable[[np.ndarray], np.ndarray]] = None
     modes: Optional[int] = None
+    rows: Optional[np.ndarray] = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -289,6 +315,7 @@ class Section:
             raise InputError(f"section values beyond its {modes} live modes")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "rows", _sparse_rows(self.rows, len(self.sampling)))
 
     @staticmethod
     def from_field(sampling: OrbitSampling, field, modes: Optional[int] = None) -> "Section":
@@ -296,13 +323,16 @@ class Section:
 
     @property
     def norm(self) -> float:
-        """Sup-norm over the orbit: max fiber norm over samples."""
-        if len(self.sampling) == 0:
+        """Sup-norm over the orbit: max fiber norm over samples (over
+        ``rows`` only, when the section has them)."""
+        values = self.values if self.rows is None else self.values[self.rows]
+        if len(values) == 0:
             return 0.0
-        return float(np.max(np.linalg.norm(self.values, axis=1)))
+        return float(np.max(np.linalg.norm(values, axis=1)))
 
     def _combine(self, op, *others) -> "Section":
-        """``op`` applied to the values, and to the fields when every
+        """``op`` applied to the values (on the union of the operands'
+        ``rows`` when every operand has them), and to the fields when every
         operand carries one."""
         for other in others:
             if other.sampling is not self.sampling:
@@ -311,7 +341,14 @@ class Section:
         f = None
         if all(fl is not None for fl in fields):
             f = lambda mats: op(*(fl(mats) for fl in fields))
-        return Section(self.sampling, op(self.values, *(o.values for o in others)), f)
+        operands = (self, *others)
+        rows = _union_rows(operands)
+        if rows is None:
+            values = op(*(s.values for s in operands))
+        else:
+            values = _scatter(len(self.sampling), rows,
+                              op(*(s.values[rows] for s in operands)))
+        return Section(self.sampling, values, f, rows=rows)
 
     def __add__(self, other: "Section") -> "Section":
         return self._combine(operator.add, other)
@@ -360,6 +397,34 @@ class SampledBaseFunction:
 # operations
 # ---------------------------------------------------------------------------
 
+def _union_rows(sections) -> Optional[np.ndarray]:
+    """The union of the sections' ``rows``, or None (dense) when one of them
+    has none or the union covers more than half of the samples."""
+    rows = sections[0].rows
+    for s in sections[1:]:
+        if rows is None or s.rows is None:
+            return None
+        if s.rows is not rows:
+            rows = np.union1d(rows, s.rows)
+    return _sparse_rows(rows, len(sections[0].sampling))
+
+
+def _scatter(size: int, rows: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Zeros of leading length ``size`` with ``block`` written at ``rows``."""
+    out = np.zeros((size, *block.shape[1:]), dtype=block.dtype)
+    out[rows] = block
+    return out
+
+
+def _row_product(block: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``block @ matrix`` rounded as in the dense product of all rows.
+    numpy sends a one-row product to BLAS gemv, which rounds differently
+    from gemm; a lone row is therefore multiplied beside a zero row."""
+    if block.shape[0] != 1:
+        return block @ matrix
+    return (np.concatenate([block, np.zeros_like(block)]) @ matrix)[:1]
+
+
 def pulled_field(field, pull: np.ndarray, V: np.ndarray):
     """The field  mats -> field(pull . mats) V^T: fiber values pulled back
     along the left translation by ``pull`` and moved by the fiber matrix
@@ -391,7 +456,11 @@ def section_transform(action: BundleAction, g, psi: Section) -> Section:
     otherwise); re-indexing is exact.  The permutation, the samples that
     leave the window and U_g are computed once per (sampling, g) and cached
     (:meth:`OrbitSampling.transport`), so a repeated g costs one gather and
-    one matrix product.  Nonzero values may not leave the sampled window
+    one matrix product.  A section with ``rows`` moves only those: they are
+    mapped through ``Transport.target``, the rows that stay are multiplied
+    by U_g (each row rounds as in the dense product) and scattered into
+    zeros, and their images are the result's ``rows``; a dense section
+    moves every sample.  Nonzero values may not leave the sampled window
     (that would silently truncate the section): support overflow, a mass on
     the leaving samples above 1e-10 of the section's mass, raises
     AlignmentError.
@@ -400,16 +469,26 @@ def section_transform(action: BundleAction, g, psi: Section) -> Section:
     if action is not sampling.action:
         raise InputError("section transform with a foreign action")
     transport = sampling.transport(g)
-    lost = np.sum(np.abs(psi.values[transport.lost]) ** 2)
+    if psi.rows is None:
+        source, dest, lost, live = (transport.source, transport.dest,
+                                    transport.lost, slice(None))
+    else:
+        live = psi.rows
+        images = transport.target[live]
+        stays = images >= 0
+        order = np.argsort(images[stays])
+        source, dest, lost = live[stays][order], images[stays][order], live[~stays]
+    lost_mass = np.sum(np.abs(psi.values[lost]) ** 2)
     # the total mass is summed only when something is lost
-    if lost > 0.0 and lost > _SUPPORT_TOL * np.sum(np.abs(psi.values) ** 2):
+    if lost_mass > 0.0 and lost_mass > _SUPPORT_TOL * np.sum(np.abs(psi.values[live]) ** 2):
         raise AlignmentError(
             "section support left the sampled window under this transform")
-    new_values = np.zeros_like(psi.values)
-    new_values[transport.dest] = psi.values[transport.source] @ transport.fiber.T
+    new_values = _scatter(len(sampling), dest,
+                          _row_product(psi.values[source], transport.fiber.T))
     new_field = None if psi.field is None else pulled_field(
         psi.field, transport.inverse, transport.fiber)
-    return Section(sampling, new_values, new_field)
+    return Section(sampling, new_values, new_field,
+                   rows=None if psi.rows is None else dest)
 
 
 def evaluator_transform(action: BundleAction, g, psi: Section) -> Section:
@@ -429,16 +508,21 @@ def evaluator_transform(action: BundleAction, g, psi: Section) -> Section:
 
 
 def multiply(alpha: BaseFunction, psi: Section) -> Section:
-    """Multiplication operator: value at X scaled by alpha(X)."""
+    """Multiplication operator: value at X scaled by alpha(X); alpha is
+    evaluated on psi's ``rows`` only, when it has them."""
     sampling = psi.sampling
-    scale = alpha.eval_on(sampling)
     new_field = None
     if psi.field is not None:
         pf = psi.field
         def new_field(mats):
             rows = sampling.state_rows(mats)
             return alpha.eval_rows(rows)[:, None] * pf(mats)
-    return Section(sampling, scale[:, None] * psi.values, new_field)
+    if psi.rows is None:
+        values = alpha.eval_on(sampling)[:, None] * psi.values
+    else:
+        scale = alpha.eval_rows(sampling.base_array[psi.rows])
+        values = _scatter(len(sampling), psi.rows, scale[:, None] * psi.values[psi.rows])
+    return Section(sampling, values, new_field, rows=psi.rows)
 
 
 def pullback(action: BundleAction, g, alpha: BaseFunction) -> BaseFunction:
@@ -454,10 +538,17 @@ def pullback(action: BundleAction, g, alpha: BaseFunction) -> BaseFunction:
 
 def pairing(phi: Section, psi: Section) -> SampledBaseFunction:
     """Pointwise fiber inner products <phi_X, psi_X> over the sampling
-    (conjugate-linear in the first argument)."""
+    (conjugate-linear in the first argument).  When both sections have
+    ``rows`` the products are reduced on their union only and are zero
+    elsewhere; the result is dense (J,) either way."""
     if phi.sampling is not psi.sampling:
         raise InputError("pairing requires a common sampling")
-    vals = np.sum(np.conj(phi.values) * psi.values, axis=1)
+    rows = _union_rows((phi, psi))
+    if rows is None:
+        vals = np.sum(np.conj(phi.values) * psi.values, axis=1)
+    else:
+        vals = _scatter(len(phi.sampling), rows,
+                        np.sum(np.conj(phi.values[rows]) * psi.values[rows], axis=1))
     field = None
     if phi.field is not None and psi.field is not None:
         pf, qf = phi.field, psi.field
@@ -467,10 +558,11 @@ def pairing(phi: Section, psi: Section) -> SampledBaseFunction:
 
 
 def delta_section(sampling: OrbitSampling, index: int, value: np.ndarray) -> Section:
-    """Section supported on a single sample (the bump reconstruction probe)."""
+    """Section supported on a single sample (the bump reconstruction probe);
+    its ``rows`` are that sample."""
     values = np.zeros((len(sampling), sampling.fiber_dim), dtype=complex)
     values[index] = value
-    return Section(sampling, values)
+    return Section(sampling, values, rows=np.array([index % len(sampling)]))
 
 
 def reconstruct_pointwise_operator(sampling: OrbitSampling, g, X: ClassicalState,
@@ -483,11 +575,10 @@ def reconstruct_pointwise_operator(sampling: OrbitSampling, g, X: ClassicalState
         raise AlignmentError("state is not on the sampled orbit")
     psi = delta_section(sampling, idx, np.asarray(phi0, dtype=complex))
     moved = section_transform(sampling.action, g, psi)
-    transport = sampling.transport(g)
-    target = transport.dest[transport.source == idx]
-    if target.size == 0:
+    target = sampling.transport(g).target[idx]
+    if target < 0:
         raise AlignmentError("transformed point left the sampled window")
-    return moved.values[target[0]]
+    return moved.values[target]
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +592,10 @@ def _probe_section(sampling: OrbitSampling, rng: np.random.Generator,
     times a low-mode fiber profile with smooth coordinate dependence.
     Carries an exact batch field.  The profile lives on the first
     ``min(max_degree + 1, d)`` fiber modes, the section's ``modes``: the
-    field computes only those and pads its values with zeros to width d."""
+    field computes only those and pads its values with zeros to width d.
+    The section's ``rows`` are the samples with a nonzero live value, read
+    once here from those columns (dense when they cover more than half of
+    the samples)."""
     group = sampling.action.group
     cfg = sampling.action.dim_config
     bump = smooth_bump(radius)
@@ -528,7 +622,9 @@ def _probe_section(sampling: OrbitSampling, rng: np.random.Generator,
         out[:, :modes] = (env * phase)[:, None] * (v0[None, :] + t @ slopes)
         return out
 
-    return Section.from_field(sampling, field, modes)
+    values = field(sampling.group_mats)
+    rows = np.flatnonzero(values[:, :modes].any(axis=1))
+    return Section(sampling, values, field, modes, rows)
 
 
 def smooth_probe_section(sampling: OrbitSampling, rng: np.random.Generator,

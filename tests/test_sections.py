@@ -1,5 +1,8 @@
 """Section calculus over orbit lattices: norm, transform, multiplication,
-pullback, pairing, pointwise reconstruction."""
+pullback, pairing, pointwise reconstruction, and the support-row path of
+each against the dense path."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from scbundle.actions import (heisenberg_weyl_action, so2_rotor_action,
 from scbundle.dynamics import ClassicalState
 from scbundle.errors import AlignmentError, InputError
 from scbundle.fiber import DimConfig
+from scbundle import sections, verify
 from scbundle.groups import exp as gexp
 from scbundle.scenarios import catalog_names, load_scenario
 from scbundle.sections import (
@@ -258,12 +262,15 @@ def test_transform_rejects_offlattice(weyl):
 
 
 def test_transform_refuses_support_overflow(weyl):
+    """On the row path of a probe and on the dense path alike."""
     action, sampling = weyl
     psi = probe(sampling)
+    assert psi.rows is not None
     # six lattice steps push the bump support over the window edge
     g = lattice_element(sampling, [6, 0, 0])
-    with pytest.raises(AlignmentError):
-        section_transform(action, g, psi)
+    for sec in (psi, dense(psi)):
+        with pytest.raises(AlignmentError, match="left the sampled window"):
+            section_transform(action, g, sec)
 
 
 @pytest.mark.parametrize("name", [n for n in catalog_names()
@@ -291,6 +298,9 @@ def test_cached_transport_equals_coordinate_lookup(name):
         assert np.array_equal(transport.source, sources[dest])
         assert np.array_equal(transport.lost, lost)
         assert transport.lost.dtype == lost.dtype == np.int64
+        target = np.full(len(sampling), -1)
+        target[sources[dest]] = dest
+        assert np.array_equal(transport.target, target)
         assert transport.inverse.tobytes() == inv.tobytes()
         assert transport.fiber.tobytes() == sampling.action.fiber_matrix(g).tobytes()
         # the forward lookup g h: the samples that stay and their images
@@ -305,7 +315,7 @@ def test_cached_transport_is_read_only(weyl):
     transport = sampling.transport(lattice_element(sampling, [1, 0, 2]))
     assert transport.lost.size > 0
     for array in (transport.inverse, transport.dest, transport.source,
-                  transport.lost, transport.fiber):
+                  transport.target, transport.lost, transport.fiber):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
@@ -509,3 +519,179 @@ def test_reconstruct_pointwise_zero(weyl):
                                          np.zeros(sampling.fiber_dim))
     assert np.max(np.abs(got)) == 0.0
 
+
+
+# ---------------------------------------------------------------------------
+# support rows: the row path against the dense path
+# ---------------------------------------------------------------------------
+
+def dense(psi):
+    """The same values and field without ``rows``: the dense path."""
+    return replace(psi, rows=None)
+
+
+def assert_same_bits(a, b):
+    """Bitwise equality up to the sign of a zero: a dense product or scaling
+    of a zero row may give -0.0 where the row path leaves +0.0, and adding
+    +0.0 erases that sign."""
+    assert (np.asarray(a) + 0.0).tobytes() == (np.asarray(b) + 0.0).tobytes()
+
+
+def assert_rows_hold(psi):
+    """``rows`` are sorted, distinct, in range, and every value outside them
+    is zero."""
+    rows = psi.rows
+    assert rows is not None
+    assert np.all(np.diff(rows) > 0)
+    assert rows.size == 0 or 0 <= rows[0] <= rows[-1] < len(psi.sampling)
+    outside = np.ones(len(psi.sampling), dtype=bool)
+    outside[rows] = False
+    assert not np.any(psi.values[outside])
+
+
+@pytest.fixture(scope="module")
+def weyl_catalog():
+    """The catalog heisenberg-weyl orbit lattice (20,449 points) and its
+    first section-suite probe."""
+    scn = load_scenario("heisenberg-weyl")
+    action = scn.build_action()[0]
+    sampling = scn.build_sampling(action)
+    psi = smooth_probe_section(sampling, scn.rng(), scn.max_degree,
+                               scn.probe_size("sections"))
+    return action, sampling, psi
+
+
+def _row_sections(action, sampling, psi):
+    """A one-row delta, a two-row section and ``psi``, each with rows."""
+    rng = np.random.default_rng(11)
+    middle = sampling.identity_index()
+    value = rng.standard_normal(sampling.fiber_dim) + 1j * rng.standard_normal(sampling.fiber_dim)
+    one = delta_section(sampling, middle, value)
+    two_rows = np.array([middle, middle + 1])
+    values = np.zeros((len(sampling), sampling.fiber_dim), dtype=complex)
+    values[two_rows] = rng.standard_normal((2, sampling.fiber_dim))
+    two = Section(sampling, values, rows=two_rows)
+    return [one, two, psi]
+
+
+def test_probe_and_delta_sections_record_their_rows(weyl, weyl_catalog):
+    action, sampling, psi = weyl_catalog
+    assert len(psi.rows) == np.count_nonzero(psi.values.any(axis=1)) == 627
+    assert_rows_hold(psi)
+    for sec in _row_sections(action, sampling, psi)[:2]:
+        assert_rows_hold(sec)
+    assert delta_section(sampling, -1, np.ones(sampling.fiber_dim)).rows[0] == len(sampling) - 1
+
+
+def test_rows_over_half_the_samples_are_stored_dense(weyl):
+    _, sampling = weyl
+    values = np.zeros((len(sampling), sampling.fiber_dim), dtype=complex)
+    half = len(sampling) // 2
+    assert Section(sampling, values, rows=np.arange(half)).rows is not None
+    assert Section(sampling, values, rows=np.arange(half + 1)).rows is None
+
+
+def test_row_transform_is_the_dense_transform(weyl_catalog):
+    """On the catalog heisenberg-weyl lattice, a one-row delta, a two-row
+    section and a probe transform by the identity and by each test element
+    to the dense transform bit for bit, and the result's rows hold."""
+    action, sampling, psi = weyl_catalog
+    group = action.group
+    for sec in _row_sections(action, sampling, psi):
+        for g in [group.identity()] + _lattice_elements(sampling):
+            moved = section_transform(action, g, sec)
+            reference = section_transform(action, g, dense(sec))
+            assert reference.rows is None
+            assert_same_bits(moved.values, reference.values)
+            assert_rows_hold(moved)
+            assert len(moved.rows) == len(sec.rows)
+
+
+def test_row_combinations_are_the_dense_combinations(weyl_catalog):
+    """Sums, differences and scalings on the union of the rows equal the
+    dense ones bit for bit; a dense operand makes the result dense."""
+    action, sampling, psi = weyl_catalog
+    moved = section_transform(action, _lattice_elements(sampling)[3], psi)
+    one = _row_sections(action, sampling, psi)[0]
+    for a, b in ((psi, moved), (psi, one), (moved, psi), (psi, psi)):
+        for got, reference in ((a + b, dense(a) + dense(b)),
+                               (a - b, dense(a) - dense(b)),
+                               ((0.3 - 1.7j) * a, (0.3 - 1.7j) * dense(a)),
+                               (a * 2.5, dense(a) * 2.5),
+                               (a / 3.0, dense(a) / 3.0)):
+            assert reference.rows is None
+            assert_same_bits(got.values, reference.values)
+            assert_rows_hold(got)
+    union = psi + moved
+    assert np.array_equal(union.rows, np.union1d(psi.rows, moved.rows))
+    assert (psi + dense(moved)).rows is None
+
+
+def test_row_multiply_pairing_and_norm_are_the_dense_ones(weyl_catalog):
+    action, sampling, psi = weyl_catalog
+    g = _lattice_elements(sampling)[2]
+    moved = section_transform(action, g, psi)
+    for alpha in (smooth_alpha(), pullback(action, g, smooth_alpha())):
+        for sec in _row_sections(action, sampling, psi) + [moved]:
+            got = multiply(alpha, sec)
+            assert np.array_equal(got.rows, sec.rows)
+            assert_same_bits(got.values, multiply(alpha, dense(sec)).values)
+    for sec in _row_sections(action, sampling, psi) + [moved, moved - psi]:
+        assert sec.norm == dense(sec).norm
+        for other in (psi, moved):
+            assert_same_bits(pairing(sec, other).values,
+                             pairing(dense(sec), dense(other)).values)
+            assert_same_bits(pairing(other, sec).values,
+                             pairing(dense(other), dense(sec)).values)
+    empty = Section(sampling, np.zeros((len(sampling), sampling.fiber_dim)),
+                    rows=np.array([], dtype=np.int64))
+    assert empty.norm == 0.0
+
+
+@pytest.mark.parametrize("name", [n for n in catalog_names()
+                                  if "sections" in load_scenario(n).suites])
+def test_row_pointwise_reconstruction_is_the_dense_one(name, monkeypatch):
+    """The one-row delta of the pointwise reconstruction moves bit for bit
+    as the dense delta does, on every sections-suite catalog lattice."""
+    scn = load_scenario(name)
+    action = scn.build_action()[0]
+    sampling = scn.build_sampling(action)
+    rng = np.random.default_rng(12)
+    cases = []
+    for g in _lattice_elements(sampling):
+        stays = np.nonzero(sampling.transport(g).target >= 0)[0]
+        for idx in rng.choice(stays, size=3):
+            X = sample_state(sampling, int(idx))
+            phi0 = rng.standard_normal(sampling.fiber_dim) \
+                + 1j * rng.standard_normal(sampling.fiber_dim)
+            cases.append((g, X, phi0, reconstruct_pointwise_operator(sampling, g, X, phi0)))
+    delta = sections.delta_section
+    monkeypatch.setattr(sections, "delta_section",
+                        lambda *args: dense(delta(*args)))
+    for g, X, phi0, got in cases:
+        assert got.tobytes() == reconstruct_pointwise_operator(sampling, g, X, phi0).tobytes()
+
+
+@pytest.mark.parametrize("name", ["heisenberg-weyl", "translations-r2"])
+def test_section_suite_keeps_values_inside_rows(name, monkeypatch):
+    """Every section built in a section-suite run (reduced to one probe on
+    13 x 13 x 49 points for heisenberg-weyl) is zero outside its rows, and
+    the run builds sections on both paths."""
+    built = []
+    post_init = Section.__post_init__
+
+    def recording(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(Section, "__post_init__", recording)
+    scn = load_scenario(name)
+    if name == "heisenberg-weyl":
+        scn = replace(scn, lattice=[dict(scn.lattice[0]), dict(scn.lattice[1]),
+                                    dict(scn.lattice[2], lo=-24, hi=24)],
+                      probes=dict(scn.probes, count=1))
+    verify.section_checks(scn, scn.build_action()[0], scn.rng())
+    with_rows = [s for s in built if s.rows is not None]
+    assert len(with_rows) > 100 and len(with_rows) < len(built)
+    for sec in with_rows:
+        assert_rows_hold(sec)

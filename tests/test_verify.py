@@ -96,6 +96,16 @@ def test_report_records_match_golden(name, monkeypatch):
     assert verify.run_verify(scn).to_json() == first
 
 
+def test_catalog_heisenberg_records_match_golden(monkeypatch):
+    """The full catalog heisenberg-weyl report (20,449 orbit points, ten
+    probes), whose section suite moves each probe on its support rows only,
+    keeps the records of the dense section calculus it replaced."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    report = verify.run_verify(load_scenario("heisenberg-weyl"))
+    golden = json.loads((GOLDEN / "heisenberg-weyl.json").read_text())
+    assert _records(report.to_json()) == golden
+
+
 def _heisenberg_generators():
     # catalog 9x9x25 = 2,025-point generator lattice; the orbit lattice is
     # not built by these suites
