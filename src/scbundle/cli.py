@@ -44,8 +44,9 @@ def main(argv=None) -> int:
             emit(report, args.format, sys.stdout if args.out is None else args.out)
             return 0 if report.overall_pass else 1
         table = run_convergence(scenario)
+        falls = table.monotone_decreasing
         sys.stdout.write(table.to_csv())
-        return 0 if table.monotone_decreasing else 1
+        return 0 if falls else 1
     except ScbundleError as err:
         print(f"scbundle: {err}", file=sys.stderr)
         return 2

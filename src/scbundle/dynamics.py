@@ -24,8 +24,9 @@ the one-row case.  Stacks are used only where they pay: the same step
 advances the interval midpoints of the fluctuation stepper as component
 arrays, the Hamiltonian self-check and the energy drift evaluate H on
 arrays, and :func:`reference_schrodinger` advances a stack of wave packets
-in one split-step loop (a single-eps :func:`ansatz_error` of a
-non-quadratic Hamiltonian is its one-row case).
+in one split-step loop per block of rows, the blocks on threads (a
+single-eps :func:`ansatz_error` of a non-quadratic Hamiltonian is its
+one-row case).
 
 **Step-grid invariant.** A flow to time T with step dt takes
 round(|T|/dt) steps of h = T/round(|T|/dt), and its fluctuation propagator
@@ -37,6 +38,8 @@ The evolution-law check reads all its flows and propagators that way.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -429,16 +432,80 @@ def l2_distance(psi: np.ndarray, phi: np.ndarray, dx: float) -> float:
     return float(_grid_norm(psi - phi, dx))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one, else every CPU."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
+def _strang_steps(psi: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray,
+                  n_steps: int) -> np.ndarray:
+    """``n_steps`` Strang steps (half potential, kinetic, half potential) of
+    a packet or of a stack of packets, row by row."""
+    for _ in range(n_steps):
+        psi = half_v * psi
+        # np.multiply, not `*`: numpy evaluates `array * temporary` in place
+        # when the temporary is large (a stack of packets), and its in-place
+        # complex product rounds differently from the out-of-place one
+        psi = np.fft.ifft(np.multiply(kinetic, np.fft.fft(psi)))
+        psi = half_v * psi
+    return psi
+
+
+def _strang_blocks(psi: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray,
+                   n_steps: int, blocks: int) -> np.ndarray:
+    """:func:`_strang_steps` on a stack (R, N) split into ``blocks``
+    contiguous row blocks: the calling thread advances the first, one thread
+    each the others (numpy's FFT releases the GIL), and the rows are
+    reassembled in order.  Every thread is joined before this returns or
+    raises, and an exception of a worker is raised here."""
+    parts = list(zip(*(np.array_split(a, blocks) if a.ndim == 2 else [a] * blocks
+                       for a in (psi, half_v, kinetic))))
+    out = [None] * blocks
+    failures = []
+
+    def advance(b):
+        try:
+            out[b] = _strang_steps(*parts[b], n_steps)
+        except BaseException as err:     # whatever a worker raises reaches the caller
+            failures.append(err)
+
+    started = []
+    try:
+        for b in range(1, blocks):
+            worker = threading.Thread(target=advance, args=(b,))
+            worker.start()
+            started.append(worker)
+        out[0] = _strang_steps(*parts[0], n_steps)
+    finally:
+        for worker in started:
+            worker.join()
+    if failures:
+        raise failures[0]
+    return np.concatenate(out)
+
+
 def reference_schrodinger(H: HamiltonianSpec, psi0: np.ndarray, eps,
                           T: float, xs: np.ndarray, dt: float) -> np.ndarray:
     """Strang split-step spectral integration of
-    i eps dpsi/dt = [-(eps^2/2) d^2/dx^2 + V(x)] psi on a periodic grid.
+    i eps dpsi/dt = [-(eps^2/2) d^2/dx^2 + V(x)] psi on a periodic grid,
+    in round(|T|/dt) steps of T/round(|T|/dt) (:func:`step_counts`).
 
     ``psi0`` is one wave packet on ``xs`` or a stack (R, len(xs)) of them,
-    with ``eps`` one number or one per row; the stack runs in one loop, and
-    each row is bitwise its one-row run."""
+    with ``eps`` one number or one per row.  The rows never interact: a
+    stack is advanced in contiguous row blocks, one per usable CPU and
+    never more than R, the first on the calling thread and each other on a
+    thread of its own, all joined before the call returns or raises; one
+    row or one CPU runs a single loop and starts no thread.  Each row gets
+    the same arithmetic in every case, so each row of the result is bitwise
+    its one-row run.  The resolution guard and the norm-drift check judge
+    the reassembled stack.  Raises InputError unless T and dt are finite
+    and dt > 0, and when a nonzero T rounds to no step."""
     if H.potential is None:
         raise InputError("reference solver needs H of the form P^2/2 + V(Q)")
+    if not (np.isfinite(T) and np.isfinite(dt) and dt > 0):
+        raise InputError(f"split-step needs finite T and dt > 0, got T = {T}, dt = {dt}")
     eps = np.asarray(eps, dtype=float)
     if np.any(eps <= 0):
         raise InputError("eps must be positive")
@@ -454,19 +521,17 @@ def reference_schrodinger(H: HamiltonianSpec, psi0: np.ndarray, eps,
     # spectral headroom: the packet momentum P/eps plus fluctuation bandwidth
     # must sit inside the resolved band
     band = np.max(np.abs(k))
-    n_steps = int(round(abs(T) / dt))
+    n_steps = int(step_counts([T], dt)[0])
     h = T / n_steps
     v = H.potential(xs)
     half_v = np.exp(-0.5j * h * v / eps)
     kinetic = np.exp(-0.5j * h * eps * k ** 2)
     norm0 = _grid_norm(psi, dx)
-    for _ in range(n_steps):
-        psi = half_v * psi
-        # np.multiply, not `*`: numpy evaluates `array * temporary` in place
-        # when the temporary is large (a stack of packets), and its in-place
-        # complex product rounds differently from the out-of-place one
-        psi = np.fft.ifft(np.multiply(kinetic, np.fft.fft(psi)))
-        psi = half_v * psi
+    blocks = min(_usable_cpus(), len(psi)) if psi.ndim == 2 else 1
+    if blocks > 1:
+        psi = _strang_blocks(psi, half_v, kinetic, n_steps, blocks)
+    else:
+        psi = _strang_steps(psi, half_v, kinetic, n_steps)
     # resolution guard: energy reaching the top eighth of the spectral band
     spec = np.abs(np.fft.fft(psi)) ** 2
     edge_power = np.max(np.sum(spec[..., np.abs(k) > 0.875 * band], axis=-1)
@@ -549,9 +614,11 @@ def ansatz_errors(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
     initial ansatz.  The reference is chosen from ``H``: for a quadratic
     Hamiltonian (``constant_hessians``) the exact Gaussian
     :func:`gaussian_packet` of each eps, otherwise the split-step solve
-    :func:`reference_schrodinger` (step ``dt / 4``, one loop over the stack
-    of per-eps packets).  Every eps and the grid are checked against the
-    initial ansatz on every path; only the split-step builds it."""
+    :func:`reference_schrodinger` (step ``dt / 4``) of the stack of per-eps
+    packets, advanced in row blocks on threads, one per usable CPU; each
+    eps's error is bitwise its one-eps run, whatever the CPU count.  Every
+    eps and the grid are checked against the initial ansatz on every path;
+    only the split-step builds it."""
     xs = np.asarray(xs, dtype=float)
     eps_list = [float(eps) for eps in eps_list]
     for eps in eps_list:

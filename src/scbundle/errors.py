@@ -3,8 +3,11 @@
 Every operation that can refuse its input raises one of these instead of a
 bare ValueError, so callers map failures without string matching: the
 ``scbundle`` command exits 0 when every record passes, 1 when one fails
-(``convergence``: the error does not fall with epsilon), and 2 on a
-ScbundleError (ConfigError included) or a malformed command line.
+(``convergence``: the error does not fall from each epsilon to the next
+smaller one), and 2 on a ScbundleError (ConfigError included) or a malformed
+command line.  ``convergence`` exits 2 without printing the table when the
+scenario lists fewer than two epsilon values (PreconditionError), since a
+fall cannot be judged from one row or none.
 """
 
 

@@ -8,8 +8,9 @@ giving the field's kind, its bound, and its default or ``_REQUIRED``.  The
 known fields of a mapping are the rows under it.  ``_walk`` checks a config
 against the table; ``_validate`` then applies the few rules that tie fields
 together (lattice axes per group coordinate and their reach, an action's
-group, the spectrum modes within the fiber, the law-time step grid, what
-each suite needs under its action).  A ``Scenario`` keeps its
+group, the spectrum modes within the fiber, the law-time step grid, an
+``eps_list`` of at least two strictly decreasing values when one is given,
+what each suite needs under its action).  A ``Scenario`` keeps its
 sub-configs as given, and ``Scenario.setting`` reads each default from the
 table when asked, so a resized copy (``dataclasses.replace``) keeps them.
 """
@@ -402,6 +403,10 @@ def _validate(cfg, origin: str) -> Scenario:
     grid = scn.setting("numerics.grid")
     if not grid["lo"] < grid["hi"]:
         raise ConfigError(f"{origin}: numerics.grid needs lo < hi, got {grid!r}")
+    eps = scn.eps_list
+    if eps and (len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:]))):
+        raise ConfigError(f"{origin}: eps_list needs at least two values in strictly "
+                          f"decreasing order, got {eps!r}")
     law_times = scn.setting("dynamics.law_times")
     try:
         step_counts(law_times + [t1 + t2 for t1 in law_times for t2 in law_times], scn.dt)

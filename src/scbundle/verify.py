@@ -707,7 +707,13 @@ class ConvergenceTable:
 
     @property
     def monotone_decreasing(self) -> bool:
+        """Whether the error falls from each row to the next.  Raises
+        PreconditionError for fewer than two rows, where the flag would
+        pass without comparing anything."""
         errs = [r.error for r in self.rows]
+        if len(errs) < 2:
+            raise PreconditionError(f"a convergence study needs at least two eps values, "
+                                    f"got {len(errs)}")
         return all(b < a for a, b in zip(errs, errs[1:]))
 
     def to_csv(self) -> str:

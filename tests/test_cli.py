@@ -7,16 +7,18 @@ import os
 import subprocess
 import sys
 import tomllib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from scbundle import cli
 from scbundle.report import CheckRecord, Report
-from scbundle.scenarios import SEED_ENV_VAR
+from scbundle.scenarios import SEED_ENV_VAR, load_scenario
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SRC = PYPROJECT.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize("name, target", sorted(
@@ -55,6 +57,28 @@ def test_exit_codes_for_a_failing_record_and_a_refused_scenario(monkeypatch, cap
     assert capsys.readouterr().out == failing.to_csv()
     assert cli.main(["verify", "no-such-scenario"]) == 2
     assert "no such scenario config" in capsys.readouterr().err
+
+
+def test_convergence_exits_zero_with_the_golden_table(monkeypatch, capsys):
+    """cubic-perturbed-oscillator at t_final 0.25 prints the golden CSV."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+
+    def short(spec):
+        scn = load_scenario(spec)
+        return replace(scn, dynamics=dict(scn.dynamics, t_final=0.25))
+
+    monkeypatch.setattr(cli, "load_scenario", short)
+    assert cli.main(["convergence", "cubic-perturbed-oscillator"]) == 0
+    golden = (GOLDEN / "cubic-perturbed-oscillator-convergence.csv").read_bytes()
+    assert capsys.readouterr().out.encode() == golden
+
+
+def test_convergence_without_eps_values_exits_two(capsys):
+    """heisenberg-weyl lists no eps, so there is no study to pass."""
+    assert cli.main(["convergence", "heisenberg-weyl"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least two eps values" in captured.err
 
 
 @pytest.mark.parametrize("seed", ["abc", "-5"])

@@ -1,6 +1,9 @@
 """Classical flow, fluctuation propagator, evolution automorphism, wave
 packet synthesis, the grid reference solver and the exact Gaussian."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -361,6 +364,95 @@ def test_stacked_split_step_equals_single_packets():
     stacked = reference_schrodinger(CUBIC, psi0, eps, 0.05, xs, 2.5e-4)
     for row, e, out in zip(psi0, eps, stacked):
         assert np.array_equal(out, reference_schrodinger(CUBIC, row, e, 0.05, xs, 2.5e-4))
+
+
+def _cubic_stack(rows):
+    """``rows`` cubic packets of decreasing eps on the 8,192-point grid."""
+    xs = np.linspace(-16, 16, 8192)
+    X0 = ClassicalState(0.0, [0.0], [1.0])
+    eps = [0.08 / 2 ** (r / 2) for r in range(rows)]
+    return np.array([ansatz_wavefunction(X0, ground_state(), e, xs) for e in eps]), eps, xs
+
+
+def _set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+class _CountedThread(threading.Thread):
+    started = []
+
+    def start(self):
+        _CountedThread.started.append(self)
+        super().start()
+
+
+@pytest.mark.parametrize("rows", [2, 3, 4])
+def test_row_blocks_equal_the_serial_loop_and_single_rows(monkeypatch, rows):
+    """On 1, 2 or 4 usable CPUs a stack runs in min(CPUs, rows) row blocks,
+    one thread for each block after the first (so none on one CPU), and
+    every row of the result is bitwise the single-loop result and that row's
+    one-row run; no thread outlives the call."""
+    psi0, eps, xs = _cubic_stack(rows)
+    _set_cpus(monkeypatch, 1)
+    singles = [reference_schrodinger(CUBIC, row, e, 0.05, xs, 2.5e-4)
+               for row, e in zip(psi0, eps)]
+    monkeypatch.setattr(dynamics.threading, "Thread", _CountedThread)
+    for cpus in (1, 2, 4):
+        _set_cpus(monkeypatch, cpus)
+        _CountedThread.started = []
+        before = threading.active_count()
+        stacked = reference_schrodinger(CUBIC, psi0, eps, 0.05, xs, 2.5e-4)
+        assert threading.active_count() == before
+        assert len(_CountedThread.started) == min(cpus, rows) - 1
+        if cpus == 1:
+            serial = stacked
+        assert np.array_equal(stacked, serial)
+        for out, single in zip(stacked, singles):
+            assert np.array_equal(out, single)
+
+
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(dynamics.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 3)
+    assert dynamics._usable_cpus() == 3
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: None)
+    assert dynamics._usable_cpus() == 1
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    """An FFT that fails off the main thread, after the main thread's block
+    is done, fails the call with its own exception, after every worker has
+    been joined."""
+    fft = np.fft.fft
+
+    def main_thread_only(a, *args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.2)
+            raise FloatingPointError("fft refused off the main thread")
+        return fft(a, *args, **kwargs)
+
+    psi0, eps, xs = _cubic_stack(3)
+    _set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(np.fft, "fft", main_thread_only)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="off the main thread"):
+        reference_schrodinger(CUBIC, psi0, eps, 0.05, xs, 2.5e-4)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("T, dt", [
+    (1e-5, 1e-3),            # fewer than half a step: ZeroDivisionError before
+    (0.1, 0.0),
+    (0.1, float("inf")),
+    (0.1, -1e-3),            # took no step and returned psi0 before
+    (float("nan"), 1e-3),    # a bare ValueError before
+    (float("inf"), 1e-3),
+])
+def test_split_step_refuses_a_step_grid_it_cannot_take(T, dt):
+    xs = np.linspace(-10, 10, 512)
+    with pytest.raises(InputError):
+        reference_schrodinger(OSC, np.exp(-xs ** 2), 0.1, T, xs, dt)
 
 
 def test_reference_requires_separable_form():

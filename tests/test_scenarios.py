@@ -179,6 +179,12 @@ MALFORMED = {
     "omega2-nan": [(("hamiltonian", "omega2"), float("nan"))],
     "eps-list-negative": [(("eps_list",), [-0.1])],
     "seed-negative": [(("numerics", "seed"), -5)],
+    # each of these loaded, and scbundle convergence then judged a study of
+    # one eps, or failed on the listing order alone
+    "eps-list-one-value": [(("eps_list",), [0.04])],
+    "eps-list-increasing": [(("eps_list",), [0.02, 0.08])],
+    "eps-list-repeated": [(("eps_list",), [0.05, 0.05])],
+    "eps-list-not-monotone": [(("eps_list",), [0.08, 0.02, 0.04])],
     # this loaded, and its orbit sampling kept 81 of 2,025 points
     "anchor-S-beyond-reach": [(("anchor", "S"), 1e10)],
     # each of these loaded and then ended in one <suite>_suite_error
@@ -267,6 +273,15 @@ def test_law_times_on_the_step_grid_load(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(cfg))
     assert load_scenario(str(path)).dynamics["law_times"] == [0.25, 0.5, 0.75, 1.0]
+
+
+@pytest.mark.parametrize("eps_list", [[], [0.08, 0.04, 0.02]])
+def test_eps_list_absent_or_strictly_decreasing_loads(eps_list, tmp_path):
+    """No study, or one whose eps fall strictly from each value to the
+    next."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(copy.deepcopy(BASE), eps_list=eps_list)))
+    assert load_scenario(str(path)).eps_list == eps_list
 
 
 def test_each_action_acts_through_its_stated_group():

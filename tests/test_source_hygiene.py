@@ -8,7 +8,8 @@ through it, each on the section's live fiber modes), the source lookup of a left
 translation in ``sections.OrbitSampling.transport``, the RK4 stage
 combination (once, under any names) in ``dynamics._rk4_step``, the
 split-step FFT in
-``dynamics.reference_schrodinger``, the measured refinement order (log2
+``dynamics.reference_schrodinger`` (its resolution guard) and its Strang loop
+``dynamics._strang_steps``, the measured refinement order (log2
 of a residual ratio) in ``verify._order_gap``, the central-difference
 stencil (a difference over 2 * step) in ``sections.central_difference``
 (and the Hamiltonian self-check ``HamiltonianSpec.validate``), and the
@@ -404,7 +405,8 @@ def test_rk4_stage_combination_written_once():
 
 
 def test_split_step_fft_written_once():
-    assert _package_owners(_is_fft) == {("dynamics.py", "reference_schrodinger")}
+    assert _package_owners(_is_fft) == {("dynamics.py", "reference_schrodinger"),
+                                        ("dynamics.py", "_strang_steps")}
 
 
 def test_refinement_order_measured_once():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from scbundle import generators, verify
+from scbundle.errors import PreconditionError
 from scbundle.groups import as_matrix
 from scbundle.scenarios import SEED_ENV_VAR, load_scenario
 from scbundle.sections import gentle_probe_section
@@ -200,6 +201,16 @@ def test_pointwise_recovery_redraws_points_the_shear_moves_out(monkeypatch):
     assert "sections_suite_error" not in ids
     recovery = [r for r in records if r.check_id == "pointwise_operator_recovery"]
     assert len(recovery) == 1 and recovery[0].passed
+
+
+@pytest.mark.parametrize("errors", [[], [0.1]])
+def test_monotone_flag_refuses_fewer_than_two_rows(errors):
+    """A table of one row or none compares nothing, so its flag is not a
+    pass; an empty study is still a table."""
+    table = verify.ConvergenceTable([verify.ConvergenceRow(0.05, e) for e in errors])
+    with pytest.raises(PreconditionError, match="at least two eps"):
+        table.monotone_decreasing
+    assert verify.run_convergence(load_scenario("heisenberg-weyl"), []).rows == []
 
 
 def test_convergence_table_matches_golden(monkeypatch):
