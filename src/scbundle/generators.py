@@ -29,7 +29,7 @@ from .groups import (AlgebraElement, GroupElement, bracket, left_translate,
                      scaled_square_radius, smooth_bump)
 from .sections import (BaseFunction, OrbitSampling, SampledBaseFunction,
                        Section, central_difference, evaluator_transform,
-                       multiply, pairing, pulled_field, section_transform)
+                       multiply, pairing, pulled_field)
 
 __all__ = [
     "SmoothingKernel",
@@ -91,42 +91,37 @@ def garding_smooth(kernel: SmoothingKernel, phi: Section,
                    action: BundleAction) -> Section:
     """Group-averaged section  Psi_X = sum_k w_k U_{g_k}(X <- .) Phi(g_k^-1 .).
 
-    Field-backed sections smooth through a field that sums one
-    ``sections.pulled_field`` per node (Phi pulled by g_k^-1, moved by
-    w_k U_{g_k}: one matrix product each, over Phi's live ``modes`` only,
-    the columns of U_{g_k} that Phi can fill) over a batch of points and
-    memoises the sum per point set (read-only arrays, kept as long as the
-    section); lattice-only sections fall back to a weighted sum of exact
-    lattice transforms (every node is lattice-aligned by construction).
+    The smoothed section's field sums one ``sections.pulled_field`` per node
+    (Phi pulled by g_k^-1, moved by w_k U_{g_k}: one matrix product each,
+    over Phi's live ``modes`` only, the columns of U_{g_k} that Phi can
+    fill) over a batch of points and memoises the sum per point set
+    (read-only arrays, kept as long as the section).  Requires a
+    field-backed section: a section without a field raises AlignmentError.
     """
     sampling = phi.sampling
     if kernel.sampling is not sampling:
         raise InputError("kernel was built for a different sampling")
-    if phi.field is not None:
-        nodes = [pulled_field(phi.field, np.linalg.inv(m),
-                              w * action.fiber_matrix(m)[:, :phi.modes])
-                 for m, w in zip(kernel.node_mats, kernel.weights)]
-        memo = {}
+    if phi.field is None:
+        raise AlignmentError("Garding smoothing needs a field-backed section")
+    nodes = [pulled_field(phi.field, np.linalg.inv(m),
+                          w * action.fiber_matrix(m)[:, :phi.modes])
+             for m, w in zip(kernel.node_mats, kernel.weights)]
+    memo = {}
 
-        def smoothed_field(mats):
-            mats = np.asarray(mats)
-            key = (mats.shape, mats.dtype.str,
-                   hashlib.blake2b(mats.tobytes(), digest_size=16).digest())
-            out = memo.get(key)
-            if out is None:
-                out = np.zeros((mats.shape[0], sampling.fiber_dim), dtype=complex)
-                for node in nodes:
-                    out += node(mats)
-                out.flags.writeable = False
-                memo[key] = out
-            return out
+    def smoothed_field(mats):
+        mats = np.asarray(mats)
+        key = (mats.shape, mats.dtype.str,
+               hashlib.blake2b(mats.tobytes(), digest_size=16).digest())
+        out = memo.get(key)
+        if out is None:
+            out = np.zeros((mats.shape[0], sampling.fiber_dim), dtype=complex)
+            for node in nodes:
+                out += node(mats)
+            out.flags.writeable = False
+            memo[key] = out
+        return out
 
-        return Section.from_field(sampling, smoothed_field)
-
-    out = np.zeros_like(phi.values)
-    for mat, w in zip(kernel.node_mats, kernel.weights):
-        out = out + w * section_transform(action, mat, phi).values
-    return Section(sampling, out)
+    return Section.from_field(sampling, smoothed_field)
 
 
 # ---------------------------------------------------------------------------

@@ -7,26 +7,25 @@ Its base points are one array of state rows ``base_array`` (J, 3), and
 base functions are evaluated on such rows in one batched call.  Sections
 optionally carry a closed-form ``field`` evaluator (group matrices -> fiber
 values), and record their live ``modes``: the leading fiber modes in which
-their values and field can be nonzero (a probe fills only its low modes),
-and their ``rows``: the sorted sample indices outside which their values
-are zero, or None (dense).  A section keeps the dense (J, d) layout of its
-``values`` either way; the lattice transform, sums, differences, scalings,
-multiplication, the pairing and the sup-norm read and compute only the
-rows when every operand has them, so a compactly supported probe moves
-only its support.  Only constructors that already know the support set
-``rows`` (the probes, the delta section and the operations above), and no
-hot path scans a dense array to find one; a section without ``rows``
-takes the dense path.  The left-regular transform psi'(h) = U_g psi(g^-1 h)
+their values and field can be nonzero (a probe fills only its low modes).
+A section has one storage: a ``block`` of values (len(rows), d) on sorted
+sample indices ``rows``, zero on every other sample; a section built
+without ``rows`` lies on every sample (the sampling's shared ``all_rows``).
+The lattice transform, sums, differences, scalings, multiplication, the
+pairing and the sup-norm run once, on blocks: an operation reads the union
+of its operands' rows, and an operand whose rows already span that union is
+used as it is, so a compactly supported probe moves only its support and a
+field-backed section all of its samples.  The dense (J, d) ``values`` are
+built only when read.  The left-regular transform psi'(h) = U_g psi(g^-1 h)
 of a field is written once, :func:`pulled_field` (it also serves each
 Garding kernel node, which multiplies only the section's live modes, and
 the reconstruction flow), and the central difference of a one-parameter
 family (of sections or of arrays) once, :func:`central_difference`: the
 generators of the action and of its reconstruction and every base derivative
-are that difference.  Only :func:`section_transform` (and the Garding
-smoothing of a lattice-only section) moves lattice values by exact
-re-indexing; everything that must leave the lattice needs the field and
-refuses otherwise.  A lattice element g fixes that re-indexing once per
-sampling: :meth:`OrbitSampling.transport` looks the sources up by
+are that difference.  Only :func:`section_transform` moves lattice values
+by exact re-indexing; everything that must leave the lattice needs the
+field and refuses otherwise.  A lattice element g fixes that re-indexing
+once per sampling: :meth:`OrbitSampling.transport` looks the sources up by
 coordinates the first time g is seen and caches the permutation (and the
 image of every sample), the set of samples whose image leaves the window,
 g^-1 and U_g as a :class:`Transport`.
@@ -72,12 +71,6 @@ _STATE_RESOLUTION = 1e-9
 _SUPPORT_TOL = 1e-10
 # lattice elements whose transport one sampling keeps (oldest dropped first)
 _TRANSPORT_CACHE_SIZE = 64
-
-
-def _sparse_rows(rows: Optional[np.ndarray], size: int) -> Optional[np.ndarray]:
-    """``rows`` when they cover at most half of ``size`` samples; otherwise
-    None, and the section is computed densely."""
-    return rows if rows is not None and 2 * len(rows) <= size else None
 
 
 def state_keys(rows: np.ndarray) -> np.ndarray:
@@ -212,6 +205,9 @@ class OrbitSampling:
         table[flat] = np.arange(self.steps.shape[0])
         self._position_table = table
         self._transports = {}
+        # the rows of a section on every sample, shared and read-only
+        self.all_rows = np.arange(self.steps.shape[0])
+        self.all_rows.flags.writeable = False
 
     def __len__(self) -> int:
         return self.steps.shape[0]
@@ -282,58 +278,66 @@ class OrbitSampling:
 
 @dataclass(frozen=True)
 class Section:
-    """Sampled section: one fiber value per sample, plus an optional
-    closed-form batch evaluator over group matrices.
+    """Sampled section: the fiber values ``block`` (len(rows), d) on the
+    sorted sample indices ``rows``, zero on every other sample, plus an
+    optional closed-form batch evaluator over group matrices.  Without
+    ``rows`` the block holds every sample, so ``Section(sampling, values)``
+    takes dense (J, d) values; ``values`` reads them back dense, building
+    the array unless the rows are every sample.  Rows are trusted, not
+    checked: the library sets them only where the support is known without
+    a scan.
 
     ``modes`` is the number of leading fiber modes in which the values and
     the field can be nonzero (the fiber dimension when not given); Garding
     smoothing multiplies only those.  A section derived from others keeps
     the full width.  Raises InputError when ``modes`` is outside 1..d or a
-    value beyond it is nonzero.
-
-    ``rows`` (internal) are sorted sample indices outside which every value
-    is zero, a superset of the nonzero rows; None means dense.  Rows that
-    cover more than half of the samples are stored as None.  They are
-    trusted, not checked: the library sets them only where the support is
-    known without a scan."""
+    value beyond it is nonzero."""
 
     sampling: OrbitSampling
-    values: np.ndarray
+    block: np.ndarray
     field: Optional[Callable[[np.ndarray], np.ndarray]] = None
     modes: Optional[int] = None
     rows: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
+        block = np.asarray(self.block, dtype=complex)
+        rows = self.sampling.all_rows if self.rows is None else self.rows
         dim = self.sampling.fiber_dim
-        if values.shape != (len(self.sampling), dim):
+        if block.shape != (len(rows), dim):
             raise InputError("section values have the wrong shape")
         modes = dim if self.modes is None else self.modes
         if not 1 <= modes <= dim:
             raise InputError(f"live modes {modes} outside 1..{dim}")
-        if modes < dim and values[:, modes:].any():
+        if modes < dim and block[:, modes:].any():
             raise InputError(f"section values beyond its {modes} live modes")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "block", block)
         object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "rows", _sparse_rows(self.rows, len(self.sampling)))
+        object.__setattr__(self, "rows", rows)
 
     @staticmethod
     def from_field(sampling: OrbitSampling, field, modes: Optional[int] = None) -> "Section":
         return Section(sampling, field(sampling.group_mats), field, modes)
 
     @property
+    def values(self) -> np.ndarray:
+        """Dense (J, d) values: the block itself when the rows are every
+        sample, otherwise zeros with the block written at the rows."""
+        if len(self.rows) == len(self.sampling):
+            return self.block
+        values = np.zeros((len(self.sampling), self.block.shape[1]), dtype=complex)
+        values[self.rows] = self.block
+        return values
+
+    @property
     def norm(self) -> float:
-        """Sup-norm over the orbit: max fiber norm over samples (over
-        ``rows`` only, when the section has them)."""
-        values = self.values if self.rows is None else self.values[self.rows]
-        if len(values) == 0:
+        """Sup-norm over the orbit: max fiber norm over the rows."""
+        if len(self.block) == 0:
             return 0.0
-        return float(np.max(np.linalg.norm(values, axis=1)))
+        return float(np.max(np.linalg.norm(self.block, axis=1)))
 
     def _combine(self, op, *others) -> "Section":
-        """``op`` applied to the values (on the union of the operands'
-        ``rows`` when every operand has them), and to the fields when every
-        operand carries one."""
+        """``op`` applied to the blocks on the union of the operands' rows,
+        and to the fields when every operand carries one."""
         for other in others:
             if other.sampling is not self.sampling:
                 raise InputError("sections live on different samplings")
@@ -343,12 +347,8 @@ class Section:
             f = lambda mats: op(*(fl(mats) for fl in fields))
         operands = (self, *others)
         rows = _union_rows(operands)
-        if rows is None:
-            values = op(*(s.values for s in operands))
-        else:
-            values = _scatter(len(self.sampling), rows,
-                              op(*(s.values[rows] for s in operands)))
-        return Section(self.sampling, values, f, rows=rows)
+        block = op(*(_block_on(s, rows) for s in operands))
+        return Section(self.sampling, block, f, rows=rows)
 
     def __add__(self, other: "Section") -> "Section":
         return self._combine(operator.add, other)
@@ -397,23 +397,31 @@ class SampledBaseFunction:
 # operations
 # ---------------------------------------------------------------------------
 
-def _union_rows(sections) -> Optional[np.ndarray]:
-    """The union of the sections' ``rows``, or None (dense) when one of them
-    has none or the union covers more than half of the samples."""
+def _union_rows(sections) -> np.ndarray:
+    """The union of the sections' ``rows`` (sorted); the sampling's
+    ``all_rows`` as soon as one operand spans every sample."""
     rows = sections[0].rows
+    size = len(sections[0].sampling)
     for s in sections[1:]:
-        if rows is None or s.rows is None:
-            return None
+        if len(rows) == size or len(s.rows) == size:
+            return sections[0].sampling.all_rows
         if s.rows is not rows:
-            rows = np.union1d(rows, s.rows)
-    return _sparse_rows(rows, len(sections[0].sampling))
+            # a mask over the samples, far cheaper than np.union1d's sort
+            mask = np.zeros(size, dtype=bool)
+            mask[rows] = mask[s.rows] = True
+            rows = np.flatnonzero(mask)
+    return rows
 
 
-def _scatter(size: int, rows: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Zeros of leading length ``size`` with ``block`` written at ``rows``."""
-    out = np.zeros((size, *block.shape[1:]), dtype=block.dtype)
-    out[rows] = block
-    return out
+def _block_on(psi: Section, rows: np.ndarray) -> np.ndarray:
+    """``psi``'s values on ``rows``, a sorted superset of its rows: its own
+    block when they are the same rows, else zeros with the block written in
+    place."""
+    if len(psi.rows) == len(rows):
+        return psi.block
+    block = np.zeros((len(rows), psi.block.shape[1]), dtype=complex)
+    block[np.searchsorted(rows, psi.rows)] = psi.block
+    return block
 
 
 def _row_product(block: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -456,39 +464,31 @@ def section_transform(action: BundleAction, g, psi: Section) -> Section:
     otherwise); re-indexing is exact.  The permutation, the samples that
     leave the window and U_g are computed once per (sampling, g) and cached
     (:meth:`OrbitSampling.transport`), so a repeated g costs one gather and
-    one matrix product.  A section with ``rows`` moves only those: they are
-    mapped through ``Transport.target``, the rows that stay are multiplied
-    by U_g (each row rounds as in the dense product) and scattered into
-    zeros, and their images are the result's ``rows``; a dense section
-    moves every sample.  Nonzero values may not leave the sampled window
-    (that would silently truncate the section): support overflow, a mass on
-    the leaving samples above 1e-10 of the section's mass, raises
-    AlignmentError.
+    one matrix product.  Only the section's rows move: they are mapped
+    through ``Transport.target``, the block rows that stay are multiplied by
+    U_g (each row rounds as in the product of all samples) in the order of
+    their images, and those images are the result's ``rows``.  Nonzero
+    values may not leave the sampled window (that would silently truncate
+    the section): support overflow, a mass on the leaving rows above 1e-10
+    of the section's mass, raises AlignmentError.
     """
     sampling = psi.sampling
     if action is not sampling.action:
         raise InputError("section transform with a foreign action")
     transport = sampling.transport(g)
-    if psi.rows is None:
-        source, dest, lost, live = (transport.source, transport.dest,
-                                    transport.lost, slice(None))
-    else:
-        live = psi.rows
-        images = transport.target[live]
-        stays = images >= 0
-        order = np.argsort(images[stays])
-        source, dest, lost = live[stays][order], images[stays][order], live[~stays]
-    lost_mass = np.sum(np.abs(psi.values[lost]) ** 2)
+    images = transport.target[psi.rows]
+    stays = images >= 0
+    lost_mass = np.sum(np.abs(psi.block[~stays]) ** 2)
     # the total mass is summed only when something is lost
-    if lost_mass > 0.0 and lost_mass > _SUPPORT_TOL * np.sum(np.abs(psi.values[live]) ** 2):
+    if lost_mass > 0.0 and lost_mass > _SUPPORT_TOL * np.sum(np.abs(psi.block) ** 2):
         raise AlignmentError(
             "section support left the sampled window under this transform")
-    new_values = _scatter(len(sampling), dest,
-                          _row_product(psi.values[source], transport.fiber.T))
+    kept = np.flatnonzero(stays)
+    kept = kept[np.argsort(images[kept])]
     new_field = None if psi.field is None else pulled_field(
         psi.field, transport.inverse, transport.fiber)
-    return Section(sampling, new_values, new_field,
-                   rows=None if psi.rows is None else dest)
+    return Section(sampling, _row_product(psi.block[kept], transport.fiber.T),
+                   new_field, rows=images[kept])
 
 
 def evaluator_transform(action: BundleAction, g, psi: Section) -> Section:
@@ -509,7 +509,7 @@ def evaluator_transform(action: BundleAction, g, psi: Section) -> Section:
 
 def multiply(alpha: BaseFunction, psi: Section) -> Section:
     """Multiplication operator: value at X scaled by alpha(X); alpha is
-    evaluated on psi's ``rows`` only, when it has them."""
+    evaluated on psi's rows only."""
     sampling = psi.sampling
     new_field = None
     if psi.field is not None:
@@ -517,12 +517,8 @@ def multiply(alpha: BaseFunction, psi: Section) -> Section:
         def new_field(mats):
             rows = sampling.state_rows(mats)
             return alpha.eval_rows(rows)[:, None] * pf(mats)
-    if psi.rows is None:
-        values = alpha.eval_on(sampling)[:, None] * psi.values
-    else:
-        scale = alpha.eval_rows(sampling.base_array[psi.rows])
-        values = _scatter(len(sampling), psi.rows, scale[:, None] * psi.values[psi.rows])
-    return Section(sampling, values, new_field, rows=psi.rows)
+    scale = alpha.eval_rows(sampling.base_array[psi.rows])
+    return Section(sampling, scale[:, None] * psi.block, new_field, rows=psi.rows)
 
 
 def pullback(action: BundleAction, g, alpha: BaseFunction) -> BaseFunction:
@@ -538,17 +534,13 @@ def pullback(action: BundleAction, g, alpha: BaseFunction) -> BaseFunction:
 
 def pairing(phi: Section, psi: Section) -> SampledBaseFunction:
     """Pointwise fiber inner products <phi_X, psi_X> over the sampling
-    (conjugate-linear in the first argument).  When both sections have
-    ``rows`` the products are reduced on their union only and are zero
-    elsewhere; the result is dense (J,) either way."""
+    (conjugate-linear in the first argument), reduced on the union of the
+    sections' rows only and zero elsewhere; the result is dense (J,)."""
     if phi.sampling is not psi.sampling:
         raise InputError("pairing requires a common sampling")
     rows = _union_rows((phi, psi))
-    if rows is None:
-        vals = np.sum(np.conj(phi.values) * psi.values, axis=1)
-    else:
-        vals = _scatter(len(phi.sampling), rows,
-                        np.sum(np.conj(phi.values[rows]) * psi.values[rows], axis=1))
+    vals = np.zeros(len(phi.sampling), dtype=complex)
+    vals[rows] = np.sum(np.conj(_block_on(phi, rows)) * _block_on(psi, rows), axis=1)
     field = None
     if phi.field is not None and psi.field is not None:
         pf, qf = phi.field, psi.field
@@ -558,11 +550,18 @@ def pairing(phi: Section, psi: Section) -> SampledBaseFunction:
 
 
 def delta_section(sampling: OrbitSampling, index: int, value: np.ndarray) -> Section:
-    """Section supported on a single sample (the bump reconstruction probe);
-    its ``rows`` are that sample."""
-    values = np.zeros((len(sampling), sampling.fiber_dim), dtype=complex)
-    values[index] = value
-    return Section(sampling, values, rows=np.array([index % len(sampling)]))
+    """Section supported on a single sample (the bump reconstruction probe):
+    one block row ``value`` at ``index`` (negative indices count from the
+    end).  Raises InputError for an index outside [-J, J) or a value whose
+    shape is not (d,)."""
+    size = len(sampling)
+    if not -size <= index < size:
+        raise InputError(f"sample index {index} outside [-{size}, {size})")
+    value = np.asarray(value, dtype=complex)
+    if value.shape != (sampling.fiber_dim,):
+        raise InputError(f"delta value of shape {value.shape}, "
+                         f"not ({sampling.fiber_dim},)")
+    return Section(sampling, value[None, :], rows=np.array([index % size]))
 
 
 def reconstruct_pointwise_operator(sampling: OrbitSampling, g, X: ClassicalState,
@@ -573,12 +572,11 @@ def reconstruct_pointwise_operator(sampling: OrbitSampling, g, X: ClassicalState
     idx = int(np.argmin(dists))
     if dists[idx] > 1e-9:
         raise AlignmentError("state is not on the sampled orbit")
-    psi = delta_section(sampling, idx, np.asarray(phi0, dtype=complex))
+    psi = delta_section(sampling, idx, phi0)
     moved = section_transform(sampling.action, g, psi)
-    target = sampling.transport(g).target[idx]
-    if target < 0:
+    if sampling.transport(g).target[idx] < 0:
         raise AlignmentError("transformed point left the sampled window")
-    return moved.values[target]
+    return moved.block[0]
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +592,7 @@ def _probe_section(sampling: OrbitSampling, rng: np.random.Generator,
     ``min(max_degree + 1, d)`` fiber modes, the section's ``modes``: the
     field computes only those and pads its values with zeros to width d.
     The section's ``rows`` are the samples with a nonzero live value, read
-    once here from those columns (dense when they cover more than half of
-    the samples)."""
+    once here from those columns; it stores its values on those rows only."""
     group = sampling.action.group
     cfg = sampling.action.dim_config
     bump = smooth_bump(radius)
@@ -624,7 +621,7 @@ def _probe_section(sampling: OrbitSampling, rng: np.random.Generator,
 
     values = field(sampling.group_mats)
     rows = np.flatnonzero(values[:, :modes].any(axis=1))
-    return Section(sampling, values, field, modes, rows)
+    return Section(sampling, values[rows], field, modes, rows)
 
 
 def smooth_probe_section(sampling: OrbitSampling, rng: np.random.Generator,

@@ -270,7 +270,8 @@ def section_checks(scn: Scenario, action, rng) -> list:
                 for el, m in zip([identity, *elements], [out, *moved])}
         if psi is phi:
             phi_moved = moved[2]
-        ident_worst = max(ident_worst, float(np.max(np.abs(out.values - psi.values))))
+        ident_worst = max(ident_worst, float(np.max(np.abs((out - psi).block),
+                                                     initial=0.0)))
         for m in moved[:3]:
             iso_worst = max(iso_worst, abs(m.norm - psi.norm))
         for key, (g12, pairs) in products.items():

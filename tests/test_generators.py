@@ -15,7 +15,8 @@ from scbundle.generators import (
 from scbundle.scenarios import load_scenario
 from scbundle.sections import (BaseFunction, LatticeAxis, OrbitSampling,
                                Section, gentle_probe_section, pairing,
-                               pulled_field, smooth_probe_section)
+                               pulled_field, section_transform,
+                               smooth_probe_section)
 
 H = 0.15
 
@@ -141,14 +142,27 @@ def test_smoothing_linearity(weyl):
 
 
 def test_smoothing_lattice_path_matches_field_path(weyl):
+    """The smoothed field on the lattice is the weighted sum of the exact
+    lattice transforms of the probe, one per kernel node."""
     action, sampling = weyl
     rng = np.random.default_rng(4)
     probe = smooth_probe_section(sampling, rng, 3, radius=[0.25, 0.25, 0.05])
     kernel = lattice_kernel(sampling, radius=[0.2, 0.2, 0.04])
     by_field = garding_smooth(kernel, probe, action)
-    lattice_only = Section(sampling, probe.values)
-    by_lattice = garding_smooth(kernel, lattice_only, action)
-    assert np.max(np.abs(by_field.values - by_lattice.values)) <= 1e-12
+    by_lattice = np.zeros_like(probe.values)
+    for mat, w in zip(kernel.node_mats, kernel.weights):
+        by_lattice = by_lattice + w * section_transform(action, mat, probe).values
+    assert len(kernel.weights) > 1
+    assert np.max(np.abs(by_field.values - by_lattice)) <= 1e-12
+
+
+def test_smoothing_refuses_a_section_without_field(weyl):
+    action, sampling = weyl
+    probe = smooth_probe_section(sampling, np.random.default_rng(4), 3,
+                                 radius=[0.25, 0.25, 0.05])
+    kernel = lattice_kernel(sampling, radius=[0.2, 0.2, 0.04])
+    with pytest.raises(AlignmentError, match="field-backed"):
+        garding_smooth(kernel, Section(sampling, probe.values), action)
 
 
 def test_smoothing_support_growth(weyl):

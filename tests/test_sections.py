@@ -1,6 +1,6 @@
 """Section calculus over orbit lattices: norm, transform, multiplication,
-pullback, pairing, pointwise reconstruction, and the support-row path of
-each against the dense path."""
+pullback, pairing, pointwise reconstruction, and each of them on a
+section's support rows against a dense numpy oracle."""
 
 from dataclasses import replace
 
@@ -12,7 +12,7 @@ from scbundle.actions import (heisenberg_weyl_action, so2_rotor_action,
 from scbundle.dynamics import ClassicalState
 from scbundle.errors import AlignmentError, InputError
 from scbundle.fiber import DimConfig
-from scbundle import sections, verify
+from scbundle import verify
 from scbundle.groups import exp as gexp
 from scbundle.scenarios import catalog_names, load_scenario
 from scbundle.sections import (
@@ -198,8 +198,14 @@ def test_catalog_probes_record_their_live_modes(name):
     modes, dim = _PROBE_MODES[name]
     assert (probe.modes, sampling.fiber_dim) == (modes, dim)
     assert probe.modes == min(scn.max_degree + 1, scn.fiber.dim)
-    assert np.any(probe.values[:, modes - 1])
-    assert probe.field(sampling.group_mats).tobytes() == probe.values.tobytes()
+    assert np.any(probe.block[:, modes - 1])
+    # the field is the block on the rows, bit for bit, and exactly zero
+    # elsewhere (where it may give -0.0)
+    full = probe.field(sampling.group_mats)
+    assert full[probe.rows].tobytes() == probe.block.tobytes()
+    outside = np.ones(len(sampling), dtype=bool)
+    outside[probe.rows] = False
+    assert np.all(full[outside] == 0.0)
     assert (2.0 * probe).modes == (probe - probe).modes == dim
 
 
@@ -262,13 +268,14 @@ def test_transform_rejects_offlattice(weyl):
 
 
 def test_transform_refuses_support_overflow(weyl):
-    """On the row path of a probe and on the dense path alike."""
+    """On a probe's compact rows and on every sample alike."""
     action, sampling = weyl
     psi = probe(sampling)
-    assert psi.rows is not None
+    full = Section(sampling, psi.values)
+    assert len(psi.rows) < len(sampling) == len(full.rows)
     # six lattice steps push the bump support over the window edge
     g = lattice_element(sampling, [6, 0, 0])
-    for sec in (psi, dense(psi)):
+    for sec in (psi, full):
         with pytest.raises(AlignmentError, match="left the sampled window"):
             section_transform(action, g, sec)
 
@@ -522,31 +529,32 @@ def test_reconstruct_pointwise_zero(weyl):
 
 
 # ---------------------------------------------------------------------------
-# support rows: the row path against the dense path
+# support rows against a dense numpy oracle
 # ---------------------------------------------------------------------------
-
-def dense(psi):
-    """The same values and field without ``rows``: the dense path."""
-    return replace(psi, rows=None)
-
 
 def assert_same_bits(a, b):
     """Bitwise equality up to the sign of a zero: a dense product or scaling
-    of a zero row may give -0.0 where the row path leaves +0.0, and adding
-    +0.0 erases that sign."""
+    of a zero row may give -0.0 where a section holds +0.0 off its rows,
+    and adding +0.0 erases that sign."""
     assert (np.asarray(a) + 0.0).tobytes() == (np.asarray(b) + 0.0).tobytes()
 
 
 def assert_rows_hold(psi):
-    """``rows`` are sorted, distinct, in range, and every value outside them
-    is zero."""
+    """``rows`` are sorted, distinct and in range, and the block holds one
+    row of fiber values per row."""
     rows = psi.rows
-    assert rows is not None
     assert np.all(np.diff(rows) > 0)
     assert rows.size == 0 or 0 <= rows[0] <= rows[-1] < len(psi.sampling)
-    outside = np.ones(len(psi.sampling), dtype=bool)
-    outside[rows] = False
-    assert not np.any(psi.values[outside])
+    assert psi.block.shape == (len(rows), psi.sampling.fiber_dim)
+
+
+def dense_transform(sampling, g, values):
+    """Oracle: U_g applied to the values at ``Transport.source``, placed at
+    ``Transport.dest``, over every sample."""
+    transport = sampling.transport(g)
+    out = np.zeros_like(values)
+    out[transport.dest] = values[transport.source] @ transport.fiber.T
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -562,69 +570,93 @@ def weyl_catalog():
 
 
 def _row_sections(action, sampling, psi):
-    """A one-row delta, a two-row section and ``psi``, each with rows."""
+    """A one-row delta, a two-row section, ``psi`` and ``psi`` on every
+    sample."""
     rng = np.random.default_rng(11)
     middle = sampling.identity_index()
     value = rng.standard_normal(sampling.fiber_dim) + 1j * rng.standard_normal(sampling.fiber_dim)
     one = delta_section(sampling, middle, value)
-    two_rows = np.array([middle, middle + 1])
-    values = np.zeros((len(sampling), sampling.fiber_dim), dtype=complex)
-    values[two_rows] = rng.standard_normal((2, sampling.fiber_dim))
-    two = Section(sampling, values, rows=two_rows)
-    return [one, two, psi]
+    two = Section(sampling, rng.standard_normal((2, sampling.fiber_dim)),
+                  rows=np.array([middle, middle + 1]))
+    return [one, two, psi, Section(sampling, psi.values)]
 
 
 def test_probe_and_delta_sections_record_their_rows(weyl, weyl_catalog):
     action, sampling, psi = weyl_catalog
     assert len(psi.rows) == np.count_nonzero(psi.values.any(axis=1)) == 627
-    assert_rows_hold(psi)
-    for sec in _row_sections(action, sampling, psi)[:2]:
+    for sec in _row_sections(action, sampling, psi):
         assert_rows_hold(sec)
     assert delta_section(sampling, -1, np.ones(sampling.fiber_dim)).rows[0] == len(sampling) - 1
 
 
-def test_rows_over_half_the_samples_are_stored_dense(weyl):
+@pytest.mark.parametrize("index", [20449, -20450])
+def test_delta_section_refuses_an_index_outside_the_samples(weyl_catalog, index):
+    _, sampling, _ = weyl_catalog
+    assert len(sampling) == 20449
+    with pytest.raises(InputError, match="sample index"):
+        delta_section(sampling, index, np.ones(sampling.fiber_dim))
+
+
+@pytest.mark.parametrize("value", [1.0, np.ones(3), np.ones((1, 18))],
+                         ids=["scalar", "short", "row-matrix"])
+def test_delta_section_refuses_a_value_that_is_not_one_fiber_vector(weyl, value):
     _, sampling = weyl
-    values = np.zeros((len(sampling), sampling.fiber_dim), dtype=complex)
-    half = len(sampling) // 2
-    assert Section(sampling, values, rows=np.arange(half)).rows is not None
-    assert Section(sampling, values, rows=np.arange(half + 1)).rows is None
+    with pytest.raises(InputError, match="delta value"):
+        delta_section(sampling, 0, value)
+
+
+def test_rows_are_stored_as_given_and_every_sample_when_omitted(weyl):
+    _, sampling = weyl
+    rows = np.arange(len(sampling) // 2 + 1)
+    block = np.ones((len(rows), sampling.fiber_dim))
+    given = Section(sampling, block, rows=rows)
+    assert given.rows is rows and given.block.shape == block.shape
+    assert not np.any(given.values[len(rows):])
+    dense_values = np.zeros((len(sampling), sampling.fiber_dim), dtype=complex)
+    omitted = Section(sampling, dense_values)
+    assert omitted.rows is sampling.all_rows
+    assert np.array_equal(omitted.rows, np.arange(len(sampling)))
+    assert not omitted.rows.flags.writeable
+    assert omitted.values is omitted.block
+    with pytest.raises(InputError, match="wrong shape"):
+        Section(sampling, block, rows=rows[1:])
 
 
 def test_row_transform_is_the_dense_transform(weyl_catalog):
     """On the catalog heisenberg-weyl lattice, a one-row delta, a two-row
-    section and a probe transform by the identity and by each test element
-    to the dense transform bit for bit, and the result's rows hold."""
+    section and a probe (compact and on every sample) transform by the
+    identity and by each test element to the dense oracle bit for bit, and
+    the result's rows hold."""
     action, sampling, psi = weyl_catalog
     group = action.group
     for sec in _row_sections(action, sampling, psi):
         for g in [group.identity()] + _lattice_elements(sampling):
             moved = section_transform(action, g, sec)
-            reference = section_transform(action, g, dense(sec))
-            assert reference.rows is None
-            assert_same_bits(moved.values, reference.values)
+            assert_same_bits(moved.values, dense_transform(sampling, g, sec.values))
             assert_rows_hold(moved)
-            assert len(moved.rows) == len(sec.rows)
+            if len(sec.rows) < len(sampling):
+                assert len(moved.rows) == len(sec.rows)
 
 
 def test_row_combinations_are_the_dense_combinations(weyl_catalog):
-    """Sums, differences and scalings on the union of the rows equal the
-    dense ones bit for bit; a dense operand makes the result dense."""
+    """Sums, differences and scalings on the union of the rows equal numpy
+    on the dense values bit for bit; an operand on every sample makes the
+    result lie on every sample."""
     action, sampling, psi = weyl_catalog
     moved = section_transform(action, _lattice_elements(sampling)[3], psi)
-    one = _row_sections(action, sampling, psi)[0]
-    for a, b in ((psi, moved), (psi, one), (moved, psi), (psi, psi)):
-        for got, reference in ((a + b, dense(a) + dense(b)),
-                               (a - b, dense(a) - dense(b)),
-                               ((0.3 - 1.7j) * a, (0.3 - 1.7j) * dense(a)),
-                               (a * 2.5, dense(a) * 2.5),
-                               (a / 3.0, dense(a) / 3.0)):
-            assert reference.rows is None
-            assert_same_bits(got.values, reference.values)
+    one, _, _, full = _row_sections(action, sampling, psi)
+    for a, b in ((psi, moved), (psi, one), (moved, psi), (psi, psi), (one, full)):
+        # named: numpy may compute a product with an unnamed temporary in
+        # place, through a loop that rounds differently
+        va, vb = a.values, b.values
+        for got, reference in ((a + b, va + vb), (a - b, va - vb),
+                               ((0.3 - 1.7j) * a, (0.3 - 1.7j) * va),
+                               (a * 2.5, va * 2.5), (a / 3.0, va / 3.0)):
+            assert_same_bits(got.values, reference)
             assert_rows_hold(got)
     union = psi + moved
     assert np.array_equal(union.rows, np.union1d(psi.rows, moved.rows))
-    assert (psi + dense(moved)).rows is None
+    assert (psi + full).rows is sampling.all_rows
 
 
 def test_row_multiply_pairing_and_norm_are_the_dense_ones(weyl_catalog):
@@ -632,51 +664,55 @@ def test_row_multiply_pairing_and_norm_are_the_dense_ones(weyl_catalog):
     g = _lattice_elements(sampling)[2]
     moved = section_transform(action, g, psi)
     for alpha in (smooth_alpha(), pullback(action, g, smooth_alpha())):
+        scale = alpha.eval_rows(sampling.base_array)
         for sec in _row_sections(action, sampling, psi) + [moved]:
             got = multiply(alpha, sec)
             assert np.array_equal(got.rows, sec.rows)
-            assert_same_bits(got.values, multiply(alpha, dense(sec)).values)
+            values = sec.values
+            assert_same_bits(got.values, scale[:, None] * values)
     for sec in _row_sections(action, sampling, psi) + [moved, moved - psi]:
-        assert sec.norm == dense(sec).norm
+        values = sec.values
+        assert sec.norm == np.max(np.linalg.norm(values, axis=1))
         for other in (psi, moved):
+            other_values = other.values
             assert_same_bits(pairing(sec, other).values,
-                             pairing(dense(sec), dense(other)).values)
+                             np.sum(np.conj(values) * other_values, axis=1))
             assert_same_bits(pairing(other, sec).values,
-                             pairing(dense(other), dense(sec)).values)
-    empty = Section(sampling, np.zeros((len(sampling), sampling.fiber_dim)),
+                             np.sum(np.conj(other_values) * values, axis=1))
+    empty = Section(sampling, np.zeros((0, sampling.fiber_dim)),
                     rows=np.array([], dtype=np.int64))
     assert empty.norm == 0.0
+    assert not np.any(empty.values)
 
 
 @pytest.mark.parametrize("name", [n for n in catalog_names()
                                   if "sections" in load_scenario(n).suites])
-def test_row_pointwise_reconstruction_is_the_dense_one(name, monkeypatch):
+def test_row_pointwise_reconstruction_is_the_dense_one(name):
     """The one-row delta of the pointwise reconstruction moves bit for bit
-    as the dense delta does, on every sections-suite catalog lattice."""
+    as the dense oracle moves a delta over every sample, on every
+    sections-suite catalog lattice."""
     scn = load_scenario(name)
     action = scn.build_action()[0]
     sampling = scn.build_sampling(action)
     rng = np.random.default_rng(12)
-    cases = []
     for g in _lattice_elements(sampling):
-        stays = np.nonzero(sampling.transport(g).target >= 0)[0]
-        for idx in rng.choice(stays, size=3):
-            X = sample_state(sampling, int(idx))
+        target = sampling.transport(g).target
+        for idx in rng.choice(np.nonzero(target >= 0)[0], size=3):
             phi0 = rng.standard_normal(sampling.fiber_dim) \
                 + 1j * rng.standard_normal(sampling.fiber_dim)
-            cases.append((g, X, phi0, reconstruct_pointwise_operator(sampling, g, X, phi0)))
-    delta = sections.delta_section
-    monkeypatch.setattr(sections, "delta_section",
-                        lambda *args: dense(delta(*args)))
-    for g, X, phi0, got in cases:
-        assert got.tobytes() == reconstruct_pointwise_operator(sampling, g, X, phi0).tobytes()
+            values = np.zeros((len(sampling), sampling.fiber_dim), dtype=complex)
+            values[idx] = phi0
+            got = reconstruct_pointwise_operator(sampling, g, sample_state(sampling, int(idx)),
+                                                 phi0)
+            assert got.tobytes() == dense_transform(sampling, g, values)[target[idx]].tobytes()
 
 
 @pytest.mark.parametrize("name", ["heisenberg-weyl", "translations-r2"])
 def test_section_suite_keeps_values_inside_rows(name, monkeypatch):
     """Every section built in a section-suite run (reduced to one probe on
-    13 x 13 x 49 points for heisenberg-weyl) is zero outside its rows, and
-    the run builds sections on both paths."""
+    13 x 13 x 49 points for heisenberg-weyl) has sorted, in-range rows and
+    one block row per row, and the run builds sections on compact rows and
+    on every sample."""
     built = []
     post_init = Section.__post_init__
 
@@ -691,7 +727,7 @@ def test_section_suite_keeps_values_inside_rows(name, monkeypatch):
                                     dict(scn.lattice[2], lo=-24, hi=24)],
                       probes=dict(scn.probes, count=1))
     verify.section_checks(scn, scn.build_action()[0], scn.rng())
-    with_rows = [s for s in built if s.rows is not None]
-    assert len(with_rows) > 100 and len(with_rows) < len(built)
-    for sec in with_rows:
+    compact = [s for s in built if len(s.rows) < len(s.sampling)]
+    assert len(compact) > 100 and len(compact) < len(built)
+    for sec in built:
         assert_rows_hold(sec)

@@ -16,9 +16,12 @@ stencil (a difference over 2 * step) in ``sections.central_difference``
 eigendecomposition of a generator's fiber Hamiltonian in
 ``actions.GeneratorData``, and the scaled squared radius (a squared
 quotient) in ``groups.scaled_square_radius``; no ``setdiff1d`` (the lost
-samples of a transport come from a mask); no ``scipy`` import (each group
-and the symplectic flow give their exponentials in closed form, and scipy is
-a test-only dependency); and no scenario sub-config default
+samples of a transport come from a mask); no comparison of ``.rows`` with
+None outside ``Section.__post_init__``, where an omitted ``rows`` becomes
+every sample (a section has one storage, so no operation forks into a dense
+and a row path); no ``scipy`` import (each group and the symplectic flow
+give their exponentials in closed form, and scipy is a test-only
+dependency); and no scenario sub-config default
 spelt outside ``scenarios``, whose schema table holds every default (a
 ``.get`` on ``dynamics``, ``probes``, ``numerics``, ``hamiltonian`` or
 ``gauge_cfg`` spells one, None when it names none)."""
@@ -324,6 +327,20 @@ def _is_scipy_import(node: ast.AST) -> bool:
             and str(node.args[0].value).split(".")[0] == "scipy")
 
 
+_EQUALITY_OPS = (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)
+
+
+def _compares_rows_with_none(node: ast.AST) -> bool:
+    """``<x>.rows is None`` and its kin (``is not``, ``==``, ``!=``, either
+    side): the test on which a dense/row fork turns."""
+    if not isinstance(node, ast.Compare) or not all(
+            isinstance(op, _EQUALITY_OPS) for op in node.ops):
+        return False
+    operands = [node.left, *node.comparators]
+    return (any(isinstance(n, ast.Attribute) and n.attr == "rows" for n in operands)
+            and any(isinstance(n, ast.Constant) and n.value is None for n in operands))
+
+
 _SUB_CONFIGS = {"dynamics", "probes", "numerics", "hamiltonian", "gauge_cfg"}
 
 
@@ -397,6 +414,13 @@ def test_written_once_patterns_are_recognised():
                      '            dict(scn.numerics, dt=2e-3), scn.probes.keys(),\n'
                      '            scn.get("dynamics"), dynamics.get("t_final", 1.0))\n')
     assert _sites(tree, _is_sub_config_default) == ["spelt"] * 3
+    tree = ast.parse('def fork(psi, s):\n'
+                     '    if psi.rows is None or s.rows is not None:\n'
+                     '        return None == psi.rows, psi.rows != None\n'
+                     'def other(psi, rows):\n'
+                     '    return (rows is None, psi.rows is psi.all_rows, psi.field is None,\n'
+                     '            len(psi.rows) == 0, psi.rows < None)\n')
+    assert _sites(tree, _compares_rows_with_none) == ["fork"] * 4
 
 
 def test_rk4_stage_combination_written_once():
@@ -428,6 +452,12 @@ def test_scaled_square_radius_written_once():
 
 def test_no_setdiff_in_the_package():
     assert _package_owners(_is_setdiff) == set()
+
+
+def test_rows_meet_none_only_where_a_section_is_built():
+    """The dense/row fork cannot come back: only the constructor reads an
+    omitted ``rows``."""
+    assert _package_sites(_compares_rows_with_none) == [("sections.py", "__post_init__")]
 
 
 def test_no_scipy_in_the_package():
