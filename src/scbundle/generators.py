@@ -4,14 +4,17 @@ The generator along A is i times ``sections.central_difference`` of the
 one-parameter transform family t -> U_{exp(tA)} psi, each member
 re-evaluated from the section's field (never by interpolating lattice
 values), after Garding smoothing against a compactly supported kernel
-summed over lattice-aligned group nodes.  Base derivatives are the same
-central difference of a base field on the left-translated sampling.  The
-identity suite returns, at one fd step, a table of the residuals of
-linearity, conjugation covariance, the commutator/structure-constant match,
-the multiplication-operator commutator, and the pairing derivative (Eq. 21,
-:func:`pairing_residual`, which also serves Axiom A2 on two probes); it
-applies H(A) psi and H(B) psi once and every identity reads them.  This
-module judges nothing (tolerances and refinement orders live in
+summed over lattice-aligned group nodes.  It is built field first
+(:func:`generator_field`): the difference of the two pulled fields is one
+field map, and a section is built only where its values are read.  Every
+fd step and kernel radius must be finite and positive.  Base derivatives
+are the same central difference of a base field on the left-translated
+sampling.  The identity suite returns, at one fd step, a table of the
+residuals of linearity, conjugation covariance, the commutator/structure-
+constant match, the multiplication-operator commutator, and the pairing
+derivative (Eq. 21, :func:`pairing_residual`, which also serves Axiom A2 on
+two probes); it applies H(A) psi and H(B) psi once and every identity reads
+them.  This module judges nothing (tolerances and refinement orders live in
 ``verify``).
 """
 
@@ -28,13 +31,14 @@ from .errors import AlignmentError, InputError
 from .groups import (AlgebraElement, GroupElement, bracket, left_translate,
                      scaled_square_radius, smooth_bump)
 from .sections import (BaseFunction, OrbitSampling, SampledBaseFunction,
-                       Section, central_difference, evaluator_transform,
-                       multiply, pairing, pulled_field)
+                       Section, central_difference, multiply, pairing,
+                       pulled_field, transformed_field)
 
 __all__ = [
     "SmoothingKernel",
     "lattice_kernel",
     "garding_smooth",
+    "generator_field",
     "generator_apply",
     "base_derivative",
     "pairing_residual",
@@ -62,10 +66,13 @@ def lattice_kernel(sampling: OrbitSampling, radius) -> SmoothingKernel:
     points inside the coordinate ball of the given per-axis ``radius``, with
     normalized Riemann weights (spacing volume x Haar density x the standard
     C-infinity bump on the ball).  The kernel support must fit inside the
-    sampled window.
+    sampled window.  Raises InputError for a radius that is not finite and
+    positive on every axis.
     """
     group = sampling.action.group
     radius = np.broadcast_to(np.asarray(radius, dtype=float), (group.dim,))
+    if not np.all(np.isfinite(radius) & (radius > 0)):
+        raise InputError(f"kernel radius {radius} is not finite and positive")
     steps_max = np.floor(radius / sampling.spacings).astype(int)
     for k, ax in enumerate(sampling.axes):
         if ax.kind == "line" and steps_max[k] > (ax.hi - ax.lo) // 2:
@@ -92,18 +99,19 @@ def garding_smooth(kernel: SmoothingKernel, phi: Section,
     """Group-averaged section  Psi_X = sum_k w_k U_{g_k}(X <- .) Phi(g_k^-1 .).
 
     The smoothed section's field sums one ``sections.pulled_field`` per node
-    (Phi pulled by g_k^-1, moved by w_k U_{g_k}: one matrix product each,
-    over Phi's live ``modes`` only, the columns of U_{g_k} that Phi can
-    fill) over a batch of points and memoises the sum per point set
-    (read-only arrays, kept as long as the section).  Requires a
-    field-backed section: a section without a field raises AlignmentError.
+    (Phi's ``live_field`` pulled by g_k^-1, moved by the columns of
+    w_k U_{g_k} that Phi can fill: one (n, modes) @ (modes, d) product
+    each) over a batch of points and memoises the sum per point set
+    (read-only arrays, kept as long as the section).  The smoothed section
+    is full width.  Requires a field-backed section: a section without a
+    field raises AlignmentError.
     """
     sampling = phi.sampling
     if kernel.sampling is not sampling:
         raise InputError("kernel was built for a different sampling")
     if phi.field is None:
         raise AlignmentError("Garding smoothing needs a field-backed section")
-    nodes = [pulled_field(phi.field, np.linalg.inv(m),
+    nodes = [pulled_field(phi.live_field, np.linalg.inv(m),
                           w * action.fiber_matrix(m)[:, :phi.modes])
              for m, w in zip(kernel.node_mats, kernel.weights)]
     memo = {}
@@ -128,25 +136,47 @@ def garding_smooth(kernel: SmoothingKernel, phi: Section,
 # finite-difference generators
 # ---------------------------------------------------------------------------
 
+def _check_step(tau: float) -> None:
+    """Raise InputError unless the fd step ``tau`` is finite and positive."""
+    if not (np.isfinite(tau) and tau > 0):
+        raise InputError(f"fd step {tau!r} is not finite and positive")
+
+
+def generator_field(A: AlgebraElement, field, action: BundleAction, tau: float):
+    """The field map of the generator along A: mats -> i times the central
+    difference at step ``tau`` of the transformed fields
+    (``sections.transformed_field`` at exp(+-tau A), each computed once),
+    evaluated at ``mats`` (Eq. 16a).  ``field`` may give live modes only.
+    Raises InputError for a step that is not finite and positive and
+    AlignmentError for a missing field, before any arithmetic."""
+    _check_step(tau)
+    if field is None:
+        raise AlignmentError(
+            "generator application needs a field-backed section "
+            "(smooth the input first)")
+    steps = {t: transformed_field(action, A.group.exp_matrix(t * A.matrix), field)
+             for t in (tau, -tau)}
+
+    def generated(mats):
+        return 1j * central_difference(lambda t: steps[t](mats), tau)
+    return generated
+
+
 def generator_apply(A: AlgebraElement, psi: Section, action: BundleAction,
                     tau: float) -> Section:
     """Apply the generator of the one-parameter transform family along A,
     i times the central difference at step ``tau`` of
-    t -> U_{exp(tA)} psi (Eq. 16a).
+    t -> U_{exp(tA)} psi (Eq. 16a): the section of
+    :func:`generator_field` on psi's live field, whose block is its one
+    evaluation on the samples (bit for bit the difference of the two
+    transformed sections, block and field alike).
 
     Requires a field-backed (smoothed or closed-form) section: exp(+-tau A)
     is generically off-lattice and lattice values cannot be differenced
     without interpolation.
     """
-    if tau <= 0:
-        raise InputError("fd step must be positive")
-    if psi.field is None:
-        raise AlignmentError(
-            "generator application needs a field-backed section "
-            "(smooth the input first)")
-    return 1j * central_difference(
-        lambda t: evaluator_transform(action, A.group.exp_matrix(t * A.matrix), psi),
-        tau)
+    return Section.from_field(psi.sampling,
+                              generator_field(A, psi.live_field, action, tau))
 
 
 def base_derivative(A: AlgebraElement, alpha, action: BundleAction,
@@ -156,10 +186,10 @@ def base_derivative(A: AlgebraElement, alpha, action: BundleAction,
     values on the left-translated sampling.
 
     ``alpha`` may be a BaseFunction (evaluated through the closed form) or a
-    SampledBaseFunction carrying a field.
+    SampledBaseFunction carrying a field.  Raises InputError for a step
+    that is not finite and positive.
     """
-    if tau <= 0:
-        raise InputError("fd step must be positive")
+    _check_step(tau)
     if isinstance(alpha, SampledBaseFunction):
         if alpha.field is None:
             raise AlignmentError("sampled base function has no field to flow")
@@ -204,7 +234,11 @@ def identity_suite(A: AlgebraElement, B: AlgebraElement, alpha: BaseFunction,
     multiplication   i [H(A), v[alpha]] = v[d[A] alpha]
     pairing          -i d[A]<psi, psi> = <psi, H(A) psi> - <H(A) psi, psi>
 
-    ``psi`` must be smooth (Garding-smoothed or closed-form field).
+    ``psi`` must be smooth (Garding-smoothed or closed-form field).  The
+    conjugation's left side composes field maps (``transformed_field`` of
+    the generator field of a transformed field) and builds one section, so
+    only its own block is evaluated: neither U_{h^-1} psi nor the steps
+    inside H(A) are sampled on their own.
     """
     sampling = psi.sampling
     group = action.group
@@ -217,7 +251,9 @@ def identity_suite(A: AlgebraElement, B: AlgebraElement, alpha: BaseFunction,
                             (H(2.0 * A, psi) - 2.0 * HA).norm)}
     if conjugator is not None:
         h, h_inv = conjugator.matrix, np.linalg.inv(conjugator.matrix)
-        lhs = evaluator_transform(action, h, H(A, evaluator_transform(action, h_inv, psi)))
+        inner = transformed_field(action, h_inv, psi.live_field)
+        lhs = Section.from_field(sampling, transformed_field(
+            action, h, generator_field(A, inner, action, tau)))
         hAh = group.algebra(group.expand_in_basis(h @ A.matrix @ h_inv))
         # h A h^-1 = A to the bit when h commutes with A: reuse H(A) psi
         same = hAh.coords.tobytes() == A.coords.tobytes()

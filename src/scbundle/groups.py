@@ -285,8 +285,10 @@ def left_translate(g: np.ndarray, mats: np.ndarray) -> np.ndarray:
     term on the (d, d, J) view, so on the real matrices of every built-in
     group each entry rounds exactly as ``np.einsum("ab,jbc->jac", g, mats)``
     does, signed zeros included; ``g @ mats`` rounds differently and would
-    move report residuals in their last digits.  The result is a
-    non-contiguous view.
+    move report residuals in their last digits.  The result is a (J, d, d)
+    view of a C-contiguous (d, d, J) array, stored plane by plane as
+    ``OrbitSampling.group_mats`` is, so each term reads contiguous planes
+    of such an input.
     """
     g, m = np.asarray(g), np.asarray(mats).transpose(1, 2, 0)
     return sum(g[:, b, None, None] * m[b] for b in range(g.shape[1])).transpose(2, 0, 1)

@@ -46,7 +46,8 @@ def exponentiate_generator(family: GeneratorFamily, k: int, t: float,
     """Solve the one-parameter Cauchy problem along basis direction ``k``:
     transport the field along the base flow of B_k and rotate it by
     exp(-i t H(B_k)) (``GeneratorData.unitary``), returning the section at
-    parameter ``t``.  Requires a field-backed section."""
+    parameter ``t``; the pull reads only the section's live modes.
+    Requires a field-backed section."""
     if not 0 <= k < family.group.dim:
         raise InputError("basis index out of range")
     if not np.isfinite(t):
@@ -58,7 +59,7 @@ def exponentiate_generator(family: GeneratorFamily, k: int, t: float,
         return psi0
     pull = family.group.exp_matrix(-t * family.group.basis[k])
     T = family.directions[k].unitary(t)
-    out = Section.from_field(psi0.sampling, pulled_field(psi0.field, pull, T))
+    out = Section.from_field(psi0.sampling, pulled_field(psi0.live_field, pull, T))
     if not np.all(np.isfinite(out.values)):
         raise NumericalError("generator exponentiation blew up")
     return out

@@ -4,10 +4,14 @@ An :class:`OrbitSampling` is a finite window of a discrete subgroup lattice
 written in second-kind coordinates, so left translation by a lattice element
 permutes indices exactly and the section transform needs no interpolation.
 Its base points are one array of state rows ``base_array`` (J, 3), and
-base functions are evaluated on such rows in one batched call.  Sections
-optionally carry a closed-form ``field`` evaluator (group matrices -> fiber
-values), and record their live ``modes``: the leading fiber modes in which
-their values and field can be nonzero (a probe fills only its low modes).
+base functions are evaluated on such rows in one batched call; its group
+matrices ``group_mats`` are stored plane by plane (a (J, n, n) view of a
+C-contiguous (n, n, J) array), the layout ``groups.left_translate`` reads
+and returns.  Sections optionally carry one closed-form evaluator (group
+matrices -> fiber values) and record their live ``modes``: the leading
+fiber modes in which their values and field can be nonzero (a probe fills
+only its low modes).  The evaluator, ``live_field``, computes only those
+modes; ``field`` is its full-width view.
 A section has one storage: a ``block`` of values (len(rows), d) on sorted
 sample indices ``rows``, zero on every other sample; a section built
 without ``rows`` lies on every sample (the sampling's shared ``all_rows``).
@@ -17,18 +21,21 @@ of its operands' rows, and an operand whose rows already span that union is
 used as it is, so a compactly supported probe moves only its support and a
 field-backed section all of its samples.  The dense (J, d) ``values`` are
 built only when read.  The left-regular transform psi'(h) = U_g psi(g^-1 h)
-of a field is written once, :func:`pulled_field` (it also serves each
-Garding kernel node, which multiplies only the section's live modes, and
-the reconstruction flow), and the central difference of a one-parameter
-family (of sections or of arrays) once, :func:`central_difference`: the
-generators of the action and of its reconstruction and every base derivative
-are that difference.  Only :func:`section_transform` moves lattice values
-by exact re-indexing; everything that must leave the lattice needs the
-field and refuses otherwise.  A lattice element g fixes that re-indexing
-once per sampling: :meth:`OrbitSampling.transport` looks the sources up by
-coordinates the first time g is seen and caches the permutation (and the
-image of every sample), the set of samples whose image leaves the window,
-g^-1 and U_g as a :class:`Transport`.
+of a field is written once, :func:`pulled_field`, and always pulls the live
+modes only (it also serves each Garding kernel node, the off-lattice
+transform and the reconstruction flow); :func:`transformed_field` is that
+transform of a bare field, so transforms and generators compose as field
+maps and build one section at the end.  The central difference of a
+one-parameter family (of sections or of arrays) is written once,
+:func:`central_difference`: the generators of the action and of its
+reconstruction and every base derivative are that difference.  Only
+:func:`section_transform` moves lattice values by exact re-indexing;
+everything that must leave the lattice needs the field and refuses
+otherwise.  A lattice element g fixes that re-indexing once per sampling:
+:meth:`OrbitSampling.transport` looks the sources up by coordinates the
+first time g is seen and caches the permutation (and the image of every
+sample), the set of samples whose image leaves the window, g^-1 and U_g as
+a :class:`Transport`.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ __all__ = [
     "pulled_field",
     "central_difference",
     "section_transform",
+    "transformed_field",
     "evaluator_transform",
     "multiply",
     "pullback",
@@ -145,7 +153,9 @@ class OrbitSampling:
 
     Samples are de-duplicated modulo the numerically detected stabilizer
     (base points with equal :func:`state_keys` collapse to their first
-    representative).
+    representative).  ``group_mats`` (J, n, n) is stored plane by plane
+    (its ``transpose(1, 2, 0)`` is C-contiguous), so each term of a left
+    translation reads a contiguous plane.
     """
 
     def __init__(self, action: BundleAction, anchor: ClassicalState,
@@ -189,7 +199,8 @@ class OrbitSampling:
         keep = np.sort(first)
 
         self.steps = all_steps[keep]
-        self.group_mats = mats[keep]
+        self.group_mats = np.ascontiguousarray(
+            mats.transpose(1, 2, 0)[:, :, keep]).transpose(2, 0, 1)
         self.base_array = base[keep]
         self.deduplicated = self.steps.shape[0] < all_steps.shape[0]
 
@@ -288,14 +299,17 @@ class Section:
     a scan.
 
     ``modes`` is the number of leading fiber modes in which the values and
-    the field can be nonzero (the fiber dimension when not given); Garding
-    smoothing multiplies only those.  A section derived from others keeps
-    the full width.  Raises InputError when ``modes`` is outside 1..d or a
-    value beyond it is nonzero."""
+    the field can be nonzero (the fiber dimension when not given).  The
+    section keeps one evaluator, ``live_field``, which returns only those
+    columns, (n, modes); every pull (:func:`pulled_field`) multiplies just
+    them.  ``field`` is the full-width (n, d) view of it, zero-padded when
+    ``modes`` < d.  A section derived from others keeps the full width.
+    Raises InputError when ``modes`` is outside 1..d or a value beyond it is
+    nonzero."""
 
     sampling: OrbitSampling
     block: np.ndarray
-    field: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    live_field: Optional[Callable[[np.ndarray], np.ndarray]] = None
     modes: Optional[int] = None
     rows: Optional[np.ndarray] = None
 
@@ -315,8 +329,23 @@ class Section:
         object.__setattr__(self, "rows", rows)
 
     @staticmethod
-    def from_field(sampling: OrbitSampling, field, modes: Optional[int] = None) -> "Section":
-        return Section(sampling, field(sampling.group_mats), field, modes)
+    def from_field(sampling: OrbitSampling, field) -> "Section":
+        """The full-width section of ``field`` on every sample."""
+        return Section(sampling, field(sampling.group_mats), field)
+
+    @property
+    def field(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+        """Full-width evaluator mats -> (n, d): ``live_field`` itself, or
+        its columns written into zeros when it has fewer than d."""
+        live, modes, dim = self.live_field, self.modes, self.sampling.fiber_dim
+        if live is None or modes == dim:
+            return live
+
+        def padded(mats):
+            out = np.zeros((np.shape(mats)[0], dim), dtype=complex)
+            out[:, :modes] = live(mats)
+            return out
+        return padded
 
     @property
     def values(self) -> np.ndarray:
@@ -438,14 +467,15 @@ def pulled_field(field, pull: np.ndarray, V: np.ndarray):
     along the left translation by ``pull`` and moved by the fiber matrix
     ``V``.  With pull = g^-1 and V = U_g it is the left-regular transform
     (Eq. 7a); with pull = exp(-t B_k) and V = exp(-i t H(B_k)) it is the
-    one-parameter flow of the reconstruction (Eq. 26).  ``V`` may keep only
-    its first k columns, shape (d, k), for a field that is zero beyond its
-    first k modes: the product then reads only those (a Garding node on a
-    section's live modes)."""
-    k = V.shape[1]
+    one-parameter flow of the reconstruction (Eq. 26).  ``field`` may give
+    only a section's k live modes (``Section.live_field``, (n, k)): the
+    product then reads only the first k columns of ``V``, a (n, k) @ (k, d)
+    product instead of one over zero padding.  ``V`` may itself keep only
+    those columns, shape (d, k) (a Garding node)."""
 
     def pulled(mats):
-        return field(left_translate(pull, mats))[:, :k] @ V.T
+        live = field(left_translate(pull, mats))
+        return live @ V[:, :live.shape[1]].T
     return pulled
 
 
@@ -485,26 +515,32 @@ def section_transform(action: BundleAction, g, psi: Section) -> Section:
             "section support left the sampled window under this transform")
     kept = np.flatnonzero(stays)
     kept = kept[np.argsort(images[kept])]
-    new_field = None if psi.field is None else pulled_field(
-        psi.field, transport.inverse, transport.fiber)
+    new_field = None if psi.live_field is None else pulled_field(
+        psi.live_field, transport.inverse, transport.fiber)
     return Section(sampling, _row_product(psi.block[kept], transport.fiber.T),
                    new_field, rows=images[kept])
+
+
+def transformed_field(action: BundleAction, g, field):
+    """The field of the left regular transform by ``g`` (any group element,
+    on the lattice or off it) of the field ``field``: ``field`` pulled by
+    g^-1 and moved by U_g, both computed here once."""
+    g_mat = as_matrix(g)
+    return pulled_field(field, np.linalg.inv(g_mat), action.fiber_matrix(g_mat))
 
 
 def evaluator_transform(action: BundleAction, g, psi: Section) -> Section:
     """Left regular transform of a field-backed section at an arbitrary
     (possibly off-lattice) group element: values are re-evaluated from the
-    closed-form field, never interpolated.  Lattice-only sections are
-    refused."""
+    closed-form field (its live modes only), never interpolated.
+    Lattice-only sections are refused."""
     if psi.field is None:
         raise AlignmentError(
             "off-lattice transform needs a field-backed section")
     sampling = psi.sampling
     if action is not sampling.action:
         raise InputError("section transform with a foreign action")
-    g_mat = as_matrix(g)
-    return Section.from_field(
-        sampling, pulled_field(psi.field, np.linalg.inv(g_mat), action.fiber_matrix(g_mat)))
+    return Section.from_field(sampling, transformed_field(action, g, psi.live_field))
 
 
 def multiply(alpha: BaseFunction, psi: Section) -> Section:
@@ -589,10 +625,11 @@ def _probe_section(sampling: OrbitSampling, rng: np.random.Generator,
     second-kind coordinates (times a Gaussian of width ``sigma`` when given)
     times a low-mode fiber profile with smooth coordinate dependence.
     Carries an exact batch field.  The profile lives on the first
-    ``min(max_degree + 1, d)`` fiber modes, the section's ``modes``: the
-    field computes only those and pads its values with zeros to width d.
-    The section's ``rows`` are the samples with a nonzero live value, read
-    once here from those columns; it stores its values on those rows only."""
+    ``min(max_degree + 1, d)`` fiber modes, the section's ``modes``: its
+    ``live_field`` computes only those columns, and only the block (and the
+    ``field`` view) holds zeros beyond them.  The section's ``rows`` are the
+    samples with a nonzero live value; it stores its values on those rows
+    only."""
     group = sampling.action.group
     cfg = sampling.action.dim_config
     bump = smooth_bump(radius)
@@ -609,19 +646,19 @@ def _probe_section(sampling: OrbitSampling, rng: np.random.Generator,
     kappa = rng.uniform(-1.0, 1.0, group.dim)
     v0, slopes = v0[:modes], np.ascontiguousarray(slopes[:, :modes])
 
-    def field(mats):
+    def live_field(mats):
         t = group.coords_batch(np.asarray(mats))
         env = bump(t)
         if sigma is not None:
             env *= np.exp(-0.5 * scaled_square_radius(t, sigma))
         phase = np.exp(1j * (t @ kappa))
-        out = np.zeros((t.shape[0], cfg.dim), dtype=complex)
-        out[:, :modes] = (env * phase)[:, None] * (v0[None, :] + t @ slopes)
-        return out
+        return (env * phase)[:, None] * (v0[None, :] + t @ slopes)
 
-    values = field(sampling.group_mats)
-    rows = np.flatnonzero(values[:, :modes].any(axis=1))
-    return Section(sampling, values[rows], field, modes, rows)
+    live = live_field(sampling.group_mats)
+    rows = np.flatnonzero(live.any(axis=1))
+    block = np.zeros((len(rows), cfg.dim), dtype=complex)
+    block[:, :modes] = live[rows]
+    return Section(sampling, block, live_field, modes, rows)
 
 
 def smooth_probe_section(sampling: OrbitSampling, rng: np.random.Generator,

@@ -10,13 +10,16 @@ from scbundle.errors import AlignmentError, InputError
 from scbundle.fiber import DimConfig
 from scbundle.generators import (
     SmoothingKernel, base_derivative, garding_smooth, generator_apply,
-    identity_suite, lattice_kernel,
+    generator_field, identity_suite, lattice_kernel,
 )
+from scbundle.groups import left_translate
 from scbundle.scenarios import load_scenario
 from scbundle.sections import (BaseFunction, LatticeAxis, OrbitSampling,
-                               Section, gentle_probe_section, pairing,
-                               pulled_field, section_transform,
+                               Section, central_difference,
+                               evaluator_transform, gentle_probe_section,
+                               pairing, pulled_field, section_transform,
                                smooth_probe_section)
+from scbundle.verify import _lattice_elements
 
 H = 0.15
 
@@ -209,6 +212,23 @@ def test_kernel_must_fit_window(weyl):
         lattice_kernel(sampling, radius=[10 * H, 0.2, 0.04])
 
 
+BAD_STEPS = [np.nan, np.inf, 0.0, -1e-3]
+
+
+@pytest.mark.parametrize("bad", BAD_STEPS, ids=["nan", "inf", "zero", "negative"])
+def test_kernel_radius_must_be_finite_and_positive(bad):
+    """An infinite radius used to cast to a one-node kernel that skipped the
+    window check; every radius that is not finite and positive, on any
+    axis, is refused."""
+    cfg = DimConfig(8)
+    action, _ = translations_r2_action(cfg)
+    sampling = OrbitSampling(action, ClassicalState(0.0, [0.1], [0.3]),
+                             [LatticeAxis.line(0.15, -4, 4)] * 2)
+    for radius in (bad, [0.2, bad]):
+        with pytest.raises(InputError, match="finite and positive"):
+            lattice_kernel(sampling, radius)
+
+
 # ---------------------------------------------------------------------------
 # generator application
 # ---------------------------------------------------------------------------
@@ -237,6 +257,52 @@ def test_generator_order_estimate_on_smoothed(weyl, smoothed):
     assert all(isinstance(app, Section) for app in apps)
     r12, r24 = ((a - b).norm for a, b in zip(apps, apps[1:]))
     assert np.log2(r12 / r24) >= 1.9
+
+
+@pytest.mark.parametrize("bad", BAD_STEPS, ids=["nan", "inf", "zero", "negative"])
+def test_fd_step_must_be_finite_and_positive(weyl, smoothed, bad):
+    """nan and inf steps used to give non-finite generators, and inf a zero
+    base derivative; each such step is refused before any arithmetic, by
+    the section and the field-level generator alike."""
+    action, sampling = weyl
+    A = action.group.algebra([1.0, 0.0, 0.0])
+    alpha = smooth_alpha()
+    calls = [lambda: generator_apply(A, smoothed, action, bad),
+             lambda: generator_field(A, smoothed.live_field, action, bad),
+             lambda: base_derivative(A, alpha, action, sampling, bad),
+             lambda: base_derivative(A, pairing(smoothed, smoothed), action,
+                                     sampling, bad)]
+    for call in calls:
+        with pytest.raises(InputError, match="finite and positive"):
+            call()
+
+
+@pytest.mark.parametrize("name", ["heisenberg-weyl", "translations-r2",
+                                  "oscillator-evolution"])
+def test_generator_apply_is_the_section_level_stencil(name):
+    """The field-first generator equals, bit for bit, the stencil of two
+    transformed sections, block and field alike (the field read at a pulled
+    point set), on a smoothed catalog probe and on the probe itself."""
+    scn = load_scenario(name)
+    action, _ = scn.build_action()
+    sampling = scn.build_sampling(action, generator_scale=True)
+    sigma = scn.probe_size("generators")
+    probe = gentle_probe_section(sampling, scn.rng(), scn.max_degree, sigma)
+    smoothed = garding_smooth(lattice_kernel(sampling, scn.kernel_radius or sigma),
+                              probe, action)
+    group = action.group
+    A = group.algebra(np.linspace(1.0, 0.5, group.dim))
+    pull = np.linalg.inv(_lattice_elements(sampling)[1].matrix)
+    elsewhere = left_translate(pull, sampling.group_mats)
+    tau = scn.fd_tau
+    for psi in (smoothed, probe):
+        got = generator_apply(A, psi, action, tau)
+        expected = 1j * central_difference(
+            lambda t: evaluator_transform(action, group.exp_matrix(t * A.matrix), psi), tau)
+        assert got.modes == expected.modes == sampling.fiber_dim
+        assert got.rows is sampling.all_rows
+        assert got.block.tobytes() == expected.block.tobytes()
+        assert got.field(elsewhere).tobytes() == expected.field(elsewhere).tobytes()
 
 
 def test_generator_refuses_lattice_only_sections(weyl):

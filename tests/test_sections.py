@@ -13,7 +13,9 @@ from scbundle.dynamics import ClassicalState
 from scbundle.errors import AlignmentError, InputError
 from scbundle.fiber import DimConfig
 from scbundle import verify
-from scbundle.groups import exp as gexp
+from scbundle.generators import lattice_kernel
+from scbundle.groups import exp as gexp, left_translate
+from scbundle.reconstruction import exponentiate_generator
 from scbundle.scenarios import catalog_names, load_scenario
 from scbundle.sections import (
     BaseFunction, LatticeAxis, OrbitSampling, Section, delta_section,
@@ -83,6 +85,28 @@ def test_group_mats_match_per_point_products_on_catalog_lattices(name):
         expected = _per_point_group_mats(sampling)
         assert sampling.group_mats.dtype == expected.dtype
         assert sampling.group_mats.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", [n for n in catalog_names()
+                                  if load_scenario(n).action_name is not None])
+def test_group_mats_are_stored_plane_by_plane(name):
+    """On each catalog orbit and generator lattice the group matrices are a
+    view of a C-contiguous (n, n, J) array (their values are the C-ordered
+    per-point stack's, byte for byte: see the test above), and a left
+    translation of either layout gives the same bytes, signed zeros
+    included (the negated stack holds -0.0)."""
+    scn = load_scenario(name)
+    action, _ = scn.build_action()
+    for generator_scale in (False, True):
+        sampling = scn.build_sampling(action, generator_scale=generator_scale)
+        mats = sampling.group_mats
+        assert mats.transpose(1, 2, 0).flags.c_contiguous
+        g = np.linalg.inv(_lattice_elements(sampling)[1].matrix)
+        for plane in (mats, -mats):
+            c_ordered = np.ascontiguousarray(plane)
+            assert (left_translate(g, plane).tobytes()
+                    == left_translate(g, c_ordered).tobytes())
+        assert np.any(np.signbit(-mats) & (mats == 0.0))
 
 
 def test_sampling_contains_identity_and_recomputable_base(weyl):
@@ -211,19 +235,64 @@ def test_catalog_probes_record_their_live_modes(name):
 
 @pytest.mark.parametrize("rows", [1, 2, 2025])
 def test_column_restricted_pulled_field_is_the_square_product(weyl, rows):
-    """A fiber matrix cut to the probe's live columns gives the full square
-    product bit for bit, up to the sign of a zero: on a row where the probe
-    vanishes the shorter sum may end at -0.0.  Adding +0.0 erases that sign,
-    as the Garding sum, started from +0.0, does."""
+    """Pulling the probe's live field (its 4 live columns) gives the full
+    square product of the zero-padded field bit for bit, with the whole
+    fiber matrix or with its live columns only, up to the sign of a zero:
+    on a row where the probe vanishes the shorter sum may end at -0.0.
+    Adding +0.0 erases that sign, as the Garding sum, started from +0.0,
+    does."""
     action, sampling = weyl
     psi = probe(sampling, seed=4)
     g = lattice_element(sampling, [1, -1, 3]).matrix
     inv, V = np.linalg.inv(g), 0.37 * action.fiber_matrix(g)
     mats = sampling.group_mats[:rows]
+    assert psi.live_field(mats).shape == (rows, psi.modes)
     square = pulled_field(psi.field, inv, V)(mats)
     assert np.any(square)
-    cut = pulled_field(psi.field, inv, V[:, :psi.modes])(mats)
-    assert (cut + 0.0).tobytes() == (square + 0.0).tobytes()
+    for cols in (V, V[:, :psi.modes]):
+        cut = pulled_field(psi.live_field, inv, cols)(mats)
+        assert (cut + 0.0).tobytes() == (square + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("name", ["heisenberg-weyl", "translations-r2",
+                                  "oscillator-evolution"])
+def test_live_pulls_are_the_full_width_products(name):
+    """Every pull of a catalog probe multiplies only its live modes, and
+    gives the product of its zero-padded field with the whole fiber matrix
+    bit for bit, up to the sign of a zero (see above): the lattice transform's
+    field, the off-lattice transform, the reconstruction flow and a Garding
+    node."""
+    scn = load_scenario(name)
+    action, family = scn.build_action()
+    sampling = scn.build_sampling(action)
+    psi = smooth_probe_section(sampling, scn.rng(), scn.max_degree,
+                               scn.probe_size("sections"))
+    assert psi.modes < sampling.fiber_dim
+    mats = sampling.group_mats
+    group = action.group
+
+    def full_width(pull, V):
+        padded = psi.field(left_translate(pull, mats))
+        assert padded.shape == (len(sampling), sampling.fiber_dim)
+        return padded @ V.T
+
+    def same(got, expected):
+        return (got + 0.0).tobytes() == (expected + 0.0).tobytes()
+
+    g = _lattice_elements(sampling)[2].matrix
+    moved = section_transform(action, g, psi)
+    assert same(moved.field(mats), full_width(np.linalg.inv(g), action.fiber_matrix(g)))
+    off = group.exp_matrix(0.0137 * group.basis[0] + 0.021 * group.basis[-1])
+    assert same(evaluator_transform(action, off, psi).values,
+                full_width(np.linalg.inv(off), action.fiber_matrix(off)))
+    flowed = exponentiate_generator(family, 0, 0.3, psi)
+    assert same(flowed.values, full_width(group.exp_matrix(-0.3 * group.basis[0]),
+                                          family.directions[0].unitary(0.3)))
+    kernel = lattice_kernel(sampling, scn.kernel_radius or scn.probe_size("generators"))
+    m, w = kernel.node_mats[1], kernel.weights[1]
+    wU = w * action.fiber_matrix(m)
+    node = pulled_field(psi.live_field, np.linalg.inv(m), wU[:, :psi.modes])
+    assert same(node(mats), full_width(np.linalg.inv(m), wU))
 
 
 # ---------------------------------------------------------------------------

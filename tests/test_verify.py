@@ -11,7 +11,7 @@ from scbundle import generators, verify
 from scbundle.errors import PreconditionError
 from scbundle.groups import as_matrix
 from scbundle.scenarios import SEED_ENV_VAR, load_scenario
-from scbundle.sections import gentle_probe_section
+from scbundle.sections import Section, gentle_probe_section
 
 GOLDEN = Path(__file__).parent / "golden"
 FIELDS = ("check_id", "pass", "residual", "tolerance")
@@ -190,6 +190,47 @@ def test_each_operator_is_applied_once_per_step(monkeypatch):
     seen.clear()
     verify.section_checks(scn, scn.build_action()[0], scn.rng())
     assert seen and len(set(seen)) == len(seen)
+
+
+# smoothed-field evaluations in one identity-suite table with a conjugator,
+# H(A) psi given: two per generator block on psi (H(B), H(A + B), H(2A),
+# H(h A h^-1), H([A, B]) and the conjugation's left side) and four per nested
+# one (H(A) H(B) and H(B) H(A)); the multiplication and pairing identities
+# read memoised point sets.  A Section-level conjugation, which also samples
+# U_{h^-1} psi and the two steps of H(A) on it, makes 23.
+IDENTITY_TABLE_SMOOTHINGS = 20
+
+
+def test_identity_table_evaluates_only_what_it_reads(monkeypatch):
+    """Work-count guard: one identity-suite table of the generators suite on
+    the reduced heisenberg-weyl scenario, its conjugator given, evaluates the
+    smoothed field a pinned number of times, each one pass over all Garding
+    nodes (counted as calls of the probe's field)."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    scn = _reduced_heisenberg(["generators"])
+    action, _ = scn.build_action()
+    sampling = scn.build_sampling(action, generator_scale=True)
+    sigma = scn.probe_size("generators")
+    probe = gentle_probe_section(sampling, scn.rng(), scn.max_degree, sigma)
+    calls = []
+
+    def counted(mats):
+        calls.append(len(mats))
+        return probe.live_field(mats)
+
+    kernel = generators.lattice_kernel(sampling, scn.kernel_radius or sigma)
+    psi = generators.garding_smooth(
+        kernel, Section(sampling, probe.block, counted, probe.modes, probe.rows), action)
+    G = action.group
+    A, tau = G.algebra([1.0, 0.0, 0.0]), scn.fd_tau
+    HA = generators.generator_apply(A, psi, action, tau)
+    calls.clear()
+    generators.identity_suite(A, G.algebra([0.0, 1.0, 0.0]), verify._smooth_alpha(),
+                              psi, HA, action, tau,
+                              conjugator=verify._lattice_elements(sampling)[3])
+    nodes = len(kernel.weights)
+    assert nodes > 1 and set(calls) == {len(sampling)}
+    assert len(calls) == IDENTITY_TABLE_SMOOTHINGS * nodes
 
 
 def test_pointwise_recovery_redraws_points_the_shear_moves_out(monkeypatch):
