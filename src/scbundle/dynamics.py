@@ -623,7 +623,7 @@ def ansatz_errors(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
     eps_list = [float(eps) for eps in eps_list]
     for eps in eps_list:
         _check_packet_grid(X0, f0, eps, xs)
-    if T == 0.0:
+    if T == 0.0 or not eps_list:
         return [0.0] * len(eps_list)
     trajectory = classical_flow(H, X0, T, dt)
     f_T = fluctuation_propagator(H, trajectory, f0.dim_config).apply(f0)

@@ -4,17 +4,20 @@ The generator along A is i times ``sections.central_difference`` of the
 one-parameter transform family t -> U_{exp(tA)} psi, each member
 re-evaluated from the section's field (never by interpolating lattice
 values), after Garding smoothing against a compactly supported kernel
-summed over lattice-aligned group nodes.  It is built field first
-(:func:`generator_field`): the difference of the two pulled fields is one
-field map, and a section is built only where its values are read.  Every
-fd step and kernel radius must be finite and positive.  Base derivatives
-are the same central difference of a base field on the left-translated
-sampling.  The identity suite returns, at one fd step, a table of the
-residuals of linearity, conjugation covariance, the commutator/structure-
-constant match, the multiplication-operator commutator, and the pairing
-derivative (Eq. 21, :func:`pairing_residual`, which also serves Axiom A2 on
-two probes); it applies H(A) psi and H(B) psi once and every identity reads
-them.  This module judges nothing (tolerances and refinement orders live in
+summed over lattice-aligned group nodes.  It is written once, field first:
+:func:`generator_field` differences ``transform(exp(+-tau A), field)``, the
+field moved by a group element, as one field map, and a section is built
+only where its values are read.  The action's transform is
+``partial(sections.transformed_field, action)``; ``reconstruction`` passes
+its reconstructed operators.  Every fd step and kernel radius must be
+finite and positive.  The base derivative d[A] is the same central
+difference of any field on the left-translated sampling.  The identity
+suite returns, at one fd step, a table of the residuals of linearity,
+conjugation covariance, the commutator/structure-constant match, the
+multiplication-operator commutator, and the pairing derivative (Eq. 21,
+:func:`pairing_residual`, which also serves Axiom A2 on two probes); it
+applies H(A) psi and H(B) psi once and every identity reads them.  This
+module judges nothing (tolerances and refinement orders live in
 ``verify``).
 """
 
@@ -22,17 +25,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .actions import BundleAction
 from .errors import AlignmentError, InputError
-from .groups import (AlgebraElement, GroupElement, bracket, left_translate,
-                     scaled_square_radius, smooth_bump)
-from .sections import (BaseFunction, OrbitSampling, SampledBaseFunction,
-                       Section, central_difference, multiply, pairing,
-                       pulled_field, transformed_field)
+from .groups import (AlgebraElement, GroupElement, adjoint, bracket,
+                     left_translate, scaled_square_radius, smooth_bump)
+from .sections import (BaseFunction, OrbitSampling, Section,
+                       central_difference, multiply, pairing, pulled_field,
+                       transformed_field)
 
 __all__ = [
     "SmoothingKernel",
@@ -142,24 +146,20 @@ def _check_step(tau: float) -> None:
         raise InputError(f"fd step {tau!r} is not finite and positive")
 
 
-def generator_field(A: AlgebraElement, field, action: BundleAction, tau: float):
+def generator_field(A: AlgebraElement, field, transform, tau: float):
     """The field map of the generator along A: mats -> i times the central
     difference at step ``tau`` of the transformed fields
-    (``sections.transformed_field`` at exp(+-tau A), each computed once),
-    evaluated at ``mats`` (Eq. 16a).  ``field`` may give live modes only.
-    Raises InputError for a step that is not finite and positive and
+    ``transform(exp(+-tau A), field)``, each built once, evaluated at
+    ``mats`` (Eq. 16a).  ``field`` may give live modes only.  Raises
+    InputError for a step that is not finite and positive and
     AlignmentError for a missing field, before any arithmetic."""
     _check_step(tau)
     if field is None:
         raise AlignmentError(
             "generator application needs a field-backed section "
             "(smooth the input first)")
-    steps = {t: transformed_field(action, A.group.exp_matrix(t * A.matrix), field)
-             for t in (tau, -tau)}
-
-    def generated(mats):
-        return 1j * central_difference(lambda t: steps[t](mats), tau)
-    return generated
+    steps = {t: transform(A.group.exp_matrix(t * A.matrix), field) for t in (tau, -tau)}
+    return lambda mats: 1j * central_difference(lambda t: steps[t](mats), tau)
 
 
 def generator_apply(A: AlgebraElement, psi: Section, action: BundleAction,
@@ -167,53 +167,43 @@ def generator_apply(A: AlgebraElement, psi: Section, action: BundleAction,
     """Apply the generator of the one-parameter transform family along A,
     i times the central difference at step ``tau`` of
     t -> U_{exp(tA)} psi (Eq. 16a): the section of
-    :func:`generator_field` on psi's live field, whose block is its one
-    evaluation on the samples (bit for bit the difference of the two
-    transformed sections, block and field alike).
+    :func:`generator_field` of the action's transform on psi's live field,
+    whose block is its one evaluation on the samples (bit for bit the
+    difference of the two transformed sections, block and field alike).
 
     Requires a field-backed (smoothed or closed-form) section: exp(+-tau A)
     is generically off-lattice and lattice values cannot be differenced
     without interpolation.
     """
-    return Section.from_field(psi.sampling,
-                              generator_field(A, psi.live_field, action, tau))
+    return Section.from_field(psi.sampling, generator_field(
+        A, psi.live_field, partial(transformed_field, action), tau))
 
 
-def base_derivative(A: AlgebraElement, alpha, action: BundleAction,
-                    sampling: OrbitSampling, tau: float) -> SampledBaseFunction:
-    """Directional derivative of a base function along the flow of A,
-    d/dt alpha(u_{exp(A t)} X) at t = 0, by central differences of its
-    values on the left-translated sampling.
-
-    ``alpha`` may be a BaseFunction (evaluated through the closed form) or a
-    SampledBaseFunction carrying a field.  Raises InputError for a step
-    that is not finite and positive.
-    """
+def base_derivative(A: AlgebraElement, field, sampling: OrbitSampling,
+                    tau: float) -> np.ndarray:
+    """d[A]: the directional derivative along the flow of A,
+    d/dt field(exp(A t) h) at t = 0 for every sample h, by central
+    differences of ``field`` on the left-translated sampling.  ``field``
+    is any batch field over group matrices: a pairing's ``field``, a
+    section's ``field``, or a base function on the orbit.  Raises
+    InputError for a step that is not finite and positive and
+    AlignmentError for a missing field."""
     _check_step(tau)
-    if isinstance(alpha, SampledBaseFunction):
-        if alpha.field is None:
-            raise AlignmentError("sampled base function has no field to flow")
-        field = alpha.field
-    elif isinstance(alpha, BaseFunction):
-        def field(mats):
-            return alpha.eval_rows(sampling.state_rows(mats))
-    else:
-        raise InputError("alpha must be a BaseFunction or SampledBaseFunction")
-
+    if field is None:
+        raise AlignmentError("base derivative needs a field to flow")
     mats = sampling.group_mats
-    return SampledBaseFunction(sampling, central_difference(
-        lambda t: field(left_translate(A.group.exp_matrix(t * A.matrix), mats)), tau))
+    return central_difference(
+        lambda t: field(left_translate(A.group.exp_matrix(t * A.matrix), mats)), tau)
 
 
 def pairing_residual(A: AlgebraElement, phi: Section, psi: Section,
-                     Hphi: Section, Hpsi: Section, action: BundleAction,
-                     tau: float) -> float:
+                     Hphi: Section, Hpsi: Section, tau: float) -> float:
     """Residual of Eq. (21) at fd step ``tau``, given H(A) phi and H(A) psi
     applied at that step: -i d[A]<phi, psi> = <phi, H(A) psi> -
     <H(A) phi, psi>, sup over the sampling."""
-    d = base_derivative(A, pairing(phi, psi), action, psi.sampling, tau)
+    d = base_derivative(A, pairing(phi, psi).field, psi.sampling, tau)
     rhs = pairing(phi, Hpsi).values - pairing(Hphi, psi).values
-    return float(np.max(np.abs(-1j * d.values - rhs)))
+    return float(np.max(np.abs(-1j * d - rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +231,7 @@ def identity_suite(A: AlgebraElement, B: AlgebraElement, alpha: BaseFunction,
     inside H(A) are sampled on their own.
     """
     sampling = psi.sampling
-    group = action.group
+    transform = partial(transformed_field, action)
 
     def H(X, phi):
         return generator_apply(X, phi, action, tau)
@@ -250,18 +240,18 @@ def identity_suite(A: AlgebraElement, B: AlgebraElement, alpha: BaseFunction,
     out = {"linearity": max((H(A + B, psi) - (HA + HB)).norm,
                             (H(2.0 * A, psi) - 2.0 * HA).norm)}
     if conjugator is not None:
-        h, h_inv = conjugator.matrix, np.linalg.inv(conjugator.matrix)
-        inner = transformed_field(action, h_inv, psi.live_field)
-        lhs = Section.from_field(sampling, transformed_field(
-            action, h, generator_field(A, inner, action, tau)))
-        hAh = group.algebra(group.expand_in_basis(h @ A.matrix @ h_inv))
+        inner = transform(np.linalg.inv(conjugator.matrix), psi.live_field)
+        lhs = Section.from_field(sampling, transform(
+            conjugator, generator_field(A, inner, transform, tau)))
+        hAh = A.group.algebra(adjoint(conjugator, A).coords)
         # h A h^-1 = A to the bit when h commutes with A: reuse H(A) psi
         same = hAh.coords.tobytes() == A.coords.tobytes()
         out["conjugation"] = (lhs - (HA if same else H(hAh, psi))).norm
     out["commutator"] = ((H(A, HB) - H(B, HA)) - 1j * H(bracket(A, B), psi)).norm
     lhs = 1j * (H(A, multiply(alpha, psi)) - multiply(alpha, HA))
-    dalpha = base_derivative(A, alpha, action, sampling, tau)
+    dalpha = base_derivative(
+        A, lambda mats: alpha.eval_rows(sampling.state_rows(mats)), sampling, tau)
     out["multiplication"] = (
-        lhs - Section(sampling, dalpha.values[:, None] * psi.values)).norm
-    out["pairing_derivative"] = pairing_residual(A, psi, psi, HA, HA, action, tau)
+        lhs - Section(sampling, dalpha[:, None] * psi.values)).norm
+    out["pairing_derivative"] = pairing_residual(A, psi, psi, HA, HA, tau)
     return out

@@ -208,9 +208,6 @@ class LieGroup:
             tail = exps[k] @ tail
         return float(abs(np.linalg.det(cols)))
 
-    def __repr__(self) -> str:
-        return f"LieGroup({self.group_id!r}, dim={self.dim})"
-
 
 # ---------------------------------------------------------------------------
 # Core operations

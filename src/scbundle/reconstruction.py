@@ -8,16 +8,18 @@ base).  Every group matrix here, flows and matrix words alike, comes from
 the group's closed-form exponential ``LieGroup.exp_matrix``.  Lattice-only
 sections are refused.  Group elements are factorized in second-kind
 canonical coordinates, always through the checked
-``groups.factorize_second_kind``, and every word of one-parameter steps is
-applied by one loop.  The generator of the reconstructed action is
-``sections.central_difference`` of the reconstructed one-parameter family;
-word identities, conjugation covariance, and the group law quantify how
-faithfully the reconstruction matches the original action.
+``groups.factorize_second_kind``.  A word of one-parameter steps composes
+one pulled field per nonzero step and is evaluated once, as one section at
+the end.  The generator of the reconstructed action is
+``generators.generator_field`` with the reconstructed operators as its
+transform; word identities, conjugation covariance, and the group law
+quantify how faithfully the reconstruction matches the original action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -25,8 +27,10 @@ import numpy as np
 from .actions import GeneratorFamily
 from .errors import (AlignmentError, InputError, NumericalError,
                      PreconditionError)
-from .groups import GroupElement, as_matrix, factorize_second_kind, left_translate
-from .sections import Section, central_difference, pulled_field
+from .generators import base_derivative, generator_field
+from .groups import (AlgebraElement, GroupElement, adjoint, as_matrix,
+                     factorize_second_kind)
+from .sections import Section, pulled_field
 
 __all__ = [
     "exponentiate_generator",
@@ -41,76 +45,80 @@ __all__ = [
 ]
 
 
-def exponentiate_generator(family: GeneratorFamily, k: int, t: float,
-                           psi0: Section) -> Section:
-    """Solve the one-parameter Cauchy problem along basis direction ``k``:
-    transport the field along the base flow of B_k and rotate it by
-    exp(-i t H(B_k)) (``GeneratorData.unitary``), returning the section at
-    parameter ``t``; the pull reads only the section's live modes.
-    Requires a field-backed section."""
-    if not 0 <= k < family.group.dim:
-        raise InputError("basis index out of range")
-    if not np.isfinite(t):
-        raise InputError("non-finite flow parameter")
-    if psi0.field is None:
-        raise AlignmentError(
-            "generator exponentiation needs a field-backed section")
-    if t == 0.0:
-        return psi0
-    pull = family.group.exp_matrix(-t * family.group.basis[k])
-    T = family.directions[k].unitary(t)
-    out = Section.from_field(psi0.sampling, pulled_field(psi0.live_field, pull, T))
+def _word_field(family: GeneratorFamily, word: Sequence, field):
+    """``field`` moved by a word of one-parameter steps ``(basis index,
+    parameter)``, rightmost first: one pulled field per nonzero step, and
+    ``field`` itself when none applies.  A missing field, a basis index out
+    of range and a non-finite parameter are refused."""
+    if field is None:
+        raise AlignmentError("reconstruction needs a field-backed section")
+    group = family.group
+    for k, t in reversed(word):
+        if not 0 <= k < group.dim:
+            raise InputError("basis index out of range")
+        if not np.isfinite(t):
+            raise InputError("non-finite flow parameter")
+        if t != 0.0:
+            field = pulled_field(field, group.exp_matrix(-t * group.basis[k]),
+                                 family.directions[k].unitary(t))
+    return field
+
+
+def _apply_word(family: GeneratorFamily, word: Sequence, psi: Section) -> Section:
+    """The section of :func:`_word_field` on psi's live field, built once;
+    ``psi`` itself when no step applies."""
+    field = _word_field(family, word, psi.live_field)
+    if field is psi.live_field:
+        return psi
+    out = Section.from_field(psi.sampling, field)
     if not np.all(np.isfinite(out.values)):
         raise NumericalError("generator exponentiation blew up")
     return out
 
 
-def _apply_word(family: GeneratorFamily, word: Sequence, psi: Section) -> Section:
-    """Apply a word of one-parameter steps ``(basis index, parameter)``,
-    rightmost step first; zero steps are skipped."""
-    out = psi
-    for k, t in reversed(word):
-        if t != 0.0:
-            out = exponentiate_generator(family, k, t, out)
-    return out
+def _factors(family: GeneratorFamily, g) -> list:
+    """The word of ``g``'s checked second-kind factorization."""
+    t = factorize_second_kind(GroupElement(family.group, as_matrix(g)))
+    return [(k, float(t_k)) for k, t_k in enumerate(t)]
+
+
+def _reconstructed_field(family: GeneratorFamily, g, field):
+    """The field moved by the reconstructed operator of ``g``."""
+    return _word_field(family, _factors(family, g), field)
+
+
+def exponentiate_generator(family: GeneratorFamily, k: int, t: float,
+                           psi0: Section) -> Section:
+    """Solve the one-parameter Cauchy problem along basis direction ``k``:
+    the one-step word (k, t), returning the section at parameter ``t``.
+    Requires a field-backed section."""
+    return _apply_word(family, [(k, t)], psi0)
 
 
 def reconstruct_group_operator(family: GeneratorFamily, g, psi: Section) -> Section:
     """Apply the reconstructed operator of ``g`` (a GroupElement or a
     matrix) through its checked second-kind factorization, rightmost
     one-parameter factor first."""
-    t = factorize_second_kind(GroupElement(family.group, as_matrix(g)))
-    return _apply_word(family, [(k, float(t_k)) for k, t_k in enumerate(t)], psi)
+    return _apply_word(family, _factors(family, g), psi)
 
 
-def family_generator_apply(family: GeneratorFamily, A_coords: np.ndarray,
+def family_generator_apply(family: GeneratorFamily, A: AlgebraElement,
                            psi: Section, tau: float) -> Section:
-    """Finite-difference generator of the *reconstructed* action along
-    A = sum_k coords_k B_k: i times the central difference of
-    t -> (reconstructed operator of exp(tA)) psi."""
-    gen = np.tensordot(np.asarray(A_coords, dtype=float), family.group.basis,
-                       axes=(0, 0))
-    return 1j * central_difference(
-        lambda t: reconstruct_group_operator(family, family.group.exp_matrix(t * gen), psi),
-        tau)
+    """Finite-difference generator of the *reconstructed* action along A:
+    i times the central difference of t -> (reconstructed operator of
+    exp(tA)) psi, one section of ``generators.generator_field``."""
+    return Section.from_field(psi.sampling, generator_field(
+        A, psi.live_field, partial(_reconstructed_field, family), tau))
 
 
-def family_generator_direct(family: GeneratorFamily, A_coords: np.ndarray,
+def family_generator_direct(family: GeneratorFamily, A: AlgebraElement,
                             psi: Section, tau: float) -> Section:
     """The generator evaluated from its split form H(A) - i d[A]: the fiber
-    Hamiltonian acts pointwise and the base derivation is the central
-    difference of the section's field along the flow (no fiber
-    transport)."""
-    if psi.field is None:
-        raise AlignmentError("direct generator needs a field-backed section")
-    A_coords = np.asarray(A_coords, dtype=float)
-    gen_mat = np.tensordot(A_coords, family.group.basis, axes=(0, 0))
-    # d[A] psi at u_h: d/ds psi(u_{exp(A s)} u_h) at s = 0
-    mats = psi.sampling.group_mats
-    base_term = central_difference(
-        lambda s: psi.field(left_translate(family.group.exp_matrix(s * gen_mat), mats)), tau)
-    H = family.combination_hamiltonian(A_coords)
-    return Section(psi.sampling, psi.values @ H.T - 1j * base_term)
+    Hamiltonian acts pointwise, d[A] is ``generators.base_derivative`` of
+    the section's field (no fiber transport)."""
+    H = family.combination_hamiltonian(A.coords)
+    return Section(psi.sampling, psi.values @ H.T
+                   - 1j * base_derivative(A, psi.field, psi.sampling, tau))
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +183,17 @@ def word_identity_check(family: GeneratorFamily, word: Sequence,
 # ---------------------------------------------------------------------------
 
 def conjugation_check(family: GeneratorFamily, k: int, t: float,
-                      A_coords: np.ndarray, psi: Section, tau: float) -> float:
+                      A: AlgebraElement, psi: Section, tau: float) -> float:
     """Residual of  U^{-t}_{B_k} H(A) U^t_{B_k} psi = H(Ad_{exp(-B_k t)} A) psi
-    with generators taken by central differences at fd step ``tau``."""
+    with generators taken by central differences at fd step ``tau``.  The
+    left side composes field maps and builds one section."""
     group = family.group
-    A_coords = np.asarray(A_coords, dtype=float)
-    gen = np.tensordot(A_coords, group.basis, axes=(0, 0))
-    h_inv = group.exp_matrix(-t * group.basis[k])
-    adjoint_coords = group.expand_in_basis(h_inv @ gen @ np.linalg.inv(h_inv))
-    inner = exponentiate_generator(family, k, t, psi)
-    mid = family_generator_apply(family, A_coords, inner, tau)
-    lhs = exponentiate_generator(family, k, -t, mid)
-    rhs = family_generator_apply(family, adjoint_coords, psi, tau)
+    inner = _word_field(family, [(k, t)], psi.live_field)
+    h_inv = GroupElement(group, group.exp_matrix(-t * group.basis[k]))
+    generated = generator_field(A, inner, partial(_reconstructed_field, family), tau)
+    lhs = Section.from_field(psi.sampling, _word_field(family, [(k, -t)], generated))
+    rhs = family_generator_apply(
+        family, group.algebra(adjoint(h_inv, A).coords), psi, tau)
     return (lhs - rhs).norm
 
 
@@ -210,9 +217,9 @@ def group_law_verify(family: GeneratorFamily, g1, g2, psi: Section,
 
     worst = 0.0
     for k in range(family.group.dim):
-        coords = np.eye(family.group.dim)[k]
-        fd = family_generator_apply(family, coords, psi, tau)
-        direct = family_generator_direct(family, coords, psi, tau)
+        A = family.group.algebra(np.eye(family.group.dim)[k])
+        fd = family_generator_apply(family, A, psi, tau)
+        direct = family_generator_direct(family, A, psi, tau)
         scale = max(direct.norm, 1e-12)
         worst = max(worst, (fd - direct).norm / scale)
     return GroupLawReport(comp, worst)

@@ -330,8 +330,13 @@ class Section:
 
     @staticmethod
     def from_field(sampling: OrbitSampling, field) -> "Section":
-        """The full-width section of ``field`` on every sample."""
-        return Section(sampling, field(sampling.group_mats), field)
+        """The section of ``field`` on every sample; a field of k < d
+        columns is the ``live_field`` of k live modes."""
+        block = field(sampling.group_mats)
+        modes = block.shape[1]
+        if modes < sampling.fiber_dim:
+            block = np.pad(block, ((0, 0), (0, sampling.fiber_dim - modes)))
+        return Section(sampling, block, field, modes)
 
     @property
     def field(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
@@ -415,7 +420,7 @@ class BaseFunction:
 @dataclass(frozen=True)
 class SampledBaseFunction:
     """Base-function samples aligned with an orbit sampling (the output of
-    the pairing and of base derivatives)."""
+    the pairing), with the field they sample when there is one."""
 
     sampling: OrbitSampling
     values: np.ndarray

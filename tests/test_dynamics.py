@@ -495,6 +495,16 @@ def test_ansatz_errors_equal_single_eps_errors():
                       for e in eps]
 
 
+@pytest.mark.parametrize("H", [OSC, cubic_perturbed_spec()], ids=["exact", "split-step"])
+@pytest.mark.parametrize("T", [0.0, 0.05])
+def test_ansatz_errors_of_no_eps_are_empty(H, T):
+    """An empty eps list gives no errors on every path; the split-step path
+    used to refuse its empty packet stack."""
+    xs = np.linspace(-16, 16, 8192)
+    assert ansatz_errors(H, ClassicalState(0.0, [0.0], [1.0]), ground_state(),
+                         [], T, xs, dt=1e-3) == []
+
+
 @pytest.mark.parametrize("T", [0.0, 1.0])
 @pytest.mark.parametrize("X0, eps, xs, error, message", [
     # carrier wavelength 2 pi eps / P = 0.126 against spacing 0.063

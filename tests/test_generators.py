@@ -1,5 +1,7 @@
 """Garding smoothing, finite-difference generators, and the identity suite."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from scbundle.sections import (BaseFunction, LatticeAxis, OrbitSampling,
                                Section, central_difference,
                                evaluator_transform, gentle_probe_section,
                                pairing, pulled_field, section_transform,
-                               smooth_probe_section)
+                               smooth_probe_section, transformed_field)
 from scbundle.verify import _lattice_elements
 
 H = 0.15
@@ -268,9 +270,12 @@ def test_fd_step_must_be_finite_and_positive(weyl, smoothed, bad):
     A = action.group.algebra([1.0, 0.0, 0.0])
     alpha = smooth_alpha()
     calls = [lambda: generator_apply(A, smoothed, action, bad),
-             lambda: generator_field(A, smoothed.live_field, action, bad),
-             lambda: base_derivative(A, alpha, action, sampling, bad),
-             lambda: base_derivative(A, pairing(smoothed, smoothed), action,
+             lambda: generator_field(A, smoothed.live_field,
+                                     partial(transformed_field, action), bad),
+             lambda: base_derivative(
+                 A, lambda mats: alpha.eval_rows(sampling.state_rows(mats)),
+                 sampling, bad),
+             lambda: base_derivative(A, pairing(smoothed, smoothed).field,
                                      sampling, bad)]
     for call in calls:
         with pytest.raises(InputError, match="finite and positive"):
@@ -354,8 +359,9 @@ def test_base_derivative_constant_function(weyl, smoothed):
     action, sampling = weyl
     A = action.group.algebra([0.5, -0.2, 0.1])
     const = BaseFunction(batch=lambda rows: np.full(rows.shape[0], 2.3 + 0j))
-    d = base_derivative(A, const, action, sampling, 1e-3)
-    assert np.max(np.abs(d.values)) <= 1e-12
+    d = base_derivative(
+        A, lambda mats: const.eval_rows(sampling.state_rows(mats)), sampling, 1e-3)
+    assert np.max(np.abs(d)) <= 1e-12
 
 
 def test_base_derivative_translation_coordinate():
@@ -367,8 +373,9 @@ def test_base_derivative_translation_coordinate():
         [LatticeAxis.line(0.2, -3, 3), LatticeAxis.line(0.2, -3, 3)])
     alpha = BaseFunction(batch=lambda rows: rows[:, 2])
     A = action.group.algebra([1.0, 0.0])
-    d = base_derivative(A, alpha, action, sampling, 1e-3)
-    assert np.max(np.abs(d.values - 1.0)) <= 1e-10
+    d = base_derivative(
+        A, lambda mats: alpha.eval_rows(sampling.state_rows(mats)), sampling, 1e-3)
+    assert np.max(np.abs(d - 1.0)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from scbundle.actions import (heisenberg_weyl_action, metaplectic_action,
 from scbundle.dynamics import (ClassicalState, classical_flow,
                                evolution_automorphism,
                                quadratic_hamiltonian_spec)
-from scbundle.errors import AlignmentError, PreconditionError
+from scbundle.errors import AlignmentError, InputError, PreconditionError
 from scbundle.fiber import DimConfig
 from scbundle.groups import exp as gexp
 from scbundle.reconstruction import (conjugation_check, exponentiate_generator,
@@ -18,6 +18,7 @@ from scbundle.reconstruction import (conjugation_check, exponentiate_generator,
                                      family_generator_direct, group_law_verify,
                                      reconstruct_group_operator,
                                      word_identity_check)
+from scbundle.scenarios import SEED_ENV_VAR, load_scenario
 from scbundle.sections import (LatticeAxis, OrbitSampling, Section,
                                delta_section, evaluator_transform,
                                gentle_probe_section, pairing,
@@ -90,19 +91,32 @@ def test_zero_section_stays_zero(weyl):
     assert out.norm <= 1e-12
 
 
+@pytest.mark.parametrize("k, t", [(3, 0.2), (-1, 0.2), (0, np.nan), (1, np.inf)])
+def test_steps_must_name_a_basis_direction_and_a_finite_parameter(weyl, k, t):
+    """Checked per step of every word, so the conjugation residual refuses
+    them as exponentiation does."""
+    _, family, _, psi = weyl
+    A = family.group.algebra([1.0, 0.0, 0.0])
+    with pytest.raises(InputError):
+        exponentiate_generator(family, k, t, psi)
+    with pytest.raises(InputError):
+        conjugation_check(family, k, t, A, psi, 1e-3)
+
+
 def test_lattice_only_sections_are_refused(weyl):
     # a unit value at the identity and lattice-aligned parameters: the moved
     # support stays on the lattice and inside the window, yet a section
-    # without a field is not transported
+    # without a field is not transported, not even by a word with no step
     _, family, sampling, _ = weyl
     lattice_only = delta_section(sampling, sampling.identity_index(),
                                  np.eye(sampling.fiber_dim)[0])
     group = family.group
-    with pytest.raises(AlignmentError):
-        exponentiate_generator(family, 0, H, lattice_only)
-    with pytest.raises(AlignmentError):
-        reconstruct_group_operator(
-            family, group.element(group.compose_exps([H, -H, 2 * H * H])), lattice_only)
+    for t in (H, 0.0):
+        with pytest.raises(AlignmentError):
+            exponentiate_generator(family, 0, t, lattice_only)
+    for g in (group.element(group.compose_exps([H, -H, 2 * H * H])), group.identity()):
+        with pytest.raises(AlignmentError):
+            reconstruct_group_operator(family, g, lattice_only)
 
 
 def test_reconstructed_operator_isometry(weyl):
@@ -208,7 +222,8 @@ def test_word_precondition_violation(weyl):
 
 def test_conjugation_zero_time(weyl):
     _, family, _, psi = weyl
-    assert conjugation_check(family, 1, 0.0, np.array([1.0, 0, 0]), psi, 1e-3) <= 1e-6
+    A = family.group.algebra([1.0, 0, 0])
+    assert conjugation_check(family, 1, 0.0, A, psi, 1e-3) <= 1e-6
 
 
 def test_conjugation_abelian_trivial():
@@ -220,14 +235,16 @@ def test_conjugation_abelian_trivial():
         [LatticeAxis.line(0.15, -4, 4), LatticeAxis.line(0.15, -4, 4)])
     rng = np.random.default_rng(7)
     psi = gentle_probe_section(sampling, rng, 4, sigma=[0.4, 0.4])
-    assert conjugation_check(family, 0, 0.4, np.array([0.0, 1.0]), psi, 1e-3) <= 1e-6
+    A = family.group.algebra([0.0, 1.0])
+    assert conjugation_check(family, 0, 0.4, A, psi, 1e-3) <= 1e-6
 
 
 def test_conjugation_heisenberg_central_term(weyl):
     # conjugating the position-shift generator by the momentum flow picks up
     # the central direction; the residual shrinks at order >= 1
     _, family, _, psi = weyl
-    r, r_half = (conjugation_check(family, 1, 0.3, np.array([1.0, 0.0, 0.0]), psi, tau)
+    A = family.group.algebra([1.0, 0.0, 0.0])
+    r, r_half = (conjugation_check(family, 1, 0.3, A, psi, tau)
                  for tau in (1e-3, 5e-4))
     assert r <= 1e-4
     assert r_half <= max(0.6 * r, 1e-9)
@@ -261,6 +278,61 @@ def test_generator_closure_oscillator():
     sampling = OrbitSampling(action, anchor, [LatticeAxis.line(0.05, -30, 30)])
     rng = np.random.default_rng(9)
     psi = gentle_probe_section(sampling, rng, 4, sigma=[0.5])
-    fd = family_generator_apply(family, np.array([1.0]), psi, 1e-3)
-    direct = family_generator_direct(family, np.array([1.0]), psi, 1e-3)
+    A = family.group.algebra([1.0])
+    fd = family_generator_apply(family, A, psi, 1e-3)
+    direct = family_generator_direct(family, A, psi, 1e-3)
     assert (fd - direct).norm / direct.norm <= 1e-3
+
+
+def test_zero_direction_generator_of_the_family_vanishes(weyl):
+    """exp(+-tau 0) is the identity, whose word has no step: both sides are
+    psi's live field and the generator is zero on every sample."""
+    _, family, sampling, psi = weyl
+    out = family_generator_apply(family, family.group.algebra([0.0, 0.0, 0.0]), psi, 1e-3)
+    assert out.rows is sampling.all_rows and out.norm == 0.0
+
+
+# ---------------------------------------------------------------------------
+# work count
+# ---------------------------------------------------------------------------
+
+# Sections built on the catalog heisenberg-weyl generator lattice: a word is
+# one section at the end, and the reconstructed generator one section of its
+# field map.  Building a section per factor and differencing two
+# reconstructed sections makes 3, 2 and 8.
+WORD_SECTIONS, GENERATOR_SECTIONS, CONJUGATION_SECTIONS = 1, 1, 2
+
+
+def test_reconstruction_builds_one_section_per_word(monkeypatch):
+    """Work-count guard: calls of ``Section.from_field`` for a three-factor
+    reconstructed operator, the reconstructed generator along the first
+    basis direction, and one conjugation residual, on the catalog
+    heisenberg-weyl reconstruction probe."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    scn = load_scenario("heisenberg-weyl")
+    action, family = scn.build_action()
+    sampling = scn.build_sampling(action, generator_scale=True)
+    psi = gentle_probe_section(sampling, scn.rng(), scn.max_degree,
+                               scn.probe_size("reconstruction"))
+    group = family.group
+    A, tau = group.algebra([1.0, 0.0, 0.0]), scn.fd_tau
+    built = []
+    from_field = Section.from_field
+
+    def counted(sampling, field):
+        built.append(len(sampling))
+        return from_field(sampling, field)
+
+    monkeypatch.setattr(Section, "from_field", staticmethod(counted))
+
+    def count(call):
+        built.clear()
+        call()
+        assert set(built) == {len(sampling)}
+        return len(built)
+
+    g = group.element(group.compose_exps([0.1, -0.05, 0.02]))
+    assert count(lambda: reconstruct_group_operator(family, g, psi)) == WORD_SECTIONS
+    assert count(lambda: family_generator_apply(family, A, psi, tau)) == GENERATOR_SECTIONS
+    assert (count(lambda: conjugation_check(family, 1, 0.3, A, psi, tau))
+            == CONJUGATION_SECTIONS)

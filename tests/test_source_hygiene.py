@@ -12,7 +12,9 @@ split-step FFT in
 ``dynamics._strang_steps``, the measured refinement order (log2
 of a residual ratio) in ``verify._order_gap``, the central-difference
 stencil (a difference over 2 * step) in ``sections.central_difference``
-(and the Hamiltonian self-check ``HamiltonianSpec.validate``), and the
+(and the Hamiltonian self-check ``HamiltonianSpec.validate``), the
+generator stencil ``1j * central_difference(...)`` in
+``generators.generator_field``, and the
 eigendecomposition of a generator's fiber Hamiltonian in
 ``actions.GeneratorData``, and the scaled squared radius (a squared
 quotient) in ``groups.scaled_square_radius``; no ``setdiff1d`` (the lost
@@ -297,6 +299,13 @@ def _is_central_stencil(node: ast.AST) -> bool:
     return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and _is_twice(node.right)
 
 
+def _is_generator_stencil(node: ast.AST) -> bool:
+    """``1j * central_difference(...)``: the generator of Eq. (16a)."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and isinstance(node.left, ast.Constant) and node.left.value == 1j
+            and _calls(node.right, "central_difference"))
+
+
 def _is_generator_eigh(node: ast.AST) -> bool:
     """``eigh`` of an expression that reads a ``fiber_hamiltonian``."""
     return _calls(node, "eigh") and any(
@@ -385,6 +394,12 @@ def test_written_once_patterns_are_recognised():
                      '    return eigh(d.fiber_hamiltonian.T)\n')
     assert _owners(tree, _is_central_stencil) == {"fd", "other"}
     assert _owners(tree, _is_generator_eigh) == {"spectrum", "elsewhere"}
+    tree = ast.parse('def gen(f, t, s):\n'
+                     '    return 1j * central_difference(f, t), 1j * s.central_difference(f, t)\n'
+                     'def other(f, t):\n'
+                     '    return (2j * central_difference(f, t), central_difference(f, t) * 1j,\n'
+                     '            -1j * central_difference(f, t), 1j * difference(f, t))\n')
+    assert _sites(tree, _is_generator_stencil) == ["gen", "gen"]
     tree = ast.parse('def bump(t, s):\n'
                      '    return np.sum((t / s) ** 2, axis=-1), (t / s) ** 2.0\n'
                      'def other(t, s, j, kept):\n'
@@ -440,6 +455,11 @@ def test_refinement_order_measured_once():
 def test_central_difference_written_once():
     assert _package_owners(_is_central_stencil) == {
         ("sections.py", "central_difference"), ("dynamics.py", "validate")}
+
+
+def test_generator_stencil_written_once():
+    """The action's and the reconstructed generator share one field map."""
+    assert _package_sites(_is_generator_stencil) == [("generators.py", "generator_field")]
 
 
 def test_generator_spectrum_computed_once():
