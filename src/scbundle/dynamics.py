@@ -14,16 +14,17 @@ base point of one degree of freedom (it refuses P or Q of any other
 length); a state row is its ``as_array`` layout ``S, P, Q``.  With the
 one-variable fiber of :mod:`.fiber`, every scenario, action, flow and
 ansatz is 1-D.
-:func:`_rk4_step` and the Hamilton vector field are written once, over the
-components (S, P, Q), in elementwise arithmetic, which rounds alike on
-Python floats and on numpy arrays.  :func:`classical_flows` advances each
-row as three floats, one step after another (a step cannot start before
-the last one ends), into that row's own (count + 1, 3) array; so a row of
+The RK4 loop :func:`_rk4_steps`, with its Hamilton vector field and its
+stage combination, is written once, over the components (S, P, Q), in
+elementwise arithmetic, which rounds alike on Python floats and on numpy
+arrays.  :func:`classical_flows` advances each row as three floats, one
+step after another (a step cannot start before the last one ends), written
+through the flat buffer of that row's own (count + 1, 3) path; so a row of
 its result is bitwise that row flowed alone, and :func:`classical_flow` is
-the one-row case.  Stacks are used only where they pay: the same step
-advances the interval midpoints of the fluctuation stepper as component
-arrays, the Hamiltonian self-check and the energy drift evaluate H on
-arrays, and :func:`reference_schrodinger` advances a stack of wave packets
+the one-row case.  Stacks are used only where they pay: one step of the
+same loop advances the interval midpoints of the fluctuation stepper as
+component arrays, the Hamiltonian self-check and the energy drift evaluate
+H on arrays, and :func:`reference_schrodinger` advances a stack of wave packets
 in one split-step loop per block of rows, the blocks on threads (a
 single-eps :func:`ansatz_error` of a non-quadratic Hamiltonian is its
 one-row case).
@@ -221,33 +222,39 @@ class Trajectory:
         return ClassicalState.from_array(self.rows[-1])
 
 
-def _hamilton_rhs(H: HamiltonianSpec, P, Q) -> tuple:
-    """(dS/dt, dP/dt, dQ/dt) = (P dH/dP - H, -dH/dQ, dH/dP) at (P, Q)."""
-    gp, gq = H.grad(P, Q)
-    return P * gp - H.value(P, Q), -gq, gp
+def _rk4_steps(H: HamiltonianSpec, y, h, count: int, states):
+    """Advance ``count`` RK4 steps of ``h`` from ``y`` = (S, P, Q), floats or
+    equal-shape arrays with one step per entry, writing the S, P and Q of
+    the state after k steps to ``states[3k:3k + 3]`` for k = 0, ..., count;
+    returns ``states``, a flat writable sequence of 3 (count + 1) entries."""
+    grad, value = H.grad, H.value
+
+    def field(P, Q):
+        # (dS/dt, dP/dt, dQ/dt) = (P dH/dP - H, -dH/dQ, dH/dP)
+        gp, gq = grad(P, Q)
+        return P * gp - value(P, Q), -gq, gp
+
+    def combine(y, a, b, c, d):
+        return y + sixth * (a + 2 * b + 2 * c + d)
+
+    states[0], states[1], states[2] = S, P, Q = y
+    half, sixth = 0.5 * h, h / 6.0
+    for i in range(3, 3 * count + 3, 3):
+        a0, a1, a2 = field(P, Q)
+        b0, b1, b2 = field(P + half * a1, Q + half * a2)
+        c0, c1, c2 = field(P + half * b1, Q + half * b2)
+        d0, d1, d2 = field(P + h * c1, Q + h * c2)
+        states[i] = S = combine(S, a0, b0, c0, d0)
+        states[i + 1] = P = combine(P, a1, b1, c1, d1)
+        states[i + 2] = Q = combine(Q, a2, b2, c2, d2)
+    return states
 
 
-def _rk4_step(H: HamiltonianSpec, S, P, Q, h) -> tuple:
-    """One RK4 step of the components (S, P, Q) with step ``h``: floats,
-    or equal-shape arrays with one step per entry."""
-    half = 0.5 * h
-    k1 = _hamilton_rhs(H, P, Q)
-    k2 = _hamilton_rhs(H, P + half * k1[1], Q + half * k1[2])
-    k3 = _hamilton_rhs(H, P + half * k2[1], Q + half * k2[2])
-    k4 = _hamilton_rhs(H, P + h * k3[1], Q + h * k3[2])
-    sixth = h / 6.0
-    return tuple(y + sixth * (a + 2 * b + 2 * c + d)
-                 for y, a, b, c, d in zip((S, P, Q), k1, k2, k3, k4))
-
-
-def _rk4_path(H: HamiltonianSpec, row: np.ndarray, h: float, count: int) -> np.ndarray:
+def _rk4_path(H: HamiltonianSpec, row: list, h: float, count: int) -> np.ndarray:
     """The states of ``count`` RK4 steps of ``h`` from ``row``, shape
-    (count + 1, 3), advanced as three floats."""
+    (count + 1, 3), written as three floats through its flat buffer."""
     path = np.empty((count + 1, 3))
-    path[0] = row
-    y = tuple(row.tolist())
-    for k in range(1, count + 1):
-        path[k] = y = _rk4_step(H, *y, h)
+    _rk4_steps(H, row, h, count, memoryview(path.ravel()))
     # float arithmetic carries inf and nan on; the first such state is named
     blown = ~np.isfinite(path).all(axis=1)
     if blown.any():
@@ -279,23 +286,33 @@ def classical_flows(H: HamiltonianSpec, rows, T, dt) -> list:
     """Integrate dQ/dt = dH/dP, dP/dt = -dH/dQ, dS/dt = P dQ/dt - H with
     fixed-step RK4 for initial rows ``S, P, Q`` (R, 3): row r from 0 to
     ``T[r]`` with step about ``dt[r]`` (either may be one number for every
-    row; negative T integrates backwards).  Returns one
-    :class:`Trajectory` per row; a row that blows up raises
-    NumericalError naming its own time."""
+    row; negative T integrates backwards).  Each row is advanced by
+    :func:`_rk4_steps` as three floats, written through the flat buffer of
+    its (count + 1, 3) path.  Returns one :class:`Trajectory` per row (none for
+    no rows).  Raises InputError for T or dt of another length than the
+    rows and for a non-finite initial row (named, before any step); a row
+    that blows up raises NumericalError naming its own time."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.ndim != 2 or rows.shape[1] != 3:
         raise InputError("state dimension does not match the Hamiltonian")
-    T = np.broadcast_to(np.asarray(T, dtype=float), rows.shape[:1])
-    dt = np.broadcast_to(np.asarray(dt, dtype=float), rows.shape[:1])
+    try:
+        T, dt = (np.broadcast_to(np.asarray(v, dtype=float), rows.shape[:1]) for v in (T, dt))
+    except ValueError:
+        raise InputError(f"T and dt must be one number or one per row ({len(rows)})") from None
     if not np.all(np.isfinite(T)):
         raise InputError("non-finite final time")
     if not np.all(dt > 0):
         raise InputError("dt must be positive")
     if np.any((T != 0.0) & (dt > np.abs(T) * (1 + 1e-12))):
         raise InputError("dt exceeds the integration window")
+    unfinite = ~np.isfinite(rows).all(axis=1)
+    if unfinite.any():
+        raise InputError(f"non-finite initial state in row {np.argmax(unfinite)}")
+    if not len(rows):
+        return []
     counts, h = _grid(T, dt)
     paths = [_rk4_path(H, row, step, count)
-             for row, step, count in zip(rows, h.tolist(), counts.tolist())]
+             for row, step, count in zip(rows.tolist(), h.tolist(), counts.tolist())]
     ends = np.array([path[-1] for path in paths])
     drift = np.abs(H.value(ends[:, 1], ends[:, 2]) - H.value(rows[:, 1], rows[:, 2]))
     return [Trajectory(np.arange(c + 1) * h[r], path, float(drift[r]),
@@ -331,7 +348,9 @@ def _checked_propagator(U: np.ndarray, config: DimConfig) -> FiberOperator:
 def _step_unitaries(H: HamiltonianSpec, trajectory: Trajectory,
                     config: DimConfig, count: int):
     """The exponentials of the first ``count`` steps of the trajectory, in
-    time order, each evaluated at its interval midpoint."""
+    time order, each evaluated at its interval midpoint: one
+    :func:`_rk4_steps` step of half the interval, taken by every interval
+    at once on the component stacks (S, P, Q)."""
     if count == 0:
         return
     dts = np.diff(trajectory.times[:count + 1])
@@ -341,7 +360,7 @@ def _step_unitaries(H: HamiltonianSpec, trajectory: Trajectory,
         for _ in range(count):
             yield step
         return
-    _, P, Q = _rk4_step(H, *trajectory.rows[:count].T, 0.5 * dts)
+    _, P, Q = _rk4_steps(H, trajectory.rows[:count].T, 0.5 * dts, 1, [None] * 6)[3:]
     for hessian, dt in zip(H.hess(P, Q), dts):
         yield spectral_exp(np.linalg.eigh(_fluct_matrix(hessian, config)), dt)
 
@@ -349,17 +368,19 @@ def _step_unitaries(H: HamiltonianSpec, trajectory: Trajectory,
 def fluctuation_propagators(H: HamiltonianSpec, trajectory: Trajectory,
                             config: DimConfig, counts: Sequence[int]) -> list:
     """Time-ordered unitaries for i df/dt = H_fluct(t) f along the first
-    ``c`` steps of the trajectory, for each ``c`` in ``counts``: prefixes of
-    one running product of per-step exponentials evaluated at the interval
-    midpoints."""
+    ``c`` steps of the trajectory, for each ``c`` in ``counts`` (none for no
+    counts): prefixes of one running product of per-step exponentials
+    evaluated at the interval midpoints."""
     counts = [int(c) for c in counts]
+    if not counts:
+        return []
     if min(counts) < 0 or max(counts) >= len(trajectory):
         raise InputError("propagator step count outside the trajectory")
     U = np.eye(config.dim, dtype=complex)
-    prefixes = {0: U}
+    prefixes, wanted = {0: U}, set(counts)
     for k, step in enumerate(_step_unitaries(H, trajectory, config, max(counts)), 1):
         U = step @ U
-        if k in counts:
+        if k in wanted:
             prefixes[k] = U
     return [_checked_propagator(prefixes[c], config) for c in counts]
 

@@ -45,19 +45,27 @@ __all__ = [
 ]
 
 
+def _check_steps(group, word: Sequence) -> None:
+    """Raise InputError unless every step ``(basis index, parameter)`` of
+    the word names a basis direction (an integer in [0, dim)) and a finite
+    parameter."""
+    for k, t in word:
+        if not (isinstance(k, (int, np.integer)) and 0 <= k < group.dim):
+            raise InputError(f"basis index {k!r} is not an integer in [0, {group.dim})")
+        if not np.isfinite(t):
+            raise InputError("non-finite flow parameter")
+
+
 def _word_field(family: GeneratorFamily, word: Sequence, field):
     """``field`` moved by a word of one-parameter steps ``(basis index,
     parameter)``, rightmost first: one pulled field per nonzero step, and
-    ``field`` itself when none applies.  A missing field, a basis index out
-    of range and a non-finite parameter are refused."""
+    ``field`` itself when none applies.  A missing field and a step that
+    :func:`_check_steps` refuses are refused before any step is taken."""
     if field is None:
         raise AlignmentError("reconstruction needs a field-backed section")
     group = family.group
+    _check_steps(group, word)
     for k, t in reversed(word):
-        if not 0 <= k < group.dim:
-            raise InputError("basis index out of range")
-        if not np.isfinite(t):
-            raise InputError("non-finite flow parameter")
         if t != 0.0:
             field = pulled_field(field, group.exp_matrix(-t * group.basis[k]),
                                  family.directions[k].unitary(t))
@@ -141,7 +149,9 @@ def word_identity_check(family: GeneratorFamily, word: Sequence,
 
     ``word`` is a list of ``(basis index, path)`` pairs where ``path`` is a
     smooth function of the deformation parameter with path(0) = 0 (a bare
-    float t means the linear path t * alpha).  The matrix word must equal the
+    float t means the linear path t * alpha).  Every step at every sampled
+    alpha must name a basis direction and give a finite parameter
+    (InputError, before any matrix is built).  The matrix word must equal the
     identity at alpha = 1 (hard precondition, else the check is vacuous).
     When it closes at every sampled alpha the deformation hypothesis holds
     (``lemma_mode``) and the residual is measured at every alpha (0, 1/4,
@@ -150,15 +160,15 @@ def word_identity_check(family: GeneratorFamily, word: Sequence,
     probe, where the operator word may legitimately differ from 1.
     """
     group = family.group
-    paths = [(int(k), path if callable(path) else (lambda a, t=float(path): t * a))
+    paths = [(k, path if callable(path) else (lambda a, t=float(path): t * a))
              for k, path in word]
-
-    def steps(a: float) -> list:
-        return [(k, float(path(a))) for k, path in paths]
+    steps = {a: [(k, float(path(a))) for k, path in paths] for a in _WORD_ALPHAS}
+    for sampled in steps.values():
+        _check_steps(group, sampled)
 
     def word_matrix(a: float) -> np.ndarray:
         m = np.eye(group.rep_dim, dtype=complex if np.iscomplexobj(group.basis) else float)
-        for k, t in steps(a):
+        for k, t in steps[a]:
             m = m @ group.exp_matrix(t * group.basis[k])
         return m
 
@@ -174,7 +184,7 @@ def word_identity_check(family: GeneratorFamily, word: Sequence,
     worst = 0.0
     for a in closing:
         for psi in probes:
-            worst = max(worst, (_apply_word(family, steps(a), psi) - psi).norm)
+            worst = max(worst, (_apply_word(family, steps[a], psi) - psi).norm)
     return WordCheck(worst, lemma_mode)
 
 

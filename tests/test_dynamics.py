@@ -3,6 +3,7 @@ packet synthesis, the grid reference solver and the exact Gaussian."""
 
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from scbundle.dynamics import (
     ansatz_wavefunction, classical_flow, classical_flows, cubic_perturbed_spec,
     evolution_automorphism, fluctuation_propagator, fluctuation_propagators,
     gaussian_packet, l2_distance, quadratic_hamiltonian_spec, reference_schrodinger, step_counts,
-    _rk4_step,
+    _rk4_steps,
 )
 from scbundle.errors import InputError, NumericalError, ResolutionError
 from scbundle.fiber import (DimConfig, FiberVector, momentum_operator,
@@ -109,6 +110,59 @@ def test_flow_input_validation():
         classical_flow(OSC, X0, 1e-4, 1e-3)
 
 
+ROWS = [[0.0, 0.0, 1.0], [0.3, 0.2, -0.4], [0.1, -0.5, 0.6]]
+
+
+@pytest.mark.parametrize("T, dt", [([1.0, 0.5], 1e-3), (1.0, [1e-3, 2e-3])], ids=["T", "dt"])
+def test_flow_times_and_steps_are_one_number_or_one_per_row(T, dt):
+    with pytest.raises(InputError, match="one per row"):
+        classical_flows(OSC, ROWS, T, dt)
+
+
+def _counting_spec(H):
+    """``H`` with a count of its ``grad`` and ``value`` calls."""
+    calls = {"grad": 0, "value": 0}
+
+    def grad(P, Q):
+        calls["grad"] += 1
+        return H.grad(P, Q)
+
+    def value(P, Q):
+        calls["value"] += 1
+        return H.value(P, Q)
+
+    return replace(H, grad=grad, value=value), calls
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_initial_row_is_refused_before_any_step(bad):
+    H, calls = _counting_spec(OSC)
+    rows = np.array(ROWS)
+    rows[1, 2] = bad
+    with pytest.raises(InputError, match="row 1"):
+        classical_flows(H, rows, 1.0, 1e-3)
+    assert calls == {"grad": 0, "value": 0}
+
+
+def test_flow_of_no_rows_is_empty():
+    assert classical_flows(OSC, np.empty((0, 3)), 1.0, 1e-3) == []
+    with pytest.raises(InputError):
+        classical_flows(OSC, np.empty((0, 3)), [1.0, 0.5], 1e-3)
+
+
+def test_rk4_evaluates_the_field_four_times_a_step():
+    """Work-count guard: each step calls ``grad`` and ``value`` once per
+    stage; a flow adds only the two ``value`` calls of its energy drift (ends
+    and starts, each as one stack), whatever the number of rows."""
+    H, calls = _counting_spec(CUBIC)
+    _rk4_steps(H, ROWS[0], 1e-3, 250, [None] * 753)
+    assert calls == {"grad": 1000, "value": 1000}
+    H, calls = _counting_spec(CUBIC)
+    flows = classical_flows(H, ROWS, [0.25, -0.1, 0.0], 1e-3)
+    assert [len(flow) for flow in flows] == [251, 101, 1]
+    assert calls == {"grad": 4 * 350, "value": 4 * 350 + 2}
+
+
 @pytest.mark.parametrize("H", [OSC, CUBIC], ids=["oscillator", "cubic"])
 def test_stacked_flow_rows_equal_single_row_flows(H):
     """A stacked call, each row with its own step and count, forward,
@@ -129,7 +183,7 @@ def test_stacked_flow_rows_equal_single_row_flows(H):
                          ids=["oscillator", "free", "cubic", "nonseparable"])
 def test_flow_rows_equal_the_step_on_component_stacks(H):
     """Each row of a flow, advanced as three floats, is bitwise the same
-    ``_rk4_step`` iterated on numpy stacks of the components (S, P, Q),
+    ``_rk4_steps`` step iterated on numpy stacks of the components (S, P, Q),
     each entry with its own step: forward, backward and zero time.  Its
     energy drift, H evaluated on arrays, is H evaluated on floats."""
     rows = np.array([[0.0, 0.0, 1.0], [0.3, 0.2, -0.4], [0.1, -0.5, 0.6], [0.0, 0.7, 0.4]])
@@ -139,7 +193,7 @@ def test_flow_rows_equal_the_step_on_component_stacks(H):
     h = np.where(counts > 0, T / np.maximum(counts, 1), 0.0)
     states = [rows.T]
     for _ in range(counts.max()):
-        states.append(np.array(_rk4_step(H, *states[-1], h)))
+        states.append(np.array(_rk4_steps(H, states[-1], h, 1, [None] * 6)[3:]))
     states = np.array(states)           # (step, component, row)
     assert counts.tolist() == [1000, 350, 70, 0]
     for r, (flow, c) in enumerate(zip(flows, counts)):
@@ -204,6 +258,11 @@ def test_propagator_zero_time_identity():
     tr = classical_flow(OSC, ClassicalState(0.0, [0.0], [1.0]), 0.0, 1e-3)
     U = fluctuation_propagator(OSC, tr, cfg)
     assert np.allclose(U.matrix, np.eye(cfg.dim))
+
+
+def test_propagators_of_no_counts_are_empty():
+    tr = classical_flow(CUBIC, ClassicalState(0.0, [0.0], [1.0]), 0.1, 1e-3)
+    assert fluctuation_propagators(CUBIC, tr, DimConfig(8), []) == []
 
 
 def test_propagator_oscillator_diagonal_phases():

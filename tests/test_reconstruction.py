@@ -91,7 +91,7 @@ def test_zero_section_stays_zero(weyl):
     assert out.norm <= 1e-12
 
 
-@pytest.mark.parametrize("k, t", [(3, 0.2), (-1, 0.2), (0, np.nan), (1, np.inf)])
+@pytest.mark.parametrize("k, t", [(3, 0.2), (-1, 0.2), (1.5, 0.2), (0, np.nan), (1, np.inf)])
 def test_steps_must_name_a_basis_direction_and_a_finite_parameter(weyl, k, t):
     """Checked per step of every word, so the conjugation residual refuses
     them as exponentiation does."""
@@ -214,6 +214,21 @@ def test_word_precondition_violation(weyl):
     _, family, _, psi = weyl
     with pytest.raises(PreconditionError):
         word_identity_check(family, [(0, 0.4)], [psi])
+
+
+@pytest.mark.parametrize("word", [
+    [(3, 0.4), (3, lambda a: -0.4 * a)],
+    [(-1, 0.4)],
+    [(1.5, 0.4), (1.5, lambda a: -0.4 * a)],
+    [(0, 0.5), (0, lambda a: np.nan if a == 0.5 else -0.5 * a)],
+], ids=["index-3", "index-minus-1", "index-1.5", "non-finite-path"])
+def test_word_steps_are_checked_before_the_matrix_word(weyl, word):
+    """Every step at every sampled alpha, as a word of the operator side is
+    checked: no basis element is looked up by a bad index and a non-finite
+    parameter does not leave the word unjudged."""
+    _, family, _, psi = weyl
+    with pytest.raises(InputError):
+        word_identity_check(family, word, [psi])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ of numerics written once: left translation of matrix stacks in
 leading columns, or as an einsum; the Garding kernel sum folds its nodes
 through it, each on the section's live fiber modes), the source lookup of a left
 translation in ``sections.OrbitSampling.transport``, the RK4 stage
-combination (once, under any names) in ``dynamics._rk4_step``, the
+combination (once, under any names) in the ``combine`` of
+``dynamics._rk4_steps``, the
 split-step FFT in
 ``dynamics.reference_schrodinger`` (its resolution guard) and its Strang loop
 ``dynamics._strang_steps``, the measured refinement order (log2
@@ -440,7 +441,7 @@ def test_written_once_patterns_are_recognised():
 
 def test_rk4_stage_combination_written_once():
     """Once in the package, so floats and stacks share one step."""
-    assert _package_sites(_is_rk4_combination) == [("dynamics.py", "_rk4_step")]
+    assert _package_sites(_is_rk4_combination) == [("dynamics.py", "combine")]
 
 
 def test_split_step_fft_written_once():
