@@ -576,17 +576,22 @@ def pullback(action: BundleAction, g, alpha: BaseFunction) -> BaseFunction:
 def pairing(phi: Section, psi: Section) -> SampledBaseFunction:
     """Pointwise fiber inner products <phi_X, psi_X> over the sampling
     (conjugate-linear in the first argument), reduced on the union of the
-    sections' rows only and zero elsewhere; the result is dense (J,)."""
+    sections' rows only and zero elsewhere; the result is dense (J,).  When
+    both sections share one field, the pairing's field evaluates it once
+    per point set."""
     if phi.sampling is not psi.sampling:
         raise InputError("pairing requires a common sampling")
     rows = _union_rows((phi, psi))
     vals = np.zeros(len(phi.sampling), dtype=complex)
     vals[rows] = np.sum(np.conj(_block_on(phi, rows)) * _block_on(psi, rows), axis=1)
     field = None
-    if phi.field is not None and psi.field is not None:
+    if phi.live_field is not None and psi.live_field is not None:
         pf, qf = phi.field, psi.field
+        shared = phi.live_field is psi.live_field and phi.modes == psi.modes
+
         def field(mats):
-            return np.sum(np.conj(pf(mats)) * qf(mats), axis=1)
+            v = pf(mats)
+            return np.sum(np.conj(v) * (v if shared else qf(mats)), axis=1)
     return SampledBaseFunction(phi.sampling, vals, field)
 
 

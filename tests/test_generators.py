@@ -1,5 +1,7 @@
 """Garding smoothing, finite-difference generators, and the identity suite."""
 
+import gc
+import weakref
 from functools import partial
 
 import numpy as np
@@ -12,7 +14,7 @@ from scbundle.errors import AlignmentError, InputError
 from scbundle.fiber import DimConfig
 from scbundle.generators import (
     SmoothingKernel, base_derivative, garding_smooth, generator_apply,
-    generator_field, identity_suite, lattice_kernel,
+    _table_scope, generator_field, identity_suite, lattice_kernel,
 )
 from scbundle.groups import left_translate
 from scbundle.scenarios import load_scenario
@@ -98,6 +100,28 @@ def test_smoothed_field_is_memoised_and_matches_the_fused_kernel_sum(weyl):
         first[0, 0] = 1.0
     assert psi.field(mats[:5]) is not first
     assert psi.field(mats[:5]).tobytes() == folded[:5].tobytes()
+
+
+def test_smoothed_field_memo_frees_by_reference_count(weyl):
+    """Without the cycle collector, a point set evaluated in a table scope
+    is freed when the scope closes, and one kept for the section is freed
+    with the section: the memo holds no reference cycle."""
+    action, sampling = weyl
+    probe = gentle_probe_section(sampling, np.random.default_rng(7), 3,
+                                 sigma=[0.4, 0.4, 0.35])
+    kernel = lattice_kernel(sampling, radius=[0.16, 0.16, 0.07])
+    gc.disable()
+    try:
+        psi = garding_smooth(kernel, probe, action)
+        kept = weakref.ref(psi.field(sampling.group_mats))
+        with _table_scope():
+            in_table = weakref.ref(psi.field(sampling.group_mats[::2]))
+            assert in_table() is not None
+        assert in_table() is None and kept() is not None
+        del psi
+        assert kept() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name, modes, dim", [

@@ -544,6 +544,32 @@ def test_pairing_invariance_under_transform(weyl):
     assert np.max(np.abs(moved.values[ok] - still.values[src[ok]])) <= 1e-10
 
 
+@pytest.mark.parametrize("live", [True, False], ids=["live-modes", "full-width"])
+def test_self_pairing_evaluates_its_field_once(weyl, live):
+    """A section paired with itself, or with another section on the same
+    field, evaluates that field once per point set, bit for bit the
+    two-call form."""
+    _, sampling = weyl
+    base = probe(sampling, seed=6)
+    calls = []
+
+    def counted(mats):
+        calls.append(len(mats))
+        return base.live_field(mats) if live else base.field(mats)
+
+    modes = base.modes if live else None
+    psi = Section(sampling, base.block, counted, modes, base.rows)
+    twin = Section(sampling, base.block, counted, modes, base.rows)
+    assert (psi.modes < sampling.fiber_dim) == live
+    mats = sampling.group_mats[::7]
+    two_calls = np.sum(np.conj(psi.field(mats)) * psi.field(mats), axis=1)
+    for other in (psi, twin):
+        calls.clear()
+        got = pairing(psi, other).field(mats)
+        assert calls == [len(mats)]
+        assert got.tobytes() == two_calls.tobytes()
+
+
 def test_pairing_sampling_mismatch(weyl):
     action, sampling = weyl
     other = OrbitSampling(action, sampling.anchor,

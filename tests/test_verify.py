@@ -11,7 +11,7 @@ from scbundle import generators, verify
 from scbundle.errors import PreconditionError
 from scbundle.groups import as_matrix
 from scbundle.scenarios import SEED_ENV_VAR, load_scenario
-from scbundle.sections import Section, gentle_probe_section
+from scbundle.sections import BaseFunction, Section, gentle_probe_section
 
 GOLDEN = Path(__file__).parent / "golden"
 FIELDS = ("check_id", "pass", "residual", "tolerance")
@@ -196,8 +196,10 @@ def test_each_operator_is_applied_once_per_step(monkeypatch):
 # H(A) psi given: two per generator block on psi (H(B), H(A + B), H(2A),
 # H(h A h^-1), H([A, B]) and the conjugation's left side) and four per nested
 # one (H(A) H(B) and H(B) H(A)); the multiplication and pairing identities
-# read memoised point sets.  A Section-level conjugation, which also samples
-# U_{h^-1} psi and the two steps of H(A) on it, makes 23.
+# read the steps of H(A) psi, memoised outside the table.  A Section-level
+# conjugation, which also samples U_{h^-1} psi and the two steps of H(A) on
+# it, makes 23.  The table's own point sets are dropped when it returns, so
+# every table on the same psi makes the same count.
 IDENTITY_TABLE_SMOOTHINGS = 20
 
 
@@ -231,6 +233,97 @@ def test_identity_table_evaluates_only_what_it_reads(monkeypatch):
     nodes = len(kernel.weights)
     assert nodes > 1 and set(calls) == {len(sampling)}
     assert len(calls) == IDENTITY_TABLE_SMOOTHINGS * nodes
+
+
+def _counting(probe, calls):
+    """``probe`` with a field that appends the size of each batch to ``calls``."""
+    def counted(mats):
+        calls.append(len(mats))
+        return probe.live_field(mats)
+    return Section(probe.sampling, probe.block, counted, probe.modes, probe.rows)
+
+
+def _counted_identity_table():
+    """The generators suite's smoothed probe on the reduced heisenberg-weyl
+    scenario, its probe field counting its calls, and one identity-suite
+    table on it at the catalog fd step, H(A) psi applied before the table."""
+    scn = _reduced_heisenberg(["generators"])
+    action, _ = scn.build_action()
+    sampling = scn.build_sampling(action, generator_scale=True)
+    sigma = scn.probe_size("generators")
+    probe = gentle_probe_section(sampling, scn.rng(), scn.max_degree, sigma)
+    calls = []
+    kernel = generators.lattice_kernel(sampling, scn.kernel_radius or sigma)
+    psi = generators.garding_smooth(kernel, _counting(probe, calls), action)
+    G = action.group
+    A, tau = G.algebra([1.0, 0.0, 0.0]), scn.fd_tau
+    HA = generators.generator_apply(A, psi, action, tau)
+
+    def table(alpha=verify._smooth_alpha()):
+        return generators.identity_suite(
+            A, G.algebra([0.0, 1.0, 0.0]), alpha, psi, HA, action, tau,
+            conjugator=verify._lattice_elements(sampling)[3])
+    return calls, len(kernel.weights), table
+
+
+def test_identity_tables_on_one_psi_evaluate_alike(monkeypatch):
+    """A second identity-suite table on the same smoothed psi evaluates the
+    smoothed field as often as the first: the first table's point sets are
+    dropped when it returns, and the two give the same residuals."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    calls, nodes, table = _counted_identity_table()
+    counts, results = [], []
+    for _ in range(2):
+        calls.clear()
+        results.append(table())
+        counts.append(len(calls))
+    assert counts == [IDENTITY_TABLE_SMOOTHINGS * nodes] * 2
+    assert results[0] == results[1]
+
+
+def test_identity_table_memo_is_dropped_when_the_table_raises(monkeypatch):
+    """A table that raises (here in the multiplication identity, after the
+    linearity, conjugation and commutator identities have evaluated their
+    point sets) drops its memo on the way out: no table stays open, and the
+    next table evaluates the smoothed field the pinned number of times."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    calls, nodes, table = _counted_identity_table()
+
+    def broken(rows):
+        raise RuntimeError("alpha fails")
+
+    calls.clear()
+    with pytest.raises(RuntimeError, match="alpha fails"):
+        table(BaseFunction(batch=broken))
+    assert calls and generators._open_tables.get() == ()
+    calls.clear()
+    table()
+    assert len(calls) == IDENTITY_TABLE_SMOOTHINGS * nodes
+
+
+# probe-field evaluations in one generators suite: the smoothed lattice, the
+# steps of H(A) psi, three identity tables and the smoothing checks
+GENERATOR_SUITE_PROBE_CALLS = {"translations-r2": 127, "so2-rotor": 211,
+                               "heisenberg-weyl-reduced": 863}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SUITE_PROBE_CALLS))
+def test_generator_suite_probe_evaluations_are_pinned(name, monkeypatch):
+    """Work-count guard: one generators suite calls its probe's field a
+    pinned number of times, translations-r2 and so2-rotor at catalog size
+    and heisenberg-weyl on the reduced scenario; an identity table that lost
+    a memo hit (as on the abelian groups, whose linearity and commutator
+    identities share point sets) would raise the count."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    calls = []
+    make_probe = verify.gentle_probe_section
+    monkeypatch.setattr(verify, "gentle_probe_section",
+                        lambda *args: _counting(make_probe(*args), calls))
+    scn = (_reduced_heisenberg(["generators"]) if name == "heisenberg-weyl-reduced"
+           else load_scenario(name))
+    records = verify.generator_checks(scn, scn.build_action()[0], scn.rng())
+    assert all(r.passed for r in records)
+    assert len(calls) == GENERATOR_SUITE_PROBE_CALLS[name]
 
 
 def test_pointwise_recovery_redraws_points_the_shear_moves_out(monkeypatch):
