@@ -5,9 +5,9 @@ one-parameter transform family t -> U_{exp(tA)} psi, each member
 re-evaluated from the section's field (never by interpolating lattice
 values), after Garding smoothing against a compactly supported kernel
 summed over lattice-aligned group nodes.  It is written once, field first:
-:func:`generator_field` differences ``transform(exp(+-tau A), field)``, the
-field moved by a group element, as one field map, and a section is built
-only where its values are read.  The action's transform is
+:func:`generator_field` differences the moved fields ``transform(exp(tA),
+field)`` as one field map, built at the steps the stencil asks for, and a
+section is built only where its values are read.  The action's transform is
 ``partial(sections.transformed_field, action)``; ``reconstruction`` passes
 its reconstructed operators.  Every fd step and kernel radius must be
 finite and positive.  The base derivative d[A] is the same central
@@ -15,13 +15,13 @@ difference of any field on the left-translated sampling.  The identity
 suite returns, at one fd step, a table of the residuals of linearity,
 conjugation covariance, the commutator/structure-constant match, the
 multiplication-operator commutator, and the pairing derivative (Eq. 21,
-:func:`pairing_residual`, which also serves Axiom A2 on two probes); it
-applies H(A) psi and H(B) psi once and every identity reads them.  A
-smoothed field memoises its point sets: those evaluated outside an
-identity-suite table stay for the section's lifetime, those first evaluated
-inside one are dropped when it returns, and no count or size bounds the
-memo.  This module judges nothing (tolerances and refinement orders live in
-``verify``).
+:func:`pairing_residual`, which also serves Axiom A2 on two probes); it is
+given H(A) psi at its step and at twice it, applies H(B) psi once, and every
+identity reads them.  A smoothed field memoises its point sets: those
+evaluated outside an identity-suite table stay for the section's lifetime,
+those first evaluated inside one are dropped when it returns, and no count
+or size bounds the memo.  This module judges nothing (tolerances and
+refinement orders live in ``verify``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from collections import ChainMap
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
@@ -165,18 +165,18 @@ def _check_step(tau: float) -> None:
 
 def generator_field(A: AlgebraElement, field, transform, tau: float):
     """The field map of the generator along A: mats -> i times the central
-    difference at step ``tau`` of the transformed fields
-    ``transform(exp(+-tau A), field)``, each built once, evaluated at
-    ``mats`` (Eq. 16a).  ``field`` may give live modes only.  Raises
-    InputError for a step that is not finite and positive and
-    AlignmentError for a missing field, before any arithmetic."""
+    difference at step ``tau`` of the moved fields ``transform(exp(tA),
+    field)``, evaluated at ``mats`` (Eq. 16a); each is built and kept the
+    first time the stencil asks for its step t.  ``field`` may give live
+    modes only.  Raises InputError for a step that is not finite and
+    positive and AlignmentError for a missing field, before any arithmetic."""
     _check_step(tau)
     if field is None:
         raise AlignmentError(
             "generator application needs a field-backed section "
             "(smooth the input first)")
-    steps = {t: transform(A.group.exp_matrix(t * A.matrix), field) for t in (tau, -tau)}
-    return lambda mats: 1j * central_difference(lambda t: steps[t](mats), tau)
+    moved = cache(lambda t: transform(A.group.exp_matrix(t * A.matrix), field))
+    return lambda mats: 1j * central_difference(lambda t: moved(t)(mats), tau)
 
 
 def generator_apply(A: AlgebraElement, psi: Section, action: BundleAction,
@@ -245,13 +245,17 @@ def _table_scope():
 
 @_table_scope()
 def identity_suite(A: AlgebraElement, B: AlgebraElement, alpha: BaseFunction,
-                   psi: Section, HA: Section, action: BundleAction, tau: float,
-                   conjugator: Optional[GroupElement] = None) -> dict:
+                   psi: Section, HA: Section, HA2: Section, action: BundleAction,
+                   tau: float, conjugator: Optional[GroupElement] = None) -> dict:
     """Residuals of the generator identities at fd step ``tau`` (name ->
-    float), given ``HA`` = H(A) psi applied at that step (the caller's fd
-    order reads it too); H(B) psi is applied once, and both are shared:
+    float), given ``HA`` and ``HA2`` = H(A) psi applied at ``tau`` and at
+    2 ``tau`` (the caller's fd order reads both); H(B) psi is applied once,
+    and all three are shared:
 
-    linearity        H(A+B) = H(A) + H(B) and H(2A) = 2 H(A)
+    linearity        H(A+B) = H(A) + H(B) and H(2A) = 2 H(A); H(2A) psi is
+                     2 ``HA2`` to the bit, so the second term is twice the
+                     fd difference the caller's order reads and cannot see
+                     a linearity defect
     conjugation      U_h H(A) U_{h^-1} = H(h A h^-1)  (h = ``conjugator``,
                      present only when one is given)
     commutator       [H(A), H(B)] = i H([A; B])
@@ -266,7 +270,7 @@ def identity_suite(A: AlgebraElement, B: AlgebraElement, alpha: BaseFunction,
 
     The call is one memo scope for Garding-smoothed fields: point sets
     first evaluated here are dropped when it returns or raises, and those
-    evaluated before it (psi's lattice, the steps of ``HA``) are read and
+    evaluated before it (psi's lattice, the steps of H(A) psi) are read and
     kept.  The scope is the whole table, not one identity, because on an
     abelian group the linearity and commutator identities evaluate the same
     point sets.
@@ -278,8 +282,7 @@ def identity_suite(A: AlgebraElement, B: AlgebraElement, alpha: BaseFunction,
         return generator_apply(X, phi, action, tau)
 
     HB = H(B, psi)
-    out = {"linearity": max((H(A + B, psi) - (HA + HB)).norm,
-                            (H(2.0 * A, psi) - 2.0 * HA).norm)}
+    out = {"linearity": max((H(A + B, psi) - (HA + HB)).norm, (2.0 * HA2 - 2.0 * HA).norm)}
     if conjugator is not None:
         inner = transform(np.linalg.inv(conjugator.matrix), psi.live_field)
         lhs = Section.from_field(sampling, transform(

@@ -57,11 +57,6 @@ class AlgebraElement:
         return AlgebraElement(self.group, self.coords + other.coords,
                               self.matrix + other.matrix)
 
-    def __mul__(self, scale: float) -> "AlgebraElement":
-        return AlgebraElement(self.group, self.coords * scale, self.matrix * scale)
-
-    __rmul__ = __mul__
-
     def _check_same(self, other: "AlgebraElement") -> None:
         if other.group is not self.group:
             raise InputError("algebra elements belong to different groups")

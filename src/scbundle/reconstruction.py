@@ -214,11 +214,11 @@ class GroupLawReport:
 
 
 def group_law_verify(family: GeneratorFamily, g1, g2, psi: Section,
-                     tau: float = 1e-3) -> GroupLawReport:
+                     tau: float) -> GroupLawReport:
     """Composition residual of the reconstructed operators together with the
-    closure of their derivative: the fd generator of the reconstructed action
-    per basis direction against the family's split form, relative to its
-    size."""
+    closure of their derivative: the fd generator at step ``tau`` of the
+    reconstructed action per basis direction against the family's split
+    form, relative to its size."""
     m1, m2 = as_matrix(g1), as_matrix(g2)
     two_step = reconstruct_group_operator(
         family, m1, reconstruct_group_operator(family, m2, psi))

@@ -487,7 +487,8 @@ def pulled_field(field, pull: np.ndarray, V: np.ndarray):
 def central_difference(family, tau: float):
     """``(family(tau) - family(-tau)) / (2 tau)``: the derivative at t = 0
     of a one-parameter family of sections or arrays by central differences
-    (Eq. 16a), the one stencil of the package."""
+    (Eq. 16a), the one stencil of the package and the only code naming its
+    nodes: callers build each member at the step it asks for."""
     return (family(tau) - family(-tau)) / (2.0 * tau)
 
 

@@ -365,7 +365,8 @@ def generator_checks(scn: Scenario, action, rng) -> list:
     HA = {tk: generator_apply(A, psi, action, tk) for tk in (2 * tau, tau, tau / 2)}
     records = _refined(checks, lambda tk: {
         f"generator_{name}": r for name, r in identity_suite(
-            A, B, _smooth_alpha(), psi, HA[tk], action, tk, conjugator=conj).items()}, tau)
+            A, B, _smooth_alpha(), psi, HA[tk], HA[2 * tk], action, tk,
+            conjugator=conj).items()}, tau)
 
     # smoothing covariance under left translation
     g = _lattice_elements(sampling)[0]
@@ -387,7 +388,7 @@ def generator_checks(scn: Scenario, action, rng) -> list:
     records.append(CheckRecord("smoothing_approximates_identity", "Lemma 3.3",
                                _monotone_ratio(drifts), 0.999))
 
-    r12, r24 = ((HA[a] - HA[b]).norm for a, b in ((2 * tau, tau), (tau, tau / 2)))
+    r12, r24 = ((HA[2 * tk] - HA[tk]).norm for tk in (tau, tau / 2))
     records.append(CheckRecord("generator_fd_order", "Eq. (16a)",
                                _order_gap(r12, r24, 1.9), 1e-9))
     return records

@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from scbundle import generators
 from scbundle.actions import (heisenberg_weyl_action, oscillator_action,
                               translations_r2_action)
 from scbundle.dynamics import ClassicalState
@@ -17,13 +18,13 @@ from scbundle.generators import (
     _table_scope, generator_field, identity_suite, lattice_kernel,
 )
 from scbundle.groups import left_translate
-from scbundle.scenarios import load_scenario
+from scbundle.scenarios import SEED_ENV_VAR, load_scenario
 from scbundle.sections import (BaseFunction, LatticeAxis, OrbitSampling,
                                Section, central_difference,
                                evaluator_transform, gentle_probe_section,
                                pairing, pulled_field, section_transform,
                                smooth_probe_section, transformed_field)
-from scbundle.verify import _lattice_elements
+from scbundle.verify import _lattice_elements, run_verify
 
 H = 0.15
 
@@ -343,6 +344,38 @@ def test_generator_refuses_lattice_only_sections(weyl):
         generator_apply(action.group.algebra([1.0, 0, 0]), psi, action, 1e-3)
 
 
+def five_point(family, tau):
+    """The fourth-order central stencil, with nodes at +-tau and +-2 tau."""
+    return (8 * (family(tau) - family(-tau))
+            - (family(2 * tau) - family(-2 * tau))) / (12 * tau)
+
+
+def test_generator_field_builds_the_steps_the_stencil_asks_for(weyl, smoothed,
+                                                                monkeypatch):
+    """With a five-point stencil planted in place of the two-point one, the
+    generator field is that stencil of explicitly moved fields, bit for bit:
+    the stencil alone names the steps."""
+    action, sampling = weyl
+    monkeypatch.setattr(generators, "central_difference", five_point)
+    A = action.group.algebra([1.0, -0.4, 0.3])
+    tau = 1e-3
+    mats = sampling.group_mats
+    got = generator_field(A, smoothed.live_field, partial(transformed_field, action), tau)
+    expected = 1j * five_point(lambda t: transformed_field(
+        action, action.group.exp_matrix(t * A.matrix), smoothed.live_field)(mats), tau)
+    assert got(mats).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", ["translations-r2", "so2-rotor"])
+def test_five_point_stencil_runs_every_suite(name, monkeypatch):
+    """A planted five-point stencil reaches every generator and
+    reconstruction table without a suite error."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    monkeypatch.setattr(generators, "central_difference", five_point)
+    records = run_verify(load_scenario(name)).records
+    assert not [r.check_id for r in records if r.check_id.endswith("_suite_error")]
+
+
 def test_oscillator_generator_fiber_and_phase_term():
     # At the anchor, the time-translation generator acts as the fluctuation
     # matrix (the analytic derivative of the diagonal phases, diag(k + 1/2))
@@ -415,7 +448,8 @@ def test_identity_suite_heisenberg(weyl, smoothed):
     A, B = G.algebra([1.0, 0.0, 0.0]), G.algebra([0.0, 1.0, 0.0])
     conj = G.element(G.compose_exps([H, H, 0.0]))
     res, half = (identity_suite(A, B, smooth_alpha(), smoothed,
-                                generator_apply(A, smoothed, action, tau), action, tau,
+                                generator_apply(A, smoothed, action, tau),
+                                generator_apply(A, smoothed, action, 2 * tau), action, tau,
                                 conjugator=conj) for tau in (1e-3, 5e-4))
     assert set(res) == set(half) == {"linearity", "conjugation", "commutator",
                                      "multiplication", "pairing_derivative"}
@@ -441,7 +475,7 @@ def test_identity_suite_abelian_commutator_vanishes():
     G = action.group
     A, B = G.algebra([1.0, 0.0]), G.algebra([0.0, 1.0])
     res = identity_suite(A, B, smooth_alpha(), psi, generator_apply(A, psi, action, 1e-3),
-                         action, 1e-3)
+                         generator_apply(A, psi, action, 2e-3), action, 1e-3)
     assert "conjugation" not in res
     assert res["commutator"] <= 1e-4
 
@@ -452,6 +486,6 @@ def test_identity_suite_constant_alpha_vanishes(weyl, smoothed):
     A, B = G.algebra([1.0, 0.0, 0.0]), G.algebra([0.0, 1.0, 0.0])
     const = BaseFunction(batch=lambda rows: np.full(rows.shape[0], 1.5 + 0j))
     res = identity_suite(A, B, const, smoothed, generator_apply(A, smoothed, action, 1e-3),
-                         action, 1e-3)
+                         generator_apply(A, smoothed, action, 2e-3), action, 1e-3)
     assert res["multiplication"] <= 1e-6
 

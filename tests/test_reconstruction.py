@@ -272,7 +272,7 @@ def test_conjugation_heisenberg_central_term(weyl):
 def test_group_law_identity_factor(weyl):
     _, family, _, psi = weyl
     g1 = gexp(family.group.algebra([0.1, -0.05, 0.02]))
-    rep = group_law_verify(family, g1, family.group.identity(), psi)
+    rep = group_law_verify(family, g1, family.group.identity(), psi, tau=1e-3)
     assert rep.composition_residual <= 1e-10
 
 

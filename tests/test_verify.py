@@ -173,7 +173,8 @@ def test_each_operator_is_applied_once_per_step(monkeypatch):
     A = G.algebra([1.0, 0.0, 0.0])
     generators.identity_suite(
         A, G.algebra([0.0, 1.0, 0.0]), verify._smooth_alpha(), psi,
-        generators.generator_apply(A, psi, action, scn.fd_tau), action, scn.fd_tau,
+        generators.generator_apply(A, psi, action, scn.fd_tau),
+        generators.generator_apply(A, psi, action, 2 * scn.fd_tau), action, scn.fd_tau,
         conjugator=verify._lattice_elements(sampling)[3])
     assert seen and len(set(seen)) == len(seen)
 
@@ -193,14 +194,15 @@ def test_each_operator_is_applied_once_per_step(monkeypatch):
 
 
 # smoothed-field evaluations in one identity-suite table with a conjugator,
-# H(A) psi given: two per generator block on psi (H(B), H(A + B), H(2A),
-# H(h A h^-1), H([A, B]) and the conjugation's left side) and four per nested
-# one (H(A) H(B) and H(B) H(A)); the multiplication and pairing identities
-# read the steps of H(A) psi, memoised outside the table.  A Section-level
-# conjugation, which also samples U_{h^-1} psi and the two steps of H(A) on
-# it, makes 23.  The table's own point sets are dropped when it returns, so
-# every table on the same psi makes the same count.
-IDENTITY_TABLE_SMOOTHINGS = 20
+# H(A) psi given at the table's step and at twice it: two per generator block
+# on psi (H(B), H(A + B), H(h A h^-1), H([A, B]) and the conjugation's left
+# side) and four per nested one (H(A) H(B) and H(B) H(A)); the homogeneity
+# term and the multiplication and pairing identities read the steps of the
+# given H(A) psi, memoised outside the table.  A Section-level conjugation,
+# which also samples U_{h^-1} psi and the two steps of H(A) on it, makes 21.
+# The table's own point sets are dropped when it returns, so every table on
+# the same psi makes the same count.
+IDENTITY_TABLE_SMOOTHINGS = 18
 
 
 def test_identity_table_evaluates_only_what_it_reads(monkeypatch):
@@ -226,9 +228,10 @@ def test_identity_table_evaluates_only_what_it_reads(monkeypatch):
     G = action.group
     A, tau = G.algebra([1.0, 0.0, 0.0]), scn.fd_tau
     HA = generators.generator_apply(A, psi, action, tau)
+    HA2 = generators.generator_apply(A, psi, action, 2 * tau)
     calls.clear()
     generators.identity_suite(A, G.algebra([0.0, 1.0, 0.0]), verify._smooth_alpha(),
-                              psi, HA, action, tau,
+                              psi, HA, HA2, action, tau,
                               conjugator=verify._lattice_elements(sampling)[3])
     nodes = len(kernel.weights)
     assert nodes > 1 and set(calls) == {len(sampling)}
@@ -258,10 +261,11 @@ def _counted_identity_table():
     G = action.group
     A, tau = G.algebra([1.0, 0.0, 0.0]), scn.fd_tau
     HA = generators.generator_apply(A, psi, action, tau)
+    HA2 = generators.generator_apply(A, psi, action, 2 * tau)
 
     def table(alpha=verify._smooth_alpha()):
         return generators.identity_suite(
-            A, G.algebra([0.0, 1.0, 0.0]), alpha, psi, HA, action, tau,
+            A, G.algebra([0.0, 1.0, 0.0]), alpha, psi, HA, HA2, action, tau,
             conjugator=verify._lattice_elements(sampling)[3])
     return calls, len(kernel.weights), table
 
@@ -302,28 +306,42 @@ def test_identity_table_memo_is_dropped_when_the_table_raises(monkeypatch):
 
 
 # probe-field evaluations in one generators suite: the smoothed lattice, the
-# steps of H(A) psi, three identity tables and the smoothing checks
+# steps of H(A) psi, two identity tables and the smoothing checks
 GENERATOR_SUITE_PROBE_CALLS = {"translations-r2": 127, "so2-rotor": 211,
                                "heisenberg-weyl-reduced": 863}
+# generator applications in one generators suite: H(A) psi at three steps and
+# per identity table H(B), H(A + B), the two nested ones, H([A, B]), the
+# multiplication identity's and, where h A h^-1 differs from A, H(h A h^-1)
+GENERATOR_SUITE_APPLY_CALLS = {"translations-r2": 15, "so2-rotor": 17,
+                               "heisenberg-weyl-reduced": 17}
 
 
 @pytest.mark.parametrize("name", sorted(GENERATOR_SUITE_PROBE_CALLS))
 def test_generator_suite_probe_evaluations_are_pinned(name, monkeypatch):
-    """Work-count guard: one generators suite calls its probe's field a
-    pinned number of times, translations-r2 and so2-rotor at catalog size
-    and heisenberg-weyl on the reduced scenario; an identity table that lost
-    a memo hit (as on the abelian groups, whose linearity and commutator
-    identities share point sets) would raise the count."""
+    """Work-count guard: one generators suite calls its probe's field and
+    applies a generator a pinned number of times, translations-r2 and
+    so2-rotor at catalog size and heisenberg-weyl on the reduced scenario;
+    an identity table that lost a memo hit (as on the abelian groups, whose
+    linearity and commutator identities share point sets) or applied H(2A)
+    psi instead of reading H(A) psi at twice its step would raise a count."""
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-    calls = []
+    calls, applies = [], []
     make_probe = verify.gentle_probe_section
     monkeypatch.setattr(verify, "gentle_probe_section",
                         lambda *args: _counting(make_probe(*args), calls))
+    apply = generators.generator_apply
+
+    def counted_apply(*args):
+        applies.append(args[0])
+        return apply(*args)
+    monkeypatch.setattr(generators, "generator_apply", counted_apply)
+    monkeypatch.setattr(verify, "generator_apply", counted_apply)
     scn = (_reduced_heisenberg(["generators"]) if name == "heisenberg-weyl-reduced"
            else load_scenario(name))
     records = verify.generator_checks(scn, scn.build_action()[0], scn.rng())
     assert all(r.passed for r in records)
     assert len(calls) == GENERATOR_SUITE_PROBE_CALLS[name]
+    assert len(applies) == GENERATOR_SUITE_APPLY_CALLS[name]
 
 
 def test_pointwise_recovery_redraws_points_the_shear_moves_out(monkeypatch):
