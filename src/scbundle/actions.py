@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -174,11 +174,11 @@ def heisenberg_weyl_action(config: DimConfig):
 # abelian translations with a character phase
 # ---------------------------------------------------------------------------
 
-def translations_r2_action(config: DimConfig, phases: Sequence[float] = (0.7, -0.3)):
+def translations_r2_action(config: DimConfig):
     """Phase-space translations (a, b): Q -> Q + a, P -> P + b, with the
-    fiber acting through the exact character exp(i(phases . (a, b)))."""
+    fiber acting through the exact character exp(i(0.7 a - 0.3 b))."""
     group = get_group("translations_r2")
-    kappa = np.asarray(phases, dtype=float)
+    kappa = np.array([0.7, -0.3])
     eye = np.eye(config.dim, dtype=complex)
 
     def base_rows(mats, rows):

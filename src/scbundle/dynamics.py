@@ -628,7 +628,7 @@ def gaussian_packet(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
 
 def ansatz_errors(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
                   eps_list: Sequence[float], T: float, xs: np.ndarray,
-                  dt: float = 1e-3) -> list:
+                  dt: float) -> list:
     """L2 distance at time T, for each eps, between the semiclassical ansatz
     (classical flow + fluctuation propagator, step ``dt``, both independent
     of eps and computed once) and a reference started from the same
@@ -658,6 +658,6 @@ def ansatz_errors(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
 
 
 def ansatz_error(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
-                 eps: float, T: float, xs: np.ndarray, dt: float = 1e-3) -> float:
+                 eps: float, T: float, xs: np.ndarray, dt: float) -> float:
     """The one-eps case of :func:`ansatz_errors`."""
     return ansatz_errors(H, X0, f0, [eps], T, xs, dt)[0]

@@ -17,17 +17,15 @@ conjugation covariance, the commutator/structure-constant match, the
 multiplication-operator commutator, and the pairing derivative (Eq. 21,
 :func:`pairing_residual`, which also serves Axiom A2 on two probes); it is
 given H(A) psi at its step and at twice it, applies H(B) psi once, and every
-identity reads them.  A smoothed field memoises its point sets: those
-evaluated outside an identity-suite table stay for the section's lifetime,
-those first evaluated inside one are dropped when it returns, and no count
-or size bounds the memo.  This module judges nothing (tolerances and
-refinement orders live in ``verify``).
+identity reads them.  A smoothed field memoises the point sets evaluated
+outside an identity-suite table for the section's lifetime; a table reads
+the memo and never stores in it.  This module judges nothing (tolerances
+and refinement orders live in ``verify``).
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import ChainMap
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -112,15 +110,11 @@ def garding_smooth(kernel: SmoothingKernel, phi: Section,
     (Phi's ``live_field`` pulled by g_k^-1, moved by the columns of
     w_k U_{g_k} that Phi can fill: one (n, modes) @ (modes, d) product
     each) over a batch of points and memoises the sum per point set as a
-    read-only array.  A point set first evaluated outside any
-    :func:`identity_suite` table (the lattice, the steps of H(A) psi, a
-    pull) is kept as long as the section; one first evaluated inside a
-    table is kept until that table returns, since the tables read each
-    other's point sets only through those outside ones.  The memo has no
-    size bound: its hits are spread over a table's whole run, so a bound
-    small enough to save memory would lose them.  The smoothed section is
-    full width.  Requires a field-backed section: a section without a field
-    raises AlignmentError.
+    read-only array, for the section's lifetime, unless it is evaluated
+    inside an :func:`identity_suite` table: a table reads the memo (the
+    lattice, the steps of H(A) psi, a pull) and never stores in it.  The
+    smoothed section is full width.  Requires a field-backed section: a
+    section without a field raises AlignmentError.
     """
     sampling = phi.sampling
     if kernel.sampling is not sampling:
@@ -130,24 +124,20 @@ def garding_smooth(kernel: SmoothingKernel, phi: Section,
     nodes = [pulled_field(phi.live_field, np.linalg.inv(m),
                           w * action.fiber_matrix(m)[:, :phi.modes])
              for m, w in zip(kernel.node_mats, kernel.weights)]
-    # ``owner`` names this field in a table memo; keying by the field itself
-    # would make a cycle that keeps the memo alive past the section
-    memo, owner = {}, object()
+    memo = {}
 
     def smoothed_field(mats):
         mats = np.asarray(mats)
         key = (mats.shape, mats.dtype.str,
                hashlib.blake2b(mats.tobytes(), digest_size=16).digest())
-        # innermost open table first: a new point set is stored there
-        scope = ChainMap(*[table.setdefault(owner, {})
-                           for table in reversed(_open_tables.get())], memo)
-        out = scope.get(key)
+        out = memo.get(key)
         if out is None:
             out = np.zeros((mats.shape[0], sampling.fiber_dim), dtype=complex)
             for node in nodes:
                 out += node(mats)
             out.flags.writeable = False
-            scope[key] = out
+            if not _in_table.get():
+                memo[key] = out
         return out
 
     return Section.from_field(sampling, smoothed_field)
@@ -227,20 +217,21 @@ def pairing_residual(A: AlgebraElement, phi: Section, psi: Section,
 # identity suite
 # ---------------------------------------------------------------------------
 
-# One memo per open identity-suite table (a smoothed field's owner -> point
-# set -> values), outermost first; each is dropped when its table returns.
-_open_tables: ContextVar = ContextVar("_open_tables", default=())
+# Set while an identity-suite table runs: smoothed fields read their memo
+# and store no new point set: of the catalog's tables, only those of
+# translations-r2 and oscillator-evolution reread any of their own.
+_in_table: ContextVar = ContextVar("_in_table", default=False)
 
 
 @contextmanager
 def _table_scope():
-    """Open a table memo for the smoothed fields evaluated in the block and
-    drop it on the way out, on every path."""
-    token = _open_tables.set(_open_tables.get() + ({},))
+    """Run the block with smoothed fields' memos read-only, and reset that on
+    the way out, on every path."""
+    token = _in_table.set(True)
     try:
         yield
     finally:
-        _open_tables.reset(token)
+        _in_table.reset(token)
 
 
 @_table_scope()
@@ -268,12 +259,9 @@ def identity_suite(A: AlgebraElement, B: AlgebraElement, alpha: BaseFunction,
     only its own block is evaluated: neither U_{h^-1} psi nor the steps
     inside H(A) are sampled on their own.
 
-    The call is one memo scope for Garding-smoothed fields: point sets
-    first evaluated here are dropped when it returns or raises, and those
-    evaluated before it (psi's lattice, the steps of H(A) psi) are read and
-    kept.  The scope is the whole table, not one identity, because on an
-    abelian group the linearity and commutator identities evaluate the same
-    point sets.
+    Garding-smoothed fields are read-only memos here: the table reads the
+    point sets evaluated before it (psi's lattice, the steps of H(A) psi)
+    and stores none of its own.
     """
     sampling = psi.sampling
     transform = partial(transformed_field, action)

@@ -77,8 +77,6 @@ _ALIGN_TOL = 1e-9
 _STATE_RESOLUTION = 1e-9
 # a transform may drop at most this share of a section's mass |values|^2
 _SUPPORT_TOL = 1e-10
-# lattice elements whose transport one sampling keeps (oldest dropped first)
-_TRANSPORT_CACHE_SIZE = 64
 
 
 def state_keys(rows: np.ndarray) -> np.ndarray:
@@ -277,8 +275,6 @@ class OrbitSampling:
                               self.action.fiber_matrix(g_mat))
         for array in vars(transport).values():
             array.flags.writeable = False
-        if len(self._transports) >= _TRANSPORT_CACHE_SIZE:
-            del self._transports[next(iter(self._transports))]
         self._transports[key] = transport
         return transport
 

@@ -620,9 +620,8 @@ def gauge_checks(scn: Scenario, rng) -> list:
                                bundle.norm(bundle.gauge_transform(
                                    bundle.theta_nodes, vals) - vals), 1e-6))
 
-    rows = bundle.base_rows.reshape(bundle.theta_nodes,
-                                    bundle.gauge_indices.size, -1)
-    alpha_vals = np.exp(1j * rows[:, :, 2]) * (1 + 0.3 * rows[:, :, 1])
+    alpha_vals = _smooth_alpha().eval_rows(bundle.base_rows).reshape(
+        bundle.theta_nodes, -1)
     m = 9
     lhs = bundle.gauge_transform(m, alpha_vals[:, :, None] * vals)
     rhs = np.roll(alpha_vals, m, axis=0)[:, :, None] * bundle.gauge_transform(m, vals)

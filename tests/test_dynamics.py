@@ -527,7 +527,7 @@ def test_reference_requires_separable_form():
 def test_ansatz_error_zero_time():
     xs = np.linspace(-14, 14, 4096)
     err = ansatz_error(OSC, ClassicalState(0.0, [0.0], [1.0]), ground_state(),
-                       0.05, 0.0, xs)
+                       0.05, 0.0, xs, dt=1e-3)
     assert err <= 1e-10
 
 
@@ -595,7 +595,7 @@ def test_only_the_split_step_builds_the_initial_packets(monkeypatch, H, initial_
 
     monkeypatch.setattr(dynamics, "ansatz_wavefunction", counted)
     xs = np.linspace(-16, 16, 8192)
-    assert ansatz_errors(H, X0, ground_state(), [0.08, 0.04], 0.0, xs) == [0.0, 0.0]
+    assert ansatz_errors(H, X0, ground_state(), [0.08, 0.04], 0.0, xs, dt=1e-3) == [0.0, 0.0]
     assert built == []
     ansatz_errors(H, X0, ground_state(), [0.08, 0.04], 0.05, xs, dt=1e-2)
     assert built.count(True) == initial_packets and built.count(False) == 2
@@ -663,7 +663,8 @@ def test_exact_gaussian_matches_nonseparable_ansatz():
     xs = np.linspace(-16, 16, 8192)
     X0 = ClassicalState(0.0, [0.0], [1.0])
     for T in (0.5, -0.5):
-        assert ansatz_error(NONSEPARABLE, X0, ground_state(40), 0.04, T, xs) <= 1e-10
+        assert ansatz_error(NONSEPARABLE, X0, ground_state(40), 0.04, T, xs,
+                            dt=1e-3) <= 1e-10
 
 
 def test_exact_gaussian_input_validation():

@@ -397,6 +397,23 @@ def test_cached_transport_is_read_only(weyl):
             array[0] = 0
 
 
+def test_transport_cache_keeps_every_element():
+    """A sampling keeps the transport of every lattice element it was asked
+    for: after 75 distinct elements the first is still the cached object."""
+    action, _ = heisenberg_weyl_action(DimConfig(4))
+    axes = [LatticeAxis.line(H, -3, 3), LatticeAxis.line(H, -3, 3),
+            LatticeAxis.line(H * H, -3, 3)]
+    sampling = OrbitSampling(action, ClassicalState(0.0, [0.4], [-0.2]), axes)
+    steps = np.stack(np.meshgrid(range(-2, 3), range(-2, 3), range(-1, 2),
+                                 indexing="ij"), axis=-1).reshape(-1, 3)
+    elements = [lattice_element(sampling, s) for s in steps]
+    first = sampling.transport(elements[0])
+    for g in elements[1:]:
+        sampling.transport(g)
+    assert len(elements) == 75
+    assert sampling.transport(elements[0].matrix.copy()) is first
+
+
 def test_repeated_transform_reuses_the_source_lookup(monkeypatch):
     cfg = DimConfig(12)
     action, _ = heisenberg_weyl_action(cfg)

@@ -271,11 +271,17 @@ def _is_sum(node: ast.AST) -> bool:
     return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
 
 
+def _is_multiple(node: ast.AST, factor: int) -> bool:
+    """``factor * x`` or ``x * factor``, for any x; the factor may be
+    written as an int or a float (``2`` or ``2.0``)."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and any(isinstance(side, ast.Constant) and side.value == factor
+                    for side in (node.left, node.right)))
+
+
 def _is_twice(node: ast.AST) -> bool:
     """``2 * x`` or ``x * 2.0``, for any x."""
-    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
-            and any(isinstance(side, ast.Constant) and side.value == 2
-                    for side in (node.left, node.right)))
+    return _is_multiple(node, 2)
 
 
 def _is_rk4_combination(node: ast.AST) -> bool:
@@ -296,8 +302,11 @@ def _is_order_estimate(node: ast.AST) -> bool:
 
 
 def _is_central_stencil(node: ast.AST) -> bool:
-    """A quotient over twice a step: ``... / (2 * h)`` or ``... / (h * 2.0)``."""
-    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and _is_twice(node.right)
+    """A quotient over twice a step, ``... / (2 * h)`` or ``... / (h * 2.0)``,
+    or the five-point one over twelve steps, ``... / (12 * h)`` or
+    ``... / (h * 12.0)``."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and (_is_multiple(node.right, 2) or _is_multiple(node.right, 12)))
 
 
 def _is_generator_stencil(node: ast.AST) -> bool:
@@ -387,13 +396,19 @@ def test_written_once_patterns_are_recognised():
     assert _sites(tree, _is_rk4_combination) == ["twin", "twin"]
     tree = ast.parse('def fd(f, t):\n'
                      '    return (f(t) - f(-t)) / (2 * t), 1j / (2.0 * t) * f(t)\n'
+                     'def five(f, t):\n'
+                     '    return (8 * (f(t) - f(-t)) - (f(2 * t) - f(-2 * t))) / (12 * t)\n'
+                     'def five_float(f, t):\n'
+                     '    return f(t) / (t * 12.0)\n'
                      'def other(f, t, d):\n'
                      '    return f(t) / (t * 2), f(t) / (3 * t), f(t) / 2, f(t) * (2 * t)\n'
+                     'def near(f, t):\n'
+                     '    return f(t) / (11 * t), f(t) / 12, f(t) * (12 * t), f(t) / (12 + t)\n'
                      'def spectrum(d, H):\n'
                      '    return np.linalg.eigh(d.directions[0].fiber_hamiltonian), eigh(H)\n'
                      'def elsewhere(d):\n'
                      '    return eigh(d.fiber_hamiltonian.T)\n')
-    assert _owners(tree, _is_central_stencil) == {"fd", "other"}
+    assert _owners(tree, _is_central_stencil) == {"fd", "five", "five_float", "other"}
     assert _owners(tree, _is_generator_eigh) == {"spectrum", "elsewhere"}
     tree = ast.parse('def gen(f, t, s):\n'
                      '    return 1j * central_difference(f, t), 1j * s.central_difference(f, t)\n'

@@ -200,8 +200,8 @@ def test_each_operator_is_applied_once_per_step(monkeypatch):
 # term and the multiplication and pairing identities read the steps of the
 # given H(A) psi, memoised outside the table.  A Section-level conjugation,
 # which also samples U_{h^-1} psi and the two steps of H(A) on it, makes 21.
-# The table's own point sets are dropped when it returns, so every table on
-# the same psi makes the same count.
+# The table's own point sets are never stored, so every table on the same psi
+# makes the same count.
 IDENTITY_TABLE_SMOOTHINGS = 18
 
 
@@ -249,7 +249,8 @@ def _counting(probe, calls):
 def _counted_identity_table():
     """The generators suite's smoothed probe on the reduced heisenberg-weyl
     scenario, its probe field counting its calls, and one identity-suite
-    table on it at the catalog fd step, H(A) psi applied before the table."""
+    table on it at the catalog fd step, H(A) psi applied before the table:
+    (calls, kernel nodes, table, smoothed psi)."""
     scn = _reduced_heisenberg(["generators"])
     action, _ = scn.build_action()
     sampling = scn.build_sampling(action, generator_scale=True)
@@ -267,15 +268,15 @@ def _counted_identity_table():
         return generators.identity_suite(
             A, G.algebra([0.0, 1.0, 0.0]), alpha, psi, HA, HA2, action, tau,
             conjugator=verify._lattice_elements(sampling)[3])
-    return calls, len(kernel.weights), table
+    return calls, len(kernel.weights), table, psi
 
 
 def test_identity_tables_on_one_psi_evaluate_alike(monkeypatch):
     """A second identity-suite table on the same smoothed psi evaluates the
     smoothed field as often as the first: the first table's point sets are
-    dropped when it returns, and the two give the same residuals."""
+    never stored, and the two give the same residuals."""
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-    calls, nodes, table = _counted_identity_table()
+    calls, nodes, table, _ = _counted_identity_table()
     counts, results = [], []
     for _ in range(2):
         calls.clear()
@@ -288,10 +289,11 @@ def test_identity_tables_on_one_psi_evaluate_alike(monkeypatch):
 def test_identity_table_memo_is_dropped_when_the_table_raises(monkeypatch):
     """A table that raises (here in the multiplication identity, after the
     linearity, conjugation and commutator identities have evaluated their
-    point sets) drops its memo on the way out: no table stays open, and the
-    next table evaluates the smoothed field the pinned number of times."""
+    point sets) closes on the way out: a point set evaluated after it is
+    stored again, and the next table evaluates the smoothed field the
+    pinned number of times."""
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-    calls, nodes, table = _counted_identity_table()
+    calls, nodes, table, psi = _counted_identity_table()
 
     def broken(rows):
         raise RuntimeError("alpha fails")
@@ -299,7 +301,9 @@ def test_identity_table_memo_is_dropped_when_the_table_raises(monkeypatch):
     calls.clear()
     with pytest.raises(RuntimeError, match="alpha fails"):
         table(BaseFunction(batch=broken))
-    assert calls and generators._open_tables.get() == ()
+    assert calls
+    outside = psi.sampling.group_mats[::3]
+    assert psi.field(outside) is psi.field(outside)
     calls.clear()
     table()
     assert len(calls) == IDENTITY_TABLE_SMOOTHINGS * nodes
@@ -307,7 +311,7 @@ def test_identity_table_memo_is_dropped_when_the_table_raises(monkeypatch):
 
 # probe-field evaluations in one generators suite: the smoothed lattice, the
 # steps of H(A) psi, two identity tables and the smoothing checks
-GENERATOR_SUITE_PROBE_CALLS = {"translations-r2": 127, "so2-rotor": 211,
+GENERATOR_SUITE_PROBE_CALLS = {"translations-r2": 187, "so2-rotor": 211,
                                "heisenberg-weyl-reduced": 863}
 # generator applications in one generators suite: H(A) psi at three steps and
 # per identity table H(B), H(A + B), the two nested ones, H([A, B]), the
@@ -321,9 +325,9 @@ def test_generator_suite_probe_evaluations_are_pinned(name, monkeypatch):
     """Work-count guard: one generators suite calls its probe's field and
     applies a generator a pinned number of times, translations-r2 and
     so2-rotor at catalog size and heisenberg-weyl on the reduced scenario;
-    an identity table that lost a memo hit (as on the abelian groups, whose
-    linearity and commutator identities share point sets) or applied H(2A)
-    psi instead of reading H(A) psi at twice its step would raise a count."""
+    an identity table that stopped reading the point sets memoised before
+    it (psi's lattice, the steps of H(A) psi) or applied H(2A) psi instead
+    of reading H(A) psi at twice its step would raise a count."""
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     calls, applies = [], []
     make_probe = verify.gentle_probe_section
