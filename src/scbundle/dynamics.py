@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -177,7 +177,7 @@ def quadratic_hamiltonian_spec(m_qq: float, m_qp: float = 0.0,
     )
 
 
-def cubic_perturbed_spec(omega2: float = 1.0, cubic: float = 0.1) -> HamiltonianSpec:
+def cubic_perturbed_spec(omega2: float, cubic: float) -> HamiltonianSpec:
     """1-D H = P^2/2 + (omega2/2) Q^2 + cubic * Q^3."""
     def value(P, Q):
         Q2 = Q * Q
@@ -204,21 +204,18 @@ def cubic_perturbed_spec(omega2: float = 1.0, cubic: float = 0.1) -> Hamiltonian
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled classical flow: ``rows[k]`` is the state row at ``times[k]``;
-    ``initial`` is the state the flow started from."""
+    """Sampled classical flow: ``rows[k]`` is the state row at ``times[k]``,
+    from the start (row 0) to ``final``."""
 
     times: np.ndarray
     rows: np.ndarray
     energy_drift: float
-    initial: ClassicalState
 
     def __len__(self):
         return self.rows.shape[0]
 
     @property
     def final(self) -> ClassicalState:
-        if len(self) == 1:
-            return self.initial
         return ClassicalState.from_array(self.rows[-1])
 
 
@@ -315,8 +312,7 @@ def classical_flows(H: HamiltonianSpec, rows, T, dt) -> list:
              for row, step, count in zip(rows.tolist(), h.tolist(), counts.tolist())]
     ends = np.array([path[-1] for path in paths])
     drift = np.abs(H.value(ends[:, 1], ends[:, 2]) - H.value(rows[:, 1], rows[:, 2]))
-    return [Trajectory(np.arange(c + 1) * h[r], path, float(drift[r]),
-                       ClassicalState.from_array(rows[r]))
+    return [Trajectory(np.arange(c + 1) * h[r], path, float(drift[r]))
             for r, (c, path) in enumerate(zip(counts, paths))]
 
 
@@ -324,7 +320,7 @@ def classical_flow(H: HamiltonianSpec, X0: ClassicalState, T: float,
                    dt: float) -> Trajectory:
     """The flow of one base point from 0 to T: the one-row case of
     :func:`classical_flows`."""
-    return replace(classical_flows(H, X0.as_array(), T, dt)[0], initial=X0)
+    return classical_flows(H, X0.as_array(), T, dt)[0]
 
 
 # ---------------------------------------------------------------------------

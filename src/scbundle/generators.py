@@ -59,14 +59,14 @@ class SmoothingKernel:
     """Compactly supported smoothing weights on lattice-aligned group nodes.
 
     ``weights`` already fold the window value and the left-invariant Haar
-    density into each node, so smoothing is a plain weighted sum.
+    density into each node, so smoothing is a plain weighted sum.  The
+    support is the set of ``node_steps``.
     """
 
     sampling: OrbitSampling
     node_steps: np.ndarray     # (K, n_axes) integer lattice steps
     node_mats: np.ndarray      # (K, d, d)
     weights: np.ndarray        # (K,)
-    radius_steps: np.ndarray   # per-axis support half-width in steps
 
 
 def lattice_kernel(sampling: OrbitSampling, radius) -> SmoothingKernel:
@@ -98,8 +98,7 @@ def lattice_kernel(sampling: OrbitSampling, radius) -> SmoothingKernel:
         raise InputError("kernel has nonpositive mass")
     weights = weights / total
     mats = np.array([group.compose_exps(t) for t in coords])
-    return SmoothingKernel(sampling, steps, mats, weights,
-                           radius_steps=steps_max)
+    return SmoothingKernel(sampling, steps, mats, weights)
 
 
 def garding_smooth(kernel: SmoothingKernel, phi: Section,

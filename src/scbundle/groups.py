@@ -135,15 +135,14 @@ class LieGroup:
         matrix = np.tensordot(coords, self.basis, axes=(0, 0))
         return AlgebraElement(self, coords, matrix)
 
-    def element(self, matrix: np.ndarray, check: bool = True) -> GroupElement:
+    def element(self, matrix: np.ndarray) -> GroupElement:
         matrix = np.asarray(matrix)
         if matrix.shape != (self.rep_dim, self.rep_dim):
             raise InputError("matrix has wrong shape for this group")
-        if check:
-            res = self.manifold_residual(matrix)
-            if not res <= _EXPAND_TOL:
-                raise InputError(
-                    f"matrix is off the {self.group_id} manifold (residual {res:.3e})")
+        res = self.manifold_residual(matrix)
+        if not res <= _EXPAND_TOL:
+            raise InputError(
+                f"matrix is off the {self.group_id} manifold (residual {res:.3e})")
         return GroupElement(self, matrix)
 
     # -- structure ---------------------------------------------------------

@@ -38,7 +38,6 @@ __all__ = [
     "family_generator_apply",
     "family_generator_direct",
     "word_identity_check",
-    "WordCheck",
     "conjugation_check",
     "group_law_verify",
     "GroupLawReport",
@@ -133,19 +132,15 @@ def family_generator_direct(family: GeneratorFamily, A: AlgebraElement,
 # word identities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WordCheck:
-    residual: float
-    lemma_mode: bool
-
-
 _WORD_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 _WORD_MATRIX_TOL = 1e-10
 
 
 def word_identity_check(family: GeneratorFamily, word: Sequence,
-                        probes: Sequence[Section]) -> WordCheck:
-    """Check that a word of one-parameter steps acts as the identity.
+                        probes: Sequence[Section]) -> float:
+    """The residual of a word of one-parameter steps acting as the
+    identity: the largest sup-norm of (word - 1) psi over the probes and the
+    measured alphas.
 
     ``word`` is a list of ``(basis index, path)`` pairs where ``path`` is a
     smooth function of the deformation parameter with path(0) = 0 (a bare
@@ -153,11 +148,11 @@ def word_identity_check(family: GeneratorFamily, word: Sequence,
     alpha must name a basis direction and give a finite parameter
     (InputError, before any matrix is built).  The matrix word must equal the
     identity at alpha = 1 (hard precondition, else the check is vacuous).
-    When it closes at every sampled alpha the deformation hypothesis holds
-    (``lemma_mode``) and the residual is measured at every alpha (0, 1/4,
-    1/2, 3/4, 1; "closes" means within 1e-10 of the identity); otherwise
-    only the closing endpoints are measured -- that is the projective-anomaly
-    probe, where the operator word may legitimately differ from 1.
+    The residual is measured at each sampled alpha (0, 1/4, 1/2, 3/4, 1) at
+    which the matrix word closes (is within 1e-10 of the identity): at every
+    alpha when the deformation hypothesis holds, and otherwise only at the
+    closing ones -- that is the projective-anomaly probe, where the operator
+    word may legitimately differ from 1.
     """
     group = family.group
     paths = [(k, path if callable(path) else (lambda a, t=float(path): t * a))
@@ -179,13 +174,12 @@ def word_identity_check(family: GeneratorFamily, word: Sequence,
             f"matrix word is not the identity at alpha=1 (defect {end_defect:.3e})")
     closing = [a for a in _WORD_ALPHAS
                if np.linalg.norm(word_matrix(a) - eye) <= _WORD_MATRIX_TOL]
-    lemma_mode = len(closing) == len(_WORD_ALPHAS)
 
     worst = 0.0
     for a in closing:
         for psi in probes:
             worst = max(worst, (_apply_word(family, steps[a], psi) - psi).norm)
-    return WordCheck(worst, lemma_mode)
+    return worst
 
 
 # ---------------------------------------------------------------------------

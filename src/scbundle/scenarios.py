@@ -261,10 +261,11 @@ class Scenario:
         return _HAMILTONIANS[self.hamiltonian["kind"]](
             float(self.setting("hamiltonian.omega2")), float(self.setting("hamiltonian.cubic")))
 
-    def build_gauge_bundle(self) -> GaugeBundle:
-        _, family = self.build_action(drift=True)
+    def build_gauge_bundle(self, family, gauge) -> GaugeBundle:
+        """The enlarged orbit of ``family`` and ``gauge`` through the
+        anchor, at the scenario's gauge lattice."""
         return GaugeBundle(
-            family, self.build_gauge(), self.anchor,
+            family, gauge, self.anchor,
             theta_nodes=self.setting("gauge.theta_nodes"),
             gauge_step=np.pi / self.setting("gauge.gauge_step_divisor"),
             gauge_window=self.setting("gauge.gauge_window"))

@@ -33,8 +33,7 @@ reconstruction and every base derivative are that difference.  Only
 everything that must leave the lattice needs the field and refuses
 otherwise.  A lattice element g fixes that re-indexing once per sampling:
 :meth:`OrbitSampling.transport` looks the sources up by coordinates the
-first time g is seen and caches the permutation (and the image of every
-sample), the set of samples whose image leaves the window, g^-1 and U_g as
+first time g is seen and caches the image of every sample, g^-1 and U_g as
 a :class:`Transport`.
 """
 
@@ -130,19 +129,13 @@ class LatticeAxis:
 @dataclass(frozen=True)
 class Transport:
     """Exact re-indexing of the samples by a lattice element g (Eq. 7a):
-    the transformed value at sample ``dest[k]`` is U_g applied to the value
-    at sample ``source[k]``.  ``target`` maps every sample to its image
-    (``target[source[k]] == dest[k]``), -1 where the image leaves the
-    window; it carries a section's ``rows`` through the transform.
-    ``lost`` are the samples no ``source`` names (ascending), those with
-    ``target`` -1; ``inverse`` is g^-1 and ``fiber`` is U_g.  Every array is
-    read-only."""
+    the transformed value at sample ``target[j]`` is U_g applied to the
+    value at sample j; ``target`` is -1 where the image leaves the window,
+    and it carries a section's ``rows`` through the transform.  ``inverse``
+    is g^-1 and ``fiber`` is U_g.  Every array is read-only."""
 
     inverse: np.ndarray
-    dest: np.ndarray
-    source: np.ndarray
     target: np.ndarray
-    lost: np.ndarray
     fiber: np.ndarray
 
 
@@ -151,9 +144,10 @@ class OrbitSampling:
 
     Samples are de-duplicated modulo the numerically detected stabilizer
     (base points with equal :func:`state_keys` collapse to their first
-    representative).  ``group_mats`` (J, n, n) is stored plane by plane
-    (its ``transpose(1, 2, 0)`` is C-contiguous), so each term of a left
-    translation reads a contiguous plane.
+    representative), so ``len`` counts the distinct base points.
+    ``group_mats`` (J, n, n) is stored plane by plane (its ``transpose(1, 2,
+    0)`` is C-contiguous), so each term of a left translation reads a
+    contiguous plane.
     """
 
     def __init__(self, action: BundleAction, anchor: ClassicalState,
@@ -200,7 +194,6 @@ class OrbitSampling:
         self.group_mats = np.ascontiguousarray(
             mats.transpose(1, 2, 0)[:, :, keep]).transpose(2, 0, 1)
         self.base_array = base[keep]
-        self.deduplicated = self.steps.shape[0] < all_steps.shape[0]
 
         # flat position table for vectorized index lookups
         self._axis_lo = np.array([ax.lo if ax.kind == "line" else 0 for ax in axes])
@@ -267,12 +260,10 @@ class OrbitSampling:
             return cached
         inverse = np.linalg.inv(g_mat)
         sources = self.indices_of_matrices(left_translate(inverse, self.group_mats))
-        dest = np.nonzero(sources >= 0)[0]
+        dest = np.flatnonzero(sources >= 0)
         target = np.full(len(self), -1, dtype=np.int64)
         target[sources[dest]] = dest
-        lost = np.nonzero(target < 0)[0]
-        transport = Transport(inverse, dest, sources[dest], target, lost,
-                              self.action.fiber_matrix(g_mat))
+        transport = Transport(inverse, target, self.action.fiber_matrix(g_mat))
         for array in vars(transport).values():
             array.flags.writeable = False
         self._transports[key] = transport
@@ -493,8 +484,8 @@ def section_transform(action: BundleAction, g, psi: Section) -> Section:
     U_g applied to the value at u_{g^-1 h}(anchor).
 
     ``g`` must be lattice-aligned (the source lookup raises AlignmentError
-    otherwise); re-indexing is exact.  The permutation, the samples that
-    leave the window and U_g are computed once per (sampling, g) and cached
+    otherwise); re-indexing is exact.  The image of every sample, g^-1 and
+    U_g are computed once per (sampling, g) and cached
     (:meth:`OrbitSampling.transport`), so a repeated g costs one gather and
     one matrix product.  Only the section's rows move: they are mapped
     through ``Transport.target``, the block rows that stay are multiplied by

@@ -207,9 +207,10 @@ def test_smoothing_support_growth(weyl):
     probe_support = sampling.steps[np.linalg.norm(probe.values, axis=1) > 1e-14]
     out_support = sampling.steps[np.linalg.norm(out.values, axis=1) > 1e-14]
     # Minkowski bound per axis in lattice steps
+    kernel_reach = np.max(np.abs(kernel.node_steps), axis=0)
     for axis in range(3):
-        lo = probe_support[:, axis].min() - kernel.radius_steps[axis] - 1
-        hi = probe_support[:, axis].max() + kernel.radius_steps[axis] + 1
+        lo = probe_support[:, axis].min() - kernel_reach[axis] - 1
+        hi = probe_support[:, axis].max() + kernel_reach[axis] + 1
         assert out_support[:, axis].min() >= lo
         assert out_support[:, axis].max() <= hi
 
@@ -229,8 +230,7 @@ def test_smoothing_left_translation_covariance(weyl):
         sampling,
         kernel.node_steps,
         np.einsum("ab,kbc->kac", g.matrix, kernel.node_mats),
-        kernel.weights,
-        kernel.radius_steps)
+        kernel.weights)
     rhs_field = garding_smooth(translated, probe, action)
     assert np.max(np.abs(lhs.values - rhs_field.values)) <= 1e-10
 

@@ -4,6 +4,7 @@ conjugation covariance, and the group law."""
 import numpy as np
 import pytest
 
+from scbundle import reconstruction
 from scbundle.actions import (heisenberg_weyl_action, metaplectic_action,
                               oscillator_action, so2_rotor_action,
                               translations_r2_action)
@@ -180,9 +181,8 @@ def test_reconstruct_oscillator_matches_evolution_pipeline():
 
 def test_word_inverse_pair(weyl):
     _, family, _, psi = weyl
-    check = word_identity_check(family, [(0, 0.5), (0, lambda a: -0.5 * a)], [psi])
-    assert check.lemma_mode
-    assert check.residual <= 1e-8
+    residual = word_identity_check(family, [(0, 0.5), (0, lambda a: -0.5 * a)], [psi])
+    assert residual <= 1e-8
 
 
 def test_word_heisenberg_commutator_with_central_compensation(weyl):
@@ -191,23 +191,55 @@ def test_word_heisenberg_commutator_with_central_compensation(weyl):
     word = [(0, lambda s: a * s), (1, lambda s: b * s),
             (0, lambda s: -a * s), (1, lambda s: -b * s),
             (2, lambda s: -a * b * s * s)]
-    check = word_identity_check(family, word, [psi])
-    assert check.lemma_mode
-    assert check.residual <= 1e-6
+    assert word_identity_check(family, word, [psi]) <= 1e-6
 
 
 def test_word_full_circle_nonprojective():
     _, family, _, psi = circle_setup(so2_rotor_action)
-    check = word_identity_check(family, [(0, 2 * np.pi)], [psi])
-    assert not check.lemma_mode          # the loop is not contractible
-    assert check.residual <= 1e-6
+    assert word_identity_check(family, [(0, 2 * np.pi)], [psi]) <= 1e-6
 
 
 def test_word_full_circle_metaplectic_anomaly():
     _, family, _, psi = circle_setup(metaplectic_action)
-    check = word_identity_check(family, [(0, 2 * np.pi)], [psi])
-    assert not check.lemma_mode
-    assert abs(check.residual - 2.0) <= 1e-3   # (-1) psi vs psi, normalized
+    residual = word_identity_check(family, [(0, 2 * np.pi)], [psi])
+    assert abs(residual - 2.0) <= 1e-3   # (-1) psi vs psi, normalized
+
+
+_COMMUTATOR = [(0, lambda s: 0.3 * s), (1, lambda s: 0.4 * s), (0, lambda s: -0.3 * s),
+               (1, lambda s: -0.4 * s), (2, lambda s: -0.3 * 0.4 * s * s)]
+
+
+@pytest.mark.parametrize("case, word, closing", [
+    ("weyl", [(0, 0.5), (0, lambda a: -0.5 * a)], (0.0, 0.25, 0.5, 0.75, 1.0)),
+    ("weyl", _COMMUTATOR, (0.0, 0.25, 0.5, 0.75, 1.0)),
+    ("so2", [(0, 2 * np.pi)], (0.0, 1.0)),
+    ("metaplectic", [(0, 2 * np.pi)], (0.0, 1.0)),
+], ids=["inverse-pair", "commutator", "so2-full-circle", "metaplectic-full-circle"])
+def test_word_check_applies_the_word_at_each_closing_alpha(weyl, monkeypatch, case,
+                                                           word, closing):
+    """The word is applied to every probe at every sampled alpha when each
+    one closes (the deformation hypothesis), and only at the closing alphas
+    0 and 1 around the non-contractible circle."""
+    if case == "weyl":
+        _, family, _, psi = weyl
+    else:
+        builder = so2_rotor_action if case == "so2" else metaplectic_action
+        _, family, _, psi = circle_setup(builder)
+    probes = [psi, 2.0 * psi]
+    applied = []
+    apply_word = reconstruction._apply_word
+
+    def counted(family, steps, section):
+        applied.append(([t for _, t in steps], section))
+        return apply_word(family, steps, section)
+
+    monkeypatch.setattr(reconstruction, "_apply_word", counted)
+    word_identity_check(family, word, probes)
+    expected = [[float(path(a)) if callable(path) else path * a for _, path in word]
+                for a in closing for _ in probes]
+    assert [params for params, _ in applied] == expected
+    assert all(section is probe for (_, section), probe
+               in zip(applied, [probe for _ in closing for probe in probes]))
 
 
 def test_word_precondition_violation(weyl):

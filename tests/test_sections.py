@@ -120,7 +120,8 @@ def test_sampling_contains_identity_and_recomputable_base(weyl):
 
 def test_sampling_base_points_pairwise_distinct(weyl):
     _, sampling = weyl
-    assert not sampling.deduplicated
+    # no sample collapsed: one per point of the grid
+    assert len(sampling) == np.prod([ax.indices().size for ax in sampling.axes])
     order = np.lexsort(sampling.base_array.T)
     sorted_pts = sampling.base_array[order]
     gaps = np.linalg.norm(np.diff(sorted_pts, axis=0), axis=1)
@@ -137,7 +138,6 @@ def collapsed_rotor_sampling():
 
 def test_sampling_stabilizer_deduplication():
     sampling = collapsed_rotor_sampling()
-    assert sampling.deduplicated
     assert len(sampling) == 1
 
 
@@ -370,28 +370,30 @@ def test_cached_transport_equals_coordinate_lookup(name):
         lost = np.setdiff1d(np.arange(len(sampling)), sources[dest])
         transport = sampling.transport(g)
         assert transport is sampling.transport(g.matrix.copy())
-        assert np.array_equal(transport.dest, dest)
-        assert np.array_equal(transport.source, sources[dest])
-        assert np.array_equal(transport.lost, lost)
-        assert transport.lost.dtype == lost.dtype == np.int64
         target = np.full(len(sampling), -1)
         target[sources[dest]] = dest
         assert np.array_equal(transport.target, target)
+        assert transport.target.dtype == np.int64
+        # the samples whose image leaves the window, and the (source, dest)
+        # pairs of the samples that stay
+        assert np.array_equal(np.flatnonzero(transport.target < 0), lost)
+        stays = np.flatnonzero(transport.target >= 0)
+        assert np.array_equal(stays, np.sort(sources[dest]))
         assert transport.inverse.tobytes() == inv.tobytes()
         assert transport.fiber.tobytes() == sampling.action.fiber_matrix(g).tobytes()
         # the forward lookup g h: the samples that stay and their images
         images = sampling.indices_of_matrices(
             np.array([g.matrix @ m for m in sampling.group_mats]))
-        assert np.array_equal(np.nonzero(images >= 0)[0], np.sort(transport.source))
-        assert np.array_equal(images[transport.source], transport.dest)
+        assert np.array_equal(np.nonzero(images >= 0)[0], stays)
+        assert np.array_equal(images[stays], transport.target[stays])
 
 
 def test_cached_transport_is_read_only(weyl):
     _, sampling = weyl
     transport = sampling.transport(lattice_element(sampling, [1, 0, 2]))
-    assert transport.lost.size > 0
-    for array in (transport.inverse, transport.dest, transport.source,
-                  transport.target, transport.lost, transport.fiber):
+    assert np.any(transport.target < 0)
+    assert list(vars(transport)) == ["inverse", "target", "fiber"]
+    for array in vars(transport).values():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
@@ -441,7 +443,7 @@ def test_transform_support_tolerance(weyl):
     at 1e-14 of the total is rounding and passes, one at 1e-8 raises."""
     action, sampling = weyl
     g = lattice_element(sampling, [1, 0, 0])
-    lost = sampling.transport(g).lost
+    lost = np.flatnonzero(sampling.transport(g).target < 0)
     assert 0 < lost.size < len(sampling)
     values = np.zeros((len(sampling), sampling.fiber_dim), dtype=complex)
     values[:, 0] = 1.0
@@ -661,11 +663,12 @@ def assert_rows_hold(psi):
 
 
 def dense_transform(sampling, g, values):
-    """Oracle: U_g applied to the values at ``Transport.source``, placed at
-    ``Transport.dest``, over every sample."""
+    """Oracle: U_g applied to the values at every sample that stays in the
+    window, placed at its image ``Transport.target``."""
     transport = sampling.transport(g)
+    stays = np.flatnonzero(transport.target >= 0)
     out = np.zeros_like(values)
-    out[transport.dest] = values[transport.source] @ transport.fiber.T
+    out[transport.target[stays]] = values[stays] @ transport.fiber.T
     return out
 
 

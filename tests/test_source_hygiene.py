@@ -18,8 +18,11 @@ generator stencil ``1j * central_difference(...)`` in
 ``generators.generator_field``, and the
 eigendecomposition of a generator's fiber Hamiltonian in
 ``actions.GeneratorData``, and the scaled squared radius (a squared
-quotient) in ``groups.scaled_square_radius``; no ``setdiff1d`` (the lost
-samples of a transport come from a mask); no comparison of ``.rows`` with
+quotient) in ``groups.scaled_square_radius``; no ``setdiff1d`` (the
+samples a transport loses are the -1 entries of its ``target``); no stored
+field that nothing reads (a dataclass field or an attribute set in an
+``__init__``, read neither in the package nor in ``perfbench``, except by
+passing it back to its own class's constructor); no comparison of ``.rows`` with
 None outside ``Section.__post_init__``, where an omitted ``rows`` becomes
 every sample (a section has one storage, so no operation forks into a dense
 and a row path); no ``scipy`` import (each group and the symplectic flow
@@ -36,6 +39,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "scbundle"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -503,3 +507,97 @@ def test_no_scipy_in_the_package():
 def test_sub_config_defaults_live_in_the_schema():
     assert [site for site in _package_sites(_is_sub_config_default)
             if site[0] != "scenarios.py"] == []
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    """Whether ``cls`` is decorated ``@dataclass``, called or not, bare or
+    through its module."""
+    for decorator in cls.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _stored_fields(tree: ast.Module) -> list:
+    """``(class, field)`` for every dataclass field and every attribute that
+    an ``__init__`` sets on ``self``."""
+    out = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if (_is_dataclass(cls) and isinstance(node, ast.AnnAssign)
+                    and isinstance(node.target, ast.Name)):
+                out.append((cls.name, node.target.id))
+            elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                out += [(cls.name, n.attr) for n in ast.walk(node)
+                        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                        and isinstance(n.value, ast.Name) and n.value.id == "self"]
+    return out
+
+
+def _attribute_loads(tree: ast.Module) -> set:
+    """``(attribute, callee)`` for every attribute load: ``callee`` names the
+    call it is passed to directly (positionally or by keyword), None for any
+    other load."""
+    callee = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            for arg in node.args + [k.value for k in node.keywords]:
+                callee[id(arg)] = name
+    return {(node.attr, callee.get(id(node))) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _write_only_fields(stored: list, readers: list) -> list:
+    """``Class.field`` for each field stored in the ``stored`` modules that
+    no module of ``readers`` loads, a load passed straight back to its own
+    class's constructor not counting."""
+    loads = set().union(*(_attribute_loads(tree) for tree in readers))
+    return sorted(f"{cls}.{field}" for tree in stored for cls, field in _stored_fields(tree)
+                  if not any(attr == field and callee != cls for attr, callee in loads))
+
+
+def test_write_only_field_pattern_is_recognised():
+    tree = ast.parse('from dataclasses import dataclass\n'
+                     '@dataclass(frozen=True)\n'
+                     'class Kept:\n'
+                     '    read: int\n'
+                     '    copied: int\n'
+                     '    unread: int\n'
+                     '    passed: int = 0\n'
+                     '    nested: int = 0\n'
+                     '    LIMIT = 3\n'
+                     '    def total(self):\n'
+                     '        return self.read\n'
+                     '@dataclasses.dataclass\n'
+                     'class Bare:\n'
+                     '    x: int\n'
+                     'class Plain:\n'
+                     '    note: int\n'
+                     '    def __init__(self, a):\n'
+                     '        self.a = a\n'
+                     '        self.b, self.c = a, a\n'
+                     '        self._d: int = a\n'
+                     '    def other(self):\n'
+                     '        self.e = 1\n'
+                     '        return self.c\n'
+                     'def use(k, p):\n'
+                     '    return (Kept(1, k.copied, 0), Kept(1, 2, 3, copied=k.copied),\n'
+                     '            Other(k.passed), Kept(1, 2, 3, nested=abs(k.nested)), p._d)\n')
+    reader = ast.parse('def read(k, p):\n'
+                       '    return k.unread, Plain(p.a)\n')
+    assert _write_only_fields([tree], [tree]) == [
+        "Bare.x", "Kept.copied", "Kept.unread", "Plain.a", "Plain.b"]
+    assert _write_only_fields([tree], [tree, reader]) == [
+        "Bare.x", "Kept.copied", "Plain.a", "Plain.b"]
+
+
+def test_no_write_only_fields():
+    """Every stored field has a reader; ``BaseFunction.fn`` waits for
+    ``perfbench/test_perfbench.py`` to stop passing it (ROADMAP item 10)."""
+    package = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    bench = [ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))]
+    assert _write_only_fields(package, package + bench) == ["BaseFunction.fn"]

@@ -348,6 +348,28 @@ def test_generator_suite_probe_evaluations_are_pinned(name, monkeypatch):
     assert len(applies) == GENERATOR_SUITE_APPLY_CALLS[name]
 
 
+def test_gauge_suite_builds_each_realization_once(monkeypatch):
+    """A metaplectic-so2 verify builds the drift-free action once (shared by
+    every suite), the drifted one once and the gauge once."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    scn = load_scenario("metaplectic-so2")
+    built = []
+    plain_action, plain_gauge = scn.build_action, scn.build_gauge
+
+    def build_action(drift=False):
+        built.append(f"action drift={drift}")
+        return plain_action(drift)
+
+    def build_gauge():
+        built.append("gauge")
+        return plain_gauge()
+
+    monkeypatch.setattr(scn, "build_action", build_action)
+    monkeypatch.setattr(scn, "build_gauge", build_gauge)
+    verify.run_verify(scn)
+    assert sorted(built) == ["action drift=False", "action drift=True", "gauge"]
+
+
 def test_pointwise_recovery_redraws_points_the_shear_moves_out(monkeypatch):
     """At this seed the first draw of pointwise_operator_recovery pairs a
     point with an element whose shear moves it out of the window."""
