@@ -1,8 +1,10 @@
 """Bundle actions: Lie groups acting on the semiclassical bundle.
 
 A :class:`BundleAction` pairs a base map family ``u_g`` with a fiber unitary
-family ``U_g``.  Inside the numerics a batch of base points is a float array
-of state rows ``(J, 3)`` laid out as ``S, P, Q`` (the layout of
+family ``U_g``.  Each builder below takes the fiber dimension d, an int (see
+:mod:`.fiber`); fiber unitaries and Hamiltonians are complex (d, d) arrays.
+Inside the numerics a batch of base points is a float array of state rows
+``(J, 3)`` laid out as ``S, P, Q`` (the layout of
 :meth:`ClassicalState.as_array`); each action writes its base map once, as
 ``base_rows(mats, rows)``, which broadcasts a stack of group matrices against
 a stack of rows.  Every fiber unitary and fiber Hamiltonian is independent of
@@ -30,8 +32,8 @@ import numpy as np
 
 from .dynamics import ClassicalState
 from .errors import InputError
-from .fiber import (DimConfig, momentum_operator, position_operator,
-                    quadratic_hamiltonian, spectral_exp)
+from .fiber import (momentum_operator, position_operator, quadratic_hamiltonian,
+                    spectral_exp)
 from .groups import LieGroup, as_matrix, get_group
 
 __all__ = [
@@ -57,7 +59,7 @@ class BundleAction:
 
     name: str
     group: LieGroup
-    dim_config: DimConfig
+    fiber_dim: int
     base_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
     fiber_fn: Callable[[np.ndarray], np.ndarray]
 
@@ -97,7 +99,7 @@ class GeneratorFamily:
     """Per-basis generator data for a group action on the bundle."""
 
     group: LieGroup
-    dim_config: DimConfig
+    fiber_dim: int
     directions: tuple
 
     def __post_init__(self):
@@ -106,7 +108,7 @@ class GeneratorFamily:
 
     def combination_hamiltonian(self, coords: np.ndarray) -> np.ndarray:
         """H(A) for A = sum_k coords_k B_k (the generator is linear)."""
-        out = np.zeros((self.dim_config.dim, self.dim_config.dim), dtype=complex)
+        out = np.zeros((self.fiber_dim, self.fiber_dim), dtype=complex)
         for c, d in zip(coords, self.directions):
             if c != 0.0:
                 out = out + c * d.fiber_hamiltonian
@@ -118,21 +120,21 @@ class GeneratorFamily:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _eig(operator, n_cut: int):
+def _eig(operator, dim: int):
     """Eigendecomposition of a fiber operator builder's matrix."""
-    return np.linalg.eigh(operator(DimConfig(n_cut)).matrix)
+    return np.linalg.eigh(operator(dim))
 
 
 @lru_cache(maxsize=None)
-def _oscillator_levels(n_cut: int) -> np.ndarray:
-    return np.real(np.diag(quadratic_hamiltonian(1.0, 0.0, 1.0, DimConfig(n_cut)).matrix))
+def _oscillator_levels(dim: int) -> np.ndarray:
+    return np.real(np.diag(quadratic_hamiltonian(1.0, 0.0, 1.0, dim)))
 
 
 # ---------------------------------------------------------------------------
 # Heisenberg--Weyl scenario
 # ---------------------------------------------------------------------------
 
-def heisenberg_weyl_action(config: DimConfig):
+def heisenberg_weyl_action(dim: int):
     """Heisenberg group acting by phase-space shifts on the base and Weyl
     operators on the fibers.
 
@@ -145,8 +147,8 @@ def heisenberg_weyl_action(config: DimConfig):
     Hermite truncation leakage, which is negligible for low-mode states).
     """
     group = get_group("heisenberg")
-    eig_x = _eig(position_operator, config.n_cut)
-    eig_p = _eig(momentum_operator, config.n_cut)
+    eig_x = _eig(position_operator, dim)
+    eig_p = _eig(momentum_operator, dim)
 
     def base_rows(mats, rows):
         a, b, c = mats[..., 0, 1].real, mats[..., 1, 2].real, mats[..., 0, 2].real
@@ -157,14 +159,12 @@ def heisenberg_weyl_action(config: DimConfig):
         a, b, c = mat[0, 1].real, mat[1, 2].real, mat[0, 2].real
         return np.exp(1j * c) * spectral_exp(eig_x, -b) @ spectral_exp(eig_p, -a)
 
-    action = BundleAction("heisenberg-weyl", group, config, base_rows, fiber_fn)
+    action = BundleAction("heisenberg-weyl", group, dim, base_rows, fiber_fn)
 
-    xi_mat = position_operator(config).matrix
-    p_mat = momentum_operator(config).matrix
-    eye = np.eye(config.dim, dtype=complex)
-    family = GeneratorFamily(group, config, (
-        GeneratorData(fiber_hamiltonian=-p_mat),
-        GeneratorData(fiber_hamiltonian=-xi_mat),
+    eye = np.eye(dim, dtype=complex)
+    family = GeneratorFamily(group, dim, (
+        GeneratorData(fiber_hamiltonian=-momentum_operator(dim)),
+        GeneratorData(fiber_hamiltonian=-position_operator(dim)),
         GeneratorData(fiber_hamiltonian=-eye),
     ))
     return action, family
@@ -174,12 +174,12 @@ def heisenberg_weyl_action(config: DimConfig):
 # abelian translations with a character phase
 # ---------------------------------------------------------------------------
 
-def translations_r2_action(config: DimConfig):
+def translations_r2_action(dim: int):
     """Phase-space translations (a, b): Q -> Q + a, P -> P + b, with the
     fiber acting through the exact character exp(i(0.7 a - 0.3 b))."""
     group = get_group("translations_r2")
     kappa = np.array([0.7, -0.3])
-    eye = np.eye(config.dim, dtype=complex)
+    eye = np.eye(dim, dtype=complex)
 
     def base_rows(mats, rows):
         a, b = mats[..., 0, 2].real, mats[..., 1, 2].real
@@ -189,8 +189,8 @@ def translations_r2_action(config: DimConfig):
         a, b = mat[0, 2].real, mat[1, 2].real
         return np.exp(1j * (kappa[0] * a + kappa[1] * b)) * eye
 
-    action = BundleAction("translations-r2", group, config, base_rows, fiber_fn)
-    family = GeneratorFamily(group, config, (
+    action = BundleAction("translations-r2", group, dim, base_rows, fiber_fn)
+    family = GeneratorFamily(group, dim, (
         GeneratorData(fiber_hamiltonian=-kappa[0] * eye),
         GeneratorData(fiber_hamiltonian=-kappa[1] * eye),
     ))
@@ -219,7 +219,7 @@ def _rotation_flow(drift_rate: float):
     return flow
 
 
-def _flow_action(name: str, group_id: str, config: DimConfig, flow,
+def _flow_action(name: str, group_id: str, dim: int, flow,
                  hamiltonian: np.ndarray, period: Optional[float] = None):
     """A one-parameter group acting through its lifted ``flow`` on the base
     and exp(-i t H) (``GeneratorData.unitary``) on the fibers, both at the
@@ -232,31 +232,31 @@ def _flow_action(name: str, group_id: str, config: DimConfig, flow,
         t = group.coords_batch(mats)[..., 0]
         return t if period is None else t % period
 
-    action = BundleAction(name, group, config,
+    action = BundleAction(name, group, dim,
                           base_rows=lambda mats, rows: flow(coordinate(mats), rows),
                           fiber_fn=lambda mat: data.unitary(coordinate(mat)))
-    return action, GeneratorFamily(group, config, (data,))
+    return action, GeneratorFamily(group, dim, (data,))
 
 
-def oscillator_action(config: DimConfig):
+def oscillator_action(dim: int):
     """Time translations of the harmonic oscillator: the closed-form classical
     flow on the base, exp(-i t H_fluct) with the half-integer spectrum on the
     fibers.  An honest action of the real line."""
-    levels = _oscillator_levels(config.n_cut)
-    return _flow_action("oscillator-evolution", "real_line", config,
+    levels = _oscillator_levels(dim)
+    return _flow_action("oscillator-evolution", "real_line", dim,
                         _rotation_flow(0.0), np.diag(levels).astype(complex))
 
 
-def so2_rotor_action(config: DimConfig):
+def so2_rotor_action(dim: int):
     """Honest circle action: harmonic rotation on the base (exactly
     2pi-periodic, no action drift), integer-spectrum phases exp(-i theta N)
     on the fibers.  The non-projective contrast to the metaplectic case."""
-    levels = np.arange(config.dim, dtype=float)
-    return _flow_action("so2-rotor", "so2", config, _rotation_flow(0.0),
+    levels = np.arange(dim, dtype=float)
+    return _flow_action("so2-rotor", "so2", dim, _rotation_flow(0.0),
                         np.diag(levels).astype(complex))
 
 
-def metaplectic_action(config: DimConfig, drift: bool = False):
+def metaplectic_action(dim: int, drift: bool = False):
     """Circle 'action' of the oscillator evolution: half-integer spectrum
     phases exp(-i theta (N + 1/2)) on the fibers, so a full period gives -1
     and the strict composition law fails (the projective anomaly).
@@ -268,7 +268,7 @@ def metaplectic_action(config: DimConfig, drift: bool = False):
     use the angle wrapped to [0, 2 pi); the generator family keeps the lifted
     flow.
     """
-    levels = np.arange(config.dim, dtype=float) + 0.5
+    levels = np.arange(dim, dtype=float) + 0.5
     return _flow_action("metaplectic-so2" + ("-drift" if drift else ""), "so2",
-                        config, _rotation_flow(-0.5 if drift else 0.0),
+                        dim, _rotation_flow(-0.5 if drift else 0.0),
                         np.diag(levels).astype(complex), period=2 * np.pi)

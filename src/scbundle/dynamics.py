@@ -13,7 +13,8 @@ Hamiltonian.
 base point of one degree of freedom (it refuses P or Q of any other
 length); a state row is its ``as_array`` layout ``S, P, Q``.  With the
 one-variable fiber of :mod:`.fiber`, every scenario, action, flow and
-ansatz is 1-D.
+ansatz is 1-D; a fiber state is a complex vector and a propagator a
+complex (d, d) array, d the fiber dimension.
 The RK4 loop :func:`_rk4_steps`, with its Hamilton vector field and its
 stage combination, is written once, over the components (S, P, Q), in
 elementwise arithmetic, which rounds alike on Python floats and on numpy
@@ -47,8 +48,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError, ResolutionError
-from .fiber import (DimConfig, FiberOperator, FiberVector, hermite_functions,
-                    quadratic_hamiltonian, spectral_exp, unitarity_residual)
+from .fiber import (hermite_functions, quadratic_hamiltonian, spectral_exp,
+                    unitarity_residual)
 
 __all__ = [
     "ClassicalState",
@@ -327,22 +328,22 @@ def classical_flow(H: HamiltonianSpec, X0: ClassicalState, T: float,
 # fluctuation propagator
 # ---------------------------------------------------------------------------
 
-def _fluct_matrix(hessian: np.ndarray, config: DimConfig):
-    return quadratic_hamiltonian(hessian[1, 1], hessian[0, 1], hessian[0, 0], config).matrix
+def _fluct_matrix(hessian: np.ndarray, dim: int):
+    return quadratic_hamiltonian(hessian[1, 1], hessian[0, 1], hessian[0, 0], dim)
 
 
-def _checked_propagator(U: np.ndarray, config: DimConfig) -> FiberOperator:
+def _checked_propagator(U: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(U)):
         raise NumericalError("fluctuation propagator blew up")
     residual = unitarity_residual(U)
     if residual > UNITARITY_BUDGET:
         raise NumericalError(
             f"fluctuation propagator unitarity residual {residual:.3e}")
-    return FiberOperator(U, config, unitary=True)
+    return U
 
 
 def _step_unitaries(H: HamiltonianSpec, trajectory: Trajectory,
-                    config: DimConfig, count: int):
+                    dim: int, count: int):
     """The exponentials of the first ``count`` steps of the trajectory, in
     time order, each evaluated at its interval midpoint: one
     :func:`_rk4_steps` step of half the interval, taken by every interval
@@ -352,17 +353,17 @@ def _step_unitaries(H: HamiltonianSpec, trajectory: Trajectory,
     dts = np.diff(trajectory.times[:count + 1])
     if H.constant_hessians:
         hessian = H.hess(*trajectory.rows[:1, 1:].T)[0]
-        step = spectral_exp(np.linalg.eigh(_fluct_matrix(hessian, config)), dts[0])
+        step = spectral_exp(np.linalg.eigh(_fluct_matrix(hessian, dim)), dts[0])
         for _ in range(count):
             yield step
         return
     _, P, Q = _rk4_steps(H, trajectory.rows[:count].T, 0.5 * dts, 1, [None] * 6)[3:]
     for hessian, dt in zip(H.hess(P, Q), dts):
-        yield spectral_exp(np.linalg.eigh(_fluct_matrix(hessian, config)), dt)
+        yield spectral_exp(np.linalg.eigh(_fluct_matrix(hessian, dim)), dt)
 
 
 def fluctuation_propagators(H: HamiltonianSpec, trajectory: Trajectory,
-                            config: DimConfig, counts: Sequence[int]) -> list:
+                            dim: int, counts: Sequence[int]) -> list:
     """Time-ordered unitaries for i df/dt = H_fluct(t) f along the first
     ``c`` steps of the trajectory, for each ``c`` in ``counts`` (none for no
     counts): prefixes of one running product of per-step exponentials
@@ -372,30 +373,30 @@ def fluctuation_propagators(H: HamiltonianSpec, trajectory: Trajectory,
         return []
     if min(counts) < 0 or max(counts) >= len(trajectory):
         raise InputError("propagator step count outside the trajectory")
-    U = np.eye(config.dim, dtype=complex)
+    U = np.eye(dim, dtype=complex)
     prefixes, wanted = {0: U}, set(counts)
-    for k, step in enumerate(_step_unitaries(H, trajectory, config, max(counts)), 1):
+    for k, step in enumerate(_step_unitaries(H, trajectory, dim, max(counts)), 1):
         U = step @ U
         if k in wanted:
             prefixes[k] = U
-    return [_checked_propagator(prefixes[c], config) for c in counts]
+    return [_checked_propagator(prefixes[c]) for c in counts]
 
 
 def fluctuation_propagator(H: HamiltonianSpec, trajectory: Trajectory,
-                           config: DimConfig) -> FiberOperator:
+                           dim: int) -> np.ndarray:
     """The propagator along the whole trajectory: the one-count case of
     :func:`fluctuation_propagators`."""
-    return fluctuation_propagators(H, trajectory, config, [len(trajectory) - 1])[0]
+    return fluctuation_propagators(H, trajectory, dim, [len(trajectory) - 1])[0]
 
 
 def evolution_automorphism(H: HamiltonianSpec, t: float, dt: float,
-                           config: DimConfig) -> Callable[[ClassicalState], tuple]:
+                           dim: int) -> Callable[[ClassicalState], tuple]:
     """Time-t evolution automorphism X -> (u_t X, U(u_t X <- X)): one
     classical flow from X gives the base image and, along the same
     trajectory, the fluctuation propagator on the fibers."""
     def automorphism(X: ClassicalState) -> tuple:
         trajectory = classical_flow(H, X, t, dt)
-        return trajectory.final, fluctuation_propagator(H, trajectory, config)
+        return trajectory.final, fluctuation_propagator(H, trajectory, dim)
 
     return automorphism
 
@@ -404,7 +405,7 @@ def evolution_automorphism(H: HamiltonianSpec, t: float, dt: float,
 # wave-packet ansatz and grid reference
 # ---------------------------------------------------------------------------
 
-def _check_packet_grid(X: ClassicalState, f: FiberVector, eps: float,
+def _check_packet_grid(X: ClassicalState, f: np.ndarray, eps: float,
                        xs: np.ndarray) -> None:
     """The checks of :func:`ansatz_wavefunction`, without the packet: raises
     InputError unless eps > 0, and ResolutionError when the grid spacing
@@ -419,14 +420,14 @@ def _check_packet_grid(X: ClassicalState, f: FiberVector, eps: float,
             raise ResolutionError(
                 f"grid spacing {dx:.3e} under-resolves the carrier wave "
                 f"(need <= {wavelength / 8:.3e})")
-    occupied = np.nonzero(np.abs(f.coeffs) > 0)[0]
+    occupied = np.nonzero(np.abs(f) > 0)[0]
     k_max = int(occupied[-1]) if occupied.size else 0
     radius = 8 * np.sqrt(eps) * np.sqrt(2 * k_max + 1)
     if xs[0] > X.Q[0] - radius or xs[-1] < X.Q[0] + radius:
         raise ResolutionError("grid does not cover the packet support")
 
 
-def ansatz_wavefunction(X: ClassicalState, f: FiberVector, eps: float,
+def ansatz_wavefunction(X: ClassicalState, f: np.ndarray, eps: float,
                         xs: np.ndarray) -> np.ndarray:
     """Wave packet  eps^{-1/4} exp(iS/eps) exp(iP(x-Q)/eps) f((x-Q)/sqrt(eps))
     sampled on the 1-D grid ``xs``; the eps^{-1/4} Jacobian factor makes the
@@ -434,8 +435,8 @@ def ansatz_wavefunction(X: ClassicalState, f: FiberVector, eps: float,
     xs = np.asarray(xs, dtype=float)
     _check_packet_grid(X, f, eps, xs)
     xi = (xs - X.Q[0]) / np.sqrt(eps)
-    h = hermite_functions(xi, f.dim_config.dim)
-    profile = f.coeffs @ h
+    h = hermite_functions(xi, len(f))
+    profile = f @ h
     phase = np.exp(1j * (X.S + X.P[0] * (xs - X.Q[0])) / eps)
     return eps ** -0.25 * phase * profile
 
@@ -577,7 +578,7 @@ def _traceless_exp(A: np.ndarray) -> np.ndarray:
     return c * np.eye(2) + s * A
 
 
-def gaussian_packet(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
+def gaussian_packet(H: HamiltonianSpec, X0: ClassicalState, f0: np.ndarray,
                     eps: float, T: float, xs: np.ndarray) -> np.ndarray:
     """The exact solution at time T of the Schrodinger equation of a
     quadratic ``H`` started from the ground-mode packet
@@ -597,7 +598,7 @@ def gaussian_packet(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
     the grid does not cover 8 widths of the final packet on either side."""
     if not H.constant_hessians:
         raise InputError("the exact Gaussian needs a quadratic Hamiltonian")
-    if np.any(f0.coeffs[1:] != 0):
+    if np.any(f0[1:] != 0):
         raise InputError("the exact Gaussian starts from the ground mode only")
     if eps <= 0:
         raise InputError("eps must be positive")
@@ -618,11 +619,11 @@ def gaussian_packet(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
     if xs[0] > Q - radius or xs[-1] < Q + radius:
         raise ResolutionError("grid does not cover the exact packet support")
     y = xs - Q
-    amplitude = f0.coeffs[0] * (eps * np.pi) ** -0.25 / root
+    amplitude = f0[0] * (eps * np.pi) ** -0.25 / root
     return amplitude * np.exp(1j * (S + P * y + 0.5 * (dP / dQ) * y * y) / eps)
 
 
-def ansatz_errors(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
+def ansatz_errors(H: HamiltonianSpec, X0: ClassicalState, f0: np.ndarray,
                   eps_list: Sequence[float], T: float, xs: np.ndarray,
                   dt: float) -> list:
     """L2 distance at time T, for each eps, between the semiclassical ansatz
@@ -643,7 +644,7 @@ def ansatz_errors(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
     if T == 0.0 or not eps_list:
         return [0.0] * len(eps_list)
     trajectory = classical_flow(H, X0, T, dt)
-    f_T = fluctuation_propagator(H, trajectory, f0.dim_config).apply(f0)
+    f_T = fluctuation_propagator(H, trajectory, len(f0)) @ f0
     semiclassical = [ansatz_wavefunction(trajectory.final, f_T, eps, xs) for eps in eps_list]
     if H.constant_hessians:
         reference = [gaussian_packet(H, X0, f0, eps, T, xs) for eps in eps_list]
@@ -653,7 +654,7 @@ def ansatz_errors(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
     return [l2_distance(psi, phi, xs[1] - xs[0]) for psi, phi in zip(semiclassical, reference)]
 
 
-def ansatz_error(H: HamiltonianSpec, X0: ClassicalState, f0: FiberVector,
+def ansatz_error(H: HamiltonianSpec, X0: ClassicalState, f0: np.ndarray,
                  eps: float, T: float, xs: np.ndarray, dt: float) -> float:
     """The one-eps case of :func:`ansatz_errors`."""
     return ansatz_errors(H, X0, f0, [eps], T, xs, dt)[0]

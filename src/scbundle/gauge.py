@@ -223,7 +223,7 @@ class GaugeBundle:
         self.theta_step = 2 * np.pi / theta_nodes
         self.gauge_step = float(gauge_step)
         self.gauge_indices = np.arange(-gauge_window, gauge_window + 1)
-        self.dim = family.dim_config.dim
+        self.dim = family.fiber_dim
 
         thetas = self.theta_step * np.arange(theta_nodes)
         self._orbit_rows = self.flow(thetas, anchor.as_array())

@@ -7,10 +7,10 @@ path (``dynamics.t_final``; ``lattice[].spacing`` for each item of a list),
 giving the field's kind, its bound, and its default or ``_REQUIRED``.  The
 known fields of a mapping are the rows under it.  ``_walk`` checks a config
 against the table; ``_validate`` then applies the few rules that tie fields
-together (lattice axes per group coordinate and their reach, an action's
-group, the spectrum modes within the fiber, the law-time step grid, an
-``eps_list`` of at least two strictly decreasing values when one is given,
-what each suite needs under its action).  A ``Scenario`` keeps its
+together or cap them (the fiber truncation, lattice axes per group coordinate
+and their reach, an action's group, the spectrum modes within the fiber, the
+law-time step grid, an ``eps_list`` of at least two strictly decreasing
+values when one is given, what each suite needs under its action).  A ``Scenario`` keeps its
 sub-configs as given, and ``Scenario.setting`` reads each default from the
 table when asked, so a resized copy (``dataclasses.replace``) keeps them.
 """
@@ -32,7 +32,6 @@ from .actions import (heisenberg_weyl_action, metaplectic_action, oscillator_act
 from .dynamics import (ClassicalState, cubic_perturbed_spec,
                        quadratic_hamiltonian_spec, step_counts)
 from .errors import ConfigError, InputError
-from .fiber import DimConfig
 from .gauge import GaugeBundle, phase_shift_gauge, u1_phase_gauge
 from .groups import builtin_group_ids, get_group
 from .sections import LatticeAxis, OrbitSampling
@@ -85,6 +84,11 @@ _REQUIRED = object()
 # which hold coordinates up to about 9.2e9: an anchor coordinate and a line
 # axis's reach stay well inside
 _COORDINATE_REACH = 1e9
+
+# every fiber operator is a dense complex (n_cut, n_cut) array, and a flow
+# diagonalises one per step at O(n_cut^3); 256 (1 MiB a matrix) is 8 times
+# the catalog's largest fiber
+_MAX_N_CUT = 256
 
 
 def _axis_rows(lattice: str) -> dict:
@@ -168,7 +172,7 @@ class Scenario:
     action_name: Optional[str]
     gauge_id: Optional[str]
     hamiltonian: Optional[dict]
-    fiber: DimConfig
+    fiber_dim: int
     anchor: ClassicalState
     lattice: list
     generator_lattice: Optional[list]
@@ -231,8 +235,8 @@ class Scenario:
             raise ConfigError(f"scenario {self.name!r} declares no bundle action")
         builder, _ = _ACTION_BUILDERS[self.action_name]
         if self.action_name == "metaplectic":
-            return builder(self.fiber, drift=drift)
-        return builder(self.fiber)
+            return builder(self.fiber_dim, drift=drift)
+        return builder(self.fiber_dim)
 
     def build_gauge(self):
         if self.gauge_id is None:
@@ -345,7 +349,7 @@ def _validate(cfg, origin: str) -> Scenario:
         action_name=given["action"],
         gauge_id=given["gauge_id"],
         hamiltonian=given["hamiltonian"],
-        fiber=DimConfig(given["fiber"]["n_cut"]),
+        fiber_dim=given["fiber"]["n_cut"],
         anchor=anchor,
         lattice=list(given["lattice"]),
         generator_lattice=given["generator_lattice"],
@@ -359,7 +363,10 @@ def _validate(cfg, origin: str) -> Scenario:
         eps_list=[float(eps) for eps in given["eps_list"]],
     )
 
-    # the rules that tie fields together
+    # the rules that tie fields together or cap them
+    if scn.fiber_dim > _MAX_N_CUT:
+        raise ConfigError(f"{origin}: fiber.n_cut must be at most {_MAX_N_CUT}, "
+                          f"got {scn.fiber_dim}")
     dim = get_group(scn.group_id).dim
     if scn.action_name is not None and _ACTION_BUILDERS[scn.action_name][1] != scn.group_id:
         raise ConfigError(f"{origin}: action {scn.action_name!r} acts through group "
@@ -398,9 +405,9 @@ def _validate(cfg, origin: str) -> Scenario:
         if probe_sizes and scn.probe_size(suite) is None:
             raise ConfigError(f"{origin}: suite {suite!r} needs probes."
                               f"{' or '.join(probe_sizes)}")
-    if scn.setting("dynamics.spectrum_modes") > scn.fiber.dim:
+    if scn.setting("dynamics.spectrum_modes") > scn.fiber_dim:
         raise ConfigError(f"{origin}: dynamics.spectrum_modes exceeds the fiber "
-                          f"dimension {scn.fiber.dim}")
+                          f"dimension {scn.fiber_dim}")
     grid = scn.setting("numerics.grid")
     if not grid["lo"] < grid["hi"]:
         raise ConfigError(f"{origin}: numerics.grid needs lo < hi, got {grid!r}")
@@ -430,6 +437,8 @@ def load_scenario(spec: str) -> Scenario:
             cfg = json.loads(path.read_text())
         except json.JSONDecodeError as err:
             raise ConfigError(f"{spec}: invalid JSON ({err})") from err
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"{spec}: unreadable config ({err})") from err
         return _validate(cfg, str(path))
     files = resources.files("scbundle").joinpath("scenarios")
     candidate = files.joinpath(spec + ".json")

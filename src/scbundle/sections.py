@@ -216,7 +216,7 @@ class OrbitSampling:
 
     @property
     def fiber_dim(self) -> int:
-        return self.action.dim_config.dim
+        return self.action.fiber_dim
 
     def identity_index(self) -> int:
         origin = np.zeros((1, len(self.axes)), dtype=np.int64)
@@ -629,12 +629,12 @@ def _probe_section(sampling: OrbitSampling, rng: np.random.Generator,
     samples with a nonzero live value; it stores its values on those rows
     only."""
     group = sampling.action.group
-    cfg = sampling.action.dim_config
+    dim = sampling.fiber_dim
     bump = smooth_bump(radius)
-    modes = min(max_degree + 1, cfg.dim)
+    modes = min(max_degree + 1, dim)
 
     def draw_vec():
-        v = rng.standard_normal(cfg.dim) + 1j * rng.standard_normal(cfg.dim)
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         v[max_degree + 1:] = 0.0
         return v
 
@@ -654,7 +654,7 @@ def _probe_section(sampling: OrbitSampling, rng: np.random.Generator,
 
     live = live_field(sampling.group_mats)
     rows = np.flatnonzero(live.any(axis=1))
-    block = np.zeros((len(rows), cfg.dim), dtype=complex)
+    block = np.zeros((len(rows), dim), dtype=complex)
     block[:, :modes] = live[rows]
     return Section(sampling, block, live_field, modes, rows)
 

@@ -24,7 +24,7 @@ from .dynamics import (ClassicalState, ansatz_error, ansatz_errors,
                        fluctuation_propagator, fluctuation_propagators,
                        step_counts)
 from .errors import PreconditionError
-from .fiber import FiberVector, unitarity_residual
+from .fiber import unitarity_residual
 from .gauge import (compensator_relations_check, equivalence_relation_residuals,
                     gauge_equivalent, u1_phase_gauge)
 from .generators import (SmoothingKernel, base_derivative, garding_smooth,
@@ -148,7 +148,7 @@ def lie_checks(scn: Scenario, rng) -> list:
 # suite: evolution pipeline
 # ---------------------------------------------------------------------------
 
-def _evolution_law(H, anchor_flow, law_times: list, dt: float, cfg) -> tuple:
+def _evolution_law(H, anchor_flow, law_times: list, dt: float, dim: int) -> tuple:
     """Worst base and fiber residuals of u_{t1} u_{t2} = u_{t1 + t2} over all
     pairs of law times, given the anchor's flow to max(t1 + t2).  On the
     step grid every flow from the anchor is a prefix of that flow, every
@@ -158,7 +158,7 @@ def _evolution_law(H, anchor_flow, law_times: list, dt: float, cfg) -> tuple:
     steps = dict(zip(law_times + sums, step_counts(law_times + sums, dt)))
     anchor_counts = sorted(set(steps.values()))
     from_anchor = dict(zip(anchor_counts, fluctuation_propagators(
-        H, anchor_flow, cfg, anchor_counts)))
+        H, anchor_flow, dim, anchor_counts)))
     firsts = sorted(set(law_times))
     images = classical_flows(H, anchor_flow.rows[[steps[t2] for t2 in firsts]],
                              max(law_times), dt)
@@ -166,20 +166,20 @@ def _evolution_law(H, anchor_flow, law_times: list, dt: float, cfg) -> tuple:
     base_worst, fiber_worst = 0.0, 0.0
     for t2, image in zip(firsts, images):
         from_image = dict(zip(image_counts, fluctuation_propagators(
-            H, image, cfg, image_counts)))
+            H, image, dim, image_counts)))
         for t1 in law_times:
             Z = image.rows[steps[t1]]
             Z12 = anchor_flow.rows[steps[t1 + t2]]
             base_worst = max(base_worst, float(np.linalg.norm(Z - Z12)))
             fiber_worst = max(fiber_worst, float(np.linalg.norm(
-                from_image[steps[t1]].matrix @ from_anchor[steps[t2]].matrix
-                - from_anchor[steps[t1 + t2]].matrix)))
+                from_image[steps[t1]] @ from_anchor[steps[t2]]
+                - from_anchor[steps[t1 + t2]])))
     return base_worst, fiber_worst
 
 
 def dynamics_checks(scn: Scenario, rng) -> list:
     H = scn.build_hamiltonian()
-    cfg = scn.fiber
+    dim = scn.fiber_dim
     dt = scn.dt
     records = []
 
@@ -199,14 +199,14 @@ def dynamics_checks(scn: Scenario, rng) -> list:
     trajectory, fine, *coarse, law_flow = classical_flows(
         H, [X.as_array() for X in starts], ends, step)
 
-    U = fluctuation_propagator(H, trajectory, cfg)
+    U = fluctuation_propagator(H, trajectory, dim)
     records.append(CheckRecord("fluctuation_unitarity", "Eq. (3b)",
                                unitarity_residual(U), 1e-8))
 
     modes = int(scn.setting("dynamics.spectrum_modes"))
     if modes:
         expected = np.exp(-1j * t_final * (np.arange(modes) + 0.5))
-        got = np.diag(U.matrix)[:modes]
+        got = np.diag(U)[:modes]
         records.append(CheckRecord("oscillator_spectrum_oracle", "Eq. (3b)",
                                    float(np.max(np.abs(got - expected))), 1e-6))
 
@@ -219,14 +219,14 @@ def dynamics_checks(scn: Scenario, rng) -> list:
     records.append(CheckRecord("rk4_fourth_order", "Eq. (3a)", deviation, 2.0))
 
     if law_times:
-        base_worst, fiber_worst = _evolution_law(H, law_flow, law_times, dt, cfg)
+        base_worst, fiber_worst = _evolution_law(H, law_flow, law_times, dt, dim)
         records.append(CheckRecord("evolution_base_law", "Eq. (5)", base_worst, 1e-8))
         records.append(CheckRecord("evolution_fiber_law", "Eq. (5)", fiber_worst, 1e-6))
 
     eps_control = scn.setting("dynamics.eps_control")
     if eps_control and scn.hamiltonian["kind"] == "quadratic":
         xs = scn.grid()
-        f0 = FiberVector(np.eye(cfg.dim)[0].astype(complex), cfg)
+        f0 = np.eye(dim)[0].astype(complex)
         err = ansatz_error(H, X0, f0, float(eps_control), 1.0, xs, dt=dt)
         records.append(CheckRecord("ansatz_exact_quadratic", "Eq. (2)", err, 1e-5))
         err0 = ansatz_error(H, X0, f0, float(eps_control), 0.0, xs, dt=dt)
@@ -468,19 +468,19 @@ def reconstruction_checks(scn: Scenario, action, family, rng) -> list:
     if scn.action_name == "oscillator":
         worst = 0.0
         H = scn.build_hamiltonian()
-        cfg = scn.fiber
+        dim = scn.fiber_dim
         t = 0.7
         v = psi.values[sampling.identity_index()].copy()
         if np.linalg.norm(v) < 1e-6:
-            v = np.eye(cfg.dim)[0].astype(complex)
+            v = np.eye(dim)[0].astype(complex)
         flat = Section.from_field(
-            sampling, lambda mats: np.broadcast_to(v, (mats.shape[0], cfg.dim)).copy())
+            sampling, lambda mats: np.broadcast_to(v, (mats.shape[0], dim)).copy())
         rec = reconstruct_group_operator(
             family, group_exp(group.algebra([1.0]), t), flat)
         got = rec.values[sampling.identity_index()]
         X_pre = action.base_map(group_exp(group.algebra([1.0]), -t), scn.anchor)
-        _, U = evolution_automorphism(H, t, scn.dt, cfg)(X_pre)
-        expected = U.matrix @ v
+        _, U = evolution_automorphism(H, t, scn.dt, dim)(X_pre)
+        expected = U @ v
         records.append(CheckRecord("evolution_pipeline_match", "Eq. (26)",
                                    float(np.max(np.abs(got - expected))), 1e-6))
 
@@ -534,11 +534,11 @@ def reconstruction_checks(scn: Scenario, action, family, rng) -> list:
 def gauge_checks(scn: Scenario, strict_action, strict_family, rng) -> list:
     """The gauge suite on the scenario's drift-free realization
     (``strict_action``, ``strict_family``) and on its drifted one."""
-    cfg = scn.fiber
+    dim = scn.fiber_dim
     records = []
     so2 = groups.get_group("so2")
     J = so2.algebra([1.0])
-    f = rng.standard_normal(cfg.dim) + 1j * rng.standard_normal(cfg.dim)
+    f = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     f /= np.linalg.norm(f)
 
     if scn.strict_group_law:
@@ -596,10 +596,10 @@ def gauge_checks(scn: Scenario, strict_action, strict_family, rng) -> list:
     # fundamental values smooth along the circle (low Fourier content), so
     # the continuity surrogate sees genuinely small transforms
     thetas = bundle.theta_step * np.arange(bundle.theta_nodes)
-    F = np.zeros((bundle.theta_nodes, cfg.dim), dtype=complex)
+    F = np.zeros((bundle.theta_nodes, dim), dtype=complex)
     for k in range(4):
-        vec = rng.standard_normal(cfg.dim) + 1j * rng.standard_normal(cfg.dim)
-        vec[max(4, cfg.dim - 6):] = 0.0
+        vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        vec[max(4, dim - 6):] = 0.0
         F += np.exp(1j * k * thetas)[:, None] * vec[None, :] / (1 + k * k)
     vals = bundle.build_invariant(F)
     records.append(CheckRecord("invariant_section_build", "Eq. (32)",
@@ -679,7 +679,7 @@ def run_verify(scenario: Scenario) -> Report:
     env = {
         "dt": scenario.dt,
         "fd_tau": scenario.fd_tau,
-        "n_cut": scenario.fiber.n_cut,
+        "n_cut": scenario.fiber_dim,
         "seed": scenario.seed,
     }
     return Report(scenario.name, tuple(records), env)
@@ -725,8 +725,7 @@ def run_convergence(scenario: Scenario, eps_list=None) -> ConvergenceTable:
     eps_values = list(eps_list) if eps_list is not None else scenario.eps_list
     if not eps_values:
         return ConvergenceTable([])
-    cfg = scenario.fiber
-    f0 = FiberVector(np.eye(cfg.dim)[0].astype(complex), cfg)
+    f0 = np.eye(scenario.fiber_dim)[0].astype(complex)
     errors = ansatz_errors(scenario.build_hamiltonian(), scenario.anchor, f0,
                            eps_values, float(scenario.setting("dynamics.t_final")),
                            scenario.grid(), dt=scenario.dt)

@@ -8,13 +8,13 @@ from scbundle.actions import (heisenberg_weyl_action, metaplectic_action,
                               oscillator_action, so2_rotor_action,
                               translations_r2_action)
 from scbundle.dynamics import ClassicalState
-from scbundle.fiber import DimConfig, quadratic_hamiltonian
+from scbundle.fiber import quadratic_hamiltonian
 from scbundle.groups import exp as gexp
 
-CFG = DimConfig(8)
+DIM = 8
 ACTIONS = [heisenberg_weyl_action, translations_r2_action, oscillator_action,
            so2_rotor_action, metaplectic_action,
-           lambda cfg: metaplectic_action(cfg, drift=True)]
+           lambda dim: metaplectic_action(dim, drift=True)]
 IDS = ["heisenberg-weyl", "translations-r2", "oscillator", "so2-rotor", "metaplectic",
        "metaplectic-drift"]
 
@@ -31,7 +31,7 @@ def _stack(action, count=12, seed=0):
 
 @pytest.mark.parametrize("make", ACTIONS, ids=IDS)
 def test_batched_base_map_matches_rows_one_at_a_time(make):
-    action, _ = make(CFG)
+    action, _ = make(DIM)
     mats, rows = _stack(action)
     batched = action.base_rows(mats, rows)
     single = np.array([action.base_rows(m, r) for m, r in zip(mats, rows)])
@@ -46,7 +46,7 @@ def test_batched_base_map_matches_rows_one_at_a_time(make):
 
 @pytest.mark.parametrize("make", ACTIONS, ids=IDS)
 def test_single_point_wrappers_agree_with_rows(make):
-    action, _ = make(CFG)
+    action, _ = make(DIM)
     mats, rows = _stack(action, count=4, seed=1)
     X = ClassicalState.from_array(rows[0])
     assert np.array_equal(action.base_map(mats[1], X).as_array(),
@@ -65,14 +65,14 @@ def _phases(levels):
     return lambda t: np.diag(np.exp(-1j * t * levels))
 
 
-def _closed_forms(name, cfg):
+def _closed_forms(name, dim):
     """(wrap period, fiber map, base map) of a one-parameter action, spelled
     out in closed form at the element's coordinate t."""
-    osc = np.real(np.diag(quadratic_hamiltonian(1.0, 0.0, 1.0, cfg).matrix))
-    half = np.arange(cfg.dim, dtype=float) + 0.5
+    osc = np.real(np.diag(quadratic_hamiltonian(1.0, 0.0, 1.0, dim)))
+    half = np.arange(dim, dtype=float) + 0.5
     return {
         "oscillator": (None, _phases(osc), lambda t, r: _rotation_rows(t, r, 0.0)),
-        "so2-rotor": (None, _phases(np.arange(cfg.dim, dtype=float)),
+        "so2-rotor": (None, _phases(np.arange(dim, dtype=float)),
                       lambda t, r: _rotation_rows(t, r, 0.0)),
         "metaplectic": (2 * np.pi, _phases(half), lambda t, r: _rotation_rows(t, r, 0.0)),
         "metaplectic-drift": (2 * np.pi, _phases(half),
@@ -89,9 +89,8 @@ def test_flow_actions_match_their_closed_forms_bit_for_bit(name, n_cut):
     """The one flow-action builder gives the closed-form fiber map exp(-i t H)
     (diagonal phases) and the lifted flow on the base, bit for bit, with the
     circle coordinate wrapped to [0, 2 pi) for the metaplectic actions."""
-    cfg = DimConfig(n_cut)
-    action, family = ACTIONS[IDS.index(name)](cfg)
-    period, fiber, base = _closed_forms(name, cfg)
+    action, family = ACTIONS[IDS.index(name)](n_cut)
+    period, fiber, base = _closed_forms(name, n_cut)
     mats, rows = _stack(action, count=24, seed=n_cut)
     t = action.group.coords_batch(mats)[:, 0]
     t_wrapped = t if period is None else t % period

@@ -88,6 +88,20 @@ def test_malformed_seed_variable_exits_two(seed, monkeypatch, capsys):
     assert SEED_ENV_VAR in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["directory", "undecodable"])
+def test_unreadable_config_path_exits_two(kind, tmp_path, capsys):
+    """A config path that exists but cannot be read as text (a directory,
+    bytes that are not UTF-8) is refused with a one-line message."""
+    path = tmp_path / "scenario.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{")
+    assert cli.main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scbundle: ") and err.count("\n") == 1
+
+
 _NO_SCIPY_CHILD = """
 import json, sys
 sys.path.insert(0, {src!r})

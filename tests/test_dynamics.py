@@ -18,8 +18,7 @@ from scbundle.dynamics import (
     _rk4_steps,
 )
 from scbundle.errors import InputError, NumericalError, ResolutionError
-from scbundle.fiber import (DimConfig, FiberVector, momentum_operator,
-                            unitarity_residual)
+from scbundle.fiber import momentum_operator, unitarity_residual
 
 OSC = quadratic_hamiltonian_spec(1.0)
 FREE = quadratic_hamiltonian_spec(0.0)
@@ -30,10 +29,9 @@ LAW_TIMES = (0.25, 0.5, 0.75, 1.0)    # the oscillator-evolution catalog's
 
 
 def ground_state(n_cut=16):
-    cfg = DimConfig(n_cut)
-    c = np.zeros(cfg.dim, dtype=complex)
+    c = np.zeros(n_cut, dtype=complex)
     c[0] = 1.0
-    return FiberVector(c, cfg)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +215,17 @@ def test_trajectory_prefix_equals_shorter_flow(H, dt):
     """The shipped law times and their sums share one step, so each flow is
     bitwise a prefix of the flow to the longest sum, and its propagator a
     prefix of the running product along it."""
-    cfg = DimConfig(12)
+    dim = 12
     X = ClassicalState(0.0, [0.7], [0.4])
     times = sorted({t1 + t2 for t1 in LAW_TIMES for t2 in LAW_TIMES} | set(LAW_TIMES))
     counts = step_counts(times, dt)
     longest = classical_flow(H, X, max(times), dt)
-    prefixes = fluctuation_propagators(H, longest, cfg, counts)
+    prefixes = fluctuation_propagators(H, longest, dim, counts)
     for t, c, U in zip(times, counts, prefixes):
         alone = classical_flow(H, X, t, dt)
         assert np.array_equal(longest.times[:c + 1], alone.times)
         assert np.array_equal(longest.rows[:c + 1], alone.rows)
-        assert np.array_equal(U.matrix, fluctuation_propagator(H, alone, cfg).matrix)
+        assert np.array_equal(U, fluctuation_propagator(H, alone, dim))
 
 
 def test_step_counts_require_one_shared_step():
@@ -255,47 +253,45 @@ def test_hamiltonian_spec_validation():
 # ---------------------------------------------------------------------------
 
 def test_propagator_zero_time_identity():
-    cfg = DimConfig(8)
+    dim = 8
     tr = classical_flow(OSC, ClassicalState(0.0, [0.0], [1.0]), 0.0, 1e-3)
-    U = fluctuation_propagator(OSC, tr, cfg)
-    assert np.allclose(U.matrix, np.eye(cfg.dim))
+    U = fluctuation_propagator(OSC, tr, dim)
+    assert np.allclose(U, np.eye(dim))
 
 
 def test_propagators_of_no_counts_are_empty():
     tr = classical_flow(CUBIC, ClassicalState(0.0, [0.0], [1.0]), 0.1, 1e-3)
-    assert fluctuation_propagators(CUBIC, tr, DimConfig(8), []) == []
+    assert fluctuation_propagators(CUBIC, tr, 8, []) == []
 
 
 def test_propagator_oscillator_diagonal_phases():
-    cfg = DimConfig(16)
     t = 1.3
     tr = classical_flow(OSC, ClassicalState(0.0, [0.2], [0.8]), t, 1e-3)
-    U = fluctuation_propagator(OSC, tr, cfg)
+    U = fluctuation_propagator(OSC, tr, 16)
     expected = np.diag(np.exp(-1j * t * (np.arange(16) + 0.5)))
-    assert np.max(np.abs(U.matrix - expected)) <= 1e-6
+    assert np.max(np.abs(U - expected)) <= 1e-6
 
 
 def test_propagator_free_particle_matches_exponential_oracle():
-    cfg = DimConfig(16)
+    dim = 16
     t = 0.7
     tr = classical_flow(FREE, ClassicalState(0.0, [1.0], [0.0]), t, 1e-3)
-    U = fluctuation_propagator(FREE, tr, cfg)
+    U = fluctuation_propagator(FREE, tr, dim)
     # independent matrix-exponential oracle: the kinetic generator p^2/2
     # written out from the known ladder matrix elements
-    k = np.arange(cfg.dim, dtype=float)
+    k = np.arange(dim, dtype=float)
     kinetic = np.diag((2 * k + 1) / 4.0).astype(complex)
     off = -np.sqrt((k[:-2] + 1) * (k[:-2] + 2)) / 4.0
     kinetic += np.diag(off, 2) + np.diag(off, -2)
     from scipy.linalg import expm
     oracle = expm(-1j * t * kinetic)
-    assert np.max(np.abs(U.matrix - oracle)) <= 1e-6
+    assert np.max(np.abs(U - oracle)) <= 1e-6
 
 
 def test_propagator_time_dependent_unitarity():
-    cfg = DimConfig(12)
     tr = classical_flow(cubic_perturbed_spec(1.0, 0.1), ClassicalState(0.0, [0.0], [1.0]),
                         1.0, 1e-3)
-    U = fluctuation_propagator(cubic_perturbed_spec(1.0, 0.1), tr, cfg)
+    U = fluctuation_propagator(cubic_perturbed_spec(1.0, 0.1), tr, 12)
     assert unitarity_residual(U) <= 1e-8
 
 
@@ -304,22 +300,22 @@ def test_propagator_time_dependent_unitarity():
 # ---------------------------------------------------------------------------
 
 def test_automorphism_zero_time_identity():
-    cfg = DimConfig(8)
+    dim = 8
     X = ClassicalState(0.1, [0.5], [-0.3])
-    Y, U = evolution_automorphism(OSC, 0.0, 1e-3, cfg)(X)
+    Y, U = evolution_automorphism(OSC, 0.0, 1e-3, dim)(X)
     assert Y.distance(X) == 0.0
-    assert np.allclose(U.matrix, np.eye(cfg.dim))
+    assert np.allclose(U, np.eye(dim))
 
 
 def test_automorphism_composition_law():
-    cfg = DimConfig(16)
+    dim = 16
     t1, t2 = 0.3, 0.7
     X = ClassicalState(0.0, [0.3], [0.9])
-    Y, U2 = evolution_automorphism(OSC, t2, 1e-3, cfg)(X)
-    Z, U1 = evolution_automorphism(OSC, t1, 1e-3, cfg)(Y)
-    Z12, U12 = evolution_automorphism(OSC, t1 + t2, 1e-3, cfg)(X)
+    Y, U2 = evolution_automorphism(OSC, t2, 1e-3, dim)(X)
+    Z, U1 = evolution_automorphism(OSC, t1, 1e-3, dim)(Y)
+    Z12, U12 = evolution_automorphism(OSC, t1 + t2, 1e-3, dim)(X)
     assert Z.distance(Z12) <= 1e-8
-    assert np.linalg.norm(U1.matrix @ U2.matrix - U12.matrix) <= 1e-6
+    assert np.linalg.norm(U1 @ U2 - U12) <= 1e-6
     assert unitarity_residual(U12) <= 1e-8
 
 
@@ -341,9 +337,8 @@ def test_ansatz_ground_mode_real_gaussian():
 def test_ansatz_unit_norm():
     xs = np.linspace(-10, 10, 4096)
     rng = np.random.default_rng(1)
-    cfg = DimConfig(10)
     c = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    f = FiberVector(c / np.linalg.norm(c), cfg)
+    f = c / np.linalg.norm(c)
     psi = ansatz_wavefunction(ClassicalState(0.2, [0.4], [-0.5]), f, 0.05, xs)
     norm = np.sqrt(np.sum(np.abs(psi) ** 2) * (xs[1] - xs[0]))
     assert abs(norm - 1.0) <= 1e-6
@@ -673,7 +668,7 @@ def test_exact_gaussian_input_validation():
     X0 = ClassicalState(0.0, [0.0], [1.0])
     with pytest.raises(InputError):
         gaussian_packet(CUBIC, X0, ground_state(), 0.04, 1.0, xs)
-    excited = FiberVector(np.eye(16)[1].astype(complex), DimConfig(16))
+    excited = np.eye(16)[1].astype(complex)
     with pytest.raises(InputError):
         gaussian_packet(OSC, X0, excited, 0.04, 1.0, xs)
     with pytest.raises(InputError):

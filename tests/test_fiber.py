@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scbundle.errors import InputError
 from scbundle.fiber import (
-    _padded_ops, DimConfig, FiberOperator, FiberVector, hermite_functions,
-    momentum_operator, position_operator, quadratic_hamiltonian, spectral_exp,
-    unitarity_residual,
+    _padded_ops, hermite_functions, momentum_operator, position_operator,
+    quadratic_hamiltonian, spectral_exp, unitarity_residual,
 )
 
 
@@ -39,33 +37,29 @@ def second_derivative(xs, f):
 # ---------------------------------------------------------------------------
 
 def test_quadratic_hamiltonian_zero_blocks():
-    cfg = DimConfig(8)
-    H = quadratic_hamiltonian(0.0, 0.0, 0.0, cfg)
-    assert np.allclose(H.matrix, 0.0)
+    H = quadratic_hamiltonian(0.0, 0.0, 0.0, 8)
+    assert np.allclose(H, 0.0)
 
 
 def test_quadratic_hamiltonian_oscillator_diagonal():
-    cfg = DimConfig(16)
-    H = quadratic_hamiltonian(1.0, 0.0, 1.0, cfg)
-    assert np.allclose(H.matrix, np.diag(np.arange(16) + 0.5), atol=1e-13)
+    H = quadratic_hamiltonian(1.0, 0.0, 1.0, 16)
+    assert np.allclose(H, np.diag(np.arange(16) + 0.5), atol=1e-13)
 
 
 def test_quadratic_hamiltonian_oscillator_vs_grid_oracle():
-    cfg = DimConfig(12)
-    H = quadratic_hamiltonian(1.0, 0.0, 1.0, cfg)
+    H = quadratic_hamiltonian(1.0, 0.0, 1.0, 12)
     oracle = grid_matrix_elements(
-        lambda xs, f: 0.5 * (xs ** 2 * f - second_derivative(xs, f)), cfg.dim)
-    assert np.max(np.abs(H.matrix - oracle)) <= 1e-8
+        lambda xs, f: 0.5 * (xs ** 2 * f - second_derivative(xs, f)), 12)
+    assert np.max(np.abs(H - oracle)) <= 1e-8
 
 
 def test_quadratic_hamiltonian_kinetic_vs_grid_oracle():
-    cfg = DimConfig(16)
-    H = quadratic_hamiltonian(0.0, 0.0, 1.0, cfg)
+    H = quadratic_hamiltonian(0.0, 0.0, 1.0, 16)
     oracle = grid_matrix_elements(
-        lambda xs, f: -0.5 * second_derivative(xs, f), cfg.dim)
-    assert np.max(np.abs(H.matrix - oracle)) <= 1e-8
+        lambda xs, f: -0.5 * second_derivative(xs, f), 16)
+    assert np.max(np.abs(H - oracle)) <= 1e-8
     # kinetic term couples modes two apart only
-    coupling = np.abs(H.matrix) > 1e-12
+    coupling = np.abs(H) > 1e-12
     rows, cols = np.nonzero(coupling)
     assert np.all(np.abs(rows - cols) % 2 == 0)
     assert np.all(np.abs(rows - cols) <= 2)
@@ -74,29 +68,26 @@ def test_quadratic_hamiltonian_kinetic_vs_grid_oracle():
 def test_quadratic_hamiltonian_parity_commutes_without_mixing():
     """A quadratic H is even under (xi, p) -> (-xi, -p), so it commutes with
     the parity (-1)^k of the Hermite degree k."""
-    cfg = DimConfig(7)
     h_qq, h_pp = np.random.default_rng(2).standard_normal(2) + [0.0, 3.0]
-    H = quadratic_hamiltonian(h_qq, 0.0, h_pp, cfg)
-    parity = np.diag((-1.0) ** np.arange(cfg.dim))
-    comm = H.matrix @ parity - parity @ H.matrix
+    H = quadratic_hamiltonian(h_qq, 0.0, h_pp, 7)
+    parity = np.diag((-1.0) ** np.arange(7))
+    comm = H @ parity - parity @ H
     assert np.linalg.norm(comm) <= 1e-10
 
 
 def test_oscillator_spectrum_below_truncation_edge():
-    cfg = DimConfig(16)
-    H = quadratic_hamiltonian(1.0, 0.0, 1.0, cfg)
-    vals = np.linalg.eigvalsh(H.matrix)
+    H = quadratic_hamiltonian(1.0, 0.0, 1.0, 16)
+    vals = np.linalg.eigvalsh(H)
     expect = np.arange(16) + 0.5
-    keep = np.arange(cfg.dim) < cfg.n_cut - 2    # off the two-degree truncation edge
+    keep = np.arange(16) < 16 - 2    # off the two-degree truncation edge
     assert np.max(np.abs(vals[keep] - expect[keep])) <= 1e-8
 
 
 def test_canonical_pair_true_elements():
     # [xi, p] stored entries are the true ones: i * identity except at the
     # truncation edge, where composing cut operators must show the defect.
-    cfg = DimConfig(10)
-    x = position_operator(cfg).matrix
-    p = momentum_operator(cfg).matrix
+    x = position_operator(10)
+    p = momentum_operator(10)
     comm = x @ p - p @ x
     assert np.allclose(comm[:-1, :-1], 1j * np.eye(9), atol=1e-13)
     assert abs(comm[-1, -1] - 1j * (1 - 10)) <= 1e-12
@@ -106,14 +97,13 @@ def test_padded_ladder_matrices_are_built_once_and_read_only():
     """quadratic_hamiltonian runs once per step of a time-dependent
     propagator; its padded position/momentum matrices are shared, so no
     caller may write to them."""
-    cfg = DimConfig(12)
-    x, p = _padded_ops(cfg)
-    assert _padded_ops(cfg)[0] is x and x.shape == p.shape == (14, 14)
-    for matrix in (x, p, _padded_ops(cfg, pad=1)[0]):
+    x, p = _padded_ops(12)
+    assert _padded_ops(12)[0] is x and x.shape == p.shape == (14, 14)
+    for matrix in (x, p, _padded_ops(12, pad=1)[0]):
         with pytest.raises(ValueError):
             matrix[0, 0] = 1.0
-    H = quadratic_hamiltonian(1.0, 0.0, 1.0, cfg)
-    assert np.array_equal(H.matrix, quadratic_hamiltonian(1.0, 0.0, 1.0, cfg).matrix)
+    H = quadratic_hamiltonian(1.0, 0.0, 1.0, 12)
+    assert np.array_equal(H, quadratic_hamiltonian(1.0, 0.0, 1.0, 12))
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +111,7 @@ def test_padded_ladder_matrices_are_built_once_and_read_only():
 # ---------------------------------------------------------------------------
 
 def test_unitarity_residual_identity():
-    cfg = DimConfig(5)
     assert unitarity_residual(np.eye(5)) == 0.0
-    assert unitarity_residual(FiberOperator(np.eye(5), cfg, unitary=True)) == 0.0
 
 
 def test_unitarity_residual_diagonal_phases():
@@ -142,24 +130,6 @@ def test_unitarity_residual_scaled_identity():
 @given(t=st.floats(-3.0, 3.0))
 @settings(max_examples=20, deadline=None)
 def test_propagator_is_unitary(t):
-    cfg = DimConfig(9)
-    H = quadratic_hamiltonian(1.0, 0.3, 2.0, cfg)
-    U = spectral_exp(np.linalg.eigh(H.matrix), t)
+    H = quadratic_hamiltonian(1.0, 0.3, 2.0, 9)
+    U = spectral_exp(np.linalg.eigh(H), t)
     assert unitarity_residual(U) <= 1e-12
-
-
-def test_fiber_vector_validation():
-    cfg = DimConfig(4)
-    with pytest.raises(InputError):
-        FiberVector(np.ones(3), cfg)
-    with pytest.raises(InputError):
-        FiberVector(np.array([np.nan, 0, 0, 0]), cfg)
-
-
-def test_operator_flag_validation():
-    cfg = DimConfig(3)
-    with pytest.raises(InputError):
-        FiberOperator(np.diag([1.0, 2.0, 3.0]) + 1e-5 * np.triu(np.ones((3, 3)), 1),
-                      cfg, hermitian=True)
-    with pytest.raises(InputError):
-        FiberOperator(2 * np.eye(3), cfg, unitary=True)

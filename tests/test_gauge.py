@@ -6,21 +6,20 @@ import pytest
 from scbundle.actions import metaplectic_action, so2_rotor_action
 from scbundle.dynamics import ClassicalState
 from scbundle.errors import ConsistencyError, PreconditionError
-from scbundle.fiber import DimConfig
 from scbundle.gauge import (GaugeBundle, compensator_relations_check,
                             equivalence_relation_residuals, gauge_equivalent,
                             phase_shift_gauge, u1_phase_gauge)
 from scbundle.groups import exp as gexp
 from scbundle.groups import get_group
 
-CFG = DimConfig(14)
+DIM = 14
 ANCHOR = ClassicalState(0.0, [0.0], [1.0])
 J = get_group("so2").algebra([1.0])
 
 
 def random_fiber(seed=0, normalize=True):
     rng = np.random.default_rng(seed)
-    f = rng.standard_normal(CFG.dim) + 1j * rng.standard_normal(CFG.dim)
+    f = rng.standard_normal(DIM) + 1j * rng.standard_normal(DIM)
     return f / np.linalg.norm(f) if normalize else f
 
 
@@ -62,7 +61,7 @@ def test_equivalence_relation_properties(gauge):
 
 def test_equivariance_of_images():
     # gauge-equivalent points stay equivalent under the group action
-    action, _ = metaplectic_action(CFG, drift=True)
+    action, _ = metaplectic_action(DIM, drift=True)
     gauge = phase_shift_gauge()
     f = random_fiber(5)
     alpha = 0.9
@@ -82,14 +81,14 @@ def test_equivariance_of_images():
 def metaplectic_args(drift):
     # g1 g2 winds past a full turn, so the composition compensator carries
     # the anomaly
-    action, family = metaplectic_action(CFG, drift=drift)
+    action, family = metaplectic_action(DIM, drift=drift)
     return action, gexp(J, 1.1), gexp(J, 1.2 * np.pi), gexp(J, 0.9 * np.pi)
 
 
 def test_compensators_trivial_for_honest_action():
     # an honest action with the gauge reduced to its identity element gives
     # strict group-law residuals
-    action, _ = so2_rotor_action(CFG)
+    action, _ = so2_rotor_action(DIM)
     f = random_fiber(6)
     recs = compensator_relations_check(
         action, u1_phase_gauge(), gexp(J, 1.1), gexp(J, 2.0), gexp(J, 2.5),
@@ -145,15 +144,15 @@ def test_weaker_condition_demonstration():
 
 @pytest.fixture(scope="module")
 def bundle():
-    _, family = metaplectic_action(CFG, drift=True)
+    _, family = metaplectic_action(DIM, drift=True)
     return GaugeBundle(family, phase_shift_gauge(), ANCHOR,
                        theta_nodes=48, gauge_step=np.pi / 8, gauge_window=10)
 
 
 def smooth_fundamental(bundle, seed=11):
     rng = np.random.default_rng(seed)
-    F = rng.standard_normal((bundle.theta_nodes, CFG.dim)) \
-        + 1j * rng.standard_normal((bundle.theta_nodes, CFG.dim))
+    F = rng.standard_normal((bundle.theta_nodes, DIM)) \
+        + 1j * rng.standard_normal((bundle.theta_nodes, DIM))
     F[:, 8:] = 0.0
     return F
 
@@ -167,12 +166,12 @@ def test_invariant_build_phase_transport(bundle):
 def test_stabilizer_consistency_counterexample():
     # a gauge that fixes every base point but rotates fibers admits only the
     # zero invariant section
-    _, family = metaplectic_action(CFG, drift=True)
+    _, family = metaplectic_action(DIM, drift=True)
     gb = GaugeBundle(family, u1_phase_gauge(), ANCHOR,
                      theta_nodes=24, gauge_step=np.pi / 8, gauge_window=4)
     with pytest.raises(ConsistencyError):
         gb.build_invariant(smooth_fundamental(gb))
-    zero = np.zeros((24, CFG.dim), dtype=complex)
+    zero = np.zeros((24, DIM), dtype=complex)
     assert gb.norm(gb.build_invariant(zero)) == 0.0
 
 

@@ -12,7 +12,6 @@ from scbundle.actions import (heisenberg_weyl_action, oscillator_action,
                               translations_r2_action)
 from scbundle.dynamics import ClassicalState
 from scbundle.errors import AlignmentError, InputError
-from scbundle.fiber import DimConfig
 from scbundle.generators import (
     SmoothingKernel, base_derivative, garding_smooth, generator_apply,
     _table_scope, generator_field, identity_suite, lattice_kernel,
@@ -31,8 +30,7 @@ H = 0.15
 
 @pytest.fixture(scope="module")
 def weyl():
-    cfg = DimConfig(12)
-    action, _ = heisenberg_weyl_action(cfg)
+    action, _ = heisenberg_weyl_action(12)
     anchor = ClassicalState(0.0, [0.4], [-0.2])
     axes = [LatticeAxis.line(H, -4, 4), LatticeAxis.line(H, -4, 4),
             LatticeAxis.line(H * H, -12, 12)]
@@ -249,8 +247,7 @@ def test_kernel_radius_must_be_finite_and_positive(bad):
     """An infinite radius used to cast to a one-node kernel that skipped the
     window check; every radius that is not finite and positive, on any
     axis, is refused."""
-    cfg = DimConfig(8)
-    action, _ = translations_r2_action(cfg)
+    action, _ = translations_r2_action(8)
     sampling = OrbitSampling(action, ClassicalState(0.0, [0.1], [0.3]),
                              [LatticeAxis.line(0.15, -4, 4)] * 2)
     for radius in (bad, [0.2, bad]):
@@ -382,13 +379,13 @@ def test_oscillator_generator_fiber_and_phase_term():
     # At the anchor, the time-translation generator acts as the fluctuation
     # matrix (the analytic derivative of the diagonal phases, diag(k + 1/2))
     # plus the classical action rate of the base flow.
-    cfg = DimConfig(10)
-    action, _ = oscillator_action(cfg)
+    dim = 10
+    action, _ = oscillator_action(dim)
     anchor = ClassicalState(0.0, [0.7], [0.4])
     ht = 0.05
     sampling = OrbitSampling(action, anchor, [LatticeAxis.line(ht, -40, 40)])
     rng = np.random.default_rng(7)
-    v = rng.standard_normal(cfg.dim) + 1j * rng.standard_normal(cfg.dim)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v[5:] = 0.0
 
     rows_cache = {}
@@ -404,7 +401,7 @@ def test_oscillator_generator_fiber_and_phase_term():
     got = generator_apply(A, psi, action, tau).values[sampling.identity_index()]
     # analytic: [diag(k+1/2) + dS/dt] psi(anchor) -- the pulled-back argument
     # flips the sign of the action-rate term; envelope even at 0
-    levels = np.arange(cfg.dim) + 0.5
+    levels = np.arange(dim) + 0.5
     s_rate = anchor.P[0] ** 2 - 0.5 * (anchor.P[0] ** 2 + anchor.Q[0] ** 2)
     expected = (levels + s_rate) * (np.exp(1j * anchor.S) * v)
     assert np.max(np.abs(got - expected)) <= 50 * tau ** 2
@@ -424,8 +421,7 @@ def test_base_derivative_constant_function(weyl, smoothed):
 
 
 def test_base_derivative_translation_coordinate():
-    cfg = DimConfig(6)
-    action, _ = translations_r2_action(cfg)
+    action, _ = translations_r2_action(6)
     anchor = ClassicalState(0.0, [0.0], [0.0])
     sampling = OrbitSampling(
         action, anchor,
@@ -464,8 +460,7 @@ def test_identity_suite_heisenberg(weyl, smoothed):
 
 
 def test_identity_suite_abelian_commutator_vanishes():
-    cfg = DimConfig(8)
-    action, _ = translations_r2_action(cfg)
+    action, _ = translations_r2_action(8)
     anchor = ClassicalState(0.0, [0.1], [0.3])
     sampling = OrbitSampling(
         action, anchor,

@@ -12,7 +12,6 @@ from scbundle.dynamics import (ClassicalState, classical_flow,
                                evolution_automorphism,
                                quadratic_hamiltonian_spec)
 from scbundle.errors import AlignmentError, InputError, PreconditionError
-from scbundle.fiber import DimConfig
 from scbundle.groups import exp as gexp
 from scbundle.reconstruction import (conjugation_check, exponentiate_generator,
                                      family_generator_apply,
@@ -30,8 +29,7 @@ H = 0.15
 
 @pytest.fixture(scope="module")
 def weyl():
-    cfg = DimConfig(18)
-    action, family = heisenberg_weyl_action(cfg)
+    action, family = heisenberg_weyl_action(18)
     anchor = ClassicalState(0.0, [0.4], [-0.2])
     axes = [LatticeAxis.line(H, -4, 4), LatticeAxis.line(H, -4, 4),
             LatticeAxis.line(H * H, -12, 12)]
@@ -43,8 +41,7 @@ def weyl():
 
 
 def circle_setup(builder, n_cut=14, nodes=48, seed=1):
-    cfg = DimConfig(n_cut)
-    action, family = builder(cfg)
+    action, family = builder(n_cut)
     anchor = ClassicalState(0.0, [0.0], [1.0])
     sampling = OrbitSampling(action, anchor, [LatticeAxis.cycle(2 * np.pi, nodes)])
     rng = np.random.default_rng(seed)
@@ -154,15 +151,15 @@ def test_reconstruct_matches_weyl_oracle(weyl):
 
 
 def test_reconstruct_oscillator_matches_evolution_pipeline():
-    cfg = DimConfig(16)
-    action, family = oscillator_action(cfg)
+    dim = 16
+    action, family = oscillator_action(dim)
     anchor = ClassicalState(0.0, [0.3], [0.9])
     sampling = OrbitSampling(action, anchor, [LatticeAxis.line(0.05, -30, 30)])
     rng = np.random.default_rng(6)
-    v = rng.standard_normal(cfg.dim) + 1j * rng.standard_normal(cfg.dim)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v[6:] = 0.0
     psi = Section.from_field(
-        sampling, lambda mats: np.broadcast_to(v, (mats.shape[0], cfg.dim)).copy())
+        sampling, lambda mats: np.broadcast_to(v, (mats.shape[0], dim)).copy())
     t = 0.7
     rec = reconstruct_group_operator(family, gexp(action.group.algebra([1.0]), t), psi)
     got = rec.values[sampling.identity_index()]
@@ -170,8 +167,8 @@ def test_reconstruct_oscillator_matches_evolution_pipeline():
     # from the pulled-back base point
     H_osc = quadratic_hamiltonian_spec(1.0)
     X_pre = action.base_map(gexp(action.group.algebra([1.0]), -t), anchor)
-    _, U = evolution_automorphism(H_osc, t, 1e-3, cfg)(X_pre)
-    expected = U.matrix @ v
+    _, U = evolution_automorphism(H_osc, t, 1e-3, dim)(X_pre)
+    expected = U @ v
     assert np.max(np.abs(got - expected)) <= 1e-6
 
 
@@ -274,8 +271,7 @@ def test_conjugation_zero_time(weyl):
 
 
 def test_conjugation_abelian_trivial():
-    cfg = DimConfig(8)
-    action, family = translations_r2_action(cfg)
+    action, family = translations_r2_action(8)
     anchor = ClassicalState(0.0, [0.1], [0.3])
     sampling = OrbitSampling(
         action, anchor,
@@ -319,8 +315,7 @@ def test_group_law_random_pair(weyl):
 
 
 def test_generator_closure_oscillator():
-    cfg = DimConfig(12)
-    action, family = oscillator_action(cfg)
+    action, family = oscillator_action(12)
     anchor = ClassicalState(0.0, [0.5], [0.5])
     sampling = OrbitSampling(action, anchor, [LatticeAxis.line(0.05, -30, 30)])
     rng = np.random.default_rng(9)

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scbundle.errors import ConfigError
-from scbundle.fiber import DimConfig
 from scbundle.scenarios import (_ACTION_BUILDERS, _COORDINATE_REACH, _REQUIRED, _SCHEMA,
                                 _validate, catalog_names, load_scenario)
 
@@ -141,6 +140,9 @@ MALFORMED = {
     "n-bool": [(("fiber", "n"), True)],
     "n-fraction": [(("fiber", "n"), 1.5)],
     "n_cut-fraction": [(("fiber", "n_cut"), 12.5)],
+    # this loaded, and run_verify then raised a bare ValueError allocating
+    # the dense fiber matrices
+    "n_cut-beyond-cap": [(("fiber", "n_cut"), 10 ** 20)],
     # each of these loaded: an unknown sub-config field was dropped (the
     # seed typo ran at the default seed), a malformed grid reached
     # Scenario.grid
@@ -247,7 +249,7 @@ def test_oscillator_config_loads(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(_edit(OSCILLATOR + [(("dynamics", "spectrum_modes"), 12)])))
     scn = load_scenario(str(path))
-    assert scn.fiber.dim == scn.setting("dynamics.spectrum_modes") == 12
+    assert scn.fiber_dim == scn.setting("dynamics.spectrum_modes") == 12
     action, _ = scn.build_action()
     assert len(scn.build_sampling(action)) == 81
 
@@ -288,7 +290,7 @@ def test_each_action_acts_through_its_stated_group():
     """The group stated beside each action builder is the group the built
     action acts through."""
     for builder, group_id in _ACTION_BUILDERS.values():
-        action, family = builder(DimConfig(6))
+        action, family = builder(6)
         assert action.group.group_id == group_id
         assert family.group is action.group
 

@@ -11,7 +11,6 @@ from scbundle.actions import (heisenberg_weyl_action, so2_rotor_action,
                               translations_r2_action)
 from scbundle.dynamics import ClassicalState
 from scbundle.errors import AlignmentError, InputError
-from scbundle.fiber import DimConfig
 from scbundle import verify
 from scbundle.generators import lattice_kernel
 from scbundle.groups import exp as gexp, left_translate
@@ -30,8 +29,7 @@ H = 0.15
 
 @pytest.fixture(scope="module")
 def weyl():
-    cfg = DimConfig(18)
-    action, _ = heisenberg_weyl_action(cfg)
+    action, _ = heisenberg_weyl_action(18)
     anchor = ClassicalState(0.0, [0.4], [-0.2])
     axes = [LatticeAxis.line(H, -6, 6), LatticeAxis.line(H, -6, 6),
             LatticeAxis.line(H * H, -60, 60)]
@@ -131,7 +129,7 @@ def test_sampling_base_points_pairwise_distinct(weyl):
 def collapsed_rotor_sampling():
     """The rotor action fixes the base point when (P, Q) = 0, so the whole
     circle collapses to one stabilizer class."""
-    action, _ = so2_rotor_action(DimConfig(6))
+    action, _ = so2_rotor_action(6)
     anchor = ClassicalState(0.2, [0.0], [0.0])
     return OrbitSampling(action, anchor, [LatticeAxis.cycle(2 * np.pi, 24)])
 
@@ -221,7 +219,7 @@ def test_catalog_probes_record_their_live_modes(name):
                                  scn.probe_size("generators"))
     modes, dim = _PROBE_MODES[name]
     assert (probe.modes, sampling.fiber_dim) == (modes, dim)
-    assert probe.modes == min(scn.max_degree + 1, scn.fiber.dim)
+    assert probe.modes == min(scn.max_degree + 1, scn.fiber_dim)
     assert np.any(probe.block[:, modes - 1])
     # the field is the block on the rows, bit for bit, and exactly zero
     # elsewhere (where it may give -0.0)
@@ -402,7 +400,7 @@ def test_cached_transport_is_read_only(weyl):
 def test_transport_cache_keeps_every_element():
     """A sampling keeps the transport of every lattice element it was asked
     for: after 75 distinct elements the first is still the cached object."""
-    action, _ = heisenberg_weyl_action(DimConfig(4))
+    action, _ = heisenberg_weyl_action(4)
     axes = [LatticeAxis.line(H, -3, 3), LatticeAxis.line(H, -3, 3),
             LatticeAxis.line(H * H, -3, 3)]
     sampling = OrbitSampling(action, ClassicalState(0.0, [0.4], [-0.2]), axes)
@@ -417,8 +415,8 @@ def test_transport_cache_keeps_every_element():
 
 
 def test_repeated_transform_reuses_the_source_lookup(monkeypatch):
-    cfg = DimConfig(12)
-    action, _ = heisenberg_weyl_action(cfg)
+    dim = 12
+    action, _ = heisenberg_weyl_action(dim)
     sampling = OrbitSampling(action, ClassicalState(0.0, [0.4], [-0.2]),
                              [LatticeAxis.line(H, -4, 4)] * 2
                              + [LatticeAxis.line(H * H, -30, 30)])
@@ -434,8 +432,8 @@ def test_repeated_transform_reuses_the_source_lookup(monkeypatch):
     again = section_transform(action, g, psi)
     assert again.values.tobytes() == first.values.tobytes()
     X = sample_state(sampling, sampling.identity_index())
-    assert np.max(np.abs(reconstruct_pointwise_operator(sampling, g, X, np.ones(cfg.dim))
-                         - action.fiber_matrix(g) @ np.ones(cfg.dim))) <= 1e-10
+    assert np.max(np.abs(reconstruct_pointwise_operator(sampling, g, X, np.ones(dim))
+                         - action.fiber_matrix(g) @ np.ones(dim))) <= 1e-10
 
 
 def test_transform_support_tolerance(weyl):
@@ -523,8 +521,7 @@ def test_pullback_identity_and_composition(weyl):
 
 
 def test_pullback_translation_closed_form():
-    cfg = DimConfig(6)
-    action, _ = translations_r2_action(cfg)
+    action, _ = translations_r2_action(6)
     alpha = BaseFunction(batch=lambda rows: rows[:, 2])
     a = 0.8
     g = gexp(action.group.algebra([1.0, 0.0]), a)

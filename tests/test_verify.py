@@ -97,6 +97,18 @@ def test_report_records_match_golden(name, monkeypatch):
     assert verify.run_verify(scn).to_json() == first
 
 
+def test_report_environment_stamp(monkeypatch):
+    """The environment stamp holds the steps as fixed-width floats and the
+    fiber truncation and the seed as JSON integers."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    scn = replace(load_scenario("translations-r2"), suites=["lie"])
+    env = json.loads(verify.run_verify(scn).to_json())["environment"]
+    assert list(env.items()) == [("dt", "1.000000000000e-03"),
+                                 ("fd_tau", "1.000000000000e-03"),
+                                 ("n_cut", 8), ("seed", 1234)]
+    assert type(env["n_cut"]) is type(env["seed"]) is int
+
+
 def test_catalog_heisenberg_records_match_golden(monkeypatch):
     """The full catalog heisenberg-weyl report (20,449 orbit points, ten
     probes), whose section suite moves each probe on its support rows only,
