@@ -18,7 +18,7 @@ from scbundle.dynamics import (
     _rk4_steps,
 )
 from scbundle.errors import InputError, NumericalError, ResolutionError
-from scbundle.fiber import momentum_operator, unitarity_residual
+from scbundle.fiber import unitarity_residual
 
 OSC = quadratic_hamiltonian_spec(1.0)
 FREE = quadratic_hamiltonian_spec(0.0)
