@@ -3,14 +3,14 @@
 A :class:`BundleAction` pairs a base map family ``u_g`` with a fiber unitary
 family ``U_g``.  Each builder below takes the fiber dimension d, an int (see
 :mod:`.fiber`); fiber unitaries and Hamiltonians are complex (d, d) arrays.
-Inside the numerics a batch of base points is a float array of state rows
-``(J, 3)`` laid out as ``S, P, Q`` (the layout of
-:meth:`ClassicalState.as_array`); each action writes its base map once, as
-``base_rows(mats, rows)``, which broadcasts a stack of group matrices against
-a stack of rows.  Every fiber unitary and fiber Hamiltonian is independent of
-the base point: the builders below are the one place that decision is made,
-and everything downstream (orbit evaluation, transport, generators) relies
-on it.
+A base point is a state row, a float array (3,) laid out as ``S, P, Q``
+(see :mod:`.dynamics`), and a batch of them an array (J, 3); each action
+writes its base map once, as ``base_rows(mats, rows)``, which broadcasts a
+stack of group matrices against a stack of rows, and
+:meth:`BundleAction.base_points` is its one entry for group elements.
+Every fiber unitary and fiber Hamiltonian is independent of the base point:
+the builders below are the one place that decision is made, and everything
+downstream (orbit evaluation, transport, generators) relies on it.
 
 Each scenario also exposes per-basis :class:`GeneratorData`: the constant
 fiber Hamiltonian ``H(B_k)``, its one-parameter unitaries
@@ -30,7 +30,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import ClassicalState
 from .errors import InputError
 from .fiber import (momentum_operator, position_operator, quadratic_hamiltonian,
                     spectral_exp)
@@ -63,13 +62,11 @@ class BundleAction:
     base_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
     fiber_fn: Callable[[np.ndarray], np.ndarray]
 
-    def base_map(self, g, X: ClassicalState) -> ClassicalState:
-        return ClassicalState.from_array(self.base_rows(as_matrix(g), X.as_array()))
-
-    def base_points(self, mats: np.ndarray, X: ClassicalState) -> np.ndarray:
-        """Orbit points ``u_g X`` for a stack of group matrices, as state rows
-        of shape (J, 3)."""
-        return self.base_rows(np.asarray(mats), X.as_array())
+    def base_points(self, mats, X: np.ndarray) -> np.ndarray:
+        """Images ``u_g X`` of the state row ``X``: one state row (3,) for one
+        element ``mats`` (a GroupElement or a matrix), state rows (J, 3) for
+        a stack of J group matrices."""
+        return self.base_rows(as_matrix(mats), np.asarray(X, dtype=float))
 
     def fiber_matrix(self, g) -> np.ndarray:
         return self.fiber_fn(as_matrix(g))

@@ -41,7 +41,11 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         if args.command == "verify":
             report = run_verify(scenario)
-            emit(report, args.format, sys.stdout if args.out is None else args.out)
+            try:
+                emit(report, args.format, sys.stdout if args.out is None else args.out)
+            except OSError as err:
+                print(f"scbundle: cannot write the report ({err})", file=sys.stderr)
+                return 2
             return 0 if report.overall_pass else 1
         table = run_convergence(scenario)
         falls = table.monotone_decreasing

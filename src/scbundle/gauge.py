@@ -4,10 +4,11 @@ Built-in gauge groups are one-parameter: the pure fiber phase (identity on
 the base -- degenerate for invariant sections, and exactly the stabilizer
 counterexample) and the phase shift (shift S by c, rotate fibers by
 exp(-ic)), which is the semiclassical identification that makes the
-metaplectic circle action honest on gauge-invariant sections.  Each gauge
-writes its base map once, on state rows; every compensator has a closed
-form (from the S difference for the phase shift, from the fiber-overlap
-angle for the pure phase).
+metaplectic circle action honest on gauge-invariant sections.  A base point
+is a state row ``S, P, Q`` (see :mod:`.dynamics`).  Each gauge writes its
+base map once, ``base_rows``, on one state row or a stack of them; every
+compensator has a closed form (from the S difference for the phase shift,
+from the fiber-overlap angle for the pure phase).
 
 The enlarged orbit of a circle scenario is sampled as (rotation lattice) x
 (gauge-parameter lattice) and held as one array of state rows; invariant
@@ -25,7 +26,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .actions import BundleAction
-from .dynamics import ClassicalState
 from .errors import ConsistencyError, InputError, PreconditionError
 from .groups import as_matrix
 from .sections import state_keys
@@ -47,20 +47,18 @@ EQUIV_TOL = 1e-8
 class GaugeGroup:
     """One-parameter abelian gauge group acting on the bundle.
 
-    ``base_rows(alphas, rows)`` maps state rows, broadcasting parameters
-    against rows.  ``base_shift_s`` marks gauges whose base map is a pure
-    shift of the action coordinate (then compensators are solved from S
-    differences); gauges with the identity base map get their compensators
-    from fiber phases instead.
+    ``base_rows(alphas, rows)`` maps a state row or a stack of them,
+    broadcasting parameters against rows; it is the gauge's only base map.
+    ``base_shift_s`` marks gauges whose base map is a pure shift of the
+    action coordinate (then compensators are solved from S differences);
+    gauges with the identity base map get their compensators from fiber
+    phases instead.
     """
 
     name: str
     base_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
     fiber_phase: Callable[[float], complex]
     base_shift_s: bool
-
-    def base_map(self, alpha: float, X: ClassicalState) -> ClassicalState:
-        return ClassicalState.from_array(self.base_rows(alpha, X.as_array()))
 
     def fiber_apply(self, alpha: float, f: np.ndarray) -> np.ndarray:
         return self.fiber_phase(alpha) * np.asarray(f, dtype=complex)
@@ -116,7 +114,7 @@ def gauge_equivalent(gauge: GaugeGroup, z1, z2):
     f1 = np.asarray(f1, dtype=complex)
     f2 = np.asarray(f2, dtype=complex)
     alpha = _gauge_parameter(gauge, X1, X2, f1, f2)
-    residual = float(gauge.base_map(alpha, X1).distance(X2)
+    residual = float(np.linalg.norm(gauge.base_rows(alpha, X1) - X2)
                      + np.linalg.norm(gauge.fiber_apply(alpha, f1) - f2))
     return residual <= EQUIV_TOL, alpha, residual
 
@@ -138,13 +136,13 @@ def _gauge_parameter(gauge: GaugeGroup, X_from, X_to, f_from: np.ndarray,
     difference for base-moving gauges, otherwise the phase angle aligning
     f_from to f_to (the argument of their overlap)."""
     if gauge.base_shift_s:
-        return float(X_to.S - X_from.S)
+        return float(X_to[0] - X_from[0])
     overlap = np.vdot(f_from, f_to)
     return float(np.angle(overlap)) if overlap != 0 else 0.0
 
 
 def compensator_relations_check(action: BundleAction, gauge: GaugeGroup,
-                                g, g1, g2, alpha: float, X: ClassicalState,
+                                g, g1, g2, alpha: float, X: np.ndarray,
                                 f: np.ndarray):
     """Residuals of the four compensator relations of a gauge action:
 
@@ -163,20 +161,20 @@ def compensator_relations_check(action: BundleAction, gauge: GaugeGroup,
     g_inv = np.linalg.inv(g_m)
 
     # (28): beta carries X to its conjugated image (and f to lhs30)
-    conj_point = action.base_map(g_m, gauge.base_map(alpha, action.base_map(g_inv, X)))
+    conj_point = action.base_points(g_m, gauge.base_rows(alpha, action.base_points(g_inv, X)))
     lhs30 = action.fiber_matrix(g_m) @ gauge.fiber_apply(
         alpha, action.fiber_matrix(g_inv) @ f)
     beta = _gauge_parameter(gauge, X, conj_point, f, lhs30)
-    res28 = gauge.base_map(beta, X).distance(conj_point)
+    res28 = float(np.linalg.norm(gauge.base_rows(beta, X) - conj_point))
     records.append(GaugeRecord("28", res28, (beta,)))
 
     # (29): gamma carries the one-step image to the two-step one
-    two_step = action.base_map(g1_m, action.base_map(g2_m, X))
-    one_step = action.base_map(g1_m @ g2_m, X)
+    two_step = action.base_points(g1_m, action.base_points(g2_m, X))
+    one_step = action.base_points(g1_m @ g2_m, X)
     lhs31 = action.fiber_matrix(g1_m) @ (action.fiber_matrix(g2_m) @ f)
     one_step_f = action.fiber_matrix(g1_m @ g2_m) @ f
     gamma = _gauge_parameter(gauge, one_step, two_step, one_step_f, lhs31)
-    res29 = gauge.base_map(gamma, one_step).distance(two_step)
+    res29 = float(np.linalg.norm(gauge.base_rows(gamma, one_step) - two_step))
     records.append(GaugeRecord("29", res29, (gamma,)))
 
     # (30): fiber conjugation against V_beta
@@ -204,12 +202,13 @@ class GaugeBundle:
     is the content the gauge machinery verifies; neither holds for the
     strict (wrapped) action on plain sections.
 
-    ``theta_nodes`` samples the rotation angle on 2 pi / M steps;
-    ``gauge_step`` and ``gauge_window`` sample the gauge parameter.  The
-    anchor's gauge slice (parameter 0) carries the fundamental values.
+    ``anchor`` is a state row.  ``theta_nodes`` samples the rotation angle
+    on 2 pi / M steps; ``gauge_step`` and ``gauge_window`` sample the gauge
+    parameter.  The anchor's gauge slice (parameter 0) carries the
+    fundamental values.
     """
 
-    def __init__(self, family, gauge: GaugeGroup, anchor: ClassicalState,
+    def __init__(self, family, gauge: GaugeGroup, anchor: np.ndarray,
                  theta_nodes: int, gauge_step: float, gauge_window: int):
         if theta_nodes < 2 or gauge_window < 1:
             raise InputError("enlarged orbit needs at least two nodes per axis")
@@ -226,7 +225,7 @@ class GaugeBundle:
         self.dim = family.fiber_dim
 
         thetas = self.theta_step * np.arange(theta_nodes)
-        self._orbit_rows = self.flow(thetas, anchor.as_array())
+        self._orbit_rows = self.flow(thetas, anchor)
         grid = gauge.base_rows((self.gauge_indices * self.gauge_step)[None, :],
                                self._orbit_rows[:, None, :])
         self.base_rows = grid.reshape(-1, self._orbit_rows.shape[1])
@@ -330,8 +329,8 @@ def equivalence_relation_residuals(gauge: GaugeGroup, z: tuple,
     from one gauge orbit."""
     X, f = z
     a1, a2 = alphas
-    z1 = (gauge.base_map(a1, X), gauge.fiber_apply(a1, f))
-    z2 = (gauge.base_map(a1 + a2, X), gauge.fiber_apply(a1 + a2, f))
+    z1 = (gauge.base_rows(a1, X), gauge.fiber_apply(a1, f))
+    z2 = (gauge.base_rows(a1 + a2, X), gauge.fiber_apply(a1 + a2, f))
     _, _, r_reflexive = gauge_equivalent(gauge, z, z)
     ok_fwd, alpha_fwd, r_fwd = gauge_equivalent(gauge, z, z1)
     ok_bwd, alpha_bwd, r_bwd = gauge_equivalent(gauge, z1, z)

@@ -88,11 +88,12 @@ def lattice_kernel(sampling: OrbitSampling, radius) -> SmoothingKernel:
     grids = np.meshgrid(*[np.arange(-m, m + 1) for m in steps_max], indexing="ij")
     steps = np.stack([g.ravel() for g in grids], axis=-1)
     coords = steps * sampling.spacings
-    inside = scaled_square_radius(coords, radius) < 1.0
-    steps, coords = steps[inside], coords[inside]
+    r2 = scaled_square_radius(coords, radius)
+    inside = r2 < 1.0
+    steps, coords, r2 = steps[inside], coords[inside], r2[inside]
     volume = float(np.prod(sampling.spacings))
     density = np.array([group.left_density(t) for t in coords])
-    weights = volume * density * smooth_bump(radius)(coords)
+    weights = volume * density * smooth_bump(r2)
     total = np.sum(weights)
     if total <= 0:
         raise InputError("kernel has nonpositive mass")

@@ -251,17 +251,13 @@ def scaled_square_radius(t: np.ndarray, scale) -> np.ndarray:
     return sum(q[..., i] for i in range(q.shape[-1]))
 
 
-def smooth_bump(radius) -> Callable[[np.ndarray], np.ndarray]:
-    """Standard C-infinity bump ``exp(1 - 1/(1-r^2))``, r^2 the scaled square
-    radius of t, of compact support r < 1 on coordinate space (``radius`` a
-    scalar or one value per axis); vectorized over (J, n)."""
-    def fn(coords: np.ndarray) -> np.ndarray:
-        r2 = scaled_square_radius(np.atleast_2d(coords), radius)
-        out = np.zeros(r2.shape)
-        inside = r2 < 1.0
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
-        return out
-    return fn
+def smooth_bump(r2: np.ndarray) -> np.ndarray:
+    """Standard C-infinity bump ``exp(1 - 1/(1 - r^2))`` of the scaled square
+    radius ``r2`` (:func:`scaled_square_radius`), zero outside r^2 < 1."""
+    out = np.zeros(np.shape(r2))
+    inside = r2 < 1.0
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
+    return out
 
 
 def as_matrix(g) -> np.ndarray:

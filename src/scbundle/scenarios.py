@@ -29,8 +29,7 @@ import numpy as np
 
 from .actions import (heisenberg_weyl_action, metaplectic_action, oscillator_action,
                       so2_rotor_action, translations_r2_action)
-from .dynamics import (ClassicalState, cubic_perturbed_spec,
-                       quadratic_hamiltonian_spec, step_counts)
+from .dynamics import cubic_perturbed_spec, quadratic_hamiltonian_spec, step_counts
 from .errors import ConfigError, InputError
 from .gauge import GaugeBundle, phase_shift_gauge, u1_phase_gauge
 from .groups import builtin_group_ids, get_group
@@ -163,9 +162,10 @@ _SCHEMA = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class Scenario:
-    """Validated scenario configuration."""
+    """Validated scenario configuration, compared by identity (its anchor is
+    an array, which has no single truth value under ``==``)."""
 
     name: str
     group_id: str
@@ -173,7 +173,7 @@ class Scenario:
     gauge_id: Optional[str]
     hamiltonian: Optional[dict]
     fiber_dim: int
-    anchor: ClassicalState
+    anchor: np.ndarray
     lattice: list
     generator_lattice: Optional[list]
     numerics: dict
@@ -339,10 +339,12 @@ def _validate(cfg, origin: str) -> Scenario:
     _walk(cfg, "", origin)
     given = {key: cfg.get(key, _SCHEMA[key][2]) for key in _fields("")}
     anchor = given["anchor"]
-    try:
-        anchor = ClassicalState(anchor["S"], anchor["P"], anchor["Q"])
-    except InputError as err:
-        raise ConfigError(f"{origin}: malformed anchor ({err})") from err
+    if len(anchor["P"]) != 1 or len(anchor["Q"]) != 1:
+        raise ConfigError(f"{origin}: malformed anchor (P and Q must each hold one "
+                          f"coordinate, got {len(anchor['P'])} and {len(anchor['Q'])})")
+    # a state row S, P, Q, shared by the samplings and gauge bundles built on it
+    anchor = np.array([anchor["S"], *anchor["P"], *anchor["Q"]], dtype=float)
+    anchor.flags.writeable = False
     scn = Scenario(
         name=given["name"],
         group_id=given["group_id"],

@@ -3,11 +3,11 @@
 An :class:`OrbitSampling` is a finite window of a discrete subgroup lattice
 written in second-kind coordinates, so left translation by a lattice element
 permutes indices exactly and the section transform needs no interpolation.
-Its base points are one array of state rows ``base_array`` (J, 3), and
-base functions are evaluated on such rows in one batched call; its group
-matrices ``group_mats`` are stored plane by plane (a (J, n, n) view of a
-C-contiguous (n, n, J) array), the layout ``groups.left_translate`` reads
-and returns.  Sections optionally carry one closed-form evaluator (group
+Its anchor is a state row (3,) and its base points one array of state rows
+``base_array`` (J, 3), and base functions are evaluated on such rows in one
+batched call; its group matrices ``group_mats`` are stored plane by plane (a
+(J, n, n) view of a C-contiguous (n, n, J) array), the layout
+``groups.left_translate`` reads and returns.  Sections optionally carry one closed-form evaluator (group
 matrices -> fiber values) and record their live ``modes``: the leading
 fiber modes in which their values and field can be nonzero (a probe fills
 only its low modes).  The evaluator, ``live_field``, computes only those
@@ -46,7 +46,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .actions import BundleAction
-from .dynamics import ClassicalState
 from .errors import AlignmentError, InputError
 from .groups import as_matrix, left_translate, scaled_square_radius, smooth_bump
 
@@ -140,7 +139,7 @@ class Transport:
 
 
 class OrbitSampling:
-    """Finite lattice window of a group orbit through an anchor state.
+    """Finite lattice window of a group orbit through an anchor state row.
 
     Samples are de-duplicated modulo the numerically detected stabilizer
     (base points with equal :func:`state_keys` collapse to their first
@@ -150,7 +149,7 @@ class OrbitSampling:
     contiguous plane.
     """
 
-    def __init__(self, action: BundleAction, anchor: ClassicalState,
+    def __init__(self, action: BundleAction, anchor: np.ndarray,
                  axes: Sequence[LatticeAxis]):
         group = action.group
         if len(axes) != group.dim:
@@ -598,11 +597,11 @@ def delta_section(sampling: OrbitSampling, index: int, value: np.ndarray) -> Sec
     return Section(sampling, value[None, :], rows=np.array([index % size]))
 
 
-def reconstruct_pointwise_operator(sampling: OrbitSampling, g, X: ClassicalState,
+def reconstruct_pointwise_operator(sampling: OrbitSampling, g, X: np.ndarray,
                                    phi0: np.ndarray) -> np.ndarray:
     """Recover U_g(u_g X <- X) phi0 from the section transform alone: plant
     phi0 in a bump section at X, transform, and read off the value at u_g X."""
-    dists = np.linalg.norm(sampling.base_array - X.as_array(), axis=1)
+    dists = np.linalg.norm(sampling.base_array - X, axis=1)
     idx = int(np.argmin(dists))
     if dists[idx] > 1e-9:
         raise AlignmentError("state is not on the sampled orbit")
@@ -618,10 +617,12 @@ def reconstruct_pointwise_operator(sampling: OrbitSampling, g, X: ClassicalState
 # ---------------------------------------------------------------------------
 
 def _probe_section(sampling: OrbitSampling, rng: np.random.Generator,
-                   max_degree: int, radius, sigma=None) -> Section:
-    """Random section: a C-infinity bump of per-axis ``radius`` in
-    second-kind coordinates (times a Gaussian of width ``sigma`` when given)
-    times a low-mode fiber profile with smooth coordinate dependence.
+                   max_degree: int, size, gentle: bool) -> Section:
+    """Random section: an envelope in second-kind coordinates t times a
+    low-mode fiber profile with smooth coordinate dependence.  The envelope
+    is a C-infinity bump of per-axis radius ``size``, or, when ``gentle``, a
+    Gaussian of per-axis width ``size`` under a bump of radius 4 ``size``;
+    either reads the scaled square radius of t at ``size`` once.
     Carries an exact batch field.  The profile lives on the first
     ``min(max_degree + 1, d)`` fiber modes, the section's ``modes``: its
     ``live_field`` computes only those columns, and only the block (and the
@@ -630,7 +631,7 @@ def _probe_section(sampling: OrbitSampling, rng: np.random.Generator,
     only."""
     group = sampling.action.group
     dim = sampling.fiber_dim
-    bump = smooth_bump(radius)
+    size = np.asarray(size, dtype=float)
     modes = min(max_degree + 1, dim)
 
     def draw_vec():
@@ -646,9 +647,9 @@ def _probe_section(sampling: OrbitSampling, rng: np.random.Generator,
 
     def live_field(mats):
         t = group.coords_batch(np.asarray(mats))
-        env = bump(t)
-        if sigma is not None:
-            env *= np.exp(-0.5 * scaled_square_radius(t, sigma))
+        r2 = scaled_square_radius(t, size)
+        # at 4 size the scaled square radius is r2 / 16, exactly (a power of two)
+        env = smooth_bump(r2 / 16.0) * np.exp(-0.5 * r2) if gentle else smooth_bump(r2)
         phase = np.exp(1j * (t @ kappa))
         return (env * phase)[:, None] * (v0[None, :] + t @ slopes)
 
@@ -664,7 +665,7 @@ def smooth_probe_section(sampling: OrbitSampling, rng: np.random.Generator,
     """Smooth compactly supported random section: a C-infinity bump of
     per-axis ``radius`` in second-kind coordinates times a low-mode fiber
     profile with smooth coordinate dependence."""
-    return _probe_section(sampling, rng, max_degree, np.asarray(radius, dtype=float))
+    return _probe_section(sampling, rng, max_degree, radius, gentle=False)
 
 
 def gentle_probe_section(sampling: OrbitSampling, rng: np.random.Generator,
@@ -673,6 +674,4 @@ def gentle_probe_section(sampling: OrbitSampling, rng: np.random.Generator,
     bulk of width ``sigma`` per axis under a wide bump (support at
     ``4 sigma``), so the bump's boundary layer is exponentially suppressed
     and fd residuals scale with 1/sigma, not with the bump edge."""
-    sigma = np.asarray(sigma, dtype=float)
-    return _probe_section(sampling, rng, max_degree, 4.0 * sigma, sigma)
-
+    return _probe_section(sampling, rng, max_degree, sigma, gentle=True)

@@ -19,10 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import groups
-from .dynamics import (ClassicalState, ansatz_error, ansatz_errors,
-                       classical_flows, evolution_automorphism,
-                       fluctuation_propagator, fluctuation_propagators,
-                       step_counts)
+from .dynamics import (ansatz_error, ansatz_errors, classical_flows,
+                       evolution_automorphism, fluctuation_propagator,
+                       fluctuation_propagators, step_counts)
 from .errors import PreconditionError
 from .fiber import unitarity_residual
 from .gauge import (compensator_relations_check, equivalence_relation_residuals,
@@ -192,12 +191,11 @@ def dynamics_checks(scn: Scenario, rng) -> list:
     # to the longest sum of law times (zero time without law times)
     t_final = float(scn.setting("dynamics.t_final"))
     law_times = [float(t) for t in scn.setting("dynamics.law_times")]
-    X0 = ClassicalState(0.0, [0.0], [1.0])
+    X0 = np.array([0.0, 0.0, 1.0])
     starts = [scn.anchor, X0, X0, X0, X0, scn.anchor]
     ends = [t_final, 2.0, 2.0, 2.0, 2.0, 2 * max(law_times, default=0.0)]
     step = [dt, 3.125e-4, 1e-2, 5e-3, 2.5e-3, dt]
-    trajectory, fine, *coarse, law_flow = classical_flows(
-        H, [X.as_array() for X in starts], ends, step)
+    trajectory, fine, *coarse, law_flow = classical_flows(H, starts, ends, step)
 
     U = fluctuation_propagator(H, trajectory, dim)
     records.append(CheckRecord("fluctuation_unitarity", "Eq. (3b)",
@@ -318,11 +316,10 @@ def section_checks(scn: Scenario, action, rng) -> list:
             e = int(rng.integers(0, len(elements)))
             if stays[e][idx]:
                 break
-        X = ClassicalState.from_array(sampling.base_array[idx])
         g = elements[e]
         phi0 = rng.standard_normal(sampling.fiber_dim) \
             + 1j * rng.standard_normal(sampling.fiber_dim)
-        got = reconstruct_pointwise_operator(sampling, g, X, phi0)
+        got = reconstruct_pointwise_operator(sampling, g, sampling.base_array[idx], phi0)
         direct = action.fiber_matrix(g) @ phi0
         worst = max(worst, float(np.max(np.abs(got - direct))))
     records.append(CheckRecord("pointwise_operator_recovery", "Eq. (10a)", worst, 1e-10))
@@ -478,7 +475,7 @@ def reconstruction_checks(scn: Scenario, action, family, rng) -> list:
         rec = reconstruct_group_operator(
             family, group_exp(group.algebra([1.0]), t), flat)
         got = rec.values[sampling.identity_index()]
-        X_pre = action.base_map(group_exp(group.algebra([1.0]), -t), scn.anchor)
+        X_pre = action.base_points(group_exp(group.algebra([1.0]), -t), scn.anchor)
         _, U = evolution_automorphism(H, t, scn.dt, dim)(X_pre)
         expected = U @ v
         records.append(CheckRecord("evolution_pipeline_match", "Eq. (26)",
@@ -584,10 +581,10 @@ def gauge_checks(scn: Scenario, strict_action, strict_family, rng) -> list:
 
     alpha = 0.9
     z1 = (scn.anchor, f)
-    z2 = (gauge.base_map(alpha, scn.anchor), gauge.fiber_apply(alpha, f))
+    z2 = (gauge.base_rows(alpha, scn.anchor), gauge.fiber_apply(alpha, f))
     g = group_exp(J, 1.3)
-    im1 = (drift_action.base_map(g, z1[0]), drift_action.fiber_matrix(g) @ z1[1])
-    im2 = (drift_action.base_map(g, z2[0]), drift_action.fiber_matrix(g) @ z2[1])
+    im1 = (drift_action.base_points(g, z1[0]), drift_action.fiber_matrix(g) @ z1[1])
+    im2 = (drift_action.base_points(g, z2[0]), drift_action.fiber_matrix(g) @ z2[1])
     _, _, r_equiv = gauge_equivalent(gauge, im1, im2)
     records.append(CheckRecord("equivariance_of_images", "Definition 1.2",
                                r_equiv, 1e-6))

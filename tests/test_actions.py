@@ -7,9 +7,8 @@ import pytest
 from scbundle.actions import (heisenberg_weyl_action, metaplectic_action,
                               oscillator_action, so2_rotor_action,
                               translations_r2_action)
-from scbundle.dynamics import ClassicalState
 from scbundle.fiber import quadratic_hamiltonian
-from scbundle.groups import exp as gexp
+from scbundle.groups import GroupElement, exp as gexp
 
 DIM = 8
 ACTIONS = [heisenberg_weyl_action, translations_r2_action, oscillator_action,
@@ -46,12 +45,17 @@ def test_batched_base_map_matches_rows_one_at_a_time(make):
 
 @pytest.mark.parametrize("make", ACTIONS, ids=IDS)
 def test_single_point_wrappers_agree_with_rows(make):
+    """``base_points`` takes one element, as a matrix or a GroupElement, or a
+    stack of matrices, and maps the state row as ``base_rows`` does."""
     action, _ = make(DIM)
     mats, rows = _stack(action, count=4, seed=1)
-    X = ClassicalState.from_array(rows[0])
-    assert np.array_equal(action.base_map(mats[1], X).as_array(),
-                          action.base_rows(mats[1], rows[0]))
-    assert np.array_equal(action.base_points(mats, X), action.base_rows(mats, rows[0]))
+    X = rows[0]
+    one = action.base_rows(mats[1], X)
+    assert one.shape == (3,)
+    assert np.array_equal(action.base_points(mats[1], X), one)
+    element = GroupElement(action.group, mats[1])
+    assert np.array_equal(action.base_points(element, X), one)
+    assert np.array_equal(action.base_points(mats, X), action.base_rows(mats, X))
 
 
 def _rotation_rows(t, rows, drift_rate):

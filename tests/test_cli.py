@@ -102,6 +102,23 @@ def test_unreadable_config_path_exits_two(kind, tmp_path, capsys):
     assert err.startswith("scbundle: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind", ["directory", "missing-parent"])
+def test_unwritable_out_exits_two(kind, tmp_path, monkeypatch, capsys):
+    """An --out that cannot be opened for writing (a directory, a path under
+    a missing directory) is an error, not a failed check: exit 2 with a
+    one-line message and no report on standard output."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    out = tmp_path / "report.json"
+    if kind == "directory":
+        out.mkdir()
+    else:
+        out = tmp_path / "missing" / "report.json"
+    assert cli.main(["verify", "translations-r2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("scbundle: ") and captured.err.count("\n") == 1
+
+
 _NO_SCIPY_CHILD = """
 import json, sys
 sys.path.insert(0, {src!r})

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from scbundle.actions import metaplectic_action, so2_rotor_action
-from scbundle.dynamics import ClassicalState
 from scbundle.errors import ConsistencyError, PreconditionError
 from scbundle.gauge import (GaugeBundle, compensator_relations_check,
                             equivalence_relation_residuals, gauge_equivalent,
@@ -13,7 +12,7 @@ from scbundle.groups import exp as gexp
 from scbundle.groups import get_group
 
 DIM = 14
-ANCHOR = ClassicalState(0.0, [0.0], [1.0])
+ANCHOR = np.array([0.0, 0.0, 1.0])
 J = get_group("so2").algebra([1.0])
 
 
@@ -66,10 +65,10 @@ def test_equivariance_of_images():
     f = random_fiber(5)
     alpha = 0.9
     z1 = (ANCHOR, f)
-    z2 = (gauge.base_map(alpha, ANCHOR), gauge.fiber_apply(alpha, f))
+    z2 = (gauge.base_rows(alpha, ANCHOR), gauge.fiber_apply(alpha, f))
     g = gexp(J, 1.3)
-    im1 = (action.base_map(g, z1[0]), action.fiber_matrix(g) @ z1[1])
-    im2 = (action.base_map(g, z2[0]), action.fiber_matrix(g) @ z2[1])
+    im1 = (action.base_points(g, z1[0]), action.fiber_matrix(g) @ z1[1])
+    im2 = (action.base_points(g, z2[0]), action.fiber_matrix(g) @ z2[1])
     ok, _, res = gauge_equivalent(gauge, im1, im2)
     assert ok and res <= 1e-6
 

@@ -10,7 +10,6 @@ import pytest
 from scbundle import generators
 from scbundle.actions import (heisenberg_weyl_action, oscillator_action,
                               translations_r2_action)
-from scbundle.dynamics import ClassicalState
 from scbundle.errors import AlignmentError, InputError
 from scbundle.generators import (
     SmoothingKernel, base_derivative, garding_smooth, generator_apply,
@@ -31,7 +30,7 @@ H = 0.15
 @pytest.fixture(scope="module")
 def weyl():
     action, _ = heisenberg_weyl_action(12)
-    anchor = ClassicalState(0.0, [0.4], [-0.2])
+    anchor = np.array([0.0, 0.4, -0.2])
     axes = [LatticeAxis.line(H, -4, 4), LatticeAxis.line(H, -4, 4),
             LatticeAxis.line(H * H, -12, 12)]
     return action, OrbitSampling(action, anchor, axes)
@@ -248,7 +247,7 @@ def test_kernel_radius_must_be_finite_and_positive(bad):
     window check; every radius that is not finite and positive, on any
     axis, is refused."""
     action, _ = translations_r2_action(8)
-    sampling = OrbitSampling(action, ClassicalState(0.0, [0.1], [0.3]),
+    sampling = OrbitSampling(action, np.array([0.0, 0.1, 0.3]),
                              [LatticeAxis.line(0.15, -4, 4)] * 2)
     for radius in (bad, [0.2, bad]):
         with pytest.raises(InputError, match="finite and positive"):
@@ -381,7 +380,7 @@ def test_oscillator_generator_fiber_and_phase_term():
     # plus the classical action rate of the base flow.
     dim = 10
     action, _ = oscillator_action(dim)
-    anchor = ClassicalState(0.0, [0.7], [0.4])
+    anchor = np.array([0.0, 0.7, 0.4])
     ht = 0.05
     sampling = OrbitSampling(action, anchor, [LatticeAxis.line(ht, -40, 40)])
     rng = np.random.default_rng(7)
@@ -402,8 +401,9 @@ def test_oscillator_generator_fiber_and_phase_term():
     # analytic: [diag(k+1/2) + dS/dt] psi(anchor) -- the pulled-back argument
     # flips the sign of the action-rate term; envelope even at 0
     levels = np.arange(dim) + 0.5
-    s_rate = anchor.P[0] ** 2 - 0.5 * (anchor.P[0] ** 2 + anchor.Q[0] ** 2)
-    expected = (levels + s_rate) * (np.exp(1j * anchor.S) * v)
+    S, P, Q = anchor
+    s_rate = P ** 2 - 0.5 * (P ** 2 + Q ** 2)
+    expected = (levels + s_rate) * (np.exp(1j * S) * v)
     assert np.max(np.abs(got - expected)) <= 50 * tau ** 2
 
 
@@ -422,7 +422,7 @@ def test_base_derivative_constant_function(weyl, smoothed):
 
 def test_base_derivative_translation_coordinate():
     action, _ = translations_r2_action(6)
-    anchor = ClassicalState(0.0, [0.0], [0.0])
+    anchor = np.array([0.0, 0.0, 0.0])
     sampling = OrbitSampling(
         action, anchor,
         [LatticeAxis.line(0.2, -3, 3), LatticeAxis.line(0.2, -3, 3)])
@@ -461,7 +461,7 @@ def test_identity_suite_heisenberg(weyl, smoothed):
 
 def test_identity_suite_abelian_commutator_vanishes():
     action, _ = translations_r2_action(8)
-    anchor = ClassicalState(0.0, [0.1], [0.3])
+    anchor = np.array([0.0, 0.1, 0.3])
     sampling = OrbitSampling(
         action, anchor,
         [LatticeAxis.line(0.15, -4, 4), LatticeAxis.line(0.15, -4, 4)])

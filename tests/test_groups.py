@@ -362,3 +362,18 @@ def test_scaled_square_radius_matches_numpy_sum_bitwise(n):
         expected = np.sum((t / scale) ** 2, axis=-1)
         got = groups.scaled_square_radius(t, scale)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bump_at_four_times_the_scale_reads_a_sixteenth_of_the_radius(n):
+    """The bump of radius 4 s is, bit for bit, the bump of the scaled square
+    radius at s divided by 16: 4 and 16 are powers of two, so the gentle
+    probe reads one scaled square radius for its Gaussian and its bump.
+    The draw reaches past the support, so zeros and the edge are covered."""
+    rng = np.random.default_rng(7)
+    t = rng.standard_normal((4096, n)) * rng.uniform(0.1, 3.0, (4096, n))
+    for s in (rng.uniform(0.05, 1.5, n), 0.35):
+        wide = groups.smooth_bump(groups.scaled_square_radius(t, 4 * np.asarray(s)))
+        narrow = groups.smooth_bump(groups.scaled_square_radius(t, s) / 16)
+        assert np.any(wide == 0.0) and np.any(wide > 0.0)
+        assert wide.tobytes() == narrow.tobytes()

@@ -8,7 +8,7 @@ from scbundle import reconstruction
 from scbundle.actions import (heisenberg_weyl_action, metaplectic_action,
                               oscillator_action, so2_rotor_action,
                               translations_r2_action)
-from scbundle.dynamics import (ClassicalState, classical_flow,
+from scbundle.dynamics import (classical_flow,
                                evolution_automorphism,
                                quadratic_hamiltonian_spec)
 from scbundle.errors import AlignmentError, InputError, PreconditionError
@@ -30,7 +30,7 @@ H = 0.15
 @pytest.fixture(scope="module")
 def weyl():
     action, family = heisenberg_weyl_action(18)
-    anchor = ClassicalState(0.0, [0.4], [-0.2])
+    anchor = np.array([0.0, 0.4, -0.2])
     axes = [LatticeAxis.line(H, -4, 4), LatticeAxis.line(H, -4, 4),
             LatticeAxis.line(H * H, -12, 12)]
     sampling = OrbitSampling(action, anchor, axes)
@@ -42,7 +42,7 @@ def weyl():
 
 def circle_setup(builder, n_cut=14, nodes=48, seed=1):
     action, family = builder(n_cut)
-    anchor = ClassicalState(0.0, [0.0], [1.0])
+    anchor = np.array([0.0, 0.0, 1.0])
     sampling = OrbitSampling(action, anchor, [LatticeAxis.cycle(2 * np.pi, nodes)])
     rng = np.random.default_rng(seed)
     psi = smooth_probe_section(sampling, rng, max_degree=4, radius=[2.5])
@@ -153,7 +153,7 @@ def test_reconstruct_matches_weyl_oracle(weyl):
 def test_reconstruct_oscillator_matches_evolution_pipeline():
     dim = 16
     action, family = oscillator_action(dim)
-    anchor = ClassicalState(0.0, [0.3], [0.9])
+    anchor = np.array([0.0, 0.3, 0.9])
     sampling = OrbitSampling(action, anchor, [LatticeAxis.line(0.05, -30, 30)])
     rng = np.random.default_rng(6)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -166,7 +166,7 @@ def test_reconstruct_oscillator_matches_evolution_pipeline():
     # independent pipeline: integrate the flow and fluctuation propagator
     # from the pulled-back base point
     H_osc = quadratic_hamiltonian_spec(1.0)
-    X_pre = action.base_map(gexp(action.group.algebra([1.0]), -t), anchor)
+    X_pre = action.base_points(gexp(action.group.algebra([1.0]), -t), anchor)
     _, U = evolution_automorphism(H_osc, t, 1e-3, dim)(X_pre)
     expected = U @ v
     assert np.max(np.abs(got - expected)) <= 1e-6
@@ -272,7 +272,7 @@ def test_conjugation_zero_time(weyl):
 
 def test_conjugation_abelian_trivial():
     action, family = translations_r2_action(8)
-    anchor = ClassicalState(0.0, [0.1], [0.3])
+    anchor = np.array([0.0, 0.1, 0.3])
     sampling = OrbitSampling(
         action, anchor,
         [LatticeAxis.line(0.15, -4, 4), LatticeAxis.line(0.15, -4, 4)])
@@ -316,7 +316,7 @@ def test_group_law_random_pair(weyl):
 
 def test_generator_closure_oscillator():
     action, family = oscillator_action(12)
-    anchor = ClassicalState(0.0, [0.5], [0.5])
+    anchor = np.array([0.0, 0.5, 0.5])
     sampling = OrbitSampling(action, anchor, [LatticeAxis.line(0.05, -30, 30)])
     rng = np.random.default_rng(9)
     psi = gentle_probe_section(sampling, rng, 4, sigma=[0.5])

@@ -207,6 +207,7 @@ MALFORMED = {
     "n-two": [(("fiber", "n"), 2)],
     "anchor-two-degrees-of-freedom": [(("anchor", "P"), [0.0, 0.0]),
                                       (("anchor", "Q"), [1.0, 1.0])],
+    "anchor-P-empty": [(("anchor", "P"), [])],
 }
 
 
@@ -238,6 +239,8 @@ def test_well_formed_base_config_loads(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(BASE))
     scn = load_scenario(str(path))
+    # the anchor is its state row S, P, Q, shared read-only
+    assert scn.anchor.tolist() == [0.0, 0.4, -0.2] and not scn.anchor.flags.writeable
     action, _ = scn.build_action()
     assert len(scn.build_sampling(action)) == 9 * 9 * 25
 

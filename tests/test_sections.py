@@ -9,7 +9,6 @@ import pytest
 
 from scbundle.actions import (heisenberg_weyl_action, so2_rotor_action,
                               translations_r2_action)
-from scbundle.dynamics import ClassicalState
 from scbundle.errors import AlignmentError, InputError
 from scbundle import verify
 from scbundle.generators import lattice_kernel
@@ -30,7 +29,7 @@ H = 0.15
 @pytest.fixture(scope="module")
 def weyl():
     action, _ = heisenberg_weyl_action(18)
-    anchor = ClassicalState(0.0, [0.4], [-0.2])
+    anchor = np.array([0.0, 0.4, -0.2])
     axes = [LatticeAxis.line(H, -6, 6), LatticeAxis.line(H, -6, 6),
             LatticeAxis.line(H * H, -60, 60)]
     sampling = OrbitSampling(action, anchor, axes)
@@ -41,10 +40,6 @@ def probe(sampling, seed=0, max_degree=3):
     rng = np.random.default_rng(seed)
     return smooth_probe_section(sampling, rng, max_degree=max_degree,
                                 radius=[3 * H, 3 * H, 20 * H * H])
-
-
-def sample_state(sampling, idx):
-    return ClassicalState.from_array(sampling.base_array[idx])
 
 
 def lattice_element(sampling, steps):
@@ -110,7 +105,7 @@ def test_group_mats_are_stored_plane_by_plane(name):
 def test_sampling_contains_identity_and_recomputable_base(weyl):
     action, sampling = weyl
     idx = sampling.identity_index()
-    assert np.allclose(sampling.base_array[idx], sampling.anchor.as_array())
+    assert np.allclose(sampling.base_array[idx], sampling.anchor)
     # base points recompute from the group elements
     recomputed = action.base_points(sampling.group_mats, sampling.anchor)
     assert np.max(np.abs(recomputed - sampling.base_array)) <= 1e-12
@@ -130,7 +125,7 @@ def collapsed_rotor_sampling():
     """The rotor action fixes the base point when (P, Q) = 0, so the whole
     circle collapses to one stabilizer class."""
     action, _ = so2_rotor_action(6)
-    anchor = ClassicalState(0.2, [0.0], [0.0])
+    anchor = np.array([0.2, 0.0, 0.0])
     return OrbitSampling(action, anchor, [LatticeAxis.cycle(2 * np.pi, 24)])
 
 
@@ -403,7 +398,7 @@ def test_transport_cache_keeps_every_element():
     action, _ = heisenberg_weyl_action(4)
     axes = [LatticeAxis.line(H, -3, 3), LatticeAxis.line(H, -3, 3),
             LatticeAxis.line(H * H, -3, 3)]
-    sampling = OrbitSampling(action, ClassicalState(0.0, [0.4], [-0.2]), axes)
+    sampling = OrbitSampling(action, np.array([0.0, 0.4, -0.2]), axes)
     steps = np.stack(np.meshgrid(range(-2, 3), range(-2, 3), range(-1, 2),
                                  indexing="ij"), axis=-1).reshape(-1, 3)
     elements = [lattice_element(sampling, s) for s in steps]
@@ -417,7 +412,7 @@ def test_transport_cache_keeps_every_element():
 def test_repeated_transform_reuses_the_source_lookup(monkeypatch):
     dim = 12
     action, _ = heisenberg_weyl_action(dim)
-    sampling = OrbitSampling(action, ClassicalState(0.0, [0.4], [-0.2]),
+    sampling = OrbitSampling(action, np.array([0.0, 0.4, -0.2]),
                              [LatticeAxis.line(H, -4, 4)] * 2
                              + [LatticeAxis.line(H * H, -30, 30)])
     psi = smooth_probe_section(sampling, np.random.default_rng(3), max_degree=3,
@@ -431,7 +426,7 @@ def test_repeated_transform_reuses_the_source_lookup(monkeypatch):
     monkeypatch.setattr(sampling, "indices_of_matrices", no_lookup)
     again = section_transform(action, g, psi)
     assert again.values.tobytes() == first.values.tobytes()
-    X = sample_state(sampling, sampling.identity_index())
+    X = sampling.base_array[sampling.identity_index()]
     assert np.max(np.abs(reconstruct_pointwise_operator(sampling, g, X, np.ones(dim))
                          - action.fiber_matrix(g) @ np.ones(dim))) <= 1e-10
 
@@ -526,8 +521,8 @@ def test_pullback_translation_closed_form():
     a = 0.8
     g = gexp(action.group.algebra([1.0, 0.0]), a)
     moved = pullback(action, g, alpha)
-    X = ClassicalState(0.0, [0.3], [1.1])
-    assert moved.eval_rows(X.as_array()[None])[0] == pytest.approx(X.Q[0] - a)
+    X = np.array([0.0, 0.3, 1.1])
+    assert moved.eval_rows(X[None])[0] == pytest.approx(X[2] - a)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +600,7 @@ def test_reconstruct_pointwise_identity(weyl):
     action, sampling = weyl
     rng = np.random.default_rng(9)
     phi0 = rng.standard_normal(sampling.fiber_dim) * (1 + 0j)
-    X = sample_state(sampling, 10)
+    X = sampling.base_array[10]
     got = reconstruct_pointwise_operator(sampling, action.group.identity(), X, phi0)
     assert np.max(np.abs(got - phi0)) <= 1e-14
 
@@ -619,7 +614,7 @@ def test_reconstruct_pointwise_matches_direct(weyl):
         & (np.abs(sampling.steps[:, 2]) <= 50))[0]
     for _ in range(20):
         idx = int(rng.choice(interior))
-        X = sample_state(sampling, idx)
+        X = sampling.base_array[idx]
         steps = rng.integers(-1, 2, size=3)
         g = lattice_element(sampling, steps)
         phi0 = rng.standard_normal(sampling.fiber_dim) \
@@ -631,7 +626,7 @@ def test_reconstruct_pointwise_matches_direct(weyl):
 
 def test_reconstruct_pointwise_zero(weyl):
     action, sampling = weyl
-    X = sample_state(sampling, 4)
+    X = sampling.base_array[4]
     g = lattice_element(sampling, [1, 0, 0])
     got = reconstruct_pointwise_operator(sampling, g, X,
                                          np.zeros(sampling.fiber_dim))
@@ -814,7 +809,7 @@ def test_row_pointwise_reconstruction_is_the_dense_one(name):
                 + 1j * rng.standard_normal(sampling.fiber_dim)
             values = np.zeros((len(sampling), sampling.fiber_dim), dtype=complex)
             values[idx] = phi0
-            got = reconstruct_pointwise_operator(sampling, g, sample_state(sampling, int(idx)),
+            got = reconstruct_pointwise_operator(sampling, g, sampling.base_array[int(idx)],
                                                  phi0)
             assert got.tobytes() == dense_transform(sampling, g, values)[target[idx]].tobytes()
 

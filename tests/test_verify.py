@@ -83,6 +83,22 @@ def test_suite_crash_is_recorded_and_other_suites_survive(monkeypatch):
     assert "reconstruction_identity" in ids
 
 
+def test_inconsistent_hamiltonian_fails_its_record_and_the_suite_runs(monkeypatch):
+    """A Hamiltonian whose dH/dQ is off by a factor of 2 fails
+    hamiltonian_consistency; the spec judges nothing, so the rest of the
+    dynamics suite still runs and no suite error hides it."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    scn = load_scenario("cubic-perturbed-oscillator")
+    spec = scn.build_hamiltonian()
+    broken = replace(spec, grad=lambda P, Q: (P, 2.0 * spec.grad(P, Q)[1]))
+    monkeypatch.setattr(type(scn), "build_hamiltonian", lambda self: broken)
+    records = {r.check_id: r for r in verify.run_verify(replace(scn, suites=["dynamics"])).records}
+    assert "dynamics_suite_error" not in records
+    consistency = records["hamiltonian_consistency"]
+    assert consistency.residual > consistency.tolerance and not consistency.passed
+    assert {"fluctuation_unitarity", "energy_conservation", "rk4_fourth_order"} <= set(records)
+
+
 @pytest.mark.parametrize("name", ["so2-rotor", "translations-r2", "metaplectic-so2",
                                   "cubic-perturbed-oscillator", "free-particle"])
 def test_report_records_match_golden(name, monkeypatch):
