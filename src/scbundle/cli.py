@@ -41,17 +41,13 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         if args.command == "verify":
             report = run_verify(scenario)
-            try:
-                emit(report, args.format, sys.stdout if args.out is None else args.out)
-            except OSError as err:
-                print(f"scbundle: cannot write the report ({err})", file=sys.stderr)
-                return 2
+            emit(report, args.format, sys.stdout if args.out is None else args.out)
             return 0 if report.overall_pass else 1
         table = run_convergence(scenario)
         falls = table.monotone_decreasing
         sys.stdout.write(table.to_csv())
         return 0 if falls else 1
-    except ScbundleError as err:
+    except (ScbundleError, OSError) as err:
         print(f"scbundle: {err}", file=sys.stderr)
         return 2
 

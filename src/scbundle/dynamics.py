@@ -14,7 +14,8 @@ array of shape (3,), laid out ``S, P, Q`` (action, momentum, coordinate of
 one degree of freedom), and a stack of base points is an array (R, 3).
 The flow refuses rows of another width and non-finite rows, and every
 packet path refuses a row that is not three finite floats; the end of a
-:class:`Trajectory` is its last row.  With the one-variable fiber of
+:class:`Trajectory` is its last row.  The package's one-row flows start
+from a :class:`_NamedRow` view of the row.  With the one-variable fiber of
 :mod:`.fiber`, every scenario, action, flow and ansatz is 1-D; a fiber
 state is a complex vector and a propagator a complex (d, d) array, d the
 fiber dimension.
@@ -280,6 +281,19 @@ def classical_flows(H: HamiltonianSpec, rows, T, dt) -> list:
             for r, (c, path) in enumerate(zip(counts, paths))]
 
 
+class _NamedRow(np.ndarray):
+    """A state row that also names its components: ``S`` the action, ``P``
+    and ``Q`` the one-coordinate momentum and coordinate slices.  It
+    computes as the plain row.  The package hands :func:`classical_flow`
+    its start in this view, because the benchmark tracer
+    (``perfbench/tracing.py``) keys each traced flow on ``X0.S``, ``X0.P``
+    and ``X0.Q``."""
+
+    S = property(lambda self: float(self[0]))
+    P = property(lambda self: self.view(np.ndarray)[1:2])
+    Q = property(lambda self: self.view(np.ndarray)[2:3])
+
+
 def classical_flow(H: HamiltonianSpec, X0: np.ndarray, T: float,
                    dt: float) -> Trajectory:
     """The flow of one state row from 0 to T: the one-row case of
@@ -358,7 +372,7 @@ def evolution_automorphism(H: HamiltonianSpec, t: float, dt: float,
     classical flow from X gives the base image and, along the same
     trajectory, the fluctuation propagator on the fibers."""
     def automorphism(X: np.ndarray) -> tuple:
-        trajectory = classical_flow(H, X, t, dt)
+        trajectory = classical_flow(H, _state_row(X).view(_NamedRow), t, dt)
         return trajectory.rows[-1], fluctuation_propagator(H, trajectory, dim)
 
     return automorphism
@@ -609,16 +623,17 @@ def ansatz_errors(H: HamiltonianSpec, X0: np.ndarray, f0: np.ndarray,
     :func:`gaussian_packet` of each eps, otherwise the split-step solve
     :func:`reference_schrodinger` (step ``dt / 4``) of the stack of per-eps
     packets, advanced in row blocks on threads, one per usable CPU; each
-    eps's error is bitwise its one-eps run, whatever the CPU count.  Every
-    eps and the grid are checked against the initial ansatz on every path;
-    only the split-step builds it."""
-    xs = np.asarray(xs, dtype=float)
+    eps's error is bitwise its one-eps run, whatever the CPU count.  The
+    start row is checked first, for any eps list; every eps and the grid
+    are checked against the initial ansatz on every path, and only the
+    split-step builds it."""
+    X0, xs = _state_row(X0), np.asarray(xs, dtype=float)
     eps_list = [float(eps) for eps in eps_list]
     for eps in eps_list:
         _check_packet_grid(X0, f0, eps, xs)
     if T == 0.0 or not eps_list:
         return [0.0] * len(eps_list)
-    trajectory = classical_flow(H, X0, T, dt)
+    trajectory = classical_flow(H, X0.view(_NamedRow), T, dt)
     f_T = fluctuation_propagator(H, trajectory, len(f0)) @ f0
     semiclassical = [ansatz_wavefunction(trajectory.rows[-1], f_T, eps, xs) for eps in eps_list]
     if H.constant_hessians:

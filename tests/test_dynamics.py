@@ -4,6 +4,7 @@ packet synthesis, the grid reference solver and the exact Gaussian."""
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,7 +205,8 @@ def test_flow_rows_equal_the_step_on_component_stacks(H):
 def test_state_row_of_another_length_is_refused():
     """A base point is a state row of three finite floats S, P, Q: the flow
     refuses a row of one degree of freedom too many or too few, and so does
-    every packet path, which also refuses a non-finite row."""
+    every packet path, which also refuses a non-finite row (ansatz_errors
+    even for no eps)."""
     xs = np.linspace(-8, 8, 2048)
     for row in ([0.0, 0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0], [0.0]):
         with pytest.raises(InputError):
@@ -215,6 +217,8 @@ def test_state_row_of_another_length_is_refused():
             ansatz_wavefunction(np.array(row), ground_state(), 0.1, xs)
         with pytest.raises(InputError, match="three finite floats"):
             ansatz_errors(OSC, np.array(row), ground_state(), [0.1], 1.0, xs, 1e-3)
+        with pytest.raises(InputError, match="three finite floats"):
+            ansatz_errors(OSC, np.array(row), ground_state(), [], 1.0, xs, 1e-3)
         with pytest.raises(InputError, match="three finite floats"):
             gaussian_packet(OSC, np.array(row), ground_state(), 0.1, 1.0, xs)
 
@@ -327,6 +331,29 @@ def test_automorphism_composition_law():
     assert np.linalg.norm(Z - Z12) <= 1e-8
     assert np.linalg.norm(U1 @ U2 - U12) <= 1e-6
     assert unitarity_residual(U12) <= 1e-8
+
+
+def test_traced_one_row_flows_key_on_their_start(monkeypatch):
+    """The benchmark tracer keys each traced classical flow on X0.S, X0.P
+    and X0.Q.  The package's one-row flows (the automorphism, the ansatz)
+    hand it a start that names them, and trace to the same bytes."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracing
+    probe = next(p for p in tracing.PROBES if p.name == "dynamics.classical_flow")
+    X, xs = np.array([0.0, 0.3, 0.9]), np.linspace(-12, 12, 2048)
+
+    def run():
+        Y, U = evolution_automorphism(OSC, 0.5, 1e-3, 8)(X)
+        errors = ansatz_errors(OSC, X, ground_state(), [0.1], 0.5, xs, 1e-3)
+        return Y.tobytes(), U.tobytes(), errors
+
+    plain = run()
+    tracer = tracing.Tracer([probe])
+    with tracer:
+        traced = run()
+    assert traced == plain
+    assert len(tracer.spans) == 2
+    assert tracer.keys == {(-1, probe.name): {(0.0, (0.3,), (0.9,), 0.5, 1e-3)}}
 
 
 # ---------------------------------------------------------------------------
