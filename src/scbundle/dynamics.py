@@ -1,13 +1,18 @@
 """Semiclassical evolution pipeline.
 
 Classical flow of the base point (S, P, Q) by fixed-step RK4, the quadratic
-fluctuation propagator by midpoint-exponential stepping, their pairing as a
-bundle automorphism, and the wave-packet substitution on a 1-D grid.  Two
-references, independent of that pipeline, judge the substituted packet: for
-a quadratic Hamiltonian the exact Gaussian :func:`gaussian_packet` (a closed
-form in the linear flow), and otherwise the split-step spectral solver
-:func:`reference_schrodinger`.  :func:`ansatz_errors` picks one from the
-Hamiltonian.
+fluctuation propagator, their pairing as a bundle automorphism, and the
+wave-packet substitution on a 1-D grid.  The propagator steps by midpoint
+exponentials, except for a quadratic Hamiltonian (constant Hessian), where
+H_fluct is one matrix and the propagator to time t is exp(-i t H_fluct)
+from one eigendecomposition.  The classical flow of a quadratic
+Hamiltonian also has an exact form, :func:`linear_flow`, which the verify
+suite uses as the reference of the RK4 order check; the evolution
+automorphisms still flow by RK4.  Two references, independent of that
+pipeline, judge the substituted packet: for a quadratic Hamiltonian the
+exact Gaussian :func:`gaussian_packet` (a closed form in the linear flow),
+and otherwise the split-step spectral solver :func:`reference_schrodinger`.
+:func:`ansatz_errors` picks one from the Hamiltonian.
 
 **Rows contract.**  A base point of the bundle is its state row: a float
 array of shape (3,), laid out ``S, P, Q`` (action, momentum, coordinate of
@@ -38,8 +43,9 @@ one-row case).
 round(|T|/dt) steps of h = T/round(|T|/dt), and its fluctuation propagator
 steps along the same times.  When several times share one h (checked by
 :func:`step_counts`), the flow to an earlier time and its propagator are,
-bitwise, prefixes of the flow to a later one and of its running product.
-The evolution-law check reads all its flows and propagators that way.
+bitwise, prefixes of the flow to a later one and of its running product
+(for a quadratic Hamiltonian, the closed form at the same time c h).  The
+evolution-law check reads all its flows and propagators that way.
 """
 
 from __future__ import annotations
@@ -68,6 +74,7 @@ __all__ = [
     "evolution_automorphism",
     "ansatz_wavefunction",
     "reference_schrodinger",
+    "linear_flow",
     "gaussian_packet",
     "ansatz_error",
     "ansatz_errors",
@@ -93,8 +100,9 @@ class HamiltonianSpec:
 
     ``potential`` is set when H has the separable form P^2/2 + V(Q); the
     grid reference solver requires it.  ``constant_hessians`` marks purely
-    quadratic Hamiltonians: the fluctuation stepper reuses one step matrix,
-    and the exact Gaussian serves as their reference.
+    quadratic Hamiltonians: their fluctuation propagators are closed forms
+    from one eigendecomposition, their flow has the exact form
+    :func:`linear_flow`, and the exact Gaussian serves as their reference.
     """
 
     value: Callable
@@ -328,12 +336,6 @@ def _step_unitaries(H: HamiltonianSpec, trajectory: Trajectory,
     if count == 0:
         return
     dts = np.diff(trajectory.times[:count + 1])
-    if H.constant_hessians:
-        hessian = H.hess(*trajectory.rows[:1, 1:].T)[0]
-        step = spectral_exp(np.linalg.eigh(_fluct_matrix(hessian, dim)), dts[0])
-        for _ in range(count):
-            yield step
-        return
     _, P, Q = _rk4_steps(H, trajectory.rows[:count].T, 0.5 * dts, 1, [None] * 6)[3:]
     for hessian, dt in zip(H.hess(P, Q), dts):
         yield spectral_exp(np.linalg.eigh(_fluct_matrix(hessian, dim)), dt)
@@ -343,13 +345,20 @@ def fluctuation_propagators(H: HamiltonianSpec, trajectory: Trajectory,
                             dim: int, counts: Sequence[int]) -> list:
     """Time-ordered unitaries for i df/dt = H_fluct(t) f along the first
     ``c`` steps of the trajectory, for each ``c`` in ``counts`` (none for no
-    counts): prefixes of one running product of per-step exponentials
-    evaluated at the interval midpoints."""
+    counts).  For a quadratic H (``constant_hessians``) H_fluct is one
+    matrix, and each is the closed form exp(-i t_c H_fluct), t_c =
+    ``trajectory.times[c]``, from one eigendecomposition; otherwise each is
+    a prefix of one running product of per-step exponentials evaluated at
+    the interval midpoints."""
     counts = [int(c) for c in counts]
     if not counts:
         return []
     if min(counts) < 0 or max(counts) >= len(trajectory):
         raise InputError("propagator step count outside the trajectory")
+    if H.constant_hessians:
+        hessian = H.hess(*trajectory.rows[:1, 1:].T)[0]
+        eig = np.linalg.eigh(_fluct_matrix(hessian, dim))
+        return [_checked_propagator(spectral_exp(eig, trajectory.times[c])) for c in counts]
     U = np.eye(dim, dtype=complex)
     prefixes, wanted = {0: U}, set(counts)
     for k, step in enumerate(_step_unitaries(H, trajectory, dim, max(counts)), 1):
@@ -566,6 +575,25 @@ def _traceless_exp(A: np.ndarray) -> np.ndarray:
     return c * np.eye(2) + s * A
 
 
+def linear_flow(H: HamiltonianSpec, X0: np.ndarray, T: float) -> tuple:
+    """The exact classical flow of a quadratic ``H`` from the state row
+    ``X0`` to time ``T``: the end row and the matrix M = exp(T J K), with
+    z = (P, Q), K the constant Hessian and J = [[0, -1], [1, 0]].
+
+    The flow is linear (Lasser & Lubich, Acta Numerica 29 (2020) 229): M,
+    in closed form (:func:`_traceless_exp`), carries z0 to M z0, and the
+    action goes to S0 + (P_T Q_T - P0 Q0)/2 (for homogeneous quadratic H,
+    P dH/dP - H = d(PQ)/dt / 2).  Raises InputError unless ``H`` is
+    quadratic and ``X0`` a state row."""
+    if not H.constant_hessians:
+        raise InputError("the exact flow needs a quadratic Hamiltonian")
+    S0, P0, Q0 = X0 = _state_row(X0)
+    K = H.hess(X0[1:2], X0[2:3])[0]
+    M = _traceless_exp(T * np.array([[0.0, -1.0], [1.0, 0.0]]) @ K)
+    P, Q = M @ np.array([P0, Q0])
+    return np.array([S0 + 0.5 * (P * Q - P0 * Q0), P, Q]), M
+
+
 def gaussian_packet(H: HamiltonianSpec, X0: np.ndarray, f0: np.ndarray,
                     eps: float, T: float, xs: np.ndarray) -> np.ndarray:
     """The exact solution at time T of the Schrodinger equation of a
@@ -574,27 +602,20 @@ def gaussian_packet(H: HamiltonianSpec, X0: np.ndarray, f0: np.ndarray,
     ground mode), sampled on ``xs``.
 
     A Gaussian stays Gaussian (Heller, J. Chem. Phys. 62 (1975) 1544;
-    Hagedorn, Ann. Phys. 269 (1998) 77).  With z = (P, Q), K the constant
-    Hessian and J = [[0, -1], [1, 0]], the flow M = exp(T J K), in closed
-    form (:func:`_traceless_exp`), carries the centre to M z0 and the
-    action to S0 + (P_T Q_T - P0 Q0)/2 (for homogeneous quadratic H,
-    P dH/dP - H = d(PQ)/dt / 2); the tangent (dP, dQ) =
-    M (i, 1) gives the width A = dP/dQ and the amplitude
-    eps^{-1/4} pi^{-1/4} dQ^{-1/2}, on the branch continued from 1 at
-    t = 0.  It shares no code with the classical flow, the fluctuation
-    propagator, the ansatz or the grid solver.  Raises ResolutionError when
-    the grid does not cover 8 widths of the final packet on either side."""
-    if not H.constant_hessians:
-        raise InputError("the exact Gaussian needs a quadratic Hamiltonian")
+    Hagedorn, Ann. Phys. 269 (1998) 77).  Its centre and action are the end
+    row of the exact flow :func:`linear_flow`, and the tangent (dP, dQ) =
+    M (i, 1), through the same M = exp(T J K), gives the width A = dP/dQ
+    and the amplitude eps^{-1/4} pi^{-1/4} dQ^{-1/2}, on the branch
+    continued from 1 at t = 0.  It shares no code with the RK4 flow, the
+    fluctuation propagator, the ansatz or the grid solver.  Raises
+    InputError unless ``H`` is quadratic, and ResolutionError when the grid
+    does not cover 8 widths of the final packet on either side."""
     if np.any(f0[1:] != 0):
         raise InputError("the exact Gaussian starts from the ground mode only")
     if eps <= 0:
         raise InputError("eps must be positive")
-    S0, P0, Q0 = X0 = _state_row(X0)
-    K = H.hess(X0[1:2], X0[2:3])[0]
-    M = _traceless_exp(T * np.array([[0.0, -1.0], [1.0, 0.0]]) @ K)
-    P, Q = M @ np.array([P0, Q0])
-    S = S0 + 0.5 * (P * Q - P0 * Q0)
+    (S, P, Q), M = linear_flow(H, X0, T)
+    K = H.hess(np.zeros(1), np.zeros(1))[0]      # the same at every point
     dP, dQ = M @ np.array([1j, 1.0])
     # Im dQ(t) = K_pp sin(w t)/w for w^2 = det K > 0 (and keeps its sign for
     # det K <= 0): dQ winds half round 0 in each half period pi/w.  Over k,

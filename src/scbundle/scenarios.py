@@ -9,8 +9,10 @@ known fields of a mapping are the rows under it.  ``_walk`` checks a config
 against the table; ``_validate`` then applies the few rules that tie fields
 together or cap them (the fiber truncation, lattice axes per group coordinate
 and their reach, an action's group, the spectrum modes within the fiber, the
-law-time step grid, an ``eps_list`` of at least two strictly decreasing
-values when one is given, what each suite needs under its action).  A ``Scenario`` keeps its
+unit frequency that the oscillator action and the spectrum oracle assume, a
+``dynamics.t_final`` of at least one step, the law-time step grid, an
+``eps_list`` of at least two strictly decreasing values when one is given,
+what each suite needs under its action).  A ``Scenario`` keeps its
 sub-configs as given, and ``Scenario.setting`` reads each default from the
 table when asked, so a resized copy (``dataclasses.replace``) keeps them.
 """
@@ -410,6 +412,20 @@ def _validate(cfg, origin: str) -> Scenario:
     if scn.setting("dynamics.spectrum_modes") > scn.fiber_dim:
         raise ConfigError(f"{origin}: dynamics.spectrum_modes exceeds the fiber "
                           f"dimension {scn.fiber_dim}")
+    # the oscillator action and the spectrum oracle rotate at frequency 1,
+    # which only the quadratic Hamiltonian with omega2 1 shares
+    unit_oscillator = (scn.hamiltonian is not None and scn.hamiltonian["kind"] == "quadratic"
+                       and scn.setting("hamiltonian.omega2") == 1)
+    if scn.action_name == "oscillator" and scn.hamiltonian is not None and not unit_oscillator:
+        raise ConfigError(f"{origin}: the oscillator action needs the quadratic "
+                          f"Hamiltonian with omega2 1, got {scn.hamiltonian!r}")
+    if "dynamics" in scn.suites:
+        if scn.setting("dynamics.spectrum_modes") and not unit_oscillator:
+            raise ConfigError(f"{origin}: dynamics.spectrum_modes needs the quadratic "
+                              f"Hamiltonian with omega2 1, got {scn.hamiltonian!r}")
+        # the flows refuse a step beyond the window by the same margin
+        if scn.setting("dynamics.t_final") * (1 + 1e-12) < scn.dt:
+            raise ConfigError(f"{origin}: dynamics.t_final is below numerics.dt {scn.dt}")
     grid = scn.setting("numerics.grid")
     if not grid["lo"] < grid["hi"]:
         raise ConfigError(f"{origin}: numerics.grid needs lo < hi, got {grid!r}")

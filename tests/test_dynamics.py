@@ -15,11 +15,11 @@ from scbundle.dynamics import (
     HamiltonianSpec, ansatz_error, ansatz_errors,
     ansatz_wavefunction, classical_flow, classical_flows, cubic_perturbed_spec,
     evolution_automorphism, fluctuation_propagator, fluctuation_propagators,
-    gaussian_packet, l2_distance, quadratic_hamiltonian_spec, reference_schrodinger, step_counts,
-    _rk4_steps,
+    gaussian_packet, l2_distance, linear_flow, quadratic_hamiltonian_spec, reference_schrodinger,
+    step_counts, _rk4_steps,
 )
 from scbundle.errors import InputError, NumericalError, ResolutionError
-from scbundle.fiber import unitarity_residual
+from scbundle.fiber import spectral_exp, unitarity_residual
 
 OSC = quadratic_hamiltonian_spec(1.0)
 FREE = quadratic_hamiltonian_spec(0.0)
@@ -300,6 +300,28 @@ def test_propagator_free_particle_matches_exponential_oracle():
     from scipy.linalg import expm
     oracle = expm(-1j * t * kinetic)
     assert np.max(np.abs(U - oracle)) <= 1e-6
+
+
+@pytest.mark.parametrize("H", [OSC, quadratic_hamiltonian_spec(1.0, 0.3),
+                               quadratic_hamiltonian_spec(-0.5)],
+                         ids=["oscillator", "coupled", "inverted"])
+def test_closed_forms_match_the_stepped_arithmetic(H):
+    """For a quadratic H, the propagator over c steps is one exponential at
+    time c h, and :func:`linear_flow` the exact flow: they match the running
+    product of the one step unitary to 1e-11, and an RK4 flow of step 1e-4
+    to 1e-12.  The coupled H reaches the h_qp term of the fluctuation
+    Hamiltonian, and the inverted one the det < 0 branch of the closed-form
+    exponential."""
+    dim, T, X0 = 32, 1.0, np.array([0.0, 0.4, 1.0])
+    trajectory = classical_flow(H, X0, T, 0.002)
+    hessian = H.hess(X0[1:2], X0[2:3])[0]
+    step = spectral_exp(np.linalg.eigh(dynamics._fluct_matrix(hessian, dim)), trajectory.times[1])
+    stepped = np.eye(dim, dtype=complex)
+    for _ in range(len(trajectory) - 1):
+        stepped = step @ stepped
+    assert np.max(np.abs(fluctuation_propagator(H, trajectory, dim) - stepped)) <= 1e-11
+    end, _ = linear_flow(H, X0, T)
+    assert np.max(np.abs(end - classical_flow(H, X0, T, 1e-4).rows[-1])) <= 1e-12
 
 
 def test_propagator_time_dependent_unitarity():

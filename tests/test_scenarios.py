@@ -208,11 +208,28 @@ MALFORMED = {
     "anchor-two-degrees-of-freedom": [(("anchor", "P"), [0.0, 0.0]),
                                       (("anchor", "Q"), [1.0, 1.0])],
     "anchor-P-empty": [(("anchor", "P"), [])],
+    # each of these loaded, and then the oscillator action or the spectrum
+    # oracle, both of frequency 1, judged the evolution of another
+    # Hamiltonian (the oracle read 2.0 against a right propagator at
+    # omega2 4)
+    "oscillator-action-omega2-four": OSCILLATOR + [
+        (("hamiltonian",), {"kind": "quadratic", "omega2": 4.0}), (("suites",), ["sections"])],
+    "oscillator-action-cubic-hamiltonian": OSCILLATOR + [
+        (("hamiltonian",), {"kind": "cubic-perturbed", "omega2": 1.0}), (("suites",), ["sections"])],
+    "spectrum-modes-omega2-four": [(("hamiltonian",), {"kind": "quadratic", "omega2": 4.0}),
+                                   (("suites",), ["dynamics"])],
+    "spectrum-modes-cubic-hamiltonian": [(("suites",), ["dynamics"])],
+    # this loaded, and its dynamics suite then ended in one
+    # dynamics_suite_error (InputError: dt exceeds the integration window)
+    "t-final-below-dt": [(("dynamics", "t_final"), 1e-4), (("dynamics", "spectrum_modes"), 0),
+                         (("suites",), ["dynamics"])],
 }
 
 
 def _edit(edits) -> dict:
-    """A copy of BASE with each (path, value) edit applied."""
+    """A copy of BASE with each (path, value) edit applied; each value is
+    copied in, so a later edit inside it leaves the shared edit lists as
+    they are."""
     cfg = copy.deepcopy(BASE)
     for (*parents, key), value in edits:
         node = cfg
@@ -221,7 +238,7 @@ def _edit(edits) -> dict:
         if value is DELETE:
             del node[key]
         else:
-            node[key] = value
+            node[key] = copy.deepcopy(value)
     return cfg
 
 
@@ -255,6 +272,19 @@ def test_oscillator_config_loads(tmp_path):
     assert scn.fiber_dim == scn.setting("dynamics.spectrum_modes") == 12
     action, _ = scn.build_action()
     assert len(scn.build_sampling(action)) == 81
+
+
+def test_dynamics_at_unit_frequency_and_one_step_loads(tmp_path):
+    """The dynamics cases above fail for their own edits: spectrum modes
+    under the quadratic Hamiltonian with omega2 1 load, and so does a
+    t_final of exactly one step."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_edit([(("hamiltonian",), {"kind": "quadratic", "omega2": 1.0}),
+                                      (("dynamics", "t_final"), 0.001),
+                                      (("suites",), ["dynamics"])])))
+    scn = load_scenario(str(path))
+    assert scn.setting("dynamics.spectrum_modes") == 4
+    assert scn.setting("dynamics.t_final") == scn.dt == 0.001
 
 
 def test_catalog_configs_load():

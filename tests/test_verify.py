@@ -99,6 +99,17 @@ def test_inconsistent_hamiltonian_fails_its_record_and_the_suite_runs(monkeypatc
     assert {"fluctuation_unitarity", "energy_conservation", "rk4_fourth_order"} <= set(records)
 
 
+def test_rk4_probe_that_does_not_move_is_a_precondition(monkeypatch):
+    """Under the free particle the RK4 order probe (0, 0, 1) has P = 0 and
+    stays put, under RK4 as under the exact flow: every coarse error is 0,
+    and the dynamics suite reads a PreconditionError, not a division by
+    zero."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    scn = replace(load_scenario("free-particle"), suites=["dynamics"])
+    assert [(r.check_id, r.paper_anchor) for r in verify.run_verify(scn).records] == [
+        ("dynamics_suite_error", "error: PreconditionError")]
+
+
 @pytest.mark.parametrize("name", ["so2-rotor", "translations-r2", "metaplectic-so2",
                                   "cubic-perturbed-oscillator", "free-particle"])
 def test_report_records_match_golden(name, monkeypatch):
