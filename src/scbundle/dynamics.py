@@ -36,7 +36,7 @@ same loop advances the interval midpoints of the fluctuation stepper as
 component arrays, the Hamiltonian self-check and the energy drift evaluate
 H on arrays, and :func:`reference_schrodinger` advances a stack of wave packets
 in one split-step loop per block of rows, the blocks on threads (a
-single-eps :func:`ansatz_error` of a non-quadratic Hamiltonian is its
+one-eps :func:`ansatz_errors` of a non-quadratic Hamiltonian is its
 one-row case).
 
 **Step-grid invariant.** A flow to time T with step dt takes
@@ -76,7 +76,6 @@ __all__ = [
     "reference_schrodinger",
     "linear_flow",
     "gaussian_packet",
-    "ansatz_error",
     "ansatz_errors",
     "l2_distance",
 ]
@@ -663,9 +662,3 @@ def ansatz_errors(H: HamiltonianSpec, X0: np.ndarray, f0: np.ndarray,
         psi0 = [ansatz_wavefunction(X0, f0, eps, xs) for eps in eps_list]
         reference = reference_schrodinger(H, psi0, eps_list, T, xs, dt / 4)
     return [l2_distance(psi, phi, xs[1] - xs[0]) for psi, phi in zip(semiclassical, reference)]
-
-
-def ansatz_error(H: HamiltonianSpec, X0: np.ndarray, f0: np.ndarray,
-                 eps: float, T: float, xs: np.ndarray, dt: float) -> float:
-    """The one-eps case of :func:`ansatz_errors`."""
-    return ansatz_errors(H, X0, f0, [eps], T, xs, dt)[0]

@@ -29,11 +29,11 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def _padded_ops(dim: int, pad: int = 2):
-    """Position and momentum matrices on the basis padded by ``pad``
-    degrees, from the annihilation matrix a (a[k-1, k] = sqrt(k)); built
-    once per (dim, pad) and shared read-only."""
-    a = np.diag(np.sqrt(np.arange(1, dim + pad, dtype=float)), 1)
+def _padded_ops(dim: int):
+    """Position and momentum matrices on the basis padded by two degrees,
+    from the annihilation matrix a (a[k-1, k] = sqrt(k)); built once per
+    dimension, shared read-only; their (dim, dim) blocks are pad-free."""
+    a = np.diag(np.sqrt(np.arange(1, dim + 2, dtype=float)), 1)
     x = (a + a.T) / np.sqrt(2.0)
     p = 1j * (a.T - a) / np.sqrt(2.0)
     x.flags.writeable = p.flags.writeable = False
@@ -73,12 +73,12 @@ def quadratic_hamiltonian(h_qq: float, h_qp: float, h_pp: float,
 def position_operator(dim: int) -> np.ndarray:
     """Exact matrix of the fluctuation coordinate xi, complex like every
     fiber operator (``eigh`` of a real matrix takes another LAPACK path)."""
-    return _padded_ops(dim, pad=1)[0][:dim, :dim].astype(complex)
+    return _padded_ops(dim)[0][:dim, :dim].astype(complex)
 
 
 def momentum_operator(dim: int) -> np.ndarray:
     """Exact matrix of -i d/dxi (a read-only view)."""
-    return _padded_ops(dim, pad=1)[1][:dim, :dim]
+    return _padded_ops(dim)[1][:dim, :dim]
 
 
 def spectral_exp(eig, t: float) -> np.ndarray:

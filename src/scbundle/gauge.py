@@ -8,7 +8,8 @@ metaplectic circle action honest on gauge-invariant sections.  A base point
 is a state row ``S, P, Q`` (see :mod:`.dynamics`).  Each gauge writes its
 base map once, ``base_rows``, on one state row or a stack of them; every
 compensator has a closed form (from the S difference for the phase shift,
-from the fiber-overlap angle for the pure phase).
+from the fiber-overlap angle for the pure phase).  Equivalence and the
+compensator relations return residuals for :mod:`.verify` to judge.
 
 The enlarged orbit of a circle scenario is sampled as (rotation lattice) x
 (gauge-parameter lattice) and held as one array of state rows; invariant
@@ -35,12 +36,9 @@ __all__ = [
     "u1_phase_gauge",
     "phase_shift_gauge",
     "gauge_equivalent",
-    "GaugeRecord",
     "compensator_relations_check",
     "GaugeBundle",
 ]
-
-EQUIV_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -103,11 +101,12 @@ def phase_shift_gauge() -> GaugeGroup:
 # ---------------------------------------------------------------------------
 
 def gauge_equivalent(gauge: GaugeGroup, z1, z2):
-    """Decide whether two bundle points lie on one gauge orbit.
+    """How far two bundle points are from one gauge orbit.
 
-    Returns ``(equivalent, best_alpha, residual)``.  The parameter is solved
-    in closed form: from the S difference for base-moving gauges, from the
-    fiber-overlap angle otherwise.
+    Returns ``(alpha, residual)``: the gauge parameter carrying ``z1``
+    nearest to ``z2``, solved in closed form (from the S difference for
+    base-moving gauges, from the fiber-overlap angle otherwise), and the
+    base plus fiber distance from its image of ``z1`` to ``z2``.
     """
     X1, f1 = z1
     X2, f2 = z2
@@ -116,19 +115,12 @@ def gauge_equivalent(gauge: GaugeGroup, z1, z2):
     alpha = _gauge_parameter(gauge, X1, X2, f1, f2)
     residual = float(np.linalg.norm(gauge.base_rows(alpha, X1) - X2)
                      + np.linalg.norm(gauge.fiber_apply(alpha, f1) - f2))
-    return residual <= EQUIV_TOL, alpha, residual
+    return alpha, residual
 
 
 # ---------------------------------------------------------------------------
 # compensator relations
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GaugeRecord:
-    relation: str
-    residual: float
-    compensator_parameters: tuple
-
 
 def _gauge_parameter(gauge: GaugeGroup, X_from, X_to, f_from: np.ndarray,
                      f_to: np.ndarray) -> float:
@@ -144,18 +136,18 @@ def _gauge_parameter(gauge: GaugeGroup, X_from, X_to, f_from: np.ndarray,
 def compensator_relations_check(action: BundleAction, gauge: GaugeGroup,
                                 g, g1, g2, alpha: float, X: np.ndarray,
                                 f: np.ndarray):
-    """Residuals of the four compensator relations of a gauge action:
+    """The four compensator relations of a gauge action, as a dict from
+    equation to ``(residual, compensator)`` in the order 28 to 31:
 
-    base conjugation      u_g lambda_alpha u_{g^-1} = lambda_beta
-    base composition      u_{g1} u_{g2} = lambda_gamma u_{g1 g2}
-    fiber conjugation     U_g V_alpha U_{g^-1} = V_beta
-    fiber composition     U_{g1} U_{g2} = V_gamma U_{g1 g2}
+    "28"  base conjugation    u_g lambda_alpha u_{g^-1} = lambda_beta
+    "29"  base composition    u_{g1} u_{g2} = lambda_gamma u_{g1 g2}
+    "30"  fiber conjugation   U_g V_alpha U_{g^-1} = V_beta
+    "31"  fiber composition   U_{g1} U_{g2} = V_gamma U_{g1 g2}
 
-    Compensators are solved from S differences for base-moving gauges and
-    from fiber phases for base-trivial gauges.
+    The compensators beta and gamma are solved from S differences for
+    base-moving gauges and from fiber phases for base-trivial gauges.
     """
     f = np.asarray(f, dtype=complex)
-    records = []
 
     g_m, g1_m, g2_m = as_matrix(g), as_matrix(g1), as_matrix(g2)
     g_inv = np.linalg.inv(g_m)
@@ -166,7 +158,6 @@ def compensator_relations_check(action: BundleAction, gauge: GaugeGroup,
         alpha, action.fiber_matrix(g_inv) @ f)
     beta = _gauge_parameter(gauge, X, conj_point, f, lhs30)
     res28 = float(np.linalg.norm(gauge.base_rows(beta, X) - conj_point))
-    records.append(GaugeRecord("28", res28, (beta,)))
 
     # (29): gamma carries the one-step image to the two-step one
     two_step = action.base_points(g1_m, action.base_points(g2_m, X))
@@ -175,16 +166,12 @@ def compensator_relations_check(action: BundleAction, gauge: GaugeGroup,
     one_step_f = action.fiber_matrix(g1_m @ g2_m) @ f
     gamma = _gauge_parameter(gauge, one_step, two_step, one_step_f, lhs31)
     res29 = float(np.linalg.norm(gauge.base_rows(gamma, one_step) - two_step))
-    records.append(GaugeRecord("29", res29, (gamma,)))
 
-    # (30): fiber conjugation against V_beta
+    # (30) and (31): fiber conjugation against V_beta, composition against V_gamma
     res30 = float(np.linalg.norm(lhs30 - gauge.fiber_apply(beta, f)))
-    records.append(GaugeRecord("30", res30, (beta,)))
-
-    # (31): fiber composition against V_gamma
     res31 = float(np.linalg.norm(lhs31 - gauge.fiber_apply(gamma, one_step_f)))
-    records.append(GaugeRecord("31", res31, (gamma,)))
-    return records
+    return {"28": (res28, beta), "29": (res29, gamma),
+            "30": (res30, beta), "31": (res31, gamma)}
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +226,6 @@ class GaugeBundle:
         found = first[inverse.reshape(-1)[len(self._keys):]]
         return np.where(found < len(self._keys), found, -1)
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros((self.theta_nodes, self.gauge_indices.size, self.dim),
-                        dtype=complex)
-
     def norm(self, values: np.ndarray) -> float:
         return float(np.max(np.linalg.norm(values, axis=-1)))
 
@@ -268,7 +251,8 @@ class GaugeBundle:
             raise ConsistencyError(
                 "gauge stabilizes base points but rotates fibers: only the "
                 "zero section is invariant")
-        out = self.zeros()
+        out = np.zeros((self.theta_nodes, self.gauge_indices.size, self.dim),
+                       dtype=complex)
         for j_pos, j in enumerate(self.gauge_indices):
             phase = self.gauge.fiber_phase(j * self.gauge_step)
             out[:, j_pos, :] = phase * fundamental
@@ -287,20 +271,17 @@ class GaugeBundle:
                 worst = max(worst, float(np.max(np.linalg.norm(lhs - rhs, axis=-1))))
         return worst
 
-    def require_invariant(self, values: np.ndarray) -> None:
-        res = self.invariance_residual(values)
-        if res > 1e-8:
-            raise PreconditionError(
-                f"section violates gauge invariance (residual {res:.3e})")
-
     # -- the quotient left regular action -----------------------------------
 
     def gauge_transform(self, m_steps: int, values: np.ndarray) -> np.ndarray:
         """Left regular transform by the circle element of index ``m_steps``
-        on gauge-invariant sections, applied through the lifted flow.
-        Sources off the gauge window are completed through the invariance
-        condition."""
-        self.require_invariant(values)
+        on gauge-invariant sections (PreconditionError on others), applied
+        through the lifted flow.  Sources off the gauge window are completed
+        through the invariance condition."""
+        res = self.invariance_residual(values)
+        if res > 1e-8:
+            raise PreconditionError(
+                f"section violates gauge invariance (residual {res:.3e})")
         theta = m_steps * self.theta_step
         # the unwrapped parameter: a full turn contributes the anomaly phase
         U = self.family.directions[0].unitary(theta)
@@ -331,10 +312,10 @@ def equivalence_relation_residuals(gauge: GaugeGroup, z: tuple,
     a1, a2 = alphas
     z1 = (gauge.base_rows(a1, X), gauge.fiber_apply(a1, f))
     z2 = (gauge.base_rows(a1 + a2, X), gauge.fiber_apply(a1 + a2, f))
-    _, _, r_reflexive = gauge_equivalent(gauge, z, z)
-    ok_fwd, alpha_fwd, r_fwd = gauge_equivalent(gauge, z, z1)
-    ok_bwd, alpha_bwd, r_bwd = gauge_equivalent(gauge, z1, z)
-    _, _, r_trans = gauge_equivalent(gauge, z, z2)
+    _, r_reflexive = gauge_equivalent(gauge, z, z)
+    alpha_fwd, r_fwd = gauge_equivalent(gauge, z, z1)
+    alpha_bwd, r_bwd = gauge_equivalent(gauge, z1, z)
+    _, r_trans = gauge_equivalent(gauge, z, z2)
     return {
         "reflexive": r_reflexive,
         "symmetric": max(r_fwd, r_bwd, abs(alpha_fwd + alpha_bwd)),

@@ -30,7 +30,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Optional
 
 import numpy as np
 
@@ -237,7 +236,7 @@ def _table_scope():
 @_table_scope()
 def identity_suite(A: AlgebraElement, B: AlgebraElement, alpha: BaseFunction,
                    psi: Section, HA: Section, HA2: Section, action: BundleAction,
-                   tau: float, conjugator: Optional[GroupElement] = None) -> dict:
+                   tau: float, conjugator: GroupElement) -> dict:
     """Residuals of the generator identities at fd step ``tau`` (name ->
     float), given ``HA`` and ``HA2`` = H(A) psi applied at ``tau`` and at
     2 ``tau`` (the caller's fd order reads both); H(B) psi is applied once,
@@ -247,8 +246,7 @@ def identity_suite(A: AlgebraElement, B: AlgebraElement, alpha: BaseFunction,
                      2 ``HA2`` to the bit, so the second term is twice the
                      fd difference the caller's order reads and cannot see
                      a linearity defect
-    conjugation      U_h H(A) U_{h^-1} = H(h A h^-1)  (h = ``conjugator``,
-                     present only when one is given)
+    conjugation      U_h H(A) U_{h^-1} = H(h A h^-1)  (h = ``conjugator``)
     commutator       [H(A), H(B)] = i H([A; B])
     multiplication   i [H(A), v[alpha]] = v[d[A] alpha]
     pairing          -i d[A]<psi, psi> = <psi, H(A) psi> - <H(A) psi, psi>
@@ -271,14 +269,13 @@ def identity_suite(A: AlgebraElement, B: AlgebraElement, alpha: BaseFunction,
 
     HB = H(B, psi)
     out = {"linearity": max((H(A + B, psi) - (HA + HB)).norm, (2.0 * HA2 - 2.0 * HA).norm)}
-    if conjugator is not None:
-        inner = transform(np.linalg.inv(conjugator.matrix), psi.live_field)
-        lhs = Section.from_field(sampling, transform(
-            conjugator, generator_field(A, inner, transform, tau)))
-        hAh = A.group.algebra(adjoint(conjugator, A).coords)
-        # h A h^-1 = A to the bit when h commutes with A: reuse H(A) psi
-        same = hAh.coords.tobytes() == A.coords.tobytes()
-        out["conjugation"] = (lhs - (HA if same else H(hAh, psi))).norm
+    inner = transform(np.linalg.inv(conjugator.matrix), psi.live_field)
+    lhs = Section.from_field(sampling, transform(
+        conjugator, generator_field(A, inner, transform, tau)))
+    hAh = A.group.algebra(adjoint(conjugator, A).coords)
+    # h A h^-1 = A to the bit when h commutes with A: reuse H(A) psi
+    same = hAh.coords.tobytes() == A.coords.tobytes()
+    out["conjugation"] = (lhs - (HA if same else H(hAh, psi))).norm
     out["commutator"] = ((H(A, HB) - H(B, HA)) - 1j * H(bracket(A, B), psi)).norm
     lhs = 1j * (H(A, multiply(alpha, psi)) - multiply(alpha, HA))
     dalpha = base_derivative(

@@ -18,7 +18,6 @@ quantify how faithfully the reconstruction matches the original action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
@@ -40,7 +39,6 @@ __all__ = [
     "word_identity_check",
     "conjugation_check",
     "group_law_verify",
-    "GroupLawReport",
 ]
 
 
@@ -201,18 +199,12 @@ def conjugation_check(family: GeneratorFamily, k: int, t: float,
     return (lhs - rhs).norm
 
 
-@dataclass(frozen=True)
-class GroupLawReport:
-    composition_residual: float
-    generator_residual: float
-
-
 def group_law_verify(family: GeneratorFamily, g1, g2, psi: Section,
-                     tau: float) -> GroupLawReport:
-    """Composition residual of the reconstructed operators together with the
-    closure of their derivative: the fd generator at step ``tau`` of the
-    reconstructed action per basis direction against the family's split
-    form, relative to its size."""
+                     tau: float) -> tuple:
+    """``(composition, closure)``: the composition residual of the
+    reconstructed operators, and the worst, over basis directions, of the fd
+    generator at step ``tau`` of the reconstructed action against the
+    family's split form, relative to its size."""
     m1, m2 = as_matrix(g1), as_matrix(g2)
     two_step = reconstruct_group_operator(
         family, m1, reconstruct_group_operator(family, m2, psi))
@@ -226,4 +218,4 @@ def group_law_verify(family: GeneratorFamily, g1, g2, psi: Section,
         direct = family_generator_direct(family, A, psi, tau)
         scale = max(direct.norm, 1e-12)
         worst = max(worst, (fd - direct).norm / scale)
-    return GroupLawReport(comp, worst)
+    return comp, worst

@@ -10,7 +10,8 @@ against the table; ``_validate`` then applies the few rules that tie fields
 together or cap them (the fiber truncation, lattice axes per group coordinate
 and their reach, an action's group, the spectrum modes within the fiber, the
 unit frequency that the oscillator action and the spectrum oracle assume, a
-``dynamics.t_final`` of at least one step, the law-time step grid, an
+``dynamics.t_final`` of at least one step, a ``numerics.dt`` of at most the
+ansatz checks' time 1 when they run, the law-time step grid, an
 ``eps_list`` of at least two strictly decreasing values when one is given,
 what each suite needs under its action).  A ``Scenario`` keeps its
 sub-configs as given, and ``Scenario.setting`` reads each default from the
@@ -426,6 +427,11 @@ def _validate(cfg, origin: str) -> Scenario:
         # the flows refuse a step beyond the window by the same margin
         if scn.setting("dynamics.t_final") * (1 + 1e-12) < scn.dt:
             raise ConfigError(f"{origin}: dynamics.t_final is below numerics.dt {scn.dt}")
+        # the ansatz checks of a quadratic Hamiltonian flow to time 1 at numerics.dt
+        if (scn.setting("dynamics.eps_control") and scn.hamiltonian["kind"] == "quadratic"
+                and 1 + 1e-12 < scn.dt):
+            raise ConfigError(f"{origin}: dynamics.eps_control needs numerics.dt <= 1, "
+                              f"got {scn.dt}")
     grid = scn.setting("numerics.grid")
     if not grid["lo"] < grid["hi"]:
         raise ConfigError(f"{origin}: numerics.grid needs lo < hi, got {grid!r}")

@@ -12,7 +12,7 @@ import scipy.linalg
 
 from scbundle import dynamics
 from scbundle.dynamics import (
-    HamiltonianSpec, ansatz_error, ansatz_errors,
+    HamiltonianSpec, ansatz_errors,
     ansatz_wavefunction, classical_flow, classical_flows, cubic_perturbed_spec,
     evolution_automorphism, fluctuation_propagator, fluctuation_propagators,
     gaussian_packet, l2_distance, linear_flow, quadratic_hamiltonian_spec, reference_schrodinger,
@@ -581,22 +581,22 @@ def test_reference_requires_separable_form():
 
 def test_ansatz_error_zero_time():
     xs = np.linspace(-14, 14, 4096)
-    err = ansatz_error(OSC, np.array([0.0, 0.0, 1.0]), ground_state(),
-                       0.05, 0.0, xs, dt=1e-3)
+    err, = ansatz_errors(OSC, np.array([0.0, 0.0, 1.0]), ground_state(),
+                         [0.05], 0.0, xs, dt=1e-3)
     assert err <= 1e-10
 
 
 def test_ansatz_exact_for_quadratic_hamiltonian():
     xs = np.linspace(-16, 16, 8192)
-    err = ansatz_error(OSC, np.array([0.0, 0.0, 1.0]), ground_state(),
-                       0.04, 1.0, xs, dt=1e-3)
+    err, = ansatz_errors(OSC, np.array([0.0, 0.0, 1.0]), ground_state(),
+                         [0.04], 1.0, xs, dt=1e-3)
     assert err <= 1e-10
 
 
 def test_ansatz_error_decreases_with_eps_for_cubic():
     xs = np.linspace(-16, 16, 8192)
-    errs = [ansatz_error(CUBIC, np.array([0.0, 0.0, 1.0]), ground_state(),
-                         eps, 1.0, xs, dt=1e-3) for eps in (0.08, 0.04)]
+    errs = [ansatz_errors(CUBIC, np.array([0.0, 0.0, 1.0]), ground_state(),
+                          [eps], 1.0, xs, dt=1e-3)[0] for eps in (0.08, 0.04)]
     assert errs[1] < errs[0]
 
 
@@ -605,7 +605,7 @@ def test_ansatz_errors_equal_single_eps_errors():
     X0 = np.array([0.0, 0.0, 1.0])
     eps = [0.08, 0.04, 0.02]
     errors = ansatz_errors(CUBIC, X0, ground_state(), eps, 0.05, xs, dt=1e-3)
-    assert errors == [ansatz_error(CUBIC, X0, ground_state(), e, 0.05, xs, dt=1e-3)
+    assert errors == [ansatz_errors(CUBIC, X0, ground_state(), [e], 0.05, xs, dt=1e-3)[0]
                       for e in eps]
 
 
@@ -718,8 +718,8 @@ def test_exact_gaussian_matches_nonseparable_ansatz():
     xs = np.linspace(-16, 16, 8192)
     X0 = np.array([0.0, 0.0, 1.0])
     for T in (0.5, -0.5):
-        assert ansatz_error(NONSEPARABLE, X0, ground_state(40), 0.04, T, xs,
-                            dt=1e-3) <= 1e-10
+        err, = ansatz_errors(NONSEPARABLE, X0, ground_state(40), [0.04], T, xs, dt=1e-3)
+        assert err <= 1e-10
 
 
 def test_exact_gaussian_input_validation():

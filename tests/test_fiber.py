@@ -99,7 +99,7 @@ def test_padded_ladder_matrices_are_built_once_and_read_only():
     caller may write to them."""
     x, p = _padded_ops(12)
     assert _padded_ops(12)[0] is x and x.shape == p.shape == (14, 14)
-    for matrix in (x, p, _padded_ops(12, pad=1)[0]):
+    for matrix in (x, p, momentum_operator(12)):
         with pytest.raises(ValueError):
             matrix[0, 0] = 1.0
     H = quadratic_hamiltonian(1.0, 0.0, 1.0, 12)

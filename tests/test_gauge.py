@@ -28,24 +28,22 @@ def random_fiber(seed=0, normalize=True):
 
 def test_equivalent_to_itself():
     f = random_fiber()
-    ok, alpha, res = gauge_equivalent(u1_phase_gauge(), (ANCHOR, f), (ANCHOR, f))
-    assert ok and abs(alpha) <= 1e-12 and res <= 1e-12
+    alpha, res = gauge_equivalent(u1_phase_gauge(), (ANCHOR, f), (ANCHOR, f))
+    assert abs(alpha) <= 1e-12 and res <= 1e-12
 
 
 def test_u1_orbit_point_recovers_phase():
     f = random_fiber()
     theta = 1.234
     z2 = (ANCHOR, np.exp(1j * theta) * f)
-    ok, alpha, res = gauge_equivalent(u1_phase_gauge(), (ANCHOR, f), z2)
-    assert ok
+    alpha, res = gauge_equivalent(u1_phase_gauge(), (ANCHOR, f), z2)
     assert abs(alpha - theta) <= 1e-12
     assert res <= 1e-12
 
 
 def test_generic_points_not_equivalent():
     f1, f2 = random_fiber(1), random_fiber(2)
-    ok, _, res = gauge_equivalent(u1_phase_gauge(), (ANCHOR, f1), (ANCHOR, f2))
-    assert not ok
+    _, res = gauge_equivalent(u1_phase_gauge(), (ANCHOR, f1), (ANCHOR, f2))
     assert res > 0.1
 
 
@@ -69,8 +67,8 @@ def test_equivariance_of_images():
     g = gexp(J, 1.3)
     im1 = (action.base_points(g, z1[0]), action.fiber_matrix(g) @ z1[1])
     im2 = (action.base_points(g, z2[0]), action.fiber_matrix(g) @ z2[1])
-    ok, _, res = gauge_equivalent(gauge, im1, im2)
-    assert ok and res <= 1e-6
+    _, res = gauge_equivalent(gauge, im1, im2)
+    assert res <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +90,10 @@ def test_compensators_trivial_for_honest_action():
     recs = compensator_relations_check(
         action, u1_phase_gauge(), gexp(J, 1.1), gexp(J, 2.0), gexp(J, 2.5),
         0.0, ANCHOR, f)
-    for r in recs:
-        assert r.residual <= 1e-10
-        assert abs(r.compensator_parameters[0]) % (2 * np.pi) == pytest.approx(
-            0.0, abs=1e-8)
+    assert list(recs) == ["28", "29", "30", "31"]
+    for res, compensator in recs.values():
+        assert res <= 1e-10
+        assert abs(compensator) % (2 * np.pi) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_compensators_metaplectic_pure_phase_gauge():
@@ -103,11 +101,10 @@ def test_compensators_metaplectic_pure_phase_gauge():
     f = random_fiber(7)
     recs = compensator_relations_check(action, u1_phase_gauge(), g, g1, g2,
                                        0.7, ANCHOR, f)
-    by_rel = {r.relation: r for r in recs}
-    assert all(r.residual <= 1e-6 for r in recs)
+    assert all(res <= 1e-6 for res, _ in recs.values())
     # the composing pair wraps the circle: the compensator is the anomaly
     # phase pi from the half-integer spectrum
-    gamma = by_rel["31"].compensator_parameters[0]
+    _, gamma = recs["31"]
     assert abs(abs(gamma) - np.pi) <= 1e-8
 
 
@@ -116,10 +113,9 @@ def test_compensators_metaplectic_combined_gauge():
     f = random_fiber(8)
     recs = compensator_relations_check(action, phase_shift_gauge(), g, g1, g2,
                                        0.7, ANCHOR, f)
-    by_rel = {r.relation: r for r in recs}
-    assert all(r.residual <= 1e-6 for r in recs)
+    assert all(res <= 1e-6 for res, _ in recs.values())
     # base bookkeeping resolves the same anomaly through the action shift
-    gamma = by_rel["29"].compensator_parameters[0]
+    _, gamma = recs["29"]
     assert abs(abs(gamma) - np.pi) <= 1e-8
 
 
@@ -134,7 +130,7 @@ def test_weaker_condition_demonstration():
     recs = compensator_relations_check(
         action, u1_phase_gauge(), gexp(J, 1.0), gexp(J, np.pi), gexp(J, np.pi),
         0.3, ANCHOR, f)
-    assert all(r.residual <= 1e-6 for r in recs)
+    assert all(res <= 1e-6 for res, _ in recs.values())
 
 
 # ---------------------------------------------------------------------------

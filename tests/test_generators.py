@@ -472,8 +472,8 @@ def test_identity_suite_abelian_commutator_vanishes():
     G = action.group
     A, B = G.algebra([1.0, 0.0]), G.algebra([0.0, 1.0])
     res = identity_suite(A, B, smooth_alpha(), psi, generator_apply(A, psi, action, 1e-3),
-                         generator_apply(A, psi, action, 2e-3), action, 1e-3)
-    assert "conjugation" not in res
+                         generator_apply(A, psi, action, 2e-3), action, 1e-3,
+                         conjugator=G.element(G.compose_exps([H, H])))
     assert res["commutator"] <= 1e-4
 
 
@@ -483,6 +483,7 @@ def test_identity_suite_constant_alpha_vanishes(weyl, smoothed):
     A, B = G.algebra([1.0, 0.0, 0.0]), G.algebra([0.0, 1.0, 0.0])
     const = BaseFunction(batch=lambda rows: np.full(rows.shape[0], 1.5 + 0j))
     res = identity_suite(A, B, const, smoothed, generator_apply(A, smoothed, action, 1e-3),
-                         generator_apply(A, smoothed, action, 2e-3), action, 1e-3)
+                         generator_apply(A, smoothed, action, 2e-3), action, 1e-3,
+                         conjugator=G.element(G.compose_exps([H, H, 0.0])))
     assert res["multiplication"] <= 1e-6
 

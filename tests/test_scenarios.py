@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scbundle.errors import ConfigError
 from scbundle.scenarios import (_ACTION_BUILDERS, _COORDINATE_REACH, _REQUIRED, _SCHEMA,
                                 _validate, catalog_names, load_scenario)
+from scbundle.verify import run_verify
 
 LATTICE = [{"kind": "line", "spacing": 0.15, "lo": -4, "hi": 4},
            {"kind": "line", "spacing": 0.15, "lo": -4, "hi": 4},
@@ -50,6 +51,13 @@ OSCILLATOR = [(("group_id",), "real_line"), (("action",), "oscillator"),
               (("generator_lattice",), None), (("kernel_radius",), [0.12]),
               (("probes", "sigma"), [0.5]), (("probes", "radius"), [1.2]),
               (("suites",), ["lie", "dynamics", "sections", "generators", "reconstruction"])]
+
+# edits of BASE into a valid config whose dynamics suite runs the ansatz
+# checks of a quadratic Hamiltonian, which flow to time 1 at numerics.dt
+ANSATZ_AT_DT = [(("hamiltonian",), {"kind": "quadratic", "omega2": 1.0}),
+                (("dynamics",), {"t_final": 4.0, "law_times": [], "eps_control": 0.05}),
+                (("numerics", "grid"), {"lo": -16.0, "hi": 16.0, "points": 1024}),
+                (("suites",), ["dynamics"])]
 
 # each case: (path into the config, new value or DELETE) edits of BASE
 MALFORMED = {
@@ -223,6 +231,10 @@ MALFORMED = {
     # dynamics_suite_error (InputError: dt exceeds the integration window)
     "t-final-below-dt": [(("dynamics", "t_final"), 1e-4), (("dynamics", "spectrum_modes"), 0),
                          (("suites",), ["dynamics"])],
+    # this loaded, and its dynamics suite then ended in one
+    # dynamics_suite_error (InputError: the ansatz checks' flow to time 1
+    # is shorter than one step)
+    "eps-control-dt-above-one": ANSATZ_AT_DT + [(("numerics", "dt"), 2.0)],
 }
 
 
@@ -285,6 +297,16 @@ def test_dynamics_at_unit_frequency_and_one_step_loads(tmp_path):
     scn = load_scenario(str(path))
     assert scn.setting("dynamics.spectrum_modes") == 4
     assert scn.setting("dynamics.t_final") == scn.dt == 0.001
+
+
+def test_eps_control_at_dt_one_runs(tmp_path):
+    """The eps-control case above fails for its own edit: at a step of
+    exactly 1 the ansatz checks load and run."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_edit(ANSATZ_AT_DT + [(("numerics", "dt"), 1.0)])))
+    ids = [r.check_id for r in run_verify(load_scenario(str(path))).records]
+    assert "ansatz_exact_quadratic" in ids and "ansatz_zero_time" in ids
+    assert not any(i.endswith("_suite_error") for i in ids)
 
 
 def test_catalog_configs_load():

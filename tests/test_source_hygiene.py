@@ -597,7 +597,7 @@ def test_write_only_field_pattern_is_recognised():
 
 def test_no_write_only_fields():
     """Every stored field has a reader; ``BaseFunction.fn`` waits for
-    ``perfbench/test_perfbench.py`` to stop passing it (ROADMAP item 10)."""
+    ``perfbench/test_perfbench.py`` to stop passing it (ROADMAP item 9)."""
     package = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     bench = [ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))]
     assert _write_only_fields(package, package + bench) == ["BaseFunction.fn"]
