@@ -13,9 +13,11 @@ unit frequency that the oscillator action and the spectrum oracle assume, a
 ``dynamics.t_final`` of at least one step, a ``numerics.dt`` of at most the
 ansatz checks' time 1 when they run, the law-time step grid, an
 ``eps_list`` of at least two strictly decreasing values when one is given,
-what each suite needs under its action).  A ``Scenario`` keeps its
-sub-configs as given, and ``Scenario.setting`` reads each default from the
-table when asked, so a resized copy (``dataclasses.replace``) keeps them.
+what each suite needs under its action, the metaplectic action under the
+gauge suite, an so2 action's anchor off the rotation centre).  A
+``Scenario`` keeps its sub-configs as given, and ``Scenario.setting`` reads
+each default from the table when asked, so a resized copy
+(``dataclasses.replace``) keeps them.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .actions import (heisenberg_weyl_action, metaplectic_action, oscillator_act
                       so2_rotor_action, translations_r2_action)
 from .dynamics import cubic_perturbed_spec, quadratic_hamiltonian_spec, step_counts
 from .errors import ConfigError, InputError
-from .gauge import GaugeBundle, phase_shift_gauge, u1_phase_gauge
 from .groups import builtin_group_ids, get_group
 from .sections import LatticeAxis, OrbitSampling
 
@@ -49,11 +50,6 @@ _ACTION_BUILDERS = {
     "translations-r2": (translations_r2_action, "translations_r2"),
     "so2-rotor": (so2_rotor_action, "so2"),
     "metaplectic": (metaplectic_action, "so2"),
-}
-
-_GAUGE_BUILDERS = {
-    "u1_phase": u1_phase_gauge,
-    "phase_shift": phase_shift_gauge,
 }
 
 # each Hamiltonian kind's builder, called with omega2 and cubic
@@ -73,7 +69,7 @@ _SUITES = {
     "sections": (("action", "lattice"), ("radius", "sigma")),
     "generators": (("action", "lattice"), ("sigma",)),
     "reconstruction": (("action", "lattice"), ("sigma",)),
-    "gauge": (("action", "lattice", "gauge_id"), ("radius",)),
+    "gauge": (("action", "lattice"), ("radius",)),
 }
 
 # the fields a suite needs beyond _SUITES under one action: the
@@ -86,6 +82,12 @@ _REQUIRED = object()
 # which hold coordinates up to about 9.2e9: an anchor coordinate and a line
 # axis's reach stay well inside
 _COORDINATE_REACH = 1e9
+
+# an so2 action's orbit is a circle about P = Q = 0 through the anchor, and
+# orbit states are keyed at 1e-9: so2-rotor's 48-point orbit loses samples
+# to shared keys at radius 3e-9 (sections_suite_error) and keeps them from
+# 1e-8, so this floor on the radius leaves a hundredfold margin
+_MIN_ORBIT_RADIUS = 1e-6
 
 # every fiber operator is a dense complex (n_cut, n_cut) array, and a flow
 # diagonalises one per step at O(n_cut^3); 256 (1 MiB a matrix) is 8 times
@@ -114,14 +116,11 @@ _SCHEMA = {
     "name": ("string", None, _REQUIRED),
     "group_id": (builtin_group_ids(), None, _REQUIRED),
     "action": (_ACTION_BUILDERS, None, None),
-    "gauge_id": (_GAUGE_BUILDERS, None, None),
     "hamiltonian": ("mapping", None, None),
     "hamiltonian.kind": (_HAMILTONIANS, None, _REQUIRED),
     "hamiltonian.omega2": ("number", None, 1.0),
     "hamiltonian.cubic": ("number", None, 0.1),
     "fiber": ("mapping", None, _REQUIRED),
-    # the fiber has one fluctuation variable; the row keeps configs that say so
-    "fiber.n": ((1,), None, 1),
     "fiber.n_cut": ("integer", 4, _REQUIRED),
     "anchor": ("mapping", None, {"S": 0.0, "P": [0.0], "Q": [1.0]}),
     "anchor.S": ("coordinate", None, _REQUIRED),
@@ -149,17 +148,12 @@ _SCHEMA = {
     "probes.radius": ("sizes", None, None),
     "suites": ("list", None, []),
     "suites[]": (_SUITES, None, _REQUIRED),
-    "strict_group_law": ("bool", None, False),
     "dynamics": ("mapping", None, {}),
     "dynamics.t_final": ("number", 0, 1.0),
     "dynamics.law_times": ("list", None, []),
     "dynamics.law_times[]": ("number", 0, _REQUIRED),
     "dynamics.eps_control": ("number", 0, None),
     "dynamics.spectrum_modes": ("integer", 0, 0),
-    "gauge": ("mapping", None, {}),
-    "gauge.theta_nodes": ("integer", 2, 48),
-    "gauge.gauge_window": ("integer", 1, 10),
-    "gauge.gauge_step_divisor": ("integer", 1, 8),
     "eps_list": ("list", None, []),
     "eps_list[]": ("number", 0, _REQUIRED),
 }
@@ -168,12 +162,13 @@ _SCHEMA = {
 @dataclass(eq=False)
 class Scenario:
     """Validated scenario configuration, compared by identity (its anchor is
-    an array, which has no single truth value under ``==``)."""
+    an array, which has no single truth value under ``==``).  The fiber has
+    one fluctuation variable, truncated at ``fiber_dim``; the gauge suite's
+    gauge and gauge lattice are fixed in :mod:`.verify`, not configured."""
 
     name: str
     group_id: str
     action_name: Optional[str]
-    gauge_id: Optional[str]
     hamiltonian: Optional[dict]
     fiber_dim: int
     anchor: np.ndarray
@@ -183,17 +178,14 @@ class Scenario:
     probes: dict
     kernel_radius: Optional[list]
     suites: list
-    strict_group_law: bool
     dynamics: dict
-    gauge_cfg: dict
     eps_list: list
 
     def setting(self, path: str):
         """The sub-config value at ``path`` (``"dynamics.t_final"``), or
         its default from the schema."""
         section, key = path.split(".")
-        given = self.gauge_cfg if section == "gauge" else getattr(self, section)
-        return given.get(key, _SCHEMA[path][2])
+        return getattr(self, section).get(key, _SCHEMA[path][2])
 
     @property
     def seed(self) -> int:
@@ -233,18 +225,11 @@ class Scenario:
 
     # -- runtime objects ----------------------------------------------------
 
-    def build_action(self, drift: bool = False):
+    def build_action(self):
         if self.action_name is None:
             raise ConfigError(f"scenario {self.name!r} declares no bundle action")
         builder, _ = _ACTION_BUILDERS[self.action_name]
-        if self.action_name == "metaplectic":
-            return builder(self.fiber_dim, drift=drift)
         return builder(self.fiber_dim)
-
-    def build_gauge(self):
-        if self.gauge_id is None:
-            raise ConfigError(f"scenario {self.name!r} declares no gauge group")
-        return _GAUGE_BUILDERS[self.gauge_id]()
 
     def _axes(self, spec_list) -> list:
         axes = []
@@ -267,15 +252,6 @@ class Scenario:
             raise ConfigError(f"scenario {self.name!r} declares no Hamiltonian")
         return _HAMILTONIANS[self.hamiltonian["kind"]](
             float(self.setting("hamiltonian.omega2")), float(self.setting("hamiltonian.cubic")))
-
-    def build_gauge_bundle(self, family, gauge) -> GaugeBundle:
-        """The enlarged orbit of ``family`` and ``gauge`` through the
-        anchor, at the scenario's gauge lattice."""
-        return GaugeBundle(
-            family, gauge, self.anchor,
-            theta_nodes=self.setting("gauge.theta_nodes"),
-            gauge_step=np.pi / self.setting("gauge.gauge_step_divisor"),
-            gauge_window=self.setting("gauge.gauge_window"))
 
 
 def _fields(path: str) -> dict:
@@ -352,7 +328,6 @@ def _validate(cfg, origin: str) -> Scenario:
         name=given["name"],
         group_id=given["group_id"],
         action_name=given["action"],
-        gauge_id=given["gauge_id"],
         hamiltonian=given["hamiltonian"],
         fiber_dim=given["fiber"]["n_cut"],
         anchor=anchor,
@@ -362,9 +337,7 @@ def _validate(cfg, origin: str) -> Scenario:
         probes=dict(given["probes"]),
         kernel_radius=given["kernel_radius"],
         suites=list(given["suites"]),
-        strict_group_law=given["strict_group_law"],
         dynamics=dict(given["dynamics"]),
-        gauge_cfg=dict(given["gauge"]),
         eps_list=[float(eps) for eps in given["eps_list"]],
     )
 
@@ -410,6 +383,16 @@ def _validate(cfg, origin: str) -> Scenario:
         if probe_sizes and scn.probe_size(suite) is None:
             raise ConfigError(f"{origin}: suite {suite!r} needs probes."
                               f"{' or '.join(probe_sizes)}")
+    # the phase-shift gauge resolves the anomaly of the metaplectic circle
+    # action alone, and the gauge bundle is an orbit of one rotation
+    if "gauge" in scn.suites and scn.action_name != "metaplectic":
+        raise ConfigError(f"{origin}: suite 'gauge' needs the metaplectic action, "
+                          f"got {scn.action_name!r}")
+    if (scn.action_name is not None and _ACTION_BUILDERS[scn.action_name][1] == "so2"
+            and np.hypot(scn.anchor[1], scn.anchor[2]) < _MIN_ORBIT_RADIUS):
+        raise ConfigError(f"{origin}: action {scn.action_name!r} needs an anchor at least "
+                          f"{_MIN_ORBIT_RADIUS:g} from the rotation centre P = Q = 0, "
+                          f"got P {scn.anchor[1]:g}, Q {scn.anchor[2]:g}")
     if scn.setting("dynamics.spectrum_modes") > scn.fiber_dim:
         raise ConfigError(f"{origin}: dynamics.spectrum_modes exceeds the fiber "
                           f"dimension {scn.fiber_dim}")

@@ -622,7 +622,8 @@ def _probe_section(sampling: OrbitSampling, rng: np.random.Generator,
     low-mode fiber profile with smooth coordinate dependence.  The envelope
     is a C-infinity bump of per-axis radius ``size``, or, when ``gentle``, a
     Gaussian of per-axis width ``size`` under a bump of radius 4 ``size``;
-    either reads the scaled square radius of t at ``size`` once.
+    either reads the scaled square radius of t at ``size`` once.  Raises
+    InputError unless every size is finite and positive.
     Carries an exact batch field.  The profile lives on the first
     ``min(max_degree + 1, d)`` fiber modes, the section's ``modes``: its
     ``live_field`` computes only those columns, and only the block (and the
@@ -632,6 +633,8 @@ def _probe_section(sampling: OrbitSampling, rng: np.random.Generator,
     group = sampling.action.group
     dim = sampling.fiber_dim
     size = np.asarray(size, dtype=float)
+    if not (size.size and np.all(size > 0.0) and np.all(np.isfinite(size))):
+        raise InputError(f"probe size {size} is not finite and positive")
     modes = min(max_degree + 1, dim)
 
     def draw_vec():

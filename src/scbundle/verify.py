@@ -20,13 +20,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import groups
+from .actions import metaplectic_action
 from .dynamics import (ansatz_errors, classical_flows,
                        evolution_automorphism, fluctuation_propagator,
                        fluctuation_propagators, linear_flow, step_counts)
 from .errors import PreconditionError
 from .fiber import unitarity_residual
-from .gauge import (compensator_relations_check, equivalence_relation_residuals,
-                    gauge_equivalent, u1_phase_gauge)
+from .gauge import (GaugeBundle, compensator_relations_check,
+                    equivalence_relation_residuals, gauge_equivalent,
+                    phase_shift_gauge, u1_phase_gauge)
 from .generators import (SmoothingKernel, base_derivative, garding_smooth,
                          generator_apply, identity_suite, lattice_kernel,
                          pairing_residual)
@@ -536,8 +538,10 @@ def reconstruction_checks(scn: Scenario, action, family, rng) -> list:
 # ---------------------------------------------------------------------------
 
 def gauge_checks(scn: Scenario, strict_action, strict_family, rng) -> list:
-    """The gauge suite on the scenario's drift-free realization
-    (``strict_action``, ``strict_family``) and on its drifted one."""
+    """The gauge suite on the drift-free metaplectic realization
+    (``strict_action``, ``strict_family``) and on its drifted one, under the
+    phase-shift gauge; the gauge bundle samples 48 rotation nodes by 21
+    gauge nodes of step pi/8."""
     dim = scn.fiber_dim
     records = []
     so2 = groups.get_group("so2")
@@ -545,13 +549,10 @@ def gauge_checks(scn: Scenario, strict_action, strict_family, rng) -> list:
     f = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     f /= np.linalg.norm(f)
 
-    if scn.strict_group_law:
-        U_half = strict_action.fiber_matrix(group_exp(J, np.pi))
-        strict = float(np.linalg.norm(U_half @ (U_half @ f) - f))
-        records.append(CheckRecord("strict_composition_law", "Eq. (5)",
-                                   strict, 1e-6))
-        records.append(CheckRecord("anomaly_magnitude", "Eq. (5)",
-                                   abs(strict - 2.0), 1e-3))
+    U_half = strict_action.fiber_matrix(group_exp(J, np.pi))
+    strict = float(np.linalg.norm(U_half @ (U_half @ f) - f))
+    records.append(CheckRecord("strict_composition_law", "Eq. (5)", strict, 1e-6))
+    records.append(CheckRecord("anomaly_magnitude", "Eq. (5)", abs(strict - 2.0), 1e-3))
 
     # the full-period word on normalized probes through the generator family
     sampling = scn.build_sampling(strict_action)
@@ -561,9 +562,9 @@ def gauge_checks(scn: Scenario, strict_action, strict_family, rng) -> list:
     records.append(CheckRecord("word_anomaly_magnitude", "Lemma 4.5",
                                abs(residual - 2.0), 1e-3))
 
-    # compensator relations with the scenario gauge (drifted realization)
-    drift_action, drift_family = scn.build_action(drift=True)
-    gauge = scn.build_gauge()
+    # compensator relations with the phase-shift gauge (drifted realization)
+    drift_action, drift_family = metaplectic_action(dim, drift=True)
+    gauge = phase_shift_gauge()
     recs = compensator_relations_check(
         drift_action, gauge, group_exp(J, 1.1),
         group_exp(J, 1.2 * np.pi), group_exp(J, 0.9 * np.pi),
@@ -596,7 +597,8 @@ def gauge_checks(scn: Scenario, strict_action, strict_family, rng) -> list:
     records.append(CheckRecord("equivariance_of_images", "Definition 1.2",
                                r_equiv, 1e-6))
 
-    bundle = scn.build_gauge_bundle(drift_family, gauge)
+    bundle = GaugeBundle(drift_family, gauge, scn.anchor,
+                         theta_nodes=48, gauge_step=np.pi / 8, gauge_window=10)
     # fundamental values smooth along the circle (low Fourier content), so
     # the continuity surrogate sees genuinely small transforms
     thetas = bundle.theta_step * np.arange(bundle.theta_nodes)

@@ -22,9 +22,8 @@ BASE = {
     "name": "config-test",
     "group_id": "heisenberg",
     "action": "heisenberg-weyl",
-    "gauge_id": "u1_phase",
     "hamiltonian": {"kind": "cubic-perturbed", "omega2": 1.0, "cubic": 0.1},
-    "fiber": {"n": 1, "n_cut": 12},
+    "fiber": {"n_cut": 12},
     "anchor": {"S": 0.0, "P": [0.4], "Q": [-0.2]},
     "lattice": LATTICE,
     "generator_lattice": [dict(axis) for axis in LATTICE],
@@ -34,10 +33,8 @@ BASE = {
     "probes": {"count": 1, "max_degree": 3, "sigma": [0.4, 0.4, 0.35],
                "radius": [0.4, 0.4, 0.35]},
     "suites": ["lie", "sections", "generators", "reconstruction"],
-    "strict_group_law": False,
     "dynamics": {"t_final": 1.0, "law_times": [0.25, 0.5], "eps_control": 0.05,
                  "spectrum_modes": 4},
-    "gauge": {"theta_nodes": 48, "gauge_window": 10, "gauge_step_divisor": 8},
     "eps_list": [0.04, 0.02],
 }
 
@@ -51,6 +48,13 @@ OSCILLATOR = [(("group_id",), "real_line"), (("action",), "oscillator"),
               (("generator_lattice",), None), (("kernel_radius",), [0.12]),
               (("probes", "sigma"), [0.5]), (("probes", "radius"), [1.2]),
               (("suites",), ["lie", "dynamics", "sections", "generators", "reconstruction"])]
+
+# edits of BASE into a valid metaplectic config that runs the gauge suite
+METAPLECTIC = [(("group_id",), "so2"), (("action",), "metaplectic"),
+               (("lattice",), [{"kind": "cycle", "count": 48}]),
+               (("generator_lattice",), None), (("kernel_radius",), [0.3]),
+               (("probes", "sigma"), [0.8]), (("probes", "radius"), [2.5]),
+               (("suites",), ["lie", "gauge"])]
 
 # edits of BASE into a valid config whose dynamics suite runs the ansatz
 # checks of a quadratic Hamiltonian, which flow to time 1 at numerics.dt
@@ -76,8 +80,6 @@ MALFORMED = {
     "anchor-Q-text": [(("anchor", "Q"), ["left"])],
     "n_cut-text": [(("fiber", "n_cut"), "twelve")],
     "n_cut-null": [(("fiber", "n_cut"), None)],
-    "n-text": [(("fiber", "n"), "one")],
-    "n-zero": [(("fiber", "n"), 0)],
     "seed-text": [(("numerics", "seed"), "lucky")],
     "seed-list": [(("numerics", "seed"), [1, 2])],
     "dt-text": [(("numerics", "dt"), "small")],
@@ -85,7 +87,7 @@ MALFORMED = {
     "generators-sigma-missing": [(("probes", "sigma"), DELETE)],
     "sigma-nan": [(("probes", "sigma"), [float("nan")] * 3)],
     "radius-negative": [(("probes", "radius"), -1.0)],
-    "gauge-radius-missing": [(("probes", "radius"), DELETE), (("suites",), ["gauge"])],
+    "gauge-radius-missing": METAPLECTIC + [(("probes", "radius"), DELETE)],
     # each of these loaded before unknown top-level fields were refused
     "unknown-key-group-def": [(("group_def",), {"group_id": "heisenberg"})],
     "unknown-key-kernel-radius-typo": [(("kernel_raduis",), [0.16, 0.16, 0.07])],
@@ -96,7 +98,6 @@ MALFORMED = {
     "probes-number": [(("probes",), 3)],
     "dynamics-number": [(("dynamics",), 3)],
     "numerics-text": [(("numerics",), "fast")],
-    "gauge-list": [(("gauge",), [48])],
     "hamiltonian-number": [(("hamiltonian",), 2)],
     "hamiltonian-kind-unknown": [(("hamiltonian",), {"kind": "quartic"})],
     "hamiltonian-cubic-text": [(("hamiltonian",), {"kind": "cubic-perturbed",
@@ -122,20 +123,31 @@ MALFORMED = {
     "generator-lattice-two-axes": [(("generator_lattice",), BASE["lattice"][:2])],
     "generator-lattice-empty": [(("generator_lattice",), [])],
     "sections-without-lattice": [(("lattice",), [])],
-    "gauge-without-lattice": [(("lattice",), []), (("suites",), ["gauge"])],
+    "gauge-without-lattice": METAPLECTIC + [(("lattice",), [])],
     "kernel-radius-text": [(("kernel_radius",), "wide")],
     "kernel-radius-two-axes": [(("kernel_radius",), [0.16, 0.16])],
     "kernel-radius-zero": [(("kernel_radius",), [0.16, 0.0, 0.07])],
     "radius-two-axes": [(("probes", "radius"), [0.4, 0.4])],
     "sigma-two-axes": [(("probes", "sigma"), [0.4, 0.4])],
     "radius-nested": [(("probes", "radius"), [[0.4, 0.4, 0.35]])],
-    # each of these crashed with TypeError (an unhashable list) or loaded
+    # this crashed with TypeError (an unhashable list)
     "action-list": [(("action",), ["heisenberg-weyl"])],
+    # this loaded, and fiber.n_cut was truncated
+    "n_cut-fraction": [(("fiber", "n_cut"), 12.5)],
+    # each of these sets a retired field (fiber.n, gauge_id,
+    # strict_group_law, the gauge block), now refused as unknown; before, a
+    # list crashed with TypeError, a gauge field failed or was truncated in
+    # run_verify, fiber.n was truncated or read as a number, and a fiber of
+    # two variables made run_verify raise InputError
+    "n-text": [(("fiber", "n"), "one")],
+    "n-zero": [(("fiber", "n"), 0)],
+    "n-bool": [(("fiber", "n"), True)],
+    "n-fraction": [(("fiber", "n"), 1.5)],
+    "n-two": [(("fiber", "n"), 2)],
     "gauge-id-list": [(("gauge_id",), ["u1_phase"])],
     "strict-group-law-text": [(("strict_group_law",), "no")],
     "strict-group-law-integer": [(("strict_group_law",), 1)],
-    # each of these loaded: a gauge field then failed or was truncated in
-    # run_verify, a fiber field was truncated or read as a number
+    "gauge-list": [(("gauge",), [48])],
     "gauge-theta-nodes-text": [(("gauge",), {"theta_nodes": "x"})],
     "gauge-theta-nodes-zero": [(("gauge",), {"theta_nodes": 0})],
     "gauge-theta-nodes-one": [(("gauge",), {"theta_nodes": 1})],
@@ -145,9 +157,6 @@ MALFORMED = {
     "gauge-step-divisor-zero": [(("gauge",), {"gauge_step_divisor": 0})],
     "gauge-step-divisor-text": [(("gauge",), {"gauge_step_divisor": "x"})],
     "gauge-unknown-key": [(("gauge",), {"theta_nodes": 48, "bogus": 1})],
-    "n-bool": [(("fiber", "n"), True)],
-    "n-fraction": [(("fiber", "n"), 1.5)],
-    "n_cut-fraction": [(("fiber", "n_cut"), 12.5)],
     # this loaded, and run_verify then raised a bare ValueError allocating
     # the dense fiber matrices
     "n_cut-beyond-cap": [(("fiber", "n_cut"), 10 ** 20)],
@@ -200,7 +209,19 @@ MALFORMED = {
     # each of these loaded and then ended in one <suite>_suite_error
     "dynamics-without-hamiltonian": [(("hamiltonian",), None), (("suites",), ["dynamics"])],
     "sections-without-action": [(("action",), None)],
-    "gauge-without-gauge-id": [(("gauge_id",), None), (("suites",), ["gauge"])],
+    # the gauge suite under any action but the metaplectic one: a
+    # non-circle group cannot build the one-parameter gauge bundle, and
+    # under so2-rotor anomaly_magnitude and word_anomaly_magnitude fail
+    "gauge-suite-under-heisenberg-action": [(("suites",), ["gauge"])],
+    "gauge-suite-under-so2-rotor-action": METAPLECTIC + [(("action",), "so2-rotor")],
+    # each of these loaded, and an so2 orbit about its centre then ended in
+    # sections_suite_error (AlignmentError) with reconstruction_isometry
+    # failing, or in gauge_suite_error (PreconditionError)
+    "so2-rotor-anchor-near-rotation-centre": METAPLECTIC + [
+        (("action",), "so2-rotor"), (("suites",), ["sections", "reconstruction"]),
+        (("anchor",), {"S": 0.0, "P": [0.0], "Q": [1e-9]})],
+    "metaplectic-anchor-at-rotation-centre": METAPLECTIC + [
+        (("anchor",), {"S": 0.0, "P": [0.0], "Q": [0.0]})],
     # each of these loaded, and then a run of its suites ended in
     # dynamics_suite_error (40 expected phases against the diagonal of the
     # propagator), in reconstruction_suite_error, or in sections_suite_error
@@ -209,10 +230,8 @@ MALFORMED = {
     "oscillator-reconstruction-without-hamiltonian": OSCILLATOR + [
         (("hamiltonian",), None), (("suites",), ["reconstruction"])],
     "lattice-spacing-beyond-reach": [(("lattice", 0, "spacing"), 1e10)],
-    # each of these loaded: a fiber of two variables then made run_verify
-    # raise InputError, an anchor of two degrees of freedom ended in
-    # sections_suite_error
-    "n-two": [(("fiber", "n"), 2)],
+    # each of these loaded, and an anchor of two degrees of freedom then
+    # ended in sections_suite_error
     "anchor-two-degrees-of-freedom": [(("anchor", "P"), [0.0, 0.0]),
                                       (("anchor", "Q"), [1.0, 1.0])],
     "anchor-P-empty": [(("anchor", "P"), [])],
@@ -284,6 +303,21 @@ def test_oscillator_config_loads(tmp_path):
     assert scn.fiber_dim == scn.setting("dynamics.spectrum_modes") == 12
     action, _ = scn.build_action()
     assert len(scn.build_sampling(action)) == 81
+
+
+@pytest.mark.parametrize("edits", [
+    METAPLECTIC,
+    METAPLECTIC + [(("action",), "so2-rotor"), (("suites",), ["sections", "reconstruction"]),
+                   (("anchor",), {"S": 0.0, "P": [-1e-6], "Q": [0.0]})]])
+def test_metaplectic_config_loads(edits, tmp_path):
+    """The metaplectic edits give a valid config, so a malformed case built
+    on them fails for its own edit; an so2 anchor may sit as close to the
+    rotation centre as the floor, where its 48 orbit points stay apart."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_edit(edits)))
+    scn = load_scenario(str(path))
+    action, _ = scn.build_action()
+    assert len(scn.build_sampling(action)) == 48
 
 
 def test_dynamics_at_unit_frequency_and_one_step_loads(tmp_path):

@@ -196,6 +196,9 @@ def test_section_values_beyond_its_modes_are_refused(weyl):
 _PROBE_MODES = {"heisenberg-weyl": (4, 18), "oscillator-evolution": (5, 32),
                 "so2-rotor": (5, 14), "translations-r2": (6, 8),
                 "metaplectic-so2": (6, 14)}
+# each probe takes the generators suite's size, but metaplectic-so2 declares
+# no sigma and takes its gauge suite's radius
+_PROBE_SUITE = {"metaplectic-so2": "gauge"}
 
 
 def test_every_catalog_probe_scenario_is_listed():
@@ -211,7 +214,7 @@ def test_catalog_probes_record_their_live_modes(name):
     action, _ = scn.build_action()
     sampling = scn.build_sampling(action, generator_scale=True)
     probe = gentle_probe_section(sampling, scn.rng(), scn.max_degree,
-                                 scn.probe_size("generators"))
+                                 scn.probe_size(_PROBE_SUITE.get(name, "generators")))
     modes, dim = _PROBE_MODES[name]
     assert (probe.modes, sampling.fiber_dim) == (modes, dim)
     assert probe.modes == min(scn.max_degree + 1, scn.fiber_dim)
@@ -224,6 +227,19 @@ def test_catalog_probes_record_their_live_modes(name):
     outside[probe.rows] = False
     assert np.all(full[outside] == 0.0)
     assert (2.0 * probe).modes == (probe - probe).modes == dim
+
+
+@pytest.mark.parametrize("bad", [None, np.nan, np.inf, 0.0, -0.4],
+                         ids=["none", "nan", "inf", "zero", "negative"])
+def test_probe_size_must_be_finite_and_positive(weyl, bad):
+    """A missing size (a scenario without the field its suite reads) used to
+    give a NaN envelope, a probe that is NaN on every row; every size that
+    is not finite and positive, on any axis, is refused."""
+    _, sampling = weyl
+    for make in (smooth_probe_section, gentle_probe_section):
+        for size in (bad, [0.4, bad, 0.3]):
+            with pytest.raises(InputError, match="finite and positive"):
+                make(sampling, np.random.default_rng(0), 3, size)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 2025])

@@ -29,8 +29,8 @@ and a row path); no ``scipy`` import (each group and the symplectic flow
 give their exponentials in closed form, and scipy is a test-only
 dependency); and no scenario sub-config default
 spelt outside ``scenarios``, whose schema table holds every default (a
-``.get`` on ``dynamics``, ``probes``, ``numerics``, ``hamiltonian`` or
-``gauge_cfg`` spells one, None when it names none)."""
+``.get`` on ``dynamics``, ``probes``, ``numerics`` or ``hamiltonian`` spells
+one, None when it names none)."""
 
 import ast
 import re
@@ -364,7 +364,7 @@ def _compares_rows_with_none(node: ast.AST) -> bool:
             and any(isinstance(n, ast.Constant) and n.value is None for n in operands))
 
 
-_SUB_CONFIGS = {"dynamics", "probes", "numerics", "hamiltonian", "gauge_cfg"}
+_SUB_CONFIGS = {"dynamics", "probes", "numerics", "hamiltonian"}
 
 
 def _is_sub_config_default(node: ast.AST) -> bool:
@@ -442,7 +442,7 @@ def test_written_once_patterns_are_recognised():
     assert _sites(tree, _is_scipy_import) == ["<module>", "a", "b", "c", "c"]
     tree = ast.parse('def spelt(scn, s):\n'
                      '    t = float(scn.dynamics.get("t_final", 1.0))\n'
-                     '    return t, s.scenario.probes.get("count"), scn.gauge_cfg.get("x", 2)\n'
+                     '    return t, s.scenario.probes.get("count"), scn.hamiltonian.get("x", 2)\n'
                      'def read(scn, cfg, os):\n'
                      '    return (scn.setting("dynamics.t_final"), scn.dynamics["t_final"],\n'
                      '            cfg.get("t_final", 1.0), os.environ.get("SEED", "1"),\n'

@@ -389,24 +389,24 @@ def test_generator_suite_probe_evaluations_are_pinned(name, monkeypatch):
 
 def test_gauge_suite_builds_each_realization_once(monkeypatch):
     """A metaplectic-so2 verify builds the drift-free action once (shared by
-    every suite), the drifted one once and the gauge once."""
+    every suite) and the drifted one once."""
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     scn = load_scenario("metaplectic-so2")
     built = []
-    plain_action, plain_gauge = scn.build_action, scn.build_gauge
+    plain_action, plain_metaplectic = scn.build_action, verify.metaplectic_action
 
-    def build_action(drift=False):
-        built.append(f"action drift={drift}")
-        return plain_action(drift)
+    def build_action():
+        built.append("scenario action")
+        return plain_action()
 
-    def build_gauge():
-        built.append("gauge")
-        return plain_gauge()
+    def metaplectic_action(dim, drift=False):
+        built.append(f"metaplectic drift={drift}")
+        return plain_metaplectic(dim, drift=drift)
 
     monkeypatch.setattr(scn, "build_action", build_action)
-    monkeypatch.setattr(scn, "build_gauge", build_gauge)
+    monkeypatch.setattr(verify, "metaplectic_action", metaplectic_action)
     verify.run_verify(scn)
-    assert sorted(built) == ["action drift=False", "action drift=True", "gauge"]
+    assert sorted(built) == ["metaplectic drift=True", "scenario action"]
 
 
 def test_pointwise_recovery_redraws_points_the_shear_moves_out(monkeypatch):
