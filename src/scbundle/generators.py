@@ -43,6 +43,7 @@ from .sections import (BaseFunction, OrbitSampling, Section,
 
 __all__ = [
     "SmoothingKernel",
+    "kernel_steps",
     "lattice_kernel",
     "garding_smooth",
     "generator_field",
@@ -57,8 +58,8 @@ __all__ = [
 class SmoothingKernel:
     """Compactly supported smoothing weights on lattice-aligned group nodes.
 
-    ``weights`` already fold the window value and the left-invariant Haar
-    density into each node, so smoothing is a plain weighted sum.  The
+    ``weights`` already fold the bump value and the spacing volume into each
+    node, normalised to unit sum, so smoothing is a plain weighted sum.  The
     support is the set of ``node_steps``.
     """
 
@@ -68,22 +69,31 @@ class SmoothingKernel:
     weights: np.ndarray        # (K,)
 
 
+def kernel_steps(axes, radius) -> np.ndarray:
+    """The lattice steps floor(radius / spacing) that a kernel of per-axis
+    ``radius`` reaches along each of ``axes``.  Raises InputError where the
+    support leaves a line axis's window, beyond (hi - lo) // 2 steps."""
+    steps = np.floor(radius / np.array([ax.spacing for ax in axes])).astype(int)
+    for k, ax in enumerate(axes):
+        if ax.kind == "line" and steps[k] > (ax.hi - ax.lo) // 2:
+            raise InputError("kernel support exceeds the sampled lattice window")
+    return steps
+
+
 def lattice_kernel(sampling: OrbitSampling, radius) -> SmoothingKernel:
     """Smoothing kernel on the sampling's own lattice: nodes are the lattice
     points inside the coordinate ball of the given per-axis ``radius``, with
-    normalized Riemann weights (spacing volume x Haar density x the standard
-    C-infinity bump on the ball).  The kernel support must fit inside the
-    sampled window.  Raises InputError for a radius that is not finite and
-    positive on every axis.
+    normalized Riemann weights (spacing volume, a cell's Haar measure in
+    every built-in group's chart, x the standard C-infinity bump on the
+    ball).  The support must fit the sampled window (:func:`kernel_steps`).
+    Raises InputError for a radius that is not finite and positive on every
+    axis.
     """
     group = sampling.action.group
     radius = np.broadcast_to(np.asarray(radius, dtype=float), (group.dim,))
     if not np.all(np.isfinite(radius) & (radius > 0)):
         raise InputError(f"kernel radius {radius} is not finite and positive")
-    steps_max = np.floor(radius / sampling.spacings).astype(int)
-    for k, ax in enumerate(sampling.axes):
-        if ax.kind == "line" and steps_max[k] > (ax.hi - ax.lo) // 2:
-            raise InputError("kernel support exceeds the sampled lattice window")
+    steps_max = kernel_steps(sampling.axes, radius)
     grids = np.meshgrid(*[np.arange(-m, m + 1) for m in steps_max], indexing="ij")
     steps = np.stack([g.ravel() for g in grids], axis=-1)
     coords = steps * sampling.spacings
@@ -91,8 +101,7 @@ def lattice_kernel(sampling: OrbitSampling, radius) -> SmoothingKernel:
     inside = r2 < 1.0
     steps, coords, r2 = steps[inside], coords[inside], r2[inside]
     volume = float(np.prod(sampling.spacings))
-    density = np.array([group.left_density(t) for t in coords])
-    weights = volume * density * smooth_bump(r2)
+    weights = volume * smooth_bump(r2)
     total = np.sum(weights)
     if total <= 0:
         raise InputError("kernel has nonpositive mass")

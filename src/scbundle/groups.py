@@ -191,17 +191,6 @@ class LieGroup:
         :meth:`factorize_matrix`, it checks no domain."""
         return self._coords_fn(np.asarray(mats))
 
-    def left_density(self, t: np.ndarray) -> float:
-        """Left-invariant Haar density in the second-kind chart at ``t``."""
-        exps = [self.exp_matrix(t[k] * self.basis[k]) for k in range(self.dim)]
-        cols = np.empty((self.dim, self.dim))
-        tail = np.eye(self.rep_dim, dtype=complex)  # E_{k+1} ... E_n
-        for k in range(self.dim - 1, -1, -1):
-            ad = np.linalg.inv(tail) @ self.basis[k] @ tail
-            cols[:, k] = self.expand_in_basis(ad)
-            tail = exps[k] @ tail
-        return float(abs(np.linalg.det(cols)))
-
 
 # ---------------------------------------------------------------------------
 # Core operations

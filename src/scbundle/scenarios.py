@@ -13,11 +13,12 @@ unit frequency that the oscillator action and the spectrum oracle assume, a
 ``dynamics.t_final`` of at least one step, a ``numerics.dt`` of at most the
 ansatz checks' time 1 when they run, the law-time step grid, an
 ``eps_list`` of at least two strictly decreasing values when one is given,
-what each suite needs under its action, the metaplectic action under the
-gauge suite, an so2 action's anchor off the rotation centre).  A
-``Scenario`` keeps its sub-configs as given, and ``Scenario.setting`` reads
-each default from the table when asked, so a resized copy
-(``dataclasses.replace``) keeps them.
+what each suite needs under its action, its one probe size included, a
+generators-suite kernel radius within its lattice window, the metaplectic
+action under the gauge suite, an so2 action's anchor off the rotation
+centre).  A ``Scenario`` keeps its sub-configs as given, and
+``Scenario.setting`` reads each default from the table when asked, so a
+resized copy (``dataclasses.replace``) keeps them.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .actions import (heisenberg_weyl_action, metaplectic_action, oscillator_act
                       so2_rotor_action, translations_r2_action)
 from .dynamics import cubic_perturbed_spec, quadratic_hamiltonian_spec, step_counts
 from .errors import ConfigError, InputError
+from .generators import kernel_steps
 from .groups import builtin_group_ids, get_group
 from .sections import LatticeAxis, OrbitSampling
 
@@ -61,15 +63,15 @@ _HAMILTONIANS = {
 # the fields a lattice axis of each kind holds beside its kind
 _AXES = {"line": ("spacing", "lo", "hi"), "cycle": ("count",)}
 
-# each suite: the top-level fields it needs set, and the probe sizes it
-# reads, in order of preference
+# each suite: the top-level fields it needs set, and the probe size it
+# reads, if any
 _SUITES = {
-    "lie": ((), ()),
-    "dynamics": (("hamiltonian",), ()),
-    "sections": (("action", "lattice"), ("radius", "sigma")),
-    "generators": (("action", "lattice"), ("sigma",)),
-    "reconstruction": (("action", "lattice"), ("sigma",)),
-    "gauge": (("action", "lattice"), ("radius",)),
+    "lie": ((), None),
+    "dynamics": (("hamiltonian",), None),
+    "sections": (("action", "lattice"), "radius"),
+    "generators": (("action", "lattice", "kernel_radius"), "sigma"),
+    "reconstruction": (("action", "lattice"), "sigma"),
+    "gauge": (("action", "lattice"), "radius"),
 }
 
 # the fields a suite needs beyond _SUITES under one action: the
@@ -135,7 +137,6 @@ _SCHEMA = {
     "kernel_radius": ("sizes", None, None),
     "numerics": ("mapping", None, {}),
     "numerics.dt": ("number", 0, 1e-3),
-    "numerics.fd_tau": ("number", 0, 1e-3),
     "numerics.seed": ("integer", 0, 1234),
     "numerics.grid": ("mapping", None, {"lo": -16.0, "hi": 16.0, "points": 8192}),
     "numerics.grid.lo": ("number", None, _REQUIRED),
@@ -201,20 +202,15 @@ class Scenario:
         return float(self.setting("numerics.dt"))
 
     @property
-    def fd_tau(self) -> float:
-        return float(self.setting("numerics.fd_tau"))
-
-    @property
     def max_degree(self) -> int:
         """Highest fiber degree a probe section populates."""
         return int(self.setting("probes.max_degree"))
 
     def probe_size(self, suite: str):
-        """Per-axis probe bump size a suite reads: ``radius`` for sections
-        (falling back to ``sigma``) and gauge, ``sigma`` for generators and
-        reconstruction."""
-        sizes = (self.probes.get(key) for key in _SUITES[suite][1])
-        return next((size for size in sizes if size is not None), None)
+        """Per-axis probe bump size a suite reads: ``probes.radius`` for
+        sections and gauge, ``probes.sigma`` for generators and
+        reconstruction, None for a suite that reads none."""
+        return self.probes.get(_SUITES[suite][1])
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -375,14 +371,19 @@ def _validate(cfg, origin: str) -> Scenario:
         if isinstance(sizes, list) and len(sizes) not in (1, dim):
             raise ConfigError(f"{origin}: {key} needs one size or {dim}, got {sizes!r}")
     for suite in scn.suites:
-        needs, probe_sizes = _SUITES[suite]
+        needs, probe = _SUITES[suite]
         needs += _ACTION_SUITES.get((scn.action_name, suite), ())
         unset = [key for key in needs if not given[key]]
         if unset:
             raise ConfigError(f"{origin}: suite {suite!r} needs {unset} set")
-        if probe_sizes and scn.probe_size(suite) is None:
-            raise ConfigError(f"{origin}: suite {suite!r} needs probes."
-                              f"{' or '.join(probe_sizes)}")
+        if probe and scn.probe_size(suite) is None:
+            raise ConfigError(f"{origin}: suite {suite!r} needs probes.{probe}")
+    # the generators suite's kernel, by lattice_kernel's own window rule
+    if "generators" in scn.suites:
+        try:
+            kernel_steps(scn._axes(scn.generator_lattice or scn.lattice), scn.kernel_radius)
+        except InputError as err:
+            raise ConfigError(f"{origin}: kernel_radius: {err}") from err
     # the phase-shift gauge resolves the anomaly of the metaplectic circle
     # action alone, and the gauge bundle is an orbit of one rotation
     if "gauge" in scn.suites and scn.action_name != "metaplectic":

@@ -9,10 +9,11 @@ made here.  The finite-difference checks of a suite are one table of
 residuals at one fd step, so each operator is applied once per step;
 :func:`_refined` evaluates the table once at each step and is the one place
 that pairs a residual record with its ``_order`` record (the steps, the
-roundoff floor and the contracted order).  The section suite likewise
-transforms each probe once per group element.  Any exception inside a suite
-becomes a failing record instead of a crash, and everything is deterministic
-given the scenario seed.
+roundoff floor and the contracted order).  Every fd step derives from the
+constant ``FD_TAU``, which the report's environment records.  The section
+suite likewise transforms each probe once per group element.  Any exception
+inside a suite becomes a failing record instead of a crash, and everything
+is deterministic given the scenario seed.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .sections import (BaseFunction, Section, evaluator_transform,
 __all__ = ["run_verify", "run_convergence", "ConvergenceRow", "ConvergenceTable"]
 
 ORDER_FLOOR = 1e-9     # residuals at the roundoff floor cannot shrink further
+FD_TAU = 1e-3          # the fd step of every generator table and of the group law
 
 
 def _order_gap(residual: float, refined: float, contracted: float) -> float:
@@ -351,12 +353,11 @@ def section_checks(scn: Scenario, action, rng) -> list:
 
 def generator_checks(scn: Scenario, action, rng) -> list:
     sampling = scn.build_sampling(action, generator_scale=True)
-    sigma = scn.probe_size("generators")
-    probe = gentle_probe_section(sampling, rng, scn.max_degree, sigma)
-    kernel = lattice_kernel(sampling, scn.kernel_radius or sigma)
+    probe = gentle_probe_section(sampling, rng, scn.max_degree, scn.probe_size("generators"))
+    kernel = lattice_kernel(sampling, scn.kernel_radius)
     psi = garding_smooth(kernel, probe, action)
     group = action.group
-    tau = scn.fd_tau
+    tau = FD_TAU
 
     if group.dim >= 2:
         A = group.algebra(np.eye(group.dim)[0])
@@ -390,7 +391,7 @@ def generator_checks(scn: Scenario, action, rng) -> list:
     # shrinking kernels approximate the identity (scale 1 is psi's kernel)
     drifts = [(psi - probe).norm]
     for scale in (0.66, 0.44):
-        radius = np.asarray(scn.kernel_radius or sigma, dtype=float) * scale
+        radius = np.asarray(scn.kernel_radius, dtype=float) * scale
         k = lattice_kernel(sampling, radius)
         drifts.append((garding_smooth(k, probe, action) - probe).norm)
     records.append(CheckRecord("smoothing_approximates_identity", "Lemma 3.3",
@@ -411,7 +412,7 @@ def reconstruction_checks(scn: Scenario, action, family, rng) -> list:
     sigma = scn.probe_size("reconstruction")
     psi = gentle_probe_section(sampling, rng, scn.max_degree, sigma)
     group = action.group
-    tau = scn.fd_tau
+    tau = FD_TAU
     records = []
 
     out = reconstruct_group_operator(family, group.identity(), psi)
@@ -477,9 +478,7 @@ def reconstruction_checks(scn: Scenario, action, family, rng) -> list:
         H = scn.build_hamiltonian()
         dim = scn.fiber_dim
         t = 0.7
-        v = psi.values[sampling.identity_index()].copy()
-        if np.linalg.norm(v) < 1e-6:
-            v = np.eye(dim)[0].astype(complex)
+        v = psi.values[sampling.identity_index()]
         flat = Section.from_field(
             sampling, lambda mats: np.broadcast_to(v, (mats.shape[0], dim)).copy())
         rec = reconstruct_group_operator(
@@ -683,7 +682,7 @@ def run_verify(scenario: Scenario) -> Report:
                                        float("inf"), 0.0))
     env = {
         "dt": scenario.dt,
-        "fd_tau": scenario.fd_tau,
+        "fd_tau": FD_TAU,
         "n_cut": scenario.fiber_dim,
         "seed": scenario.seed,
     }

@@ -22,7 +22,7 @@ from scbundle.sections import (BaseFunction, LatticeAxis, OrbitSampling,
                                evaluator_transform, gentle_probe_section,
                                pairing, pulled_field, section_transform,
                                smooth_probe_section, transformed_field)
-from scbundle.verify import _lattice_elements, run_verify
+from scbundle.verify import FD_TAU, _lattice_elements, run_verify
 
 H = 0.15
 
@@ -133,9 +133,9 @@ def test_smoothed_field_on_live_modes_is_the_full_width_fold(name, modes, dim):
     scn = load_scenario(name)
     action, _ = scn.build_action()
     sampling = scn.build_sampling(action, generator_scale=True)
-    sigma = scn.probe_size("generators")
-    probe = gentle_probe_section(sampling, scn.rng(), scn.max_degree, sigma)
-    kernel = lattice_kernel(sampling, scn.kernel_radius or sigma)
+    probe = gentle_probe_section(sampling, scn.rng(), scn.max_degree,
+                                 scn.probe_size("generators"))
+    kernel = lattice_kernel(sampling, scn.kernel_radius)
     assert (probe.modes, sampling.fiber_dim) == (modes, dim)
     psi = garding_smooth(kernel, probe, action)
     assert psi.modes == dim
@@ -314,15 +314,14 @@ def test_generator_apply_is_the_section_level_stencil(name):
     scn = load_scenario(name)
     action, _ = scn.build_action()
     sampling = scn.build_sampling(action, generator_scale=True)
-    sigma = scn.probe_size("generators")
-    probe = gentle_probe_section(sampling, scn.rng(), scn.max_degree, sigma)
-    smoothed = garding_smooth(lattice_kernel(sampling, scn.kernel_radius or sigma),
-                              probe, action)
+    probe = gentle_probe_section(sampling, scn.rng(), scn.max_degree,
+                                 scn.probe_size("generators"))
+    smoothed = garding_smooth(lattice_kernel(sampling, scn.kernel_radius), probe, action)
     group = action.group
     A = group.algebra(np.linspace(1.0, 0.5, group.dim))
     pull = np.linalg.inv(_lattice_elements(sampling)[1].matrix)
     elsewhere = left_translate(pull, sampling.group_mats)
-    tau = scn.fd_tau
+    tau = FD_TAU
     for psi in (smoothed, probe):
         got = generator_apply(A, psi, action, tau)
         expected = 1j * central_difference(

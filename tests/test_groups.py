@@ -1,5 +1,5 @@
 """Lie group/algebra layer: exponential, bracket, adjoint, factorization,
-left Haar density."""
+unit Haar density of the second-kind chart."""
 
 import itertools
 
@@ -307,15 +307,27 @@ def test_factorize_heisenberg_roundtrip_property(a, b, c):
 
 
 # ---------------------------------------------------------------------------
-# left Haar density
+# unit Haar density of the second-kind chart
 # ---------------------------------------------------------------------------
 
-def test_haar_heisenberg_density_is_constant():
-    g = get_group("heisenberg")
-    rng = np.random.default_rng(3)
+@pytest.mark.parametrize("gid", groups.builtin_group_ids())
+def test_left_translation_has_unit_jacobian_in_the_chart(gid):
+    """Left translation by g has Jacobian determinant 1 in the second-kind
+    chart, so the chart's Lebesgue measure is the left Haar measure and
+    ``generators.lattice_kernel`` weighs its nodes by spacing volume alone.
+    The Jacobian of t -> coords(g exp(B_1 t_1) ... exp(B_n t_n)) is read by
+    central differences; g and t stay small, so the so2 angle does not
+    wrap."""
+    G = get_group(gid)
+    rng = np.random.default_rng(11)
+    h = 1e-5
     for _ in range(10):
-        t = rng.uniform(-2, 2, 3)
-        assert abs(g.left_density(t) - 1.0) <= 1e-12
+        g = G.compose_exps(rng.uniform(-0.4, 0.4, G.dim))
+        t = rng.uniform(-0.4, 0.4, G.dim)
+        jac = np.stack([(G.coords_batch(g @ G.compose_exps(t + h * e))
+                         - G.coords_batch(g @ G.compose_exps(t - h * e))) / (2 * h)
+                        for e in np.eye(G.dim)], axis=1)
+        assert abs(np.linalg.det(jac) - 1.0) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from scbundle.sections import (LatticeAxis, OrbitSampling, Section,
                                delta_section, evaluator_transform,
                                gentle_probe_section, pairing,
                                smooth_probe_section)
+from scbundle.verify import FD_TAU
 
 H = 0.15
 
@@ -357,7 +358,7 @@ def test_reconstruction_builds_one_section_per_word(monkeypatch):
     psi = gentle_probe_section(sampling, scn.rng(), scn.max_degree,
                                scn.probe_size("reconstruction"))
     group = family.group
-    A, tau = group.algebra([1.0, 0.0, 0.0]), scn.fd_tau
+    A, tau = group.algebra([1.0, 0.0, 0.0]), FD_TAU
     built = []
     from_field = Section.from_field
 

@@ -28,7 +28,7 @@ BASE = {
     "lattice": LATTICE,
     "generator_lattice": [dict(axis) for axis in LATTICE],
     "kernel_radius": [0.16, 0.16, 0.07],
-    "numerics": {"dt": 0.001, "fd_tau": 0.001, "seed": 7,
+    "numerics": {"dt": 0.001, "seed": 7,
                  "grid": {"lo": -16.0, "hi": 16.0, "points": 64}},
     "probes": {"count": 1, "max_degree": 3, "sigma": [0.4, 0.4, 0.35],
                "radius": [0.4, 0.4, 0.35]},
@@ -88,6 +88,21 @@ MALFORMED = {
     "sigma-nan": [(("probes", "sigma"), [float("nan")] * 3)],
     "radius-negative": [(("probes", "radius"), -1.0)],
     "gauge-radius-missing": METAPLECTIC + [(("probes", "radius"), DELETE)],
+    # each of these loaded: the fd step was read from the config, the
+    # generators suite's kernel and the sections suite's probe fell back
+    # to probes.sigma
+    "fd-tau-is-unknown": [(("numerics", "fd_tau"), 0.001)],
+    "generators-without-kernel-radius": [(("kernel_radius",), DELETE)],
+    "sections-probe-sigma-only": [(("probes", "radius"), DELETE)],
+    # each of these loaded, and the generators suite then ended in
+    # generators_suite_error (InputError: kernel support exceeds the
+    # sampled lattice window): 8 steps of the generator lattice's 6, and,
+    # without a generator lattice, 13 steps of the lattice's 12
+    "kernel-radius-beyond-window": [(("generator_lattice", 2, "lo"), -6),
+                                    (("generator_lattice", 2, "hi"), 6),
+                                    (("kernel_radius",), [0.16, 0.16, 0.2])],
+    "kernel-radius-beyond-lattice-window": [(("generator_lattice",), None),
+                                            (("kernel_radius",), [0.16, 0.16, 0.3])],
     # each of these loaded before unknown top-level fields were refused
     "unknown-key-group-def": [(("group_def",), {"group_id": "heisenberg"})],
     "unknown-key-kernel-radius-typo": [(("kernel_raduis",), [0.16, 0.16, 0.07])],
@@ -359,6 +374,18 @@ def test_sizes_broadcast_to_the_group_dimension(tmp_path):
     assert load_scenario(str(path)).kernel_radius == 0.1
 
 
+@pytest.mark.parametrize("edits", [
+    [(("kernel_radius",), [0.16, 0.16, 0.28])],
+    [(("lattice", 2, "lo"), -6), (("lattice", 2, "hi"), 6),
+     (("kernel_radius",), [0.16, 0.16, 0.28])]])
+def test_kernel_radius_to_the_window_edge_loads(edits, tmp_path):
+    """The kernel-radius cases above fail for their own edits: a kernel of
+    12 steps fits the generator lattice's 12, whatever the lattice holds."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_edit(edits)))
+    assert load_scenario(str(path)).kernel_radius == [0.16, 0.16, 0.28]
+
+
 def test_law_times_on_the_step_grid_load(tmp_path):
     cfg = dict(copy.deepcopy(BASE), dynamics={"law_times": [0.25, 0.5, 0.75, 1.0]})
     path = tmp_path / "scenario.json"
@@ -401,10 +428,11 @@ def test_settings_read_their_defaults_when_asked():
 ROWS = sorted(path for path in _SCHEMA if path)
 
 # rows whose valid values depend on other fields: the group fixes the action
-# and the lattice, the law times fix dt, the grid needs lo < hi, and the
-# spectrum modes fit in the fiber
+# and the lattice, the law times fix dt, the grid needs lo < hi, the
+# spectrum modes fit in the fiber, and the kernel radius in the generator
+# lattice's window
 LINKED = {"group_id", "action", "numerics.dt", "numerics.grid.lo",
-          "numerics.grid.hi", "dynamics.spectrum_modes"}
+          "numerics.grid.hi", "dynamics.spectrum_modes", "kernel_radius"}
 FREE = [path for path in ROWS if "[]" not in path and path not in LINKED
         and _SCHEMA[path][0] not in ("mapping", "list")]
 

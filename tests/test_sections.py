@@ -297,7 +297,7 @@ def test_live_pulls_are_the_full_width_products(name):
     flowed = exponentiate_generator(family, 0, 0.3, psi)
     assert same(flowed.values, full_width(group.exp_matrix(-0.3 * group.basis[0]),
                                           family.directions[0].unitary(0.3)))
-    kernel = lattice_kernel(sampling, scn.kernel_radius or scn.probe_size("generators"))
+    kernel = lattice_kernel(sampling, scn.kernel_radius)
     m, w = kernel.node_mats[1], kernel.weights[1]
     wU = w * action.fiber_matrix(m)
     node = pulled_field(psi.live_field, np.linalg.inv(m), wU[:, :psi.modes])

@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -212,14 +213,14 @@ def test_each_operator_is_applied_once_per_step(monkeypatch):
     A = G.algebra([1.0, 0.0, 0.0])
     generators.identity_suite(
         A, G.algebra([0.0, 1.0, 0.0]), verify._smooth_alpha(), psi,
-        generators.generator_apply(A, psi, action, scn.fd_tau),
-        generators.generator_apply(A, psi, action, 2 * scn.fd_tau), action, scn.fd_tau,
-        conjugator=verify._lattice_elements(sampling)[3])
+        generators.generator_apply(A, psi, action, verify.FD_TAU),
+        generators.generator_apply(A, psi, action, 2 * verify.FD_TAU), action,
+        verify.FD_TAU, conjugator=verify._lattice_elements(sampling)[3])
     assert seen and len(set(seen)) == len(seen)
 
     seen.clear()
     verify.reconstruction_checks(scn, action, family, rng)
-    assert {tau for *_, tau in seen} == {scn.fd_tau, scn.fd_tau / 2}
+    assert {tau for *_, tau in seen} == {verify.FD_TAU, verify.FD_TAU / 2}
     assert len(set(seen)) == len(seen)
 
     seen.clear()
@@ -253,19 +254,19 @@ def test_identity_table_evaluates_only_what_it_reads(monkeypatch):
     scn = _reduced_heisenberg(["generators"])
     action, _ = scn.build_action()
     sampling = scn.build_sampling(action, generator_scale=True)
-    sigma = scn.probe_size("generators")
-    probe = gentle_probe_section(sampling, scn.rng(), scn.max_degree, sigma)
+    probe = gentle_probe_section(sampling, scn.rng(), scn.max_degree,
+                                 scn.probe_size("generators"))
     calls = []
 
     def counted(mats):
         calls.append(len(mats))
         return probe.live_field(mats)
 
-    kernel = generators.lattice_kernel(sampling, scn.kernel_radius or sigma)
+    kernel = generators.lattice_kernel(sampling, scn.kernel_radius)
     psi = generators.garding_smooth(
         kernel, Section(sampling, probe.block, counted, probe.modes, probe.rows), action)
     G = action.group
-    A, tau = G.algebra([1.0, 0.0, 0.0]), scn.fd_tau
+    A, tau = G.algebra([1.0, 0.0, 0.0]), verify.FD_TAU
     HA = generators.generator_apply(A, psi, action, tau)
     HA2 = generators.generator_apply(A, psi, action, 2 * tau)
     calls.clear()
@@ -293,13 +294,13 @@ def _counted_identity_table():
     scn = _reduced_heisenberg(["generators"])
     action, _ = scn.build_action()
     sampling = scn.build_sampling(action, generator_scale=True)
-    sigma = scn.probe_size("generators")
-    probe = gentle_probe_section(sampling, scn.rng(), scn.max_degree, sigma)
+    probe = gentle_probe_section(sampling, scn.rng(), scn.max_degree,
+                                 scn.probe_size("generators"))
     calls = []
-    kernel = generators.lattice_kernel(sampling, scn.kernel_radius or sigma)
+    kernel = generators.lattice_kernel(sampling, scn.kernel_radius)
     psi = generators.garding_smooth(kernel, _counting(probe, calls), action)
     G = action.group
-    A, tau = G.algebra([1.0, 0.0, 0.0]), scn.fd_tau
+    A, tau = G.algebra([1.0, 0.0, 0.0]), verify.FD_TAU
     HA = generators.generator_apply(A, psi, action, tau)
     HA2 = generators.generator_apply(A, psi, action, 2 * tau)
 
@@ -359,14 +360,26 @@ GENERATOR_SUITE_APPLY_CALLS = {"translations-r2": 15, "so2-rotor": 17,
                                "heisenberg-weyl-reduced": 17}
 
 
+def _so2_rotor_generators(tmp_path):
+    """The catalog so2-rotor config with the generators suite added, which
+    needs a kernel radius: 0.3 on the 48-point circle."""
+    cfg = json.loads(resources.files("scbundle").joinpath("scenarios")
+                     .joinpath("so2-rotor.json").read_text())
+    cfg.update(kernel_radius=[0.3], suites=cfg["suites"] + ["generators"])
+    path = tmp_path / "so2-rotor.json"
+    path.write_text(json.dumps(cfg))
+    return load_scenario(str(path))
+
+
 @pytest.mark.parametrize("name", sorted(GENERATOR_SUITE_PROBE_CALLS))
-def test_generator_suite_probe_evaluations_are_pinned(name, monkeypatch):
+def test_generator_suite_probe_evaluations_are_pinned(name, monkeypatch, tmp_path):
     """Work-count guard: one generators suite calls its probe's field and
     applies a generator a pinned number of times, translations-r2 and
-    so2-rotor at catalog size and heisenberg-weyl on the reduced scenario;
-    an identity table that stopped reading the point sets memoised before
-    it (psi's lattice, the steps of H(A) psi) or applied H(2A) psi instead
-    of reading H(A) psi at twice its step would raise a count."""
+    so2-rotor (its catalog config with the generators suite added) at
+    catalog size and heisenberg-weyl on the reduced scenario; an identity
+    table that stopped reading the point sets memoised before it (psi's
+    lattice, the steps of H(A) psi) or applied H(2A) psi instead of reading
+    H(A) psi at twice its step would raise a count."""
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     calls, applies = [], []
     make_probe = verify.gentle_probe_section
@@ -379,8 +392,12 @@ def test_generator_suite_probe_evaluations_are_pinned(name, monkeypatch):
         return apply(*args)
     monkeypatch.setattr(generators, "generator_apply", counted_apply)
     monkeypatch.setattr(verify, "generator_apply", counted_apply)
-    scn = (_reduced_heisenberg(["generators"]) if name == "heisenberg-weyl-reduced"
-           else load_scenario(name))
+    if name == "heisenberg-weyl-reduced":
+        scn = _reduced_heisenberg(["generators"])
+    elif name == "so2-rotor":
+        scn = _so2_rotor_generators(tmp_path)
+    else:
+        scn = load_scenario(name)
     records = verify.generator_checks(scn, scn.build_action()[0], scn.rng())
     assert all(r.passed for r in records)
     assert len(calls) == GENERATOR_SUITE_PROBE_CALLS[name]
