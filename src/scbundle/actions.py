@@ -234,7 +234,7 @@ def oscillator_action(dim: int):
     """Time translations of the harmonic oscillator: the closed-form classical
     flow on the base, exp(-i t H_fluct) with the half-integer spectrum on the
     fibers.  An honest action of the real line."""
-    levels = np.real(np.diag(quadratic_hamiltonian(1.0, 0.0, 1.0, dim)))
+    levels = np.real(np.diag(quadratic_hamiltonian(1.0, 1.0, dim)))
     return _flow_action("oscillator-evolution", "real_line", dim,
                         _rotation_flow(0.0), np.diag(levels).astype(complex))
 

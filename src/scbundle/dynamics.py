@@ -2,7 +2,8 @@
 
 Classical flow of the base point (S, P, Q) by fixed-step RK4, the quadratic
 fluctuation propagator, their pairing as a bundle automorphism, and the
-wave-packet substitution on a 1-D grid.  The propagator steps by midpoint
+wave-packet substitution on a 1-D grid, for H = P^2/2 + V(Q), the form of
+Hagedorn's semiclassical wave packets.  The propagator steps by midpoint
 exponentials, except for a quadratic Hamiltonian (constant Hessian), where
 H_fluct is one matrix and the propagator to time t is exp(-i t H_fluct)
 from one eigendecomposition.  The classical flow of a quadratic
@@ -53,7 +54,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -97,17 +98,18 @@ class HamiltonianSpec:
     takes arrays of R points and returns the Hessian in (P, Q), shape
     (R, 2, 2).
 
-    ``potential`` is set when H has the separable form P^2/2 + V(Q); the
-    grid reference solver requires it.  ``constant_hessians`` marks purely
-    quadratic Hamiltonians: their fluctuation propagators are closed forms
-    from one eigendecomposition, their flow has the exact form
-    :func:`linear_flow`, and the exact Gaussian serves as their reference.
+    H has the form P^2/2 + V(Q), the form of every Hamiltonian the schema
+    builds, and ``potential`` is V on grid arrays, which the grid reference
+    solver reads.  ``constant_hessians`` marks the quadratic Hamiltonians:
+    their fluctuation propagators are closed forms from one
+    eigendecomposition, their flow has the exact form :func:`linear_flow`,
+    and the exact Gaussian serves as their reference.
     """
 
     value: Callable
     grad: Callable
     hess: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    potential: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    potential: Callable[[np.ndarray], np.ndarray]
     constant_hessians: bool = False
 
     def validate(self, probes) -> float:
@@ -130,25 +132,20 @@ class HamiltonianSpec:
             np.max(np.abs(fd_hess - self.hess(P, Q).transpose(2, 0, 1)) / scale[:, None])))
 
 
-def quadratic_hamiltonian_spec(m_qq: float, m_qp: float = 0.0,
-                               m_pp: float = 1.0) -> HamiltonianSpec:
-    """H = (1/2) Mpp P^2 + Mqp P Q + (1/2) Mqq Q^2, evaluated as
-    (1/2) z.K.z with gradient K z, for z = (P, Q) and K the Hessian."""
-    pp, qp, qq = float(m_pp), float(m_qp), float(m_qq)
-    hessian = np.array([[pp, qp], [qp, qq]])
-
-    def grad(P, Q):
-        return P * pp + Q * qp, P * qp + Q * qq
+def quadratic_hamiltonian_spec(omega2: float) -> HamiltonianSpec:
+    """H = P^2/2 + omega2 Q^2/2, the one quadratic form the schema builds,
+    with gradient (P, omega2 Q)."""
+    qq = float(omega2)
+    hessian = np.array([[1.0, 0.0], [0.0, qq]])
 
     def value(P, Q):
-        return 0.5 * ((P * pp + Q * qp) * P + (P * qp + Q * qq) * Q)
+        return 0.5 * (P * P + Q * qq * Q)
 
-    separable = np.isclose(pp, 1.0) and np.isclose(qp, 0.0)
     return HamiltonianSpec(
         value=value,
-        grad=grad,
+        grad=lambda P, Q: (P, Q * qq),
         hess=lambda P, Q: np.broadcast_to(hessian, (len(P), 2, 2)),
-        potential=(lambda Q: 0.5 * np.asarray(Q) * qq * np.asarray(Q)) if separable else None,
+        potential=lambda Q: 0.5 * np.asarray(Q) * qq * np.asarray(Q),
         constant_hessians=True,
     )
 
@@ -313,7 +310,7 @@ def classical_flow(H: HamiltonianSpec, X0: np.ndarray, T: float,
 # ---------------------------------------------------------------------------
 
 def _fluct_matrix(hessian: np.ndarray, dim: int):
-    return quadratic_hamiltonian(hessian[1, 1], hessian[0, 1], hessian[0, 0], dim)
+    return quadratic_hamiltonian(hessian[1, 1], hessian[0, 0], dim)
 
 
 def _checked_propagator(U: np.ndarray) -> np.ndarray:
@@ -332,8 +329,6 @@ def _step_unitaries(H: HamiltonianSpec, trajectory: Trajectory,
     time order, each evaluated at its interval midpoint: one
     :func:`_rk4_steps` step of half the interval, taken by every interval
     at once on the component stacks (S, P, Q)."""
-    if count == 0:
-        return
     dts = np.diff(trajectory.times[:count + 1])
     _, P, Q = _rk4_steps(H, trajectory.rows[:count].T, 0.5 * dts, 1, [None] * 6)[3:]
     for hessian, dt in zip(H.hess(P, Q), dts):
@@ -515,9 +510,7 @@ def reference_schrodinger(H: HamiltonianSpec, psi0: np.ndarray, eps,
     the same arithmetic in every case, so each row of the result is bitwise
     its one-row run.  The resolution guard and the norm-drift check judge
     the reassembled stack.  Raises InputError unless T and dt are finite
-    and dt > 0, and when a nonzero T rounds to no step."""
-    if H.potential is None:
-        raise InputError("reference solver needs H of the form P^2/2 + V(Q)")
+    and dt > 0, and when T rounds to no step (T = 0 included)."""
     if not (np.isfinite(T) and np.isfinite(dt) and dt > 0):
         raise InputError(f"split-step needs finite T and dt > 0, got T = {T}, dt = {dt}")
     eps = np.asarray(eps, dtype=float)
@@ -527,8 +520,6 @@ def reference_schrodinger(H: HamiltonianSpec, psi0: np.ndarray, eps,
     xs = np.asarray(xs, dtype=float)
     if psi.shape[-1:] != xs.shape or psi.ndim > 2 or eps.shape not in ((), psi.shape[:-1]):
         raise InputError("psi0, eps and grid shapes differ")
-    if T == 0.0:
-        return psi
     eps = eps[..., None]
     dx = xs[1] - xs[0]
     k = 2 * np.pi * np.fft.fftfreq(xs.size, d=dx)
@@ -616,13 +607,13 @@ def gaussian_packet(H: HamiltonianSpec, X0: np.ndarray, f0: np.ndarray,
     (S, P, Q), M = linear_flow(H, X0, T)
     K = H.hess(np.zeros(1), np.zeros(1))[0]      # the same at every point
     dP, dQ = M @ np.array([1j, 1.0])
-    # Im dQ(t) = K_pp sin(w t)/w for w^2 = det K > 0 (and keeps its sign for
-    # det K <= 0): dQ winds half round 0 in each half period pi/w.  Over k,
+    # Im dQ(t) = sin(w t)/w for w^2 = det K > 0 (and keeps the sign of t
+    # for det K <= 0): dQ winds half round 0 in each half period pi/w.  Over k,
     # the nearest number of half periods, (-1)^k dQ stays off the negative
     # real axis, so its principal root continues the branch
     det = K[0, 0] * K[1, 1] - K[0, 1] * K[1, 0]
     k = round(np.sqrt(det) * T / np.pi) if det > 0 else 0
-    root = np.sqrt((-1) ** k * dQ) * np.exp(0.5j * np.pi * k * np.sign(K[0, 0]))
+    root = np.sqrt((-1) ** k * dQ) * np.exp(0.5j * np.pi * k)
     xs = np.asarray(xs, dtype=float)
     radius = 8 * np.sqrt(eps) * abs(dQ)
     if xs[0] > Q - radius or xs[-1] < Q + radius:

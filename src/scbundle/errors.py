@@ -26,8 +26,8 @@ class ClosureError(ScbundleError):
 
 
 class OutOfDomainError(ScbundleError):
-    """Group element outside the local factorization domain; we refuse rather
-    than extrapolate."""
+    """A second-kind factorization that does not recompose its group
+    element; we refuse rather than extrapolate."""
 
 
 class AlignmentError(ScbundleError):

@@ -49,14 +49,14 @@ def unitarity_residual(U: np.ndarray) -> float:
     return float(np.linalg.norm(matrix.conj().T @ matrix - np.eye(d)))
 
 
-def quadratic_hamiltonian(h_qq: float, h_qp: float, h_pp: float,
-                          dim: int) -> np.ndarray:
-    """Symmetrized quadratic fluctuation Hamiltonian
+def quadratic_hamiltonian(h_qq: float, h_pp: float, dim: int) -> np.ndarray:
+    """Quadratic fluctuation Hamiltonian
 
-        (1/2) [ Hqq xi^2 + Hqp (xi p + p xi) + Hpp p^2 ],  p = -i d/dxi,
+        (1/2) [ Hqq xi^2 + Hpp p^2 ],  p = -i d/dxi,
 
-    assembled from exact ladder-operator matrix elements, as a Hermitian
-    (dim, dim) array.  A zero coefficient adds no term.
+    of H = P^2/2 + V(Q) (Hqq = V'' along the flow, Hpp = 1), assembled from
+    exact ladder-operator matrix elements, as a Hermitian (dim, dim) array.
+    A zero coefficient adds no term.
     """
     x, p = _padded_ops(dim)
     acc = np.zeros(x.shape, dtype=complex)
@@ -64,8 +64,6 @@ def quadratic_hamiltonian(h_qq: float, h_qp: float, h_pp: float,
         acc += h_qq * (x @ x)
     if h_pp != 0.0:
         acc += h_pp * (p @ p)
-    if h_qp != 0.0:
-        acc += h_qp * (x @ p + p @ x)
     mat = 0.5 * acc[:dim, :dim]
     return 0.5 * (mat + mat.conj().T)
 

@@ -102,10 +102,8 @@ def lattice_kernel(sampling: OrbitSampling, radius) -> SmoothingKernel:
     steps, coords, r2 = steps[inside], coords[inside], r2[inside]
     volume = float(np.prod(sampling.spacings))
     weights = volume * smooth_bump(r2)
-    total = np.sum(weights)
-    if total <= 0:
-        raise InputError("kernel has nonpositive mass")
-    weights = weights / total
+    # the origin node has bump value 1, so the mass is positive
+    weights = weights / np.sum(weights)
     mats = np.array([group.compose_exps(t) for t in coords])
     return SmoothingKernel(sampling, steps, mats, weights)
 

@@ -9,8 +9,7 @@ exponentiation, Garding smoothing) works in the second-kind canonical chart
 which is defined locally around the identity.  Every group gives that chart
 and its exponential in closed form (I + X + X^2/2 for the unipotent groups,
 whose algebras have X^3 = 0, and a rotation for so2); ``factorize_second_kind``
-refuses elements outside the registered domain radius instead of
-extrapolating.
+refuses chart coordinates that do not recompose the element.
 
 All values are immutable; operations are pure functions.
 """
@@ -84,9 +83,6 @@ class LieGroup:
         Registry key.
     basis : array (n, d, d)
         Algebra basis in the faithful representation.
-    factorization_radius : float
-        Sup-norm radius of the second-kind chart in which factorization is
-        trusted.
     residual_fn : callable
         Manifold membership residual of one matrix.
     coords_fn : callable
@@ -98,7 +94,7 @@ class LieGroup:
         Maps coordinate axis index to its period (e.g. the rotation angle).
     """
 
-    def __init__(self, group_id: str, basis: np.ndarray, factorization_radius: float,
+    def __init__(self, group_id: str, basis: np.ndarray,
                  residual_fn: Callable[[np.ndarray], float],
                  coords_fn: Callable[[np.ndarray], np.ndarray],
                  exp_fn: Callable[[np.ndarray], np.ndarray],
@@ -110,7 +106,6 @@ class LieGroup:
         self.basis = basis
         self.dim = basis.shape[0]
         self.rep_dim = basis.shape[1]
-        self.factorization_radius = float(factorization_radius)
         self.periodic_axes = dict(periodic_axes or {})
         self._residual_fn = residual_fn
         self._coords_fn = coords_fn
@@ -177,18 +172,10 @@ class LieGroup:
             out = out @ self.exp_matrix(t[k] * self.basis[k])
         return out
 
-    def factorize_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        t = np.array(self._coords_fn(np.asarray(matrix)), dtype=float)
-        if np.max(np.abs(t)) > self.factorization_radius + 1e-12:
-            raise OutOfDomainError(
-                f"{self.group_id}: coordinates {t} outside factorization radius "
-                f"{self.factorization_radius}")
-        return t
-
     def coords_batch(self, mats: np.ndarray) -> np.ndarray:
         """Second-kind coordinates of a stack of group matrices (J, d, d) ->
-        (J, n), or of one matrix (d, d) -> (n,); unlike
-        :meth:`factorize_matrix`, it checks no domain."""
+        (J, n), or of one matrix (d, d) -> (n,), read off the closed-form
+        chart, which has no domain radius."""
         return self._coords_fn(np.asarray(mats))
 
 
@@ -224,8 +211,9 @@ def adjoint(h: GroupElement, A: AlgebraElement) -> AlgebraElement:
 
 
 def factorize_second_kind(g: GroupElement) -> np.ndarray:
-    """Coordinates ``(t_1..t_n)`` with ``exp(B_1 t_1)...exp(B_n t_n) = g``."""
-    t = g.group.factorize_matrix(g.matrix)
+    """Coordinates ``(t_1..t_n)`` with ``exp(B_1 t_1)...exp(B_n t_n) = g``;
+    raises OutOfDomainError when the chart's do not recompose ``g``."""
+    t = g.group.coords_batch(g.matrix)
     residual = np.linalg.norm(g.group.compose_exps(t) - g.matrix)
     if not residual <= _FACTORIZE_TOL:
         raise OutOfDomainError(
@@ -295,8 +283,7 @@ def _make_real_line() -> LieGroup:
     pattern = np.zeros((2, 2))
     pattern[0, 1] = 1.0
     return LieGroup(
-        "real_line", basis, factorization_radius=np.inf,
-        residual_fn=_unipotent_residual(pattern),
+        "real_line", basis, residual_fn=_unipotent_residual(pattern),
         coords_fn=lambda ms: ms[..., 0, 1, None].real,
         exp_fn=_unipotent_exp,
     )
@@ -309,8 +296,7 @@ def _make_translations_r2() -> LieGroup:
     pattern = np.zeros((3, 3))
     pattern[0, 2] = pattern[1, 2] = 1.0
     return LieGroup(
-        "translations_r2", basis, factorization_radius=np.inf,
-        residual_fn=_unipotent_residual(pattern),
+        "translations_r2", basis, residual_fn=_unipotent_residual(pattern),
         coords_fn=lambda ms: np.stack([ms[..., 0, 2].real, ms[..., 1, 2].real], axis=-1),
         exp_fn=_unipotent_exp,
     )
@@ -329,8 +315,7 @@ def _make_heisenberg() -> LieGroup:
     pattern = np.zeros((3, 3))
     pattern[0, 1] = pattern[1, 2] = pattern[0, 2] = 1.0
     return LieGroup(
-        "heisenberg", basis, factorization_radius=np.inf,
-        residual_fn=_unipotent_residual(pattern),
+        "heisenberg", basis, residual_fn=_unipotent_residual(pattern),
         coords_fn=_heisenberg_coords,
         exp_fn=_unipotent_exp,
     )
@@ -353,8 +338,7 @@ def _make_so2() -> LieGroup:
     basis[0, 0, 1] = -1.0
     basis[0, 1, 0] = 1.0
     return LieGroup(
-        "so2", basis, factorization_radius=np.pi,
-        residual_fn=_so2_residual,
+        "so2", basis, residual_fn=_so2_residual,
         coords_fn=lambda ms: np.arctan2(ms[..., 1, 0, None].real,
                                         ms[..., 0, 0, None].real),
         exp_fn=_so2_exp,

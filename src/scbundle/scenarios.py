@@ -193,9 +193,9 @@ class Scenario:
         env = os.environ.get(SEED_ENV_VAR)
         if env is None:
             return int(self.setting("numerics.seed"))
-        if not env.strip().isdecimal():
-            raise ConfigError(f"{SEED_ENV_VAR} must be a non-negative integer, got {env!r}")
-        return int(env)
+        if env.strip().isdecimal():
+            return int(env)
+        raise ConfigError(f"{SEED_ENV_VAR} must be a non-negative integer, got {env!r}")
 
     @property
     def dt(self) -> float:

@@ -26,9 +26,9 @@ modes only (it also serves each Garding kernel node, the off-lattice
 transform and the reconstruction flow); :func:`transformed_field` is that
 transform of a bare field, so transforms and generators compose as field
 maps and build one section at the end.  The central difference of a
-one-parameter family (of sections or of arrays) is written once,
-:func:`central_difference`: the generators of the action and of its
-reconstruction and every base derivative are that difference.  Only
+one-parameter family of arrays is written once, :func:`central_difference`:
+the generators of the action and of its reconstruction and every base
+derivative are that difference.  Only
 :func:`section_transform` moves lattice values by exact re-indexing;
 everything that must leave the lattice needs the field and refuses
 otherwise.  A lattice element g fixes that re-indexing once per sampling:
@@ -379,9 +379,6 @@ class Section:
     def __mul__(self, scale: complex) -> "Section":
         return self._combine(lambda values: scale * values)
 
-    def __truediv__(self, scale: float) -> "Section":
-        return self._combine(lambda values: values / scale)
-
     __rmul__ = __mul__
 
 
@@ -472,9 +469,9 @@ def pulled_field(field, pull: np.ndarray, V: np.ndarray):
 
 def central_difference(family, tau: float):
     """``(family(tau) - family(-tau)) / (2 tau)``: the derivative at t = 0
-    of a one-parameter family of sections or arrays by central differences
-    (Eq. 16a), the one stencil of the package and the only code naming its
-    nodes: callers build each member at the step it asks for."""
+    of a one-parameter family of arrays by central differences (Eq. 16a),
+    the one stencil of the package and the only code naming its nodes:
+    callers build each member at the step it asks for."""
     return (family(tau) - family(-tau)) / (2.0 * tau)
 
 

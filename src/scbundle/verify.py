@@ -9,11 +9,12 @@ made here.  The finite-difference checks of a suite are one table of
 residuals at one fd step, so each operator is applied once per step;
 :func:`_refined` evaluates the table once at each step and is the one place
 that pairs a residual record with its ``_order`` record (the steps, the
-roundoff floor and the contracted order).  Every fd step derives from the
-constant ``FD_TAU``, which the report's environment records.  The section
-suite likewise transforms each probe once per group element.  Any exception
-inside a suite becomes a failing record instead of a crash, and everything
-is deterministic given the scenario seed.
+roundoff floor 10 eps_mach / (tau/2)^k of a k-th difference, and the
+contracted order).  Every fd step derives from the constant ``FD_TAU``,
+which the report's environment records.  The section suite likewise
+transforms each probe once per group element.  Any exception inside a suite
+becomes a failing record instead of a crash, and everything is
+deterministic given the scenario seed.
 """
 
 from __future__ import annotations
@@ -46,14 +47,16 @@ from .sections import (BaseFunction, Section, evaluator_transform,
 
 __all__ = ["run_verify", "run_convergence", "ConvergenceRow", "ConvergenceTable"]
 
-ORDER_FLOOR = 1e-9     # residuals at the roundoff floor cannot shrink further
 FD_TAU = 1e-3          # the fd step of every generator table and of the group law
 
 
-def _order_gap(residual: float, refined: float, contracted: float) -> float:
-    """How far the refinement falls short of the contracted order (zero when
-    saturated at the floor)."""
-    if refined <= ORDER_FLOOR:
+def _order_gap(residual: float, refined: float, contracted: float, step: float,
+               differences: int) -> float:
+    """How far the refinement to ``step`` falls short of the contracted
+    order; zero under the roundoff floor 10 eps_mach / step^k of a k-th
+    difference, which cannot shrink further (Press et al., Numerical
+    Recipes, 3rd ed., 5.7)."""
+    if refined <= 10 * np.finfo(float).eps / step ** differences:
         return 0.0
     order = np.log2(residual / refined) if refined > 0 else np.inf
     return float(max(0.0, contracted - order))
@@ -63,16 +66,17 @@ def _refined(checks, residuals, tau: float) -> list:
     """Records of finite-difference checks read off one residual table per
     step: ``residuals(tk)`` maps each check id to its residual at fd step
     ``tk`` and is evaluated at tau, then at tau/2.  For each ``(check_id,
-    anchor, tol, contracted)`` of ``checks``, in order, the residual at tau
-    against ``tol`` is followed by its ``<check_id>_order`` record: the
-    residual at tau/2 must shrink at the contracted order (``_order_gap``)."""
+    anchor, tol, contracted, differences)`` of ``checks``, in order, the
+    residual at tau against ``tol`` is followed by its ``<check_id>_order``
+    record: the residual at tau/2 of a k = ``differences``-th difference
+    must shrink at the contracted order (``_order_gap``)."""
     table, half = residuals(tau), residuals(tau / 2)
     records = []
-    for check_id, anchor, tol, contracted in checks:
+    for check_id, anchor, tol, contracted, differences in checks:
         r = table[check_id]
+        gap = _order_gap(r, half[check_id], contracted, tau / 2, differences)
         records += [CheckRecord(check_id, anchor, r, tol),
-                    CheckRecord(f"{check_id}_order", anchor,
-                                _order_gap(r, half[check_id], contracted), 1e-9)]
+                    CheckRecord(f"{check_id}_order", anchor, gap, 1e-9)]
     return records
 
 
@@ -366,11 +370,11 @@ def generator_checks(scn: Scenario, action, rng) -> list:
         A = group.algebra([1.0])
         B = group.algebra([0.6])
     conj = _lattice_elements(sampling)[3]
-    checks = [("generator_linearity", "Eq. (18)", 1e-4, 1.85),
-              ("generator_conjugation", "Eq. (18)", 1e-4, 1.85),
-              ("generator_commutator", "Eq. (18)", 1e-4, 0.85),
-              ("generator_multiplication", "Eq. (20a)", 1e-4, 1.85),
-              ("generator_pairing_derivative", "Eq. (21)", 1e-4, 1.85)]
+    checks = [("generator_linearity", "Eq. (18)", 1e-4, 1.85, 1),
+              ("generator_conjugation", "Eq. (18)", 1e-4, 1.85, 1),
+              ("generator_commutator", "Eq. (18)", 1e-4, 0.85, 2),
+              ("generator_multiplication", "Eq. (20a)", 1e-4, 1.85, 1),
+              ("generator_pairing_derivative", "Eq. (21)", 1e-4, 1.85, 1)]
     # H(A) psi at each fd step, shared by the identity tables and the fd order
     HA = {tk: generator_apply(A, psi, action, tk) for tk in (2 * tau, tau, tau / 2)}
     records = _refined(checks, lambda tk: {
@@ -399,7 +403,7 @@ def generator_checks(scn: Scenario, action, rng) -> list:
 
     r12, r24 = ((HA[2 * tk] - HA[tk]).norm for tk in (tau, tau / 2))
     records.append(CheckRecord("generator_fd_order", "Eq. (16a)",
-                               _order_gap(r12, r24, 1.9), 1e-9))
+                               _order_gap(r12, r24, 1.9, tau / 2, 1), 1e-9))
     return records
 
 
@@ -525,10 +529,10 @@ def reconstruction_checks(scn: Scenario, action, family, rng) -> list:
                 term1 + term2 + term3 + term4 - rhs)))
         return table
 
-    checks = [("conjugation_covariance", "Lemma 4.4", 1e-4, 0.85),
-              ("axiom_a2_surrogate", "Axiom A2", 1e-4, 0.85)]
+    checks = [("conjugation_covariance", "Lemma 4.4", 1e-4, 0.85, 1),
+              ("axiom_a2_surrogate", "Axiom A2", 1e-4, 0.85, 1)]
     if B is not None:
-        checks.append(("axiom_a5_surrogate", "Axiom A5", 1e-3, 0.85))
+        checks.append(("axiom_a5_surrogate", "Axiom A5", 1e-3, 0.85, 2))
     return records + _refined(checks, fd_table, tau)
 
 
@@ -724,11 +728,10 @@ class ConvergenceTable:
 
 
 def run_convergence(scenario: Scenario, eps_list=None) -> ConvergenceTable:
-    """Ansatz-vs-reference L2 error per epsilon (empty list is allowed and
-    produces an empty table)."""
+    """Ansatz-vs-reference L2 error per epsilon (an empty list gives an
+    empty table).  Raises ConfigError for a scenario without a
+    Hamiltonian."""
     eps_values = list(eps_list) if eps_list is not None else scenario.eps_list
-    if not eps_values:
-        return ConvergenceTable([])
     f0 = np.eye(scenario.fiber_dim)[0].astype(complex)
     errors = ansatz_errors(scenario.build_hamiltonian(), scenario.anchor, f0,
                            eps_values, float(scenario.setting("dynamics.t_final")),

@@ -72,7 +72,7 @@ def _phases(levels):
 def _closed_forms(name, dim):
     """(wrap period, fiber map, base map) of a one-parameter action, spelled
     out in closed form at the element's coordinate t."""
-    osc = np.real(np.diag(quadratic_hamiltonian(1.0, 0.0, 1.0, dim)))
+    osc = np.real(np.diag(quadratic_hamiltonian(1.0, 1.0, dim)))
     half = np.arange(dim, dtype=float) + 0.5
     return {
         "oscillator": (None, _phases(osc), lambda t, r: _rotation_rows(t, r, 0.0)),

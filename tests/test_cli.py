@@ -74,11 +74,19 @@ def test_convergence_exits_zero_with_the_golden_table(monkeypatch, capsys):
 
 
 def test_convergence_without_eps_values_exits_two(capsys):
-    """heisenberg-weyl lists no eps, so there is no study to pass."""
-    assert cli.main(["convergence", "heisenberg-weyl"]) == 2
+    """free-particle lists no eps, so there is no study to pass."""
+    assert cli.main(["convergence", "free-particle"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "at least two eps values" in captured.err
+
+
+def test_convergence_without_a_hamiltonian_exits_two(capsys):
+    """heisenberg-weyl declares no Hamiltonian, so there is no study to run."""
+    assert cli.main(["convergence", "heisenberg-weyl"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "declares no Hamiltonian" in captured.err
 
 
 @pytest.mark.parametrize("seed", ["abc", "-5"])

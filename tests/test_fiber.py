@@ -37,24 +37,24 @@ def second_derivative(xs, f):
 # ---------------------------------------------------------------------------
 
 def test_quadratic_hamiltonian_zero_blocks():
-    H = quadratic_hamiltonian(0.0, 0.0, 0.0, 8)
+    H = quadratic_hamiltonian(0.0, 0.0, 8)
     assert np.allclose(H, 0.0)
 
 
 def test_quadratic_hamiltonian_oscillator_diagonal():
-    H = quadratic_hamiltonian(1.0, 0.0, 1.0, 16)
+    H = quadratic_hamiltonian(1.0, 1.0, 16)
     assert np.allclose(H, np.diag(np.arange(16) + 0.5), atol=1e-13)
 
 
 def test_quadratic_hamiltonian_oscillator_vs_grid_oracle():
-    H = quadratic_hamiltonian(1.0, 0.0, 1.0, 12)
+    H = quadratic_hamiltonian(1.0, 1.0, 12)
     oracle = grid_matrix_elements(
         lambda xs, f: 0.5 * (xs ** 2 * f - second_derivative(xs, f)), 12)
     assert np.max(np.abs(H - oracle)) <= 1e-8
 
 
 def test_quadratic_hamiltonian_kinetic_vs_grid_oracle():
-    H = quadratic_hamiltonian(0.0, 0.0, 1.0, 16)
+    H = quadratic_hamiltonian(0.0, 1.0, 16)
     oracle = grid_matrix_elements(
         lambda xs, f: -0.5 * second_derivative(xs, f), 16)
     assert np.max(np.abs(H - oracle)) <= 1e-8
@@ -69,14 +69,14 @@ def test_quadratic_hamiltonian_parity_commutes_without_mixing():
     """A quadratic H is even under (xi, p) -> (-xi, -p), so it commutes with
     the parity (-1)^k of the Hermite degree k."""
     h_qq, h_pp = np.random.default_rng(2).standard_normal(2) + [0.0, 3.0]
-    H = quadratic_hamiltonian(h_qq, 0.0, h_pp, 7)
+    H = quadratic_hamiltonian(h_qq, h_pp, 7)
     parity = np.diag((-1.0) ** np.arange(7))
     comm = H @ parity - parity @ H
     assert np.linalg.norm(comm) <= 1e-10
 
 
 def test_oscillator_spectrum_below_truncation_edge():
-    H = quadratic_hamiltonian(1.0, 0.0, 1.0, 16)
+    H = quadratic_hamiltonian(1.0, 1.0, 16)
     vals = np.linalg.eigvalsh(H)
     expect = np.arange(16) + 0.5
     keep = np.arange(16) < 16 - 2    # off the two-degree truncation edge
@@ -102,8 +102,8 @@ def test_padded_ladder_matrices_are_built_once_and_read_only():
     for matrix in (x, p, momentum_operator(12)):
         with pytest.raises(ValueError):
             matrix[0, 0] = 1.0
-    H = quadratic_hamiltonian(1.0, 0.0, 1.0, 12)
-    assert np.array_equal(H, quadratic_hamiltonian(1.0, 0.0, 1.0, 12))
+    H = quadratic_hamiltonian(1.0, 1.0, 12)
+    assert np.array_equal(H, quadratic_hamiltonian(1.0, 1.0, 12))
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +130,6 @@ def test_unitarity_residual_scaled_identity():
 @given(t=st.floats(-3.0, 3.0))
 @settings(max_examples=20, deadline=None)
 def test_propagator_is_unitary(t):
-    H = quadratic_hamiltonian(1.0, 0.3, 2.0, 9)
+    H = quadratic_hamiltonian(1.0, 2.0, 9)
     U = spectral_exp(np.linalg.eigh(H), t)
     assert unitarity_residual(U) <= 1e-12

@@ -186,7 +186,7 @@ def test_bracket_closure_error_outside_basis():
     basis = np.zeros((2, 3, 3))
     basis[0, 0, 1] = 1.0
     basis[1, 1, 2] = 1.0
-    g = groups.LieGroup("open_algebra_test", basis, factorization_radius=1.0,
+    g = groups.LieGroup("open_algebra_test", basis,
                         residual_fn=lambda m: 0.0, coords_fn=lambda ms: ms[..., 0, 1:],
                         exp_fn=scipy.linalg.expm)
     A, B = g.algebra([1, 0]), g.algebra([0, 1])
@@ -277,24 +277,24 @@ def test_factorize_heisenberg_mixed_product():
 def test_factorize_random_recomposition(gid):
     g = get_group(gid)
     rng = np.random.default_rng(42)
-    radius = min(g.factorization_radius, 1.0)
     for _ in range(100):
-        coords = rng.uniform(-0.5, 0.5, g.dim) * radius
+        coords = rng.uniform(-0.5, 0.5, g.dim)
         el = exp(g.algebra(coords))
         t = factorize_second_kind(el)
         assert np.linalg.norm(g.compose_exps(t) - el.matrix) <= 1e-9
 
 
-def test_factorize_out_of_domain_refusal():
-    # a line whose chart is trusted only within radius 1: an element beyond
-    # the registered radius is refused rather than extrapolated
+def test_factorize_refuses_coordinates_that_do_not_recompose():
+    """A chart whose coordinates do not recompose the element (here the
+    line's, doubled) is refused rather than trusted."""
     line = get_group("real_line")
-    g = groups.LieGroup("short_line_test", line.basis, factorization_radius=1.0,
-                        residual_fn=line.manifold_residual, coords_fn=line.coords_batch,
+    g = groups.LieGroup("doubled_chart_test", line.basis,
+                        residual_fn=line.manifold_residual,
+                        coords_fn=lambda ms: 2.0 * line.coords_batch(ms),
                         exp_fn=line.exp_matrix)
-    assert factorize_second_kind(exp(g.algebra([0.9]))) == pytest.approx([0.9])
-    with pytest.raises(OutOfDomainError):
-        factorize_second_kind(exp(g.algebra([1.1])))
+    assert factorize_second_kind(g.identity()) == pytest.approx([0.0])
+    with pytest.raises(OutOfDomainError, match="factorization residual"):
+        factorize_second_kind(exp(g.algebra([0.3])))
 
 
 @given(a=st.floats(-0.8, 0.8), b=st.floats(-0.8, 0.8), c=st.floats(-0.8, 0.8))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from scbundle import generators, verify
-from scbundle.errors import PreconditionError
+from scbundle.errors import ConfigError, PreconditionError
 from scbundle.groups import as_matrix
 from scbundle.scenarios import SEED_ENV_VAR, load_scenario
 from scbundle.sections import BaseFunction, Section, gentle_probe_section
@@ -44,26 +44,36 @@ def test_refined_judges_the_refinement_order():
     """One residual table per step, evaluated once at tau and then once at
     tau/2: a residual that decays at first order fails its order record, one
     at the roundoff floor cannot shrink and passes, one at second order
-    passes; the records come in the order of the checks."""
+    passes; the records come in the order of the checks.  The floor is
+    10 eps_mach / (tau/2)^k: a faint residual of 1e-10 that shrinks at
+    first order lies above the first-difference floor 4.4e-12, so it is
+    judged and fails, while under the second-difference floor 8.9e-9 it
+    reads 0."""
     steps = []
 
     def table(tk):
         steps.append(tk)
-        return {"floor": 1e-12, "first": tk, "second": tk * tk}
+        return {"floor": 1e-12, "first": tk, "second": tk * tk, "faint": 1e-7 * tk}
 
-    checks = [("first", "Eq. (0)", 1e-2, 1.85), ("floor", "Eq. (1)", 1e-2, 1.85),
-              ("second", "Eq. (2)", 1e-2, 1.85)]
+    checks = [("first", "Eq. (0)", 1e-2, 1.85, 1), ("floor", "Eq. (1)", 1e-2, 1.85, 1),
+              ("second", "Eq. (2)", 1e-2, 1.85, 1), ("faint", "Eq. (3)", 1e-2, 1.85, 1)]
     records = verify._refined(checks, table, 1e-3)
     assert steps == [1e-3, 5e-4]
     assert [r.check_id for r in records] == ["first", "first_order", "floor",
-                                             "floor_order", "second", "second_order"]
-    assert [r.paper_anchor for r in records[::2]] == ["Eq. (0)", "Eq. (1)", "Eq. (2)"]
-    first, first_order, floor, floor_order, second, second_order = records
+                                             "floor_order", "second", "second_order",
+                                             "faint", "faint_order"]
+    assert [r.paper_anchor for r in records[::2]] == ["Eq. (0)", "Eq. (1)", "Eq. (2)",
+                                                      "Eq. (3)"]
+    first, first_order, floor, floor_order, second, second_order, faint, faint_order = records
     assert first.residual == 1e-3 and first.passed
     assert first_order.residual == pytest.approx(0.85) and not first_order.passed
     assert [floor.residual, floor_order.residual] == [1e-12, 0.0]
     assert floor.passed and floor_order.passed
     assert second_order.residual == 0.0 and second_order.passed
+    assert faint.residual == pytest.approx(1e-10) and faint.passed
+    assert faint_order.residual == pytest.approx(0.85) and not faint_order.passed
+    second_difference = verify._refined([("faint", "Eq. (3)", 1e-2, 1.85, 2)], table, 1e-3)
+    assert second_difference[1].residual == 0.0 and second_difference[1].passed
 
 
 def test_suite_crash_is_recorded_and_other_suites_survive(monkeypatch):
@@ -440,11 +450,14 @@ def test_pointwise_recovery_redraws_points_the_shear_moves_out(monkeypatch):
 @pytest.mark.parametrize("errors", [[], [0.1]])
 def test_monotone_flag_refuses_fewer_than_two_rows(errors):
     """A table of one row or none compares nothing, so its flag is not a
-    pass; an empty study is still a table."""
+    pass; an empty study is still a table, but only of a scenario with a
+    Hamiltonian."""
     table = verify.ConvergenceTable([verify.ConvergenceRow(0.05, e) for e in errors])
     with pytest.raises(PreconditionError, match="at least two eps"):
         table.monotone_decreasing
-    assert verify.run_convergence(load_scenario("heisenberg-weyl"), []).rows == []
+    assert verify.run_convergence(load_scenario("free-particle"), []).rows == []
+    with pytest.raises(ConfigError, match="declares no Hamiltonian"):
+        verify.run_convergence(load_scenario("heisenberg-weyl"), [])
 
 
 def test_convergence_table_matches_golden(monkeypatch):
