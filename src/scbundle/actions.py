@@ -18,8 +18,11 @@ fiber Hamiltonian ``H(B_k)``, its one-parameter unitaries
 flow for one-parameter groups.  The one-parameter actions (oscillator,
 rotor, metaplectic) are all one builder, ``_flow_action``: the
 lifted flow on the base and ``unitary`` on the fibers, at the element's
-coordinate.  Heisenberg--Weyl and the translations keep closed-form fiber
-maps, which the reconstruction checks against the family.
+coordinate.  Their lifted flow is the exact flow of the harmonic
+oscillator H = (P^2 + Q^2)/2, :func:`.dynamics.exact_flow`, the one
+harmonic flow of the package, with the metaplectic action drift added to S
+where it is asked for.  Heisenberg--Weyl and the translations keep
+closed-form fiber maps, which the reconstruction checks against the family.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .dynamics import exact_flow, quadratic_hamiltonian_spec
 from .errors import InputError
 from .fiber import (momentum_operator, position_operator, quadratic_hamiltonian,
                     spectral_exp)
@@ -193,22 +197,10 @@ def translations_r2_action(dim: int):
 # one-parameter flows
 # ---------------------------------------------------------------------------
 
-def _oscillator_action_gain(t, P, Q):
-    """Closed-form action increment along the harmonic flow,
-    integral of (P^2 - H) over [0, t]."""
-    return (P ** 2 - Q ** 2) * np.sin(2 * t) / 4 - P * Q * (1 - np.cos(2 * t)) / 2
-
-
-def _rotation_flow(drift_rate: float):
-    """Lifted flow of the harmonic rotation with an optional uniform drift of
-    the action variable (drift_rate per unit angle)."""
-    def flow(ts, rows):
-        S, P, Q = rows[..., 0], rows[..., 1], rows[..., 2]
-        c, s = np.cos(ts), np.sin(ts)
-        return _rows(S + _oscillator_action_gain(ts, P, Q) + drift_rate * ts,
-                     P * c - Q * s, Q * c + P * s)
-
-    return flow
+def _harmonic_flow():
+    """The exact flow of H = (P^2 + Q^2)/2, the rotation by the angle t of
+    (P, Q) with its action increment."""
+    return exact_flow(quadratic_hamiltonian_spec(1.0))
 
 
 def _flow_action(name: str, group_id: str, dim: int, flow,
@@ -236,7 +228,7 @@ def oscillator_action(dim: int):
     fibers.  An honest action of the real line."""
     levels = np.real(np.diag(quadratic_hamiltonian(1.0, 1.0, dim)))
     return _flow_action("oscillator-evolution", "real_line", dim,
-                        _rotation_flow(0.0), np.diag(levels).astype(complex))
+                        _harmonic_flow(), np.diag(levels).astype(complex))
 
 
 def so2_rotor_action(dim: int):
@@ -244,7 +236,7 @@ def so2_rotor_action(dim: int):
     2pi-periodic, no action drift), integer-spectrum phases exp(-i theta N)
     on the fibers.  The non-projective contrast to the metaplectic case."""
     levels = np.arange(dim, dtype=float)
-    return _flow_action("so2-rotor", "so2", dim, _rotation_flow(0.0),
+    return _flow_action("so2-rotor", "so2", dim, _harmonic_flow(),
                         np.diag(levels).astype(complex))
 
 
@@ -261,6 +253,12 @@ def metaplectic_action(dim: int, drift: bool = False):
     flow.
     """
     levels = np.arange(dim, dtype=float) + 0.5
+    harmonic = _harmonic_flow()
+
+    def drifted(ts, rows):
+        S, P, Q = np.moveaxis(harmonic(ts, rows), -1, 0)
+        return _rows(S - 0.5 * ts, P, Q)
+
     return _flow_action("metaplectic-so2" + ("-drift" if drift else ""), "so2",
-                        dim, _rotation_flow(-0.5 if drift else 0.0),
+                        dim, drifted if drift else harmonic,
                         np.diag(levels).astype(complex), period=2 * np.pi)

@@ -6,13 +6,15 @@ wave-packet substitution on a 1-D grid, for H = P^2/2 + V(Q), the form of
 Hagedorn's semiclassical wave packets.  The propagator steps by midpoint
 exponentials, except for a quadratic Hamiltonian (constant Hessian), where
 H_fluct is one matrix and the propagator to time t is exp(-i t H_fluct)
-from one eigendecomposition.  The classical flow of a quadratic
-Hamiltonian also has an exact form, :func:`linear_flow`, which the verify
-suite uses as the reference of the RK4 order check; the evolution
-automorphisms still flow by RK4.  Two references, independent of that
-pipeline, judge the substituted packet: for a quadratic Hamiltonian the
-exact Gaussian :func:`gaussian_packet` (a closed form in the linear flow),
-and otherwise the split-step spectral solver :func:`reference_schrodinger`.
+from one eigendecomposition (:func:`quadratic_propagator`).  The classical
+flow of a quadratic Hamiltonian has the exact form :func:`exact_flow`,
+batched over rows and times: it is the harmonic actions' base map, the
+base map of :func:`evolution_automorphism` and the reference of the RK4
+order check.  RK4 runs where it is itself judged, or where the flow is not
+linear.  Two references, independent of that pipeline, judge the
+substituted packet: for a quadratic Hamiltonian the exact Gaussian
+:func:`gaussian_packet` (a closed form in the exact flow), and otherwise
+the split-step spectral solver :func:`reference_schrodinger`.
 :func:`ansatz_errors` picks one from the Hamiltonian.
 
 **Rows contract.**  A base point of the bundle is its state row: a float
@@ -20,11 +22,11 @@ array of shape (3,), laid out ``S, P, Q`` (action, momentum, coordinate of
 one degree of freedom), and a stack of base points is an array (R, 3).
 The flow refuses rows of another width and non-finite rows, and every
 packet path refuses a row that is not three finite floats; the end of a
-:class:`Trajectory` is its last row.  The package's one-row flows start
-from a :class:`_NamedRow` view of the row.  With the one-variable fiber of
-:mod:`.fiber`, every scenario, action, flow and ansatz is 1-D; a fiber
-state is a complex vector and a propagator a complex (d, d) array, d the
-fiber dimension.
+:class:`Trajectory` is its last row.  The package's one-row RK4 flow
+starts from a :class:`_NamedRow` view of the row.  With the one-variable
+fiber of :mod:`.fiber`, every scenario, action, flow and ansatz is 1-D; a
+fiber state is a complex vector and a propagator a complex (d, d) array, d
+the fiber dimension.
 The RK4 loop :func:`_rk4_steps`, with its Hamilton vector field and its
 stage combination, is written once, over the components (S, P, Q), in
 elementwise arithmetic, which rounds alike on Python floats and on numpy
@@ -39,14 +41,6 @@ H on arrays, and :func:`reference_schrodinger` advances a stack of wave packets
 in one split-step loop per block of rows, the blocks on threads (a
 one-eps :func:`ansatz_errors` of a non-quadratic Hamiltonian is its
 one-row case).
-
-**Step-grid invariant.** A flow to time T with step dt takes
-round(|T|/dt) steps of h = T/round(|T|/dt), and its fluctuation propagator
-steps along the same times.  When several times share one h (checked by
-:func:`step_counts`), the flow to an earlier time and its propagator are,
-bitwise, prefixes of the flow to a later one and of its running product
-(for a quadratic Hamiltonian, the closed form at the same time c h).  The
-evolution-law check reads all its flows and propagators that way.
 """
 
 from __future__ import annotations
@@ -71,11 +65,11 @@ __all__ = [
     "classical_flow",
     "classical_flows",
     "fluctuation_propagator",
-    "fluctuation_propagators",
+    "quadratic_propagator",
     "evolution_automorphism",
     "ansatz_wavefunction",
     "reference_schrodinger",
-    "linear_flow",
+    "exact_flow",
     "gaussian_packet",
     "ansatz_errors",
     "l2_distance",
@@ -102,8 +96,9 @@ class HamiltonianSpec:
     builds, and ``potential`` is V on grid arrays, which the grid reference
     solver reads.  ``constant_hessians`` marks the quadratic Hamiltonians:
     their fluctuation propagators are closed forms from one
-    eigendecomposition, their flow has the exact form :func:`linear_flow`,
-    and the exact Gaussian serves as their reference.
+    eigendecomposition (:func:`quadratic_propagator`), their flow has the
+    exact form :func:`exact_flow`, which their evolution automorphisms
+    read, and the exact Gaussian serves as their reference.
     """
 
     value: Callable
@@ -235,15 +230,12 @@ def _grid(T: np.ndarray, dt: np.ndarray):
 
 
 def step_counts(times: Sequence[float], dt: float) -> np.ndarray:
-    """Step counts round(|t|/dt) of ``times`` that lie on one step grid:
-    each takes at least one step, and all take the same step
-    h = t/round(|t|/dt).  Raises InputError otherwise.  On one grid the
-    flow to an earlier time is, bitwise, a prefix of the flow to a later
-    one."""
+    """Step counts round(|t|/dt) of ``times``; raises InputError unless each
+    takes at least one step."""
     times = np.asarray(times, dtype=float)
-    counts, h = _grid(times, np.asarray(dt, dtype=float))
-    if np.any(counts < 1) or np.unique(h).size > 1:
-        raise InputError(f"times {times.tolist()} do not share one step of "
+    counts, _ = _grid(times, np.asarray(dt, dtype=float))
+    if np.any(counts < 1):
+        raise InputError(f"times {times.tolist()} do not all take a step of "
                          f"about dt = {dt}")
     return counts
 
@@ -274,12 +266,10 @@ def classical_flows(H: HamiltonianSpec, rows, T, dt) -> list:
     unfinite = ~np.isfinite(rows).all(axis=1)
     if unfinite.any():
         raise InputError(f"non-finite initial state in row {np.argmax(unfinite)}")
-    if not len(rows):
-        return []
     counts, h = _grid(T, dt)
     paths = [_rk4_path(H, row, step, count)
              for row, step, count in zip(rows.tolist(), h.tolist(), counts.tolist())]
-    ends = np.array([path[-1] for path in paths])
+    ends = np.reshape([path[-1] for path in paths], (-1, 3))
     drift = np.abs(H.value(ends[:, 1], ends[:, 2]) - H.value(rows[:, 1], rows[:, 2]))
     return [Trajectory(np.arange(c + 1) * h[r], path, float(drift[r]))
             for r, (c, path) in enumerate(zip(counts, paths))]
@@ -323,60 +313,60 @@ def _checked_propagator(U: np.ndarray) -> np.ndarray:
     return U
 
 
-def _step_unitaries(H: HamiltonianSpec, trajectory: Trajectory,
-                    dim: int, count: int):
-    """The exponentials of the first ``count`` steps of the trajectory, in
-    time order, each evaluated at its interval midpoint: one
-    :func:`_rk4_steps` step of half the interval, taken by every interval
-    at once on the component stacks (S, P, Q)."""
-    dts = np.diff(trajectory.times[:count + 1])
-    _, P, Q = _rk4_steps(H, trajectory.rows[:count].T, 0.5 * dts, 1, [None] * 6)[3:]
+def _step_unitaries(H: HamiltonianSpec, trajectory: Trajectory, dim: int):
+    """The exponentials of the steps of the trajectory, in time order, each
+    evaluated at its interval midpoint: one :func:`_rk4_steps` step of half
+    the interval, taken by every interval at once on the component stacks
+    (S, P, Q)."""
+    dts = np.diff(trajectory.times)
+    _, P, Q = _rk4_steps(H, trajectory.rows[:-1].T, 0.5 * dts, 1, [None] * 6)[3:]
     for hessian, dt in zip(H.hess(P, Q), dts):
         yield spectral_exp(np.linalg.eigh(_fluct_matrix(hessian, dim)), dt)
 
 
-def fluctuation_propagators(H: HamiltonianSpec, trajectory: Trajectory,
-                            dim: int, counts: Sequence[int]) -> list:
-    """Time-ordered unitaries for i df/dt = H_fluct(t) f along the first
-    ``c`` steps of the trajectory, for each ``c`` in ``counts`` (none for no
-    counts).  For a quadratic H (``constant_hessians``) H_fluct is one
-    matrix, and each is the closed form exp(-i t_c H_fluct), t_c =
-    ``trajectory.times[c]``, from one eigendecomposition; otherwise each is
-    a prefix of one running product of per-step exponentials evaluated at
-    the interval midpoints."""
-    counts = [int(c) for c in counts]
-    if not counts:
-        return []
-    if min(counts) < 0 or max(counts) >= len(trajectory):
-        raise InputError("propagator step count outside the trajectory")
-    if H.constant_hessians:
-        hessian = H.hess(*trajectory.rows[:1, 1:].T)[0]
-        eig = np.linalg.eigh(_fluct_matrix(hessian, dim))
-        return [_checked_propagator(spectral_exp(eig, trajectory.times[c])) for c in counts]
-    U = np.eye(dim, dtype=complex)
-    prefixes, wanted = {0: U}, set(counts)
-    for k, step in enumerate(_step_unitaries(H, trajectory, dim, max(counts)), 1):
-        U = step @ U
-        if k in wanted:
-            prefixes[k] = U
-    return [_checked_propagator(prefixes[c]) for c in counts]
+def _constant_hessian(H: HamiltonianSpec) -> np.ndarray:
+    """The Hessian in (P, Q) of a quadratic ``H``, the same at every point;
+    raises InputError unless ``H`` is quadratic."""
+    if not H.constant_hessians:
+        raise InputError("the closed forms need a quadratic Hamiltonian")
+    return H.hess(np.zeros(1), np.zeros(1))[0]
+
+
+def quadratic_propagator(H: HamiltonianSpec, dim: int) -> Callable[[float], np.ndarray]:
+    """The fluctuation propagator of a quadratic ``H`` as a function of the
+    time: H_fluct is one matrix, and ``propagator(t)`` is exp(-i t H_fluct)
+    from its one eigendecomposition, taken here.  Raises InputError unless
+    ``H`` is quadratic."""
+    eig = np.linalg.eigh(_fluct_matrix(_constant_hessian(H), dim))
+    return lambda t: _checked_propagator(spectral_exp(eig, t))
 
 
 def fluctuation_propagator(H: HamiltonianSpec, trajectory: Trajectory,
                            dim: int) -> np.ndarray:
-    """The propagator along the whole trajectory: the one-count case of
-    :func:`fluctuation_propagators`."""
-    return fluctuation_propagators(H, trajectory, dim, [len(trajectory) - 1])[0]
+    """The time-ordered unitary for i df/dt = H_fluct(t) f along the whole
+    trajectory.  For a quadratic H (``constant_hessians``) it is the closed
+    form :func:`quadratic_propagator` at the trajectory's last time;
+    otherwise the running product of per-step exponentials evaluated at the
+    interval midpoints."""
+    if H.constant_hessians:
+        return quadratic_propagator(H, dim)(trajectory.times[-1])
+    U = np.eye(dim, dtype=complex)
+    for step in _step_unitaries(H, trajectory, dim):
+        U = step @ U
+    return _checked_propagator(U)
 
 
-def evolution_automorphism(H: HamiltonianSpec, t: float, dt: float,
+def evolution_automorphism(H: HamiltonianSpec, t: float,
                            dim: int) -> Callable[[np.ndarray], tuple]:
-    """Time-t evolution automorphism X -> (u_t X, U(u_t X <- X)): one
-    classical flow from X gives the base image and, along the same
-    trajectory, the fluctuation propagator on the fibers."""
+    """Time-t evolution automorphism X -> (u_t X, U(u_t X <- X)) of a
+    quadratic ``H``: the exact flow :func:`exact_flow` gives the base image,
+    and the fibers carry exp(-i t H_fluct) (:func:`quadratic_propagator`),
+    the same at every base point.  Raises InputError unless ``H`` is
+    quadratic."""
+    flow, U = exact_flow(H), quadratic_propagator(H, dim)(t)
+
     def automorphism(X: np.ndarray) -> tuple:
-        trajectory = classical_flow(H, _state_row(X).view(_NamedRow), t, dt)
-        return trajectory.rows[-1], fluctuation_propagator(H, trajectory, dim)
+        return flow(t, _state_row(X)), U
 
     return automorphism
 
@@ -550,38 +540,47 @@ def reference_schrodinger(H: HamiltonianSpec, psi0: np.ndarray, eps,
     return psi
 
 
-def _traceless_exp(A: np.ndarray) -> np.ndarray:
-    """exp(A) of a traceless 2x2 matrix.  By Cayley-Hamilton A @ A =
-    -det(A) I, so exp(A) = cos(w) I + sin(w)/w A where w^2 = det A > 0,
-    I + A where det A = 0, and cosh(w) I + sinh(w)/w A where w^2 = -det A."""
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+def _symplectic_exp(H: HamiltonianSpec) -> tuple:
+    """(J K, det K, cs) of a quadratic ``H``: K its constant Hessian in
+    (P, Q), J = [[0, -1], [1, 0]], and ``cs(t)`` the pair c, s, elementwise
+    in t, with exp(t J K) = c I + s J K.  By Cayley-Hamilton (J K)^2 =
+    -det(K) I, so c, s = cos(w t), sin(w t)/w where w^2 = det K > 0, 1, t
+    where det K = 0, and cosh(w t), sinh(w t)/w where w^2 = -det K.  Raises
+    InputError unless ``H`` is quadratic."""
+    K = _constant_hessian(H)
+    det = K[0, 0] * K[1, 1] - K[0, 1] * K[1, 0]
     w = np.sqrt(abs(det))
     if det > 0:
-        c, s = np.cos(w), np.sin(w) / w
+        cs = lambda t: (np.cos(w * t), np.sin(w * t) / w)
     elif det < 0:
-        c, s = np.cosh(w), np.sinh(w) / w
+        cs = lambda t: (np.cosh(w * t), np.sinh(w * t) / w)
     else:
-        c, s = 1.0, 1.0
-    return c * np.eye(2) + s * A
+        cs = lambda t: (1.0, t)
+    return np.array([[0.0, -1.0], [1.0, 0.0]]) @ K, det, cs
 
 
-def linear_flow(H: HamiltonianSpec, X0: np.ndarray, T: float) -> tuple:
-    """The exact classical flow of a quadratic ``H`` from the state row
-    ``X0`` to time ``T``: the end row and the matrix M = exp(T J K), with
-    z = (P, Q), K the constant Hessian and J = [[0, -1], [1, 0]].
+def exact_flow(H: HamiltonianSpec) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The exact classical flow ``flow(ts, rows)`` of a quadratic ``H``: the
+    state rows ``S, P, Q`` (..., 3) flowed to the times ``ts``, elementwise
+    over rows and times as numpy broadcasts them.
 
-    The flow is linear (Lasser & Lubich, Acta Numerica 29 (2020) 229): M,
-    in closed form (:func:`_traceless_exp`), carries z0 to M z0, and the
-    action goes to S0 + (P_T Q_T - P0 Q0)/2 (for homogeneous quadratic H,
-    P dH/dP - H = d(PQ)/dt / 2).  Raises InputError unless ``H`` is
-    quadratic and ``X0`` a state row."""
-    if not H.constant_hessians:
-        raise InputError("the exact flow needs a quadratic Hamiltonian")
-    S0, P0, Q0 = X0 = _state_row(X0)
-    K = H.hess(X0[1:2], X0[2:3])[0]
-    M = _traceless_exp(T * np.array([[0.0, -1.0], [1.0, 0.0]]) @ K)
-    P, Q = M @ np.array([P0, Q0])
-    return np.array([S0 + 0.5 * (P * Q - P0 * Q0), P, Q]), M
+    The flow is linear (Lasser & Lubich, Acta Numerica 29 (2020) 229): z =
+    (P, Q) goes to exp(t J K) z = c z + s J K z, with J K and the branch of
+    c, s read once here (:func:`_symplectic_exp`), and the action goes to
+    S0 + (P_t Q_t - P0 Q0)/2 (for homogeneous quadratic H, P dH/dP - H =
+    d(PQ)/dt / 2).  Raises InputError unless ``H`` is quadratic."""
+    JK, _, cs = _symplectic_exp(H)
+    (pp, pq), (qp, qq) = JK.tolist()
+
+    def flow(ts, rows):
+        S, P, Q = rows[..., 0], rows[..., 1], rows[..., 2]
+        c, s = cs(ts)
+        P_t = c * P + s * (pp * P + pq * Q)
+        Q_t = c * Q + s * (qp * P + qq * Q)
+        return np.stack(np.broadcast_arrays(S + 0.5 * (P_t * Q_t - P * Q), P_t, Q_t),
+                        axis=-1)
+
+    return flow
 
 
 def gaussian_packet(H: HamiltonianSpec, X0: np.ndarray, f0: np.ndarray,
@@ -593,25 +592,26 @@ def gaussian_packet(H: HamiltonianSpec, X0: np.ndarray, f0: np.ndarray,
 
     A Gaussian stays Gaussian (Heller, J. Chem. Phys. 62 (1975) 1544;
     Hagedorn, Ann. Phys. 269 (1998) 77).  Its centre and action are the end
-    row of the exact flow :func:`linear_flow`, and the tangent (dP, dQ) =
-    M (i, 1), through the same M = exp(T J K), gives the width A = dP/dQ
-    and the amplitude eps^{-1/4} pi^{-1/4} dQ^{-1/2}, on the branch
-    continued from 1 at t = 0.  It shares no code with the RK4 flow, the
-    fluctuation propagator, the ansatz or the grid solver.  Raises
-    InputError unless ``H`` is quadratic, and ResolutionError when the grid
-    does not cover 8 widths of the final packet on either side."""
+    row of the exact flow :func:`exact_flow`, and the tangent (dP, dQ) =
+    M (i, 1), through M = exp(T J K) from the same c and s, gives the width
+    A = dP/dQ and the amplitude eps^{-1/4} pi^{-1/4} dQ^{-1/2}, on the
+    branch continued from 1 at t = 0.  It shares no code with the RK4 flow,
+    the fluctuation propagator, the ansatz or the grid solver.  Raises
+    InputError unless ``H`` is quadratic and ``X0`` a state row, and
+    ResolutionError when the grid does not cover 8 widths of the final
+    packet on either side."""
     if np.any(f0[1:] != 0):
         raise InputError("the exact Gaussian starts from the ground mode only")
     if eps <= 0:
         raise InputError("eps must be positive")
-    (S, P, Q), M = linear_flow(H, X0, T)
-    K = H.hess(np.zeros(1), np.zeros(1))[0]      # the same at every point
-    dP, dQ = M @ np.array([1j, 1.0])
+    JK, det, cs = _symplectic_exp(H)
+    S, P, Q = exact_flow(H)(T, _state_row(X0))
+    c, s = cs(T)
+    dP, dQ = (c * np.eye(2) + s * JK) @ np.array([1j, 1.0])
     # Im dQ(t) = sin(w t)/w for w^2 = det K > 0 (and keeps the sign of t
     # for det K <= 0): dQ winds half round 0 in each half period pi/w.  Over k,
     # the nearest number of half periods, (-1)^k dQ stays off the negative
     # real axis, so its principal root continues the branch
-    det = K[0, 0] * K[1, 1] - K[0, 1] * K[1, 0]
     k = round(np.sqrt(det) * T / np.pi) if det > 0 else 0
     root = np.sqrt((-1) ** k * dQ) * np.exp(0.5j * np.pi * k)
     xs = np.asarray(xs, dtype=float)

@@ -11,7 +11,8 @@ together or cap them (the fiber truncation, lattice axes per group coordinate
 and their reach, an action's group, the spectrum modes within the fiber, the
 unit frequency that the oscillator action and the spectrum oracle assume, a
 ``dynamics.t_final`` of at least one step, a ``numerics.dt`` of at most the
-ansatz checks' time 1 when they run, the law-time step grid, an
+ansatz checks' time 1 when they run, the quadratic Hamiltonian whose exact
+flow the law check reads when law times are given, an
 ``eps_list`` of at least two strictly decreasing values when one is given,
 what each suite needs under its action, its one probe size included, a
 generators-suite kernel radius within its lattice window, the metaplectic
@@ -35,7 +36,7 @@ import numpy as np
 
 from .actions import (heisenberg_weyl_action, metaplectic_action, oscillator_action,
                       so2_rotor_action, translations_r2_action)
-from .dynamics import cubic_perturbed_spec, quadratic_hamiltonian_spec, step_counts
+from .dynamics import cubic_perturbed_spec, quadratic_hamiltonian_spec
 from .errors import ConfigError, InputError
 from .generators import kernel_steps
 from .groups import builtin_group_ids, get_group
@@ -416,6 +417,10 @@ def _validate(cfg, origin: str) -> Scenario:
                 and 1 + 1e-12 < scn.dt):
             raise ConfigError(f"{origin}: dynamics.eps_control needs numerics.dt <= 1, "
                               f"got {scn.dt}")
+        # the evolution-law check reads the exact flow of a quadratic Hamiltonian
+        if scn.setting("dynamics.law_times") and scn.hamiltonian["kind"] != "quadratic":
+            raise ConfigError(f"{origin}: dynamics.law_times needs the quadratic "
+                              f"Hamiltonian, got {scn.hamiltonian!r}")
     grid = scn.setting("numerics.grid")
     if not grid["lo"] < grid["hi"]:
         raise ConfigError(f"{origin}: numerics.grid needs lo < hi, got {grid!r}")
@@ -423,11 +428,6 @@ def _validate(cfg, origin: str) -> Scenario:
     if eps and (len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:]))):
         raise ConfigError(f"{origin}: eps_list needs at least two values in strictly "
                           f"decreasing order, got {eps!r}")
-    law_times = scn.setting("dynamics.law_times")
-    try:
-        step_counts(law_times + [t1 + t2 for t1 in law_times for t2 in law_times], scn.dt)
-    except InputError as err:
-        raise ConfigError(f"{origin}: dynamics.law_times not on one step grid ({err})") from err
     return scn
 
 

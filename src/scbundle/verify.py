@@ -23,9 +23,8 @@ import numpy as np
 
 from . import groups
 from .actions import metaplectic_action
-from .dynamics import (ansatz_errors, classical_flows,
-                       evolution_automorphism, fluctuation_propagator,
-                       fluctuation_propagators, linear_flow, step_counts)
+from .dynamics import (ansatz_errors, classical_flows, evolution_automorphism,
+                       exact_flow, fluctuation_propagator, quadratic_propagator)
 from .errors import PreconditionError
 from .fiber import unitarity_residual
 from .gauge import (GaugeBundle, compensator_relations_check,
@@ -156,32 +155,19 @@ def lie_checks(scn: Scenario, rng) -> list:
 # suite: evolution pipeline
 # ---------------------------------------------------------------------------
 
-def _evolution_law(H, anchor_flow, law_times: list, dt: float, dim: int) -> tuple:
-    """Worst base and fiber residuals of u_{t1} u_{t2} = u_{t1 + t2} over all
-    pairs of law times, given the anchor's flow to max(t1 + t2).  On the
-    step grid every flow from the anchor is a prefix of that flow, every
-    flow from a t2 image a prefix of one stacked flow to max t1, and every
-    propagator a prefix of the running product along its trajectory."""
-    sums = [t1 + t2 for t1 in law_times for t2 in law_times]
-    steps = dict(zip(law_times + sums, step_counts(law_times + sums, dt)))
-    anchor_counts = sorted(set(steps.values()))
-    from_anchor = dict(zip(anchor_counts, fluctuation_propagators(
-        H, anchor_flow, dim, anchor_counts)))
-    firsts = sorted(set(law_times))
-    images = classical_flows(H, anchor_flow.rows[[steps[t2] for t2 in firsts]],
-                             max(law_times), dt)
-    image_counts = sorted({steps[t1] for t1 in law_times})
-    base_worst, fiber_worst = 0.0, 0.0
-    for t2, image in zip(firsts, images):
-        from_image = dict(zip(image_counts, fluctuation_propagators(
-            H, image, dim, image_counts)))
-        for t1 in law_times:
-            Z = image.rows[steps[t1]]
-            Z12 = anchor_flow.rows[steps[t1 + t2]]
-            base_worst = max(base_worst, float(np.linalg.norm(Z - Z12)))
-            fiber_worst = max(fiber_worst, float(np.linalg.norm(
-                from_image[steps[t1]] @ from_anchor[steps[t2]]
-                - from_anchor[steps[t1 + t2]])))
+def _evolution_law(H, X, law_times: list, dim: int) -> tuple:
+    """Worst base and fiber residuals of u_{t1} u_{t2} = u_{t1 + t2} from
+    the state row ``X`` over all pairs of law times, for a quadratic ``H``:
+    each side of the base law is one exact flow batched over the pairs, and
+    every propagator comes from one eigendecomposition."""
+    flow, propagator = exact_flow(H), quadratic_propagator(H, dim)
+    t1 = np.array(law_times)[:, None]
+    t2 = t1.T
+    Z = flow(t1, flow(t2, X))
+    base_worst = float(np.max(np.linalg.norm(Z - flow(t1 + t2, X), axis=-1)))
+    U = {t: propagator(t) for t in law_times}
+    fiber_worst = max(float(np.linalg.norm(U[a] @ U[b] - propagator(a + b)))
+                      for a in law_times for b in law_times)
     return base_worst, fiber_worst
 
 
@@ -195,21 +181,19 @@ def dynamics_checks(scn: Scenario, rng) -> list:
     records.append(CheckRecord("hamiltonian_consistency", "Eq. (1)",
                                H.validate(probes), 1e-6))
 
-    # every flow from a given start, in one call: the anchor to t_final,
-    # the flows of the RK4 order check, and the anchor to the longest sum of
-    # law times (zero time without law times).  The order check measures
-    # three coarse flows against the exact flow of a quadratic H, and
-    # otherwise against a fine RK4 flow, the first of its flows
+    # every RK4 flow in one call: the anchor to t_final and the flows of the
+    # RK4 order check.  The order check measures three coarse flows against
+    # the exact flow of a quadratic H, and otherwise against a fine RK4
+    # flow, the first of its flows
     t_final = float(scn.setting("dynamics.t_final"))
     law_times = [float(t) for t in scn.setting("dynamics.law_times")]
     X0 = np.array([0.0, 0.0, 1.0])
     coarse_steps = [1e-2, 5e-3, 2.5e-3]
     probe_steps = coarse_steps if H.constant_hessians else [3.125e-4, *coarse_steps]
-    starts = [scn.anchor, *[X0] * len(probe_steps), scn.anchor]
-    ends = [t_final, *[2.0] * len(probe_steps), 2 * max(law_times, default=0.0)]
-    step = [dt, *probe_steps, dt]
-    trajectory, *coarse, law_flow = classical_flows(H, starts, ends, step)
-    reference = linear_flow(H, X0, 2.0)[0] if H.constant_hessians else coarse.pop(0).rows[-1]
+    trajectory, *coarse = classical_flows(H, [scn.anchor, *[X0] * len(probe_steps)],
+                                          [t_final, *[2.0] * len(probe_steps)],
+                                          [dt, *probe_steps])
+    reference = exact_flow(H)(2.0, X0) if H.constant_hessians else coarse.pop(0).rows[-1]
 
     U = fluctuation_propagator(H, trajectory, dim)
     records.append(CheckRecord("fluctuation_unitarity", "Eq. (3b)",
@@ -233,7 +217,7 @@ def dynamics_checks(scn: Scenario, rng) -> list:
     records.append(CheckRecord("rk4_fourth_order", "Eq. (3a)", deviation, 2.0))
 
     if law_times:
-        base_worst, fiber_worst = _evolution_law(H, law_flow, law_times, dt, dim)
+        base_worst, fiber_worst = _evolution_law(H, scn.anchor, law_times, dim)
         records.append(CheckRecord("evolution_base_law", "Eq. (5)", base_worst, 1e-8))
         records.append(CheckRecord("evolution_fiber_law", "Eq. (5)", fiber_worst, 1e-6))
 
@@ -489,7 +473,7 @@ def reconstruction_checks(scn: Scenario, action, family, rng) -> list:
             family, group_exp(group.algebra([1.0]), t), flat)
         got = rec.values[sampling.identity_index()]
         X_pre = action.base_points(group_exp(group.algebra([1.0]), -t), scn.anchor)
-        _, U = evolution_automorphism(H, t, scn.dt, dim)(X_pre)
+        _, U = evolution_automorphism(H, t, dim)(X_pre)
         expected = U @ v
         records.append(CheckRecord("evolution_pipeline_match", "Eq. (26)",
                                    float(np.max(np.abs(got - expected))), 1e-6))

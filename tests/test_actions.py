@@ -59,10 +59,12 @@ def test_single_point_wrappers_agree_with_rows(make):
 
 
 def _rotation_rows(t, rows, drift_rate):
+    """The harmonic rotation by t, its action increment (P_t Q_t - P Q)/2
+    and the drift drift_rate * t of S."""
     S, P, Q = rows[:, 0], rows[:, 1], rows[:, 2]
-    gain = (P ** 2 - Q ** 2) * np.sin(2 * t) / 4 - P * Q * (1 - np.cos(2 * t)) / 2
     c, s = np.cos(t), np.sin(t)
-    return np.stack([S + gain + drift_rate * t, P * c - Q * s, Q * c + P * s], axis=-1)
+    P_t, Q_t = P * c - Q * s, Q * c + P * s
+    return np.stack([S + 0.5 * (P_t * Q_t - P * Q) + drift_rate * t, P_t, Q_t], axis=-1)
 
 
 def _phases(levels):

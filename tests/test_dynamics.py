@@ -14,8 +14,8 @@ from scbundle import dynamics
 from scbundle.dynamics import (
     HamiltonianSpec, ansatz_errors,
     ansatz_wavefunction, classical_flow, classical_flows, cubic_perturbed_spec,
-    evolution_automorphism, fluctuation_propagator, fluctuation_propagators,
-    gaussian_packet, l2_distance, linear_flow, quadratic_hamiltonian_spec, reference_schrodinger,
+    evolution_automorphism, exact_flow, fluctuation_propagator,
+    gaussian_packet, l2_distance, quadratic_hamiltonian_spec, reference_schrodinger,
     step_counts, _rk4_steps,
 )
 from scbundle.errors import InputError, NumericalError, ResolutionError
@@ -25,7 +25,6 @@ OSC = quadratic_hamiltonian_spec(1.0)
 FREE = quadratic_hamiltonian_spec(0.0)
 CUBIC = cubic_perturbed_spec(1.0, 0.1)
 INVERTED = quadratic_hamiltonian_spec(-1.0)
-LAW_TIMES = (0.25, 0.5, 0.75, 1.0)    # the oscillator-evolution catalog's
 
 
 def ground_state(n_cut=16):
@@ -225,29 +224,8 @@ def test_state_row_of_another_length_is_refused():
             gaussian_packet(OSC, np.array(row), ground_state(), 0.1, 1.0, xs)
 
 
-@pytest.mark.parametrize("H", [OSC, CUBIC], ids=["oscillator", "cubic"])
-@pytest.mark.parametrize("dt", [1e-3, 2e-3])
-def test_trajectory_prefix_equals_shorter_flow(H, dt):
-    """The shipped law times and their sums share one step, so each flow is
-    bitwise a prefix of the flow to the longest sum, and its propagator a
-    prefix of the running product along it."""
-    dim = 12
-    X = np.array([0.0, 0.7, 0.4])
-    times = sorted({t1 + t2 for t1 in LAW_TIMES for t2 in LAW_TIMES} | set(LAW_TIMES))
-    counts = step_counts(times, dt)
-    longest = classical_flow(H, X, max(times), dt)
-    prefixes = fluctuation_propagators(H, longest, dim, counts)
-    for t, c, U in zip(times, counts, prefixes):
-        alone = classical_flow(H, X, t, dt)
-        assert np.array_equal(longest.times[:c + 1], alone.times)
-        assert np.array_equal(longest.rows[:c + 1], alone.rows)
-        assert np.array_equal(U, fluctuation_propagator(H, alone, dim))
-
-
 def test_step_counts_require_one_shared_step():
     assert step_counts([0.25, 0.5, 1.25], 1e-3).tolist() == [250, 500, 1250]
-    with pytest.raises(InputError):
-        step_counts([0.25, 0.0015], 1e-3)     # 2 steps of 7.5e-4
     with pytest.raises(InputError):
         step_counts([0.25, 4e-4], 1e-3)       # no step at all
 
@@ -276,11 +254,6 @@ def test_propagator_zero_time_identity():
     assert np.allclose(U, np.eye(dim))
 
 
-def test_propagators_of_no_counts_are_empty():
-    tr = classical_flow(CUBIC, np.array([0.0, 0.0, 1.0]), 0.1, 1e-3)
-    assert fluctuation_propagators(CUBIC, tr, 8, []) == []
-
-
 def test_propagator_oscillator_diagonal_phases():
     t = 1.3
     tr = classical_flow(OSC, np.array([0.0, 0.2, 0.8]), t, 1e-3)
@@ -305,14 +278,16 @@ def test_propagator_free_particle_matches_exponential_oracle():
     assert np.max(np.abs(U - oracle)) <= 1e-6
 
 
-@pytest.mark.parametrize("H", [OSC, quadratic_hamiltonian_spec(-0.5)],
-                         ids=["oscillator", "inverted"])
+@pytest.mark.parametrize("H", [OSC, FREE, quadratic_hamiltonian_spec(2.5),
+                               quadratic_hamiltonian_spec(-0.5)],
+                         ids=["oscillator", "free", "stiff", "inverted"])
 def test_closed_forms_match_the_stepped_arithmetic(H):
     """For a quadratic H, the propagator over c steps is one exponential at
-    time c h, and :func:`linear_flow` the exact flow: they match the running
-    product of the one step unitary to 1e-11, and an RK4 flow of step 1e-4
-    to 1e-12.  The inverted H reaches the det < 0 branch of the closed-form
-    exponential."""
+    time c h, and :func:`exact_flow` the exact flow: they match the running
+    product of the one step unitary to 1e-11, and RK4 flows of step 1e-4
+    to 1e-12.  The four Hamiltonians reach every branch of det K (> 0, = 0,
+    < 0) of the closed-form exponential.  The flow is elementwise: a stack
+    of rows over an array of times equals its one-row calls bit for bit."""
     dim, T, X0 = 32, 1.0, np.array([0.0, 0.4, 1.0])
     trajectory = classical_flow(H, X0, T, 0.002)
     hessian = H.hess(X0[1:2], X0[2:3])[0]
@@ -321,8 +296,13 @@ def test_closed_forms_match_the_stepped_arithmetic(H):
     for _ in range(len(trajectory) - 1):
         stepped = step @ stepped
     assert np.max(np.abs(fluctuation_propagator(H, trajectory, dim) - stepped)) <= 1e-11
-    end, _ = linear_flow(H, X0, T)
-    assert np.max(np.abs(end - classical_flow(H, X0, T, 1e-4).rows[-1])) <= 1e-12
+    flow = exact_flow(H)
+    rows = np.array([X0, [0.3, -0.7, 0.2], [-0.1, 1.1, -0.5]])
+    times = np.array([T, -0.6, 0.35])
+    stacked = flow(times, rows)
+    for row, t, end in zip(rows, times, stacked):
+        assert end.tobytes() == flow(t, row).tobytes()
+        assert np.max(np.abs(end - classical_flow(H, row, t, 1e-4).rows[-1])) <= 1e-12
 
 
 def test_propagator_time_dependent_unitarity():
@@ -339,18 +319,23 @@ def test_propagator_time_dependent_unitarity():
 def test_automorphism_zero_time_identity():
     dim = 8
     X = np.array([0.1, 0.5, -0.3])
-    Y, U = evolution_automorphism(OSC, 0.0, 1e-3, dim)(X)
+    Y, U = evolution_automorphism(OSC, 0.0, dim)(X)
     assert np.linalg.norm(Y - X) == 0.0
     assert np.allclose(U, np.eye(dim))
+
+
+def test_automorphism_refuses_a_non_quadratic_hamiltonian():
+    with pytest.raises(InputError):
+        evolution_automorphism(CUBIC, 0.5, 8)
 
 
 def test_automorphism_composition_law():
     dim = 16
     t1, t2 = 0.3, 0.7
     X = np.array([0.0, 0.3, 0.9])
-    Y, U2 = evolution_automorphism(OSC, t2, 1e-3, dim)(X)
-    Z, U1 = evolution_automorphism(OSC, t1, 1e-3, dim)(Y)
-    Z12, U12 = evolution_automorphism(OSC, t1 + t2, 1e-3, dim)(X)
+    Y, U2 = evolution_automorphism(OSC, t2, dim)(X)
+    Z, U1 = evolution_automorphism(OSC, t1, dim)(Y)
+    Z12, U12 = evolution_automorphism(OSC, t1 + t2, dim)(X)
     assert np.linalg.norm(Z - Z12) <= 1e-8
     assert np.linalg.norm(U1 @ U2 - U12) <= 1e-6
     assert unitarity_residual(U12) <= 1e-8
@@ -358,15 +343,16 @@ def test_automorphism_composition_law():
 
 def test_traced_one_row_flows_key_on_their_start(monkeypatch):
     """The benchmark tracer keys each traced classical flow on X0.S, X0.P
-    and X0.Q.  The package's one-row flows (the automorphism, the ansatz)
-    hand it a start that names them, and trace to the same bytes."""
+    and X0.Q.  The package's one-row RK4 flow, the ansatz's, hands it a
+    start that names them, and traces to the same bytes; the evolution
+    automorphism flows exactly and traces no RK4 flow."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import tracing
     probe = next(p for p in tracing.PROBES if p.name == "dynamics.classical_flow")
     X, xs = np.array([0.0, 0.3, 0.9]), np.linspace(-12, 12, 2048)
 
     def run():
-        Y, U = evolution_automorphism(OSC, 0.5, 1e-3, 8)(X)
+        Y, U = evolution_automorphism(OSC, 0.5, 8)(X)
         errors = ansatz_errors(OSC, X, ground_state(), [0.1], 0.5, xs, 1e-3)
         return Y.tobytes(), U.tobytes(), errors
 
@@ -375,7 +361,7 @@ def test_traced_one_row_flows_key_on_their_start(monkeypatch):
     with tracer:
         traced = run()
     assert traced == plain
-    assert len(tracer.spans) == 2
+    assert len(tracer.spans) == 1
     assert tracer.keys == {(-1, probe.name): {(0.0, (0.3,), (0.9,), 0.5, 1e-3)}}
 
 
@@ -709,23 +695,42 @@ def test_exact_gaussian_needs_the_grid_to_cover_its_final_width():
         gaussian_packet(FREE, X0, ground_state(), 0.04, 10.0, xs)
 
 
+def _symplectic_matrix(H, t):
+    """exp(t J K) = c I + s J K from the closed form's JK and c, s."""
+    JK, _, cs = dynamics._symplectic_exp(H)
+    c, s = cs(t)
+    return c * np.eye(2) + s * JK
+
+
 @pytest.mark.parametrize("H", [OSC, FREE, INVERTED], ids=["oscillator", "free", "inverted"])
 def test_symplectic_exp_matches_expm(H):
     """M = exp(T J K) from Cayley-Hamilton in each branch of det K (> 0, = 0,
     < 0) against scipy's expm: to 4 ulps of max(1, |M|) for |T| <= 1, where
     expm does no squaring, and to 1e-11 relative up to |T| = 10 (expm's own
-    error reaches 7.6e3 ulps there on the inverted oscillator; the closed
-    form stays within 6 ulps of 150-bit arithmetic)."""
-    K = H.hess(np.array([0.2]), np.array([1.0]))[0]
-    A = np.array([[0.0, -1.0], [1.0, 0.0]]) @ K
-    assert dynamics._traceless_exp(0.0 * A).tolist() == np.eye(2).tolist()
+    error reaches 7.6e3 ulps there on the inverted oscillator)."""
+    A = dynamics._symplectic_exp(H)[0]
+    assert _symplectic_matrix(H, 0.0).tolist() == np.eye(2).tolist()
     for T in np.linspace(-1.0, 1.0, 41):
-        got, expected = dynamics._traceless_exp(T * A), scipy.linalg.expm(T * A)
+        got, expected = _symplectic_matrix(H, T), scipy.linalg.expm(T * A)
         scale = max(1.0, np.max(np.abs(expected)))
         assert np.max(np.abs(got - expected)) <= 4 * np.finfo(float).eps * scale, T
     for T in np.linspace(-10.0, 10.0, 81):
-        got, expected = dynamics._traceless_exp(T * A), scipy.linalg.expm(T * A)
+        got, expected = _symplectic_matrix(H, T), scipy.linalg.expm(T * A)
         assert np.max(np.abs(got - expected)) <= 1e-11 * np.max(np.abs(expected)), T
+
+
+def _expm_symplectic_exp(symplectic_exp):
+    """``symplectic_exp`` with c and s read off scipy's expm: the trace of
+    exp(t J K) is 2 c (J K is traceless), and its (Q, P) entry is
+    s (J K)[1, 0], with (J K)[1, 0] = 1 for H = P^2/2 + V(Q)."""
+    def patched(H):
+        JK, det, _ = symplectic_exp(H)
+
+        def cs(t):
+            M = scipy.linalg.expm(t * JK)
+            return 0.5 * np.trace(M), M[1, 0] / JK[1, 0]
+        return JK, det, cs
+    return patched
 
 
 @pytest.mark.parametrize("H, T_max", [(OSC, 3.5 * np.pi), (quadratic_hamiltonian_spec(2.5),
@@ -743,7 +748,8 @@ def test_exact_gaussian_branch_continues_over_half_periods(H, T_max, monkeypatch
     times = np.linspace(-T_max, T_max, 1401)
     packets = [gaussian_packet(H, X0, ground_state(), 0.04, T, xs) for T in times]
     assert max(l2_distance(a, b, dx) for a, b in zip(packets, packets[1:])) <= 0.4
-    monkeypatch.setattr(dynamics, "_traceless_exp", scipy.linalg.expm)
+    monkeypatch.setattr(dynamics, "_symplectic_exp",
+                        _expm_symplectic_exp(dynamics._symplectic_exp))
     for T, packet in zip(times, packets):
         old = gaussian_packet(H, X0, ground_state(), 0.04, T, xs)
         assert l2_distance(packet, old, dx) <= 1e-11, T

@@ -164,11 +164,11 @@ def test_reconstruct_oscillator_matches_evolution_pipeline():
     t = 0.7
     rec = reconstruct_group_operator(family, gexp(action.group.algebra([1.0]), t), psi)
     got = rec.values[sampling.identity_index()]
-    # independent pipeline: integrate the flow and fluctuation propagator
+    # the evolution pipeline: the exact flow and fluctuation propagator
     # from the pulled-back base point
     H_osc = quadratic_hamiltonian_spec(1.0)
     X_pre = action.base_points(gexp(action.group.algebra([1.0]), -t), anchor)
-    _, U = evolution_automorphism(H_osc, t, 1e-3, dim)(X_pre)
+    _, U = evolution_automorphism(H_osc, t, dim)(X_pre)
     expected = U @ v
     assert np.max(np.abs(got - expected)) <= 1e-6
 

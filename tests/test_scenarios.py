@@ -120,8 +120,9 @@ MALFORMED = {
     "law-times-text": [(("dynamics",), {"law_times": "x"})],
     "law-times-negative": [(("dynamics",), {"law_times": [0.25, -0.5]})],
     "law-times-bool": [(("dynamics",), {"law_times": [True]})],
-    # 0.0015 takes two steps of 7.5e-4, not steps of 1e-3
-    "law-times-off-grid": [(("dynamics",), {"law_times": [0.25, 0.0015]})],
+    # the law check reads the exact flow, which a cubic Hamiltonian lacks
+    "law-times-cubic-hamiltonian": [(("suites",), ["dynamics"]),
+                                    (("dynamics", "spectrum_modes"), 0)],
     "lattice-number": [(("lattice",), 5)],
     "suites-number": [(("suites",), 5)],
     "suites-nested-list": [(("suites",), [["sections"]])],
@@ -391,6 +392,23 @@ def test_law_times_on_the_step_grid_load(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(cfg))
     assert load_scenario(str(path)).dynamics["law_times"] == [0.25, 0.5, 0.75, 1.0]
+
+
+def test_law_times_off_the_step_grid_load_and_pass(tmp_path):
+    """Law times need not share a step with numerics.dt (0.0015 is one and a
+    half steps of 1e-3): the law check flows a quadratic Hamiltonian exactly,
+    and its records pass; the same times under the cubic Hamiltonian load
+    once the dynamics suite is off."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_edit(OSCILLATOR + [
+        (("dynamics", "law_times"), [0.25, 0.0015]), (("dynamics", "eps_control"), None),
+        (("suites",), ["dynamics"])])))
+    scn = load_scenario(str(path))
+    assert scn.setting("dynamics.law_times") == [0.25, 0.0015]
+    records = {r.check_id: r for r in run_verify(scn).records}
+    assert records["evolution_base_law"].passed and records["evolution_fiber_law"].passed
+    path.write_text(json.dumps(_edit([(("dynamics", "law_times"), [0.25, 0.0015])])))
+    assert load_scenario(str(path)).setting("dynamics.law_times") == [0.25, 0.0015]
 
 
 @pytest.mark.parametrize("eps_list", [[], [0.08, 0.04, 0.02]])

@@ -6,9 +6,10 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from scbundle import generators, verify
+from scbundle import dynamics, generators, verify
 from scbundle.errors import ConfigError, PreconditionError
 from scbundle.groups import as_matrix
 from scbundle.scenarios import SEED_ENV_VAR, load_scenario
@@ -38,6 +39,60 @@ def _reduced_oscillator(suites):
                    dynamics=dict(scn.dynamics, t_final=math.pi / 2,
                                  law_times=[0.25, 0.5]),
                    suites=suites)
+
+
+# the amplitude of each planted defect of the evolution records
+DELTA = 1e-4
+
+
+def _bent_flow(H):
+    """The exact flow with a term DELTA t^2 on S, which is not additive in t."""
+    flow = dynamics.exact_flow(H)
+
+    def bent(ts, rows):
+        out = flow(ts, rows)
+        out[..., 0] += DELTA * np.square(ts)
+        return out
+    return bent
+
+
+def _bent_propagator(H, dim):
+    """The quadratic propagator with the phase exp(i DELTA t^2)."""
+    propagator = dynamics.quadratic_propagator(H, dim)
+    return lambda t: np.exp(1j * DELTA * t * t) * propagator(t)
+
+
+def _bent_automorphism(H, t, dim):
+    """The evolution automorphism with the phase exp(i DELTA) on its fibers."""
+    automorphism = dynamics.evolution_automorphism(H, t, dim)
+
+    def bent(X):
+        Y, U = automorphism(X)
+        return Y, np.exp(1j * DELTA) * U
+    return bent
+
+
+@pytest.mark.parametrize("name, defect, record, suite", [
+    ("exact_flow", _bent_flow, "evolution_base_law", "dynamics"),
+    ("quadratic_propagator", _bent_propagator, "evolution_fiber_law", "dynamics"),
+    ("evolution_automorphism", _bent_automorphism, "evolution_pipeline_match",
+     "reconstruction")], ids=["flow", "propagator", "automorphism"])
+def test_planted_defect_fails_its_evolution_record(name, defect, record, suite, monkeypatch):
+    """Each evolution record that reads the exact flow or the quadratic
+    propagator passes on the reduced oscillator scenario and fails under one
+    planted defect of what it reads: a non-additive action term fails the
+    base law, a non-multiplicative phase the fiber law, and a constant phase
+    on the automorphism's fibers the pipeline match."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    scn = _reduced_oscillator([suite])
+
+    def verdict():
+        found, = [r for r in verify.run_verify(scn).records if r.check_id == record]
+        return found.passed
+
+    assert verdict()
+    monkeypatch.setattr(verify, name, defect)
+    assert not verdict()
 
 
 def test_refined_judges_the_refinement_order():
