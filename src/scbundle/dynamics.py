@@ -61,7 +61,7 @@ __all__ = [
     "Trajectory",
     "quadratic_hamiltonian_spec",
     "cubic_perturbed_spec",
-    "step_counts",
+    "step_count",
     "classical_flow",
     "classical_flows",
     "fluctuation_propagator",
@@ -229,15 +229,13 @@ def _grid(T: np.ndarray, dt: np.ndarray):
     return counts, np.where(counts > 0, T / np.maximum(counts, 1), 0.0)
 
 
-def step_counts(times: Sequence[float], dt: float) -> np.ndarray:
-    """Step counts round(|t|/dt) of ``times``; raises InputError unless each
-    takes at least one step."""
-    times = np.asarray(times, dtype=float)
-    counts, _ = _grid(times, np.asarray(dt, dtype=float))
-    if np.any(counts < 1):
-        raise InputError(f"times {times.tolist()} do not all take a step of "
-                         f"about dt = {dt}")
-    return counts
+def step_count(T: float, dt: float) -> int:
+    """The step count round(|T|/dt); raises InputError unless ``T`` takes at
+    least one step."""
+    count, _ = _grid(np.asarray(T, dtype=float), np.asarray(dt, dtype=float))
+    if count < 1:
+        raise InputError(f"time {T} does not take a step of about dt = {dt}")
+    return int(count)
 
 
 def classical_flows(H: HamiltonianSpec, rows, T, dt) -> list:
@@ -489,7 +487,7 @@ def reference_schrodinger(H: HamiltonianSpec, psi0: np.ndarray, eps,
                           T: float, xs: np.ndarray, dt: float) -> np.ndarray:
     """Strang split-step spectral integration of
     i eps dpsi/dt = [-(eps^2/2) d^2/dx^2 + V(x)] psi on a periodic grid,
-    in round(|T|/dt) steps of T/round(|T|/dt) (:func:`step_counts`).
+    in round(|T|/dt) steps of T/round(|T|/dt) (:func:`step_count`).
 
     ``psi0`` is one wave packet on ``xs`` or a stack (R, len(xs)) of them,
     with ``eps`` one number or one per row.  The rows never interact: a
@@ -516,7 +514,7 @@ def reference_schrodinger(H: HamiltonianSpec, psi0: np.ndarray, eps,
     # spectral headroom: the packet momentum P/eps plus fluctuation bandwidth
     # must sit inside the resolved band
     band = np.max(np.abs(k))
-    n_steps = int(step_counts([T], dt)[0])
+    n_steps = step_count(T, dt)
     h = T / n_steps
     v = H.potential(xs)
     half_v = np.exp(-0.5j * h * v / eps)
@@ -570,6 +568,12 @@ def exact_flow(H: HamiltonianSpec) -> Callable[[np.ndarray, np.ndarray], np.ndar
     S0 + (P_t Q_t - P0 Q0)/2 (for homogeneous quadratic H, P dH/dP - H =
     d(PQ)/dt / 2).  Raises InputError unless ``H`` is quadratic."""
     JK, _, cs = _symplectic_exp(H)
+    return _linear_flow(JK, cs)
+
+
+def _linear_flow(JK: np.ndarray, cs) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The flow of :func:`exact_flow` from ``J K`` and ``cs`` of
+    :func:`_symplectic_exp`."""
     (pp, pq), (qp, qq) = JK.tolist()
 
     def flow(ts, rows):
@@ -593,7 +597,8 @@ def gaussian_packet(H: HamiltonianSpec, X0: np.ndarray, f0: np.ndarray,
     A Gaussian stays Gaussian (Heller, J. Chem. Phys. 62 (1975) 1544;
     Hagedorn, Ann. Phys. 269 (1998) 77).  Its centre and action are the end
     row of the exact flow :func:`exact_flow`, and the tangent (dP, dQ) =
-    M (i, 1), through M = exp(T J K) from the same c and s, gives the width
+    M (i, 1), through M = exp(T J K) from the same J K, c and s (read once
+    per call), gives the width
     A = dP/dQ and the amplitude eps^{-1/4} pi^{-1/4} dQ^{-1/2}, on the
     branch continued from 1 at t = 0.  It shares no code with the RK4 flow,
     the fluctuation propagator, the ansatz or the grid solver.  Raises
@@ -605,7 +610,7 @@ def gaussian_packet(H: HamiltonianSpec, X0: np.ndarray, f0: np.ndarray,
     if eps <= 0:
         raise InputError("eps must be positive")
     JK, det, cs = _symplectic_exp(H)
-    S, P, Q = exact_flow(H)(T, _state_row(X0))
+    S, P, Q = _linear_flow(JK, cs)(T, _state_row(X0))
     c, s = cs(T)
     dP, dQ = (c * np.eye(2) + s * JK) @ np.array([1j, 1.0])
     # Im dQ(t) = sin(w t)/w for w^2 = det K > 0 (and keeps the sign of t

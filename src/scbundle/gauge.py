@@ -17,6 +17,9 @@ sections are stored on that grid and transformed by the quotient form of the
 left regular action, with one batched flow call per transform, the fiber
 transport read from the direction's ``GeneratorData.unitary``, and the
 sources off the gauge window completed through the invariance condition.
+The grid's key table is built once per bundle, and the invariance residual
+of a read-only array that owns its data (such as a built invariant section)
+is computed once per bundle; every writeable array is checked on each call.
 """
 
 from __future__ import annotations
@@ -193,6 +196,12 @@ class GaugeBundle:
     on 2 pi / M steps; ``gauge_step`` and ``gauge_window`` sample the gauge
     parameter.  The anchor's gauge slice (parameter 0) carries the
     fundamental values.
+
+    The bundle answers each of two questions once for its lifetime: where a
+    state key sits on the grid (a table of the grid keys' per-column ranks,
+    built here), and how far a read-only array that owns its data is from
+    invariance (memoised by :meth:`invariance_residual`, with a reference to
+    the array so that its ``id`` is not reused while the entry lives).
     """
 
     def __init__(self, family, gauge: GaugeGroup, anchor: np.ndarray,
@@ -216,15 +225,35 @@ class GaugeBundle:
         grid = gauge.base_rows((self.gauge_indices * self.gauge_step)[None, :],
                                self._orbit_rows[:, None, :])
         self.base_rows = grid.reshape(-1, self._orbit_rows.shape[1])
-        self._keys = state_keys(self.base_rows)
+        keys = state_keys(self.base_rows)
+        if float(len(keys)) ** keys.shape[1] >= 2.0 ** 63:
+            raise InputError("the grid's key codes would not fit an int64")
+        self._sorted_columns = [np.sort(column) for column in keys.T]
+        codes = self._key_codes(keys)
+        self._code_order = np.argsort(codes, kind="stable")
+        self._sorted_codes = codes[self._code_order]
+        self._residuals = {}
+
+    def _key_codes(self, keys: np.ndarray) -> np.ndarray:
+        """One integer per state key: the mixed-radix number of its
+        columns' ranks (first positions among the grid's sorted values of
+        that column), -1 where a column value is not on the grid; equal
+        codes are equal keys."""
+        codes = np.zeros(len(keys), dtype=np.int64)
+        on_grid = np.ones(len(keys), dtype=bool)
+        for column, values in zip(keys.T, self._sorted_columns):
+            rank = np.minimum(np.searchsorted(values, column), len(values) - 1)
+            on_grid &= values[rank] == column
+            codes = codes * len(values) + rank
+        return np.where(on_grid, codes, -1)
 
     def _grid_indices(self, rows: np.ndarray) -> np.ndarray:
-        """Flat grid index of each state row (-1 where it is off the grid)."""
-        keys = np.concatenate([self._keys, state_keys(rows)])
-        _, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                      return_inverse=True)
-        found = first[inverse.reshape(-1)[len(self._keys):]]
-        return np.where(found < len(self._keys), found, -1)
+        """Flat grid index of each state row: the first grid point with its
+        state key, or -1 where it is off the grid."""
+        codes = self._key_codes(state_keys(rows))
+        at = np.minimum(np.searchsorted(self._sorted_codes, codes),
+                        len(self._sorted_codes) - 1)
+        return np.where(self._sorted_codes[at] == codes, self._code_order[at], -1)
 
     def norm(self, values: np.ndarray) -> float:
         return float(np.max(np.linalg.norm(values, axis=-1)))
@@ -234,7 +263,8 @@ class GaugeBundle:
     def build_invariant(self, fundamental: np.ndarray) -> np.ndarray:
         """Extend per-rotation-node fundamental values (theta_nodes, dim)
         to the whole enlarged grid through the invariance condition
-        Psi(lambda_alpha Y) = V_alpha Psi(Y).
+        Psi(lambda_alpha Y) = V_alpha Psi(Y).  The result is read-only,
+        so its invariance residual is computed once per bundle.
 
         A gauge whose base map fixes points while its fiber phases act
         nontrivially admits only the zero section: nonzero data is rejected
@@ -256,11 +286,26 @@ class GaugeBundle:
         for j_pos, j in enumerate(self.gauge_indices):
             phase = self.gauge.fiber_phase(j * self.gauge_step)
             out[:, j_pos, :] = phase * fundamental
+        out.flags.writeable = False
         return out
 
     def invariance_residual(self, values: np.ndarray) -> float:
         """Worst violation of the invariance condition over all sampled
-        (gauge shift, grid point) pairs that stay on the grid."""
+        (gauge shift, grid point) pairs that stay on the grid.
+
+        The residual of a read-only array that owns its data cannot change,
+        so it is memoised by the array's ``id`` for the bundle's lifetime;
+        any other array (a writeable one, or a view) is evaluated on every
+        call."""
+        if values.flags.writeable or not values.flags.owndata:
+            return self._residual(values)
+        entry = self._residuals.get(id(values))
+        if entry is None:
+            entry = self._residuals[id(values)] = (values, self._residual(values))
+        return entry[1]
+
+    def _residual(self, values: np.ndarray) -> float:
+        """The invariance residual of ``values``, evaluated afresh."""
         worst = 0.0
         n_j = self.gauge_indices.size
         for shift in range(1, n_j):
@@ -277,7 +322,10 @@ class GaugeBundle:
         """Left regular transform by the circle element of index ``m_steps``
         on gauge-invariant sections (PreconditionError on others), applied
         through the lifted flow.  Sources off the gauge window are completed
-        through the invariance condition."""
+        through the invariance condition.  Invariance is checked on every
+        call: afresh for a writeable ``values`` (an output of this method
+        included), from the memo of :meth:`invariance_residual` for a
+        read-only one already checked."""
         res = self.invariance_residual(values)
         if res > 1e-8:
             raise PreconditionError(

@@ -16,7 +16,7 @@ from scbundle.dynamics import (
     ansatz_wavefunction, classical_flow, classical_flows, cubic_perturbed_spec,
     evolution_automorphism, exact_flow, fluctuation_propagator,
     gaussian_packet, l2_distance, quadratic_hamiltonian_spec, reference_schrodinger,
-    step_counts, _rk4_steps,
+    step_count, _rk4_steps,
 )
 from scbundle.errors import InputError, NumericalError, ResolutionError
 from scbundle.fiber import spectral_exp, unitarity_residual
@@ -224,10 +224,10 @@ def test_state_row_of_another_length_is_refused():
             gaussian_packet(OSC, np.array(row), ground_state(), 0.1, 1.0, xs)
 
 
-def test_step_counts_require_one_shared_step():
-    assert step_counts([0.25, 0.5, 1.25], 1e-3).tolist() == [250, 500, 1250]
+def test_step_count_refuses_a_time_without_a_step():
+    assert [step_count(T, 1e-3) for T in (0.25, 0.5, 1.25)] == [250, 500, 1250]
     with pytest.raises(InputError):
-        step_counts([0.25, 4e-4], 1e-3)       # no step at all
+        step_count(4e-4, 1e-3)       # no step at all
 
 
 def test_hamiltonian_spec_validation():
@@ -731,6 +731,24 @@ def _expm_symplectic_exp(symplectic_exp):
             return 0.5 * np.trace(M), M[1, 0] / JK[1, 0]
         return JK, det, cs
     return patched
+
+
+def test_gaussian_packet_reads_its_closed_form_once(monkeypatch):
+    """One exact Gaussian builds J K, det K and c, s once: the flow of its
+    centre and its tangent read the same ones."""
+    built = []
+    symplectic_exp = dynamics._symplectic_exp
+
+    def counted(H):
+        built.append(H)
+        return symplectic_exp(H)
+    xs = np.linspace(-8, 8, 1024)
+    X0 = np.array([0.3, 0.2, 1.0])
+    expected = gaussian_packet(OSC, X0, ground_state(), 0.04, 1.3, xs)
+    monkeypatch.setattr(dynamics, "_symplectic_exp", counted)
+    packet = gaussian_packet(OSC, X0, ground_state(), 0.04, 1.3, xs)
+    assert built == [OSC]
+    assert packet.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("H, T_max", [(OSC, 3.5 * np.pi), (quadratic_hamiltonian_spec(2.5),

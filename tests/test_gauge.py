@@ -10,6 +10,7 @@ from scbundle.gauge import (GaugeBundle, compensator_relations_check,
                             phase_shift_gauge, u1_phase_gauge)
 from scbundle.groups import exp as gexp
 from scbundle.groups import get_group
+from scbundle.sections import state_keys
 
 DIM = 14
 ANCHOR = np.array([0.0, 0.0, 1.0])
@@ -219,3 +220,95 @@ def test_gauge_invariant_multiplication_commutes(bundle):
     pulled = np.roll(alpha, m, axis=0)   # alpha(u_{g^-1} Y) on the theta grid
     rhs = pulled[:, :, None] * bundle.gauge_transform(m, vals)
     assert bundle.norm(lhs - rhs) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the grid index and the residual memo
+# ---------------------------------------------------------------------------
+
+def unique_grid_indices(bundle, rows):
+    """The reference index: one np.unique over the grid's state keys stacked
+    on those of ``rows``; the first grid index with a row's key, -1 for a
+    key off the grid."""
+    grid = state_keys(bundle.base_rows)
+    keys = np.concatenate([grid, state_keys(rows)])
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    found = first[inverse.reshape(-1)[len(grid):]]
+    return np.where(found < len(grid), found, -1)
+
+
+def source_rows(bundle, m):
+    return bundle.flow(-m * bundle.theta_step, bundle.base_rows)
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 25, 48, 55])
+def test_grid_index_matches_unique_on_source_rows(bundle, m):
+    rows = source_rows(bundle, m)
+    got = bundle._grid_indices(rows)
+    assert got.tolist() == unique_grid_indices(bundle, rows).tolist()
+    if m not in (0, 48):    # a part turn moves some rows off the gauge window
+        assert 0 < np.count_nonzero(got < 0) < len(got)
+
+
+def test_grid_index_matches_unique_off_the_grid(bundle):
+    """S shifted by half a gauge step, and rows whose every coordinate is on
+    the grid but not together, are off the grid."""
+    shifted = source_rows(bundle, 7).copy()
+    shifted[:, 0] += 0.5 * bundle.gauge_step
+    mixed = np.column_stack([bundle.base_rows[:, 0],
+                             np.roll(bundle.base_rows[:, 1:], 21, axis=0)])
+    for rows in (shifted, mixed):
+        got = bundle._grid_indices(rows)
+        assert got.tolist() == unique_grid_indices(bundle, rows).tolist()
+        assert np.all(got == -1)
+
+
+def test_grid_index_matches_unique_on_repeated_keys():
+    """A grid whose keys repeat (the pure phase fixes base points, so every
+    gauge slice has the rotation slice's keys) and a stack of rows that
+    repeats, on and off the grid: each row finds the first grid match."""
+    _, family = metaplectic_action(DIM, drift=True)
+    gb = GaugeBundle(family, u1_phase_gauge(), ANCHOR,
+                     theta_nodes=24, gauge_step=np.pi / 8, gauge_window=4)
+    off = gb.base_rows[:10] + np.array([0.25, 0.0, 0.0])
+    rows = np.concatenate([source_rows(gb, 5), gb.base_rows[::-1], off, off,
+                           gb.base_rows[:10]])
+    got = gb._grid_indices(rows)
+    assert got.tolist() == unique_grid_indices(gb, rows).tolist()
+    assert set(got.tolist()) - {-1} <= set(range(0, gb.base_rows.shape[0], 9))
+
+
+def test_invariant_section_is_read_only_and_its_residual_memoised():
+    _, family = metaplectic_action(DIM, drift=True)
+    gb = GaugeBundle(family, phase_shift_gauge(), ANCHOR,
+                     theta_nodes=48, gauge_step=np.pi / 8, gauge_window=10)
+    vals = gb.build_invariant(smooth_fundamental(gb))
+    assert not vals.flags.writeable
+    broken = vals.copy()
+    broken[3, 1] *= np.exp(0.5j)
+    broken.flags.writeable = False
+    for values in (vals, broken):
+        fresh = gb.invariance_residual(values.copy())
+        assert gb.invariance_residual(values) == fresh
+        assert gb.invariance_residual(values) == fresh     # from the memo
+    assert gb.invariance_residual(broken) > 0.1
+    # the guard reads the memo, and a memoised violation still refuses
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            gb.gauge_transform(3, broken)
+
+
+def test_writeable_arrays_and_views_are_checked_on_every_call(bundle):
+    vals = bundle.build_invariant(smooth_fundamental(bundle))
+    work = vals.copy()
+    view = work.view()
+    view.flags.writeable = False
+    assert bundle.invariance_residual(work) <= 1e-12
+    assert bundle.invariance_residual(view) <= 1e-12
+    bundle.gauge_transform(3, work)
+    work[3, 1] *= np.exp(0.5j)
+    assert bundle.invariance_residual(work) > 0.1
+    assert bundle.invariance_residual(view) > 0.1
+    with pytest.raises(PreconditionError):
+        bundle.gauge_transform(3, work)

@@ -11,6 +11,7 @@ import pytest
 
 from scbundle import dynamics, generators, verify
 from scbundle.errors import ConfigError, PreconditionError
+from scbundle.gauge import GaugeBundle
 from scbundle.groups import as_matrix
 from scbundle.scenarios import SEED_ENV_VAR, load_scenario
 from scbundle.sections import BaseFunction, Section, gentle_probe_section
@@ -489,6 +490,35 @@ def test_gauge_suite_builds_each_realization_once(monkeypatch):
     monkeypatch.setattr(verify, "metaplectic_action", metaplectic_action)
     verify.run_verify(scn)
     assert sorted(built) == ["metaplectic drift=True", "scenario action"]
+
+
+def test_gauge_suite_residual_evaluations_are_pinned(monkeypatch):
+    """Work-count guard: one metaplectic-so2 gauge suite evaluates the full
+    invariance residual four times (the built section once, then the outputs
+    of 7, of 25, and the multiplied section, which are writeable); the eight
+    transforms of the built section read its memo.  Without the memo the
+    suite makes twelve."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    scn = load_scenario("metaplectic-so2")
+    evaluated = []
+    residual = GaugeBundle._residual
+
+    def counted(bundle, values):
+        evaluated.append(values)
+        return residual(bundle, values)
+    monkeypatch.setattr(GaugeBundle, "_residual", counted)
+    action, family = scn.build_action()
+    records = verify.gauge_checks(scn, action, family, scn.rng())
+    assert {r.check_id: r.passed for r in records}["transform_preserves_invariance"]
+    assert len(evaluated) == 4
+
+
+def test_second_metaplectic_verify_keeps_its_bytes(monkeypatch):
+    """Two metaplectic-so2 verifies in one process serialise to the same
+    bytes: nothing memoised by the first bundle reaches the second."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    first = verify.run_verify(load_scenario("metaplectic-so2")).to_json()
+    assert verify.run_verify(load_scenario("metaplectic-so2")).to_json() == first
 
 
 def test_pointwise_recovery_redraws_points_the_shear_moves_out(monkeypatch):
