@@ -17,9 +17,10 @@ sections are stored on that grid and transformed by the quotient form of the
 left regular action, with one batched flow call per transform, the fiber
 transport read from the direction's ``GeneratorData.unitary``, and the
 sources off the gauge window completed through the invariance condition.
-The grid's key table is built once per bundle, and the invariance residual
-of a read-only array that owns its data (such as a built invariant section)
-is computed once per bundle; every writeable array is checked on each call.
+Each source's grid index is arithmetic in the lattice steps.  The
+invariance residual of a read-only array that owns its data (such as a
+built invariant section) is computed once per bundle; every writeable array
+is checked on each call.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 from .actions import BundleAction
 from .errors import ConsistencyError, InputError, PreconditionError
 from .groups import as_matrix
-from .sections import state_keys
 
 __all__ = [
     "GaugeGroup",
@@ -197,11 +197,12 @@ class GaugeBundle:
     parameter.  The anchor's gauge slice (parameter 0) carries the
     fundamental values.
 
-    The bundle answers each of two questions once for its lifetime: where a
-    state key sits on the grid (a table of the grid keys' per-column ranks,
-    built here), and how far a read-only array that owns its data is from
-    invariance (memoised by :meth:`invariance_residual`, with a reference to
-    the array so that its ``id`` is not reused while the entry lives).
+    The bundle answers one question once for its lifetime: how far a
+    read-only array that owns its data is from invariance (memoised by
+    :meth:`invariance_residual`, with a reference to the array so that its
+    ``id`` is not reused while the entry lives).  No table locates a point
+    on the grid: a source's rotation node and gauge position are read off
+    its lattice steps (see :meth:`gauge_transform`).
     """
 
     def __init__(self, family, gauge: GaugeGroup, anchor: np.ndarray,
@@ -225,35 +226,7 @@ class GaugeBundle:
         grid = gauge.base_rows((self.gauge_indices * self.gauge_step)[None, :],
                                self._orbit_rows[:, None, :])
         self.base_rows = grid.reshape(-1, self._orbit_rows.shape[1])
-        keys = state_keys(self.base_rows)
-        if float(len(keys)) ** keys.shape[1] >= 2.0 ** 63:
-            raise InputError("the grid's key codes would not fit an int64")
-        self._sorted_columns = [np.sort(column) for column in keys.T]
-        codes = self._key_codes(keys)
-        self._code_order = np.argsort(codes, kind="stable")
-        self._sorted_codes = codes[self._code_order]
         self._residuals = {}
-
-    def _key_codes(self, keys: np.ndarray) -> np.ndarray:
-        """One integer per state key: the mixed-radix number of its
-        columns' ranks (first positions among the grid's sorted values of
-        that column), -1 where a column value is not on the grid; equal
-        codes are equal keys."""
-        codes = np.zeros(len(keys), dtype=np.int64)
-        on_grid = np.ones(len(keys), dtype=bool)
-        for column, values in zip(keys.T, self._sorted_columns):
-            rank = np.minimum(np.searchsorted(values, column), len(values) - 1)
-            on_grid &= values[rank] == column
-            codes = codes * len(values) + rank
-        return np.where(on_grid, codes, -1)
-
-    def _grid_indices(self, rows: np.ndarray) -> np.ndarray:
-        """Flat grid index of each state row: the first grid point with its
-        state key, or -1 where it is off the grid."""
-        codes = self._key_codes(state_keys(rows))
-        at = np.minimum(np.searchsorted(self._sorted_codes, codes),
-                        len(self._sorted_codes) - 1)
-        return np.where(self._sorted_codes[at] == codes, self._code_order[at], -1)
 
     def norm(self, values: np.ndarray) -> float:
         return float(np.max(np.linalg.norm(values, axis=-1)))
@@ -321,11 +294,19 @@ class GaugeBundle:
     def gauge_transform(self, m_steps: int, values: np.ndarray) -> np.ndarray:
         """Left regular transform by the circle element of index ``m_steps``
         on gauge-invariant sections (PreconditionError on others), applied
-        through the lifted flow.  Sources off the gauge window are completed
-        through the invariance condition.  Invariance is checked on every
-        call: afresh for a writeable ``values`` (an output of this method
-        included), from the memo of :meth:`invariance_residual` for a
-        read-only one already checked."""
+        through the lifted flow.  Invariance is checked on every call: afresh
+        for a writeable ``values`` (an output of this method included), from
+        the memo of :meth:`invariance_residual` for a read-only one already
+        checked.
+
+        The source of grid point (i, j) is taken to sit on rotation node
+        (i - m_steps) mod theta_nodes: its P, Q must match that node's
+        parameter-0 row to 1e-9 (PreconditionError otherwise, on every row).
+        Its gauge index is its S offset from that row in gauge steps,
+        rounded; it reads the stored value when the index is on the window
+        and the offset is within 1e-9 of the lattice, and is otherwise
+        completed from the parameter-0 value through the invariance
+        condition."""
         res = self.invariance_residual(values)
         if res > 1e-8:
             raise PreconditionError(
@@ -335,19 +316,18 @@ class GaugeBundle:
         U = self.family.directions[0].unitary(theta)
         n_j = self.gauge_indices.size
         src = self.flow(-theta, self.base_rows)
-        flat = self._grid_indices(src)
-        sources = values.reshape(-1, self.dim)[flat]
+        i_src = (np.repeat(np.arange(self.theta_nodes), n_j) - m_steps) % self.theta_nodes
+        ref = self._orbit_rows[i_src]
+        if np.any(np.linalg.norm(src[:, 1:] - ref[:, 1:], axis=1) > 1e-9):
+            raise PreconditionError("pulled-back point is off the enlarged orbit")
+        offset = src[:, 0] - ref[:, 0]
+        k = np.rint(offset / self.gauge_step)
+        on = (np.abs(k) <= n_j // 2) & (np.abs(offset - k * self.gauge_step) <= 1e-9)
+        sources = np.empty((len(src), self.dim), dtype=complex)
+        sources[on] = values[i_src[on], k[on].astype(int) + n_j // 2]
         # complete the off-window gauge coordinate through invariance
-        off = flat < 0
-        if np.any(off):
-            i_src = (np.repeat(np.arange(self.theta_nodes), n_j)[off] - m_steps) \
-                % self.theta_nodes
-            ref = self._orbit_rows[i_src]
-            if np.any(np.linalg.norm(src[off, 1:] - ref[:, 1:], axis=1) > 1e-9):
-                raise PreconditionError(
-                    "pulled-back point is off the enlarged orbit")
-            phase = self.gauge.fiber_phase(src[off, 0] - ref[:, 0])
-            sources[off] = np.asarray(phase)[..., None] * values[i_src, n_j // 2]
+        phase = self.gauge.fiber_phase(offset[~on])
+        sources[~on] = np.asarray(phase)[..., None] * values[i_src[~on], n_j // 2]
         out = np.matmul(U, sources[:, :, None])[:, :, 0]
         return out.reshape(self.theta_nodes, n_j, self.dim)
 

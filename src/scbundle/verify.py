@@ -353,7 +353,7 @@ def generator_checks(scn: Scenario, action, rng) -> list:
     else:
         A = group.algebra([1.0])
         B = group.algebra([0.6])
-    conj = _lattice_elements(sampling)[3]
+    elements = _lattice_elements(sampling)
     checks = [("generator_linearity", "Eq. (18)", 1e-4, 1.85, 1),
               ("generator_conjugation", "Eq. (18)", 1e-4, 1.85, 1),
               ("generator_commutator", "Eq. (18)", 1e-4, 0.85, 2),
@@ -364,10 +364,10 @@ def generator_checks(scn: Scenario, action, rng) -> list:
     records = _refined(checks, lambda tk: {
         f"generator_{name}": r for name, r in identity_suite(
             A, B, _smooth_alpha(), psi, HA[tk], HA[2 * tk], action, tk,
-            conjugator=conj).items()}, tau)
+            conjugator=elements[3]).items()}, tau)
 
     # smoothing covariance under left translation
-    g = _lattice_elements(sampling)[0]
+    g = elements[0]
     lhs = evaluator_transform(action, g, psi)
     translated = SmoothingKernel(
         sampling, kernel.node_steps,

@@ -138,11 +138,15 @@ def test_weaker_condition_demonstration():
 # invariant sections on the enlarged orbit
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def bundle():
+def metaplectic_bundle():
     _, family = metaplectic_action(DIM, drift=True)
     return GaugeBundle(family, phase_shift_gauge(), ANCHOR,
                        theta_nodes=48, gauge_step=np.pi / 8, gauge_window=10)
+
+
+@pytest.fixture(scope="module")
+def bundle():
+    return metaplectic_bundle()
 
 
 def smooth_fundamental(bundle, seed=11):
@@ -242,47 +246,59 @@ def source_rows(bundle, m):
     return bundle.flow(-m * bundle.theta_step, bundle.base_rows)
 
 
+def key_lookup_transform(bundle, m, values):
+    """The reference transform: each source found by its state key on the
+    grid, and a source off the grid completed through invariance from its
+    rotation node's parameter-0 value."""
+    U = bundle.family.directions[0].unitary(m * bundle.theta_step)
+    n_j = bundle.gauge_indices.size
+    src = source_rows(bundle, m)
+    flat = unique_grid_indices(bundle, src)
+    sources = values.reshape(-1, bundle.dim)[flat]
+    off = flat < 0
+    i_src = (np.repeat(np.arange(bundle.theta_nodes), n_j)[off] - m) % bundle.theta_nodes
+    phase = bundle.gauge.fiber_phase(src[off, 0] - bundle._orbit_rows[i_src, 0])
+    sources[off] = np.asarray(phase)[..., None] * values[i_src, n_j // 2]
+    return np.matmul(U, sources[:, :, None])[:, :, 0].reshape(values.shape)
+
+
 @pytest.mark.parametrize("m", [0, 1, 7, 25, 48, 55])
-def test_grid_index_matches_unique_on_source_rows(bundle, m):
-    rows = source_rows(bundle, m)
-    got = bundle._grid_indices(rows)
-    assert got.tolist() == unique_grid_indices(bundle, rows).tolist()
+def test_gauge_transform_matches_the_key_lookup(bundle, m):
+    """The lattice-step index reads the same sources as the key lookup, bit
+    for bit, on a built (read-only) section and on a writeable output."""
+    vals = bundle.build_invariant(smooth_fundamental(bundle))
+    for values in (vals, bundle.gauge_transform(25, vals)):
+        assert np.array_equal(bundle.gauge_transform(m, values),
+                              key_lookup_transform(bundle, m, values))
+    off = unique_grid_indices(bundle, source_rows(bundle, m)) < 0
     if m not in (0, 48):    # a part turn moves some rows off the gauge window
-        assert 0 < np.count_nonzero(got < 0) < len(got)
+        assert 0 < np.count_nonzero(off) < len(off)
 
 
-def test_grid_index_matches_unique_off_the_grid(bundle):
-    """S shifted by half a gauge step, and rows whose every coordinate is on
-    the grid but not together, are off the grid."""
-    shifted = source_rows(bundle, 7).copy()
-    shifted[:, 0] += 0.5 * bundle.gauge_step
-    mixed = np.column_stack([bundle.base_rows[:, 0],
-                             np.roll(bundle.base_rows[:, 1:], 21, axis=0)])
-    for rows in (shifted, mixed):
-        got = bundle._grid_indices(rows)
-        assert got.tolist() == unique_grid_indices(bundle, rows).tolist()
-        assert np.all(got == -1)
+def flow_one_node_ahead(bundle):
+    flow = bundle.flow
+    bundle.flow = lambda t, rows: flow(t + bundle.theta_step, rows)
 
 
-def test_grid_index_matches_unique_on_repeated_keys():
-    """A grid whose keys repeat (the pure phase fixes base points, so every
-    gauge slice has the rotation slice's keys) and a stack of rows that
-    repeats, on and off the grid: each row finds the first grid match."""
-    _, family = metaplectic_action(DIM, drift=True)
-    gb = GaugeBundle(family, u1_phase_gauge(), ANCHOR,
-                     theta_nodes=24, gauge_step=np.pi / 8, gauge_window=4)
-    off = gb.base_rows[:10] + np.array([0.25, 0.0, 0.0])
-    rows = np.concatenate([source_rows(gb, 5), gb.base_rows[::-1], off, off,
-                           gb.base_rows[:10]])
-    got = gb._grid_indices(rows)
-    assert got.tolist() == unique_grid_indices(gb, rows).tolist()
-    assert set(got.tolist()) - {-1} <= set(range(0, gb.base_rows.shape[0], 9))
+def nudge_p_on_row_100(bundle):
+    bundle.base_rows = bundle.base_rows.copy()
+    bundle.base_rows[100, 1] += 1e-6
+
+
+@pytest.mark.parametrize("m", [0, 7])
+@pytest.mark.parametrize("defect", [flow_one_node_ahead, nudge_p_on_row_100])
+def test_gauge_transform_refuses_points_off_the_enlarged_orbit(defect, m):
+    """A source whose P, Q are not its rotation node's is refused, on the
+    gauge window as off it."""
+    gb = metaplectic_bundle()
+    vals = gb.build_invariant(smooth_fundamental(gb))
+    defect(gb)
+    with pytest.raises(PreconditionError, match="off the enlarged orbit"):
+        gb.gauge_transform(m, vals)
 
 
 def test_invariant_section_is_read_only_and_its_residual_memoised():
-    _, family = metaplectic_action(DIM, drift=True)
-    gb = GaugeBundle(family, phase_shift_gauge(), ANCHOR,
-                     theta_nodes=48, gauge_step=np.pi / 8, gauge_window=10)
+    gb = metaplectic_bundle()
     vals = gb.build_invariant(smooth_fundamental(gb))
     assert not vals.flags.writeable
     broken = vals.copy()

@@ -19,7 +19,10 @@ generator stencil ``1j * central_difference(...)`` in
 eigendecomposition of a generator's fiber Hamiltonian in
 ``actions.GeneratorData``, and the scaled squared radius (a squared
 quotient) in ``groups.scaled_square_radius``; no ``setdiff1d`` (the
-samples a transport loses are the -1 entries of its ``target``); no stored
+samples a transport loses are the -1 entries of its ``target``); no
+``state_keys`` call outside ``sections.OrbitSampling.__init__``, which
+de-duplicates samples modulo the stabilizer (a grid index is lattice
+arithmetic, not a second key table); no stored
 field that nothing reads (a dataclass field or an attribute set in an
 ``__init__``, read neither in the package nor in ``perfbench``, except by
 passing it back to its own class's constructor); no comparison of ``.rows`` with
@@ -338,6 +341,10 @@ def _is_setdiff(node: ast.AST) -> bool:
     return _calls(node, "setdiff1d")
 
 
+def _is_state_key_call(node: ast.AST) -> bool:
+    return _calls(node, "state_keys")
+
+
 def _is_scipy_import(node: ast.AST) -> bool:
     """``import scipy...``, ``from scipy... import ...``, or a dynamic import
     (``import_module`` or ``__import__``) of a constant naming scipy."""
@@ -428,6 +435,11 @@ def test_written_once_patterns_are_recognised():
                      '    return np.setdiff1d(np.arange(j), kept), setdiff1d(j, kept)\n')
     assert _owners(tree, _is_squared_quotient) == {"bump"}
     assert _owners(tree, _is_setdiff) == {"lost"}
+    tree = ast.parse('def index(rows, s):\n'
+                     '    return state_keys(rows), s.state_keys(rows), sections.state_keys(rows)\n'
+                     'def other(rows, keys):\n'
+                     '    return keys(rows), state_key(rows), rows.state_keys, unique(rows)\n')
+    assert _sites(tree, _is_state_key_call) == ["index"] * 3
     tree = ast.parse('import scipy\n'
                      'def a():\n'
                      '    import scipy.linalg as sl\n'
@@ -492,6 +504,12 @@ def test_scaled_square_radius_written_once():
 
 def test_no_setdiff_in_the_package():
     assert _package_owners(_is_setdiff) == set()
+
+
+def test_state_keys_only_where_the_orbit_is_sampled():
+    """De-duplication modulo the stabilizer is the one reader of state keys,
+    so a second key-based index does not grow back."""
+    assert _package_sites(_is_state_key_call) == [("sections.py", "__init__")]
 
 
 def test_rows_meet_none_only_where_a_section_is_built():
