@@ -6,19 +6,21 @@ The table ``_SCHEMA`` is the schema.  It has one row per config field, by
 path (``dynamics.t_final``; ``lattice[].spacing`` for each item of a list),
 giving the field's kind, its bound, and its default or ``_REQUIRED``.  The
 known fields of a mapping are the rows under it.  ``_walk`` checks a config
-against the table; ``_validate`` then applies the few rules that tie fields
-together or cap them (the fiber truncation, lattice axes per group coordinate
-and their reach, an action's group, the spectrum modes within the fiber, the
-unit frequency that the oscillator action and the spectrum oracle assume, a
-``dynamics.t_final`` of at least one step, a ``numerics.dt`` of at most the
-ansatz checks' time 1 when they run, the quadratic Hamiltonian whose exact
-flow the law check reads when law times are given, an
-``eps_list`` of at least two strictly decreasing values when one is given,
-what each suite needs under its action, its one probe size included, a
-generators-suite kernel radius within its lattice window, the metaplectic
-action under the gauge suite, an so2 action's anchor off the rotation
-centre).  A ``Scenario`` keeps its sub-configs as given, and
-``Scenario.setting`` reads each default from the table when asked, so a
+against the table; ``_validate`` then applies the rules that tie fields
+together or cap them: the fiber truncation; lattice axes per group
+coordinate, their reach and kind (a cycle on a periodic coordinate, a line
+on any other), and a line window holding step 0; an action's group; the
+spectrum modes within the fiber; the unit frequency that the oscillator
+action and the spectrum oracle assume; a ``dynamics.t_final`` of at least
+one step; a ``numerics.dt`` of at most the ansatz checks' time 1 when they
+run; the quadratic Hamiltonian whose exact flow the law check reads; an
+``eps_list`` of at least two strictly decreasing values; what each suite
+needs under its action, one probe size included; a generators-suite kernel
+within its window; the metaplectic action under the gauge suite; and, under
+a harmonic action (a rotation about P = Q = 0), an anchor off the centre and
+a line window shorter than a turn.  So every sampling of a loaded config
+holds distinct base points.  A ``Scenario`` keeps its sub-configs as given,
+and ``Scenario.setting`` reads each default from the table when asked, so a
 resized copy (``dataclasses.replace``) keeps them.
 """
 
@@ -40,7 +42,7 @@ from .dynamics import cubic_perturbed_spec, quadratic_hamiltonian_spec
 from .errors import ConfigError, InputError
 from .generators import kernel_steps
 from .groups import builtin_group_ids, get_group
-from .sections import LatticeAxis, OrbitSampling
+from .sections import LatticeAxis, OrbitSampling, check_axis_kinds
 
 __all__ = ["Scenario", "load_scenario", "catalog_names", "SEED_ENV_VAR"]
 
@@ -60,6 +62,10 @@ _HAMILTONIANS = {
     "quadratic": lambda omega2, cubic: quadratic_hamiltonian_spec(omega2),
     "cubic-perturbed": cubic_perturbed_spec,
 }
+
+# the actions whose base flow is the unit rotation about P = Q = 0 (the
+# harmonic oscillator's), whose orbit meets itself again after a turn of 2 pi
+_HARMONIC_ACTIONS = ("oscillator", "so2-rotor", "metaplectic")
 
 # the fields a lattice axis of each kind holds beside its kind
 _AXES = {"line": ("spacing", "lo", "hi"), "cycle": ("count",)}
@@ -81,15 +87,13 @@ _ACTION_SUITES = {("oscillator", "reconstruction"): ("hamiltonian",)}
 
 _REQUIRED = object()
 
-# orbit states are keyed as int64 multiples of 1e-9 (sections.state_keys),
-# which hold coordinates up to about 9.2e9: an anchor coordinate and a line
-# axis's reach stay well inside
+# the largest anchor coordinate and line axis reach (|lo|, |hi| times the
+# spacing): a float there resolves 2.2e-7, finer than every suite tolerance
 _COORDINATE_REACH = 1e9
 
-# an so2 action's orbit is a circle about P = Q = 0 through the anchor, and
-# orbit states are keyed at 1e-9: so2-rotor's 48-point orbit loses samples
-# to shared keys at radius 3e-9 (sections_suite_error) and keeps them from
-# 1e-8, so this floor on the radius leaves a hundredfold margin
+# at the centre of a harmonic action's orbit every sample is one base point,
+# on which the suites pass as on a whole orbit; at this floor a 48-point
+# orbit's neighbours stay 1.3e-7 apart, a hundredfold the lattice alignment
 _MIN_ORBIT_RADIUS = 1e-6
 
 # every fiber operator is a dense complex (n_cut, n_cut) array, and a flow
@@ -360,12 +364,21 @@ def _validate(cfg, origin: str) -> Scenario:
                                   f"{list(fields)}, got {sorted(axis)}")
             if axis["kind"] != "line":
                 continue
-            if axis["lo"] > axis["hi"]:
-                raise ConfigError(f"{origin}: {key}[{i}]: empty axis, lo {axis['lo']} "
-                                  f"> hi {axis['hi']}")
+            # every probe, kernel and transform is centred on the identity step
+            if not axis["lo"] <= 0 <= axis["hi"]:
+                raise ConfigError(f"{origin}: {key}[{i}]: the window {axis['lo']}..{axis['hi']} "
+                                  "does not hold the identity step 0")
             if max(abs(axis["lo"]), abs(axis["hi"])) > _COORDINATE_REACH / axis["spacing"]:
                 raise ConfigError(f"{origin}: {key}[{i}]: the axis reaches past "
                                   f"{_COORDINATE_REACH:g}")
+            if (scn.action_name in _HARMONIC_ACTIONS
+                    and (axis["hi"] - axis["lo"]) * axis["spacing"] * (1 + 1e-12) >= 2 * np.pi):
+                raise ConfigError(f"{origin}: {key}[{i}]: the window spans a full turn "
+                                  f"2 pi of the {scn.action_name!r} action's rotation")
+        try:
+            check_axis_kinds(get_group(scn.group_id), scn._axes(axes))
+        except InputError as err:
+            raise ConfigError(f"{origin}: {key}: {err}") from err
     for key, sizes in (("kernel_radius", scn.kernel_radius),
                        ("probes.sigma", scn.probes.get("sigma")),
                        ("probes.radius", scn.probes.get("radius"))):
@@ -390,7 +403,7 @@ def _validate(cfg, origin: str) -> Scenario:
     if "gauge" in scn.suites and scn.action_name != "metaplectic":
         raise ConfigError(f"{origin}: suite 'gauge' needs the metaplectic action, "
                           f"got {scn.action_name!r}")
-    if (scn.action_name is not None and _ACTION_BUILDERS[scn.action_name][1] == "so2"
+    if (scn.action_name in _HARMONIC_ACTIONS
             and np.hypot(scn.anchor[1], scn.anchor[2]) < _MIN_ORBIT_RADIUS):
         raise ConfigError(f"{origin}: action {scn.action_name!r} needs an anchor at least "
                           f"{_MIN_ORBIT_RADIUS:g} from the rotation centre P = Q = 0, "

@@ -3,14 +3,17 @@
 An :class:`OrbitSampling` is a finite window of a discrete subgroup lattice
 written in second-kind coordinates, so left translation by a lattice element
 permutes indices exactly and the section transform needs no interpolation.
-Its anchor is a state row (3,) and its base points one array of state rows
+It holds one sample per point of its window, none de-duplicated:
+:func:`check_axis_kinds` keeps a lattice from repeating a group element,
+and the scenario rules keep a loaded config's base points apart.  Its
+anchor is a state row (3,) and its base points one array of state rows
 ``base_array`` (J, 3), and base functions are evaluated on such rows in one
 batched call; its group matrices ``group_mats`` are stored plane by plane (a
 (J, n, n) view of a C-contiguous (n, n, J) array), the layout
-``groups.left_translate`` reads and returns.  Sections optionally carry one closed-form evaluator (group
-matrices -> fiber values) and record their live ``modes``: the leading
-fiber modes in which their values and field can be nonzero (a probe fills
-only its low modes).  The evaluator, ``live_field``, computes only those
+``groups.left_translate`` reads and returns.  Sections optionally carry one
+closed-form evaluator (group matrices -> fiber values) and record their
+live ``modes``: the leading fiber modes in which their values and field can
+be nonzero (a probe fills only its low modes).  The evaluator, ``live_field``, computes only those
 modes; ``field`` is its full-width view.
 A section has one storage: a ``block`` of values (len(rows), d) on sorted
 sample indices ``rows``, zero on every other sample; a section built
@@ -56,7 +59,7 @@ __all__ = [
     "Section",
     "BaseFunction",
     "SampledBaseFunction",
-    "state_keys",
+    "check_axis_kinds",
     "pulled_field",
     "central_difference",
     "section_transform",
@@ -72,20 +75,8 @@ __all__ = [
 ]
 
 _ALIGN_TOL = 1e-9
-_STATE_RESOLUTION = 1e-9
 # a transform may drop at most this share of a section's mass |values|^2
 _SUPPORT_TOL = 1e-10
-
-
-def state_keys(rows: np.ndarray) -> np.ndarray:
-    """Integer keys of state rows: rows that agree to ``_STATE_RESOLUTION``
-    in every coordinate are one base point.  Raises InputError for a
-    coordinate whose key an int64 cannot hold (it would wrap)."""
-    keys = np.round(np.asarray(rows) / _STATE_RESOLUTION)
-    if not np.all(np.abs(keys) < 2.0 ** 63):
-        raise InputError(f"state coordinates beyond {2.0 ** 63 * _STATE_RESOLUTION:.3g} "
-                         "have no int64 key")
-    return keys.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -125,6 +116,19 @@ class LatticeAxis:
         return (steps >= self.lo) & (steps <= self.hi)
 
 
+def check_axis_kinds(group, axes: Sequence[LatticeAxis]) -> None:
+    """Raise InputError unless each of ``axes`` is a cycle tiling the period
+    of a periodic coordinate of ``group`` or a line on any other (a line on
+    a periodic coordinate repeats group elements once it spans a turn)."""
+    for k, ax in enumerate(axes):
+        period = group.periodic_axes.get(k)
+        if (ax.kind == "cycle") != (period is not None):
+            raise InputError(f"{ax.kind} axis on a "
+                             f"{'non-' if period is None else ''}periodic coordinate")
+        if period is not None and abs(ax.spacing * ax.count - period) > 1e-12:
+            raise InputError("cyclic axis does not tile the period")
+
+
 @dataclass(frozen=True)
 class Transport:
     """Exact re-indexing of the samples by a lattice element g (Eq. 7a):
@@ -141,9 +145,9 @@ class Transport:
 class OrbitSampling:
     """Finite lattice window of a group orbit through an anchor state row.
 
-    Samples are de-duplicated modulo the numerically detected stabilizer
-    (base points with equal :func:`state_keys` collapse to their first
-    representative), so ``len`` counts the distinct base points.
+    The sampling holds every point of its window, so ``len`` is the product
+    of the axis sizes; that their base points are distinct is the config's
+    to ensure (``scenarios`` refuses anchors and windows where they meet).
     ``group_mats`` (J, n, n) is stored plane by plane (its ``transpose(1, 2,
     0)`` is C-contiguous), so each term of a left translation reads a
     contiguous plane.
@@ -158,53 +162,36 @@ class OrbitSampling:
         self.anchor = anchor
         self.axes = tuple(axes)
         self.spacings = np.array([ax.spacing for ax in axes])
-        for k, ax in enumerate(axes):
-            if ax.kind == "cycle":
-                period = group.periodic_axes.get(k)
-                if period is None:
-                    raise InputError("cyclic axis on a non-periodic coordinate")
-                if abs(ax.spacing * ax.count - period) > 1e-12:
-                    raise InputError("cyclic axis does not tile the period")
+        check_axis_kinds(group, axes)
 
         grids = np.meshgrid(*[ax.indices() for ax in axes], indexing="ij")
-        all_steps = np.stack([g.ravel() for g in grids], axis=-1)
-        # identity-first canonical order so stabilizer classes keep the
-        # earliest representative
-        order = np.lexsort(tuple(all_steps.T[::-1]) + (np.sum(np.abs(all_steps), axis=1),))
-        all_steps = all_steps[order]
+        steps = np.stack([g.ravel() for g in grids], axis=-1)
+        # identity first, then outward by the sum of |steps|, ties in
+        # lexicographic order: the pointwise recovery check draws points by
+        # sample index, so its draws and the pinned reports follow this order
+        order = np.lexsort(tuple(steps.T[::-1]) + (np.sum(np.abs(steps), axis=1),))
+        self.steps = steps[order]
 
         # g = A_1^{s_1} A_2^{s_2} ..., one matrix_power per distinct step
         # value of an axis; a zero step leaves the product untouched
         axis_mats = [group.compose_exps(ax.spacing * np.eye(group.dim)[k])
                      for k, ax in enumerate(axes)]
         mats = np.tile(np.eye(group.rep_dim, dtype=np.result_type(*axis_mats)),
-                       (all_steps.shape[0], 1, 1))
+                       (self.steps.shape[0], 1, 1))
         for k, axis_mat in enumerate(axis_mats):
-            values, where = np.unique(all_steps[:, k], return_inverse=True)
+            values, where = np.unique(self.steps[:, k], return_inverse=True)
             powers = np.array([np.linalg.matrix_power(axis_mat, int(s)) for s in values])
-            nz = all_steps[:, k] != 0
+            nz = self.steps[:, k] != 0
             mats[nz] = mats[nz] @ powers[where[nz]]
+        self.group_mats = np.ascontiguousarray(mats.transpose(1, 2, 0)).transpose(2, 0, 1)
+        self.base_array = action.base_points(mats, anchor)
 
-        base = action.base_points(mats, anchor)
-        _, first = np.unique(state_keys(base), axis=0, return_index=True)
-        keep = np.sort(first)
-
-        self.steps = all_steps[keep]
-        self.group_mats = np.ascontiguousarray(
-            mats.transpose(1, 2, 0)[:, :, keep]).transpose(2, 0, 1)
-        self.base_array = base[keep]
-
-        # flat position table for vectorized index lookups
-        self._axis_lo = np.array([ax.lo if ax.kind == "line" else 0 for ax in axes])
-        self._axis_size = np.array(
-            [ax.hi - ax.lo + 1 if ax.kind == "line" else ax.count for ax in axes])
-        self._axis_stride = np.ones(len(axes), dtype=np.int64)
-        for k in range(len(axes) - 2, -1, -1):
-            self._axis_stride[k] = self._axis_stride[k + 1] * self._axis_size[k + 1]
-        table = np.full(int(np.prod(self._axis_size)), -1, dtype=np.int64)
-        flat = (self.steps - self._axis_lo) @ self._axis_stride
-        table[flat] = np.arange(self.steps.shape[0])
-        self._position_table = table
+        # flat position table for vectorized index lookups: the window's
+        # row-major points were sorted by ``order``, so the sample of each
+        # point is the inverse permutation
+        self._axis_lo = np.array([ax.indices()[0] for ax in axes])
+        self._axis_size = grids[0].shape
+        self._position_table = np.argsort(order)
         self._transports = {}
         # the rows of a section on every sample, shared and read-only
         self.all_rows = np.arange(self.steps.shape[0])
@@ -218,11 +205,10 @@ class OrbitSampling:
         return self.action.fiber_dim
 
     def identity_index(self) -> int:
-        origin = np.zeros((1, len(self.axes)), dtype=np.int64)
-        index = int(self._indices_of_steps(origin)[0])
-        if index < 0:
+        """0: the identity is the first sample when the window holds it."""
+        if np.any(self.steps[0]):
             raise InputError("the identity is outside the sampled window")
-        return index
+        return 0
 
     def indices_of_matrices(self, mats: np.ndarray) -> np.ndarray:
         """Sample indices of a stack of group matrices (-1 where the point is
@@ -243,7 +229,7 @@ class OrbitSampling:
             inside &= ax.contains(steps[:, k])
         out = np.full(steps.shape[0], -1, dtype=np.int64)
         if np.any(inside):
-            flat = (steps[inside] - self._axis_lo) @ self._axis_stride
+            flat = np.ravel_multi_index((steps[inside] - self._axis_lo).T, self._axis_size)
             out[inside] = self._position_table[flat]
         return out
 

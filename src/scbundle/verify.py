@@ -222,7 +222,7 @@ def dynamics_checks(scn: Scenario, rng) -> list:
         records.append(CheckRecord("evolution_fiber_law", "Eq. (5)", fiber_worst, 1e-6))
 
     eps_control = scn.setting("dynamics.eps_control")
-    if eps_control and scn.hamiltonian["kind"] == "quadratic":
+    if eps_control and H.constant_hessians:
         xs = scn.grid()
         f0 = np.eye(dim)[0].astype(complex)
         err, = ansatz_errors(H, X0, f0, [float(eps_control)], 1.0, xs, dt=dt)

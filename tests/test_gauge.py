@@ -10,7 +10,6 @@ from scbundle.gauge import (GaugeBundle, compensator_relations_check,
                             phase_shift_gauge, u1_phase_gauge)
 from scbundle.groups import exp as gexp
 from scbundle.groups import get_group
-from scbundle.sections import state_keys
 
 DIM = 14
 ANCHOR = np.array([0.0, 0.0, 1.0])
@@ -229,6 +228,12 @@ def test_gauge_invariant_multiplication_commutes(bundle):
 # ---------------------------------------------------------------------------
 # the grid index and the residual memo
 # ---------------------------------------------------------------------------
+
+def state_keys(rows):
+    """Integer keys of state rows: rows that agree to 1e-9 in every
+    coordinate share a key."""
+    return np.round(np.asarray(rows) / 1e-9).astype(np.int64)
+
 
 def unique_grid_indices(bundle, rows):
     """The reference index: one np.unique over the grid's state keys stacked

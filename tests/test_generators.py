@@ -22,28 +22,37 @@ from scbundle.sections import (BaseFunction, LatticeAxis, OrbitSampling,
                                evaluator_transform, gentle_probe_section,
                                pairing, pulled_field, section_transform,
                                smooth_probe_section, transformed_field)
-from scbundle.verify import FD_TAU, _lattice_elements, run_verify
+from scbundle.verify import FD_TAU, _lattice_elements, _order_gap, run_verify
 
 H = 0.15
 
 
-@pytest.fixture(scope="module")
-def weyl():
-    action, _ = heisenberg_weyl_action(12)
+def weyl_sampling(n_cut):
+    """The heisenberg-weyl action on a fibre of ``n_cut`` modes and its
+    orbit through (0, 0.4, -0.2) on the catalog's generator lattice."""
+    action, _ = heisenberg_weyl_action(n_cut)
     anchor = np.array([0.0, 0.4, -0.2])
     axes = [LatticeAxis.line(H, -4, 4), LatticeAxis.line(H, -4, 4),
             LatticeAxis.line(H * H, -12, 12)]
     return action, OrbitSampling(action, anchor, axes)
 
 
-@pytest.fixture(scope="module")
-def smoothed(weyl):
-    action, sampling = weyl
+def smoothed_probe(action, sampling):
     rng = np.random.default_rng(0)
     probe = gentle_probe_section(sampling, rng, max_degree=3,
                                  sigma=[0.4, 0.4, 0.35])
     kernel = lattice_kernel(sampling, radius=[0.16, 0.16, 0.07])
     return garding_smooth(kernel, probe, action)
+
+
+@pytest.fixture(scope="module")
+def weyl():
+    return weyl_sampling(12)
+
+
+@pytest.fixture(scope="module")
+def smoothed(weyl):
+    return smoothed_probe(*weyl)
 
 
 def smooth_alpha():
@@ -440,11 +449,13 @@ def test_base_derivative_translation_coordinate():
 # identity suite
 # ---------------------------------------------------------------------------
 
-FLOOR = 1e-9
-
-
-def test_identity_suite_heisenberg(weyl, smoothed):
-    action, sampling = weyl
+def test_identity_suite_heisenberg():
+    """On the catalog fibre (n_cut 18) every identity residual shrinks at
+    its contracted order when the fd step halves, or sits at the roundoff
+    floor of its difference (verify._order_gap).  A 12-mode fibre truncates
+    the conjugation to a residual of 1.2e-10 that no step moves."""
+    action, sampling = weyl_sampling(18)
+    smoothed = smoothed_probe(action, sampling)
     G = action.group
     A, B = G.algebra([1.0, 0.0, 0.0]), G.algebra([0.0, 1.0, 0.0])
     conj = G.element(G.compose_exps([H, H, 0.0]))
@@ -455,11 +466,9 @@ def test_identity_suite_heisenberg(weyl, smoothed):
     assert set(res) == set(half) == {"linearity", "conjugation", "commutator",
                                      "multiplication", "pairing_derivative"}
     for name, r in res.items():
-        r_half = half[name]
-        contracted = 1.0 if name == "commutator" else 2.0
-        assert r_half <= FLOOR or np.log2(r / r_half) >= contracted - 0.15, name
-        if name == "commutator":
-            assert r <= 1e-4
+        contracted, differences = (0.85, 2) if name == "commutator" else (1.85, 1)
+        assert _order_gap(r, half[name], contracted, 5e-4, differences) == 0.0, name
+    assert res["commutator"] <= 1e-4
 
 
 def test_identity_suite_abelian_commutator_vanishes():

@@ -3,6 +3,7 @@ fuzz built from the schema table plants one fault per row."""
 
 import copy
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -55,6 +56,12 @@ METAPLECTIC = [(("group_id",), "so2"), (("action",), "metaplectic"),
                (("generator_lattice",), None), (("kernel_radius",), [0.3]),
                (("probes", "sigma"), [0.8]), (("probes", "radius"), [2.5]),
                (("suites",), ["lie", "gauge"])]
+
+# edits of BASE into a valid translations-r2 config
+TRANSLATIONS = [(("group_id",), "translations_r2"), (("action",), "translations-r2"),
+                (("lattice",), [{"kind": "line", "spacing": 0.15, "lo": -8, "hi": 8}] * 2),
+                (("generator_lattice",), None), (("kernel_radius",), [0.2, 0.2]),
+                (("probes", "sigma"), [0.4, 0.4]), (("probes", "radius"), [0.4, 0.4])]
 
 # edits of BASE into a valid config whose dynamics suite runs the ansatz
 # checks of a quadratic Hamiltonian, which flow to time 1 at numerics.dt
@@ -238,6 +245,34 @@ MALFORMED = {
         (("anchor",), {"S": 0.0, "P": [0.0], "Q": [1e-9]})],
     "metaplectic-anchor-at-rotation-centre": METAPLECTIC + [
         (("anchor",), {"S": 0.0, "P": [0.0], "Q": [0.0]})],
+    # each of these loaded with orbit samples that share base points, which
+    # the sampling then dropped: the oscillator anchor at the rotation
+    # centre kept 1 of 81 (sections_suite_error, AlignmentError, and a
+    # failing reconstruction_isometry), the oscillator window of 121 steps
+    # of 2 pi / 100 kept 100, the metaplectic window of 61 steps of
+    # 2 pi / 48 kept 48
+    "oscillator-anchor-at-rotation-centre": OSCILLATOR + [
+        (("anchor",), {"S": 0.0, "P": [0.0], "Q": [0.0]})],
+    "oscillator-window-beyond-its-period": OSCILLATOR + [
+        (("lattice",), [{"kind": "line", "spacing": 2 * math.pi / 100, "lo": -60, "hi": 60}])],
+    "metaplectic-line-axis-a-full-turn": METAPLECTIC + [
+        (("lattice",), [{"kind": "line", "spacing": 2 * math.pi / 48, "lo": -30, "hi": 30}])],
+    # each of these loaded, and an axis of the wrong kind for its coordinate
+    # then ended in sections_suite_error (AlignmentError on the so2 line), or
+    # in an InputError from every lattice suite (the translation cycle)
+    "so2-rotor-line-axis": METAPLECTIC + [
+        (("action",), "so2-rotor"), (("suites",), ["sections"]),
+        (("lattice",), [{"kind": "line", "spacing": 0.1, "lo": -20, "hi": 20}])],
+    "translations-r2-cycle-axis": TRANSLATIONS + [(("lattice", 0), {"kind": "cycle",
+                                                                    "count": 48})],
+    # each of these loaded with a window that leaves out the identity step:
+    # translations-r2 then ended in sections_suite_error (AlignmentError)
+    # and failed reconstruction_isometry, the oscillator ended in
+    # sections_suite_error and reconstruction_suite_error (InputError), and
+    # the heisenberg generator lattice failed reconstruction_isometry
+    "translations-r2-window-without-identity": TRANSLATIONS + [(("lattice", 0, "lo"), 1)],
+    "oscillator-window-without-identity": OSCILLATOR + [(("lattice", 0, "lo"), 2)],
+    "generator-lattice-window-without-identity": [(("generator_lattice", 2, "hi"), -1)],
     # each of these loaded, and then a run of its suites ended in
     # dynamics_suite_error (40 expected phases against the diagonal of the
     # propagator), in reconstruction_suite_error, or in sections_suite_error
@@ -319,6 +354,16 @@ def test_oscillator_config_loads(tmp_path):
     assert scn.fiber_dim == scn.setting("dynamics.spectrum_modes") == 12
     action, _ = scn.build_action()
     assert len(scn.build_sampling(action)) == 81
+
+
+def test_translations_config_loads(tmp_path):
+    """The translations edits give a valid config, so a malformed case built
+    on them fails for its own edit."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_edit(TRANSLATIONS)))
+    scn = load_scenario(str(path))
+    action, _ = scn.build_action()
+    assert len(scn.build_sampling(action)) == 17 * 17
 
 
 @pytest.mark.parametrize("edits", [

@@ -19,7 +19,7 @@ from scbundle.sections import (
     BaseFunction, LatticeAxis, OrbitSampling, Section, delta_section,
     evaluator_transform, gentle_probe_section, multiply, pairing, pullback,
     pulled_field, reconstruct_pointwise_operator, section_transform,
-    smooth_probe_section, state_keys,
+    smooth_probe_section,
 )
 from scbundle.verify import _lattice_elements
 
@@ -102,6 +102,34 @@ def test_group_mats_are_stored_plane_by_plane(name):
         assert np.any(np.signbit(-mats) & (mats == 0.0))
 
 
+@pytest.mark.parametrize("name", [n for n in catalog_names()
+                                  if load_scenario(n).action_name is not None])
+def test_catalog_samplings_hold_their_whole_window(name):
+    """Every point of each catalog orbit and generator lattice window is a
+    sample, and the group matrices look their own samples up in order."""
+    scn = load_scenario(name)
+    action, _ = scn.build_action()
+    for generator_scale in (False, True):
+        sampling = scn.build_sampling(action, generator_scale=generator_scale)
+        assert len(sampling) == np.prod([ax.indices().size for ax in sampling.axes])
+        assert np.array_equal(sampling.indices_of_matrices(sampling.group_mats),
+                              np.arange(len(sampling)))
+
+
+def test_sampling_refuses_an_axis_of_the_wrong_kind():
+    """A cycle needs a periodic coordinate and a line a non-periodic one."""
+    rotor, _ = so2_rotor_action(6)
+    plane, _ = translations_r2_action(6)
+    anchor = np.array([0.0, 0.0, 1.0])
+    with pytest.raises(InputError, match="line axis on a periodic coordinate"):
+        OrbitSampling(rotor, anchor, [LatticeAxis.line(0.2, -20, 20)])
+    with pytest.raises(InputError, match="cycle axis on a non-periodic coordinate"):
+        OrbitSampling(plane, anchor, [LatticeAxis.cycle(2 * np.pi, 8),
+                                      LatticeAxis.line(0.15, -4, 4)])
+    with pytest.raises(InputError, match="does not tile the period"):
+        OrbitSampling(rotor, anchor, [LatticeAxis.cycle(np.pi, 8)])
+
+
 def test_sampling_contains_identity_and_recomputable_base(weyl):
     action, sampling = weyl
     idx = sampling.identity_index()
@@ -122,27 +150,12 @@ def test_sampling_base_points_pairwise_distinct(weyl):
 
 
 def collapsed_rotor_sampling():
-    """The rotor action fixes the base point when (P, Q) = 0, so the whole
-    circle collapses to one stabilizer class."""
+    """The rotor action fixes the base point when (P, Q) = 0, so all 24
+    samples of the circle share one base point; a sampling built directly
+    keeps them (only a scenario config refuses that anchor)."""
     action, _ = so2_rotor_action(6)
     anchor = np.array([0.2, 0.0, 0.0])
     return OrbitSampling(action, anchor, [LatticeAxis.cycle(2 * np.pi, 24)])
-
-
-def test_sampling_stabilizer_deduplication():
-    sampling = collapsed_rotor_sampling()
-    assert len(sampling) == 1
-
-
-def test_state_keys_refuse_coordinates_an_int64_cannot_hold():
-    """Keys are multiples of 1e-9: 9e9 still has one, 1e10 would wrap."""
-    rows = np.array([[9e9, -9e9, 2e-9]])
-    keys = state_keys(rows)
-    assert keys.dtype == np.int64
-    np.testing.assert_allclose(keys * 1e-9, rows, rtol=1e-15)
-    for row in ([0.0, 1e10, 0.0], [0.0, 0.0, -1e10], [np.nan, 0.0, 0.0]):
-        with pytest.raises(InputError):
-            state_keys(np.array([row]))
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,8 @@ eigendecomposition of a generator's fiber Hamiltonian in
 ``actions.GeneratorData``, and the scaled squared radius (a squared
 quotient) in ``groups.scaled_square_radius``; no ``setdiff1d`` (the
 samples a transport loses are the -1 entries of its ``target``); no
-``state_keys`` call outside ``sections.OrbitSampling.__init__``, which
-de-duplicates samples modulo the stabilizer (a grid index is lattice
-arithmetic, not a second key table); no stored
+``state_keys`` call (a sample's index is lattice arithmetic, and a loaded
+config's base points are distinct, so nothing de-duplicates them); no stored
 field that nothing reads (a dataclass field or an attribute set in an
 ``__init__``, read neither in the package nor in ``perfbench``, except by
 passing it back to its own class's constructor); no comparison of ``.rows`` with
@@ -506,10 +505,11 @@ def test_no_setdiff_in_the_package():
     assert _package_owners(_is_setdiff) == set()
 
 
-def test_state_keys_only_where_the_orbit_is_sampled():
-    """De-duplication modulo the stabilizer is the one reader of state keys,
-    so a second key-based index does not grow back."""
-    assert _package_sites(_is_state_key_call) == [("sections.py", "__init__")]
+def test_no_state_keys_in_the_package():
+    """Samples and gauge-bundle rows are indexed by their lattice steps, and
+    the scenario rules keep base points apart, so no key-based index or
+    de-duplication grows back."""
+    assert _package_sites(_is_state_key_call) == []
 
 
 def test_rows_meet_none_only_where_a_section_is_built():
